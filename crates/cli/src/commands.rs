@@ -1142,8 +1142,8 @@ fn cmd_bench_daemon<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgE
 
     if let Some(path) = args.get("json") {
         // The standard results/ experiment shape, mergeable by
-        // scripts/bench.sh. Throughput varies run to run (like
-        // bench_core), so bench-diff treats drift here as advisory.
+        // scripts/bench.sh. Throughput varies run to run, so bench-diff
+        // treats drift here as advisory.
         let row = |label: &str, r: &coopcache_net::DaemonBenchReport| {
             format!(
                 r#"["{label}","{}","{}","{}","{}","{}","{}"]"#,

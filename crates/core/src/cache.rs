@@ -1,11 +1,12 @@
-//! A single byte-capacity-bounded proxy cache over N arena-backed shards.
+//! A single byte-capacity-bounded proxy cache: the arena-backed document
+//! store and its audited, profiled front.
 
 use crate::config::CacheConfig;
-use crate::entry::{CacheEntry, EvictionRecord};
-use crate::expiration::ExpirationWindow;
-use crate::index::mix64;
-use crate::policy::PolicyKind;
-use crate::store::{Shard, StoreOutcome};
+use crate::entry::{CacheEntry, EvictionReason, EvictionRecord};
+use crate::expiration::{ExpirationTracker, ExpirationWindow};
+use crate::index::{DocTable, Slab};
+use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::stats::CacheStats;
 use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
 use std::fmt;
 
@@ -24,13 +25,15 @@ use std::fmt;
 ///
 /// # Storage layout
 ///
-/// Documents live in shards: flat arenas with open-addressing doc→slot
-/// tables and intrusive policy orders, so every hot-path operation is
+/// Documents live in one arena shard: a dense [`Slab`] of [`CacheEntry`]
+/// nodes, an open-addressing [`DocTable`] mapping document hash → slot
+/// index, and intrusive policy orders, so every hot-path operation is
 /// pointer-free O(1) (O(log n) for the heap-ordered policies) with zero
-/// steady-state allocation. A cache built through [`Cache::new`] has one
-/// shard — bit-for-bit the old single-store behaviour; [`CacheConfig`]
-/// can split the capacity over 2^k shards assigned by seeded document
-/// hash, which is what [`crate::ConcurrentCache`] locks independently.
+/// per-operation allocation once the backing vectors reach steady-state
+/// capacity. The public mutators are the one place those operations are
+/// timed (`profile` feature) and audited (`paranoid` feature);
+/// [`crate::ConcurrentCache`] routes documents over 2^k caches, one lock
+/// each, and calls the same methods.
 ///
 /// # Example
 ///
@@ -47,11 +50,20 @@ use std::fmt;
 #[derive(Debug)]
 pub struct Cache {
     id: CacheId,
+    // Position among a sharded cache's shards, read by the paranoid panic
+    // message only.
+    #[cfg_attr(not(feature = "paranoid"), allow(dead_code))]
+    shard_index: usize,
     capacity: ByteSize,
-    seed: u64,
-    shard_mask: u64,
-    shards: Vec<Shard>,
+    used: ByteSize,
+    entries: Slab<CacheEntry>,
+    table: DocTable,
+    policy: Box<dyn ReplacementPolicy>,
+    tracker: ExpirationTracker,
+    stats: CacheStats,
     ttl: Option<DurationMs>,
+    #[cfg(feature = "profile")]
+    profile: crate::profile::ProfileSnapshot,
 }
 
 /// A broken internal invariant, as reported by
@@ -169,52 +181,40 @@ impl InsertOutcome {
 }
 
 impl Cache {
-    /// Creates a single-shard cache with the default expiration-age window.
+    /// Creates a cache with the default expiration-age window.
     ///
     /// The expiration-age *flavor* (LRU formula vs LFU formula) follows the
-    /// replacement policy, per the paper's eq. 1. For shard, window, TTL
-    /// and seed knobs use [`CacheConfig`].
+    /// replacement policy, per the paper's eq. 1. For the window and TTL
+    /// knobs use [`CacheConfig`].
     #[must_use]
     pub fn new(id: CacheId, capacity: ByteSize, policy: PolicyKind) -> Self {
         CacheConfig::new(id, capacity, policy).build()
     }
 
-    /// Creates a single-shard cache with an explicit expiration-age window.
-    #[must_use]
-    pub fn with_window(
+    /// Builds an empty cache (called by [`CacheConfig`]); `shard_index` is
+    /// its position when it is one shard of a [`crate::ConcurrentCache`].
+    pub(crate) fn build(
         id: CacheId,
+        shard_index: usize,
         capacity: ByteSize,
         policy: PolicyKind,
         window: ExpirationWindow,
+        table_seed: u64,
     ) -> Self {
-        CacheConfig::new(id, capacity, policy)
-            .window(window)
-            .build()
-    }
-
-    /// Assembles a cache from built shards (called by [`CacheConfig`]).
-    pub(crate) fn from_parts(
-        id: CacheId,
-        capacity: ByteSize,
-        seed: u64,
-        shards: Vec<Shard>,
-        ttl: Option<DurationMs>,
-    ) -> Self {
-        debug_assert!(shards.len().is_power_of_two());
         Self {
             id,
+            shard_index,
             capacity,
-            seed,
-            shard_mask: shards.len() as u64 - 1,
-            shards,
-            ttl,
+            used: ByteSize::ZERO,
+            entries: Slab::new(),
+            table: DocTable::new(table_seed),
+            policy: policy.build(),
+            tracker: ExpirationTracker::new(policy.expiration_flavor(), window),
+            stats: CacheStats::default(),
+            ttl: None,
+            #[cfg(feature = "profile")]
+            profile: crate::profile::ProfileSnapshot::default(),
         }
-    }
-
-    /// The shard holding `doc`: seeded document hash masked to 2^k shards.
-    #[inline]
-    fn shard_of(&self, doc: DocId) -> usize {
-        (mix64(doc.as_u64() ^ self.seed) & self.shard_mask) as usize
     }
 
     /// Sets (or clears) a freshness TTL: a document older than `ttl`
@@ -227,9 +227,6 @@ impl Cache {
     /// freshness discard says nothing about disk pressure.
     pub fn set_ttl(&mut self, ttl: Option<DurationMs>) {
         self.ttl = ttl;
-        for shard in &mut self.shards {
-            shard.set_ttl(ttl);
-        }
     }
 
     /// The configured freshness TTL, if any.
@@ -244,28 +241,22 @@ impl Cache {
         self.id
     }
 
-    /// Configured capacity in bytes (split evenly over the shards).
+    /// Configured capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> ByteSize {
         self.capacity
     }
 
-    /// Number of shards the store is split into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Bytes currently stored, summed over the shards.
+    /// Bytes currently stored.
     #[must_use]
     pub fn used(&self) -> ByteSize {
-        self.shards.iter().map(Shard::used).sum()
+        self.used
     }
 
     /// Number of cached documents.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.entries.len()
     }
 
     /// True when nothing is cached.
@@ -277,39 +268,32 @@ impl Cache {
     /// The replacement policy in use.
     #[must_use]
     pub fn policy_kind(&self) -> PolicyKind {
-        self.shards[0].policy_kind()
+        self.policy.kind()
     }
 
     /// Read-only ICP probe: is the document cached here?
     #[must_use]
     pub fn contains(&self, doc: DocId) -> bool {
-        self.shards[self.shard_of(doc)].contains(doc)
+        self.table.get(doc).is_some()
     }
 
     /// Read-only view of a cached entry.
     #[must_use]
     pub fn entry(&self, doc: DocId) -> Option<&CacheEntry> {
-        self.shards[self.shard_of(doc)].entry(doc)
+        self.table.get(doc).map(|idx| self.entries.get(idx))
     }
 
-    /// Operation counters, aggregated over the shards.
+    /// Operation counters.
     #[must_use]
-    pub fn stats(&self) -> crate::stats::CacheStats {
-        let mut total = crate::stats::CacheStats::default();
-        for shard in &self.shards {
-            total.merge(shard.stats());
-        }
-        total
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// Total capacity-contention samples (evictions plus observed ghost
     /// re-admission gaps) recorded over the cache's lifetime.
     #[must_use]
     pub fn eviction_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.tracker().eviction_count())
-            .sum()
+        self.tracker.eviction_count()
     }
 
     /// Mean document expiration age over *all* samples so far — the
@@ -317,20 +301,10 @@ impl Cache {
     /// before anything has been evicted.
     #[must_use]
     pub fn lifetime_average(&self) -> Option<DurationMs> {
-        let (sum, count) = self.shards.iter().fold((0u128, 0u64), |(s, c), shard| {
-            (
-                s + shard.tracker().lifetime_sum_ms(),
-                c + shard.tracker().eviction_count(),
-            )
-        });
-        if count == 0 {
-            None
-        } else {
-            Some(DurationMs::from_millis((sum / u128::from(count)) as u64))
-        }
+        self.tracker.lifetime_average()
     }
 
-    /// The expiration-age formula the cache's trackers apply (follows the
+    /// The expiration-age formula the cache's tracker applies (follows the
     /// replacement policy, paper eq. 1).
     #[must_use]
     pub fn expiration_flavor(&self) -> crate::policy::ExpirationFlavor {
@@ -338,23 +312,16 @@ impl Cache {
     }
 
     /// The cache expiration age piggybacked on inter-proxy messages
-    /// (paper eq. 5), averaged over every shard's window.
-    ///
-    /// With one shard this is exactly the tracker's windowed mean; with N
-    /// shards it is `Σ window sums / Σ window lengths`, which equals the
-    /// mean over the union of the windows.
+    /// (paper eq. 5): the tracker's windowed mean.
     #[must_use]
     pub fn expiration_age(&self) -> ExpirationAge {
-        let (sum, len) = self.shards.iter().fold((0u128, 0usize), |(s, l), shard| {
-            (
-                s + shard.tracker().window_sum_ms(),
-                l + shard.tracker().window_len(),
-            )
-        });
-        if len == 0 {
-            return ExpirationAge::Infinite;
-        }
-        ExpirationAge::finite(DurationMs::from_millis((sum / len as u128) as u64))
+        self.tracker.cache_expiration_age()
+    }
+
+    /// This cache's eq. 5 window as (sum of ages in ms, number of ages),
+    /// for [`crate::ConcurrentCache`] to pool across its shards.
+    pub(crate) fn expiration_window(&self) -> (u128, usize) {
+        (self.tracker.window_sum_ms(), self.tracker.window_len())
     }
 
     /// Serves a local client request. On a hit the entry is refreshed
@@ -362,10 +329,9 @@ impl Cache {
     /// returned; on a miss, `None`.
     pub fn lookup(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
         let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let served = self.shards[shard].lookup(doc, now);
+        let served = self.lookup_raw(doc, now);
         self.audit();
-        self.shards[shard].record_profile(crate::profile::ProfileOp::Lookup, timer);
+        self.record_profile(crate::profile::ProfileOp::Lookup, timer);
         served
     }
 
@@ -381,102 +347,107 @@ impl Cache {
     /// (e.g. it was evicted between the ICP reply and the HTTP request).
     pub fn serve_remote(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
         let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let served = self.shards[shard].serve_remote(doc, now, promote);
+        let served = self.serve_remote_raw(doc, now, promote);
         self.audit();
-        self.shards[shard].record_profile(crate::profile::ProfileOp::ServeRemote, timer);
+        self.record_profile(crate::profile::ProfileOp::ServeRemote, timer);
         served
     }
 
     /// Stores a document, evicting victims as needed.
     ///
     /// Every eviction is fed to the expiration-age tracker and returned to
-    /// the caller (the simulator logs them). A document wider than its
-    /// shard is rejected rather than flushing everything.
+    /// the caller (the simulator logs them). A document wider than the
+    /// cache is rejected rather than flushing everything.
     pub fn insert(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
-        let mut evictions = Vec::new();
-        let outcome = self.insert_into(doc, size, now, &mut evictions);
-        // insert_into runs the per-shard audit; repeating it here is free
-        // outside paranoid builds and keeps this entry point audited even
-        // if the delegation above ever changes.
-        self.audit();
-        match outcome {
-            StoreOutcome::Stored => InsertOutcome::Stored(evictions),
-            StoreOutcome::AlreadyPresent => InsertOutcome::AlreadyPresent,
-            StoreOutcome::TooLarge => InsertOutcome::TooLarge,
-        }
-    }
-
-    /// Allocation-free insert: victims are pushed onto the caller's
-    /// buffer instead of a fresh `Vec`, so a steady-state caller that
-    /// clears and reuses one buffer keeps the whole path off the
-    /// allocator (the `bench-core` harness and the smoke check use this).
-    pub fn insert_into(
-        &mut self,
-        doc: DocId,
-        size: ByteSize,
-        now: Timestamp,
-        evictions: &mut Vec<EvictionRecord>,
-    ) -> StoreOutcome {
         let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let outcome = self.shards[shard].insert(doc, size, now, evictions);
+        let outcome = self.insert_raw(doc, size, now);
         self.audit();
-        self.shards[shard].record_profile(crate::profile::ProfileOp::Insert, timer);
+        self.record_profile(crate::profile::ProfileOp::Insert, timer);
         outcome
     }
 
     /// Explicitly removes a document (tests, tools, invalidation).
     ///
-    /// The removal is recorded with
-    /// [`EvictionReason::Explicit`](crate::entry::EvictionReason::Explicit)
-    /// and fed to the expiration-age tracker like any other departure.
+    /// The removal is recorded with [`EvictionReason::Explicit`] and fed
+    /// to the expiration-age tracker like any other departure.
     pub fn remove(&mut self, doc: DocId, now: Timestamp) -> Option<EvictionRecord> {
-        let shard = self.shard_of(doc);
-        let rec = self.shards[shard].remove(doc, now);
+        let rec = self.evict(doc, now, EvictionReason::Explicit);
+        if rec.is_some() {
+            self.stats.explicit_removals += 1;
+        }
         self.audit();
         rec
     }
 
-    /// Iterates over the cached documents shard by shard, in ascending
-    /// [`DocId`] order within each shard.
+    /// Iterates over the cached documents in ascending [`DocId`] order.
     ///
-    /// The order is deterministic (arena walks are sorted before leaving
-    /// the shard, and shards are visited in index order), so report
-    /// generation and event emission that walk the cache never depend on
-    /// hasher state. A single-shard cache — the default — yields exactly
-    /// the globally DocId-sorted order the old `BTreeMap` store produced.
+    /// The order is deterministic (the arena walk is sorted first), so
+    /// report generation and event emission that walk the cache never
+    /// depend on hasher state — exactly the order the old `BTreeMap`
+    /// store produced.
     pub fn iter(&self) -> impl Iterator<Item = &CacheEntry> {
-        self.shards.iter().flat_map(|s| s.sorted_entries())
+        self.sorted_entries().into_iter()
     }
 
-    /// Verifies the cache's internal bookkeeping relations, shard by
-    /// shard.
-    ///
-    /// Checked relations (per shard):
+    /// Verifies the cache's internal bookkeeping relations:
     ///
     /// 1. `used` equals the sum of all stored entry sizes;
     /// 2. `used <= capacity`;
     /// 3. the doc→slot table and the entry arena agree on occupancy;
     /// 4. the replacement policy tracks exactly the cached document set
     ///    (by count), and its proposed victim is cached — with a victim
-    ///    available whenever the shard is non-empty;
+    ///    available whenever the cache is non-empty;
     /// 5. the expiration-age tracker's window respects its configured
     ///    bound and its running sums match the recorded ages (the inputs
     ///    to the paper's eq. 5).
     ///
     /// This is cheap enough for tests but linear in the cache size, so
     /// production paths only run it under the `paranoid` cargo feature
-    /// (via the internal `audit` hook after every mutation, which
-    /// additionally walks each arena's freelist).
+    /// (after every mutation, where any bookkeeping corruption aborts
+    /// immediately instead of silently skewing the EA-vs-ad-hoc
+    /// comparison; that audit additionally walks the arena's freelist).
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        for shard in &self.shards {
-            shard.check_invariants()?;
+        let actual: ByteSize = self.sorted_entries().iter().map(|e| e.size).sum();
+        if actual != self.used {
+            return Err(InvariantViolation::ByteAccounting {
+                used: self.used,
+                actual,
+            });
+        }
+        if self.used > self.capacity {
+            return Err(InvariantViolation::OverCapacity {
+                used: self.used,
+                capacity: self.capacity,
+            });
+        }
+        if self.table.len() != self.entries.len() {
+            return Err(InvariantViolation::StoreDesync {
+                table_len: self.table.len(),
+                arena_len: self.entries.len(),
+            });
+        }
+        if self.policy.len() != self.entries.len() {
+            return Err(InvariantViolation::PolicyDesync {
+                policy_len: self.policy.len(),
+                entries_len: self.entries.len(),
+            });
+        }
+        match self.policy.victim() {
+            Some(victim) if self.table.get(victim).is_none() => {
+                return Err(InvariantViolation::VictimNotCached { victim });
+            }
+            None if self.entries.len() > 0 => {
+                return Err(InvariantViolation::VictimUnavailable);
+            }
+            _ => {}
+        }
+        if !self.tracker.window_is_consistent() {
+            return Err(InvariantViolation::TrackerWindow);
         }
         Ok(())
     }
 
-    /// The accumulated hot-path profile, aggregated over the shards.
+    /// The accumulated hot-path profile.
     ///
     /// `Some` only when the crate is built with the `profile` feature;
     /// `None` otherwise, so callers can report "profiling off"
@@ -486,11 +457,9 @@ impl Cache {
     pub fn profile(&self) -> Option<crate::profile::ProfileSnapshot> {
         #[cfg(feature = "profile")]
         {
-            let mut total = crate::profile::ProfileSnapshot::default();
-            for shard in &self.shards {
-                total.merge(&shard.profile());
-            }
-            Some(total)
+            let mut snap = self.profile;
+            snap.growth_events = self.growth_events();
+            Some(snap)
         }
         #[cfg(not(feature = "profile"))]
         {
@@ -498,26 +467,199 @@ impl Cache {
         }
     }
 
-    /// Times the store's backing vectors grew, summed over arenas, tables
-    /// and policy internals. Flat under steady-state churn — the
-    /// `bench-core --smoke` check asserts exactly that. Available with or
-    /// without the `profile` feature.
+    /// Times the store's backing vectors grew, summed over the arena, the
+    /// table and the policy internals: 0 once the cache reaches
+    /// steady-state occupancy (the `store_scale` integration test asserts
+    /// exactly that). Available with or without the `profile` feature.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
-        self.shards.iter().map(Shard::growth_events).sum()
+        self.entries.growth_events() + self.table.growth_events() + self.policy.growth_events()
+    }
+}
+
+/// The raw store operations behind the public front.
+impl Cache {
+    fn entry_expired(&self, entry: &CacheEntry, now: Timestamp) -> bool {
+        self.ttl
+            .is_some_and(|ttl| now.saturating_since(entry.entered_at) > ttl)
     }
 
-    /// Paranoid-mode hook: re-verifies every invariant after a mutation.
+    fn expire(&mut self, doc: DocId) {
+        let Some(idx) = self.table.remove(doc) else {
+            return;
+        };
+        let entry = self.entries.free(idx);
+        self.policy.on_remove(doc);
+        self.used -= entry.size;
+        self.stats.expirations += 1;
+        // Intentionally NOT recorded in the expiration-age tracker, and no
+        // `on_evicted` ghosting: a freshness discard says nothing about
+        // capacity contention (paper eq. 5 measures disk pressure).
+    }
+
+    fn lookup_raw(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
+        // One probe serves both the staleness check and the hit: the
+        // stale branch is the rare one, so the hot path is a single
+        // table probe plus one node access.
+        match self.table.get(doc) {
+            Some(idx) => {
+                if self.entry_expired(self.entries.get(idx), now) {
+                    self.expire(doc);
+                    self.stats.local_misses += 1;
+                    return None;
+                }
+                let entry = self.entries.get_mut(idx);
+                entry.record_hit(now);
+                let size = entry.size;
+                self.policy.on_hit(doc);
+                self.stats.local_hits += 1;
+                Some(size)
+            }
+            None => {
+                self.stats.local_misses += 1;
+                None
+            }
+        }
+    }
+
+    fn serve_remote_raw(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
+        let size = match self.table.get(doc) {
+            Some(idx) => {
+                if self.entry_expired(self.entries.get(idx), now) {
+                    self.expire(doc);
+                    return None;
+                }
+                let entry = self.entries.get_mut(idx);
+                if promote {
+                    entry.record_hit(now);
+                }
+                entry.size
+            }
+            None => return None,
+        };
+        if promote {
+            self.policy.on_hit(doc);
+        }
+        self.stats.remote_serves += 1;
+        Some(size)
+    }
+
+    /// Stores a document, evicting victims as needed (the returned list
+    /// allocates only when there is a victim to report).
+    fn insert_raw(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
+        if self.table.get(doc).is_some() {
+            return InsertOutcome::AlreadyPresent;
+        }
+        if size > self.capacity {
+            self.stats.rejected_too_large += 1;
+            return InsertOutcome::TooLarge;
+        }
+        let mut evictions = Vec::new();
+        while self.used + size > self.capacity {
+            let victim = self
+                .policy
+                .victim()
+                // lint:allow(panic) -- used > 0 here, and every insert keeps
+                // the policy and entry arena in lockstep (paranoid-audited),
+                // so a missing victim is unrecoverable bookkeeping corruption.
+                .expect("used > 0 implies the policy tracks a victim");
+            let record = self
+                .evict(victim, now, EvictionReason::CapacityPressure)
+                // lint:allow(panic) -- the victim came from the policy, which
+                // mirrors the entry arena (see PolicyDesync invariant).
+                .expect("victim is tracked, so it is cached");
+            evictions.push(record);
+        }
+        let idx = self.entries.alloc(CacheEntry::new(doc, size, now));
+        self.table.insert(doc, idx);
+        self.policy.on_insert(doc, size);
+        if let Some(gap) = self.policy.on_admit(doc, now) {
+            // Ghost re-admission (S3-FIFO): the eviction→return gap is an
+            // observed inter-reference gap, fed to the eq. 5 average.
+            self.tracker.record_age(now, gap);
+        }
+        self.used += size;
+        self.stats.insertions += 1;
+        InsertOutcome::Stored(evictions)
+    }
+
+    fn evict(
+        &mut self,
+        doc: DocId,
+        now: Timestamp,
+        reason: EvictionReason,
+    ) -> Option<EvictionRecord> {
+        let timer = crate::profile::Timer::start();
+        let record = self.evict_inner(doc, now, reason);
+        self.record_profile(crate::profile::ProfileOp::Evict, timer);
+        record
+    }
+
+    fn evict_inner(
+        &mut self,
+        doc: DocId,
+        now: Timestamp,
+        reason: EvictionReason,
+    ) -> Option<EvictionRecord> {
+        let idx = self.table.remove(doc)?;
+        let entry = self.entries.free(idx);
+        self.policy.on_remove(doc);
+        self.used -= entry.size;
+        let record = EvictionRecord {
+            entry,
+            evicted_at: now,
+            reason,
+        };
+        self.tracker.record_eviction(&record);
+        if reason == EvictionReason::CapacityPressure {
+            self.stats.evictions += 1;
+            self.stats.bytes_evicted += entry.size;
+            // Capacity evictions (and only those) enter the policy's ghost
+            // plane: explicit removals and TTL expirations are not
+            // contention signals.
+            self.policy.on_evicted(doc, now);
+        }
+        Some(record)
+    }
+
+    /// The cache's entries in ascending [`DocId`] order.
     ///
-    /// A no-op unless the crate is built with the `paranoid` feature;
-    /// with it, any bookkeeping corruption aborts immediately instead of
-    /// silently skewing the EA-vs-ad-hoc comparison.
+    /// Arena order is allocation history, not a semantic order, so every
+    /// externally visible walk sorts first (the map-iter lint's
+    /// open-addressing clause checks this pattern statically).
+    fn sorted_entries(&self) -> Vec<&CacheEntry> {
+        let mut out: Vec<&CacheEntry> = self.entries.iter_unordered().map(|(_, e)| e).collect();
+        out.sort_unstable_by_key(|e| e.doc);
+        out
+    }
+
+    /// Paranoid-mode hook: re-verifies every invariant after a mutation,
+    /// including the arena freelist walk (which panics directly on
+    /// corruption rather than returning a violation).
     #[inline]
     fn audit(&self) {
         #[cfg(feature = "paranoid")]
-        for shard in &self.shards {
-            shard.audit();
+        {
+            if let Err(violation) = self.check_invariants() {
+                // lint:allow(panic) -- paranoid mode exists to crash loudly
+                // on corruption; release builds compile this block out.
+                panic!(
+                    "cache {} shard {} invariant violated: {violation}",
+                    self.id, self.shard_index
+                );
+            }
+            self.entries.audit_freelist();
         }
+    }
+
+    /// Accounts one timed hot-path call; compiles to nothing without the
+    /// `profile` feature.
+    #[inline]
+    fn record_profile(&mut self, op: crate::profile::ProfileOp, timer: crate::profile::Timer) {
+        #[cfg(feature = "profile")]
+        self.profile.record(op, timer.elapsed_ns());
+        #[cfg(not(feature = "profile"))]
+        let _ = (op, timer);
     }
 }
 
@@ -804,44 +946,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_into_reuses_the_caller_buffer() {
-        let mut c = cache(8);
-        let mut evictions = Vec::with_capacity(8);
-        assert_eq!(
-            c.insert_into(d(1), kb(4), t(0), &mut evictions),
-            StoreOutcome::Stored
-        );
-        assert_eq!(
-            c.insert_into(d(1), kb(4), t(1), &mut evictions),
-            StoreOutcome::AlreadyPresent
-        );
-        assert_eq!(
-            c.insert_into(d(2), kb(8), t(2), &mut evictions),
-            StoreOutcome::Stored
-        );
-        assert_eq!(evictions.len(), 1, "victim lands in the caller's buffer");
-        assert_eq!(evictions[0].entry.doc, d(1));
-        // The caller clears between calls; the buffer's capacity survives.
-        evictions.clear();
-        assert_eq!(
-            c.insert_into(d(3), kb(9), t(3), &mut evictions),
-            StoreOutcome::TooLarge
-        );
-        assert!(evictions.is_empty());
-    }
-
-    #[test]
     fn steady_state_churn_stops_growing() {
         let mut c = cache(64);
-        let mut evictions = Vec::with_capacity(8);
         for i in 0..64u64 {
-            c.insert_into(d(i), kb(1), t(i), &mut evictions);
-            evictions.clear();
+            c.insert(d(i), kb(1), t(i));
         }
         let baseline = c.growth_events();
         for i in 64..4096u64 {
-            c.insert_into(d(i), kb(1), t(i), &mut evictions);
-            evictions.clear();
+            c.insert(d(i), kb(1), t(i));
             c.lookup(d(i), t(i));
         }
         assert_eq!(
@@ -875,103 +987,6 @@ mod tests {
                 "capacity eviction + explicit remove"
             );
             assert_eq!(profile.growth_events, c.growth_events());
-        }
-    }
-
-    mod sharded {
-        use super::*;
-        use crate::store::Shard;
-
-        fn sharded(cap_kb: u64, shards: usize) -> Cache {
-            CacheConfig::new(CacheId::new(7), kb(cap_kb), PolicyKind::Lru)
-                .shards(shards)
-                .build()
-        }
-
-        #[test]
-        fn documents_spread_over_shards() {
-            // 64 KB per shard: the seeded spread is uneven, so give every
-            // shard room for all 64 docs to keep eviction out of the test.
-            let mut c = sharded(256, 4);
-            assert_eq!(c.shard_count(), 4);
-            for i in 0..64u64 {
-                c.insert(d(i), kb(1), t(i));
-            }
-            // With 64 docs over 4 seeded shards, every shard should hold
-            // something (P(an empty shard) ~ 4·(3/4)^64).
-            let per_shard: Vec<usize> = c.shards.iter().map(Shard::len).collect();
-            assert!(
-                per_shard.iter().all(|&n| n > 0),
-                "starved shard: {per_shard:?}"
-            );
-            assert_eq!(c.len(), 64);
-            assert_eq!(c.used(), kb(64));
-        }
-
-        #[test]
-        fn iter_is_sorted_within_each_shard() {
-            let mut c = sharded(64, 4);
-            for i in 0..48u64 {
-                c.insert(d(i), kb(1), t(i));
-            }
-            let all: Vec<u64> = c.iter().map(|e| e.doc.as_u64()).collect();
-            assert_eq!(all.len(), 48);
-            // Reconstruct the expected order: shard index, then DocId.
-            let mut expected: Vec<(usize, u64)> =
-                (0..48u64).map(|i| (c.shard_of(d(i)), i)).collect();
-            expected.sort_unstable();
-            let expected: Vec<u64> = expected.into_iter().map(|(_, i)| i).collect();
-            assert_eq!(all, expected, "shard-by-shard DocId order");
-        }
-
-        #[test]
-        fn same_seed_same_placement() {
-            let mut a = sharded(64, 8);
-            let mut b = sharded(64, 8);
-            for i in 0..32u64 {
-                a.insert(d(i), kb(1), t(i));
-                b.insert(d(i), kb(1), t(i));
-            }
-            let ids_a: Vec<u64> = a.iter().map(|e| e.doc.as_u64()).collect();
-            let ids_b: Vec<u64> = b.iter().map(|e| e.doc.as_u64()).collect();
-            assert_eq!(ids_a, ids_b, "placement is a pure function of the seed");
-        }
-
-        #[test]
-        fn eviction_pressure_is_per_shard() {
-            let mut c = sharded(8, 2); // 4 KB per shard
-            let mut stored = 0u64;
-            for i in 0..16u64 {
-                if c.insert(d(i), kb(1), t(i)).is_stored() {
-                    stored += 1;
-                }
-            }
-            assert_eq!(stored, 16);
-            assert!(c.used() <= c.capacity());
-            c.check_invariants().expect("shard invariants hold");
-        }
-
-        #[test]
-        fn aggregate_stats_and_tracker_sum_over_shards() {
-            let mut c = sharded(8, 4); // 2 KB per shard -> heavy eviction
-            for i in 0..40u64 {
-                c.insert(d(i), kb(1), t(i));
-                c.lookup(d(i), t(i));
-                c.lookup(d(i + 1000), t(i));
-            }
-            let s = c.stats();
-            assert_eq!(s.insertions, 40);
-            assert_eq!(s.local_hits, 40);
-            assert_eq!(s.local_misses, 40);
-            assert_eq!(s.evictions, c.eviction_count());
-            assert!(c.expiration_age() != ExpirationAge::Infinite);
-            assert!(c.lifetime_average().is_some());
-        }
-
-        #[test]
-        fn shard_count_must_be_a_power_of_two() {
-            let cfg = CacheConfig::new(CacheId::new(0), kb(8), PolicyKind::Lru);
-            assert!(std::panic::catch_unwind(move || cfg.shards(3)).is_err());
         }
     }
 }

@@ -1,38 +1,42 @@
-//! A shared-reference cache with one lock per shard.
+//! A shared-reference cache: seeded routing over one lock per shard.
 //!
-//! [`ConcurrentCache`] wraps the same [`Shard`]s as [`crate::Cache`] but
-//! puts each behind its own `Mutex`, so requests touching different
-//! shards never serialize: a hot lookup on shard 3 proceeds while an
-//! evicting insert runs on shard 0. Every operation takes `&self`.
+//! [`ConcurrentCache`] splits its capacity over 2^k [`Cache`]s, assigns
+//! each document to one by seeded hash and puts each behind its own
+//! `Mutex`, so requests touching different shards never serialize: a hot
+//! lookup on shard 3 proceeds while an evicting insert runs on shard 0.
+//! Every operation takes `&self`. A document operation is the shard's
+//! own [`Cache`] method run under that shard's lock — the timing and
+//! auditing live there, once; this module adds only the routing, the
+//! locks and the cross-shard aggregations.
 //!
 //! # Lock discipline
 //!
 //! * A document operation locks exactly **one** shard (the document's).
-//! * Aggregations (`stats`, `len`, `expiration_age`, `snapshot`, …) lock
+//! * Aggregations (`stats`, `len`, `used`, `expiration_age`, …) lock
 //!   shards **one at a time in index order**, never holding two locks at
-//!   once.
+//!   once, so each value is a sum of per-shard-consistent parts rather
+//!   than a global atomic snapshot.
 //!
 //! No code path ever holds more than one shard lock, so lock-order
 //! deadlock is impossible by construction — the `interleave` crate's
 //! `shard_locks` model checks exactly this discipline, and the
-//! `snapshot` consistency contract, under a bounded scheduler.
+//! per-shard consistency of the aggregations, under a bounded scheduler.
 //!
 //! # Contention accounting
 //!
 //! Every acquisition first tries `try_lock`; a miss is counted before
 //! falling back to a blocking lock. [`ConcurrentCache::contention`]
-//! exposes the totals, which is how the `bench-core` concurrent-reader
-//! run demonstrates that disjoint-shard readers do not contend (the
-//! interesting claim on any machine, and the only measurable one on a
-//! single-CPU box where wall-clock scaling is physically impossible).
+//! exposes the totals, which is how the `store_scale` test demonstrates
+//! that disjoint-shard readers do not contend (the interesting claim on
+//! any machine, and the only measurable one on a single-CPU box where
+//! wall-clock scaling is physically impossible).
 
-use crate::cache::InvariantViolation;
-use crate::entry::{CacheEntry, EvictionRecord};
+use crate::cache::{Cache, InvariantViolation};
+use crate::config::SHARD_SEED;
+use crate::expiration::pooled_expiration_age;
 use crate::index::mix64;
-use crate::policy::PolicyKind;
 use crate::stats::CacheStats;
-use crate::store::{Shard, StoreOutcome};
-use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
+use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
@@ -46,13 +50,18 @@ pub struct LockContention {
 }
 
 /// A sharded cache safe to share across threads (`&self` everywhere).
+///
+/// Cache-line aligned: every operation from every thread writes
+/// `acquisitions`, so the struct (and a `ConcurrentNode` around it) must
+/// not share a line with a heap neighbour — one that differs from run to
+/// run, and the live request rate with it (DESIGN.md §14).
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct ConcurrentCache {
     id: CacheId,
     capacity: ByteSize,
-    seed: u64,
     shard_mask: u64,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Cache>>,
     acquisitions: AtomicU64,
     contended: AtomicU64,
 }
@@ -60,18 +69,11 @@ pub struct ConcurrentCache {
 impl ConcurrentCache {
     /// Assembles the cache from built shards (called by
     /// [`crate::CacheConfig::build_concurrent`]).
-    pub(crate) fn from_parts(
-        id: CacheId,
-        capacity: ByteSize,
-        seed: u64,
-        shards: Vec<Shard>,
-        _ttl: Option<DurationMs>,
-    ) -> Self {
+    pub(crate) fn from_parts(id: CacheId, capacity: ByteSize, shards: Vec<Cache>) -> Self {
         debug_assert!(shards.len().is_power_of_two());
         Self {
             id,
             capacity,
-            seed,
             shard_mask: shards.len() as u64 - 1,
             shards: shards.into_iter().map(Mutex::new).collect(),
             acquisitions: AtomicU64::new(0),
@@ -79,14 +81,13 @@ impl ConcurrentCache {
         }
     }
 
-    /// Which shard (and therefore which lock) serves `doc`. Stable for
-    /// the life of the cache; lets callers partition work so threads
-    /// never contend (the `bench-core` concurrent-reader run uses this
-    /// to prove the disjoint-shard path lock-free in practice).
+    /// Which shard (and therefore which lock) serves `doc`: seeded
+    /// document hash masked to 2^k shards. Stable for the life of the
+    /// cache; lets callers partition work so threads never contend.
     #[inline]
     #[must_use]
     pub fn shard_of(&self, doc: DocId) -> usize {
-        (mix64(doc.as_u64() ^ self.seed) & self.shard_mask) as usize
+        (mix64(doc.as_u64() ^ SHARD_SEED) & self.shard_mask) as usize
     }
 
     /// Locks shard `i`, counting the acquisition and whether it contended.
@@ -95,7 +96,7 @@ impl ConcurrentCache {
     /// invariants are re-audited on the next paranoid pass, and refusing
     /// to serve the whole shard because one request panicked would turn a
     /// bug into an outage.
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+    fn lock_shard(&self, i: usize) -> MutexGuard<'_, Cache> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         match self.shards[i].try_lock() {
             Ok(guard) => guard,
@@ -108,6 +109,17 @@ impl ConcurrentCache {
             }
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         }
+    }
+
+    /// Locks the one shard that owns `doc`.
+    fn lock_for(&self, doc: DocId) -> MutexGuard<'_, Cache> {
+        self.lock_shard(self.shard_of(doc))
+    }
+
+    /// Every shard in index order, locked one at a time: a guard is
+    /// dropped by the consumer before the next one is taken.
+    fn each_shard(&self) -> impl Iterator<Item = MutexGuard<'_, Cache>> {
+        (0..self.shards.len()).map(|i| self.lock_shard(i))
     }
 
     /// This cache's id.
@@ -137,113 +149,45 @@ impl ConcurrentCache {
         }
     }
 
-    /// The replacement policy in use.
-    #[must_use]
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.lock_shard(0).policy_kind()
-    }
-
     /// Which expiration-age flavor (eq. 5 numerator) this cache records.
     #[must_use]
     pub fn expiration_flavor(&self) -> crate::policy::ExpirationFlavor {
-        self.policy_kind().expiration_flavor()
-    }
-
-    /// Sets (or clears) the freshness TTL on every shard.
-    pub fn set_ttl(&self, ttl: Option<DurationMs>) {
-        for i in 0..self.shards.len() {
-            self.lock_shard(i).set_ttl(ttl);
-        }
+        self.lock_shard(0).expiration_flavor()
     }
 
     /// Read-only ICP probe: is the document cached here?
     #[must_use]
     pub fn contains(&self, doc: DocId) -> bool {
-        let shard = self.shard_of(doc);
-        self.lock_shard(shard).contains(doc)
+        self.lock_for(doc).contains(doc)
     }
 
-    /// Copy of a cached entry (a reference cannot outlive the shard lock).
-    #[must_use]
-    pub fn entry(&self, doc: DocId) -> Option<CacheEntry> {
-        let shard = self.shard_of(doc);
-        self.lock_shard(shard).entry(doc).copied()
-    }
-
-    /// Serves a local client request (see [`crate::Cache::lookup`]).
+    /// Serves a local client request (see [`Cache::lookup`]).
     pub fn lookup(&self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
-        let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let mut guard = self.lock_shard(shard);
-        let served = guard.lookup(doc, now);
-        guard.audit();
-        guard.record_profile(crate::profile::ProfileOp::Lookup, timer);
-        served
+        self.lock_for(doc).lookup(doc, now)
     }
 
-    /// Serves a sibling cache (see [`crate::Cache::serve_remote`]).
+    /// Serves a sibling cache (see [`Cache::serve_remote`]).
     pub fn serve_remote(&self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
-        let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let mut guard = self.lock_shard(shard);
-        let served = guard.serve_remote(doc, now, promote);
-        guard.audit();
-        guard.record_profile(crate::profile::ProfileOp::ServeRemote, timer);
-        served
+        self.lock_for(doc).serve_remote(doc, now, promote)
     }
 
-    /// Stores a document (see [`crate::Cache::insert`]).
+    /// Stores a document (see [`Cache::insert`]). The shard lock is
+    /// released before this returns, so callers emit eviction events
+    /// without holding it.
     pub fn insert(&self, doc: DocId, size: ByteSize, now: Timestamp) -> crate::InsertOutcome {
-        let mut evictions = Vec::new();
-        match self.insert_into(doc, size, now, &mut evictions) {
-            StoreOutcome::Stored => crate::InsertOutcome::Stored(evictions),
-            StoreOutcome::AlreadyPresent => crate::InsertOutcome::AlreadyPresent,
-            StoreOutcome::TooLarge => crate::InsertOutcome::TooLarge,
-        }
+        self.lock_for(doc).insert(doc, size, now)
     }
 
-    /// Allocation-free insert into a caller buffer (see
-    /// [`crate::Cache::insert_into`]).
-    pub fn insert_into(
-        &self,
-        doc: DocId,
-        size: ByteSize,
-        now: Timestamp,
-        evictions: &mut Vec<EvictionRecord>,
-    ) -> StoreOutcome {
-        let timer = crate::profile::Timer::start();
-        let shard = self.shard_of(doc);
-        let mut guard = self.lock_shard(shard);
-        let outcome = guard.insert(doc, size, now, evictions);
-        guard.audit();
-        guard.record_profile(crate::profile::ProfileOp::Insert, timer);
-        outcome
-    }
-
-    /// Explicitly removes a document (see [`crate::Cache::remove`]).
-    pub fn remove(&self, doc: DocId, now: Timestamp) -> Option<EvictionRecord> {
-        let shard = self.shard_of(doc);
-        let mut guard = self.lock_shard(shard);
-        let rec = guard.remove(doc, now);
-        guard.audit();
-        rec
-    }
-
-    /// Bytes currently stored (shards locked one at a time, so the value
-    /// is a consistent *per-shard* sum, not a global atomic snapshot).
+    /// Bytes currently stored.
     #[must_use]
     pub fn used(&self) -> ByteSize {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).used())
-            .sum()
+        self.each_shard().map(|shard| shard.used()).sum()
     }
 
-    /// Number of cached documents (same per-shard consistency as `used`).
+    /// Number of cached documents.
     #[must_use]
     pub fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).len())
-            .sum()
+        self.each_shard().map(|shard| shard.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -256,107 +200,37 @@ impl ConcurrentCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for i in 0..self.shards.len() {
-            total.merge(self.lock_shard(i).stats());
+        for shard in self.each_shard() {
+            total.merge(&shard.stats());
         }
         total
     }
 
-    /// Total contention samples recorded (see
-    /// [`crate::Cache::eviction_count`]).
-    #[must_use]
-    pub fn eviction_count(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).tracker().eviction_count())
-            .sum()
-    }
-
-    /// Lifetime mean expiration age (see
-    /// [`crate::Cache::lifetime_average`]).
-    #[must_use]
-    pub fn lifetime_average(&self) -> Option<DurationMs> {
-        let mut sum = 0u128;
-        let mut count = 0u64;
-        for i in 0..self.shards.len() {
-            let guard = self.lock_shard(i);
-            sum += guard.tracker().lifetime_sum_ms();
-            count += guard.tracker().eviction_count();
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(DurationMs::from_millis((sum / u128::from(count)) as u64))
-        }
-    }
-
-    /// The windowed cache expiration age (see
-    /// [`crate::Cache::expiration_age`]).
+    /// The cache expiration age piggybacked on inter-proxy messages
+    /// (paper eq. 5), pooled over every shard's window: `Σ window sums /
+    /// Σ window lengths`, the mean over the union of the windows.
     #[must_use]
     pub fn expiration_age(&self) -> ExpirationAge {
-        let mut sum = 0u128;
-        let mut len = 0usize;
-        for i in 0..self.shards.len() {
-            let guard = self.lock_shard(i);
-            sum += guard.tracker().window_sum_ms();
-            len += guard.tracker().window_len();
-        }
-        if len == 0 {
-            return ExpirationAge::Infinite;
-        }
-        ExpirationAge::finite(DurationMs::from_millis((sum / len as u128) as u64))
-    }
-
-    /// Copies out every cached entry, shard by shard in index order,
-    /// ascending [`DocId`] within each shard — the same deterministic
-    /// order [`crate::Cache::iter`] walks.
-    ///
-    /// Shards are locked one at a time, so the snapshot is per-shard
-    /// consistent: each shard's slice is an instant in that shard's
-    /// history, and concurrent writers to *other* shards are not blocked
-    /// while it is taken. The `interleave` model proves this weaker (and
-    /// honestly documented) contract is actually delivered.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<CacheEntry> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            let guard = self.lock_shard(i);
-            out.extend(guard.sorted_entries().into_iter().copied());
-        }
-        out
+        pooled_expiration_age(self.each_shard().map(|shard| shard.expiration_window()))
     }
 
     /// Verifies every shard's bookkeeping (see
-    /// [`crate::Cache::check_invariants`]).
+    /// [`Cache::check_invariants`]).
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        for i in 0..self.shards.len() {
-            self.lock_shard(i).check_invariants()?;
-        }
-        Ok(())
+        self.each_shard()
+            .try_for_each(|shard| shard.check_invariants())
     }
 
-    /// Backing-vector growth events, summed over the shards.
-    #[must_use]
-    pub fn growth_events(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.lock_shard(i).growth_events())
-            .sum()
-    }
-
-    /// The accumulated hot-path profile (see [`crate::Cache::profile`]).
+    /// The accumulated hot-path profile (see [`Cache::profile`]),
+    /// aggregated over the shards.
     #[must_use]
     pub fn profile(&self) -> Option<crate::profile::ProfileSnapshot> {
-        #[cfg(feature = "profile")]
-        {
-            let mut total = crate::profile::ProfileSnapshot::default();
-            for i in 0..self.shards.len() {
-                total.merge(&self.lock_shard(i).profile());
-            }
-            Some(total)
+        let mut parts = self.each_shard().filter_map(|shard| shard.profile());
+        let mut total = parts.next()?;
+        for part in parts {
+            total.merge(&part);
         }
-        #[cfg(not(feature = "profile"))]
-        {
-            None
-        }
+        Some(total)
     }
 }
 
@@ -364,6 +238,7 @@ impl ConcurrentCache {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
+    use crate::policy::PolicyKind;
     use std::sync::Arc;
 
     fn d(i: u64) -> DocId {
@@ -384,6 +259,13 @@ mod tests {
             .build_concurrent()
     }
 
+    /// Each shard's documents in the order its `Cache::iter` walks them.
+    fn docs_by_shard(c: &ConcurrentCache) -> Vec<Vec<u64>> {
+        c.each_shard()
+            .map(|shard| shard.iter().map(|e| e.doc.as_u64()).collect())
+            .collect()
+    }
+
     #[test]
     fn shared_reference_roundtrip() {
         let c = concurrent(64, 4);
@@ -391,7 +273,6 @@ mod tests {
         assert_eq!(c.lookup(d(1), t(1)), Some(kb(4)));
         assert_eq!(c.lookup(d(2), t(1)), None);
         assert!(c.contains(d(1)));
-        assert_eq!(c.entry(d(1)).unwrap().hit_count, 2);
         assert_eq!(c.len(), 1);
         assert_eq!(c.used(), kb(4));
         let s = c.stats();
@@ -401,11 +282,9 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_single_threaded_cache_per_doc_results() {
-        let concurrent = concurrent(16, 4);
-        let mut serial = CacheConfig::new(CacheId::new(0), kb(16), PolicyKind::Lru)
-            .shards(4)
-            .build();
+    fn one_shard_matches_the_single_owner_cache() {
+        let concurrent = concurrent(16, 1);
+        let mut serial = CacheConfig::new(CacheId::new(0), kb(16), PolicyKind::Lru).build();
         for i in 0..200u64 {
             let doc = d(i % 50);
             let now = t(i);
@@ -420,13 +299,99 @@ mod tests {
         assert_eq!(concurrent.used(), serial.used());
         assert_eq!(concurrent.stats(), serial.stats());
         assert_eq!(concurrent.expiration_age(), serial.expiration_age());
-        let snap: Vec<u64> = concurrent
-            .snapshot()
-            .iter()
-            .map(|e| e.doc.as_u64())
-            .collect();
         let serial_iter: Vec<u64> = serial.iter().map(|e| e.doc.as_u64()).collect();
-        assert_eq!(snap, serial_iter, "snapshot order matches Cache::iter");
+        assert_eq!(docs_by_shard(&concurrent), vec![serial_iter]);
+    }
+
+    #[test]
+    fn documents_spread_over_shards() {
+        // 64 KB per shard: the seeded spread is uneven, so give every
+        // shard room for all 64 docs to keep eviction out of the test.
+        let c = concurrent(256, 4);
+        assert_eq!(c.shard_count(), 4);
+        for i in 0..64u64 {
+            c.insert(d(i), kb(1), t(i));
+        }
+        // With 64 docs over 4 seeded shards, every shard should hold
+        // something (P(an empty shard) ~ 4·(3/4)^64).
+        let per_shard: Vec<usize> = c.each_shard().map(|shard| shard.len()).collect();
+        assert!(
+            per_shard.iter().all(|&n| n > 0),
+            "starved shard: {per_shard:?}"
+        );
+        assert_eq!(c.len(), 64);
+        assert_eq!(c.used(), kb(64));
+    }
+
+    #[test]
+    fn each_shard_holds_its_own_documents_in_doc_order() {
+        let c = concurrent(64, 4);
+        for i in 0..48u64 {
+            c.insert(d(i), kb(1), t(i));
+        }
+        // Reconstruct the expected layout: shard index, then DocId.
+        let mut expected = vec![Vec::new(); 4];
+        for i in 0..48u64 {
+            expected[c.shard_of(d(i))].push(i);
+        }
+        assert_eq!(docs_by_shard(&c), expected, "shard-by-shard DocId order");
+    }
+
+    #[test]
+    fn placement_is_reproducible() {
+        let a = concurrent(64, 8);
+        let b = concurrent(64, 8);
+        for i in 0..32u64 {
+            a.insert(d(i), kb(1), t(i));
+            b.insert(d(i), kb(1), t(i));
+        }
+        assert_eq!(
+            docs_by_shard(&a),
+            docs_by_shard(&b),
+            "placement is a pure function of the document id"
+        );
+    }
+
+    #[test]
+    fn eviction_pressure_is_per_shard() {
+        let c = concurrent(8, 2); // 4 KB per shard
+        let mut stored = 0u64;
+        for i in 0..16u64 {
+            if c.insert(d(i), kb(1), t(i)).is_stored() {
+                stored += 1;
+            }
+        }
+        assert_eq!(stored, 16);
+        assert!(c.used() <= c.capacity());
+        c.check_invariants().expect("shard invariants hold");
+    }
+
+    #[test]
+    fn aggregate_stats_and_tracker_pool_over_shards() {
+        let c = concurrent(8, 4); // 2 KB per shard -> heavy eviction
+        for i in 0..40u64 {
+            c.insert(d(i), kb(1), t(i));
+            c.lookup(d(i), t(i));
+            c.lookup(d(i + 1000), t(i));
+        }
+        let s = c.stats();
+        assert_eq!(s.insertions, 40);
+        assert_eq!(s.local_hits, 40);
+        assert_eq!(s.local_misses, 40);
+        let samples: u64 = c.each_shard().map(|shard| shard.eviction_count()).sum();
+        assert_eq!(s.evictions, samples);
+        // eq. 5 over the union of the windows: every sample, weighted once.
+        let (sum, len) = c
+            .each_shard()
+            .map(|shard| shard.expiration_window())
+            .fold((0u128, 0usize), |(s, l), (ws, wl)| (s + ws, l + wl));
+        assert_eq!(len as u64, samples, "the default window holds them all");
+        assert_eq!(
+            c.expiration_age(),
+            ExpirationAge::finite(coopcache_types::DurationMs::from_millis(
+                (sum / len as u128) as u64
+            ))
+        );
     }
 
     #[test]
@@ -457,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_races_with_writers_without_deadlock() {
+    fn aggregations_race_with_writers_without_deadlock() {
         let c = Arc::new(concurrent(64, 4));
         let writer = {
             let c = Arc::clone(&c);
@@ -467,19 +432,20 @@ mod tests {
                 }
             })
         };
-        let snapshotter = {
+        let reader = {
             let c = Arc::clone(&c);
             std::thread::spawn(move || {
                 for _ in 0..50 {
-                    let snap = c.snapshot();
-                    // Within each shard's slice the DocIds are sorted:
-                    // per-shard consistency is the documented contract.
-                    assert!(snap.len() <= 64);
+                    // Each shard's part is an instant of that shard's
+                    // history, so no sum can exceed the capacity.
+                    assert!(c.len() <= 64);
+                    assert!(c.used() <= kb(64));
+                    let _ = c.stats();
                 }
             })
         };
         writer.join().expect("writer");
-        snapshotter.join().expect("snapshotter");
+        reader.join().expect("reader");
         c.check_invariants().expect("invariants hold");
     }
 

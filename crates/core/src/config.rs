@@ -3,21 +3,21 @@
 //! [`CacheConfig`] replaces the positional-argument constructors that used
 //! to be threaded through the simulator, the proxy layer and the daemons:
 //! the required identity (id, capacity, policy) is given up front and the
-//! optional knobs — shard count, expiration window, freshness TTL, shard
-//! seed — are chained. The same config builds either a single-threaded
-//! [`Cache`] or a lock-per-shard [`ConcurrentCache`].
+//! optional knobs — expiration window, freshness TTL, shard count — are
+//! chained. The same config builds either a single-owner
+//! [`Cache`] (exactly one shard) or a lock-per-shard [`ConcurrentCache`]
+//! (any power-of-two shard count).
 
 use crate::cache::Cache;
 use crate::concurrent::ConcurrentCache;
 use crate::expiration::ExpirationWindow;
 use crate::index::mix64;
 use crate::policy::PolicyKind;
-use crate::store::Shard;
 use coopcache_types::{ByteSize, CacheId, DurationMs};
 
-/// Default shard-assignment seed. Any fixed value works — determinism
-/// only requires that the same seed is used across a comparison run.
-pub const DEFAULT_SHARD_SEED: u64 = 0x5348_4152_4453_4545; // "SHARDSEE[D]"
+/// Shard-assignment seed. Any fixed value works — determinism only
+/// requires that the same seed is used across a comparison run.
+pub(crate) const SHARD_SEED: u64 = 0x5348_4152_4453_4545; // "SHARDSEE[D]"
 
 /// Everything needed to build a cache.
 ///
@@ -29,9 +29,9 @@ pub const DEFAULT_SHARD_SEED: u64 = 0x5348_4152_4453_4545; // "SHARDSEE[D]"
 ///
 /// let cache = CacheConfig::new(CacheId::new(0), ByteSize::from_mb(1), PolicyKind::S3Fifo)
 ///     .shards(4)
-///     .build();
+///     .build_concurrent();
 /// assert_eq!(cache.shard_count(), 4);
-/// assert_eq!(cache.policy_kind(), PolicyKind::S3Fifo);
+/// assert_eq!(cache.capacity(), ByteSize::from_mb(1));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
@@ -41,7 +41,6 @@ pub struct CacheConfig {
     shards: usize,
     window: ExpirationWindow,
     ttl: Option<DurationMs>,
-    seed: u64,
 }
 
 impl CacheConfig {
@@ -56,11 +55,11 @@ impl CacheConfig {
             shards: 1,
             window: ExpirationWindow::default(),
             ttl: None,
-            seed: DEFAULT_SHARD_SEED,
         }
     }
 
-    /// Splits the store over `n` independently indexed shards.
+    /// Splits the store over `n` independently indexed and locked shards
+    /// (a [`ConcurrentCache`]; the single-owner [`Cache`] has exactly one).
     ///
     /// # Panics
     ///
@@ -90,57 +89,39 @@ impl CacheConfig {
         self
     }
 
-    /// Overrides the shard-assignment seed (decorrelates placements
-    /// between runs while keeping each run reproducible).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    fn build_shards(&self) -> Vec<Shard> {
+    /// Builds shard `i` of the configured count: a [`Cache`] with an even
+    /// share of the capacity.
+    fn build_shard(&self, i: usize) -> Cache {
         let per_shard = self.capacity.split_evenly(self.shards as u64);
-        (0..self.shards)
-            .map(|i| {
-                // Each shard's table gets its own derived seed so probe
-                // sequences decorrelate between shards.
-                let table_seed = mix64(self.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                let mut shard =
-                    Shard::new(self.id, i, per_shard, self.policy, self.window, table_seed);
-                shard.set_ttl(self.ttl);
-                shard
-            })
-            .collect()
+        // Each shard's table gets its own derived seed so probe sequences
+        // decorrelate between shards.
+        let table_seed = mix64(SHARD_SEED ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut cache = Cache::build(self.id, i, per_shard, self.policy, self.window, table_seed);
+        cache.set_ttl(self.ttl);
+        cache
     }
 
-    /// Builds a single-threaded [`Cache`].
+    /// Builds a single-owner [`Cache`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than one shard was configured: shards exist to be
+    /// locked independently, which only [`Self::build_concurrent`] does.
     #[must_use]
     pub fn build(self) -> Cache {
-        Cache::from_parts(
-            self.id,
-            self.capacity,
-            self.seed,
-            self.build_shards(),
-            self.ttl,
-        )
+        assert!(
+            self.shards == 1,
+            "a single-owner Cache has exactly one shard, got {}; use build_concurrent()",
+            self.shards
+        );
+        self.build_shard(0)
     }
 
     /// Builds a [`ConcurrentCache`] with one lock per shard.
     #[must_use]
     pub fn build_concurrent(self) -> ConcurrentCache {
-        ConcurrentCache::from_parts(
-            self.id,
-            self.capacity,
-            self.seed,
-            self.build_shards(),
-            self.ttl,
-        )
+        let shards = (0..self.shards).map(|i| self.build_shard(i)).collect();
+        ConcurrentCache::from_parts(self.id, self.capacity, shards)
     }
 }
 
@@ -151,7 +132,6 @@ mod tests {
     #[test]
     fn defaults_build_a_single_shard_cache() {
         let c = CacheConfig::new(CacheId::new(3), ByteSize::from_kb(8), PolicyKind::Gdsf).build();
-        assert_eq!(c.shard_count(), 1);
         assert_eq!(c.id(), CacheId::new(3));
         assert_eq!(c.capacity(), ByteSize::from_kb(8));
         assert_eq!(c.policy_kind(), PolicyKind::Gdsf);
@@ -171,7 +151,7 @@ mod tests {
     fn capacity_splits_evenly_over_shards() {
         let c = CacheConfig::new(CacheId::new(0), ByteSize::from_mb(1), PolicyKind::Lru)
             .shards(4)
-            .build();
+            .build_concurrent();
         assert_eq!(c.capacity(), ByteSize::from_mb(1));
         assert_eq!(c.shard_count(), 4);
     }
@@ -180,5 +160,13 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_shards_rejected() {
         let _ = CacheConfig::new(CacheId::new(0), ByteSize::from_kb(8), PolicyKind::Lru).shards(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one shard")]
+    fn single_owner_build_rejects_several_shards() {
+        let _ = CacheConfig::new(CacheId::new(0), ByteSize::from_kb(8), PolicyKind::Lru)
+            .shards(4)
+            .build();
     }
 }

@@ -162,11 +162,7 @@ impl ExpirationTracker {
     /// observed in the window — the cache has shown no disk contention.
     #[must_use]
     pub fn cache_expiration_age(&self) -> ExpirationAge {
-        if self.recent.is_empty() {
-            return ExpirationAge::Infinite;
-        }
-        let mean = self.recent_sum_ms / self.recent.len() as u128;
-        ExpirationAge::finite(DurationMs::from_millis(mean as u64))
+        pooled_expiration_age([(self.recent_sum_ms, self.recent.len())])
     }
 
     /// Mean document expiration age over *all* evictions so far — the
@@ -198,19 +194,11 @@ impl ExpirationTracker {
 
     /// Sum of the ages inside the window, in milliseconds.
     ///
-    /// Exposed so a sharded cache can combine per-shard windows into one
-    /// aggregate eq. 5 mean (`Σ sums / Σ lens`) without flattening the
-    /// per-shard deques.
+    /// Exposed so a sharded cache can pool per-shard windows into one
+    /// eq. 5 mean without flattening the per-shard deques.
     #[must_use]
     pub fn window_sum_ms(&self) -> u128 {
         self.recent_sum_ms
-    }
-
-    /// Sum of every age ever recorded, in milliseconds (pairs with
-    /// [`ExpirationTracker::eviction_count`] for aggregate lifetime means).
-    #[must_use]
-    pub fn lifetime_sum_ms(&self) -> u128 {
-        self.lifetime_sum_ms
     }
 
     /// Verifies the tracker's windowed bookkeeping (used by the cache's
@@ -236,6 +224,24 @@ impl ExpirationTracker {
         }
         self.recent.len() as u64 <= self.lifetime_count
     }
+}
+
+/// Paper eq. 5 over the union of `windows`, each given as (sum of its
+/// ages in ms, number of ages): `Σ window sums / Σ window lengths`.
+///
+/// One window is a tracker's own age; a sharded cache passes one window
+/// per shard. [`ExpirationAge::Infinite`] while every window is empty —
+/// no eviction observed, so no disk contention shown.
+pub(crate) fn pooled_expiration_age(
+    windows: impl IntoIterator<Item = (u128, usize)>,
+) -> ExpirationAge {
+    let (sum, len) = windows
+        .into_iter()
+        .fold((0u128, 0usize), |(s, l), (ws, wl)| (s + ws, l + wl));
+    if len == 0 {
+        return ExpirationAge::Infinite;
+    }
+    ExpirationAge::finite(DurationMs::from_millis((sum / len as u128) as u64))
 }
 
 impl Default for ExpirationTracker {

@@ -9,8 +9,8 @@
 //! The combination makes lookup, eviction and promotion pointer-free O(1)
 //! (O(log n) for the heap-ordered policies) with zero per-operation
 //! allocation once the backing vectors reach steady-state capacity. Every
-//! structure counts backing-vector growth events so the `bench-core` smoke
-//! check can assert the hot path stopped allocating.
+//! structure counts backing-vector growth events so the `store_scale`
+//! test can assert the hot path stopped allocating.
 
 use coopcache_types::DocId;
 

@@ -49,11 +49,10 @@ mod placement;
 mod policy;
 mod profile;
 mod stats;
-mod store;
 
 pub use cache::{Cache, InsertOutcome, InvariantViolation};
 pub use concurrent::{ConcurrentCache, LockContention};
-pub use config::{CacheConfig, DEFAULT_SHARD_SEED};
+pub use config::CacheConfig;
 pub use entry::{CacheEntry, EvictionReason, EvictionRecord};
 pub use expiration::{ExpirationTracker, ExpirationWindow};
 pub use placement::{PlacementScheme, TieBreak};
@@ -62,4 +61,3 @@ pub use policy::{
 };
 pub use profile::{OpProfile, ProfileOp, ProfileSnapshot, Timer as ProfileTimer};
 pub use stats::CacheStats;
-pub use store::StoreOutcome;

@@ -83,8 +83,8 @@ pub struct ProfileSnapshot {
     pub evict: OpProfile,
     /// Backing-vector growth events across the cache's arenas, tables,
     /// heaps and ghost queues at snapshot time. Zero once the store
-    /// reaches steady state — the `bench-core --smoke` check asserts the
-    /// hot path stopped allocating by watching this stay flat.
+    /// reaches steady state — the `store_scale` test asserts the hot
+    /// path stopped allocating by watching this stay flat.
     pub growth_events: u64,
 }
 

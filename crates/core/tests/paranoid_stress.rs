@@ -30,56 +30,101 @@ impl Rng {
     }
 }
 
-fn stress(kind: PolicyKind, window: ExpirationWindow, seed: u64, ops: u64) {
-    stress_sharded(kind, window, seed, ops, 1);
+/// One step of the seeded operation mix.
+enum Op {
+    Insert(DocId, ByteSize),
+    Lookup(DocId),
+    ServeRemote(DocId, bool),
+    Remove(DocId),
+    /// Occasionally toggle a freshness TTL so the expiration path (which
+    /// bypasses the eviction tracker) is stressed alongside capacity
+    /// evictions.
+    SetTtl(Option<DurationMs>),
 }
 
-fn stress_sharded(kind: PolicyKind, window: ExpirationWindow, seed: u64, ops: u64, shards: usize) {
-    let mut cache = CacheConfig::new(CacheId::new(0), ByteSize::from_kb(64), kind)
-        .window(window)
-        .shards(shards)
-        .build();
+/// The reproducible mix every stress row replays: 40% inserts, 30%
+/// lookups, 15% remote serves, 10% removals, 5% TTL toggles, on a clock
+/// that advances 0–49 ms per step.
+fn op_stream(seed: u64, ops: u64) -> impl Iterator<Item = (Timestamp, Op)> {
     let mut rng = Rng(seed);
     let mut now_ms = 0u64;
-    for op in 0..ops {
+    (0..ops).map(move |_| {
         now_ms += rng.below(50);
-        let now = Timestamp::from_millis(now_ms);
         let doc = DocId::new(1 + rng.below(200));
-        match rng.below(100) {
-            0..=39 => {
-                let size = ByteSize::from_bytes(1 + rng.below(8 * 1024));
+        let op = match rng.below(100) {
+            0..=39 => Op::Insert(doc, ByteSize::from_bytes(1 + rng.below(8 * 1024))),
+            40..=69 => Op::Lookup(doc),
+            70..=84 => Op::ServeRemote(doc, rng.below(2) == 0),
+            85..=94 => Op::Remove(doc),
+            _ => Op::SetTtl(match rng.below(3) {
+                0 => None,
+                _ => Some(DurationMs::from_millis(1 + rng.below(2_000))),
+            }),
+        };
+        (Timestamp::from_millis(now_ms), op)
+    })
+}
+
+fn stress(kind: PolicyKind, window: ExpirationWindow, seed: u64, ops: u64) {
+    let mut cache = CacheConfig::new(CacheId::new(0), ByteSize::from_kb(64), kind)
+        .window(window)
+        .build();
+    for (step, (now, op)) in op_stream(seed, ops).enumerate() {
+        match op {
+            Op::Insert(doc, size) => {
                 cache.insert(doc, size, now);
             }
-            40..=69 => {
+            Op::Lookup(doc) => {
                 cache.lookup(doc, now);
             }
-            70..=84 => {
-                cache.serve_remote(doc, now, rng.below(2) == 0);
+            Op::ServeRemote(doc, promote) => {
+                cache.serve_remote(doc, now, promote);
             }
-            85..=94 => {
+            Op::Remove(doc) => {
                 cache.remove(doc, now);
             }
-            _ => {
-                // Occasionally toggle a freshness TTL so the expiration
-                // path (which bypasses the eviction tracker) is stressed
-                // alongside capacity evictions.
-                let ttl = match rng.below(3) {
-                    0 => None,
-                    _ => Some(DurationMs::from_millis(1 + rng.below(2_000))),
-                };
-                cache.set_ttl(ttl);
-            }
+            Op::SetTtl(ttl) => cache.set_ttl(ttl),
         }
-        if op % 512 == 0 {
+        if step % 512 == 0 {
             cache
                 .check_invariants()
-                .unwrap_or_else(|v| panic!("{kind} after {op} ops: {v}"));
+                .unwrap_or_else(|v| panic!("{kind} after {step} ops: {v}"));
         }
     }
     cache
         .check_invariants()
         .unwrap_or_else(|v| panic!("{kind} final state: {v}"));
     assert!(cache.used() <= cache.capacity());
+}
+
+/// The same mix through a 4-shard `ConcurrentCache`: every document op
+/// runs the owning shard's audited `Cache` method under its lock. The
+/// shared cache has no removal or TTL toggle, so those steps are skipped
+/// and a fixed TTL keeps the expiration path in play.
+fn stress_sharded(kind: PolicyKind, seed: u64, ops: u64) {
+    let cache = CacheConfig::new(CacheId::new(0), ByteSize::from_kb(64), kind)
+        .ttl(Some(DurationMs::from_millis(1_500)))
+        .shards(4)
+        .build_concurrent();
+    for (now, op) in op_stream(seed, ops) {
+        match op {
+            Op::Insert(doc, size) => {
+                cache.insert(doc, size, now);
+            }
+            Op::Lookup(doc) => {
+                cache.lookup(doc, now);
+            }
+            Op::ServeRemote(doc, promote) => {
+                cache.serve_remote(doc, now, promote);
+            }
+            Op::Remove(_) | Op::SetTtl(_) => {}
+        }
+    }
+    cache
+        .check_invariants()
+        .unwrap_or_else(|v| panic!("{kind} final state: {v}"));
+    assert!(cache.used() <= cache.capacity());
+    assert!(cache.stats().expirations > 0, "{kind}: the TTL never fired");
 }
 
 #[test]
@@ -109,13 +154,7 @@ fn duration_windows_are_audited_too() {
 #[test]
 fn sharded_stores_are_audited_per_shard() {
     for (i, kind) in PolicyKind::all().into_iter().enumerate() {
-        stress_sharded(
-            kind,
-            ExpirationWindow::default(),
-            0x5EED_5EED_5EED_5EED ^ (i as u64 + 1),
-            10_000,
-            4,
-        );
+        stress_sharded(kind, 0x5EED_5EED_5EED_5EED ^ (i as u64 + 1), 10_000);
     }
 }
 

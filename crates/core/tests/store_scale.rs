@@ -1,0 +1,156 @@
+//! Scale properties of the arena store, asserted rather than reported:
+//!
+//! 1. **O(1) scaling** — per-op cost of a hit/miss/insert/evict mix stays
+//!    flat as the store grows 10×;
+//! 2. **allocation-free steady state** — no backing vector grows across
+//!    that mix (`growth_events` stays flat);
+//! 3. **lock independence** — readers pinned to disjoint shards of a
+//!    [`coopcache_core::ConcurrentCache`] record zero contended
+//!    acquisitions, the machine-checkable form of "readers on different
+//!    shards do not serialize" (wall-clock scaling means nothing on a
+//!    one- or two-core host; the contended count holds everywhere).
+//!
+//! Throughput itself is `coopbench`'s business (`store-read`,
+//! `store-churn`, the `core.*` layer metrics); this file only gates.
+
+// The paranoid audit re-walks the whole store after every mutation, which
+// turns these O(1) checks into hours; `paranoid_stress.rs` covers that build.
+#![cfg(not(feature = "paranoid"))]
+
+use coopcache_core::{Cache, CacheConfig, PolicyKind};
+use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
+use std::time::Instant;
+
+const ONE_BYTE: ByteSize = ByteSize::from_bytes(1);
+
+/// An odd-constant multiply is a bijection on u64: distinct workload ids
+/// that look like URL digests rather than consecutive integers.
+fn doc(raw: u64) -> DocId {
+    DocId::new(raw.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// Xorshift64*: deterministic workload generation, no dependencies.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+    }
+}
+
+/// One-byte documents, so `resident` bytes of capacity hold `resident` docs.
+fn config(resident: u64) -> CacheConfig {
+    let capacity = ByteSize::from_bytes(resident);
+    CacheConfig::new(CacheId::new(0), capacity, PolicyKind::Lru)
+}
+
+/// Runs `ops` steps of the mix — ~55% lookups of recently inserted docs
+/// (mostly hits under LRU), ~15% lookups of never-inserted docs, ~30%
+/// inserts of fresh docs, each evicting at capacity — and returns the
+/// nanoseconds per step. `next_fresh` carries the fresh-id counter across
+/// calls so later passes keep inserting novel documents.
+fn mixed_pass(cache: &mut Cache, ops: u64, seed: u64, next_fresh: &mut u64) -> f64 {
+    let resident = cache.len() as u64;
+    let mut rng = Rng(seed);
+    let start = Instant::now();
+    for i in 0..ops {
+        let now = Timestamp::from_millis(i);
+        match rng.below(100) {
+            0..=54 => drop(cache.lookup(doc(*next_fresh - 1 - rng.below(resident)), now)),
+            55..=69 => drop(cache.lookup(doc((1 << 40) + rng.below(resident)), now)),
+            _ => {
+                cache.insert(doc(*next_fresh), ONE_BYTE, now);
+                *next_fresh += 1;
+            }
+        }
+    }
+    start.elapsed().as_nanos() as f64 / ops as f64
+}
+
+#[test]
+fn per_op_cost_and_growth_stay_flat_across_a_10x_larger_store() {
+    const OPS: u64 = 200_000;
+    let mut best_ns = Vec::new();
+    for resident in [10_000u64, 100_000] {
+        let mut cache = config(resident).build();
+        for raw in 0..resident {
+            cache.insert(doc(raw), ONE_BYTE, Timestamp::from_millis(0));
+        }
+        let mut next_fresh = resident;
+        let growth_before = cache.growth_events();
+        // Best of three passes: the least scheduler-disturbed reading.
+        let best = (0..3)
+            .map(|pass| mixed_pass(&mut cache, OPS, 0xA11C_0FFE ^ pass, &mut next_fresh))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            cache.growth_events(),
+            growth_before,
+            "steady-state hot path must not grow any backing vector at {resident} entries"
+        );
+        assert_eq!(cache.len() as u64, resident, "the mix keeps the store full");
+        best_ns.push(best);
+    }
+    // O(1) structure: 10× more entries must not cost anywhere near 10×
+    // per op. Cache effects make some growth legitimate; 4× is far below
+    // any O(log n)-plus-pointer-chase degradation at this gap.
+    let scaling = best_ns[1] / best_ns[0];
+    assert!(
+        scaling < 4.0,
+        "per-op cost grew {scaling:.2}x ({:.0} -> {:.0} ns) across a 10x size increase",
+        best_ns[0],
+        best_ns[1]
+    );
+}
+
+#[test]
+fn readers_pinned_to_disjoint_shards_never_contend() {
+    const SHARDS: usize = 64;
+    const RESIDENT: u64 = 100_000;
+    const OPS_PER_READER: u64 = 25_000;
+    let cache = config(RESIDENT).shards(SHARDS).build_concurrent();
+    let mut docs_by_shard: Vec<Vec<DocId>> = vec![Vec::new(); SHARDS];
+    for raw in 0..RESIDENT {
+        let d = doc(raw);
+        cache.insert(d, ONE_BYTE, Timestamp::from_millis(0));
+        docs_by_shard[cache.shard_of(d)].push(d);
+    }
+    for readers in [2usize, 4, 8] {
+        let before = cache.contention();
+        std::thread::scope(|scope| {
+            for t in 0..readers {
+                // Reader t owns shards t, t+readers, t+2·readers, … —
+                // disjoint from every other reader by construction.
+                let mine: Vec<DocId> = docs_by_shard
+                    .iter()
+                    .skip(t)
+                    .step_by(readers)
+                    .flatten()
+                    .copied()
+                    .collect();
+                let cache = &cache;
+                scope.spawn(move || {
+                    let mut rng = Rng(0x1234_5678 + t as u64);
+                    for i in 0..OPS_PER_READER {
+                        let d = mine[rng.below(mine.len() as u64) as usize];
+                        // Hit or miss: the seeded spread is uneven, so the
+                        // fuller shards evicted part of their preload.
+                        cache.lookup(d, Timestamp::from_millis(i));
+                    }
+                });
+            }
+        });
+        let after = cache.contention();
+        assert_eq!(
+            after.acquisitions - before.acquisitions,
+            readers as u64 * OPS_PER_READER,
+            "one shard lock per lookup"
+        );
+        assert_eq!(
+            after.contended, before.contended,
+            "{readers} readers pinned to disjoint shards must never contend on a lock"
+        );
+    }
+}

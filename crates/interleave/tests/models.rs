@@ -775,7 +775,7 @@ fn pr5_release_before_join_is_clean() {
 
 // ---------------------------------------------------------------------------
 // PR 8: sharded arena store — per-shard locking in ConcurrentCache
-// (crates/core/src/concurrent.rs lock_shard / snapshot)
+// (crates/core/src/concurrent.rs lock_shard / each_shard)
 // ---------------------------------------------------------------------------
 
 const V_SHARD0_MUTEX: VarId = 40;
@@ -786,7 +786,9 @@ const V_SNAP: VarId = 44;
 
 /// Two shards of a `ConcurrentCache`: each shard is a lock plus its
 /// insert count; the snapshot pass copies shard 0 then shard 1, taking
-/// one lock at a time in index order (exactly `ConcurrentCache::snapshot`).
+/// one lock at a time in index order — exactly what the aggregations
+/// `ConcurrentCache::{len, used, stats, expiration_age}` do when they sum
+/// one per-shard reading after another.
 #[derive(Clone)]
 struct ShardModel {
     locks: [MockMutex; 2],
@@ -856,7 +858,7 @@ fn shard_requester(tid: usize, shard: usize, cycles: usize) -> MockThread<ShardM
     t
 }
 
-/// The snapshot/iter pass: shard 0 under its lock, release, then shard 1
+/// The aggregation pass: shard 0 under its lock, release, then shard 1
 /// under its lock — never two locks at once.
 fn shard_snapshotter(tid: usize) -> MockThread<ShardModel> {
     MockThread::new("snapshot")
@@ -944,7 +946,7 @@ fn shard_locks_requesters_vs_snapshot_never_deadlock() {
     );
 }
 
-/// The iter contract is per-shard consistency, NOT a global cut — and
+/// The aggregation contract is per-shard consistency, NOT a global cut — and
 /// that weaker contract is the strongest one available: with a writer
 /// inserting into shard 0 then shard 1 (in program order), some schedule
 /// yields the combined snapshot (0, 1), a state the cache never globally

@@ -36,11 +36,20 @@ pub use rules::{
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directory names never descended into: build output, VCS state, and
+/// Directory names never descended into: build output, VCS state,
 /// test-only trees (integration tests, benches, examples, and this
-/// crate's deliberately-violating fixtures).
-const SKIP_DIRS: [&str; 7] = [
-    "target", ".git", "tests", "benches", "examples", "fixtures", "results",
+/// crate's deliberately-violating fixtures), and `benchmark` — the
+/// standalone `coopbench` package, a stopwatch by purpose and outside
+/// this workspace's conformance rules.
+const SKIP_DIRS: [&str; 8] = [
+    "target",
+    ".git",
+    "tests",
+    "benches",
+    "examples",
+    "fixtures",
+    "results",
+    "benchmark",
 ];
 
 /// Collects every production `.rs` file under `root`: files living under

@@ -604,7 +604,32 @@ mod tests {
         // A ring sink on one daemon records the event sequence verbatim.
         let ring = Arc::new(Mutex::new(RingBufferSink::new(16)));
         cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
+        // Cache 0 is parked in a blocking read on the pooled connection
+        // from cache 1; let it idle there, then fetch over it again.
+        let idle = std::time::Duration::from_millis(150);
+        std::thread::sleep(idle);
         cluster.request(1, d(1), kb(4)).unwrap(); // remote hit again
+                                                  // The responder's serve span covers serving the frame, not the
+                                                  // idle wait for it. It trails the reply, so poll for it.
+        let serve_us = (0..200)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let ring = ring.lock().unwrap();
+                let serve = ring.events().find_map(|e| match e {
+                    coopcache_obs::Event::Span(span)
+                        if span.kind == coopcache_obs::SpanKind::DocServe =>
+                    {
+                        Some(span.end_us - span.start_us)
+                    }
+                    _ => None,
+                });
+                serve
+            })
+            .expect("the responder emits a DocServe span");
+        assert!(
+            u128::from(serve_us) < idle.as_micros(),
+            "DocServe span of {serve_us} us includes the idle wait"
+        );
         {
             // Server threads emit trailing spans after the client's read
             // returns, so this guard must drop before `shutdown` joins

@@ -1606,7 +1606,6 @@ fn serve_frame<R: Read, W: Write>(
     served: &mut u64,
     conn_trace_base: u64,
 ) -> io::Result<FrameDisposition> {
-    let start_us = ctx.clock.now_micros();
     let (request, trace) = match read_frame(reader)? {
         // A stats scrape shares the doc port; it is answered even on a
         // fault-injected daemon — observability must survive chaos.
@@ -1656,6 +1655,10 @@ fn serve_frame<R: Read, W: Write>(
             ))
         }
     };
+    // Stamped once the frame is in hand: on a persistent connection the
+    // blocking read above is mostly idle wait for the requester's next
+    // frame, which is not part of serving it.
+    let start_us = ctx.clock.now_micros();
     if fault == DocFault::Reset {
         // Drop the connection after reading: crash mid-exchange.
         return Ok(FrameDisposition::Close);
@@ -1681,28 +1684,19 @@ fn serve_frame<R: Read, W: Write>(
     }
     *served += 1;
     let span_id = trace.map(|_| ctx.next_span());
-    let (response, found, promoted) = {
-        let node = &ctx.node;
-        let scheme = node.scheme();
-        match node.handle_http_request(request, ctx.clock.now()) {
-            Some(response) => {
-                // Mirror of the responder-side promote rule (paper §3.5)
-                // the node just applied, recomputed for the span status.
-                let promoted =
-                    scheme.responder_promotes(response.responder_age, request.requester_age);
-                (response, true, promoted)
-            }
-            None => (
-                coopcache_proxy::HttpResponse {
-                    from: node.id(),
-                    doc: request.doc,
-                    size: ByteSize::ZERO,
-                    responder_age: node.expiration_age(),
-                },
-                false,
-                false,
-            ),
-        }
+    let node = &ctx.node;
+    let (response, found, promoted) = match node.handle_http_request(request, ctx.clock.now()) {
+        Some((response, promoted)) => (response, true, promoted),
+        None => (
+            coopcache_proxy::HttpResponse {
+                from: node.id(),
+                doc: request.doc,
+                size: ByteSize::ZERO,
+                responder_age: node.expiration_age(),
+            },
+            false,
+            false,
+        ),
     };
     write_frame(writer, &WireMessage::DocResponse { response, found })?;
     let mut truncated = false;

@@ -16,14 +16,11 @@
 //!
 //! # Versioning
 //!
-//! The original (v1) layout was `MAGIC, opcode, fields` with opcodes
-//! `1..=4`. v2 inserts a version byte after the magic — chosen outside
-//! the v1 opcode range, so the byte position disambiguates the two
-//! layouts — and appends the optional trace context to queries and
-//! requests. Decoding accepts both: a v1 frame from an old daemon parses
-//! with no trace context, a v2 frame with the context tag `0` parses the
-//! same way, and any other version byte is a typed
-//! [`DecodeError::UnsupportedVersion`] so future bumps fail loudly
+//! Every frame is `MAGIC, version, opcode, fields`. The only layout this
+//! build speaks is [`FRAME_V2`]; any other byte after the magic —
+//! including the opcodes `1..=4` that sat there in the never-deployed,
+//! un-versioned first layout — is a typed
+//! [`DecodeError::UnsupportedVersion`], so version bumps fail loudly
 //! instead of being misparsed.
 //!
 //! The codec is hand-rolled over `Vec<u8>` / slice cursors (big-endian
@@ -38,9 +35,9 @@ use std::io::{self, Read, Write};
 /// Protocol magic prepended to every TCP header.
 pub const MAGIC: u16 = 0xCA5E;
 
-/// Version byte of the current frame layout. Deliberately outside the
-/// legacy opcode range `1..=4`: the byte after the magic is an opcode in
-/// a v1 frame and a version tag from v2 on.
+/// Version byte of the current frame layout, the byte after the magic.
+/// Deliberately outside the opcode range, so a frame that puts an opcode
+/// there is rejected as a version mismatch rather than misparsed.
 pub const FRAME_V2: u8 = 0xC2;
 
 /// Upper bound on a length-prefixed TCP header frame. Real headers are
@@ -159,7 +156,7 @@ pub enum DecodeError {
     /// Unknown opcode or malformed field.
     Malformed(&'static str),
     /// A well-formed magic followed by a version byte this build does
-    /// not speak (neither a legacy v1 opcode nor [`FRAME_V2`]).
+    /// not speak (anything but [`FRAME_V2`]).
     UnsupportedVersion(u8),
 }
 
@@ -378,49 +375,7 @@ impl WireMessage {
         buf
     }
 
-    /// Encodes the message in the legacy (v1) layout a pre-tracing
-    /// daemon understands: no version byte, no trace context. Returns
-    /// `None` for the v2-only stats messages, which have no v1 form.
-    #[must_use]
-    pub fn encode_legacy(&self) -> Option<Vec<u8>> {
-        let mut buf = Vec::with_capacity(40);
-        put_u16(&mut buf, MAGIC);
-        match self {
-            Self::IcpQuery { query, .. } => {
-                put_u8(&mut buf, OP_ICP_QUERY);
-                put_u16(&mut buf, query.from.as_u16());
-                put_u64(&mut buf, query.doc.as_u64());
-            }
-            Self::IcpReply(r) => {
-                put_u8(&mut buf, OP_ICP_REPLY);
-                put_u16(&mut buf, r.from.as_u16());
-                put_u64(&mut buf, r.doc.as_u64());
-                put_u8(&mut buf, u8::from(r.hit));
-            }
-            Self::DocRequest { request, .. } => {
-                put_u8(&mut buf, OP_DOC_REQUEST);
-                put_u16(&mut buf, request.from.as_u16());
-                put_u64(&mut buf, request.doc.as_u64());
-                put_age(&mut buf, request.requester_age);
-            }
-            Self::DocResponse { response, found } => {
-                put_u8(&mut buf, OP_DOC_RESPONSE);
-                put_u16(&mut buf, response.from.as_u16());
-                put_u64(&mut buf, response.doc.as_u64());
-                put_u64(&mut buf, response.size.as_bytes());
-                put_age(&mut buf, response.responder_age);
-                put_u8(&mut buf, u8::from(*found));
-            }
-            Self::StatsRequest
-            | Self::StatsResponse { .. }
-            | Self::SeriesRequest
-            | Self::SeriesResponse { .. } => return None,
-        }
-        Some(buf)
-    }
-
-    /// Decodes a message from a byte slice, accepting both the legacy
-    /// v1 layout (trace context absent) and the v2 layout.
+    /// Decodes a message from a byte slice.
     ///
     /// # Errors
     ///
@@ -431,23 +386,17 @@ impl WireMessage {
         if buf.get_u16()? != MAGIC {
             return Err(DecodeError::Malformed("bad magic"));
         }
-        // v1 frames carry an opcode (1..=4) where v2 and later carry a
-        // version byte chosen outside that range.
-        let first = buf.get_u8()?;
-        let (op, versioned) = if (OP_ICP_QUERY..=OP_DOC_RESPONSE).contains(&first) {
-            (first, false)
-        } else if first == FRAME_V2 {
-            (buf.get_u8()?, true)
-        } else {
-            return Err(DecodeError::UnsupportedVersion(first));
-        };
-        match op {
+        let version = buf.get_u8()?;
+        if version != FRAME_V2 {
+            return Err(DecodeError::UnsupportedVersion(version));
+        }
+        match buf.get_u8()? {
             OP_ICP_QUERY => {
                 let query = IcpQuery {
                     from: CacheId::new(buf.get_u16()?),
                     doc: DocId::new(buf.get_u64()?),
                 };
-                let ctx = if versioned { get_ctx(buf)? } else { None };
+                let ctx = get_ctx(buf)?;
                 Ok(Self::IcpQuery { query, ctx })
             }
             OP_ICP_REPLY => Ok(Self::IcpReply(IcpReply {
@@ -461,7 +410,7 @@ impl WireMessage {
                     doc: DocId::new(buf.get_u64()?),
                     requester_age: get_age(buf)?,
                 };
-                let ctx = if versioned { get_ctx(buf)? } else { None };
+                let ctx = get_ctx(buf)?;
                 Ok(Self::DocRequest { request, ctx })
             }
             OP_DOC_RESPONSE => {
@@ -587,9 +536,6 @@ mod tests {
             body_len: 4096,
         };
         assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
-        // v2-only messages have no legacy form.
-        assert_eq!(msg.encode_legacy(), None);
-        assert_eq!(WireMessage::StatsRequest.encode_legacy(), None);
     }
 
     #[test]
@@ -601,42 +547,13 @@ mod tests {
             body_len: 1 << 20,
         };
         assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
-        // v2-only messages have no legacy form.
-        assert_eq!(msg.encode_legacy(), None);
-        assert_eq!(WireMessage::SeriesRequest.encode_legacy(), None);
-    }
-
-    #[test]
-    fn legacy_frames_decode_with_ctx_absent() {
-        // A v1 daemon's frames must still parse, with no trace context;
-        // equally, v2 frames with ctx tag 0 parse to the same message.
-        let msg = WireMessage::IcpQuery {
-            query: IcpQuery {
-                from: CacheId::new(2),
-                doc: DocId::new(11),
-            },
-            ctx: Some(TraceCtx {
-                trace_id: 5,
-                parent_span: 6,
-            }),
-        };
-        let legacy = msg.encode_legacy().expect("v1 form exists");
-        let decoded = WireMessage::decode(&legacy).unwrap();
-        assert_eq!(
-            decoded,
-            WireMessage::IcpQuery {
-                query: IcpQuery {
-                    from: CacheId::new(2),
-                    doc: DocId::new(11),
-                },
-                ctx: None,
-            }
-        );
     }
 
     #[test]
     fn unknown_version_byte_is_typed_error() {
-        for version in [0u8, 7, 0xC3, 0xFF] {
+        // 1..=4 were the opcodes of the un-versioned first layout, which
+        // put them where the version byte now sits.
+        for version in [0u8, 1, 2, 3, 4, 7, 0xC3, 0xFF] {
             let mut bytes = Vec::new();
             put_u16(&mut bytes, MAGIC);
             put_u8(&mut bytes, version);
@@ -686,7 +603,8 @@ mod tests {
     fn bad_age_and_ctx_tags_rejected() {
         let mut bytes = Vec::new();
         put_u16(&mut bytes, MAGIC);
-        put_u8(&mut bytes, OP_DOC_REQUEST); // legacy layout
+        put_u8(&mut bytes, FRAME_V2);
+        put_u8(&mut bytes, OP_DOC_REQUEST);
         put_u16(&mut bytes, 1);
         put_u64(&mut bytes, 2);
         put_u8(&mut bytes, 7); // bogus age tag
@@ -845,17 +763,6 @@ mod tests {
         }
     }
 
-    /// Strips the trace context a legacy (v1) encoding cannot carry.
-    fn without_ctx(msg: &WireMessage) -> WireMessage {
-        match msg.clone() {
-            WireMessage::IcpQuery { query, .. } => WireMessage::IcpQuery { query, ctx: None },
-            WireMessage::DocRequest { request, .. } => {
-                WireMessage::DocRequest { request, ctx: None }
-            }
-            other => other,
-        }
-    }
-
     #[test]
     fn seeded_roundtrip_every_variant() {
         let mut rng = TestRng(0xC0FF_EE00);
@@ -880,18 +787,6 @@ mod tests {
             assert_eq!(read_frame(&mut framed.as_slice()).unwrap(), msg);
         }
         assert!(seen.iter().all(|&s| s), "generator missed a variant");
-    }
-
-    #[test]
-    fn seeded_legacy_roundtrip_drops_ctx() {
-        let mut rng = TestRng(0xBEEF);
-        for _ in 0..1_000 {
-            let msg = rng.message();
-            let Some(legacy) = msg.encode_legacy() else {
-                continue; // stats messages are v2-only
-            };
-            assert_eq!(WireMessage::decode(&legacy).unwrap(), without_ctx(&msg));
-        }
     }
 
     #[test]

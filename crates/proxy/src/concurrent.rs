@@ -1,25 +1,20 @@
 //! A shared-reference proxy node for the socket daemons.
 //!
-//! [`ConcurrentNode`] is [`crate::ProxyNode`] rebuilt over
-//! [`ConcurrentCache`]: every protocol handler takes `&self`, so the
-//! ICP responder, the document server and the client request path of a
-//! `coopcache-net` daemon operate on the node simultaneously — two
-//! requests touching different shards no longer serialize on a
-//! node-wide mutex. The handlers themselves are line-for-line the same
-//! protocol logic as `ProxyNode`; only the locking moved (into the
-//! cache's per-shard mutexes, plus one short-lived mutex around the
-//! optional event sink).
-//!
-//! The event vocabulary, ordering *per document*, and placement
-//! decisions are identical to `ProxyNode` — the daemons' determinism
-//! tests run the same trace through both and compare streams.
+//! [`ConcurrentNode`] holds what sharing a node across server threads
+//! actually needs — a [`ConcurrentCache`] and an interior-mutable
+//! telemetry slot — and no protocol logic of its own. Every handler
+//! takes `&self`, lends the shared cache to a [`ProxyNode`] that lives
+//! for the one call, and runs that type's handler: the ICP responder,
+//! the document server and the client request path of a `coopcache-net`
+//! daemon therefore execute the same bodies the simulators do, and two
+//! requests touching different shards never serialize on a node-wide
+//! lock (each store operation locks one shard and releases it before the
+//! handler reports anything).
 
 use crate::message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
-use coopcache_core::{
-    CacheConfig, ConcurrentCache, EvictionReason, EvictionRecord, ExpirationFlavor, InsertOutcome,
-    PlacementScheme, StoreOutcome,
-};
-use coopcache_obs::{Event, EventKind, EvictionCause, PlacementRole, SinkHandle, StatsRegistry};
+use crate::node::{ProxyNode, Telemetry};
+use coopcache_core::{CacheConfig, ConcurrentCache, PlacementScheme};
+use coopcache_obs::{SinkHandle, StatsRegistry};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -28,15 +23,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct ConcurrentNode {
     cache: ConcurrentCache,
     scheme: PlacementScheme,
-    /// Optional event sink. Guarded by its own mutex (held only while
-    /// emitting) so sinks can be installed on a node that is already
-    /// shared; the cache's shard locks are never held across an emit of
-    /// a placement event, and eviction events are emitted after the
-    /// owning shard's lock is released.
-    sink: Mutex<Option<SinkHandle>>,
-    /// Optional live counters (relaxed atomics inside, so recording
-    /// takes no lock; the mutex only guards installation).
-    stats: Mutex<Option<Arc<StatsRegistry>>>,
+    /// The optional sink and stats registry, behind a mutex so they can
+    /// be installed on a node that is already shared. It is held only to
+    /// copy the two handles out — never across a store operation or an
+    /// emit.
+    telemetry: Mutex<Telemetry>,
 }
 
 impl ConcurrentNode {
@@ -46,104 +37,52 @@ impl ConcurrentNode {
         Self {
             cache: config.build_concurrent(),
             scheme,
-            sink: Mutex::new(None),
-            stats: Mutex::new(None),
+            telemetry: Mutex::default(),
         }
     }
 
     /// Attaches an event sink; placement decisions and evictions from
     /// this node flow into it.
     pub fn set_sink(&self, sink: SinkHandle) {
-        *lock(&self.sink) = Some(sink);
-    }
-
-    /// Detaches the event sink (back to the zero-cost default).
-    pub fn clear_sink(&self) {
-        *lock(&self.sink) = None;
+        self.lock_telemetry().sink = Some(sink);
     }
 
     /// Attaches a live stats registry; placement and eviction counts
     /// from this node land in it whether or not a sink is installed.
     pub fn set_stats(&self, stats: Arc<StatsRegistry>) {
-        *lock(&self.stats) = Some(stats);
+        self.lock_telemetry().stats = Some(stats);
     }
 
-    fn emit(&self, event: &Event) {
-        if let Some(sink) = lock(&self.sink).as_ref() {
-            sink.emit(event);
-        }
+    /// Locks the telemetry slot, recovering from poisoning (a panicked
+    /// peer thread should degrade the node, not wedge it — same stance as
+    /// the daemons).
+    fn lock_telemetry(&self) -> std::sync::MutexGuard<'_, Telemetry> {
+        self.telemetry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn record_stat(&self, kind: EventKind) {
-        if let Some(stats) = lock(&self.stats).as_ref() {
-            stats.record(kind);
-        }
-    }
-
-    fn emit_placement(
-        &self,
-        doc: DocId,
-        role: PlacementRole,
-        self_age: ExpirationAge,
-        peer_age: ExpirationAge,
-        stored: bool,
-    ) {
-        self.record_stat(EventKind::Placement);
-        // A muted thread (the head sampler dropped this request's trace)
-        // would have the event dropped by the sink handle anyway; bail
-        // before paying the sink lock and the event build.
-        if coopcache_obs::request_scoped_muted() {
-            return;
-        }
-        // One lock for both the presence check and the emit — placement
-        // fires on every request, so the second acquisition would be on
-        // the hot path.
-        let guard = lock(&self.sink);
-        if let Some(sink) = guard.as_ref() {
-            sink.emit(&Event::Placement {
-                cache: self.id(),
-                doc,
-                role,
-                self_age,
-                peer_age,
-                stored,
-                tie: self_age == peer_age,
-            });
+    /// The single-owner node one call runs on: the shared cache by
+    /// reference plus the given telemetry.
+    fn node(&self, telemetry: Telemetry) -> ProxyNode<&ConcurrentCache> {
+        ProxyNode {
+            cache: &self.cache,
+            scheme: self.scheme,
+            telemetry,
         }
     }
 
-    fn emit_evictions(&self, evictions: &[EvictionRecord]) {
-        for _ in evictions {
-            self.record_stat(EventKind::Eviction);
-        }
-        if lock(&self.sink).is_none() {
-            return;
-        }
-        let flavor = self.cache.expiration_flavor();
-        for rec in evictions {
-            let age = match flavor {
-                ExpirationFlavor::Lru => rec.entry.lru_expiration_age(rec.evicted_at),
-                ExpirationFlavor::Lfu => rec.entry.lfu_expiration_age(rec.evicted_at),
-            };
-            self.emit(&Event::Eviction {
-                cache: self.id(),
-                doc: rec.entry.doc,
-                age_ms: age.as_millis(),
-                cause: match rec.reason {
-                    EvictionReason::CapacityPressure => EvictionCause::Capacity,
-                    EvictionReason::Explicit => EvictionCause::Explicit,
-                    EvictionReason::Expired => EvictionCause::Expired,
-                },
-            });
-        }
+    /// The node for a handler that reports placements or evictions.
+    fn reporting(&self) -> ProxyNode<&ConcurrentCache> {
+        let telemetry = self.lock_telemetry().clone();
+        self.node(telemetry)
     }
 
-    /// Inserts, reusing the node-shared protocol: emits eviction events
-    /// and returns whether a copy was stored.
-    fn insert_and_emit(&self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
-        let outcome = self.cache.insert(doc, size, now);
-        self.emit_evictions(outcome.evictions());
-        outcome
+    /// The node for a handler that reports nothing (lookups, ICP probes,
+    /// request building): skipping the telemetry copy keeps the hit path
+    /// free of any node-wide lock.
+    fn silent(&self) -> ProxyNode<&ConcurrentCache> {
+        self.node(Telemetry::default())
     }
 
     /// This node's cache id.
@@ -152,18 +91,7 @@ impl ConcurrentNode {
         self.cache.id()
     }
 
-    /// Sets (or clears) the underlying cache's freshness TTL.
-    pub fn set_ttl(&self, ttl: Option<coopcache_types::DurationMs>) {
-        self.cache.set_ttl(ttl);
-    }
-
-    /// The placement scheme in force.
-    #[must_use]
-    pub fn scheme(&self) -> PlacementScheme {
-        self.scheme
-    }
-
-    /// Read access to the underlying cache (stats, snapshots, entries).
+    /// Read access to the underlying cache (stats, occupancy, invariants).
     #[must_use]
     pub fn cache(&self) -> &ConcurrentCache {
         &self.cache
@@ -175,153 +103,55 @@ impl ConcurrentNode {
         self.cache.expiration_age()
     }
 
-    /// Serves a local client request; `Some(size)` on a local hit.
+    /// See [`ProxyNode::handle_client_lookup`].
     pub fn handle_client_lookup(&self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
-        self.cache.lookup(doc, now)
+        self.silent().handle_client_lookup(doc, now)
     }
 
-    /// Answers an ICP query (read-only).
+    /// See [`ProxyNode::handle_icp_query`].
     #[must_use]
     pub fn handle_icp_query(&self, query: IcpQuery) -> IcpReply {
-        IcpReply {
-            from: self.id(),
-            doc: query.doc,
-            hit: self.cache.contains(query.doc),
-        }
+        self.silent().handle_icp_query(query)
     }
 
-    /// Responder side of a remote hit (see
-    /// [`crate::ProxyNode::handle_http_request`]).
+    /// See [`ProxyNode::handle_http_request`]; also hands back whether the
+    /// serve promoted the entry, for the daemon's serve span.
     pub fn handle_http_request(
         &self,
         request: HttpRequest,
         now: Timestamp,
-    ) -> Option<HttpResponse> {
-        let responder_age = self.expiration_age();
-        let promote = self
-            .scheme
-            .responder_promotes(responder_age, request.requester_age);
-        let size = self.cache.serve_remote(request.doc, now, promote)?;
-        self.emit_placement(
-            request.doc,
-            PlacementRole::ResponderPromote,
-            responder_age,
-            request.requester_age,
-            promote,
-        );
-        Some(HttpResponse {
-            from: self.id(),
-            doc: request.doc,
-            size,
-            responder_age,
-        })
+    ) -> Option<(HttpResponse, bool)> {
+        self.reporting().serve_http_request(request, now)
     }
 
-    /// Builds the HTTP request this node sends after a positive ICP
-    /// reply, capturing the node's current expiration age.
+    /// See [`ProxyNode::build_http_request`].
     #[must_use]
     pub fn build_http_request(&self, doc: DocId) -> HttpRequest {
-        HttpRequest {
-            from: self.id(),
-            doc,
-            requester_age: self.expiration_age(),
-        }
+        self.silent().build_http_request(doc)
     }
 
-    /// Requester side of a remote hit (see
-    /// [`crate::ProxyNode::complete_remote_fetch`]).
+    /// See [`ProxyNode::complete_remote_fetch`].
     pub fn complete_remote_fetch(
         &self,
         sent: HttpRequest,
         response: HttpResponse,
         now: Timestamp,
     ) -> bool {
-        debug_assert_eq!(sent.doc, response.doc, "response for a different doc");
-        let store = self
-            .scheme
-            .requester_stores(sent.requester_age, response.responder_age);
-        self.emit_placement(
-            sent.doc,
-            PlacementRole::RequesterStore,
-            sent.requester_age,
-            response.responder_age,
-            store,
-        );
-        if !store {
-            return false;
-        }
-        self.insert_and_emit(response.doc, response.size, now)
-            .is_stored()
+        self.reporting().complete_remote_fetch(sent, response, now)
     }
 
-    /// Requester side of a group miss: the document came from the origin
-    /// server and is always stored (both schemes; paper §4.1).
+    /// See [`ProxyNode::complete_origin_fetch`].
     pub fn complete_origin_fetch(&self, doc: DocId, size: ByteSize, now: Timestamp) -> bool {
-        self.insert_and_emit(doc, size, now).is_stored()
+        self.reporting().complete_origin_fetch(doc, size, now)
     }
-
-    /// Parent side of a hierarchical miss (see
-    /// [`crate::ProxyNode::resolve_miss_for_child`]).
-    pub fn resolve_miss_for_child(
-        &self,
-        request: HttpRequest,
-        size: ByteSize,
-        now: Timestamp,
-    ) -> (HttpResponse, bool) {
-        let parent_age = self.expiration_age();
-        let keep = self.scheme.parent_stores(parent_age, request.requester_age);
-        self.emit_placement(
-            request.doc,
-            PlacementRole::ParentStore,
-            parent_age,
-            request.requester_age,
-            keep,
-        );
-        let stored = if keep {
-            let outcome = self.insert_and_emit(request.doc, size, now);
-            matches!(
-                outcome,
-                InsertOutcome::Stored(_) | InsertOutcome::AlreadyPresent
-            )
-        } else {
-            false
-        };
-        (
-            HttpResponse {
-                from: self.id(),
-                doc: request.doc,
-                size,
-                responder_age: parent_age,
-            },
-            stored,
-        )
-    }
-
-    /// Allocation-free origin-store variant used by tight benchmark
-    /// loops: evictions land in the caller's buffer instead of a fresh
-    /// `Vec`, and no events are emitted.
-    pub fn store_quiet(
-        &self,
-        doc: DocId,
-        size: ByteSize,
-        now: Timestamp,
-        evictions: &mut Vec<EvictionRecord>,
-    ) -> StoreOutcome {
-        self.cache.insert_into(doc, size, now, evictions)
-    }
-}
-
-/// Locks a mutex, recovering from poisoning (a panicked peer thread
-/// should degrade the node, not wedge it — same stance as the daemons).
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProxyNode;
     use coopcache_core::PolicyKind;
+    use coopcache_obs::{mute_request_scoped, splitmix64, EventKind, RingBufferSink};
+    use coopcache_types::DurationMs;
 
     fn d(i: u64) -> DocId {
         DocId::new(i)
@@ -335,31 +165,124 @@ mod tests {
         ByteSize::from_kb(n)
     }
 
-    fn pair() -> (ConcurrentNode, ProxyNode) {
-        let config = CacheConfig::new(CacheId::new(0), kb(64), PolicyKind::Lru).shards(4);
+    /// A ring sink and a registry, installed by the caller on one node.
+    fn probes() -> (Arc<Mutex<RingBufferSink>>, Arc<StatsRegistry>) {
         (
-            ConcurrentNode::from_config(config, PlacementScheme::Ea),
-            ProxyNode::from_config(config, PlacementScheme::Ea),
+            Arc::new(Mutex::new(RingBufferSink::new(4096))),
+            Arc::new(StatsRegistry::new()),
         )
     }
 
+    /// Every event the ring holds, as (kind, JSON line).
+    fn recorded(ring: &Mutex<RingBufferSink>) -> Vec<(EventKind, String)> {
+        let ring = ring.lock().expect("ring");
+        ring.events().map(|e| (e.kind(), e.to_json())).collect()
+    }
+
+    /// A peer age drawn from the stream: infinite, or below/above the
+    /// ages a 16 KB cache under this churn reports.
+    fn peer_age(draw: u64) -> ExpirationAge {
+        match draw % 3 {
+            0 => ExpirationAge::Infinite,
+            1 => ExpirationAge::finite(DurationMs::from_millis(draw % 5_000)),
+            _ => ExpirationAge::finite(DurationMs::from_secs(draw % 100_000)),
+        }
+    }
+
+    /// The differential check behind "all three modes execute identical
+    /// placement code": one seeded stream of every handler through a
+    /// `ProxyNode` and a one-shard `ConcurrentNode`, under both schemes,
+    /// with and without the head sampler's request-scoped mute. Return
+    /// values, store counters, registry counts and the emitted events
+    /// (byte for byte) must agree.
     #[test]
     fn mirrors_the_single_threaded_node() {
-        let (shared, mut serial) = pair();
-        for i in 0..40u64 {
-            let doc = d(i % 10);
-            let a = shared.complete_origin_fetch(doc, kb(4), t(i));
-            let b = serial.complete_origin_fetch(doc, kb(4), t(i));
-            assert_eq!(a, b, "origin fetch #{i} diverged");
-            assert_eq!(
-                shared.handle_client_lookup(doc, t(i)),
-                serial.handle_client_lookup(doc, t(i)),
-                "lookup #{i} diverged"
-            );
-            assert_eq!(shared.expiration_age(), serial.expiration_age());
+        for scheme in [PlacementScheme::AdHoc, PlacementScheme::Ea] {
+            for muted in [false, true] {
+                let case = format!("{scheme:?}, muted={muted}");
+                let config = CacheConfig::new(CacheId::new(0), kb(16), PolicyKind::Lru);
+                let shared = ConcurrentNode::from_config(config, scheme);
+                let mut serial = ProxyNode::from_config(config, scheme);
+                let (shared_ring, shared_stats) = probes();
+                let (serial_ring, serial_stats) = probes();
+                shared.set_sink(SinkHandle::from_arc(Arc::clone(&shared_ring)));
+                shared.set_stats(Arc::clone(&shared_stats));
+                serial.set_sink(SinkHandle::from_arc(Arc::clone(&serial_ring)));
+                serial.set_stats(Arc::clone(&serial_stats));
+                let _mute = muted.then(mute_request_scoped);
+
+                for i in 0..600u64 {
+                    let draw = splitmix64(i ^ 0xC0FF_EE00);
+                    let doc = d(draw % 24);
+                    let size = kb(1 + (draw >> 8) % 4);
+                    let now = t(i);
+                    let from = CacheId::new(1);
+                    match (draw >> 16) % 5 {
+                        0 => assert_eq!(
+                            shared.complete_origin_fetch(doc, size, now),
+                            serial.complete_origin_fetch(doc, size, now),
+                            "{case}: origin fetch #{i}"
+                        ),
+                        1 => assert_eq!(
+                            shared.handle_client_lookup(doc, now),
+                            serial.handle_client_lookup(doc, now),
+                            "{case}: lookup #{i}"
+                        ),
+                        2 => assert_eq!(
+                            shared.handle_icp_query(IcpQuery { from, doc }),
+                            serial.handle_icp_query(IcpQuery { from, doc }),
+                            "{case}: ICP query #{i}"
+                        ),
+                        3 => {
+                            let request = HttpRequest {
+                                from,
+                                doc,
+                                requester_age: peer_age(draw >> 24),
+                            };
+                            assert_eq!(
+                                shared
+                                    .handle_http_request(request, now)
+                                    .map(|(response, _)| response),
+                                serial.handle_http_request(request, now),
+                                "{case}: HTTP request #{i}"
+                            );
+                        }
+                        _ => {
+                            let sent = shared.build_http_request(doc);
+                            assert_eq!(sent, serial.build_http_request(doc), "{case}: #{i}");
+                            let response = HttpResponse {
+                                from,
+                                doc,
+                                size,
+                                responder_age: peer_age(draw >> 24),
+                            };
+                            assert_eq!(
+                                shared.complete_remote_fetch(sent, response, now),
+                                serial.complete_remote_fetch(sent, response, now),
+                                "{case}: remote fetch #{i}"
+                            );
+                        }
+                    }
+                    assert_eq!(shared.expiration_age(), serial.expiration_age());
+                }
+
+                let stats = serial.cache().stats();
+                assert_eq!(shared.cache().stats(), stats, "{case}");
+                assert!(
+                    stats.evictions > 0 && stats.remote_serves > 0 && stats.local_hits > 0,
+                    "{case}: the stream must exercise every path, got {stats:?}"
+                );
+                assert_eq!(shared_stats.snapshot(), serial_stats.snapshot(), "{case}");
+                assert!(serial_stats.count(EventKind::Placement) > 0, "{case}");
+                let events = recorded(&serial_ring);
+                assert_eq!(recorded(&shared_ring), events, "{case}");
+                // Evictions are health events and pass the mute; placements
+                // are request-scoped and must be shed by it on both nodes.
+                let emitted = |kind| events.iter().any(|(k, _)| *k == kind);
+                assert!(emitted(EventKind::Eviction), "{case}");
+                assert_eq!(emitted(EventKind::Placement), !muted, "{case}");
+            }
         }
-        assert_eq!(shared.cache().len(), serial.cache().len());
-        assert_eq!(shared.cache().stats(), serial.cache().stats());
     }
 
     #[test]
@@ -381,7 +304,8 @@ mod tests {
         });
         assert!(reply.hit);
         let sent = requester.build_http_request(d(7));
-        let response = responder.handle_http_request(sent, t(2)).expect("hit");
+        let (response, promoted) = responder.handle_http_request(sent, t(2)).expect("hit");
+        assert!(promoted, "ad-hoc responders always promote");
         assert!(requester.complete_remote_fetch(sent, response, t(2)));
         assert!(requester.cache().contains(d(7)));
     }

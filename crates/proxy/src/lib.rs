@@ -45,6 +45,7 @@ mod hierarchy;
 mod message;
 mod node;
 mod outcome;
+mod store;
 
 pub use bloom::BloomFilter;
 pub use concurrent::ConcurrentNode;

@@ -1,12 +1,15 @@
 //! A single proxy node: one cache plus the protocol handlers.
 //!
-//! [`ProxyNode`] contains no I/O and no knowledge of how messages travel:
-//! the synchronous [`crate::DistributedGroup`], the discrete-event
-//! simulator and the real-socket runtime in `coopcache-net` all drive the
-//! same handlers, so every execution mode exercises identical placement
-//! logic.
+//! [`ProxyNode`] contains no I/O and no knowledge of how messages travel.
+//! Its handlers are written once, generic over the [`Store`] they run
+//! on: the synchronous [`crate::DistributedGroup`] and the discrete-event
+//! simulator drive them over a single-owner [`Cache`], and the
+//! real-socket runtime in `coopcache-net` drives the very same bodies
+//! over a shared `ConcurrentCache` through [`crate::ConcurrentNode`] — so
+//! every execution mode executes identical placement code.
 
 use crate::message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
+use crate::store::Store;
 use coopcache_core::{
     Cache, CacheConfig, EvictionReason, EvictionRecord, ExpirationFlavor, ExpirationWindow,
     InsertOutcome, PlacementScheme, PolicyKind,
@@ -15,8 +18,25 @@ use coopcache_obs::{Event, EventKind, EvictionCause, PlacementRole, SinkHandle, 
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
 use std::sync::Arc;
 
-/// One cooperative proxy: a [`Cache`] plus the requester/responder logic
-/// of the configured [`PlacementScheme`].
+/// Where a node reports its placement decisions and evictions. Both
+/// parts are optional shared handles, so a copy is two reference counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Telemetry {
+    /// Optional event sink; `None` (the default) costs one branch per
+    /// protocol step.
+    pub(crate) sink: Option<SinkHandle>,
+    /// Optional live counters; unlike the sink these count placements
+    /// and evictions even when no sink is installed (relaxed atomics,
+    /// so the hot path takes no lock).
+    pub(crate) stats: Option<Arc<StatsRegistry>>,
+}
+
+/// One cooperative proxy: a cache plus the requester/responder logic of
+/// the configured [`PlacementScheme`].
+///
+/// `S` is the store the handlers run on — the single-owner [`Cache`]
+/// unless [`crate::ConcurrentNode`] is lending its shared cache for one
+/// call.
 ///
 /// # Example
 ///
@@ -37,16 +57,10 @@ use std::sync::Arc;
 /// assert!(reply.hit);
 /// ```
 #[derive(Debug)]
-pub struct ProxyNode {
-    cache: Cache,
-    scheme: PlacementScheme,
-    /// Optional event sink; `None` (the default) costs one branch per
-    /// protocol step.
-    sink: Option<SinkHandle>,
-    /// Optional live counters; unlike the sink these count placements
-    /// and evictions even when no sink is installed (relaxed atomics,
-    /// so the hot path takes no lock).
-    stats: Option<Arc<StatsRegistry>>,
+pub struct ProxyNode<S = Cache> {
+    pub(crate) cache: S,
+    pub(crate) scheme: PlacementScheme,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl ProxyNode {
@@ -76,41 +90,47 @@ impl ProxyNode {
         )
     }
 
-    /// Creates a node from a full cache configuration (shard count, TTL,
-    /// seed and window all honored).
+    /// Creates a node from a full cache configuration (window and TTL
+    /// honored; exactly one shard, see [`CacheConfig::build`]).
     #[must_use]
     pub fn from_config(config: CacheConfig, scheme: PlacementScheme) -> Self {
         Self {
             cache: config.build(),
             scheme,
-            sink: None,
-            stats: None,
+            telemetry: Telemetry::default(),
         }
     }
 
     /// Attaches an event sink; placement decisions and evictions from
     /// this node flow into it.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.sink = Some(sink);
+        self.telemetry.sink = Some(sink);
     }
 
     /// Detaches the event sink (back to the zero-cost default).
     pub fn clear_sink(&mut self) {
-        self.sink = None;
+        self.telemetry.sink = None;
     }
 
     /// Attaches a live stats registry; placement and eviction counts
     /// from this node land in it whether or not a sink is installed.
     pub fn set_stats(&mut self, stats: Arc<StatsRegistry>) {
-        self.stats = Some(stats);
+        self.telemetry.stats = Some(stats);
     }
 
-    fn emit(&self, event: &Event) {
-        if let Some(sink) = &self.sink {
-            sink.emit(event);
-        }
+    /// Sets (or clears) the underlying cache's freshness TTL.
+    pub fn set_ttl(&mut self, ttl: Option<coopcache_types::DurationMs>) {
+        self.cache.set_ttl(ttl);
     }
 
+    /// Read access to the underlying cache (stats, tracker, entries).
+    #[must_use]
+    pub fn cache(&self) -> &Cache {
+        &self.cache
+    }
+}
+
+impl<S: Store> ProxyNode<S> {
     fn emit_placement(
         &self,
         doc: DocId,
@@ -119,38 +139,50 @@ impl ProxyNode {
         peer_age: ExpirationAge,
         stored: bool,
     ) {
-        if let Some(stats) = &self.stats {
+        if let Some(stats) = &self.telemetry.stats {
             stats.record(EventKind::Placement);
         }
-        if self.sink.is_some() {
-            self.emit(&Event::Placement {
-                cache: self.id(),
-                doc,
-                role,
-                self_age,
-                peer_age,
-                stored,
-                tie: self_age == peer_age,
-            });
+        let Some(sink) = &self.telemetry.sink else {
+            return;
+        };
+        // A muted thread (the head sampler dropped this request's trace)
+        // would have the event dropped by the sink handle anyway; bail
+        // before building it. The counter above stays exact either way.
+        if coopcache_obs::request_scoped_muted() {
+            return;
         }
+        sink.emit(&Event::Placement {
+            cache: self.id(),
+            doc,
+            role,
+            self_age,
+            peer_age,
+            stored,
+            tie: self_age == peer_age,
+        });
     }
 
+    /// Reports the victims of a store. Called with the store operation
+    /// already returned, so no shard lock is ever held across an emit.
     fn emit_evictions(&self, evictions: &[EvictionRecord]) {
-        if let Some(stats) = &self.stats {
+        if evictions.is_empty() {
+            return;
+        }
+        if let Some(stats) = &self.telemetry.stats {
             for _ in evictions {
                 stats.record(EventKind::Eviction);
             }
         }
-        if self.sink.is_none() {
+        let Some(sink) = &self.telemetry.sink else {
             return;
-        }
+        };
         let flavor = self.cache.expiration_flavor();
         for rec in evictions {
             let age = match flavor {
                 ExpirationFlavor::Lru => rec.entry.lru_expiration_age(rec.evicted_at),
                 ExpirationFlavor::Lfu => rec.entry.lfu_expiration_age(rec.evicted_at),
             };
-            self.emit(&Event::Eviction {
+            sink.emit(&Event::Eviction {
                 cache: self.id(),
                 doc: rec.entry.doc,
                 age_ms: age.as_millis(),
@@ -163,27 +195,23 @@ impl ProxyNode {
         }
     }
 
+    /// Stores a document and reports the evictions it caused.
+    fn insert_and_emit(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
+        let outcome = self.cache.insert(doc, size, now);
+        self.emit_evictions(outcome.evictions());
+        outcome
+    }
+
     /// This node's cache id.
     #[must_use]
     pub fn id(&self) -> CacheId {
         self.cache.id()
     }
 
-    /// Sets (or clears) the underlying cache's freshness TTL.
-    pub fn set_ttl(&mut self, ttl: Option<coopcache_types::DurationMs>) {
-        self.cache.set_ttl(ttl);
-    }
-
     /// The placement scheme in force.
     #[must_use]
     pub fn scheme(&self) -> PlacementScheme {
         self.scheme
-    }
-
-    /// Read access to the underlying cache (stats, tracker, entries).
-    #[must_use]
-    pub fn cache(&self) -> &Cache {
-        &self.cache
     }
 
     /// This node's current cache expiration age.
@@ -218,6 +246,17 @@ impl ProxyNode {
         request: HttpRequest,
         now: Timestamp,
     ) -> Option<HttpResponse> {
+        self.serve_http_request(request, now)
+            .map(|(response, _promoted)| response)
+    }
+
+    /// [`Self::handle_http_request`] plus the promotion decision (paper
+    /// §3.5) it applied, which the daemons label their serve span with.
+    pub(crate) fn serve_http_request(
+        &mut self,
+        request: HttpRequest,
+        now: Timestamp,
+    ) -> Option<(HttpResponse, bool)> {
         let responder_age = self.expiration_age();
         let promote = self
             .scheme
@@ -230,12 +269,13 @@ impl ProxyNode {
             request.requester_age,
             promote,
         );
-        Some(HttpResponse {
+        let response = HttpResponse {
             from: self.id(),
             doc: request.doc,
             size,
             responder_age,
-        })
+        };
+        Some((response, promote))
     }
 
     /// Builds the HTTP request this node sends after a positive ICP reply,
@@ -272,21 +312,17 @@ impl ProxyNode {
             response.responder_age,
             store,
         );
-        if !store {
-            return false;
-        }
-        let outcome = self.cache.insert(response.doc, response.size, now);
-        self.emit_evictions(outcome.evictions());
-        outcome.is_stored()
+        store
+            && self
+                .insert_and_emit(response.doc, response.size, now)
+                .is_stored()
     }
 
     /// Requester side of a group miss in the *distributed* architecture:
     /// the document came from the origin server and is always stored
     /// (both schemes; paper §4.1).
     pub fn complete_origin_fetch(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> bool {
-        let outcome = self.cache.insert(doc, size, now);
-        self.emit_evictions(outcome.evictions());
-        outcome.is_stored()
+        self.insert_and_emit(doc, size, now).is_stored()
     }
 
     /// Parent side of a hierarchical miss: the parent fetched `doc` from
@@ -309,16 +345,11 @@ impl ProxyNode {
             request.requester_age,
             keep,
         );
-        let stored = if keep {
-            let outcome = self.cache.insert(request.doc, size, now);
-            self.emit_evictions(outcome.evictions());
-            matches!(
-                outcome,
+        let stored = keep
+            && matches!(
+                self.insert_and_emit(request.doc, size, now),
                 InsertOutcome::Stored(_) | InsertOutcome::AlreadyPresent
-            )
-        } else {
-            false
-        };
+            );
         (
             HttpResponse {
                 from: self.id(),

@@ -5,22 +5,21 @@
 # Runs (from the repo root):
 #   cargo run --release -p coopcache-bench --bin fig1_hit_rates -- --json
 #   cargo run --release -p coopcache-bench --bin des_latency -- --json
-#   cargo run --release -p coopcache-bench --bin bench_core -- --json
 #   cargo run --release -p coopcache-cli --bin coopcache -- bench-daemon --events both --json ...
 #
 # then merges the results/ JSON files into a single document:
 #
-#   {"bench":"BENCH_9","experiments":[<fig1_hit_rates>,<des_latency>,<bench_core>,<bench_daemon>]}
+#   {"bench":"BENCH_9","experiments":[<fig1_hit_rates>,<des_latency>,<bench_daemon>]}
 #
 # Each experiment keeps the standard results/ shape
 # ({"id","title","trace","headers":[...],"rows":[[...]]}).  The seeds
 # live in the benchmark binaries, so the paper-figure tables are
 # byte-identical run to run; no timestamps are recorded for exactly
-# that reason.  The bench_core and bench_daemon experiments report
-# measured wall-clock throughput (of the sharded arena store and the
-# live pooled daemon transport respectively), so their numbers vary
-# run to run — bench_diff treats new experiments as additions, and the
-# paper-figure cells must not drift.
+# that reason.  The bench_daemon experiment reports measured wall-clock
+# throughput of the live pooled daemon transport, so its numbers vary
+# run to run — bench_diff treats them as advisory, and the paper-figure
+# cells must not drift.  (Store throughput is coopbench's: see
+# benchmark/README.md, workloads store-read and store-churn.)
 #
 # The bench_daemon experiment now runs twice — events off, then with
 # the deterministic head sampler always on — so the snapshot records
@@ -33,14 +32,13 @@ cd "$(dirname "$0")/.."
 
 cargo run --release -q -p coopcache-bench --bin fig1_hit_rates -- --json
 cargo run --release -q -p coopcache-bench --bin des_latency -- --json
-cargo run --release -q -p coopcache-bench --bin bench_core -- --json
 # Best-of-7 per mode, modes interleaved across repeats: loopback
 # throughput is noisy run to run (single-core CI boxes especially), and
 # the off/sampled overhead comparison needs both sides at their
 # sustained rate rather than whichever run the scheduler disturbed.
 cargo run --release -q -p coopcache-cli --bin coopcache -- bench-daemon --events both --repeat 7 --json results/bench_daemon.json
 
-for f in results/fig1_hit_rates.json results/des_latency.json results/bench_core.json results/bench_daemon.json; do
+for f in results/fig1_hit_rates.json results/des_latency.json results/bench_daemon.json; do
     [ -s "$f" ] || { echo "bench.sh: missing $f" >&2; exit 1; }
 done
 
@@ -49,8 +47,6 @@ done
     printf '%s' "$(cat results/fig1_hit_rates.json)"
     printf ','
     printf '%s' "$(cat results/des_latency.json)"
-    printf ','
-    printf '%s' "$(cat results/bench_core.json)"
     printf ','
     printf '%s' "$(cat results/bench_daemon.json)"
     printf ']}\n'

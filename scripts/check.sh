@@ -78,9 +78,6 @@ else
   echo "   skipped: no nightly toolchain with rust-src available offline"
 fi
 
-echo "== bench-core smoke (O(1) scaling + allocation-free hot path)"
-cargo run --release -q -p coopcache-bench --bin bench_core -- --smoke
-
 echo "== bench-daemon smoke (pooled transport + sampled-telemetry overhead)"
 cargo run --release -q -p coopcache-cli --bin coopcache -- bench-daemon --smoke true --events both
 
