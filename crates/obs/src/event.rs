@@ -8,7 +8,7 @@
 //! — which keeps replays of the same trace byte-identical.
 
 use crate::alert::{AlertMetric, AlertOp, AlertState};
-use crate::json::JsonWriter;
+use crate::json::{decimal, escape_into, is_plain};
 use crate::span::Span;
 use coopcache_types::{CacheId, DocId, ExpirationAge};
 
@@ -503,17 +503,23 @@ impl Event {
     /// over the same trace produce byte-identical lines.
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.write_json(JsonWriter::new())
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        // The encoder writes ASCII fragments and escaped `str`s only.
+        String::from_utf8(out).unwrap_or_default()
     }
 
-    /// Like [`Self::to_json`], but appends into the writer's existing
-    /// buffer — the allocation-free path [`JsonlSink`](crate::JsonlSink)
-    /// uses on the daemon hot path (one reused buffer per sink).
-    #[must_use]
-    pub fn write_json(&self, mut w: JsonWriter) -> String {
-        w.begin_object();
-        w.key("ev");
-        w.string(self.kind().name());
+    /// Appends the [`Self::to_json`] encoding to `out` — the one place
+    /// each variant's fields are laid out.
+    ///
+    /// Event lines have a fixed shape, so the encoder is a sequence of
+    /// pre-escaped literal fragments interleaved with the values: a line
+    /// costs what copying its bytes costs, with no per-key escape scan or
+    /// comma bookkeeping. Only the caller-supplied strings (`error`, span
+    /// `status`) go through [`escape_into`]; the `name()` vocabularies are
+    /// this crate's own literals. [`JsonWriter`](crate::JsonWriter) is for
+    /// documents whose shape is dynamic.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
         match self {
             Self::Request {
                 seq,
@@ -524,36 +530,23 @@ impl Event {
                 stored,
                 latency_us,
             } => {
-                w.key("seq");
-                w.u64(*seq);
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("class");
-                w.string(class.name());
-                w.key("responder");
-                w.opt_u64(responder.map(|c| u64::from(c.as_u16())));
-                w.key("stored");
-                w.bool(*stored);
-                w.key("latency_us");
-                w.opt_u64(*latency_us);
+                num(out, r#"{"ev":"request","seq":"#, *seq);
+                num(out, r#","cache":"#, cache_u64(*cache));
+                num(out, r#","doc":"#, doc.as_u64());
+                name(out, r#","class":"#, class.name());
+                opt(out, r#","responder":"#, responder.map(cache_u64));
+                flag(out, r#","stored":"#, *stored);
+                opt(out, r#","latency_us":"#, *latency_us);
             }
             Self::IcpQuery { from, to, doc } => {
-                w.key("from");
-                w.u64(u64::from(from.as_u16()));
-                w.key("to");
-                w.u64(u64::from(to.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
+                num(out, r#"{"ev":"icp-query","from":"#, cache_u64(*from));
+                num(out, r#","to":"#, cache_u64(*to));
+                num(out, r#","doc":"#, doc.as_u64());
             }
             Self::IcpReply { from, doc, hit } => {
-                w.key("from");
-                w.u64(u64::from(from.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("hit");
-                w.bool(*hit);
+                num(out, r#"{"ev":"icp-reply","from":"#, cache_u64(*from));
+                num(out, r#","doc":"#, doc.as_u64());
+                flag(out, r#","hit":"#, *hit);
             }
             Self::Placement {
                 cache,
@@ -564,20 +557,13 @@ impl Event {
                 stored,
                 tie,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("role");
-                w.string(role.name());
-                w.key("self_age_ms");
-                w.opt_u64(age_to_ms(*self_age));
-                w.key("peer_age_ms");
-                w.opt_u64(age_to_ms(*peer_age));
-                w.key("stored");
-                w.bool(*stored);
-                w.key("tie");
-                w.bool(*tie);
+                num(out, r#"{"ev":"placement","cache":"#, cache_u64(*cache));
+                num(out, r#","doc":"#, doc.as_u64());
+                name(out, r#","role":"#, role.name());
+                opt(out, r#","self_age_ms":"#, age_to_ms(*self_age));
+                opt(out, r#","peer_age_ms":"#, age_to_ms(*peer_age));
+                flag(out, r#","stored":"#, *stored);
+                flag(out, r#","tie":"#, *tie);
             }
             Self::Eviction {
                 cache,
@@ -585,14 +571,10 @@ impl Event {
                 age_ms,
                 cause,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("age_ms");
-                w.u64(*age_ms);
-                w.key("cause");
-                w.string(cause.name());
+                num(out, r#"{"ev":"eviction","cache":"#, cache_u64(*cache));
+                num(out, r#","doc":"#, doc.as_u64());
+                num(out, r#","age_ms":"#, *age_ms);
+                name(out, r#","cause":"#, cause.name());
             }
             Self::PeerFault {
                 cache,
@@ -601,16 +583,11 @@ impl Event {
                 op,
                 error,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("peer");
-                w.u64(u64::from(peer.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("op");
-                w.string(op.name());
-                w.key("error");
-                w.string(error);
+                num(out, r#"{"ev":"peer-fault","cache":"#, cache_u64(*cache));
+                num(out, r#","peer":"#, cache_u64(*peer));
+                num(out, r#","doc":"#, doc.as_u64());
+                name(out, r#","op":"#, op.name());
+                text(out, r#","error":"#, error);
             }
             Self::Failover {
                 cache,
@@ -618,14 +595,10 @@ impl Event {
                 from,
                 to,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
-                w.key("from");
-                w.u64(u64::from(from.as_u16()));
-                w.key("to");
-                w.opt_u64(to.map(|c| u64::from(c.as_u16())));
+                num(out, r#"{"ev":"failover","cache":"#, cache_u64(*cache));
+                num(out, r#","doc":"#, doc.as_u64());
+                num(out, r#","from":"#, cache_u64(*from));
+                opt(out, r#","to":"#, to.map(cache_u64));
             }
             Self::PeerQuarantined {
                 cache,
@@ -633,26 +606,19 @@ impl Event {
                 failures,
                 backoff_ms,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("peer");
-                w.u64(u64::from(peer.as_u16()));
-                w.key("failures");
-                w.u64(*failures);
-                w.key("backoff_ms");
-                w.u64(*backoff_ms);
+                num(out, r#"{"ev":"quarantine","cache":"#, cache_u64(*cache));
+                num(out, r#","peer":"#, cache_u64(*peer));
+                num(out, r#","failures":"#, *failures);
+                num(out, r#","backoff_ms":"#, *backoff_ms);
             }
             Self::ServerLoopError {
                 cache,
                 server,
                 error,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("server");
-                w.string(server.name());
-                w.key("error");
-                w.string(error);
+                num(out, r#"{"ev":"loop-error","cache":"#, cache_u64(*cache));
+                name(out, r#","server":"#, server.name());
+                text(out, r#","error":"#, error);
             }
             Self::WindowRollover {
                 index,
@@ -661,28 +627,35 @@ impl Event {
                 remote_hits,
                 mean_age_ms,
             } => {
-                w.key("index");
-                w.u64(*index);
-                w.key("requests");
-                w.u64(*requests);
-                w.key("local_hits");
-                w.u64(*local_hits);
-                w.key("remote_hits");
-                w.u64(*remote_hits);
-                w.key("mean_age_ms");
-                w.opt_u64(*mean_age_ms);
+                num(out, r#"{"ev":"window","index":"#, *index);
+                num(out, r#","requests":"#, *requests);
+                num(out, r#","local_hits":"#, *local_hits);
+                num(out, r#","remote_hits":"#, *remote_hits);
+                opt(out, r#","mean_age_ms":"#, *mean_age_ms);
+            }
+            Self::Span(span) => {
+                num(out, r#"{"ev":"span","trace":"#, span.trace_id);
+                num(out, r#","span":"#, span.span_id);
+                opt(out, r#","parent":"#, span.parent);
+                num(out, r#","cache":"#, cache_u64(span.cache));
+                name(out, r#","kind":"#, span.kind.name());
+                opt(out, r#","doc":"#, span.doc.map(DocId::as_u64));
+                opt(out, r#","peer":"#, span.peer.map(cache_u64));
+                num(out, r#","start_us":"#, span.start_us);
+                num(out, r#","end_us":"#, span.end_us);
+                text(out, r#","status":"#, span.status);
             }
             Self::ConnReused { cache, peer } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("peer");
-                w.opt_u64(peer.map(|c| u64::from(c.as_u16())));
+                num(
+                    out,
+                    r#"{"ev":"connections-reused","cache":"#,
+                    cache_u64(*cache),
+                );
+                opt(out, r#","peer":"#, peer.map(cache_u64));
             }
             Self::AdmissionShed { cache, doc } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("doc");
-                w.u64(doc.as_u64());
+                num(out, r#"{"ev":"admission-shed","cache":"#, cache_u64(*cache));
+                num(out, r#","doc":"#, doc.as_u64());
             }
             Self::Alert {
                 cache,
@@ -693,47 +666,72 @@ impl Event {
                 windows,
                 state,
             } => {
-                w.key("cache");
-                w.u64(u64::from(cache.as_u16()));
-                w.key("metric");
-                w.string(metric.name());
-                w.key("op");
-                w.string(op.name());
-                w.key("threshold");
-                w.u64(*threshold);
-                w.key("value");
-                w.u64(*value);
-                w.key("windows");
-                w.u64(*windows);
-                w.key("state");
-                w.string(state.name());
-            }
-            Self::Span(span) => {
-                w.key("trace");
-                w.u64(span.trace_id);
-                w.key("span");
-                w.u64(span.span_id);
-                w.key("parent");
-                w.opt_u64(span.parent);
-                w.key("cache");
-                w.u64(u64::from(span.cache.as_u16()));
-                w.key("kind");
-                w.string(span.kind.name());
-                w.key("doc");
-                w.opt_u64(span.doc.map(DocId::as_u64));
-                w.key("peer");
-                w.opt_u64(span.peer.map(|c| u64::from(c.as_u16())));
-                w.key("start_us");
-                w.u64(span.start_us);
-                w.key("end_us");
-                w.u64(span.end_us);
-                w.key("status");
-                w.string(span.status);
+                num(out, r#"{"ev":"alert","cache":"#, cache_u64(*cache));
+                name(out, r#","metric":"#, metric.name());
+                name(out, r#","op":"#, op.name());
+                num(out, r#","threshold":"#, *threshold);
+                num(out, r#","value":"#, *value);
+                num(out, r#","windows":"#, *windows);
+                name(out, r#","state":"#, state.name());
             }
         }
-        w.end_object();
-        w.finish()
+        out.push(b'}');
     }
+}
+
+fn cache_u64(cache: CacheId) -> u64 {
+    u64::from(cache.as_u16())
+}
+
+/// The encoder's value writers: each appends the pre-escaped fragment
+/// `lead` (everything up to and including the field's `:`), then the
+/// value. Inlined so every fragment is copied at its constant length.
+#[inline(always)]
+fn num(out: &mut Vec<u8>, lead: &str, v: u64) {
+    out.extend_from_slice(lead.as_bytes());
+    out.extend_from_slice(decimal(&mut [0; 20], v));
+}
+
+#[inline(always)]
+fn opt(out: &mut Vec<u8>, lead: &str, v: Option<u64>) {
+    match v {
+        Some(v) => num(out, lead, v),
+        None => {
+            out.extend_from_slice(lead.as_bytes());
+            out.extend_from_slice(b"null");
+        }
+    }
+}
+
+#[inline(always)]
+fn flag(out: &mut Vec<u8>, lead: &str, v: bool) {
+    out.extend_from_slice(lead.as_bytes());
+    out.extend_from_slice(if v { b"true" } else { b"false" });
+}
+
+/// A string from one of this crate's `name()` vocabularies: plain ASCII
+/// by construction, so quoted without an escape scan.
+#[inline(always)]
+fn name(out: &mut Vec<u8>, lead: &str, v: &'static str) {
+    out.extend_from_slice(lead.as_bytes());
+    out.push(b'"');
+    out.extend_from_slice(v.as_bytes());
+    out.push(b'"');
+}
+
+/// A caller-supplied string, escaped.
+#[inline(always)]
+fn text(out: &mut Vec<u8>, lead: &str, v: &str) {
+    out.extend_from_slice(lead.as_bytes());
+    out.push(b'"');
+    if is_plain(v) {
+        out.extend_from_slice(v.as_bytes());
+    } else {
+        let mut escaped = String::new();
+        escape_into(&mut escaped, v);
+        out.extend_from_slice(escaped.as_bytes());
+    }
+    out.push(b'"');
 }
 
 #[cfg(test)]
@@ -741,83 +739,269 @@ mod tests {
     use super::*;
     use coopcache_types::DurationMs;
 
+    /// The pinned bytes of every variant: the expected line is a literal,
+    /// and each line must parse back with the `"ev"` tag its kind names.
     #[test]
-    fn request_json_shape() {
-        let ev = Event::Request {
-            seq: 3,
-            cache: CacheId::new(1),
-            doc: DocId::new(42),
-            class: RequestClass::RemoteHit,
-            responder: Some(CacheId::new(2)),
-            stored: true,
-            latency_us: None,
-        };
-        assert_eq!(ev.kind(), EventKind::Request);
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"request","seq":3,"cache":1,"doc":42,"class":"remote-hit","responder":2,"stored":true,"latency_us":null}"#
-        );
-    }
-
-    #[test]
-    fn placement_json_encodes_infinite_age_as_null() {
-        let ev = Event::Placement {
-            cache: CacheId::new(0),
-            doc: DocId::new(7),
-            role: PlacementRole::RequesterStore,
-            self_age: ExpirationAge::Infinite,
-            peer_age: ExpirationAge::finite(DurationMs::from_millis(250)),
-            stored: true,
-            tie: false,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"placement","cache":0,"doc":7,"role":"requester-store","self_age_ms":null,"peer_age_ms":250,"stored":true,"tie":false}"#
-        );
-    }
-
-    #[test]
-    fn eviction_and_window_json_shapes() {
-        let ev = Event::Eviction {
-            cache: CacheId::new(3),
-            doc: DocId::new(9),
-            age_ms: 1_500,
-            cause: EvictionCause::Capacity,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"eviction","cache":3,"doc":9,"age_ms":1500,"cause":"capacity"}"#
-        );
-        let ev = Event::WindowRollover {
-            index: 2,
-            requests: 100,
-            local_hits: 30,
-            remote_hits: 10,
-            mean_age_ms: None,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"window","index":2,"requests":100,"local_hits":30,"remote_hits":10,"mean_age_ms":null}"#
-        );
-    }
-
-    #[test]
-    fn icp_json_shapes() {
-        let q = Event::IcpQuery {
-            from: CacheId::new(0),
-            to: CacheId::new(1),
-            doc: DocId::new(5),
-        };
-        assert_eq!(q.to_json(), r#"{"ev":"icp-query","from":0,"to":1,"doc":5}"#);
-        let r = Event::IcpReply {
-            from: CacheId::new(1),
-            doc: DocId::new(5),
-            hit: true,
-        };
-        assert_eq!(
-            r.to_json(),
-            r#"{"ev":"icp-reply","from":1,"doc":5,"hit":true}"#
-        );
+    fn every_variant_json_shape() {
+        use crate::alert::{AlertMetric, AlertOp, AlertState};
+        use crate::json::{parse_json, JsonValue};
+        use crate::span::{Span, SpanKind};
+        let big = CacheId::new(u16::MAX);
+        let cases: Vec<(Event, &str)> = vec![
+            (
+                Event::Request {
+                    seq: 3,
+                    cache: CacheId::new(1),
+                    doc: DocId::new(42),
+                    class: RequestClass::RemoteHit,
+                    responder: Some(CacheId::new(2)),
+                    stored: true,
+                    latency_us: None,
+                },
+                r#"{"ev":"request","seq":3,"cache":1,"doc":42,"class":"remote-hit","responder":2,"stored":true,"latency_us":null}"#,
+            ),
+            (
+                Event::Request {
+                    seq: u64::MAX,
+                    cache: big,
+                    doc: DocId::new(u64::MAX),
+                    class: RequestClass::Miss,
+                    responder: None,
+                    stored: false,
+                    latency_us: Some(u64::MAX),
+                },
+                r#"{"ev":"request","seq":18446744073709551615,"cache":65535,"doc":18446744073709551615,"class":"miss","responder":null,"stored":false,"latency_us":18446744073709551615}"#,
+            ),
+            (
+                Event::IcpQuery {
+                    from: CacheId::new(0),
+                    to: CacheId::new(1),
+                    doc: DocId::new(5),
+                },
+                r#"{"ev":"icp-query","from":0,"to":1,"doc":5}"#,
+            ),
+            (
+                Event::IcpReply {
+                    from: CacheId::new(1),
+                    doc: DocId::new(5),
+                    hit: true,
+                },
+                r#"{"ev":"icp-reply","from":1,"doc":5,"hit":true}"#,
+            ),
+            (
+                Event::Placement {
+                    cache: CacheId::new(0),
+                    doc: DocId::new(7),
+                    role: PlacementRole::RequesterStore,
+                    self_age: ExpirationAge::Infinite,
+                    peer_age: ExpirationAge::finite(DurationMs::from_millis(250)),
+                    stored: true,
+                    tie: false,
+                },
+                r#"{"ev":"placement","cache":0,"doc":7,"role":"requester-store","self_age_ms":null,"peer_age_ms":250,"stored":true,"tie":false}"#,
+            ),
+            (
+                Event::Placement {
+                    cache: big,
+                    doc: DocId::new(u64::MAX),
+                    role: PlacementRole::ParentStore,
+                    self_age: ExpirationAge::finite(DurationMs::from_millis(9)),
+                    peer_age: ExpirationAge::Infinite,
+                    stored: false,
+                    tie: true,
+                },
+                r#"{"ev":"placement","cache":65535,"doc":18446744073709551615,"role":"parent-store","self_age_ms":9,"peer_age_ms":null,"stored":false,"tie":true}"#,
+            ),
+            (
+                Event::Eviction {
+                    cache: CacheId::new(3),
+                    doc: DocId::new(9),
+                    age_ms: 1_500,
+                    cause: EvictionCause::Capacity,
+                },
+                r#"{"ev":"eviction","cache":3,"doc":9,"age_ms":1500,"cause":"capacity"}"#,
+            ),
+            (
+                Event::PeerFault {
+                    cache: CacheId::new(0),
+                    peer: CacheId::new(2),
+                    doc: DocId::new(7),
+                    op: FaultOp::Connect,
+                    error: "refused",
+                },
+                r#"{"ev":"peer-fault","cache":0,"peer":2,"doc":7,"op":"connect","error":"refused"}"#,
+            ),
+            (
+                // The one caller-supplied string: quote, backslash,
+                // newline and a control byte must all come out escaped.
+                Event::PeerFault {
+                    cache: big,
+                    peer: big,
+                    doc: DocId::new(u64::MAX),
+                    op: FaultOp::Transfer,
+                    error: "a\"b\\c\nd\u{1}",
+                },
+                r#"{"ev":"peer-fault","cache":65535,"peer":65535,"doc":18446744073709551615,"op":"transfer","error":"a\"b\\c\nd\u0001"}"#,
+            ),
+            (
+                Event::Failover {
+                    cache: CacheId::new(0),
+                    doc: DocId::new(7),
+                    from: CacheId::new(2),
+                    to: None,
+                },
+                r#"{"ev":"failover","cache":0,"doc":7,"from":2,"to":null}"#,
+            ),
+            (
+                Event::Failover {
+                    cache: CacheId::new(0),
+                    doc: DocId::new(7),
+                    from: CacheId::new(2),
+                    to: Some(CacheId::new(3)),
+                },
+                r#"{"ev":"failover","cache":0,"doc":7,"from":2,"to":3}"#,
+            ),
+            (
+                Event::PeerQuarantined {
+                    cache: CacheId::new(0),
+                    peer: CacheId::new(2),
+                    failures: 3,
+                    backoff_ms: 500,
+                },
+                r#"{"ev":"quarantine","cache":0,"peer":2,"failures":3,"backoff_ms":500}"#,
+            ),
+            (
+                Event::ServerLoopError {
+                    cache: CacheId::new(1),
+                    server: ServerLoop::Doc,
+                    error: "proto",
+                },
+                r#"{"ev":"loop-error","cache":1,"server":"doc","error":"proto"}"#,
+            ),
+            (
+                Event::ServerLoopError {
+                    cache: CacheId::new(1),
+                    server: ServerLoop::Icp,
+                    error: "\"\\\n\u{1f}",
+                },
+                r#"{"ev":"loop-error","cache":1,"server":"icp","error":"\"\\\n\u001f"}"#,
+            ),
+            (
+                Event::WindowRollover {
+                    index: 2,
+                    requests: 100,
+                    local_hits: 30,
+                    remote_hits: 10,
+                    mean_age_ms: None,
+                },
+                r#"{"ev":"window","index":2,"requests":100,"local_hits":30,"remote_hits":10,"mean_age_ms":null}"#,
+            ),
+            (
+                Event::WindowRollover {
+                    index: u64::MAX,
+                    requests: 1,
+                    local_hits: 0,
+                    remote_hits: 0,
+                    mean_age_ms: Some(77),
+                },
+                r#"{"ev":"window","index":18446744073709551615,"requests":1,"local_hits":0,"remote_hits":0,"mean_age_ms":77}"#,
+            ),
+            (
+                Event::Span(Span {
+                    trace_id: 7,
+                    span_id: 9,
+                    parent: Some(8),
+                    cache: CacheId::new(2),
+                    kind: SpanKind::PeerFetch,
+                    doc: Some(DocId::new(41)),
+                    peer: Some(CacheId::new(1)),
+                    start_us: 1_000,
+                    end_us: 1_450,
+                    status: "refused",
+                }),
+                r#"{"ev":"span","trace":7,"span":9,"parent":8,"cache":2,"kind":"peer-fetch","doc":41,"peer":1,"start_us":1000,"end_us":1450,"status":"refused"}"#,
+            ),
+            (
+                Event::Span(Span {
+                    trace_id: u64::MAX,
+                    span_id: u64::MAX,
+                    parent: None,
+                    cache: CacheId::new(0),
+                    kind: SpanKind::Request,
+                    doc: None,
+                    peer: None,
+                    start_us: 0,
+                    end_us: u64::MAX,
+                    status: "remote-hit",
+                }),
+                r#"{"ev":"span","trace":18446744073709551615,"span":18446744073709551615,"parent":null,"cache":0,"kind":"request","doc":null,"peer":null,"start_us":0,"end_us":18446744073709551615,"status":"remote-hit"}"#,
+            ),
+            (
+                Event::ConnReused {
+                    cache: CacheId::new(0),
+                    peer: Some(CacheId::new(2)),
+                },
+                r#"{"ev":"connections-reused","cache":0,"peer":2}"#,
+            ),
+            (
+                Event::ConnReused {
+                    cache: CacheId::new(1),
+                    peer: None,
+                },
+                r#"{"ev":"connections-reused","cache":1,"peer":null}"#,
+            ),
+            (
+                Event::AdmissionShed {
+                    cache: CacheId::new(3),
+                    doc: DocId::new(9),
+                },
+                r#"{"ev":"admission-shed","cache":3,"doc":9}"#,
+            ),
+            (
+                Event::Alert {
+                    cache: CacheId::new(2),
+                    metric: AlertMetric::HitRate,
+                    op: AlertOp::Below,
+                    threshold: 500,
+                    value: 321,
+                    windows: 3,
+                    state: AlertState::Firing,
+                },
+                r#"{"ev":"alert","cache":2,"metric":"hit-rate","op":"below","threshold":500,"value":321,"windows":3,"state":"firing"}"#,
+            ),
+            (
+                Event::Alert {
+                    cache: CacheId::new(2),
+                    metric: AlertMetric::P99Latency,
+                    op: AlertOp::Above,
+                    threshold: 1_000_000,
+                    value: 750_000,
+                    windows: 1,
+                    state: AlertState::Resolved,
+                },
+                r#"{"ev":"alert","cache":2,"metric":"p99-latency","op":"above","threshold":1000000,"value":750000,"windows":1,"state":"resolved"}"#,
+            ),
+        ];
+        let mut covered = [false; EVENT_KINDS.len()];
+        for (event, want) in &cases {
+            let line = event.to_json();
+            assert_eq!(line, *want, "{event:?}");
+            let parsed = parse_json(&line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!(
+                parsed.get("ev").and_then(JsonValue::as_str),
+                Some(event.kind().name()),
+                "{line}"
+            );
+            // The caller-supplied text survives the round trip unescaped.
+            if let Event::PeerFault { error, .. } | Event::ServerLoopError { error, .. } = event {
+                assert_eq!(
+                    parsed.get("error").and_then(JsonValue::as_str),
+                    Some(*error)
+                );
+            }
+            covered[event.kind().index()] = true;
+        }
+        assert_eq!(covered, [true; EVENT_KINDS.len()], "a variant has no case");
     }
 
     /// Satellite guard: `EVENT_KINDS` must stay in lockstep with the
@@ -853,153 +1037,11 @@ mod tests {
     }
 
     #[test]
-    fn alert_json_shape() {
-        use crate::alert::{AlertMetric, AlertOp, AlertState};
-        let ev = Event::Alert {
-            cache: CacheId::new(2),
-            metric: AlertMetric::HitRate,
-            op: AlertOp::Below,
-            threshold: 500,
-            value: 321,
-            windows: 3,
-            state: AlertState::Firing,
-        };
-        assert_eq!(ev.kind(), EventKind::Alert);
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"alert","cache":2,"metric":"hit-rate","op":"below","threshold":500,"value":321,"windows":3,"state":"firing"}"#
-        );
-        let ev = Event::Alert {
-            cache: CacheId::new(2),
-            metric: AlertMetric::P99Latency,
-            op: AlertOp::Above,
-            threshold: 1_000_000,
-            value: 750_000,
-            windows: 1,
-            state: AlertState::Resolved,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"alert","cache":2,"metric":"p99-latency","op":"above","threshold":1000000,"value":750000,"windows":1,"state":"resolved"}"#
-        );
-    }
-
-    #[test]
-    fn pool_and_admission_json_shapes() {
-        let ev = Event::ConnReused {
-            cache: CacheId::new(0),
-            peer: Some(CacheId::new(2)),
-        };
-        assert_eq!(ev.kind(), EventKind::ConnReused);
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"connections-reused","cache":0,"peer":2}"#
-        );
-        let ev = Event::ConnReused {
-            cache: CacheId::new(1),
-            peer: None,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"connections-reused","cache":1,"peer":null}"#
-        );
-        let ev = Event::AdmissionShed {
-            cache: CacheId::new(3),
-            doc: DocId::new(9),
-        };
-        assert_eq!(ev.kind(), EventKind::AdmissionShed);
-        assert_eq!(ev.to_json(), r#"{"ev":"admission-shed","cache":3,"doc":9}"#);
-    }
-
-    #[test]
     fn from_name_inverts_name() {
         for kind in EVENT_KINDS {
             assert_eq!(EventKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(EventKind::from_name("no-such-event"), None);
-    }
-
-    #[test]
-    fn span_json_shape() {
-        use crate::span::{Span, SpanKind};
-        let ev = Event::Span(Span {
-            trace_id: 7,
-            span_id: 9,
-            parent: Some(8),
-            cache: CacheId::new(2),
-            kind: SpanKind::PeerFetch,
-            doc: Some(DocId::new(41)),
-            peer: Some(CacheId::new(1)),
-            start_us: 1_000,
-            end_us: 1_450,
-            status: "refused",
-        });
-        assert_eq!(ev.kind(), EventKind::Span);
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"span","trace":7,"span":9,"parent":8,"cache":2,"kind":"peer-fetch","doc":41,"peer":1,"start_us":1000,"end_us":1450,"status":"refused"}"#
-        );
-        let root = Event::Span(Span {
-            trace_id: 7,
-            span_id: 1,
-            parent: None,
-            cache: CacheId::new(0),
-            kind: SpanKind::Request,
-            doc: None,
-            peer: None,
-            start_us: 0,
-            end_us: 2_000,
-            status: "remote-hit",
-        });
-        assert_eq!(
-            root.to_json(),
-            r#"{"ev":"span","trace":7,"span":1,"parent":null,"cache":0,"kind":"request","doc":null,"peer":null,"start_us":0,"end_us":2000,"status":"remote-hit"}"#
-        );
-    }
-
-    #[test]
-    fn fault_json_shapes() {
-        let ev = Event::PeerFault {
-            cache: CacheId::new(0),
-            peer: CacheId::new(2),
-            doc: DocId::new(7),
-            op: FaultOp::Connect,
-            error: "refused",
-        };
-        assert_eq!(ev.kind(), EventKind::PeerFault);
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"peer-fault","cache":0,"peer":2,"doc":7,"op":"connect","error":"refused"}"#
-        );
-        let ev = Event::Failover {
-            cache: CacheId::new(0),
-            doc: DocId::new(7),
-            from: CacheId::new(2),
-            to: None,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"failover","cache":0,"doc":7,"from":2,"to":null}"#
-        );
-        let ev = Event::PeerQuarantined {
-            cache: CacheId::new(0),
-            peer: CacheId::new(2),
-            failures: 3,
-            backoff_ms: 500,
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"quarantine","cache":0,"peer":2,"failures":3,"backoff_ms":500}"#
-        );
-        let ev = Event::ServerLoopError {
-            cache: CacheId::new(1),
-            server: ServerLoop::Doc,
-            error: "proto",
-        };
-        assert_eq!(
-            ev.to_json(),
-            r#"{"ev":"loop-error","cache":1,"server":"doc","error":"proto"}"#
-        );
     }
 
     #[test]

@@ -1,23 +1,31 @@
 //! A minimal hand-rolled JSON writer and reader.
 //!
 //! The workspace builds against an offline registry, so there is no serde;
-//! every machine-readable output (the JSONL event stream, the bench
-//! binaries' `--json` tables) goes through this writer instead. It emits
-//! compact JSON with the exact field order the caller uses, which is what
-//! makes event streams byte-comparable across runs. The matching
+//! every machine-readable document whose shape is dynamic (stats, series,
+//! rollups, the bench binaries' `--json` tables) goes through this writer
+//! instead. It emits compact JSON with the exact field order the caller
+//! uses, which is what makes outputs byte-comparable across runs. Event
+//! lines have a fixed shape and their own encoder
+//! ([`Event::write_json`](crate::Event::write_json)), which shares this
+//! module's escaping and integer primitives. The matching
 //! [`parse_json`] reader is what the trace assembler and the `stats`
 //! scraper use to get those documents back without pulling in a
 //! dependency.
 
 use std::fmt::Write as _;
 
+/// Whether `s` is its own RFC 8259 escaping. Bytes ≥ 0x80 are UTF-8
+/// continuation/lead bytes — never escaped.
+pub(crate) fn is_plain(s: &str) -> bool {
+    s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20)
+}
+
 /// Escapes `s` per RFC 8259 and appends it (without quotes) to `out`.
 pub fn escape_into(out: &mut String, s: &str) {
     // Almost every string this workspace serializes (keys, event names,
     // span statuses) needs no escaping; detect that with one byte scan
     // and append with a single copy instead of char-by-char pushes.
-    // Bytes ≥ 0x80 are UTF-8 continuation/lead bytes — never escaped.
-    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+    if is_plain(s) {
         out.push_str(s);
         return;
     }
@@ -61,7 +69,7 @@ pub struct JsonWriter {
     /// One bit per open container, indexed by depth: set once the first
     /// element landed (so the next one needs a comma). A bitset instead
     /// of a `Vec<bool>` keeps the writer allocation-free apart from the
-    /// output text itself — the sink serializes at request rate.
+    /// output text itself.
     /// Containers nested deeper than 64 levels lose comma tracking; no
     /// document in this workspace nests past single digits.
     comma: u64,
@@ -74,19 +82,6 @@ impl JsonWriter {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a writer that reuses `buf`'s allocation (the text is
-    /// cleared). Hot paths that serialize many documents hand the
-    /// [`Self::finish`] result back in to stay allocation-free.
-    #[must_use]
-    pub fn reusing(mut buf: String) -> Self {
-        buf.clear();
-        Self {
-            out: buf,
-            comma: 0,
-            depth: 0,
-        }
     }
 
     /// The comma bit for the innermost open container (`0` at the top
@@ -212,26 +207,41 @@ impl JsonWriter {
     }
 }
 
-/// Appends `v` in decimal without going through the `core::fmt`
-/// machinery — the JSONL sink serializes several integers per event at
-/// request rate, and `write!` costs several times a digit loop.
-fn push_u64(out: &mut String, mut v: u64) {
+/// `"00"`, `"01"`, … `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Formats `v` in decimal into the tail of `buf` and returns the digits,
+/// without going through the `core::fmt` machinery — the event encoder
+/// serializes several integers per line at request rate (span ids and µs
+/// timestamps run to 12+ digits), and `write!` costs several times a
+/// digit loop. Two digits per division.
+pub(crate) fn decimal(buf: &mut [u8; 20], mut v: u64) -> &[u8] {
     // u64::MAX has 20 digits.
-    let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        #[allow(clippy::cast_possible_truncation)] // v % 10 < 10
-        {
-            buf[i] = b'0' + (v % 10) as u8;
-        }
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        #[allow(clippy::cast_possible_truncation)] // v % 100 < 100
+        let pair = 2 * (v % 100) as usize;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
+    #[allow(clippy::cast_possible_truncation)] // v < 100
+    let pair = 2 * v as usize;
+    i -= 2;
+    buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    // A one-digit head was written as "0d": skip the zero.
+    &buf[i + usize::from(v < 10)..]
+}
+
+fn push_u64(out: &mut String, v: u64) {
+    let mut buf = [0u8; 20];
     // The slice is ASCII digits by construction.
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap_or("0"));
+    out.push_str(std::str::from_utf8(decimal(&mut buf, v)).unwrap_or("0"));
 }
 
 /// Maximum container nesting [`parse_json`] accepts; deeper input is
@@ -666,6 +676,21 @@ mod tests {
         w.opt_u64(None);
         w.end_array();
         assert_eq!(w.finish(), "[7,null]");
+    }
+
+    #[test]
+    fn push_u64_matches_display_at_every_digit_count() {
+        let mut values = vec![0, u64::MAX];
+        let mut power = 1u64;
+        for _ in 0..19 {
+            power *= 10;
+            values.extend([power - 1, power, power + 1]);
+        }
+        for v in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::json::{parse_json, JsonParseError, JsonValue, JsonWriter};
 use crate::sample::splitmix64;
 use crate::sink::EventSink;
 use coopcache_types::CacheId;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Bits in the per-window distinct-document sketch.
 const SKETCH_BITS: u64 = 1_024;
@@ -75,6 +75,17 @@ impl NodeAgg {
             latency_us: Histogram::new(),
         }
     }
+}
+
+/// What the fold needs from a completed request, whether it arrived as
+/// an [`Event`] or as a replayed JSONL line.
+#[derive(Debug, Clone, Copy)]
+struct RequestFacts {
+    /// `None` for a replayed line whose class is missing or unknown.
+    class: Option<RequestClass>,
+    latency_us: Option<u64>,
+    /// The document, when the requester kept a local copy.
+    stored_doc: Option<u64>,
 }
 
 /// One completed (non-empty) window's group-level summary.
@@ -177,6 +188,9 @@ pub struct Rollup {
     current: OpenWindow,
     windows: Vec<WindowSummary>,
     windows_dropped: u64,
+    /// Cumulative `(requests, hits, stores)` — kept apart from the
+    /// window ring so summaries it drops do not take their counts along.
+    totals: (u64, u64, u64),
     now_ms: u64,
 }
 
@@ -196,6 +210,7 @@ impl Rollup {
             current: OpenWindow::new(0),
             windows: Vec::new(),
             windows_dropped: 0,
+            totals: (0, 0, 0),
             now_ms: 0,
         }
     }
@@ -243,19 +258,11 @@ impl Rollup {
         })
     }
 
-    /// Group totals `(requests, hits, stores)` across all closed and
-    /// open windows.
+    /// Group totals `(requests, hits, stores)` over every window ever
+    /// observed — open, retained, or already dropped from the ring.
     #[must_use]
-    pub fn totals(&self) -> (u64, u64, u64) {
-        let mut requests = self.current.requests;
-        let mut hits = self.current.hits;
-        let mut stores = self.current.stores;
-        for w in &self.windows {
-            requests += w.requests;
-            hits += w.hits;
-            stores += w.stores;
-        }
-        (requests, hits, stores)
+    pub const fn totals(&self) -> (u64, u64, u64) {
+        self.totals
     }
 
     /// Advances the window clock to `now_ms`, closing the open window
@@ -279,48 +286,81 @@ impl Rollup {
         }
     }
 
-    /// Folds one event in (at the current window clock).
-    pub fn observe(&mut self, event: &Event) {
-        let Some(cache) = crate::series::event_cache(event) else {
-            return; // group-wide events carry no node to bill
-        };
-        let key = cache.as_u16();
-        let node = if self.nodes.contains_key(&key) || self.nodes.len() < self.config.max_nodes {
-            Some(self.nodes.entry(key).or_insert_with(NodeAgg::new))
-        } else {
-            self.overflow_events += 1;
-            None
+    /// The virtual time at which the open window closes: the first
+    /// `now_ms` for which [`Self::advance`] has a boundary to cross.
+    /// Drivers that own the clock can skip `advance` until then.
+    #[must_use]
+    pub const fn next_window_ms(&self) -> u64 {
+        (self.current.index.saturating_add(1)).saturating_mul(self.config.window_ms)
+    }
+
+    /// The one fold behind [`Self::observe`] and
+    /// [`Self::observe_json_line`]: bills the event to its node (one
+    /// table probe) and, for a completed request, to the open window.
+    fn fold(&mut self, kind: EventKind, cache: u16, request: Option<RequestFacts>) {
+        let tracked = self.nodes.len();
+        let node = match self.nodes.entry(cache) {
+            Entry::Occupied(slot) => Some(slot.into_mut()),
+            Entry::Vacant(slot) if tracked < self.config.max_nodes => {
+                Some(slot.insert(NodeAgg::new()))
+            }
+            Entry::Vacant(_) => {
+                self.overflow_events += 1;
+                None
+            }
         };
         if let Some(node) = node {
-            node.counters[event.kind().index()] += 1;
-            if let Event::Request {
-                class, latency_us, ..
-            } = event
-            {
-                match class {
-                    RequestClass::LocalHit => node.local_hits += 1,
-                    RequestClass::RemoteHit => node.remote_hits += 1,
-                    RequestClass::Miss => {}
+            node.counters[kind.index()] += 1;
+            if let Some(request) = request {
+                match request.class {
+                    Some(RequestClass::LocalHit) => node.local_hits += 1,
+                    Some(RequestClass::RemoteHit) => node.remote_hits += 1,
+                    Some(RequestClass::Miss) | None => {}
                 }
-                if let Some(us) = latency_us {
-                    node.latency_us.record(*us);
+                if let Some(us) = request.latency_us {
+                    node.latency_us.record(us);
                 }
             }
         }
         // Window accounting is group-level and unaffected by the node
         // cap — a capped table must not bias the duplication estimate.
-        if let Event::Request {
-            doc, class, stored, ..
-        } = event
-        {
+        if let Some(request) = request {
             self.current.requests += 1;
-            if matches!(class, RequestClass::LocalHit | RequestClass::RemoteHit) {
+            self.totals.0 += 1;
+            if matches!(
+                request.class,
+                Some(RequestClass::LocalHit | RequestClass::RemoteHit)
+            ) {
                 self.current.hits += 1;
+                self.totals.1 += 1;
             }
-            if *stored {
-                self.current.observe_store(doc.as_u64());
+            if let Some(doc) = request.stored_doc {
+                self.current.observe_store(doc);
+                self.totals.2 += 1;
             }
         }
+    }
+
+    /// Folds one event in (at the current window clock).
+    pub fn observe(&mut self, event: &Event) {
+        let Some(cache) = crate::series::event_cache(event) else {
+            return; // group-wide events carry no node to bill
+        };
+        let request = match event {
+            Event::Request {
+                doc,
+                class,
+                stored,
+                latency_us,
+                ..
+            } => Some(RequestFacts {
+                class: Some(*class),
+                latency_us: *latency_us,
+                stored_doc: stored.then_some(doc.as_u64()),
+            }),
+            _ => None,
+        };
+        self.fold(event.kind(), cache.as_u16(), request);
     }
 
     /// Folds one JSONL event line in, self-clocking from span `end_us`
@@ -352,39 +392,19 @@ impl Rollup {
         let Some(cache) = cache else {
             return Ok(());
         };
-        let key = cache;
-        let node = if self.nodes.contains_key(&key) || self.nodes.len() < self.config.max_nodes {
-            Some(self.nodes.entry(key).or_insert_with(NodeAgg::new))
-        } else {
-            self.overflow_events += 1;
-            None
-        };
-        let class = value.get("class").and_then(JsonValue::as_str);
-        if let Some(node) = node {
-            node.counters[kind.index()] += 1;
-            if kind == EventKind::Request {
-                match class {
-                    Some("local-hit") => node.local_hits += 1,
-                    Some("remote-hit") => node.remote_hits += 1,
-                    _ => {}
-                }
-                if let Some(us) = value.get("latency_us").and_then(JsonValue::as_u64) {
-                    node.latency_us.record(us);
-                }
-            }
-        }
-        if kind == EventKind::Request {
-            self.current.requests += 1;
-            if matches!(class, Some("local-hit" | "remote-hit")) {
-                self.current.hits += 1;
-            }
-            let stored = value.get("stored").and_then(JsonValue::as_bool);
-            if stored == Some(true) {
-                if let Some(doc) = value.get("doc").and_then(JsonValue::as_u64) {
-                    self.current.observe_store(doc);
-                }
-            }
-        }
+        let request = (kind == EventKind::Request).then(|| RequestFacts {
+            class: value
+                .get("class")
+                .and_then(JsonValue::as_str)
+                .and_then(RequestClass::from_name),
+            latency_us: value.get("latency_us").and_then(JsonValue::as_u64),
+            stored_doc: value
+                .get("stored")
+                .and_then(JsonValue::as_bool)
+                .filter(|stored| *stored)
+                .and_then(|_| value.get("doc").and_then(JsonValue::as_u64)),
+        });
+        self.fold(kind, cache, request);
         Ok(())
     }
 

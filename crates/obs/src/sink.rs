@@ -95,16 +95,19 @@ impl EventSink for RingBufferSink {
 ///
 /// Serialization is deterministic (fixed field order, no timestamps of its
 /// own), so replaying the same trace through the same configuration
-/// produces a byte-identical file. I/O errors are sticky: the first error
-/// stops further writes and is reported by [`JsonlSink::finish`].
+/// produces a byte-identical file. Each line is laid out by
+/// [`Event::write_json`] — the one fixed-shape encoder — straight into a
+/// reused buffer, newline included, and handed to the writer in one
+/// `write_all`. I/O errors are sticky: the first error stops further
+/// writes and is reported by [`JsonlSink::finish`].
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
     error: Option<io::Error>,
-    /// Reused serialization buffer: the hot path allocates on the first
-    /// event and never again.
-    buf: String,
+    /// Reused line buffer ([`Event::write_json`] plus the newline): the
+    /// hot path allocates on the first event and never again.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -115,7 +118,7 @@ impl<W: Write> JsonlSink<W> {
             writer,
             lines: 0,
             error: None,
-            buf: String::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -151,15 +154,13 @@ impl<W: Write> EventSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = event.write_json(crate::json::JsonWriter::reusing(std::mem::take(
-            &mut self.buf,
-        )));
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
+        self.buf.clear();
+        event.write_json(&mut self.buf);
+        self.buf.push(b'\n');
+        match self.writer.write_all(&self.buf) {
             Ok(()) => self.lines += 1,
             Err(err) => self.error = Some(err),
         }
-        self.buf = line;
     }
 }
 

@@ -185,7 +185,8 @@ struct InFlight {
 /// Counts events per cache into series recorders while forwarding them
 /// to the caller's sink, if any. Installed as the run's sink whenever a
 /// sink *or* a series is requested, so placement and eviction events
-/// from inside the group are counted exactly once.
+/// from inside the group are counted exactly once. The events the DES
+/// builds itself reach it under one guard per step (see [`lock_tap`]).
 struct SeriesTap {
     inner: Option<SinkHandle>,
     recorders: Vec<SeriesRecorder>,
@@ -219,56 +220,75 @@ impl EventSink for SeriesTap {
 
 /// Locks the tap, recovering from poisoning — the DES is single-threaded,
 /// but the sim crate stays panic-free regardless.
+///
+/// The DES loop takes this guard once per step, after the step's
+/// `node_mut` calls have returned: nodes emit placement and eviction
+/// events through their own handle to the same (non-reentrant) mutex.
 fn lock_tap(tap: &Mutex<SeriesTap>) -> MutexGuard<'_, SeriesTap> {
     tap.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Advances every recorder to virtual time `now`, reading occupancy
-/// gauges from the group only when a sample boundary is actually due.
-fn advance_series(tap: &Mutex<SeriesTap>, group: &DistributedGroup, now: Timestamp) {
-    let now_ms = now.as_millis();
-    let mut guard = lock_tap(tap);
-    let tap = &mut *guard;
-    let mut fired: Vec<Event> = Vec::new();
-    for (i, rec) in tap.recorders.iter_mut().enumerate() {
-        if now_ms < rec.next_sample_ms() {
-            continue;
-        }
-        let node = group.node(rec.cache());
-        let cache = node.cache();
-        let gauges = SeriesGauges {
-            docs: u64::try_from(cache.len()).unwrap_or(u64::MAX),
-            used_bytes: cache.used().as_bytes(),
-            capacity_bytes: cache.capacity().as_bytes(),
-            expiration_age_ms: age_to_ms(node.expiration_age()),
-            // The DES has no peer-health plane; quarantine is a live-
-            // daemon concept.
-            quarantined: 0,
-        };
-        let engine = tap.engines.get_mut(i);
-        match engine {
-            Some(engine) => rec.advance_with(now_ms, gauges, |point| {
-                for f in engine.observe(point) {
-                    fired.push(Event::Alert {
-                        cache: f.cache,
-                        metric: f.metric,
-                        op: f.op,
-                        threshold: f.threshold,
-                        value: f.value,
-                        windows: f.windows,
-                        state: f.state,
-                    });
-                }
-            }),
-            None => rec.advance(now_ms, gauges),
-        }
+impl SeriesTap {
+    /// The first virtual time at which [`Self::advance`] has a boundary
+    /// to cross; the DES loop skips the tap entirely until then.
+    fn next_due_ms(&self) -> u64 {
+        self.recorders
+            .iter()
+            .map(SeriesRecorder::next_sample_ms)
+            .chain(self.rollup.as_ref().map(Rollup::next_window_ms))
+            .min()
+            .unwrap_or(u64::MAX)
     }
-    // Alert events flow like any other event — counted into the firing
-    // node's own series, folded into the rollup, forwarded to the
-    // caller's sink — and are additionally collected for the report.
-    for event in fired {
-        tap.emit(&event);
-        tap.alerts.push(event);
+
+    /// Moves the rollup's window clock and every recorder to virtual
+    /// time `now`, reading occupancy gauges from the group for the sample
+    /// boundaries crossed. Returns [`Self::next_due_ms`].
+    fn advance(&mut self, group: &DistributedGroup, now: Timestamp) -> u64 {
+        let now_ms = now.as_millis();
+        if let Some(rollup) = &mut self.rollup {
+            rollup.advance(now_ms);
+        }
+        let mut fired: Vec<Event> = Vec::new();
+        for (i, rec) in self.recorders.iter_mut().enumerate() {
+            if now_ms < rec.next_sample_ms() {
+                continue;
+            }
+            let node = group.node(rec.cache());
+            let cache = node.cache();
+            let gauges = SeriesGauges {
+                docs: u64::try_from(cache.len()).unwrap_or(u64::MAX),
+                used_bytes: cache.used().as_bytes(),
+                capacity_bytes: cache.capacity().as_bytes(),
+                expiration_age_ms: age_to_ms(node.expiration_age()),
+                // The DES has no peer-health plane; quarantine is a live-
+                // daemon concept.
+                quarantined: 0,
+            };
+            match self.engines.get_mut(i) {
+                Some(engine) => rec.advance_with(now_ms, gauges, |point| {
+                    for f in engine.observe(point) {
+                        fired.push(Event::Alert {
+                            cache: f.cache,
+                            metric: f.metric,
+                            op: f.op,
+                            threshold: f.threshold,
+                            value: f.value,
+                            windows: f.windows,
+                            state: f.state,
+                        });
+                    }
+                }),
+                None => rec.advance(now_ms, gauges),
+            }
+        }
+        // Alert events flow like any other event — counted into the firing
+        // node's own series, folded into the rollup, forwarded to the
+        // caller's sink — and are additionally collected for the report.
+        for event in fired {
+            self.emit(&event);
+            self.alerts.push(event);
+        }
+        self.next_due_ms()
     }
 }
 
@@ -472,10 +492,14 @@ fn run_des_inner(
             rollup,
         }))
     });
-    let sink = tap.as_ref().map(|t| SinkHandle::from_arc(Arc::clone(t)));
-    if let Some(sink) = &sink {
-        group.set_sink(sink.clone());
+    if let Some(tap) = &tap {
+        group.set_sink(SinkHandle::from_arc(Arc::clone(tap)));
     }
+    // Nothing periodic is due before this virtual time, so a queue pop
+    // short of it touches neither the tap's lock nor its recorders.
+    let mut next_due_ms = tap
+        .as_deref()
+        .map_or(u64::MAX, |tap| lock_tap(tap).next_due_ms());
 
     let requests: Vec<InFlight> = trace
         .iter()
@@ -509,8 +533,11 @@ fn run_des_inner(
     let mut latencies: Vec<u64> = Vec::with_capacity(requests.len());
     let mut icp_fallbacks = 0u64;
 
+    // `out` is the step's tap guard: the caller takes it once, after the
+    // step's `node_mut` calls, and every event of the step goes through it.
     let complete = |metrics: &mut GroupMetrics,
                     latencies: &mut Vec<u64>,
+                    out: Option<&mut SeriesTap>,
                     idx: usize,
                     r: &InFlight,
                     outcome: RequestOutcome,
@@ -518,12 +545,12 @@ fn run_des_inner(
         metrics.record(outcome, r.size);
         let latency_ms = done.saturating_since(r.arrival).as_millis();
         latencies.push(latency_ms);
-        if let Some(sink) = &sink {
+        if let Some(out) = out {
             let (class, responder, stored) = outcome.event_parts();
             // The root span closes when the request completes; its id is
             // fixed (`k = 1`), so it sorts first in the assembled tree
             // even though the child spans were emitted earlier.
-            sink.emit(&Event::Span(Span {
+            out.emit(&Event::Span(Span {
                 trace_id: idx as u64,
                 span_id: root_span(idx),
                 parent: None,
@@ -535,7 +562,7 @@ fn run_des_inner(
                 end_us: sim_us(done),
                 status: class.name(),
             }));
-            sink.emit(&Event::Request {
+            out.emit(&Event::Request {
                 seq: idx as u64,
                 cache: r.requester,
                 doc: r.doc,
@@ -549,8 +576,10 @@ fn run_des_inner(
 
     let mut end_time = Timestamp::from_millis(0);
     while let Some(Reverse((now, _, idx))) = queue.pop() {
-        if let Some(tap) = &tap {
-            advance_series(tap, &group, now);
+        if now.as_millis() >= next_due_ms {
+            next_due_ms = tap
+                .as_deref()
+                .map_or(u64::MAX, |tap| lock_tap(tap).advance(&group, now));
         }
         end_time = end_time.max(now);
         let r = requests[idx];
@@ -561,9 +590,11 @@ fn run_des_inner(
                     .handle_client_lookup(r.doc, now)
                     .is_some()
                 {
+                    let mut out = tap.as_deref().map(lock_tap);
                     complete(
                         &mut metrics,
                         &mut latencies,
+                        out.as_deref_mut(),
                         idx,
                         &r,
                         RequestOutcome::LocalHit,
@@ -579,12 +610,15 @@ fn run_des_inner(
                     from: r.requester,
                     doc: r.doc,
                 };
-                let round = sink.as_ref().map(|_| alloc_span(&mut span_next, idx));
                 let mut responder = None;
+                // ICP handling is read-only on the peers and emits nothing
+                // from inside the group: one guard for the whole round.
+                let mut out = tap.as_deref().map(lock_tap);
+                let round = out.is_some().then(|| alloc_span(&mut span_next, idx));
                 for off in 1..n {
                     let peer = CacheId::new(((r.requester.index() + off) % n) as u16);
-                    if let Some(sink) = &sink {
-                        sink.emit(&Event::IcpQuery {
+                    if let Some(out) = &mut out {
+                        out.emit(&Event::IcpQuery {
                             from: r.requester,
                             to: peer,
                             doc: r.doc,
@@ -597,34 +631,32 @@ fn run_des_inner(
                         continue;
                     }
                     let hit = group.node(peer).handle_icp_query(query).hit;
-                    if let Some(sink) = &sink {
-                        sink.emit(&Event::IcpReply {
+                    if let (Some(out), Some(round)) = (&mut out, round) {
+                        out.emit(&Event::IcpReply {
                             from: peer,
                             doc: r.doc,
                             hit,
                         });
-                        if let Some(round) = round {
-                            sink.emit(&Event::Span(Span {
-                                trace_id: idx as u64,
-                                span_id: alloc_span(&mut span_next, idx),
-                                parent: Some(round),
-                                cache: peer,
-                                kind: SpanKind::IcpHandle,
-                                doc: Some(r.doc),
-                                peer: Some(r.requester),
-                                start_us: sim_us(now),
-                                end_us: sim_us(now),
-                                status: if hit { "hit" } else { "miss" },
-                            }));
-                        }
+                        out.emit(&Event::Span(Span {
+                            trace_id: idx as u64,
+                            span_id: alloc_span(&mut span_next, idx),
+                            parent: Some(round),
+                            cache: peer,
+                            kind: SpanKind::IcpHandle,
+                            doc: Some(r.doc),
+                            peer: Some(r.requester),
+                            start_us: sim_us(now),
+                            end_us: sim_us(now),
+                            status: if hit { "hit" } else { "miss" },
+                        }));
                     }
                     if hit {
                         responder = Some(peer);
                         break;
                     }
                 }
-                if let (Some(sink), Some(round)) = (&sink, round) {
-                    sink.emit(&Event::Span(Span {
+                if let (Some(out), Some(round)) = (&mut out, round) {
+                    out.emit(&Event::Span(Span {
                         trace_id: idx as u64,
                         span_id: round,
                         parent: Some(root_span(idx)),
@@ -637,6 +669,7 @@ fn run_des_inner(
                         status: if responder.is_some() { "hit" } else { "miss" },
                     }));
                 }
+                drop(out);
                 match responder {
                     Some(peer) => {
                         let sent = group.node(r.requester).build_http_request(r.doc);
@@ -660,7 +693,7 @@ fn run_des_inner(
             }
             Phase::PeerFetchDone { responder, sent } => {
                 let served = group.node_mut(responder).handle_http_request(sent, now);
-                let spans = sink.as_ref().map(|_| {
+                let spans = tap.is_some().then(|| {
                     (
                         alloc_span(&mut span_next, idx),
                         alloc_span(&mut span_next, idx),
@@ -669,9 +702,11 @@ fn run_des_inner(
                 // Mirrors the live daemon: the requester's peer-fetch
                 // span covers the TCP leg, the responder's doc-serve
                 // span hangs under it.
-                let emit_spans = |fetch_status: &'static str, serve_status: &'static str| {
-                    if let (Some(sink), Some((fetch, serve))) = (&sink, spans) {
-                        sink.emit(&Event::Span(Span {
+                let emit_spans = |out: Option<&mut SeriesTap>,
+                                  fetch_status: &'static str,
+                                  serve_status: &'static str| {
+                    if let (Some(out), Some((fetch, serve))) = (out, spans) {
+                        out.emit(&Event::Span(Span {
                             trace_id: idx as u64,
                             span_id: fetch,
                             parent: Some(root_span(idx)),
@@ -683,7 +718,7 @@ fn run_des_inner(
                             end_us: sim_us(now),
                             status: fetch_status,
                         }));
-                        sink.emit(&Event::Span(Span {
+                        out.emit(&Event::Span(Span {
                             trace_id: idx as u64,
                             span_id: serve,
                             parent: Some(fetch),
@@ -706,13 +741,16 @@ fn run_des_inner(
                         let stored = group
                             .node_mut(r.requester)
                             .complete_remote_fetch(sent, response, now);
+                        let mut out = tap.as_deref().map(lock_tap);
                         emit_spans(
+                            out.as_deref_mut(),
                             if stored { "stored" } else { "declined" },
                             if promoted { "promoted" } else { "kept" },
                         );
                         complete(
                             &mut metrics,
                             &mut latencies,
+                            out.as_deref_mut(),
                             idx,
                             &r,
                             RequestOutcome::RemoteHit {
@@ -726,7 +764,8 @@ fn run_des_inner(
                     None => {
                         // The document vanished between ICP and HTTP:
                         // fall back to the origin server.
-                        emit_spans("not-found", "not-found");
+                        let mut out = tap.as_deref().map(lock_tap);
+                        emit_spans(out.as_deref_mut(), "not-found", "not-found");
                         icp_fallbacks += 1;
                         phases[idx] = Phase::OriginFetchDone { started: now };
                         let at = now
@@ -740,8 +779,9 @@ fn run_des_inner(
                 let stored = group
                     .node_mut(r.requester)
                     .complete_origin_fetch(r.doc, r.size, now);
-                if let Some(sink) = &sink {
-                    sink.emit(&Event::Span(Span {
+                let mut out = tap.as_deref().map(lock_tap);
+                if let Some(out) = &mut out {
+                    out.emit(&Event::Span(Span {
                         trace_id: idx as u64,
                         span_id: alloc_span(&mut span_next, idx),
                         parent: Some(root_span(idx)),
@@ -757,6 +797,7 @@ fn run_des_inner(
                 complete(
                     &mut metrics,
                     &mut latencies,
+                    out.as_deref_mut(),
                     idx,
                     &r,
                     RequestOutcome::Miss {
@@ -792,9 +833,9 @@ fn run_des_inner(
             rollup: None,
         },
         |tap| {
-            advance_series(&tap, &group, end_time);
             let mut guard = lock_tap(&tap);
             let tap = &mut *guard;
+            tap.advance(&group, end_time);
             HealthReport {
                 rings: tap
                     .recorders
@@ -955,6 +996,20 @@ mod tests {
         let (requests, hits, _) = rollup.totals();
         assert_eq!(requests, report.metrics.requests);
         assert_eq!(hits, report.metrics.local_hits + report.metrics.remote_hits);
+        // The window clock follows virtual time: the trace spans many
+        // windows, and the last one is the window the run ended in — the
+        // one the series rings, riding the same clock, sampled last.
+        let window_ms = RollupConfig::default().window_ms;
+        assert!(rollup.windows().len() as u64 + rollup.windows_dropped() > 1);
+        let (_, rings) =
+            run_des_with_series(&cfg(500), &NetworkModel::default(), &t, None, window_ms, 1);
+        let last_sample_ms = rings[0].points().last().unwrap().t_ms;
+        let mut closed = rollup.clone();
+        closed.advance(u64::MAX);
+        assert_eq!(
+            closed.windows().last().unwrap().index,
+            last_sample_ms / window_ms
+        );
         // And the rollup JSON is deterministic across runs.
         let (_, again) = run_des_with_rollups(
             &cfg(500),

@@ -81,6 +81,10 @@ fi
 echo "== bench-daemon smoke (pooled transport + sampled-telemetry overhead)"
 cargo run --release -q -p coopcache-cli --bin coopcache -- bench-daemon --smoke true --events both
 
+echo "== coopbench des-health (benchmark builds against this tree; its checks gate)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --workload des-health --seconds 1
+
 echo "== bench drift (advisory; compares the last two snapshots)"
 if [[ -s BENCH_8.json && -s BENCH_9.json ]]; then
   scripts/bench_diff.sh BENCH_8.json BENCH_9.json || true

@@ -328,3 +328,79 @@ fn des_trace_trees_are_identical_across_runs() {
     assert!(a.contains("request"), "trace trees must not be empty");
     assert_eq!(a, trees(), "assembled trace trees must be deterministic");
 }
+
+/// 64-bit FNV-1a — small enough to pin whole output streams as one
+/// constant each.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The DES event stream, the series rings and the alert lines, pinned to
+/// the bytes they had before the fixed-shape event encoder and the
+/// per-step tap guard landed (computed at commit `0685f9e`): "byte
+/// identical" is checked against that commit, not against a second run
+/// of the same binary.
+#[test]
+fn des_output_bytes_match_the_pinned_streams() {
+    use coopcache::obs::{AlertRule, RollupConfig, SamplerConfig, SeriesRing};
+    use coopcache::sim::{run_des_with_health, HealthConfig};
+    use std::sync::{Arc, Mutex, PoisonError};
+    let trace = generate(&TraceProfile::small().with_requests(2_000)).unwrap();
+    let net = NetworkModel::paper_calibrated();
+    let cfg = |scheme: PlacementScheme| SimConfig::new(ByteSize::from_kb(300)).with_scheme(scheme);
+    let sampler = SamplerConfig::new(0xC0FFEE, 100);
+
+    let stream = |scheme: PlacementScheme, sampler: Option<SamplerConfig>| -> u64 {
+        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+        let handle = SinkHandle::from_arc(Arc::clone(&sink)).sampled(sampler);
+        let _ = run_des_with_sink(&cfg(scheme), &net, &trace, Some(handle));
+        let bytes = Arc::try_unwrap(sink)
+            .expect("runner drops its sink handles")
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_inner();
+        fnv1a(&bytes)
+    };
+    let streams = [
+        stream(PlacementScheme::AdHoc, None),
+        stream(PlacementScheme::AdHoc, Some(sampler)),
+        stream(PlacementScheme::Ea, None),
+        stream(PlacementScheme::Ea, Some(sampler)),
+    ];
+    assert_eq!(
+        streams.map(|h| format!("{h:#018x}")),
+        [
+            "0x68c4e92e40d3901d",
+            "0x14f80bc8dd3e72b1",
+            "0x9d224ef5e164ad19",
+            "0x578fa229d29671f1",
+        ],
+        "DES JSONL streams: ad-hoc full, ad-hoc sampled, EA full, EA sampled"
+    );
+
+    // The whole health plane at once: sampled sink, rings, an alert rule
+    // that must fire, and a rollup riding the same virtual clock.
+    let health = HealthConfig {
+        interval_ms: 500,
+        capacity: 64,
+        rules: vec![AlertRule::hit_rate_floor(1_001, 2)],
+        rollup: Some(RollupConfig::default()),
+    };
+    let sink = SinkHandle::new(JsonlSink::new(std::io::sink())).sampled(Some(sampler));
+    let (_, report) =
+        run_des_with_health(&cfg(PlacementScheme::Ea), &net, &trace, Some(sink), health);
+    let join = |lines: Vec<String>| fnv1a(lines.join("\n").as_bytes());
+    let rings = join(report.rings.iter().map(SeriesRing::to_json).collect());
+    let alerts = join(report.alerts.iter().map(Event::to_json).collect());
+    assert!(
+        !report.alerts.is_empty(),
+        "the unsatisfiable floor must fire"
+    );
+    assert_eq!(
+        [rings, alerts].map(|h| format!("{h:#018x}")),
+        ["0x51aa18052de5c391", "0x38467d6948c84a95"],
+        "series rings, alert lines"
+    );
+}
