@@ -4,8 +4,8 @@
 use crate::config::CacheConfig;
 use crate::entry::{CacheEntry, EvictionReason, EvictionRecord};
 use crate::expiration::{ExpirationTracker, ExpirationWindow};
-use crate::index::{DocTable, Slab};
-use crate::policy::{PolicyKind, ReplacementPolicy};
+use crate::index::{DocTable, Node, Slab};
+use crate::policy::{Policy, PolicyKind};
 use crate::stats::CacheStats;
 use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
 use std::fmt;
@@ -25,15 +25,18 @@ use std::fmt;
 ///
 /// # Storage layout
 ///
-/// Documents live in one arena shard: a dense [`Slab`] of [`CacheEntry`]
-/// nodes, an open-addressing [`DocTable`] mapping document hash → slot
-/// index, and intrusive policy orders, so every hot-path operation is
-/// pointer-free O(1) (O(log n) for the heap-ordered policies) with zero
-/// per-operation allocation once the backing vectors reach steady-state
-/// capacity. The public mutators are the one place those operations are
-/// timed (`profile` feature) and audited (`paranoid` feature);
-/// [`crate::ConcurrentCache`] routes documents over 2^k caches, one lock
-/// each, and calls the same methods.
+/// Each document lives exactly once: one slot of a dense [`Slab`] arena
+/// holding its [`CacheEntry`] and an 8-byte policy word, found through
+/// the cache's one open-addressing [`DocTable`] (document hash → slot).
+/// The replacement policy orders those same slots — list links or a heap
+/// position in the policy word — so a hit is one table probe plus one
+/// relink, and an evicting insert drops its victim by slot. Every
+/// hot-path operation is pointer-free O(1) (O(log n) for the
+/// heap-ordered policies) with zero per-operation allocation once the
+/// backing vectors reach steady-state capacity. The public mutators are
+/// the one place those operations are timed (`profile` feature) and
+/// audited (`paranoid` feature); [`crate::ConcurrentCache`] routes
+/// documents over 2^k caches, one lock each, and calls the same methods.
 ///
 /// # Example
 ///
@@ -56,9 +59,9 @@ pub struct Cache {
     shard_index: usize,
     capacity: ByteSize,
     used: ByteSize,
-    entries: Slab<CacheEntry>,
+    nodes: Slab<Node>,
     table: DocTable,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Policy,
     tracker: ExpirationTracker,
     stats: CacheStats,
     ttl: Option<DurationMs>,
@@ -100,10 +103,10 @@ pub enum InvariantViolation {
         /// Documents the entry store holds.
         entries_len: usize,
     },
-    /// The policy proposed a victim that is not cached.
+    /// The policy proposed a victim slot that holds no cached document.
     VictimNotCached {
-        /// The phantom victim.
-        victim: DocId,
+        /// The phantom victim's arena slot.
+        slot: u32,
     },
     /// The cache is non-empty but the policy has no victim to offer.
     VictimUnavailable,
@@ -138,8 +141,8 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "policy tracks {policy_len} docs but the cache holds {entries_len}"
             ),
-            Self::VictimNotCached { victim } => {
-                write!(f, "policy victim {victim} is not in the entry store")
+            Self::VictimNotCached { slot } => {
+                write!(f, "policy victim slot {slot} holds no cached document")
             }
             Self::VictimUnavailable => {
                 f.write_str("cache is non-empty but the policy offers no victim")
@@ -206,7 +209,7 @@ impl Cache {
             shard_index,
             capacity,
             used: ByteSize::ZERO,
-            entries: Slab::new(),
+            nodes: Slab::new(),
             table: DocTable::new(table_seed),
             policy: policy.build(),
             tracker: ExpirationTracker::new(policy.expiration_flavor(), window),
@@ -256,7 +259,7 @@ impl Cache {
     /// Number of cached documents.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.nodes.len()
     }
 
     /// True when nothing is cached.
@@ -280,7 +283,7 @@ impl Cache {
     /// Read-only view of a cached entry.
     #[must_use]
     pub fn entry(&self, doc: DocId) -> Option<&CacheEntry> {
-        self.table.get(doc).map(|idx| self.entries.get(idx))
+        self.table.get(doc).map(|slot| &self.nodes.get(slot).entry)
     }
 
     /// Operation counters.
@@ -371,7 +374,10 @@ impl Cache {
     /// The removal is recorded with [`EvictionReason::Explicit`] and fed
     /// to the expiration-age tracker like any other departure.
     pub fn remove(&mut self, doc: DocId, now: Timestamp) -> Option<EvictionRecord> {
-        let rec = self.evict(doc, now, EvictionReason::Explicit);
+        let rec = self
+            .table
+            .get(doc)
+            .map(|slot| self.evict(slot, now, EvictionReason::Explicit));
         if rec.is_some() {
             self.stats.explicit_removals += 1;
         }
@@ -394,9 +400,10 @@ impl Cache {
     /// 1. `used` equals the sum of all stored entry sizes;
     /// 2. `used <= capacity`;
     /// 3. the doc→slot table and the entry arena agree on occupancy;
-    /// 4. the replacement policy tracks exactly the cached document set
-    ///    (by count), and its proposed victim is cached — with a victim
-    ///    available whenever the cache is non-empty;
+    /// 4. the replacement policy orders as many slots as the arena holds,
+    ///    and its proposed victim is a live slot the table maps its
+    ///    document to — with a victim available whenever the cache is
+    ///    non-empty;
     /// 5. the expiration-age tracker's window respects its configured
     ///    bound and its running sums match the recorded ages (the inputs
     ///    to the paper's eq. 5).
@@ -420,26 +427,27 @@ impl Cache {
                 capacity: self.capacity,
             });
         }
-        if self.table.len() != self.entries.len() {
+        if self.table.len() != self.nodes.len() {
             return Err(InvariantViolation::StoreDesync {
                 table_len: self.table.len(),
-                arena_len: self.entries.len(),
+                arena_len: self.nodes.len(),
             });
         }
-        if self.policy.len() != self.entries.len() {
+        if self.policy.len() != self.nodes.len() {
             return Err(InvariantViolation::PolicyDesync {
                 policy_len: self.policy.len(),
-                entries_len: self.entries.len(),
+                entries_len: self.nodes.len(),
             });
         }
-        match self.policy.victim() {
-            Some(victim) if self.table.get(victim).is_none() => {
-                return Err(InvariantViolation::VictimNotCached { victim });
+        match self.policy.victim(&self.nodes) {
+            Some(slot) => {
+                let mapped = self.nodes.live(slot).map(|n| self.table.get(n.entry.doc));
+                if mapped != Some(Some(slot)) {
+                    return Err(InvariantViolation::VictimNotCached { slot });
+                }
             }
-            None if self.entries.len() > 0 => {
-                return Err(InvariantViolation::VictimUnavailable);
-            }
-            _ => {}
+            None if !self.is_empty() => return Err(InvariantViolation::VictimUnavailable),
+            None => {}
         }
         if !self.tracker.window_is_consistent() {
             return Err(InvariantViolation::TrackerWindow);
@@ -468,12 +476,12 @@ impl Cache {
     }
 
     /// Times the store's backing vectors grew, summed over the arena, the
-    /// table and the policy internals: 0 once the cache reaches
+    /// table and the policy's own storage: 0 once the cache reaches
     /// steady-state occupancy (the `store_scale` integration test asserts
     /// exactly that). Available with or without the `profile` feature.
     #[must_use]
     pub fn growth_events(&self) -> u64 {
-        self.entries.growth_events() + self.table.growth_events() + self.policy.growth_events()
+        self.nodes.growth_events() + self.table.growth_events() + self.policy.growth_events()
     }
 }
 
@@ -484,13 +492,19 @@ impl Cache {
             .is_some_and(|ttl| now.saturating_since(entry.entered_at) > ttl)
     }
 
-    fn expire(&mut self, doc: DocId) {
-        let Some(idx) = self.table.remove(doc) else {
-            return;
-        };
-        let entry = self.entries.free(idx);
-        self.policy.on_remove(doc);
+    /// Takes `slot` out of the table, the policy order and the arena,
+    /// returning its entry.
+    fn detach(&mut self, slot: u32) -> CacheEntry {
+        let doc = self.nodes.get(slot).entry.doc;
+        self.table.remove(doc);
+        self.policy.on_remove(&mut self.nodes, slot);
+        let entry = self.nodes.free(slot).entry;
         self.used -= entry.size;
+        entry
+    }
+
+    fn expire(&mut self, slot: u32) {
+        self.detach(slot);
         self.stats.expirations += 1;
         // Intentionally NOT recorded in the expiration-age tracker, and no
         // `on_evicted` ghosting: a freshness discard says nothing about
@@ -500,45 +514,35 @@ impl Cache {
     fn lookup_raw(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
         // One probe serves both the staleness check and the hit: the
         // stale branch is the rare one, so the hot path is a single
-        // table probe plus one node access.
-        match self.table.get(doc) {
-            Some(idx) => {
-                if self.entry_expired(self.entries.get(idx), now) {
-                    self.expire(doc);
-                    self.stats.local_misses += 1;
-                    return None;
-                }
-                let entry = self.entries.get_mut(idx);
-                entry.record_hit(now);
-                let size = entry.size;
-                self.policy.on_hit(doc);
-                self.stats.local_hits += 1;
-                Some(size)
-            }
-            None => {
-                self.stats.local_misses += 1;
-                None
-            }
+        // table probe, one node access and the policy's relink.
+        let Some(slot) = self.table.get(doc) else {
+            self.stats.local_misses += 1;
+            return None;
+        };
+        if self.entry_expired(&self.nodes.get(slot).entry, now) {
+            self.expire(slot);
+            self.stats.local_misses += 1;
+            return None;
         }
+        let entry = &mut self.nodes.get_mut(slot).entry;
+        entry.record_hit(now);
+        let size = entry.size;
+        self.policy.on_hit(&mut self.nodes, slot);
+        self.stats.local_hits += 1;
+        Some(size)
     }
 
     fn serve_remote_raw(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
-        let size = match self.table.get(doc) {
-            Some(idx) => {
-                if self.entry_expired(self.entries.get(idx), now) {
-                    self.expire(doc);
-                    return None;
-                }
-                let entry = self.entries.get_mut(idx);
-                if promote {
-                    entry.record_hit(now);
-                }
-                entry.size
-            }
-            None => return None,
-        };
+        let slot = self.table.get(doc)?;
+        if self.entry_expired(&self.nodes.get(slot).entry, now) {
+            self.expire(slot);
+            return None;
+        }
+        let entry = &mut self.nodes.get_mut(slot).entry;
+        let size = entry.size;
         if promote {
-            self.policy.on_hit(doc);
+            entry.record_hit(now);
+            self.policy.on_hit(&mut self.nodes, slot);
         }
         self.stats.remote_serves += 1;
         Some(size)
@@ -558,22 +562,16 @@ impl Cache {
         while self.used + size > self.capacity {
             let victim = self
                 .policy
-                .victim()
+                .victim(&self.nodes)
                 // lint:allow(panic) -- used > 0 here, and every insert keeps
                 // the policy and entry arena in lockstep (paranoid-audited),
                 // so a missing victim is unrecoverable bookkeeping corruption.
-                .expect("used > 0 implies the policy tracks a victim");
-            let record = self
-                .evict(victim, now, EvictionReason::CapacityPressure)
-                // lint:allow(panic) -- the victim came from the policy, which
-                // mirrors the entry arena (see PolicyDesync invariant).
-                .expect("victim is tracked, so it is cached");
-            evictions.push(record);
+                .expect("used > 0 implies the policy orders a victim");
+            evictions.push(self.evict(victim, now, EvictionReason::CapacityPressure));
         }
-        let idx = self.entries.alloc(CacheEntry::new(doc, size, now));
-        self.table.insert(doc, idx);
-        self.policy.on_insert(doc, size);
-        if let Some(gap) = self.policy.on_admit(doc, now) {
+        let slot = self.nodes.alloc(Node::new(CacheEntry::new(doc, size, now)));
+        self.table.insert(doc, slot);
+        if let Some(gap) = self.policy.on_insert(&mut self.nodes, slot, now) {
             // Ghost re-admission (S3-FIFO): the eviction→return gap is an
             // observed inter-reference gap, fed to the eq. 5 average.
             self.tracker.record_age(now, gap);
@@ -583,28 +581,9 @@ impl Cache {
         InsertOutcome::Stored(evictions)
     }
 
-    fn evict(
-        &mut self,
-        doc: DocId,
-        now: Timestamp,
-        reason: EvictionReason,
-    ) -> Option<EvictionRecord> {
+    fn evict(&mut self, slot: u32, now: Timestamp, reason: EvictionReason) -> EvictionRecord {
         let timer = crate::profile::Timer::start();
-        let record = self.evict_inner(doc, now, reason);
-        self.record_profile(crate::profile::ProfileOp::Evict, timer);
-        record
-    }
-
-    fn evict_inner(
-        &mut self,
-        doc: DocId,
-        now: Timestamp,
-        reason: EvictionReason,
-    ) -> Option<EvictionRecord> {
-        let idx = self.table.remove(doc)?;
-        let entry = self.entries.free(idx);
-        self.policy.on_remove(doc);
-        self.used -= entry.size;
+        let entry = self.detach(slot);
         let record = EvictionRecord {
             entry,
             evicted_at: now,
@@ -617,9 +596,10 @@ impl Cache {
             // Capacity evictions (and only those) enter the policy's ghost
             // plane: explicit removals and TTL expirations are not
             // contention signals.
-            self.policy.on_evicted(doc, now);
+            self.policy.on_evicted(entry.doc, now);
         }
-        Some(record)
+        self.record_profile(crate::profile::ProfileOp::Evict, timer);
+        record
     }
 
     /// The cache's entries in ascending [`DocId`] order.
@@ -628,7 +608,8 @@ impl Cache {
     /// externally visible walk sorts first (the map-iter lint's
     /// open-addressing clause checks this pattern statically).
     fn sorted_entries(&self) -> Vec<&CacheEntry> {
-        let mut out: Vec<&CacheEntry> = self.entries.iter_unordered().map(|(_, e)| e).collect();
+        let mut out: Vec<&CacheEntry> =
+            self.nodes.iter_unordered().map(|(_, n)| &n.entry).collect();
         out.sort_unstable_by_key(|e| e.doc);
         out
     }
@@ -648,7 +629,7 @@ impl Cache {
                     self.id, self.shard_index
                 );
             }
-            self.entries.audit_freelist();
+            self.nodes.audit_freelist();
         }
     }
 
@@ -660,6 +641,25 @@ impl Cache {
         self.profile.record(op, timer.elapsed_ns());
         #[cfg(not(feature = "profile"))]
         let _ = (op, timer);
+    }
+}
+
+/// Views into the store for the policy modules' tests.
+#[cfg(test)]
+impl Cache {
+    /// The document the policy would evict next.
+    pub(crate) fn victim(&self) -> Option<DocId> {
+        let slot = self.policy.victim(&self.nodes)?;
+        Some(self.nodes.get(slot).entry.doc)
+    }
+
+    /// A cached document's policy word.
+    pub(crate) fn links(&self, doc: DocId) -> Option<crate::index::Links> {
+        self.table.get(doc).map(|slot| self.nodes.get(slot).links)
+    }
+
+    pub(crate) fn policy(&self) -> &Policy {
+        &self.policy
     }
 }
 

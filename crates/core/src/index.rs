@@ -3,19 +3,28 @@
 //! Everything in this module works on dense `u32` slot indices instead of
 //! heap pointers: a [`Slab`] arena with an intrusive freelist, an
 //! open-addressing [`DocTable`] keyed by seeded document hash, an intrusive
-//! doubly-linked [`List`] whose links live inside arena nodes, and a
-//! [`KeyedMinHeap`] whose position backpointers live inside arena nodes.
+//! doubly-linked [`List`] and a [`KeyedMinHeap`], both of which keep their
+//! per-slot state in the 8-byte [`Links`] word of the arena node.
 //!
-//! The combination makes lookup, eviction and promotion pointer-free O(1)
-//! (O(log n) for the heap-ordered policies) with zero per-operation
-//! allocation once the backing vectors reach steady-state capacity. Every
-//! structure counts backing-vector growth events so the `store_scale`
-//! test can assert the hot path stopped allocating.
+//! A cache's arena node is [`Node`]: its public [`CacheEntry`] plus that
+//! word, so the replacement policies order the cache's own slots and no
+//! policy keeps a second index. Lookup, eviction and promotion are
+//! pointer-free O(1) (O(log n) for the heap-ordered policies) with zero
+//! per-operation allocation once the backing vectors reach steady-state
+//! capacity. Every structure counts backing-vector growth events so the
+//! `store_scale` test can assert the hot path stopped allocating.
 
+use crate::entry::CacheEntry;
 use coopcache_types::DocId;
 
+/// Slot indices take the low 30 bits of a link.
+const INDEX: u32 = (1 << 30) - 1;
+
 /// Sentinel index meaning "no slot" (null link, empty bucket, absent pos).
-pub(crate) const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = INDEX;
+
+/// Top bit of `next`: the slot is on the arena's freelist.
+const FREE: u32 = 1 << 31;
 
 /// Multiplies the 64-bit key into a well-mixed hash (splitmix64 finalizer).
 ///
@@ -32,39 +41,124 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// A slot in a [`Slab`]: either a live node or a freelist link.
-#[derive(Debug, Clone)]
-enum Slot<T> {
-    Used(T),
-    Free { next: u32 },
+/// The per-slot policy word: 8 bytes beside each arena value.
+///
+/// List policies thread `prev`/`next` through it; heap policies keep the
+/// slot's heap position in `next`. Indices take 30 bits, so the top two
+/// bits of `prev` are free for two policy flags (SLRU: protected;
+/// S3-FIFO: in Main, hit since the last pass), and the top bit of `next`
+/// marks a free arena slot, whose `next` then links the freelist.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Links {
+    prev: u32,
+    next: u32,
 }
 
-/// Flat arena of nodes addressed by `u32` index, with an intrusive freelist.
+impl Links {
+    /// Unlinked, no flags.
+    pub(crate) const NEW: Self = Self {
+        prev: NIL,
+        next: NIL,
+    };
+    /// The first policy flag bit.
+    pub(crate) const FLAG_HI: u32 = 1 << 31;
+    /// The second policy flag bit.
+    pub(crate) const FLAG_LO: u32 = 1 << 30;
+
+    #[inline]
+    fn prev(self) -> u32 {
+        self.prev & INDEX
+    }
+
+    #[inline]
+    fn set_prev(&mut self, prev: u32) {
+        self.prev = (self.prev & !INDEX) | prev;
+    }
+
+    #[inline]
+    pub(crate) fn next(self) -> u32 {
+        self.next
+    }
+
+    #[inline]
+    fn set_next(&mut self, next: u32) {
+        self.next = next;
+    }
+
+    #[inline]
+    pub(crate) fn flag(self, flag: u32) -> bool {
+        self.prev & flag != 0
+    }
+
+    #[inline]
+    pub(crate) fn set_flag(&mut self, flag: u32, on: bool) {
+        if on {
+            self.prev |= flag;
+        } else {
+            self.prev &= !flag;
+        }
+    }
+
+    fn is_free(self) -> bool {
+        self.next & FREE != 0
+    }
+}
+
+/// Values that carry a [`Links`] word can live in a [`Slab`] and sit on a
+/// [`List`] or in a [`KeyedMinHeap`].
+pub(crate) trait Linked: Copy {
+    fn links(&self) -> &Links;
+    fn links_mut(&mut self) -> &mut Links;
+}
+
+/// A cache's arena node: the entry the paper's proxy keeps anyway, plus
+/// the policy word that orders it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    pub(crate) entry: CacheEntry,
+    pub(crate) links: Links,
+}
+
+// LRU's and FIFO's whole per-entry footprint in the arena.
+const _: () = assert!(std::mem::size_of::<Node>() == std::mem::size_of::<CacheEntry>() + 8);
+
+impl Node {
+    pub(crate) fn new(entry: CacheEntry) -> Self {
+        Self {
+            entry,
+            links: Links::NEW,
+        }
+    }
+}
+
+impl Linked for Node {
+    #[inline]
+    fn links(&self) -> &Links {
+        &self.links
+    }
+    #[inline]
+    fn links_mut(&mut self) -> &mut Links {
+        &mut self.links
+    }
+}
+
+/// Flat arena of nodes addressed by `u32` index, with an intrusive
+/// freelist threaded through the free slots' link words.
 ///
 /// Freed slots are recycled LIFO, so a steady-state workload (insert/evict
 /// churn at constant occupancy) never grows the backing vector.
 #[derive(Debug, Clone)]
 pub(crate) struct Slab<T> {
-    slots: Vec<Slot<T>>,
+    slots: Vec<T>,
     free_head: u32,
     len: u32,
     growths: u64,
 }
 
-impl<T> Slab<T> {
+impl<T: Linked> Slab<T> {
     pub(crate) fn new() -> Self {
         Self {
             slots: Vec::new(),
-            free_head: NIL,
-            len: 0,
-            growths: 0,
-        }
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))] // presizing hook for callers that know their load
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
             free_head: NIL,
             len: 0,
             growths: 0,
@@ -86,23 +180,16 @@ impl<T> Slab<T> {
         self.len += 1;
         if self.free_head != NIL {
             let idx = self.free_head;
-            match self.slots[idx as usize] {
-                Slot::Free { next } => self.free_head = next,
-                // lint:allow(panic) -- reached only on freelist corruption,
-                // which the paranoid audit exists to catch loudly.
-                Slot::Used(_) => unreachable!("freelist points at a live slot"),
-            }
-            self.slots[idx as usize] = Slot::Used(value);
+            self.free_head = self.slots[idx as usize].links().next & INDEX;
+            self.slots[idx as usize] = value;
             return idx;
         }
-        // lint:allow(panic) -- a >4G-entry shard is outside the design
-        // envelope (u32 indices are the point of the layout); overflow
-        // here is misconfiguration, not a runtime condition to handle.
-        let idx = u32::try_from(self.slots.len()).expect("slab exceeds u32 index space");
+        let idx = self.slots.len() as u32;
+        assert!(idx < NIL, "slab exceeds its 2^30-slot index space");
         if self.slots.len() == self.slots.capacity() {
             self.growths += 1;
         }
-        self.slots.push(Slot::Used(value));
+        self.slots.push(value);
         idx
     }
 
@@ -112,46 +199,43 @@ impl<T> Slab<T> {
     ///
     /// Panics if `idx` is not a live slot.
     pub(crate) fn free(&mut self, idx: u32) -> T {
-        let slot = std::mem::replace(
-            &mut self.slots[idx as usize],
-            Slot::Free {
-                next: self.free_head,
-            },
-        );
-        match slot {
-            Slot::Used(value) => {
-                self.free_head = idx;
-                self.len -= 1;
-                value
-            }
-            // lint:allow(panic) -- documented caller contract: freeing a
-            // dead slot means the caller's doc table desynced from the
-            // arena, and continuing would corrupt both.
-            Slot::Free { .. } => panic!("slab slot {idx} freed twice"),
-        }
+        let slot = &mut self.slots[idx as usize];
+        // A free slot here means the caller's doc table desynced from the
+        // arena, and continuing would corrupt both.
+        assert!(!slot.links().is_free(), "slab slot {idx} freed twice");
+        let value = *slot;
+        slot.links_mut().set_next(FREE | self.free_head);
+        self.free_head = idx;
+        self.len -= 1;
+        value
+    }
+
+    /// The node in slot `idx`, or `None` if the slot is free.
+    pub(crate) fn live(&self, idx: u32) -> Option<&T> {
+        self.slots
+            .get(idx as usize)
+            .filter(|node| !node.links().is_free())
     }
 
     /// # Panics
     ///
     /// Panics if `idx` is not a live slot.
+    #[inline]
     pub(crate) fn get(&self, idx: u32) -> &T {
-        match &self.slots[idx as usize] {
-            Slot::Used(value) => value,
-            // lint:allow(panic) -- documented caller contract: a stale
-            // index is bookkeeping corruption, not a recoverable miss.
-            Slot::Free { .. } => panic!("slab slot {idx} is free"),
-        }
+        let node = &self.slots[idx as usize];
+        // A stale index is bookkeeping corruption, not a recoverable miss.
+        assert!(!node.links().is_free(), "slab slot {idx} is free");
+        node
     }
 
     /// # Panics
     ///
     /// Panics if `idx` is not a live slot.
+    #[inline]
     pub(crate) fn get_mut(&mut self, idx: u32) -> &mut T {
-        match &mut self.slots[idx as usize] {
-            Slot::Used(value) => value,
-            // lint:allow(panic) -- documented caller contract (see `get`).
-            Slot::Free { .. } => panic!("slab slot {idx} is free"),
-        }
+        let node = &mut self.slots[idx as usize];
+        assert!(!node.links().is_free(), "slab slot {idx} is free");
+        node
     }
 
     /// Iterates `(index, node)` over live slots in ascending index order.
@@ -160,10 +244,11 @@ impl<T> Slab<T> {
     /// order; callers that expose iteration externally must sort (see the
     /// `map-iter` lint's open-addressing clause).
     pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Used(value) => Some((i as u32, value)),
-            Slot::Free { .. } => None,
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| !node.links().is_free())
+            .map(|(i, node)| (i as u32, node))
     }
 
     /// Walks the freelist and returns the number of free slots, panicking
@@ -177,12 +262,12 @@ impl<T> Slab<T> {
             let i = cursor as usize;
             assert!(!seen[i], "slab freelist cycles through slot {cursor}");
             seen[i] = true;
-            cursor = match &self.slots[i] {
-                Slot::Free { next } => *next,
-                // lint:allow(panic) -- this IS the paranoid audit; its job
-                // is to fail loudly on corruption.
-                Slot::Used(_) => panic!("slab freelist points at live slot {cursor}"),
-            };
+            let links = self.slots[i].links();
+            assert!(
+                links.is_free(),
+                "slab freelist points at live slot {cursor}"
+            );
+            cursor = links.next & INDEX;
             count += 1;
         }
         assert_eq!(
@@ -234,16 +319,6 @@ impl DocTable {
             seed,
             growths: 0,
         }
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))] // presizing hook for callers that know their load
-    pub(crate) fn with_capacity(seed: u64, cap: usize) -> Self {
-        let mut t = Self::new(seed);
-        if cap > 0 {
-            t.rebuild(cap.next_power_of_two().max(Self::MIN_CAP));
-            t.growths = 0;
-        }
-        t
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -353,41 +428,6 @@ impl DocTable {
         }
         Some(removed)
     }
-
-    /// Updates the slot index stored for `doc` (node moved in the arena).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` is untracked.
-    #[allow(dead_code)]
-    pub(crate) fn set(&mut self, doc: DocId, val: u32) {
-        // lint:allow(panic) -- documented caller contract: doc must be
-        // tracked; an untracked doc means table/arena desync.
-        let i = self.probe(doc).expect("doc untracked in table");
-        self.buckets[i].val = val;
-    }
-}
-
-/// Intrusive prev/next links embedded inside an arena node.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Links {
-    pub(crate) prev: u32,
-    pub(crate) next: u32,
-}
-
-impl Default for Links {
-    fn default() -> Self {
-        Self {
-            prev: NIL,
-            next: NIL,
-        }
-    }
-}
-
-/// Nodes that carry intrusive [`Links`] can be threaded onto a [`List`].
-pub(crate) trait Linked {
-    fn links(&self) -> &Links;
-    fn links_mut(&mut self) -> &mut Links;
 }
 
 /// Intrusive doubly-linked list over a [`Slab`] of [`Linked`] nodes.
@@ -402,22 +442,26 @@ pub(crate) struct List {
     len: u32,
 }
 
-impl List {
-    pub(crate) fn new() -> Self {
+impl Default for List {
+    fn default() -> Self {
         Self {
             head: NIL,
             tail: NIL,
             len: 0,
         }
     }
+}
 
+impl List {
+    /// The head slot, or [`NIL`] when empty.
     pub(crate) fn head(&self) -> u32 {
         self.head
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn tail(&self) -> u32 {
-        self.tail
+    /// The head slot, if any.
+    #[inline]
+    pub(crate) fn front(&self) -> Option<u32> {
+        (self.head != NIL).then_some(self.head)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -428,45 +472,66 @@ impl List {
         self.len == 0
     }
 
+    /// True when `idx` is on this list (or, having a predecessor, on some
+    /// list: slots never sit on two).
+    pub(crate) fn contains<T: Linked>(&self, slab: &Slab<T>, idx: u32) -> bool {
+        slab.get(idx).links().prev() != NIL || self.head == idx
+    }
+
     /// Appends node `idx` at the tail (most-recent / newest position).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is already linked here.
+    #[inline]
     pub(crate) fn push_tail<T: Linked>(&mut self, slab: &mut Slab<T>, idx: u32) {
         let old_tail = self.tail;
         {
             let links = slab.get_mut(idx).links_mut();
-            links.prev = old_tail;
-            links.next = NIL;
+            assert!(
+                links.prev() == NIL && links.next() == NIL && self.head != idx,
+                "slot {idx} inserted twice"
+            );
+            links.set_prev(old_tail);
         }
         if old_tail == NIL {
             self.head = idx;
         } else {
-            slab.get_mut(old_tail).links_mut().next = idx;
+            slab.get_mut(old_tail).links_mut().set_next(idx);
         }
         self.tail = idx;
         self.len += 1;
     }
 
     /// Unlinks node `idx` from anywhere in the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not on the list.
+    #[inline]
     pub(crate) fn unlink<T: Linked>(&mut self, slab: &mut Slab<T>, idx: u32) {
-        let Links { prev, next } = *slab.get(idx).links();
+        let links = *slab.get(idx).links();
+        let (prev, next) = (links.prev(), links.next());
         if prev == NIL {
-            debug_assert_eq!(self.head, idx, "unlinking node not at recorded head");
+            assert_eq!(self.head, idx, "slot {idx} is untracked by this list");
             self.head = next;
         } else {
-            slab.get_mut(prev).links_mut().next = next;
+            slab.get_mut(prev).links_mut().set_next(next);
         }
         if next == NIL {
             debug_assert_eq!(self.tail, idx, "unlinking node not at recorded tail");
             self.tail = prev;
         } else {
-            slab.get_mut(next).links_mut().prev = prev;
+            slab.get_mut(next).links_mut().set_prev(prev);
         }
         let links = slab.get_mut(idx).links_mut();
-        links.prev = NIL;
-        links.next = NIL;
+        links.set_prev(NIL);
+        links.set_next(NIL);
         self.len -= 1;
     }
 
     /// Moves node `idx` to the tail (touch on hit).
+    #[inline]
     pub(crate) fn move_to_tail<T: Linked>(&mut self, slab: &mut Slab<T>, idx: u32) {
         if self.tail == idx {
             return;
@@ -475,50 +540,44 @@ impl List {
         self.push_tail(slab, idx);
     }
 
-    /// Walks head→tail collecting indices (audits and drains only).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Walks head→tail collecting indices.
+    #[cfg(test)]
     pub(crate) fn collect<T: Linked>(&self, slab: &Slab<T>) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len());
         let mut cursor = self.head;
         while cursor != NIL {
             out.push(cursor);
             assert!(out.len() <= self.len(), "list cycles past recorded len");
-            cursor = slab.get(cursor).links().next;
+            cursor = slab.get(cursor).links().next();
         }
         assert_eq!(out.len(), self.len(), "list length disagrees with walk");
         out
     }
 }
 
-/// Nodes orderable by a `(primary, seq)` key can sit in a [`KeyedMinHeap`].
-///
-/// `seq` is a unique monotone tiebreaker, so the order is total and the
-/// heap reproduces exactly the order the previous `BTreeSet<(key, seq,
-/// DocId)>` representations produced.
-pub(crate) trait HeapKeyed {
-    fn heap_key(&self) -> (u64, u64);
-    fn heap_pos(&self) -> u32;
-    fn set_heap_pos(&mut self, pos: u32);
+/// One heap element: the slot and its `(primary, seq)` key, kept in the
+/// heap array so sifting compares without touching the arena.
+#[derive(Debug, Clone, Copy)]
+struct HeapItem {
+    key: (u64, u64),
+    slot: u32,
 }
 
-/// Array-backed binary min-heap of arena slot indices.
+/// Array-backed binary min-heap of arena slots keyed by `(primary, seq)`.
 ///
-/// Position backpointers live inside the nodes, so arbitrary-element
-/// removal (explicit cache removals) is O(log n) without searching.
-#[derive(Debug, Clone)]
+/// The heap stamps `seq` from its own counter on every push and rekey, so
+/// the order is total and equal primaries go least-recently-keyed first.
+/// Each slot's position lives in its node's link word, so re-keying and
+/// arbitrary-element removal (explicit cache removals) are O(log n)
+/// without searching.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct KeyedMinHeap {
-    items: Vec<u32>,
+    items: Vec<HeapItem>,
+    next_seq: u64,
     growths: u64,
 }
 
 impl KeyedMinHeap {
-    pub(crate) fn new() -> Self {
-        Self {
-            items: Vec::new(),
-            growths: 0,
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
@@ -529,51 +588,83 @@ impl KeyedMinHeap {
 
     /// Smallest-keyed slot index, if any.
     pub(crate) fn peek(&self) -> Option<u32> {
-        self.items.first().copied()
+        self.items.first().map(|item| item.slot)
     }
 
-    pub(crate) fn push<T: HeapKeyed>(&mut self, slab: &mut Slab<T>, idx: u32) {
+    fn stamp(&mut self, primary: u64) -> (u64, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        (primary, seq)
+    }
+
+    fn pos<T: Linked>(slab: &Slab<T>, slot: u32) -> u32 {
+        let pos = slab.get(slot).links().next();
+        assert!(pos != NIL, "slot {slot} is untracked by the heap");
+        pos
+    }
+
+    /// Adds `slot` under `primary`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is already in the heap.
+    pub(crate) fn push<T: Linked>(&mut self, slab: &mut Slab<T>, slot: u32, primary: u64) {
+        assert!(
+            slab.get(slot).links().next() == NIL,
+            "slot {slot} inserted twice"
+        );
         if self.items.len() == self.items.capacity() {
             self.growths += 1;
         }
         let pos = self.items.len() as u32;
-        self.items.push(idx);
-        slab.get_mut(idx).set_heap_pos(pos);
+        let key = self.stamp(primary);
+        self.items.push(HeapItem { key, slot });
+        slab.get_mut(slot).links_mut().set_next(pos);
         self.sift_up(slab, pos);
     }
 
-    /// Removes slot index `idx` from wherever it sits in the heap.
-    pub(crate) fn remove<T: HeapKeyed>(&mut self, slab: &mut Slab<T>, idx: u32) {
-        let pos = slab.get(idx).heap_pos();
-        debug_assert_eq!(self.items[pos as usize], idx, "heap pos backpointer desync");
-        let last = self.items.len() as u32 - 1;
-        if pos != last {
-            let moved = self.items[last as usize];
-            self.items[pos as usize] = moved;
-            slab.get_mut(moved).set_heap_pos(pos);
-        }
-        self.items.pop();
-        slab.get_mut(idx).set_heap_pos(NIL);
-        if pos <= last && (pos as usize) < self.items.len() {
-            self.sift_down(slab, pos);
-            self.sift_up(slab, pos);
-        }
+    /// Gives `slot` a new primary (and a fresh seq) where it stands.
+    pub(crate) fn rekey<T: Linked>(&mut self, slab: &mut Slab<T>, slot: u32, primary: u64) {
+        let pos = Self::pos(slab, slot);
+        self.items[pos as usize].key = self.stamp(primary);
+        self.resift(slab, pos);
     }
 
-    fn key<T: HeapKeyed>(&self, slab: &Slab<T>, pos: u32) -> (u64, u64) {
-        slab.get(self.items[pos as usize]).heap_key()
+    /// Removes `slot` from wherever it sits, returning its primary.
+    pub(crate) fn remove<T: Linked>(&mut self, slab: &mut Slab<T>, slot: u32) -> u64 {
+        let pos = Self::pos(slab, slot);
+        let removed = self.items.swap_remove(pos as usize);
+        slab.get_mut(slot).links_mut().set_next(NIL);
+        if let Some(moved) = self.items.get(pos as usize) {
+            slab.get_mut(moved.slot).links_mut().set_next(pos);
+            self.resift(slab, pos);
+        }
+        removed.key.0
     }
 
-    fn swap<T: HeapKeyed>(&mut self, slab: &mut Slab<T>, a: u32, b: u32) {
+    fn resift<T: Linked>(&mut self, slab: &mut Slab<T>, pos: u32) {
+        self.sift_down(slab, pos);
+        self.sift_up(slab, pos);
+    }
+
+    fn swap<T: Linked>(&mut self, slab: &mut Slab<T>, a: u32, b: u32) {
         self.items.swap(a as usize, b as usize);
-        slab.get_mut(self.items[a as usize]).set_heap_pos(a);
-        slab.get_mut(self.items[b as usize]).set_heap_pos(b);
+        slab.get_mut(self.items[a as usize].slot)
+            .links_mut()
+            .set_next(a);
+        slab.get_mut(self.items[b as usize].slot)
+            .links_mut()
+            .set_next(b);
     }
 
-    fn sift_up<T: HeapKeyed>(&mut self, slab: &mut Slab<T>, mut pos: u32) {
+    fn key(&self, pos: u32) -> (u64, u64) {
+        self.items[pos as usize].key
+    }
+
+    fn sift_up<T: Linked>(&mut self, slab: &mut Slab<T>, mut pos: u32) {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.key(slab, pos) < self.key(slab, parent) {
+            if self.key(pos) < self.key(parent) {
                 self.swap(slab, pos, parent);
                 pos = parent;
             } else {
@@ -582,7 +673,7 @@ impl KeyedMinHeap {
         }
     }
 
-    fn sift_down<T: HeapKeyed>(&mut self, slab: &mut Slab<T>, mut pos: u32) {
+    fn sift_down<T: Linked>(&mut self, slab: &mut Slab<T>, mut pos: u32) {
         let n = self.items.len() as u32;
         loop {
             let left = pos * 2 + 1;
@@ -591,10 +682,10 @@ impl KeyedMinHeap {
             }
             let right = left + 1;
             let mut smallest = left;
-            if right < n && self.key(slab, right) < self.key(slab, left) {
+            if right < n && self.key(right) < self.key(left) {
                 smallest = right;
             }
-            if self.key(slab, smallest) < self.key(slab, pos) {
+            if self.key(smallest) < self.key(pos) {
                 self.swap(slab, pos, smallest);
                 pos = smallest;
             } else {
@@ -603,19 +694,19 @@ impl KeyedMinHeap {
         }
     }
 
-    /// Checks the heap property and backpointers (paranoid audits).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn audit<T: HeapKeyed>(&self, slab: &Slab<T>) {
-        for (pos, &idx) in self.items.iter().enumerate() {
+    /// Checks the heap property and backpointers (tests).
+    #[cfg(test)]
+    pub(crate) fn audit<T: Linked>(&self, slab: &Slab<T>) {
+        for (pos, item) in self.items.iter().enumerate() {
             assert_eq!(
-                slab.get(idx).heap_pos(),
+                slab.get(item.slot).links().next(),
                 pos as u32,
                 "heap backpointer desync at pos {pos}"
             );
             if pos > 0 {
                 let parent = (pos - 1) / 2;
                 assert!(
-                    self.key(slab, parent as u32) <= self.key(slab, pos as u32),
+                    self.key(parent as u32) <= self.key(pos as u32),
                     "heap property violated at pos {pos}"
                 );
             }
@@ -627,21 +718,17 @@ impl KeyedMinHeap {
 mod tests {
     use super::*;
 
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy)]
     struct TestNode {
         doc: DocId,
-        key: (u64, u64),
         links: Links,
-        pos: u32,
     }
 
     impl TestNode {
-        fn new(doc: u64, key: (u64, u64)) -> Self {
+        fn new(doc: u64) -> Self {
             Self {
                 doc: DocId::new(doc),
-                key,
-                links: Links::default(),
-                pos: NIL,
+                links: Links::NEW,
             }
         }
     }
@@ -655,27 +742,16 @@ mod tests {
         }
     }
 
-    impl HeapKeyed for TestNode {
-        fn heap_key(&self) -> (u64, u64) {
-            self.key
-        }
-        fn heap_pos(&self) -> u32 {
-            self.pos
-        }
-        fn set_heap_pos(&mut self, pos: u32) {
-            self.pos = pos;
-        }
-    }
-
     #[test]
     fn slab_recycles_freed_slots() {
         let mut slab = Slab::new();
-        let a = slab.alloc(TestNode::new(1, (0, 0)));
-        let b = slab.alloc(TestNode::new(2, (0, 1)));
+        let a = slab.alloc(TestNode::new(1));
+        let b = slab.alloc(TestNode::new(2));
         assert_eq!(slab.len(), 2);
         slab.free(a);
         assert_eq!(slab.len(), 1);
-        let c = slab.alloc(TestNode::new(3, (0, 2)));
+        assert!(slab.live(a).is_none());
+        let c = slab.alloc(TestNode::new(3));
         assert_eq!(c, a, "freed slot should be recycled before growing");
         assert_eq!(slab.get(b).doc, DocId::new(2));
         slab.audit_freelist();
@@ -685,23 +761,23 @@ mod tests {
     #[should_panic(expected = "freed twice")]
     fn slab_double_free_panics() {
         let mut slab = Slab::new();
-        let a = slab.alloc(TestNode::new(1, (0, 0)));
+        let a = slab.alloc(TestNode::new(1));
         slab.free(a);
         slab.free(a);
     }
 
     #[test]
     fn slab_steady_state_stops_growing() {
-        let mut slab = Slab::with_capacity(4);
+        let mut slab = Slab::new();
         let mut live = Vec::new();
         for i in 0..4 {
-            live.push(slab.alloc(TestNode::new(i, (0, i))));
+            live.push(slab.alloc(TestNode::new(i)));
         }
         let baseline = slab.growth_events();
         for i in 0..100 {
             let victim = live.remove(0);
             slab.free(victim);
-            live.push(slab.alloc(TestNode::new(100 + i, (0, 100 + i))));
+            live.push(slab.alloc(TestNode::new(100 + i)));
         }
         assert_eq!(
             slab.growth_events(),
@@ -738,7 +814,7 @@ mod tests {
     fn table_backward_shift_keeps_probe_chains_intact() {
         // Same-bucket collisions: remove the middle of a probe chain and
         // confirm the tail entries remain reachable.
-        let mut table = DocTable::with_capacity(7, 8);
+        let mut table = DocTable::new(7);
         let docs: Vec<DocId> = (0..6u64).map(DocId::new).collect();
         for (i, &d) in docs.iter().enumerate() {
             table.insert(d, i as u32);
@@ -757,19 +833,25 @@ mod tests {
 
     #[test]
     fn table_presized_does_not_grow_under_churn() {
-        let mut table = DocTable::with_capacity(9, 64);
-        assert_eq!(table.growth_events(), 0);
-        for round in 0..10u64 {
+        // One pass at the peak occupancy sizes the table; after that,
+        // churn at or below it must never rehash.
+        let mut table = DocTable::new(9);
+        let round = |table: &mut DocTable, base: u64| {
             for i in 0..32u64 {
-                table.insert(DocId::new(round * 1000 + i), i as u32);
+                table.insert(DocId::new(base + i), i as u32);
             }
             for i in 0..32u64 {
-                table.remove(DocId::new(round * 1000 + i));
+                table.remove(DocId::new(base + i));
             }
+        };
+        round(&mut table, 0);
+        let presized = table.growth_events();
+        for r in 1..10u64 {
+            round(&mut table, r * 1000);
         }
         assert_eq!(
             table.growth_events(),
-            0,
+            presized,
             "bounded occupancy must not rehash"
         );
     }
@@ -777,10 +859,8 @@ mod tests {
     #[test]
     fn list_push_unlink_move_preserve_order() {
         let mut slab = Slab::new();
-        let mut list = List::new();
-        let idx: Vec<u32> = (0..5u64)
-            .map(|i| slab.alloc(TestNode::new(i, (0, i))))
-            .collect();
+        let mut list = List::default();
+        let idx: Vec<u32> = (0..5u64).map(|i| slab.alloc(TestNode::new(i))).collect();
         for &i in &idx {
             list.push_tail(&mut slab, i);
         }
@@ -795,50 +875,60 @@ mod tests {
         list.unlink(&mut slab, idx[1]);
         assert_eq!(list.collect(&slab), vec![idx[2], idx[3], idx[4]]);
         assert_eq!(list.len(), 3);
+        // Flags ride in the word without disturbing the links.
+        slab.get_mut(idx[3])
+            .links_mut()
+            .set_flag(Links::FLAG_HI, true);
+        slab.get_mut(idx[3])
+            .links_mut()
+            .set_flag(Links::FLAG_LO, true);
+        list.move_to_tail(&mut slab, idx[3]);
+        assert_eq!(list.collect(&slab), vec![idx[2], idx[4], idx[3]]);
+        let links = *slab.get(idx[3]).links();
+        assert!(links.flag(Links::FLAG_HI) && links.flag(Links::FLAG_LO));
     }
 
     #[test]
     fn heap_pops_in_total_key_order() {
         let mut slab = Slab::new();
-        let mut heap = KeyedMinHeap::new();
-        // Duplicate primaries broken by unique seq — mirrors the BTreeSet
-        // orders the policies used before the port.
-        let keys = [(5, 0), (1, 1), (5, 2), (0, 3), (3, 4), (1, 5)];
-        let idx: Vec<u32> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| slab.alloc(TestNode::new(i as u64, k)))
-            .collect();
-        for &i in &idx {
-            heap.push(&mut slab, i);
+        let mut heap = KeyedMinHeap::default();
+        // Duplicate primaries broken by the heap's own seq stamps.
+        let primaries = [5, 1, 5, 0, 3, 1];
+        for (i, &p) in primaries.iter().enumerate() {
+            let slot = slab.alloc(TestNode::new(i as u64));
+            heap.push(&mut slab, slot, p);
             heap.audit(&slab);
         }
         let mut drained = Vec::new();
         while let Some(min) = heap.peek() {
-            drained.push(slab.get(min).heap_key());
+            drained.push(slab.get(min).doc.as_u64());
             heap.remove(&mut slab, min);
             heap.audit(&slab);
         }
-        let mut want = keys.to_vec();
-        want.sort_unstable();
-        assert_eq!(drained, want);
+        // (0,3) (1,1) (1,5) (3,4) (5,0) (5,2)
+        assert_eq!(drained, vec![3, 1, 5, 4, 0, 2]);
     }
 
     #[test]
     fn heap_removes_arbitrary_elements() {
         let mut slab = Slab::new();
-        let mut heap = KeyedMinHeap::new();
+        let mut heap = KeyedMinHeap::default();
         let idx: Vec<u32> = (0..10u64)
-            .map(|i| slab.alloc(TestNode::new(i, (i, i))))
+            .map(|i| {
+                let slot = slab.alloc(TestNode::new(i));
+                heap.push(&mut slab, slot, i);
+                slot
+            })
             .collect();
-        for &i in &idx {
-            heap.push(&mut slab, i);
-        }
-        heap.remove(&mut slab, idx[4]);
+        assert_eq!(heap.remove(&mut slab, idx[4]), 4);
         heap.remove(&mut slab, idx[0]);
         heap.audit(&slab);
         assert_eq!(heap.len(), 8);
         assert_eq!(heap.peek(), Some(idx[1]));
+        // Re-keying moves a slot to its new place in the order.
+        heap.rekey(&mut slab, idx[1], 7);
+        heap.audit(&slab);
+        assert_eq!(heap.peek(), Some(idx[2]));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! Placement Scheme for Cooperative Caching on the Internet"* (Ramaswamy &
 //! Liu, ICDCS 2002) as a reusable library:
 //!
-//! * [`Cache`] — a byte-capacity-bounded document store with pluggable
-//!   replacement ([`Lru`], [`Lfu`], [`Fifo`], [`Gdsf`]);
+//! * [`Cache`] — a byte-capacity-bounded document store with seven
+//!   replacement policies ([`PolicyKind`]: LRU, LFU, FIFO, GDSF, GDS,
+//!   SLRU, S3-FIFO);
 //! * [`ExpirationTracker`] — the paper's *cache expiration age* (eq. 5),
 //!   the windowed average of document expiration ages at eviction, used as
 //!   a disk-contention signal;
@@ -56,8 +57,6 @@ pub use config::CacheConfig;
 pub use entry::{CacheEntry, EvictionReason, EvictionRecord};
 pub use expiration::{ExpirationTracker, ExpirationWindow};
 pub use placement::{PlacementScheme, TieBreak};
-pub use policy::{
-    ExpirationFlavor, Fifo, Gds, Gdsf, Lfu, Lru, PolicyKind, ReplacementPolicy, S3Fifo, Slru,
-};
+pub use policy::{ExpirationFlavor, PolicyKind};
 pub use profile::{OpProfile, ProfileOp, ProfileSnapshot, Timer as ProfileTimer};
 pub use stats::CacheStats;

@@ -1,185 +1,106 @@
 //! First-in-first-out replacement.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, Linked, Links, List, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
-
-const TABLE_SEED: u64 = 0x4649_464f_0000_0001; // "FIFO"
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    links: Links,
-}
-
-impl Linked for Node {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
-    }
-}
+use super::VictimOrder;
+use crate::index::{List, Node, Slab};
+use coopcache_types::{DurationMs, Timestamp};
 
 /// FIFO victim ordering: documents are evicted in insertion order and hits
 /// do not refresh an entry. Included as the classic lower-bound baseline
 /// for replacement-policy ablations.
 ///
-/// Implemented as an intrusive queue over a flat arena (head = oldest =
-/// victim, tail = newest) with an open-addressing doc→slot table; every
-/// operation is pointer-free O(1).
+/// A queue threaded through the cache's own arena slots (head = oldest =
+/// victim, tail = newest); every operation is pointer-free O(1).
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{Fifo, ReplacementPolicy};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut fifo = Fifo::new();
-/// fifo.on_insert(DocId::new(1), ByteSize::from_kb(1));
-/// fifo.on_insert(DocId::new(2), ByteSize::from_kb(1));
-/// fifo.on_hit(DocId::new(1)); // ignored
-/// assert_eq!(fifo.victim(), Some(DocId::new(1)));
+/// let mut fifo = Cache::new(CacheId::new(0), ByteSize::from_kb(2), PolicyKind::Fifo);
+/// let kb = ByteSize::from_kb(1);
+/// fifo.insert(DocId::new(1), kb, Timestamp::from_secs(1));
+/// fifo.insert(DocId::new(2), kb, Timestamp::from_secs(2));
+/// fifo.lookup(DocId::new(1), Timestamp::from_secs(3)); // ignored by the order
+/// let out = fifo.insert(DocId::new(3), kb, Timestamp::from_secs(4));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(1));
 /// ```
-#[derive(Debug)]
-pub struct Fifo {
-    nodes: Slab<Node>,
-    table: DocTable,
+#[derive(Debug, Default)]
+pub(crate) struct Fifo {
     queue: List,
 }
 
-impl Default for Fifo {
-    fn default() -> Self {
-        Self::new()
+impl VictimOrder for Fifo {
+    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+        self.queue.push_tail(nodes, slot);
+        None
     }
-}
 
-impl Fifo {
-    /// Creates an empty FIFO ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            queue: List::new(),
-        }
-    }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        // FIFO ignores hits, but an untracked hit is still a cache bug.
         assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into FIFO"
+            self.queue.contains(nodes, slot),
+            "hit on untracked slot {slot}"
         );
-        let idx = self.nodes.alloc(Node {
-            doc,
-            links: Links::default(),
-        });
-        self.table.insert(doc, idx);
-        self.queue.push_tail(&mut self.nodes, idx);
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        // FIFO ignores hits, but an untracked hit is still a caller bug.
-        assert!(self.table.get(doc).is_some(), "hit on untracked {doc}");
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        self.queue.unlink(nodes, slot);
     }
 
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        self.queue.unlink(&mut self.nodes, idx);
-        self.nodes.free(idx);
-    }
-
-    fn victim(&self) -> Option<DocId> {
-        let head = self.queue.head();
-        (head != NIL).then(|| self.nodes.get(head).doc)
+    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+        self.queue.front()
     }
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Fifo
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
-    }
-
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
-    }
+    use crate::policy::testing::{cache, churn_growth, d, drain, fill, lone_slot, t};
+    use crate::PolicyKind;
 
     #[test]
     fn evicts_in_insertion_order_despite_hits() {
-        let mut fifo = Fifo::new();
-        for i in 1..=3 {
-            fifo.on_insert(d(i), sz());
-        }
-        fifo.on_hit(d(1));
-        fifo.on_hit(d(1));
-        let mut order = Vec::new();
-        while let Some(v) = fifo.victim() {
-            order.push(v.as_u64());
-            fifo.on_remove(v);
-        }
-        assert_eq!(order, vec![1, 2, 3]);
+        let mut fifo = cache(PolicyKind::Fifo, 1024);
+        fill(&mut fifo, 1..=3);
+        fifo.lookup(d(1), t(1));
+        fifo.serve_remote(d(1), t(2), true);
+        assert_eq!(drain(&mut fifo), vec![1, 2, 3]);
     }
 
     #[test]
     fn remove_middle_keeps_order() {
-        let mut fifo = Fifo::new();
-        for i in 1..=3 {
-            fifo.on_insert(d(i), sz());
-        }
-        fifo.on_remove(d(2));
+        let mut fifo = cache(PolicyKind::Fifo, 1024);
+        fill(&mut fifo, 1..=3);
+        fifo.remove(d(2), t(1));
         assert_eq!(fifo.victim(), Some(d(1)));
-        fifo.on_remove(d(1));
+        fifo.remove(d(1), t(1));
         assert_eq!(fifo.victim(), Some(d(3)));
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut fifo = Fifo::new();
-        for i in 0..64 {
-            fifo.on_insert(d(i), sz());
-        }
-        let baseline = fifo.growth_events();
-        for i in 64..4096 {
-            let v = fifo.victim().unwrap();
-            fifo.on_remove(v);
-            fifo.on_insert(d(i), sz());
-        }
-        assert_eq!(fifo.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Fifo, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        Fifo::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Fifo::default().on_hit(&mut nodes, slot);
     }
 
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
-        let mut fifo = Fifo::new();
-        fifo.on_insert(d(1), sz());
-        fifo.on_insert(d(1), sz());
+        let (mut nodes, slot) = lone_slot();
+        let mut fifo = Fifo::default();
+        fifo.on_insert(&mut nodes, slot, t(0));
+        fifo.on_insert(&mut nodes, slot, t(0));
     }
 }

@@ -1,151 +1,93 @@
-//! GreedyDual-Size replacement (Cao & Irani, USITS '97).
+//! GreedyDual-Size replacement (Cao & Irani, USITS '97), and the
+//! GreedyDual core it shares with GDSF.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, HeapKeyed, KeyedMinHeap, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
+use super::VictimOrder;
+use crate::entry::CacheEntry;
+use crate::index::{KeyedMinHeap, Node, Slab};
+use coopcache_types::{DurationMs, Timestamp};
 
-const TABLE_SEED: u64 = 0x4744_5300_0000_0001; // "GDS"
+/// Micro-units per 1.0 of priority.
+const SCALE: u64 = 1_000_000;
 
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    priority: u64,
-    seq: u64,
-    size: ByteSize,
-    heap_pos: u32,
-}
-
-impl HeapKeyed for Node {
-    fn heap_key(&self) -> (u64, u64) {
-        (self.priority, self.seq)
-    }
-    fn heap_pos(&self) -> u32 {
-        self.heap_pos
-    }
-    fn set_heap_pos(&mut self, pos: u32) {
-        self.heap_pos = pos;
-    }
+/// GreedyDual victim ordering: each document carries a priority
+/// `H = L + value / size_kb`, where `L` is the *inflation clock* — when a
+/// document leaves, `L` rises to its priority, so long-unreferenced
+/// documents eventually fall below fresh ones regardless of size. The
+/// value is 1 for GDS and the entry's hit counter for GDSF
+/// (`FREQUENCY`).
+///
+/// Priorities are integer micro-units, giving a total order without
+/// floating-point `NaN` hazards. The order is an arena-slot min-heap
+/// keyed by `(priority, seq)`; the unique seq totalizes it.
+#[derive(Debug, Default)]
+pub(crate) struct GreedyDual<const FREQUENCY: bool> {
+    heap: KeyedMinHeap,
+    /// Inflation clock `L`, in micro-priority units.
+    clock: u64,
 }
 
 /// GreedyDual-Size: each document carries priority `H = L + 1/size_kb`
 /// where `L` is the inflation clock; a **hit re-computes `H` with the
 /// current clock**, which is how GDS folds recency in without a
-/// frequency counter (contrast [`super::Gdsf`], which multiplies by
-/// frequency).
+/// frequency counter (contrast GDSF, which multiplies by frequency).
 ///
 /// Cited by the paper as the canonical cost-aware replacement family
 /// (\[4\]); included so the ABL-R replacement sweep covers it.
 ///
-/// Implemented as an arena-backed min-heap keyed by `(priority, seq)` —
-/// the unique seq totalizes the order, reproducing the previous
-/// ordered-set representation exactly — plus an open-addressing doc→slot
-/// table. Priority arithmetic is unchanged bit for bit.
-///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{Gds, ReplacementPolicy};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut gds = Gds::new();
-/// gds.on_insert(DocId::new(1), ByteSize::from_kb(100)); // big
-/// gds.on_insert(DocId::new(2), ByteSize::from_kb(1));   // small
-/// assert_eq!(gds.victim(), Some(DocId::new(1)));
+/// let mut gds = Cache::new(CacheId::new(0), ByteSize::from_kb(101), PolicyKind::Gds);
+/// gds.insert(DocId::new(1), ByteSize::from_kb(100), Timestamp::from_secs(1)); // big
+/// gds.insert(DocId::new(2), ByteSize::from_kb(1), Timestamp::from_secs(2)); // small
+/// let out = gds.insert(DocId::new(3), ByteSize::from_kb(1), Timestamp::from_secs(3));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(1));
 /// ```
-#[derive(Debug)]
-pub struct Gds {
-    nodes: Slab<Node>,
-    table: DocTable,
-    heap: KeyedMinHeap,
-    clock: u64,
-    next_seq: u64,
-}
+pub(crate) type Gds = GreedyDual<false>;
 
-const SCALE: u64 = 1_000_000;
+impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
+    fn priority(&self, entry: &CacheEntry) -> u64 {
+        // value / size_kb, with size floored to 1 byte to stay total.
+        let size_kb = entry.size.as_bytes().max(1) as f64 / 1_000.0;
+        let value = if FREQUENCY {
+            entry.hit_count as f64 / size_kb
+        } else {
+            1.0 / size_kb
+        };
+        self.clock + (value * SCALE as f64) as u64
+    }
 
-impl Default for Gds {
-    fn default() -> Self {
-        Self::new()
+    /// The current inflation-clock value, in priority units.
+    #[cfg(test)]
+    pub(super) fn clock(&self) -> f64 {
+        self.clock as f64 / SCALE as f64
     }
 }
 
-impl Gds {
-    /// Creates an empty GDS ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            heap: KeyedMinHeap::new(),
-            clock: 0,
-            next_seq: 0,
-        }
+impl<const FREQUENCY: bool> VictimOrder for GreedyDual<FREQUENCY> {
+    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+        let priority = self.priority(&nodes.get(slot).entry);
+        self.heap.push(nodes, slot, priority);
+        None
     }
 
-    fn priority(&self, size: ByteSize) -> u64 {
-        let size_kb = (size.as_bytes().max(1)) as f64 / 1_000.0;
-        self.clock + ((1.0 / size_kb) * SCALE as f64) as u64
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        // The defining GreedyDual move: restore full priority at the
+        // current clock.
+        let priority = self.priority(&nodes.get(slot).entry);
+        self.heap.rekey(nodes, slot, priority);
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-}
-
-impl ReplacementPolicy for Gds {
-    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into GDS"
-        );
-        let seq = self.bump_seq();
-        let priority = self.priority(size);
-        let idx = self.nodes.alloc(Node {
-            doc,
-            priority,
-            seq,
-            size,
-            heap_pos: NIL,
-        });
-        self.table.insert(doc, idx);
-        self.heap.push(&mut self.nodes, idx);
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        let priority = self.heap.remove(nodes, slot);
+        self.clock = self.clock.max(priority);
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: a hit on an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        // The defining GDS move: restore full priority at the current clock.
-        let seq = self.bump_seq();
-        let priority = self.priority(self.nodes.get(idx).size);
-        self.heap.remove(&mut self.nodes, idx);
-        {
-            let node = self.nodes.get_mut(idx);
-            node.priority = priority;
-            node.seq = seq;
-        }
-        self.heap.push(&mut self.nodes, idx);
-    }
-
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        self.heap.remove(&mut self.nodes, idx);
-        let node = self.nodes.free(idx);
-        self.clock = self.clock.max(node.priority);
-    }
-
-    fn victim(&self) -> Option<DocId> {
-        self.heap.peek().map(|idx| self.nodes.get(idx).doc)
+    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+        self.heap.peek()
     }
 
     fn len(&self) -> usize {
@@ -153,76 +95,61 @@ impl ReplacementPolicy for Gds {
     }
 
     fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events() + self.heap.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Gds
+        self.heap.growth_events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
-    }
+    use crate::policy::testing::{cache, churn_growth, d, kb, lone_slot, t};
+    use crate::PolicyKind;
 
     #[test]
     fn big_docs_evicted_first() {
-        let mut g = Gds::new();
-        g.on_insert(d(1), ByteSize::from_kb(10));
-        g.on_insert(d(2), ByteSize::from_kb(1));
+        let mut g = cache(PolicyKind::Gds, 1024);
+        g.insert(d(1), kb(10), t(0));
+        g.insert(d(2), kb(1), t(0));
         assert_eq!(g.victim(), Some(d(1)));
     }
 
     #[test]
     fn hit_restores_priority_at_current_clock() {
-        let mut g = Gds::new();
-        g.on_insert(d(1), ByteSize::from_kb(1)); // H = 1.0
-        g.on_insert(d(2), ByteSize::from_kb(1));
-        g.on_remove(d(2)); // clock -> 1.0
-        g.on_insert(d(3), ByteSize::from_kb(1)); // H = 2.0
-                                                 // Doc 1 still has H = 1.0 and is the victim...
+        let mut g = cache(PolicyKind::Gds, 1024);
+        g.insert(d(1), kb(1), t(0)); // H = 1.0
+        g.insert(d(2), kb(1), t(0));
+        g.remove(d(2), t(1)); // clock -> 1.0
+        g.insert(d(3), kb(1), t(2)); // H = 2.0
+                                     // Doc 1 still has H = 1.0 and is the victim...
         assert_eq!(g.victim(), Some(d(1)));
-        // ...until a hit re-inflates it to H = 2.0; tie-break then favors
-        // the less recently re-keyed doc 3? No: doc 3 has an earlier seq.
-        g.on_hit(d(1));
+        // ...until a hit re-inflates it to H = 2.0; the tie then breaks
+        // toward doc 3, keyed earlier.
+        g.lookup(d(1), t(3));
         assert_eq!(g.victim(), Some(d(3)));
     }
 
     #[test]
     fn frequency_does_not_accumulate() {
         // Unlike GDSF, many hits at the same clock leave H unchanged.
-        let mut g = Gds::new();
-        g.on_insert(d(1), ByteSize::from_kb(1));
-        g.on_insert(d(2), ByteSize::from_kb(2));
-        for _ in 0..10 {
-            g.on_hit(d(2)); // clock still 0: H stays 0.5
+        let mut g = cache(PolicyKind::Gds, 1024);
+        g.insert(d(1), kb(1), t(0));
+        g.insert(d(2), kb(2), t(0));
+        for i in 0..10 {
+            g.lookup(d(2), t(i)); // clock still 0: H stays 0.5
         }
         assert_eq!(g.victim(), Some(d(2)), "hits alone must not out-rank size");
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut g = Gds::new();
-        for i in 0..64 {
-            g.on_insert(d(i), ByteSize::from_kb(1 + i % 7));
-        }
-        let baseline = g.growth_events();
-        for i in 64..4096 {
-            let v = g.victim().unwrap();
-            g.on_remove(v);
-            g.on_insert(d(i), ByteSize::from_kb(1 + i % 7));
-            g.on_hit(d(i));
-        }
-        assert_eq!(g.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Gds, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        Gds::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Gds::default().on_hit(&mut nodes, slot);
     }
 }

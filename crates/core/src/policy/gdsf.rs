@@ -1,32 +1,6 @@
 //! GreedyDual-Size-Frequency replacement.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, HeapKeyed, KeyedMinHeap, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
-
-const TABLE_SEED: u64 = 0x4744_5346_0000_0001; // "GDSF"
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    priority: u64,
-    seq: u64,
-    freq: u64,
-    size: ByteSize,
-    heap_pos: u32,
-}
-
-impl HeapKeyed for Node {
-    fn heap_key(&self) -> (u64, u64) {
-        (self.priority, self.seq)
-    }
-    fn heap_pos(&self) -> u32 {
-        self.heap_pos
-    }
-    fn set_heap_pos(&mut self, pos: u32) {
-        self.heap_pos = pos;
-    }
-}
+use super::gds::GreedyDual;
 
 /// GreedyDual-Size-Frequency (GDSF) victim ordering.
 ///
@@ -36,237 +10,107 @@ impl HeapKeyed for Node {
 /// fresh ones regardless of size. Small, frequently hit documents are
 /// retained longest — the behaviour that made GDSF the strongest
 /// byte-hit-rate policy among the cost-aware family the paper cites
-/// (Cao & Irani).
-///
-/// Priorities are kept as integer micro-units to give a total order
-/// without floating-point `NaN` hazards. The order lives in an
-/// arena-backed min-heap keyed by `(priority, seq)` with an
-/// open-addressing doc→slot table; the unique seq totalizes the order,
-/// reproducing the previous ordered-set representation exactly.
+/// (Cao & Irani). `freq` is the entry's own hit counter.
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{Gdsf, ReplacementPolicy};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut gdsf = Gdsf::new();
-/// gdsf.on_insert(DocId::new(1), ByteSize::from_kb(100)); // big
-/// gdsf.on_insert(DocId::new(2), ByteSize::from_kb(1));   // small
-/// assert_eq!(gdsf.victim(), Some(DocId::new(1))); // big goes first
+/// let mut gdsf = Cache::new(CacheId::new(0), ByteSize::from_kb(101), PolicyKind::Gdsf);
+/// gdsf.insert(DocId::new(1), ByteSize::from_kb(100), Timestamp::from_secs(1)); // big
+/// gdsf.insert(DocId::new(2), ByteSize::from_kb(1), Timestamp::from_secs(2)); // small
+/// let out = gdsf.insert(DocId::new(3), ByteSize::from_kb(1), Timestamp::from_secs(3));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(1)); // big goes first
 /// ```
-#[derive(Debug)]
-pub struct Gdsf {
-    nodes: Slab<Node>,
-    table: DocTable,
-    heap: KeyedMinHeap,
-    /// Inflation clock `L`, in micro-priority units.
-    clock: u64,
-    next_seq: u64,
-}
-
-/// Micro-units per 1.0 of priority.
-const SCALE: u64 = 1_000_000;
-
-impl Default for Gdsf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Gdsf {
-    /// Creates an empty GDSF ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            heap: KeyedMinHeap::new(),
-            clock: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// The current inflation-clock value, in priority units.
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.clock as f64 / SCALE as f64
-    }
-
-    fn priority(&self, freq: u64, size: ByteSize) -> u64 {
-        // freq / size_kb, with size floored to 1 byte to stay total.
-        let size_kb = (size.as_bytes().max(1)) as f64 / 1_000.0;
-        let value = freq as f64 / size_kb;
-        self.clock + (value * SCALE as f64) as u64
-    }
-
-    fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-}
-
-impl ReplacementPolicy for Gdsf {
-    fn on_insert(&mut self, doc: DocId, size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into GDSF"
-        );
-        let seq = self.bump_seq();
-        let priority = self.priority(1, size);
-        let idx = self.nodes.alloc(Node {
-            doc,
-            priority,
-            seq,
-            freq: 1,
-            size,
-            heap_pos: NIL,
-        });
-        self.table.insert(doc, idx);
-        self.heap.push(&mut self.nodes, idx);
-    }
-
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: a hit on an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        let (freq, size) = {
-            let node = self.nodes.get(idx);
-            (node.freq + 1, node.size)
-        };
-        let seq = self.bump_seq();
-        let priority = self.priority(freq, size);
-        self.heap.remove(&mut self.nodes, idx);
-        {
-            let node = self.nodes.get_mut(idx);
-            node.priority = priority;
-            node.seq = seq;
-            node.freq = freq;
-        }
-        self.heap.push(&mut self.nodes, idx);
-    }
-
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        self.heap.remove(&mut self.nodes, idx);
-        let node = self.nodes.free(idx);
-        // Inflate the clock to the departed priority (GreedyDual aging).
-        self.clock = self.clock.max(node.priority);
-    }
-
-    fn victim(&self) -> Option<DocId> {
-        self.heap.peek().map(|idx| self.nodes.get(idx).doc)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events() + self.heap.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Gdsf
-    }
-}
+pub(crate) type Gdsf = GreedyDual<true>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::{cache, churn_growth, d, kb, lone_slot, t};
+    use crate::policy::{Policy, VictimOrder};
+    use crate::{Cache, PolicyKind};
+    use coopcache_types::ByteSize;
 
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
+    fn clock(c: &Cache) -> f64 {
+        match c.policy() {
+            Policy::Gdsf(g) => g.clock(),
+            other => panic!("not a GDSF cache: {other:?}"),
+        }
     }
 
     #[test]
     fn larger_documents_evicted_first_at_equal_frequency() {
-        let mut g = Gdsf::new();
-        g.on_insert(d(1), ByteSize::from_kb(10));
-        g.on_insert(d(2), ByteSize::from_kb(1));
-        g.on_insert(d(3), ByteSize::from_kb(100));
+        let mut g = cache(PolicyKind::Gdsf, 1024);
+        g.insert(d(1), kb(10), t(0));
+        g.insert(d(2), kb(1), t(0));
+        g.insert(d(3), kb(100), t(0));
         assert_eq!(g.victim(), Some(d(3)));
-        g.on_remove(d(3));
+        g.remove(d(3), t(1));
         assert_eq!(g.victim(), Some(d(1)));
     }
 
     #[test]
     fn frequency_rescues_a_large_document() {
-        let mut g = Gdsf::new();
-        g.on_insert(d(1), ByteSize::from_kb(10));
-        g.on_insert(d(2), ByteSize::from_kb(1));
+        let mut g = cache(PolicyKind::Gdsf, 1024);
+        g.insert(d(1), kb(10), t(0));
+        g.insert(d(2), kb(1), t(0));
         // 20 hits on the big doc: freq/size = 21/10 > 1/1.
-        for _ in 0..20 {
-            g.on_hit(d(1));
+        for i in 0..20 {
+            g.lookup(d(1), t(i));
         }
         assert_eq!(g.victim(), Some(d(2)));
     }
 
     #[test]
     fn clock_inflates_on_eviction() {
-        let mut g = Gdsf::new();
-        assert_eq!(g.clock(), 0.0);
-        g.on_insert(d(1), ByteSize::from_kb(1)); // priority 1.0
-        g.on_remove(d(1));
-        assert!((g.clock() - 1.0).abs() < 1e-6, "clock {}", g.clock());
+        let mut g = cache(PolicyKind::Gdsf, 1024);
+        assert_eq!(clock(&g), 0.0);
+        g.insert(d(1), kb(1), t(0)); // priority 1.0
+        g.remove(d(1), t(1));
+        assert!((clock(&g) - 1.0).abs() < 1e-6, "clock {}", clock(&g));
         // A new same-shaped doc now sits above the old clock.
-        g.on_insert(d(2), ByteSize::from_kb(1));
-        g.on_remove(d(2));
-        assert!((g.clock() - 2.0).abs() < 1e-6);
+        g.insert(d(2), kb(1), t(2));
+        g.remove(d(2), t(3));
+        assert!((clock(&g) - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn aging_lets_new_docs_catch_old_frequent_ones() {
-        let mut g = Gdsf::new();
-        g.on_insert(d(1), ByteSize::from_kb(1));
-        g.on_hit(d(1)); // freq 2, priority 2.0
-        g.on_insert(d(2), ByteSize::from_kb(1)); // priority 1.0
+        let mut g = cache(PolicyKind::Gdsf, 1024);
+        g.insert(d(1), kb(1), t(0));
+        g.lookup(d(1), t(1)); // freq 2, priority 2.0
+        g.insert(d(2), kb(1), t(2)); // priority 1.0
         assert_eq!(g.victim(), Some(d(2)));
-        g.on_remove(d(2)); // clock inflates to 1.0
-                           // A fresh single-hit doc now ties the stale frequent one at 2.0;
-                           // the tie breaks toward the older entry, so the stale frequent
-                           // document has lost its immunity.
-        g.on_insert(d(3), ByteSize::from_kb(1));
+        g.remove(d(2), t(3)); // clock inflates to 1.0
+                              // A fresh single-hit doc now ties the stale frequent one at 2.0;
+                              // the tie breaks toward the older entry, so the stale frequent
+                              // document has lost its immunity.
+        g.insert(d(3), kb(1), t(4));
         assert_eq!(g.victim(), Some(d(1)));
     }
 
     #[test]
     fn zero_sized_doc_is_handled() {
-        let mut g = Gdsf::new();
-        g.on_insert(d(1), ByteSize::ZERO);
-        g.on_insert(d(2), ByteSize::from_kb(1));
+        let mut g = cache(PolicyKind::Gdsf, 1024);
+        g.insert(d(1), ByteSize::ZERO, t(0));
+        g.insert(d(2), kb(1), t(0));
         assert_eq!(g.len(), 2);
         assert!(g.victim().is_some());
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut g = Gdsf::new();
-        for i in 0..64 {
-            g.on_insert(d(i), ByteSize::from_kb(1 + i % 7));
-        }
-        let baseline = g.growth_events();
-        for i in 64..4096 {
-            let v = g.victim().unwrap();
-            g.on_remove(v);
-            g.on_insert(d(i), ByteSize::from_kb(1 + i % 7));
-            g.on_hit(d(i));
-        }
-        assert_eq!(g.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Gdsf, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        Gdsf::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Gdsf::default().on_hit(&mut nodes, slot);
     }
 }

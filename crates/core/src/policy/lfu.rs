@@ -1,143 +1,59 @@
 //! Least-frequently-used replacement.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, HeapKeyed, KeyedMinHeap, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
-
-const TABLE_SEED: u64 = 0x4c46_5500_0000_0001; // "LFU"
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    freq: u64,
-    seq: u64,
-    heap_pos: u32,
-}
-
-impl HeapKeyed for Node {
-    fn heap_key(&self) -> (u64, u64) {
-        (self.freq, self.seq)
-    }
-    fn heap_pos(&self) -> u32 {
-        self.heap_pos
-    }
-    fn set_heap_pos(&mut self, pos: u32) {
-        self.heap_pos = pos;
-    }
-}
+use super::VictimOrder;
+use crate::index::{KeyedMinHeap, Node, Slab};
+use coopcache_types::{DurationMs, Timestamp};
 
 /// LFU victim ordering: the document with the fewest hits is evicted
 /// first; ties break toward the least recently *inserted-or-hit* (so LFU
 /// degenerates gracefully to LRU among equally popular documents instead
 /// of thrashing on insertion order).
 ///
-/// The hit counter starts at 1 when the document enters, matching the
-/// paper's description of LFU bookkeeping (§3.2.2).
+/// The frequency is the entry's own hit counter, which starts at 1 when
+/// the document enters — the bookkeeping the paper notes every LFU proxy
+/// already keeps (§3.2.2).
 ///
-/// Implemented as an arena-backed binary min-heap keyed by `(frequency,
-/// tie_seq)` — the unique monotone tie sequence makes the order total, so
-/// the heap reproduces the old ordered-set order exactly — plus an
-/// open-addressing doc→slot table. Operations are pointer-free O(log n)
-/// with zero steady-state allocation.
+/// An arena-slot min-heap keyed by `(hit count, tie seq)`; the unique
+/// monotone tie sequence makes the order total. Operations are
+/// pointer-free O(log n) with zero steady-state allocation.
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{Lfu, ReplacementPolicy};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut lfu = Lfu::new();
-/// lfu.on_insert(DocId::new(1), ByteSize::from_kb(1));
-/// lfu.on_insert(DocId::new(2), ByteSize::from_kb(1));
-/// lfu.on_hit(DocId::new(1));
-/// assert_eq!(lfu.victim(), Some(DocId::new(2))); // fewer hits
+/// let mut lfu = Cache::new(CacheId::new(0), ByteSize::from_kb(2), PolicyKind::Lfu);
+/// let kb = ByteSize::from_kb(1);
+/// lfu.insert(DocId::new(1), kb, Timestamp::from_secs(1));
+/// lfu.insert(DocId::new(2), kb, Timestamp::from_secs(2));
+/// lfu.lookup(DocId::new(1), Timestamp::from_secs(3));
+/// let out = lfu.insert(DocId::new(3), kb, Timestamp::from_secs(4));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(2)); // fewer hits
 /// ```
-#[derive(Debug)]
-pub struct Lfu {
-    nodes: Slab<Node>,
-    table: DocTable,
+#[derive(Debug, Default)]
+pub(crate) struct Lfu {
     heap: KeyedMinHeap,
-    next_seq: u64,
 }
 
-impl Default for Lfu {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Lfu {
-    /// Creates an empty LFU ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            heap: KeyedMinHeap::new(),
-            next_seq: 0,
-        }
+impl VictimOrder for Lfu {
+    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+        let hits = nodes.get(slot).entry.hit_count;
+        self.heap.push(nodes, slot, hits);
+        None
     }
 
-    /// The current hit count of a tracked document (for tests and tools).
-    #[must_use]
-    pub fn frequency(&self, doc: DocId) -> Option<u64> {
-        self.table.get(doc).map(|idx| self.nodes.get(idx).freq)
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        let hits = nodes.get(slot).entry.hit_count;
+        self.heap.rekey(nodes, slot, hits);
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-}
-
-impl ReplacementPolicy for Lfu {
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into LFU"
-        );
-        let seq = self.bump_seq();
-        let idx = self.nodes.alloc(Node {
-            doc,
-            freq: 1,
-            seq,
-            heap_pos: NIL,
-        });
-        self.table.insert(doc, idx);
-        self.heap.push(&mut self.nodes, idx);
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        self.heap.remove(nodes, slot);
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: a hit on an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        let seq = self.bump_seq();
-        self.heap.remove(&mut self.nodes, idx);
-        {
-            let node = self.nodes.get_mut(idx);
-            node.freq += 1;
-            node.seq = seq;
-        }
-        self.heap.push(&mut self.nodes, idx);
-    }
-
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        self.heap.remove(&mut self.nodes, idx);
-        self.nodes.free(idx);
-    }
-
-    fn victim(&self) -> Option<DocId> {
-        self.heap.peek().map(|idx| self.nodes.get(idx).doc)
+    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+        self.heap.peek()
     }
 
     fn len(&self) -> usize {
@@ -145,108 +61,80 @@ impl ReplacementPolicy for Lfu {
     }
 
     fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events() + self.heap.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lfu
+        self.heap.growth_events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
-    }
-
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
-    }
+    use crate::policy::testing::{cache, churn_growth, d, drain, fill, lone_slot, t};
+    use crate::PolicyKind;
 
     #[test]
     fn evicts_least_frequent() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(d(1), sz());
-        lfu.on_insert(d(2), sz());
-        lfu.on_hit(d(1));
-        lfu.on_hit(d(1));
-        lfu.on_hit(d(2));
+        let mut lfu = cache(PolicyKind::Lfu, 1024);
+        fill(&mut lfu, 1..=2);
+        lfu.lookup(d(1), t(1));
+        lfu.lookup(d(1), t(2));
+        lfu.lookup(d(2), t(3));
         assert_eq!(lfu.victim(), Some(d(2)));
-        assert_eq!(lfu.frequency(d(1)), Some(3));
-        assert_eq!(lfu.frequency(d(2)), Some(2));
+        assert_eq!(lfu.entry(d(1)).map(|e| e.hit_count), Some(3));
+        assert_eq!(lfu.entry(d(2)).map(|e| e.hit_count), Some(2));
     }
 
     #[test]
     fn entry_counts_as_first_hit() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(d(9), sz());
-        assert_eq!(lfu.frequency(d(9)), Some(1));
+        let mut lfu = cache(PolicyKind::Lfu, 1024);
+        fill(&mut lfu, [9]);
+        assert_eq!(lfu.entry(d(9)).map(|e| e.hit_count), Some(1));
     }
 
     #[test]
     fn ties_break_least_recently_touched() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(d(1), sz());
-        lfu.on_insert(d(2), sz());
-        lfu.on_insert(d(3), sz());
+        let mut lfu = cache(PolicyKind::Lfu, 1024);
+        fill(&mut lfu, 1..=3);
         // All frequency 1; doc 1 is the stalest.
         assert_eq!(lfu.victim(), Some(d(1)));
-        lfu.on_hit(d(1)); // now 2 hits, docs 2 and 3 tie at 1
+        lfu.lookup(d(1), t(1)); // now 2 hits, docs 2 and 3 tie at 1
         assert_eq!(lfu.victim(), Some(d(2)));
     }
 
     #[test]
     fn frequency_of_untracked_is_none() {
-        assert_eq!(Lfu::new().frequency(d(1)), None);
+        assert_eq!(cache(PolicyKind::Lfu, 1024).entry(d(1)), None);
     }
 
     #[test]
     fn drain_order_respects_frequency_then_age() {
-        let mut lfu = Lfu::new();
-        for i in 1..=4 {
-            lfu.on_insert(d(i), sz());
-        }
-        lfu.on_hit(d(1));
-        lfu.on_hit(d(1));
-        lfu.on_hit(d(3));
-        let mut order = Vec::new();
-        while let Some(v) = lfu.victim() {
-            order.push(v.as_u64());
-            lfu.on_remove(v);
-        }
+        let mut lfu = cache(PolicyKind::Lfu, 1024);
+        fill(&mut lfu, 1..=4);
+        lfu.lookup(d(1), t(1));
+        lfu.lookup(d(1), t(2));
+        lfu.lookup(d(3), t(3));
         // freq: 1->3, 3->2, 2->1 (older), 4->1 (newer)
-        assert_eq!(order, vec![2, 4, 3, 1]);
+        assert_eq!(drain(&mut lfu), vec![2, 4, 3, 1]);
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut lfu = Lfu::new();
-        for i in 0..64 {
-            lfu.on_insert(d(i), sz());
-        }
-        let baseline = lfu.growth_events();
-        for i in 64..4096 {
-            let v = lfu.victim().unwrap();
-            lfu.on_remove(v);
-            lfu.on_insert(d(i), sz());
-            lfu.on_hit(d(i));
-        }
-        assert_eq!(lfu.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Lfu, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
-        let mut lfu = Lfu::new();
-        lfu.on_insert(d(1), sz());
-        lfu.on_insert(d(1), sz());
+        let (mut nodes, slot) = lone_slot();
+        let mut lfu = Lfu::default();
+        lfu.on_insert(&mut nodes, slot, t(0));
+        lfu.on_insert(&mut nodes, slot, t(0));
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        Lfu::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Lfu::default().on_hit(&mut nodes, slot);
     }
 }

@@ -1,225 +1,134 @@
 //! Least-recently-used replacement.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, Linked, Links, List, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
-
-/// Table seed for the policy's doc→slot index (fixed: policy-internal
-/// bucket order never leaks into any externally visible order).
-const TABLE_SEED: u64 = 0x4c52_5500_0000_0001; // "LRU"
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    links: Links,
-}
-
-impl Linked for Node {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
-    }
-}
+use super::VictimOrder;
+use crate::index::{List, Node, Slab};
+use coopcache_types::{DurationMs, Timestamp};
 
 /// LRU victim ordering: the document that has gone longest without a hit
 /// is evicted first. Hits promote a document to the head of the recency
 /// list; the EA scheme's responder-side rule works precisely by *skipping*
 /// this promotion for redundant replicas.
 ///
-/// Implemented as an intrusive doubly-linked recency list over a flat
-/// arena: list head is the victim, inserts and hits relink to the tail,
-/// and an open-addressing table resolves a document to its arena slot.
-/// Every operation is pointer-free O(1) with zero steady-state allocation.
+/// The recency list is threaded through the cache's own arena slots: list
+/// head is the victim, inserts and hits relink to the tail. Every
+/// operation is pointer-free O(1) with zero steady-state allocation.
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{Lru, ReplacementPolicy};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut lru = Lru::new();
-/// lru.on_insert(DocId::new(1), ByteSize::from_kb(1));
-/// lru.on_insert(DocId::new(2), ByteSize::from_kb(1));
-/// lru.on_hit(DocId::new(1)); // 1 is now most recent
-/// assert_eq!(lru.victim(), Some(DocId::new(2)));
+/// let mut lru = Cache::new(CacheId::new(0), ByteSize::from_kb(2), PolicyKind::Lru);
+/// let kb = ByteSize::from_kb(1);
+/// lru.insert(DocId::new(1), kb, Timestamp::from_secs(1));
+/// lru.insert(DocId::new(2), kb, Timestamp::from_secs(2));
+/// lru.lookup(DocId::new(1), Timestamp::from_secs(3)); // 1 is now most recent
+/// let out = lru.insert(DocId::new(3), kb, Timestamp::from_secs(4));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(2));
 /// ```
-#[derive(Debug)]
-pub struct Lru {
-    nodes: Slab<Node>,
-    table: DocTable,
+#[derive(Debug, Default)]
+pub(crate) struct Lru {
     order: List,
 }
 
-impl Default for Lru {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Lru {
-    /// Creates an empty LRU ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            order: List::new(),
-        }
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into LRU"
-        );
-        let idx = self.nodes.alloc(Node {
-            doc,
-            links: Links::default(),
-        });
-        self.table.insert(doc, idx);
-        self.order.push_tail(&mut self.nodes, idx);
+impl VictimOrder for Lru {
+    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+        self.order.push_tail(nodes, slot);
+        None
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: hitting an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        self.order.move_to_tail(&mut self.nodes, idx);
+    #[inline]
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        self.order.move_to_tail(nodes, slot);
     }
 
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        self.order.unlink(&mut self.nodes, idx);
-        self.nodes.free(idx);
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        self.order.unlink(nodes, slot);
     }
 
-    fn victim(&self) -> Option<DocId> {
-        let head = self.order.head();
-        (head != NIL).then(|| self.nodes.get(head).doc)
+    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+        self.order.front()
     }
 
     fn len(&self) -> usize {
         self.order.len()
-    }
-
-    fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
-    }
-
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
-    }
+    use crate::policy::testing::{cache, churn_growth, d, drain, fill, lone_slot, t};
+    use crate::PolicyKind;
 
     #[test]
     fn evicts_least_recent_first() {
-        let mut lru = Lru::new();
-        for i in 1..=3 {
-            lru.on_insert(d(i), sz());
-        }
+        let mut lru = cache(PolicyKind::Lru, 1024);
+        fill(&mut lru, 1..=3);
         assert_eq!(lru.victim(), Some(d(1)));
-        lru.on_remove(d(1));
+        lru.remove(d(1), t(1));
         assert_eq!(lru.victim(), Some(d(2)));
     }
 
     #[test]
     fn hit_promotes_to_head() {
-        let mut lru = Lru::new();
-        for i in 1..=3 {
-            lru.on_insert(d(i), sz());
-        }
-        lru.on_hit(d(1));
+        let mut lru = cache(PolicyKind::Lru, 1024);
+        fill(&mut lru, 1..=3);
+        lru.lookup(d(1), t(1));
         assert_eq!(lru.victim(), Some(d(2)));
-        lru.on_hit(d(2));
+        lru.lookup(d(2), t(2));
         assert_eq!(lru.victim(), Some(d(3)));
     }
 
     #[test]
     fn skipping_promotion_leaves_order_unchanged() {
-        // The EA responder-side rule: serving a remote hit WITHOUT calling
-        // on_hit must leave the victim order untouched.
-        let mut lru = Lru::new();
-        for i in 1..=3 {
-            lru.on_insert(d(i), sz());
-        }
+        // The EA responder-side rule: serving a remote hit WITHOUT
+        // promotion must leave the victim order untouched.
+        let mut lru = cache(PolicyKind::Lru, 1024);
+        fill(&mut lru, 1..=3);
         let before = lru.victim();
-        // ... responder serves doc 1 remotely but does not promote ...
+        assert!(lru.serve_remote(d(1), t(1), false).is_some());
         assert_eq!(lru.victim(), before);
+        assert!(lru.serve_remote(d(1), t(2), true).is_some());
+        assert_eq!(lru.victim(), Some(d(2)));
     }
 
     #[test]
     fn full_drain_order() {
-        let mut lru = Lru::new();
-        for i in 1..=5 {
-            lru.on_insert(d(i), sz());
-        }
-        lru.on_hit(d(2));
-        lru.on_hit(d(4));
-        let mut order = Vec::new();
-        while let Some(v) = lru.victim() {
-            order.push(v.as_u64());
-            lru.on_remove(v);
-        }
-        assert_eq!(order, vec![1, 3, 5, 2, 4]);
+        let mut lru = cache(PolicyKind::Lru, 1024);
+        fill(&mut lru, 1..=5);
+        lru.lookup(d(2), t(1));
+        lru.lookup(d(4), t(2));
+        assert_eq!(drain(&mut lru), vec![1, 3, 5, 2, 4]);
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut lru = Lru::new();
-        for i in 0..64 {
-            lru.on_insert(d(i), sz());
-        }
-        let baseline = lru.growth_events();
-        for i in 64..4096 {
-            let v = lru.victim().unwrap();
-            lru.on_remove(v);
-            lru.on_insert(d(i), sz());
-            lru.on_hit(d(i));
-        }
-        assert_eq!(lru.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Lru, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
-        let mut lru = Lru::new();
-        lru.on_insert(d(1), sz());
-        lru.on_insert(d(1), sz());
+        let (mut nodes, slot) = lone_slot();
+        let mut lru = Lru::default();
+        lru.on_insert(&mut nodes, slot, t(0));
+        lru.on_insert(&mut nodes, slot, t(0));
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        Lru::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Lru::default().on_hit(&mut nodes, slot);
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn remove_of_missing_panics() {
-        Lru::new().on_remove(d(1));
+        let (mut nodes, slot) = lone_slot();
+        Lru::default().on_remove(&mut nodes, slot);
     }
 }

@@ -1,21 +1,23 @@
-//! Document replacement policies.
+//! Document replacement policies: the victim orders of a cache.
 //!
-//! A [`ReplacementPolicy`] maintains the *victim order* of a cache — which
-//! document should be removed next under capacity pressure. The byte
-//! accounting and metadata live in [`crate::Cache`]; the policy only orders
-//! document ids.
+//! A cache keeps each document once — an arena slot holding its
+//! [`crate::CacheEntry`] plus an 8-byte policy word — and a policy orders
+//! those slots: which one should be removed next under capacity pressure.
+//! No policy keeps a table of its own; S3-FIFO's ghost queue, which
+//! remembers documents that are *not* resident, is the one exception.
 //!
 //! Seven policies are provided, all intrusive-list or arena-heap backed
-//! (pointer-free O(1), O(log n) for the heap-ordered family):
+//! (pointer-free O(1), O(log n) for the heap-ordered family), chosen by
+//! [`PolicyKind`]:
 //!
-//! * [`Lru`] — least recently used (the paper's evaluation policy);
-//! * [`Lfu`] — least frequently used, with LRU tie-breaking;
-//! * [`Fifo`] — insertion order, hits do not refresh;
-//! * [`Gdsf`] — GreedyDual-Size-Frequency (Cao & Irani's cost-aware family,
+//! * LRU — least recently used (the paper's evaluation policy);
+//! * LFU — least frequently used, with LRU tie-breaking;
+//! * FIFO — insertion order, hits do not refresh;
+//! * GDSF — GreedyDual-Size-Frequency (Cao & Irani's cost-aware family,
 //!   cited by the paper as related document-replacement work);
-//! * [`Gds`] — plain GreedyDual-Size (the same family, no frequency);
-//! * [`Slru`] — segmented LRU, the scan-resistant LRU variant;
-//! * [`S3Fifo`] — Small/Main/Ghost three-queue FIFO whose ghost queue
+//! * GDS — plain GreedyDual-Size (the same family, no frequency);
+//! * SLRU — segmented LRU, the scan-resistant LRU variant;
+//! * S3-FIFO — Small/Main/Ghost three-queue FIFO whose ghost queue
 //!   reports observed inter-reference gaps to the eq. 5 tracker.
 
 mod fifo;
@@ -26,84 +28,131 @@ mod lru;
 mod s3fifo;
 mod slru;
 
-pub use fifo::Fifo;
-pub use gds::Gds;
-pub use gdsf::Gdsf;
-pub use lfu::Lfu;
-pub use lru::Lru;
-pub use s3fifo::S3Fifo;
-pub use slru::Slru;
-
-use coopcache_types::{ByteSize, DocId, DurationMs, Timestamp};
+use crate::index::{Node, Slab};
+use coopcache_types::{DocId, DurationMs, Timestamp};
 use std::fmt;
 
-/// The victim ordering of a cache.
+/// A victim order over a cache's arena slots.
 ///
-/// Implementations must uphold:
-///
-/// * every id passed to [`on_insert`](Self::on_insert) is tracked until
-///   [`on_remove`](Self::on_remove);
-/// * [`victim`](Self::victim) returns `Some` iff the policy tracks at least
-///   one id, and never an id that was removed;
-/// * [`on_hit`](Self::on_hit) / [`on_insert`](Self::on_insert) for an id
-///   the policy does not track is a caller bug and may panic.
-pub trait ReplacementPolicy: fmt::Debug + Send {
-    /// Starts tracking a newly inserted document.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `doc` is already tracked.
-    fn on_insert(&mut self, doc: DocId, size: ByteSize);
+/// The cache calls these in lockstep with its own bookkeeping: a slot is
+/// inserted once after its node is allocated, hit only after its entry
+/// recorded the hit (so LFU and GDSF read their frequency from the
+/// entry's hit counter), and removed before its node is freed. Passing a
+/// slot in the wrong state is a cache bug and panics.
+pub(crate) trait VictimOrder {
+    /// Starts ordering a newly stored slot. Policies that keep eviction
+    /// history (the S3-FIFO ghost queue) return the observed gap between
+    /// the document's last capacity eviction and this re-admission — the
+    /// "observed inter-reference gap" the cache feeds into the eq. 5
+    /// expiration-age tracker.
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<Node>,
+        slot: u32,
+        now: Timestamp,
+    ) -> Option<DurationMs>;
 
-    /// Records a hit on a tracked document (LRU promotes to head, LFU
-    /// bumps frequency, FIFO ignores).
-    ///
-    /// # Panics
-    ///
-    /// May panic if `doc` is not tracked.
-    fn on_hit(&mut self, doc: DocId);
+    /// Records a hit (LRU promotes to the tail, LFU bumps frequency, FIFO
+    /// ignores).
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32);
 
-    /// Stops tracking a document (evicted or explicitly removed).
-    ///
-    /// # Panics
-    ///
-    /// May panic if `doc` is not tracked.
-    fn on_remove(&mut self, doc: DocId);
+    /// Stops ordering a slot (evicted, expired or explicitly removed).
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32);
 
-    /// The document that should be evicted next, if any.
-    fn victim(&self) -> Option<DocId>;
+    /// The slot that should be evicted next, if any.
+    fn victim(&self, nodes: &Slab<Node>) -> Option<u32>;
 
-    /// Number of tracked documents.
+    /// Number of ordered slots.
     fn len(&self) -> usize;
 
-    /// True when nothing is tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Which well-known policy this is (drives the expiration-age flavor).
-    fn kind(&self) -> PolicyKind;
-
-    /// Timestamped admission notice, called by the cache right after
-    /// [`on_insert`](Self::on_insert). Policies that keep eviction history
-    /// (the [`S3Fifo`] ghost queue) return the observed gap between the
-    /// document's last capacity eviction and this re-admission — the
-    /// "observed inter-reference gap" the cache feeds into the eq. 5
-    /// expiration-age tracker. History-less policies return `None`.
-    fn on_admit(&mut self, _doc: DocId, _now: Timestamp) -> Option<DurationMs> {
-        None
-    }
-
-    /// Timestamped capacity-eviction notice, called by the cache right
-    /// after [`on_remove`](Self::on_remove) — only for capacity-pressure
-    /// evictions, never for explicit removals or TTL expiry. Lets
-    /// history-keeping policies start a ghost clock for the document.
+    /// Capacity-eviction notice, called after [`on_remove`](Self::on_remove)
+    /// only for capacity-pressure evictions, never for explicit removals
+    /// or TTL expiry. Lets history-keeping policies start a ghost clock.
     fn on_evicted(&mut self, _doc: DocId, _now: Timestamp) {}
 
-    /// Times this policy's backing storage reallocated (0 in steady
-    /// state); feeds the `profile` feature's allocation-free audit.
+    /// Times the policy's own backing storage reallocated (0 in steady
+    /// state).
     fn growth_events(&self) -> u64 {
         0
+    }
+}
+
+/// One cache's victim order, dispatched by `match` rather than through a
+/// trait object.
+#[derive(Debug)]
+pub(crate) enum Policy {
+    Lru(lru::Lru),
+    Lfu(lfu::Lfu),
+    Fifo(fifo::Fifo),
+    Gdsf(gdsf::Gdsf),
+    Gds(gds::Gds),
+    Slru(slru::Slru),
+    S3Fifo(s3fifo::S3Fifo),
+}
+
+/// Runs `$body` with `$order` bound to the policy inside `$policy`.
+macro_rules! dispatch {
+    ($policy:expr, $order:ident => $body:expr) => {
+        match $policy {
+            Policy::Lru($order) => $body,
+            Policy::Lfu($order) => $body,
+            Policy::Fifo($order) => $body,
+            Policy::Gdsf($order) => $body,
+            Policy::Gds($order) => $body,
+            Policy::Slru($order) => $body,
+            Policy::S3Fifo($order) => $body,
+        }
+    };
+}
+
+impl Policy {
+    #[inline]
+    pub(crate) fn on_insert(
+        &mut self,
+        nodes: &mut Slab<Node>,
+        slot: u32,
+        now: Timestamp,
+    ) -> Option<DurationMs> {
+        dispatch!(self, order => order.on_insert(nodes, slot, now))
+    }
+
+    #[inline]
+    pub(crate) fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        dispatch!(self, order => order.on_hit(nodes, slot));
+    }
+
+    #[inline]
+    pub(crate) fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        dispatch!(self, order => order.on_remove(nodes, slot));
+    }
+
+    #[inline]
+    pub(crate) fn victim(&self, nodes: &Slab<Node>) -> Option<u32> {
+        dispatch!(self, order => order.victim(nodes))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        dispatch!(self, order => order.len())
+    }
+
+    pub(crate) fn on_evicted(&mut self, doc: DocId, now: Timestamp) {
+        dispatch!(self, order => order.on_evicted(doc, now));
+    }
+
+    pub(crate) fn growth_events(&self) -> u64 {
+        dispatch!(self, order => order.growth_events())
+    }
+
+    pub(crate) fn kind(&self) -> PolicyKind {
+        match self {
+            Self::Lru(_) => PolicyKind::Lru,
+            Self::Lfu(_) => PolicyKind::Lfu,
+            Self::Fifo(_) => PolicyKind::Fifo,
+            Self::Gdsf(_) => PolicyKind::Gdsf,
+            Self::Gds(_) => PolicyKind::Gds,
+            Self::Slru(_) => PolicyKind::Slru,
+            Self::S3Fifo(_) => PolicyKind::S3Fifo,
+        }
     }
 }
 
@@ -129,17 +178,16 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Builds a fresh policy instance of this kind.
-    #[must_use]
-    pub fn build(self) -> Box<dyn ReplacementPolicy> {
+    /// An empty victim order of this kind.
+    pub(crate) fn build(self) -> Policy {
         match self {
-            Self::Lru => Box::new(Lru::new()),
-            Self::Lfu => Box::new(Lfu::new()),
-            Self::Fifo => Box::new(Fifo::new()),
-            Self::Gdsf => Box::new(Gdsf::new()),
-            Self::Gds => Box::new(Gds::new()),
-            Self::Slru => Box::new(Slru::new()),
-            Self::S3Fifo => Box::new(S3Fifo::new()),
+            Self::Lru => Policy::Lru(lru::Lru::default()),
+            Self::Lfu => Policy::Lfu(lfu::Lfu::default()),
+            Self::Fifo => Policy::Fifo(fifo::Fifo::default()),
+            Self::Gdsf => Policy::Gdsf(gdsf::Gdsf::default()),
+            Self::Gds => Policy::Gds(gds::Gds::default()),
+            Self::Slru => Policy::Slru(slru::Slru::default()),
+            Self::S3Fifo => Policy::S3Fifo(s3fifo::S3Fifo::default()),
         }
     }
 
@@ -205,44 +253,101 @@ impl fmt::Display for ExpirationFlavor {
     }
 }
 
+/// Helpers for the policy modules' tests, which drive a whole [`Cache`].
+///
+/// [`Cache`]: crate::Cache
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod testing {
+    use crate::entry::CacheEntry;
+    use crate::index::{Node, Slab};
+    use crate::{Cache, PolicyKind};
+    use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 
-    fn d(i: u64) -> DocId {
+    pub(crate) fn d(i: u64) -> DocId {
         DocId::new(i)
     }
 
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
+    pub(crate) fn t(ms: u64) -> Timestamp {
+        Timestamp::from_millis(ms)
     }
 
-    /// Behavioural checks every policy must satisfy.
-    fn exercise_common(policy: &mut dyn ReplacementPolicy) {
-        assert!(policy.is_empty());
-        assert_eq!(policy.victim(), None);
-        policy.on_insert(d(1), sz());
-        policy.on_insert(d(2), sz());
-        policy.on_insert(d(3), sz());
-        assert_eq!(policy.len(), 3);
-        assert!(!policy.is_empty());
-        let v = policy.victim().expect("non-empty policy has a victim");
-        assert!([d(1), d(2), d(3)].contains(&v));
-        policy.on_remove(v);
-        assert_eq!(policy.len(), 2);
-        assert_ne!(policy.victim(), Some(v), "victim survived removal");
-        while let Some(v) = policy.victim() {
-            policy.on_remove(v);
-        }
-        assert!(policy.is_empty());
+    pub(crate) fn kb(n: u64) -> ByteSize {
+        ByteSize::from_kb(n)
     }
+
+    /// A cache of `cap_kb` under `kind`.
+    pub(crate) fn cache(kind: PolicyKind, cap_kb: u64) -> Cache {
+        Cache::new(CacheId::new(0), kb(cap_kb), kind)
+    }
+
+    /// Stores 1 KB documents `ids` at t = 0 ms.
+    pub(crate) fn fill(c: &mut Cache, ids: impl IntoIterator<Item = u64>) {
+        for i in ids {
+            assert!(c.insert(d(i), kb(1), t(0)).is_stored());
+        }
+    }
+
+    /// Removes the victim until the cache is empty, returning the order.
+    pub(crate) fn drain(c: &mut Cache) -> Vec<u64> {
+        let mut order = Vec::new();
+        while let Some(v) = c.victim() {
+            order.push(v.as_u64());
+            c.remove(v, t(0));
+        }
+        assert!(c.is_empty());
+        order
+    }
+
+    /// A one-node arena, for driving an order directly with a slot it
+    /// does not track.
+    pub(crate) fn lone_slot() -> (Slab<Node>, u32) {
+        let mut nodes = Slab::new();
+        let slot = nodes.alloc(Node::new(CacheEntry::new(d(1), kb(1), t(0))));
+        (nodes, slot)
+    }
+
+    /// Steady-state churn through a full 64-entry cache: each step stores
+    /// a fresh document (evicting one) and hits every third. Returns the
+    /// growth events after the first `warm` steps and at the end.
+    pub(crate) fn churn_growth(kind: PolicyKind, warm: u64, steps: u64) -> (u64, u64) {
+        let mut c = cache(kind, 64);
+        fill(&mut c, 0..64);
+        let mut baseline = 0;
+        for step in 0..steps {
+            if step == warm {
+                baseline = c.growth_events();
+            }
+            let i = 64 + step;
+            assert_eq!(c.insert(d(i), kb(1), t(i)).evictions().len(), 1);
+            if i % 3 == 0 {
+                c.lookup(d(i), t(i));
+            }
+        }
+        (baseline, c.growth_events())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{cache, d, drain, fill, t};
+    use super::*;
 
     #[test]
     fn all_policies_pass_common_contract() {
         for kind in PolicyKind::all() {
-            let mut p = kind.build();
-            exercise_common(p.as_mut());
-            assert_eq!(p.kind(), kind);
+            let mut c = cache(kind, 1024);
+            assert_eq!(c.victim(), None);
+            fill(&mut c, 1..=3);
+            c.check_invariants().expect("the policy orders every slot");
+            let v = c.victim().expect("non-empty policy has a victim");
+            assert!([d(1), d(2), d(3)].contains(&v));
+            c.remove(v, t(1));
+            c.check_invariants().expect("the policy orders every slot");
+            assert_ne!(c.victim(), Some(v), "victim survived removal");
+            assert_eq!(drain(&mut c).len(), 2);
+            c.check_invariants()
+                .expect("an empty policy offers no victim");
+            assert_eq!(c.policy_kind(), kind);
         }
     }
 

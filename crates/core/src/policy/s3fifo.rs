@@ -1,51 +1,32 @@
 //! S3-FIFO-style Small/Main/Ghost replacement (after Yang et al.,
 //! "FIFO queues are all you need for cache eviction", SOSP '23).
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, Linked, Links, List, Slab, NIL};
-use coopcache_types::{ByteSize, DocId, DurationMs, Timestamp};
+use super::VictimOrder;
+use crate::index::{DocTable, Linked, Links, List, Node, Slab, NIL};
+use coopcache_types::{DocId, DurationMs, Timestamp};
 
-const TABLE_SEED: u64 = 0x5333_4649_0000_0001; // "S3FI"
 const GHOST_SEED: u64 = 0x5333_4649_0000_0002;
 
-/// Hit counters saturate here; a small cap keeps one burst of popularity
-/// from granting permanent immunity (the S3-FIFO design point).
-const FREQ_CAP: u8 = 3;
+/// Policy-word flag: the slot sits in Main (else in Small).
+const MAIN: u32 = Links::FLAG_HI;
+/// Policy-word flag: hit since a queue last passed over the slot. The
+/// original's saturating counter is only ever compared with zero, so one
+/// bit carries it.
+const HIT: u32 = Links::FLAG_LO;
 
 /// Minimum ghost-queue bound, so history survives a nearly empty cache.
 const GHOST_FLOOR: usize = 8;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Queue {
-    Small,
-    Main,
-}
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    freq: u8,
-    queue: Queue,
-    links: Links,
-}
-
-impl Linked for Node {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
-    }
-}
-
-#[derive(Debug, Clone)]
-struct GhostNode {
+/// A recently evicted document: not resident, so not in the cache's
+/// arena.
+#[derive(Debug, Clone, Copy)]
+struct Ghost {
     doc: DocId,
     evicted_at: Timestamp,
     links: Links,
 }
 
-impl Linked for GhostNode {
+impl Linked for Ghost {
     fn links(&self) -> &Links {
         &self.links
     }
@@ -65,91 +46,61 @@ impl Linked for GhostNode {
 /// * **Ghost** — a bounded FIFO of *recently evicted* document ids and
 ///   their eviction timestamps. A request for a ghost document re-admits
 ///   it straight into Main, and the gap between eviction and re-admission
-///   is reported through [`ReplacementPolicy::on_admit`] — an *observed
-///   inter-reference gap* that the cache feeds to the paper's eq. 5
-///   expiration-age tracker. Where eq. 5 normally estimates how long a
-///   document would have stayed useful from eviction-time state, a ghost
-///   re-admission measures it directly.
+///   is returned from `on_insert` — an *observed inter-reference gap*
+///   that the cache feeds to the paper's eq. 5 expiration-age tracker.
+///   Where eq. 5 normally estimates how long a document would have
+///   stayed useful from eviction-time state, a ghost re-admission
+///   measures it directly.
 ///
 /// Victim selection walks Small head-first for the first never-hit
 /// document (hit documents ahead of it are owed promotion to Main, which
-/// [`on_remove`](ReplacementPolicy::on_remove) performs lazily), falling
-/// back to Main with CLOCK second chances. The walk is amortized O(1):
-/// each document is promoted or second-chanced at most once per
-/// residency, paid for by the eviction that skipped it.
+/// `on_remove` performs lazily), falling back to Main with CLOCK second
+/// chances. The walk is amortized O(1): each document is promoted or
+/// second-chanced at most once per residency, paid for by the eviction
+/// that skipped it.
 ///
-/// All three queues are intrusive lists over flat arenas with
-/// open-addressing doc→slot tables — pointer-free, zero steady-state
-/// allocation, deterministic for a given operation sequence.
+/// Small and Main are lists through the cache's own arena slots, with
+/// the queue and the hit in flag bits of the slot's policy word. Ghosts
+/// are not resident, so they alone get an arena and doc table of their
+/// own. Pointer-free, zero steady-state allocation, deterministic for a
+/// given operation sequence.
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{ReplacementPolicy, S3Fifo};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut p = S3Fifo::new();
-/// p.on_insert(DocId::new(1), ByteSize::from_kb(1));
-/// p.on_insert(DocId::new(2), ByteSize::from_kb(1));
-/// p.on_hit(DocId::new(1)); // doc 1 earns promotion; doc 2 is the victim
-/// assert_eq!(p.victim(), Some(DocId::new(2)));
+/// let mut p = Cache::new(CacheId::new(0), ByteSize::from_kb(2), PolicyKind::S3Fifo);
+/// let kb = ByteSize::from_kb(1);
+/// p.insert(DocId::new(1), kb, Timestamp::from_secs(1));
+/// p.insert(DocId::new(2), kb, Timestamp::from_secs(2));
+/// p.lookup(DocId::new(1), Timestamp::from_secs(3)); // doc 1 earns promotion
+/// let out = p.insert(DocId::new(3), kb, Timestamp::from_secs(4));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(2));
 /// ```
 #[derive(Debug)]
-pub struct S3Fifo {
-    nodes: Slab<Node>,
-    table: DocTable,
+pub(crate) struct S3Fifo {
     small: List,
     main: List,
-    ghosts: Slab<GhostNode>,
+    ghosts: Slab<Ghost>,
     ghost_table: DocTable,
     ghost_queue: List,
-    /// Set when the latest `on_insert` was a ghost re-admission; consumed
-    /// by `on_admit` to report the observed inter-reference gap.
-    pending_readmit: Option<(DocId, Timestamp)>,
 }
 
 impl Default for S3Fifo {
     fn default() -> Self {
-        Self::new()
+        Self {
+            small: List::default(),
+            main: List::default(),
+            ghosts: Slab::new(),
+            ghost_table: DocTable::new(GHOST_SEED),
+            ghost_queue: List::default(),
+        }
     }
 }
 
 impl S3Fifo {
-    /// Creates an empty S3-FIFO ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            small: List::new(),
-            main: List::new(),
-            ghosts: Slab::new(),
-            ghost_table: DocTable::new(GHOST_SEED),
-            ghost_queue: List::new(),
-            pending_readmit: None,
-        }
-    }
-
-    /// True when the document currently sits in the Main queue.
-    #[must_use]
-    pub fn is_main(&self, doc: DocId) -> bool {
-        self.table
-            .get(doc)
-            .is_some_and(|idx| self.nodes.get(idx).queue == Queue::Main)
-    }
-
-    /// True when the document's id is remembered in the ghost queue.
-    #[must_use]
-    pub fn is_ghost(&self, doc: DocId) -> bool {
-        self.ghost_table.get(doc).is_some()
-    }
-
-    /// Number of remembered ghosts (bounded by live size, floored at 8).
-    #[must_use]
-    pub fn ghost_len(&self) -> usize {
-        self.ghost_queue.len()
-    }
-
     /// Small stays at ~10% of tracked documents (min 1), the S3-FIFO
     /// design ratio; beyond it Small must give up the next victim.
     fn small_target(&self) -> usize {
@@ -160,75 +111,45 @@ impl S3Fifo {
         self.len().max(GHOST_FLOOR)
     }
 
-    /// First never-hit node in a queue, walking head→tail.
-    fn scan_cold(&self, list: &List) -> Option<u32> {
+    /// First never-hit slot in a queue, walking head→tail.
+    fn scan_cold(nodes: &Slab<Node>, list: &List) -> Option<u32> {
         let mut cursor = list.head();
         while cursor != NIL {
-            let node = self.nodes.get(cursor);
-            if node.freq == 0 {
+            let links = nodes.get(cursor).links;
+            if !links.flag(HIT) {
                 return Some(cursor);
             }
-            cursor = node.links.next;
+            cursor = links.next();
         }
         None
     }
 
-    /// The slot `victim()` would name, with the queue it came from.
-    fn victim_slot(&self) -> Option<u32> {
-        if self.small.is_empty() && self.main.is_empty() {
-            return None;
-        }
-        let small_due = !self.small.is_empty()
-            && (self.small.len() >= self.small_target() || self.main.is_empty());
-        if small_due {
-            if let Some(idx) = self.scan_cold(&self.small) {
-                return Some(idx);
-            }
-            // Every Small document was hit: all owed promotion. If Main
-            // has candidates, evict there; else the oldest hot Small doc
-            // goes (nowhere to promote that would change the outcome).
-            if self.main.is_empty() {
-                return Some(self.small.head());
-            }
-        }
-        if self.main.is_empty() {
-            // Small exists but is under target: it still must yield.
-            return self.scan_cold(&self.small).or(Some(self.small.head()));
-        }
-        Some(self.scan_cold(&self.main).unwrap_or(self.main.head()))
-    }
-
     /// Settles the debts the read-only victim walk skipped over: Small
-    /// nodes with hits ahead of the victim move to Main (promotion);
-    /// Main nodes with hits ahead of the victim spend them CLOCK-style
-    /// (freq cleared, requeued at tail). Called only when the removed doc
+    /// slots with hits ahead of the victim move to Main (promotion);
+    /// Main slots with hits ahead of the victim spend them CLOCK-style
+    /// (hit cleared, requeued at tail). Called only when the removed slot
     /// is the announced victim, so explicit removals stay pure unlinks.
-    fn settle_before(&mut self, victim_idx: u32) {
-        match self.nodes.get(victim_idx).queue {
-            Queue::Small => {
-                let mut cursor = self.small.head();
-                while cursor != victim_idx && cursor != NIL {
-                    let next = self.nodes.get(cursor).links.next;
-                    debug_assert!(self.nodes.get(cursor).freq > 0);
-                    self.small.unlink(&mut self.nodes, cursor);
-                    let node = self.nodes.get_mut(cursor);
-                    node.queue = Queue::Main;
-                    node.freq = 0;
-                    self.main.push_tail(&mut self.nodes, cursor);
-                    cursor = next;
-                }
+    fn settle_before(&mut self, nodes: &mut Slab<Node>, victim: u32) {
+        let in_main = nodes.get(victim).links.flag(MAIN);
+        loop {
+            let cursor = if in_main {
+                self.main.head()
+            } else {
+                self.small.head()
+            };
+            if cursor == victim || cursor == NIL {
+                return;
             }
-            Queue::Main => {
-                let mut cursor = self.main.head();
-                while cursor != victim_idx && cursor != NIL {
-                    let next = self.nodes.get(cursor).links.next;
-                    debug_assert!(self.nodes.get(cursor).freq > 0);
-                    self.main.unlink(&mut self.nodes, cursor);
-                    self.nodes.get_mut(cursor).freq = 0;
-                    self.main.push_tail(&mut self.nodes, cursor);
-                    cursor = next;
-                }
+            debug_assert!(nodes.get(cursor).links.flag(HIT));
+            if in_main {
+                self.main.unlink(nodes, cursor);
+            } else {
+                self.small.unlink(nodes, cursor);
             }
+            let links = &mut nodes.get_mut(cursor).links;
+            links.set_flag(MAIN, true);
+            links.set_flag(HIT, false);
+            self.main.push_tail(nodes, cursor);
         }
     }
 
@@ -238,96 +159,86 @@ impl S3Fifo {
             self.ghosts.free(gidx);
         }
     }
+
+    #[cfg(test)]
+    pub(super) fn is_ghost(&self, doc: DocId) -> bool {
+        self.ghost_table.get(doc).is_some()
+    }
+
+    #[cfg(test)]
+    pub(super) fn ghost_len(&self) -> usize {
+        self.ghost_queue.len()
+    }
 }
 
-impl ReplacementPolicy for S3Fifo {
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into S3-FIFO"
-        );
+impl VictimOrder for S3Fifo {
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<Node>,
+        slot: u32,
+        now: Timestamp,
+    ) -> Option<DurationMs> {
+        let doc = nodes.get(slot).entry.doc;
         let remembered = self
             .ghost_table
             .get(doc)
             .map(|g| self.ghosts.get(g).evicted_at);
-        self.pending_readmit = remembered.map(|t| (doc, t));
         if remembered.is_some() {
             self.drop_ghost(doc);
-        }
-        let queue = if remembered.is_some() {
-            Queue::Main
+            nodes.get_mut(slot).links.set_flag(MAIN, true);
+            self.main.push_tail(nodes, slot);
         } else {
-            Queue::Small
-        };
-        let idx = self.nodes.alloc(Node {
-            doc,
-            freq: 0,
-            queue,
-            links: Links::default(),
-        });
-        self.table.insert(doc, idx);
-        match queue {
-            Queue::Small => self.small.push_tail(&mut self.nodes, idx),
-            Queue::Main => self.main.push_tail(&mut self.nodes, idx),
+            self.small.push_tail(nodes, slot);
+        }
+        remembered.map(|evicted_at| now.saturating_since(evicted_at))
+    }
+
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        assert!(
+            self.small.contains(nodes, slot) || self.main.contains(nodes, slot),
+            "hit on untracked slot {slot}"
+        );
+        nodes.get_mut(slot).links.set_flag(HIT, true);
+    }
+
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        if self.victim(nodes) == Some(slot) {
+            self.settle_before(nodes, slot);
+        }
+        if nodes.get(slot).links.flag(MAIN) {
+            self.main.unlink(nodes, slot);
+        } else {
+            self.small.unlink(nodes, slot);
         }
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: a hit on an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        let node = self.nodes.get_mut(idx);
-        node.freq = node.freq.saturating_add(1).min(FREQ_CAP);
-    }
-
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        if self.victim_slot() == Some(idx) {
-            self.settle_before(idx);
+    fn victim(&self, nodes: &Slab<Node>) -> Option<u32> {
+        let small_due = !self.small.is_empty()
+            && (self.small.len() >= self.small_target() || self.main.is_empty());
+        if small_due {
+            if let Some(slot) = Self::scan_cold(nodes, &self.small) {
+                return Some(slot);
+            }
+            // Every Small document was hit: all owed promotion. If Main
+            // has candidates, evict there; else the oldest hot Small doc
+            // goes (nowhere to promote that would change the outcome).
+            if self.main.is_empty() {
+                return self.small.front();
+            }
         }
-        match self.nodes.get(idx).queue {
-            Queue::Small => self.small.unlink(&mut self.nodes, idx),
-            Queue::Main => self.main.unlink(&mut self.nodes, idx),
-        }
-        self.nodes.free(idx);
-    }
-
-    fn victim(&self) -> Option<DocId> {
-        self.victim_slot().map(|idx| self.nodes.get(idx).doc)
+        Self::scan_cold(nodes, &self.main).or(self.main.front())
     }
 
     fn len(&self) -> usize {
         self.small.len() + self.main.len()
     }
 
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::S3Fifo
-    }
-
-    fn on_admit(&mut self, doc: DocId, now: Timestamp) -> Option<DurationMs> {
-        match self.pending_readmit.take() {
-            Some((ghost_doc, evicted_at)) if ghost_doc == doc => {
-                Some(now.saturating_since(evicted_at))
-            }
-            _ => None,
-        }
-    }
-
     fn on_evicted(&mut self, doc: DocId, now: Timestamp) {
-        debug_assert!(self.table.get(doc).is_none(), "ghosting a live doc");
         self.drop_ghost(doc); // re-eviction refreshes the ghost clock
-        let gidx = self.ghosts.alloc(GhostNode {
+        let gidx = self.ghosts.alloc(Ghost {
             doc,
             evicted_at: now,
-            links: Links::default(),
+            links: Links::NEW,
         });
         self.ghost_table.insert(doc, gidx);
         self.ghost_queue.push_tail(&mut self.ghosts, gidx);
@@ -341,144 +252,143 @@ impl ReplacementPolicy for S3Fifo {
     }
 
     fn growth_events(&self) -> u64 {
-        self.nodes.growth_events()
-            + self.table.growth_events()
-            + self.ghosts.growth_events()
-            + self.ghost_table.growth_events()
+        self.ghosts.growth_events() + self.ghost_table.growth_events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::{cache, churn_growth, d, fill, kb, lone_slot, t};
+    use crate::policy::Policy;
+    use crate::{Cache, CacheConfig, ExpirationWindow, PolicyKind};
+    use coopcache_types::{CacheId, ExpirationAge};
 
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
+    fn is_main(c: &Cache, doc: DocId) -> bool {
+        c.links(doc).is_some_and(|l| l.flag(MAIN))
     }
 
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
+    fn s3(c: &Cache) -> &S3Fifo {
+        match c.policy() {
+            Policy::S3Fifo(p) => p,
+            other => panic!("not an S3-FIFO cache: {other:?}"),
+        }
     }
 
-    fn t(secs: u64) -> Timestamp {
-        Timestamp::from_secs(secs)
-    }
-
-    /// Capacity-eviction helper mirroring the cache's call sequence.
-    fn evict(p: &mut S3Fifo, now: Timestamp) -> DocId {
-        let v = p.victim().expect("non-empty policy has a victim");
-        p.on_remove(v);
-        p.on_evicted(v, now);
-        v
+    /// Stores a 1 KB document at `ms`, returning what it evicted.
+    fn store(c: &mut Cache, doc: u64, ms: u64) -> Vec<u64> {
+        let out = c.insert(d(doc), kb(1), t(ms));
+        assert!(out.is_stored());
+        out.evictions()
+            .iter()
+            .map(|e| e.entry.doc.as_u64())
+            .collect()
     }
 
     #[test]
     fn one_shot_docs_wash_through_small() {
-        let mut p = S3Fifo::new();
-        p.on_insert(d(1), sz());
-        p.on_hit(d(1));
+        let mut p = cache(PolicyKind::S3Fifo, 2);
+        store(&mut p, 1, 0);
+        p.lookup(d(1), t(1));
         for i in 10..30 {
-            p.on_insert(d(i), sz());
-            let v = evict(&mut p, t(i));
-            assert_ne!(v, d(1), "hit doc evicted by a one-shot scan");
+            let evicted = store(&mut p, i, i);
+            assert!(!evicted.contains(&1), "hit doc evicted by a one-shot scan");
         }
     }
 
     #[test]
     fn small_hit_earns_main_promotion_on_next_eviction() {
-        let mut p = S3Fifo::new();
-        for i in 1..=12 {
-            p.on_insert(d(i), sz());
-        }
-        p.on_hit(d(1));
-        assert!(!p.is_main(d(1)), "promotion is lazy, not immediate");
+        let mut p = cache(PolicyKind::S3Fifo, 12);
+        fill(&mut p, 1..=12);
+        p.lookup(d(1), t(1));
+        assert!(!is_main(&p, d(1)), "promotion is lazy, not immediate");
         // Doc 1 sits at Small's head with a hit; the eviction walk skips
         // it, evicts doc 2, and the settle pass moves doc 1 to Main.
-        let v = evict(&mut p, t(1));
-        assert_eq!(v, d(2));
+        assert_eq!(store(&mut p, 13, 2), vec![2]);
         assert!(
-            p.is_main(d(1)),
+            is_main(&p, d(1)),
             "skipped-over hit doc should now be in Main"
         );
     }
 
     #[test]
     fn ghost_readmission_lands_in_main_and_reports_the_gap() {
-        let mut p = S3Fifo::new();
-        for i in 1..=3 {
-            p.on_insert(d(i), sz());
-        }
-        let v = evict(&mut p, t(10));
-        assert_eq!(v, d(1));
-        assert!(p.is_ghost(d(1)));
+        // A one-sample window: the eq. 5 age is the latest sample.
+        let mut p = CacheConfig::new(CacheId::new(0), kb(3), PolicyKind::S3Fifo)
+            .window(ExpirationWindow::LastEvictions(1))
+            .build();
+        fill(&mut p, 1..=3);
+        assert_eq!(store(&mut p, 4, 10_000), vec![1]);
+        assert!(s3(&p).is_ghost(d(1)));
         // Re-request the evicted doc 40 s later.
-        p.on_insert(d(1), sz());
-        let gap = p.on_admit(d(1), t(50));
-        assert_eq!(gap, Some(DurationMs::from_secs(40)));
-        assert!(p.is_main(d(1)), "ghost re-admission skips Small");
-        assert!(!p.is_ghost(d(1)), "re-admitted doc leaves the ghost queue");
+        store(&mut p, 1, 50_000);
+        assert_eq!(
+            p.expiration_age(),
+            ExpirationAge::finite(DurationMs::from_secs(40))
+        );
+        assert!(is_main(&p, d(1)), "ghost re-admission skips Small");
+        assert!(
+            !s3(&p).is_ghost(d(1)),
+            "re-admitted doc leaves the ghost queue"
+        );
     }
 
     #[test]
     fn fresh_inserts_report_no_gap() {
-        let mut p = S3Fifo::new();
-        p.on_insert(d(7), sz());
-        assert_eq!(p.on_admit(d(7), t(1)), None);
+        let mut p = cache(PolicyKind::S3Fifo, 8);
+        store(&mut p, 7, 1);
+        assert_eq!(p.eviction_count(), 0);
     }
 
     #[test]
     fn ghost_queue_is_bounded() {
-        let mut p = S3Fifo::new();
+        let mut p = cache(PolicyKind::S3Fifo, 2);
         // Keep one live doc; churn hundreds through eviction.
-        p.on_insert(d(1), sz());
-        p.on_hit(d(1));
+        store(&mut p, 1, 0);
+        p.lookup(d(1), t(0));
         for i in 100..400 {
-            p.on_insert(d(i), sz());
-            evict(&mut p, t(i));
+            store(&mut p, i, i);
         }
+        let s3 = s3(&p);
         assert!(
-            p.ghost_len() <= p.len().max(8),
+            s3.ghost_len() <= p.len().max(8),
             "ghost queue grew past its bound: {}",
-            p.ghost_len()
+            s3.ghost_len()
         );
         let oldest_refused = d(100);
         assert!(
-            !p.is_ghost(oldest_refused),
+            !s3.is_ghost(oldest_refused),
             "oldest ghost should have aged out"
         );
     }
 
     #[test]
     fn main_eviction_gives_second_chances() {
-        let mut p = S3Fifo::new();
-        // Build a Main population via ghost re-admission.
+        let mut p = cache(PolicyKind::S3Fifo, 3);
+        // Build a Main population via ghost re-admission: a 3 KB document
+        // evicts all three, and each re-admission pushes out what is left
+        // of Small.
+        fill(&mut p, 1..=3);
+        assert!(p.insert(d(99), kb(3), t(1)).is_stored());
         for i in 1..=3 {
-            p.on_insert(d(i), sz());
+            store(&mut p, i, 2); // all re-admitted into Main
         }
-        for _ in 0..3 {
-            evict(&mut p, t(1));
-        }
-        for i in 1..=3 {
-            p.on_insert(d(i), sz()); // all re-admitted into Main
-            p.on_admit(d(i), t(2));
-        }
-        assert!(p.is_main(d(1)) && p.is_main(d(2)) && p.is_main(d(3)));
-        p.on_hit(d(1)); // head of Main earns a second chance
-        let v = evict(&mut p, t(3));
-        assert_eq!(v, d(2), "hit Main head must be skipped once");
-        assert!(p.is_main(d(1)), "second-chanced doc stays in Main");
+        assert!(is_main(&p, d(1)) && is_main(&p, d(2)) && is_main(&p, d(3)));
+        p.lookup(d(1), t(3)); // head of Main earns a second chance
+        assert_eq!(store(&mut p, 4, 4), vec![2], "hit Main head skipped once");
+        assert!(is_main(&p, d(1)), "second-chanced doc stays in Main");
     }
 
     #[test]
     fn explicit_remove_of_non_victim_is_a_pure_unlink() {
-        let mut p = S3Fifo::new();
-        for i in 1..=12 {
-            p.on_insert(d(i), sz());
-        }
-        p.on_hit(d(1));
-        p.on_remove(d(5)); // not the victim: no promotions happen
-        assert!(!p.is_main(d(1)));
+        let mut p = cache(PolicyKind::S3Fifo, 1024);
+        fill(&mut p, 1..=12);
+        p.lookup(d(1), t(1));
+        p.remove(d(5), t(2)); // not the victim: no promotions happen
+        assert!(!is_main(&p, d(1)));
         assert_eq!(p.len(), 11);
+        p.check_invariants()
+            .expect("the removal left a consistent order");
     }
 
     #[test]
@@ -487,8 +397,7 @@ mod tests {
         // the 96-doc universe against a 48-doc budget forces heavy ghost
         // re-admission traffic.
         let run = |seed: u64| -> Vec<u64> {
-            let mut p = S3Fifo::new();
-            let mut live = std::collections::BTreeSet::new();
+            let mut p = cache(PolicyKind::S3Fifo, 48);
             let mut state = seed;
             let mut log = Vec::new();
             for step in 0..4000u64 {
@@ -496,18 +405,8 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let doc = (state >> 33) % 96;
-                let now = Timestamp::from_millis(step);
-                if live.contains(&doc) {
-                    p.on_hit(d(doc));
-                } else {
-                    p.on_insert(d(doc), sz());
-                    p.on_admit(d(doc), now);
-                    live.insert(doc);
-                }
-                while live.len() > 48 {
-                    let v = evict(&mut p, now);
-                    live.remove(&v.as_u64());
-                    log.push(v.as_u64());
+                if p.lookup(d(doc), t(step)).is_none() {
+                    log.extend(store(&mut p, doc, step));
                 }
             }
             assert!(!log.is_empty());
@@ -519,47 +418,25 @@ mod tests {
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut p = S3Fifo::new();
-        for i in 0..64 {
-            p.on_insert(d(i), sz());
-        }
-        let baseline_fill = p.growth_events();
-        let mut baseline = None;
-        for i in 64..8192u64 {
-            let v = p.victim().unwrap();
-            p.on_remove(v);
-            p.on_evicted(v, Timestamp::from_millis(i));
-            p.on_insert(d(i), sz());
-            p.on_admit(d(i), Timestamp::from_millis(i));
-            if i % 3 == 0 {
-                p.on_hit(d(i));
-            }
-            // The ghost plane fills for a while after the live plane; take
-            // the baseline once both are warm.
-            if i == 4096 {
-                baseline = Some(p.growth_events());
-            }
-        }
-        let baseline = baseline.unwrap();
-        assert!(baseline >= baseline_fill);
-        assert_eq!(
-            p.growth_events(),
-            baseline,
-            "warm churn must not reallocate"
-        );
+        // The ghost plane fills for a while after the live plane; take the
+        // baseline once both are warm.
+        let (baseline, end) = churn_growth(PolicyKind::S3Fifo, 4032, 8128);
+        assert_eq!(end, baseline, "warm churn must not reallocate");
     }
 
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
-        let mut p = S3Fifo::new();
-        p.on_insert(d(1), sz());
-        p.on_insert(d(1), sz());
+        let (mut nodes, slot) = lone_slot();
+        let mut p = S3Fifo::default();
+        p.on_insert(&mut nodes, slot, t(0));
+        p.on_insert(&mut nodes, slot, t(0));
     }
 
     #[test]
     #[should_panic(expected = "untracked")]
     fn hit_on_missing_panics() {
-        S3Fifo::new().on_hit(d(1));
+        let (mut nodes, slot) = lone_slot();
+        S3Fifo::default().on_hit(&mut nodes, slot);
     }
 }

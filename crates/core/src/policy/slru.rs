@@ -1,26 +1,11 @@
 //! Segmented LRU replacement.
 
-use super::{PolicyKind, ReplacementPolicy};
-use crate::index::{DocTable, Linked, Links, List, Slab, NIL};
-use coopcache_types::{ByteSize, DocId};
+use super::VictimOrder;
+use crate::index::{Links, List, Node, Slab};
+use coopcache_types::{DurationMs, Timestamp};
 
-const TABLE_SEED: u64 = 0x534c_5255_0000_0001; // "SLRU"
-
-#[derive(Debug, Clone)]
-struct Node {
-    doc: DocId,
-    protected: bool,
-    links: Links,
-}
-
-impl Linked for Node {
-    fn links(&self) -> &Links {
-        &self.links
-    }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
-    }
-}
+/// Policy-word flag: the slot sits in the protected segment.
+const PROTECTED: u32 = Links::FLAG_HI;
 
 /// Segmented LRU: a *probationary* segment for first-time documents and
 /// a *protected* segment for documents hit at least twice. One-shot
@@ -31,232 +16,154 @@ impl Linked for Node {
 /// (rounded up); overflowing demotes its LRU entry back to the MRU end
 /// of probation. Victims come from probation first.
 ///
-/// Both segments are intrusive lists over one flat arena, so promotion
-/// and demotion are O(1) relinks with zero steady-state allocation.
+/// Both segments are lists through the cache's own arena slots, with the
+/// segment in a flag bit of the slot's policy word, so promotion and
+/// demotion are O(1) relinks with zero steady-state allocation.
 ///
 /// # Example
 ///
 /// ```
-/// use coopcache_core::{ReplacementPolicy, Slru};
-/// use coopcache_types::{ByteSize, DocId};
+/// use coopcache_core::{Cache, PolicyKind};
+/// use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 ///
-/// let mut slru = Slru::new();
-/// slru.on_insert(DocId::new(1), ByteSize::from_kb(1));
-/// slru.on_insert(DocId::new(2), ByteSize::from_kb(1));
-/// slru.on_hit(DocId::new(1)); // promoted to protected
-/// assert_eq!(slru.victim(), Some(DocId::new(2)));
+/// let mut slru = Cache::new(CacheId::new(0), ByteSize::from_kb(2), PolicyKind::Slru);
+/// let kb = ByteSize::from_kb(1);
+/// slru.insert(DocId::new(1), kb, Timestamp::from_secs(1));
+/// slru.insert(DocId::new(2), kb, Timestamp::from_secs(2));
+/// slru.lookup(DocId::new(1), Timestamp::from_secs(3)); // promoted to protected
+/// let out = slru.insert(DocId::new(3), kb, Timestamp::from_secs(4));
+/// assert_eq!(out.evictions()[0].entry.doc, DocId::new(2));
 /// ```
-#[derive(Debug)]
-pub struct Slru {
-    nodes: Slab<Node>,
-    table: DocTable,
+#[derive(Debug, Default)]
+pub(crate) struct Slru {
     probation: List,
     protected: List,
 }
 
-impl Default for Slru {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Slru {
-    /// Creates an empty segmented-LRU ordering.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            nodes: Slab::new(),
-            table: DocTable::new(TABLE_SEED),
-            probation: List::new(),
-            protected: List::new(),
-        }
-    }
-
-    /// True when the document currently sits in the protected segment.
-    #[must_use]
-    pub fn is_protected(&self, doc: DocId) -> bool {
-        self.table
-            .get(doc)
-            .is_some_and(|idx| self.nodes.get(idx).protected)
-    }
-
-    fn protected_limit(&self) -> usize {
-        self.len().div_ceil(2)
-    }
-
-    fn rebalance(&mut self) {
-        while self.protected.len() > self.protected_limit() {
+    fn rebalance(&mut self, nodes: &mut Slab<Node>) {
+        while self.protected.len() > self.len().div_ceil(2) {
             let head = self.protected.head();
-            debug_assert_ne!(head, NIL);
-            self.protected.unlink(&mut self.nodes, head);
-            self.nodes.get_mut(head).protected = false;
-            self.probation.push_tail(&mut self.nodes, head); // demote to MRU of probation
+            self.protected.unlink(nodes, head);
+            nodes.get_mut(head).links.set_flag(PROTECTED, false);
+            self.probation.push_tail(nodes, head); // demote to MRU of probation
         }
     }
 }
 
-impl ReplacementPolicy for Slru {
-    fn on_insert(&mut self, doc: DocId, _size: ByteSize) {
-        assert!(
-            self.table.get(doc).is_none(),
-            "{doc} inserted twice into SLRU"
-        );
-        let idx = self.nodes.alloc(Node {
-            doc,
-            protected: false,
-            links: Links::default(),
-        });
-        self.table.insert(doc, idx);
-        self.probation.push_tail(&mut self.nodes, idx);
+impl VictimOrder for Slru {
+    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+        self.probation.push_tail(nodes, slot);
+        None
     }
 
-    fn on_hit(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .get(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: a hit on an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("hit on untracked {doc}"));
-        if self.nodes.get(idx).protected {
-            self.protected.move_to_tail(&mut self.nodes, idx);
+    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        if nodes.get(slot).links.flag(PROTECTED) {
+            self.protected.move_to_tail(nodes, slot);
         } else {
-            self.probation.unlink(&mut self.nodes, idx);
-            self.nodes.get_mut(idx).protected = true;
-            self.protected.push_tail(&mut self.nodes, idx);
+            self.probation.unlink(nodes, slot);
+            nodes.get_mut(slot).links.set_flag(PROTECTED, true);
+            self.protected.push_tail(nodes, slot);
         }
-        self.rebalance();
+        self.rebalance(nodes);
     }
 
-    fn on_remove(&mut self, doc: DocId) {
-        let idx = self
-            .table
-            .remove(doc)
-            // lint:allow(panic) -- ReplacementPolicy contract: removing an
-            // untracked doc is a caller bug (see trait docs).
-            .unwrap_or_else(|| panic!("remove of untracked {doc}"));
-        if self.nodes.get(idx).protected {
-            self.protected.unlink(&mut self.nodes, idx);
+    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+        if nodes.get(slot).links.flag(PROTECTED) {
+            self.protected.unlink(nodes, slot);
         } else {
-            self.probation.unlink(&mut self.nodes, idx);
+            self.probation.unlink(nodes, slot);
         }
-        self.nodes.free(idx);
     }
 
-    fn victim(&self) -> Option<DocId> {
-        let head = if self.probation.is_empty() {
-            self.protected.head()
-        } else {
-            self.probation.head()
-        };
-        (head != NIL).then(|| self.nodes.get(head).doc)
+    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+        self.probation.front().or(self.protected.front())
     }
 
     fn len(&self) -> usize {
         self.probation.len() + self.protected.len()
-    }
-
-    fn growth_events(&self) -> u64 {
-        self.nodes.growth_events() + self.table.growth_events()
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Slru
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::testing::{cache, churn_growth, d, fill, lone_slot, t};
+    use crate::{Cache, PolicyKind};
+    use coopcache_types::DocId;
 
-    fn d(i: u64) -> DocId {
-        DocId::new(i)
-    }
-
-    fn sz() -> ByteSize {
-        ByteSize::from_kb(1)
+    fn is_protected(c: &Cache, doc: DocId) -> bool {
+        c.links(doc).is_some_and(|l| l.flag(PROTECTED))
     }
 
     #[test]
     fn scan_does_not_displace_protected_docs() {
-        let mut s = Slru::new();
-        s.on_insert(d(1), sz());
-        s.on_hit(d(1)); // protected
-        assert!(s.is_protected(d(1)));
+        let mut s = cache(PolicyKind::Slru, 1024);
+        fill(&mut s, [1]);
+        s.lookup(d(1), t(1)); // protected
+        assert!(is_protected(&s, d(1)));
         // A scan of one-shot docs flows through probation.
         for i in 10..20 {
-            s.on_insert(d(i), sz());
+            fill(&mut s, [i]);
             let v = s.victim().unwrap();
             assert_ne!(v, d(1), "scan evicted the protected doc");
-            s.on_remove(v);
+            s.remove(v, t(i));
         }
-        assert!(s.is_protected(d(1)));
+        assert!(is_protected(&s, d(1)));
     }
 
     #[test]
     fn victims_come_from_probation_first() {
-        let mut s = Slru::new();
-        s.on_insert(d(1), sz());
-        s.on_insert(d(2), sz());
-        s.on_hit(d(2));
+        let mut s = cache(PolicyKind::Slru, 1024);
+        fill(&mut s, 1..=2);
+        s.lookup(d(2), t(1));
         assert_eq!(s.victim(), Some(d(1)));
-        s.on_remove(d(1));
+        s.remove(d(1), t(2));
         // Only protected docs remain; victim falls back to protected LRU.
         assert_eq!(s.victim(), Some(d(2)));
     }
 
     #[test]
     fn protected_overflow_demotes_to_probation() {
-        let mut s = Slru::new();
-        for i in 1..=4 {
-            s.on_insert(d(i), sz());
-        }
+        let mut s = cache(PolicyKind::Slru, 1024);
+        fill(&mut s, 1..=4);
         // Protect three of four docs; the limit is ceil(4/2) = 2, so the
         // oldest protected doc gets demoted.
-        s.on_hit(d(1));
-        s.on_hit(d(2));
-        s.on_hit(d(3));
-        let protected = (1..=4).filter(|&i| s.is_protected(d(i))).count();
+        s.lookup(d(1), t(1));
+        s.lookup(d(2), t(2));
+        s.lookup(d(3), t(3));
+        let protected = (1..=4).filter(|&i| is_protected(&s, d(i))).count();
         assert_eq!(protected, 2);
-        assert!(!s.is_protected(d(1)), "oldest promotion demoted first");
-        assert!(s.is_protected(d(2)) && s.is_protected(d(3)));
+        assert!(!is_protected(&s, d(1)), "oldest promotion demoted first");
+        assert!(is_protected(&s, d(2)) && is_protected(&s, d(3)));
         assert_eq!(s.len(), 4);
+        s.check_invariants()
+            .expect("demotion keeps every slot ordered");
     }
 
     #[test]
     fn repeated_hits_keep_doc_protected_and_fresh() {
-        let mut s = Slru::new();
-        s.on_insert(d(1), sz());
-        s.on_insert(d(2), sz());
-        s.on_hit(d(1));
-        s.on_hit(d(2));
-        s.on_hit(d(1)); // doc 1 now fresher than doc 2
-        s.on_remove(d(2));
-        assert!(s.is_protected(d(1)));
+        let mut s = cache(PolicyKind::Slru, 1024);
+        fill(&mut s, 1..=2);
+        s.lookup(d(1), t(1));
+        s.lookup(d(2), t(2));
+        s.lookup(d(1), t(3)); // doc 1 now fresher than doc 2
+        s.remove(d(2), t(4));
+        assert!(is_protected(&s, d(1)));
     }
 
     #[test]
     fn steady_state_churn_is_allocation_free() {
-        let mut s = Slru::new();
-        for i in 0..64 {
-            s.on_insert(d(i), sz());
-        }
-        let baseline = s.growth_events();
-        for i in 64..4096 {
-            let v = s.victim().unwrap();
-            s.on_remove(v);
-            s.on_insert(d(i), sz());
-            if i % 3 == 0 {
-                s.on_hit(d(i));
-            }
-        }
-        assert_eq!(s.growth_events(), baseline);
+        let (baseline, end) = churn_growth(PolicyKind::Slru, 0, 4096);
+        assert_eq!(end, baseline);
     }
 
     #[test]
     #[should_panic(expected = "inserted twice")]
     fn double_insert_panics() {
-        let mut s = Slru::new();
-        s.on_insert(d(1), sz());
-        s.on_insert(d(1), sz());
+        let (mut nodes, slot) = lone_slot();
+        let mut s = Slru::default();
+        s.on_insert(&mut nodes, slot, t(0));
+        s.on_insert(&mut nodes, slot, t(0));
     }
 }

@@ -7,7 +7,7 @@ use crate::origin::OriginServer;
 use coopcache_core::PlacementScheme;
 use coopcache_obs::{AlertRule, SinkHandle};
 use coopcache_proxy::RequestOutcome;
-use coopcache_types::{ByteSize, CacheId, DocId};
+use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 use std::io;
 use std::time::Duration;
 
@@ -208,6 +208,9 @@ impl ClusterConfig {
 pub struct LoopbackCluster {
     daemons: Vec<CacheDaemon>,
     origin: OriginServer,
+    /// The daemons' shared clock; [`LoopbackCluster::request_at`] sets its
+    /// cache time.
+    clock: SharedClock,
 }
 
 impl LoopbackCluster {
@@ -264,7 +267,7 @@ impl LoopbackCluster {
         let n = config.caches;
         assert!(n > 0, "a cluster needs at least one cache");
         let origin = OriginServer::start(config.origin_delay)?;
-        let clock = SharedClock::start();
+        let clock = SharedClock::start_with_manual_time();
 
         // Two-phase start: bind every socket first so the full peer table
         // exists before any daemon begins serving.
@@ -308,7 +311,11 @@ impl LoopbackCluster {
                 config.faults.compile(id),
             )?);
         }
-        Ok(Self { daemons, origin })
+        Ok(Self {
+            daemons,
+            origin,
+            clock,
+        })
     }
 
     /// Installs a shared event sink into every daemon: each emits
@@ -343,6 +350,31 @@ impl LoopbackCluster {
     /// Panics if `idx` is out of range.
     pub fn request(&self, idx: usize, doc: DocId, size: ByteSize) -> io::Result<RequestOutcome> {
         self.daemons[idx].request(doc, size)
+    }
+
+    /// Like [`request`](Self::request), with every daemon's cache time
+    /// set to `t` first: a serial caller replaying a trace this way
+    /// stamps entries, hits and evictions with the trace's timestamps,
+    /// exactly as the in-process groups do, while deadlines and latency
+    /// stay on the wall clock. From the first call on, the cluster's
+    /// cache time is whatever was set last.
+    ///
+    /// # Errors
+    ///
+    /// Propagates network failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn request_at(
+        &self,
+        idx: usize,
+        doc: DocId,
+        size: ByteSize,
+        t: Timestamp,
+    ) -> io::Result<RequestOutcome> {
+        self.clock.set_cache_time(t);
+        self.request(idx, doc, size)
     }
 
     /// The daemon at `idx`, for inspection.

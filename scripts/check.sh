@@ -85,6 +85,16 @@ echo "== coopbench des-health (benchmark builds against this tree; its checks ga
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --workload des-health --seconds 1
 
+echo "== coopbench store-churn / store-read (hit counts per block, invariants, used <= capacity)"
+for workload in store-churn store-read; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seconds 1
+done
+
+echo "== results/ (full-scale regeneration must match the committed tables)"
+scripts/regen_results.sh
+git diff --exit-code results/
+
 echo "== bench drift (advisory; compares the last two snapshots)"
 if [[ -s BENCH_8.json && -s BENCH_9.json ]]; then
   scripts/bench_diff.sh BENCH_8.json BENCH_9.json || true

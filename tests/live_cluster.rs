@@ -37,33 +37,25 @@ fn adhoc_cluster_replicates_and_ea_cluster_does_not() {
 #[test]
 fn cluster_agrees_with_synchronous_group_on_small_workload() {
     // Drive the identical request sequence through the socket cluster and
-    // the in-process group; the placement decisions must coincide
-    // (single-threaded client → no races).
+    // the in-process group, both stamping cache time with the trace's
+    // timestamps (single-threaded client → no races): every placement
+    // decision, and so every outcome, must coincide.
     let trace = generate(&TraceProfile::small().with_requests(300)).unwrap();
     let scheme = PlacementScheme::Ea;
     let cluster = LoopbackCluster::start(2, kb(32), scheme).unwrap();
     let mut group = DistributedGroup::new(2, kb(64), PolicyKind::Lru, scheme);
     let part = Partitioner::default();
 
-    let mut agreements = 0;
     for (seq, r) in trace.iter().enumerate() {
         let requester = part.assign(r, seq, 2);
         // Keep sizes small so socket transfers stay fast.
         let size = ByteSize::from_bytes(r.size.as_bytes().clamp(100, 8_000));
-        let wire = cluster.request(requester.index(), r.doc, size).unwrap();
+        let wire = cluster
+            .request_at(requester.index(), r.doc, size, r.time)
+            .unwrap();
         let sim = group.handle_request(requester, r.doc, size, r.time);
-        // Timestamps differ (wall clock vs trace time), so expiration
-        // ages — and with them borderline decisions — can diverge; the
-        // hit/miss CLASS must still coincide almost always.
-        if std::mem::discriminant(&wire) == std::mem::discriminant(&sim) {
-            agreements += 1;
-        }
+        assert_eq!(wire, sim, "request {seq}: {} at {requester}", r.doc);
     }
-    assert!(
-        agreements >= 290,
-        "wire and sim diverged on {} of 300 outcomes",
-        300 - agreements
-    );
     cluster.shutdown();
 }
 
