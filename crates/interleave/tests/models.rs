@@ -1312,3 +1312,255 @@ fn pool_unlocked_checkout_double_handout_is_caught() {
         "the unlocked double handout must be caught: {out:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// ICP socket stash: take / return around a round (crates/net/src/daemon.rs
+// start_icp_round / finish_icp_round)
+// ---------------------------------------------------------------------------
+
+const V_ICP_MUTEX: VarId = 60;
+const V_ICP_IDLE: VarId = 61;
+const V_ICP_OUT: VarId = 62;
+const V_ICP_WIRE: VarId = 63;
+
+/// The stash of one daemon shared by two requesters, plus ghost state:
+/// which round holds which socket, and how many replies each socket is
+/// still owed. A requester's one peer answers at some point of the
+/// schedule — before the round's deadline step, or after it (a late
+/// reply). Like `pool_idle`, the stash lock is a leaf: binds and socket
+/// drops happen outside it.
+#[derive(Clone)]
+struct StashModel {
+    m: MockMutex,
+    /// Parked socket ids.
+    idle: Vec<u64>,
+    /// (thread, socket) pairs of the rounds in progress.
+    held: Vec<(usize, u64)>,
+    /// Per-thread: the stash was empty, bind a fresh socket.
+    miss: [bool; 2],
+    /// Per-thread: the socket the round's query went out on.
+    queried: [Option<u64>; 2],
+    /// Ghost: per socket id, replies owed but not yet read by a round.
+    owed: Vec<(u64, u32)>,
+    /// Ghost: per socket id, replies delivered and not yet read.
+    queued: Vec<(u64, u32)>,
+    /// Per-thread: the round read its reply before the deadline.
+    answered: [bool; 2],
+}
+
+fn bump(counts: &mut Vec<(u64, u32)>, socket: u64, by: i32) {
+    match counts.iter_mut().find(|(s, _)| *s == socket) {
+        Some((_, n)) => *n = n.saturating_add_signed(by),
+        None => counts.push((socket, u32::try_from(by.max(0)).unwrap_or(0))),
+    }
+}
+
+fn count(counts: &[(u64, u32)], socket: u64) -> u32 {
+    counts
+        .iter()
+        .find(|(s, _)| *s == socket)
+        .map_or(0, |&(_, n)| n)
+}
+
+impl StashModel {
+    /// One socket already parked: both requesters race to reuse it.
+    fn new() -> Self {
+        Self {
+            m: MockMutex::new(V_ICP_MUTEX),
+            idle: vec![7],
+            held: Vec::new(),
+            miss: [false; 2],
+            queried: [None; 2],
+            owed: Vec::new(),
+            queued: Vec::new(),
+            answered: [false; 2],
+        }
+    }
+
+    fn socket_of(&self, tid: usize) -> u64 {
+        self.held
+            .iter()
+            .find(|&&(t, _)| t == tid)
+            .map(|&(_, s)| s)
+            .expect("the round holds a socket")
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.m.poisoned() {
+            return Err("stash mutex protocol violated".to_string());
+        }
+        let mut ids: Vec<u64> = self
+            .idle
+            .iter()
+            .copied()
+            .chain(self.held.iter().map(|&(_, s)| s))
+            .collect();
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.len() != n {
+            return Err("one socket handed to two rounds at once".to_string());
+        }
+        for &s in &self.idle {
+            if count(&self.owed, s) > 0 {
+                return Err(format!("socket {s} parked with a reply in flight"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A requester's round: take a socket under the stash lock (bind outside
+/// it on a miss), query, read the reply if it came before the deadline,
+/// then return the socket under the lock — parked only when no reply is
+/// still owed on it, dropped otherwise. `park_after_timeout` seeds the
+/// bug: return every socket to the stash.
+fn stash_requester(tid: usize, park_after_timeout: bool) -> MockThread<StashModel> {
+    let name = if tid == 0 { "round-a" } else { "round-b" };
+    MockThread::new(name)
+        .guarded(
+            "lock-take",
+            &[V_ICP_MUTEX],
+            &[V_ICP_MUTEX],
+            |s: &StashModel| s.m.is_free(),
+            move |s: &mut StashModel| s.m.acquire(tid),
+        )
+        .step_rw(
+            "take-pop",
+            &[V_ICP_IDLE],
+            &[V_ICP_IDLE, V_ICP_OUT],
+            move |s: &mut StashModel| match s.idle.pop() {
+                Some(socket) => s.held.push((tid, socket)),
+                None => s.miss[tid] = true,
+            },
+        )
+        .step_rw(
+            "unlock-take",
+            &[],
+            &[V_ICP_MUTEX],
+            move |s: &mut StashModel| s.m.release(tid),
+        )
+        .step_rw(
+            "bind-outside-lock",
+            &[],
+            &[V_ICP_OUT],
+            move |s: &mut StashModel| {
+                if s.miss[tid] {
+                    // Fresh sockets are unique by construction.
+                    s.held.push((tid, 100 + tid as u64));
+                }
+            },
+        )
+        .step_rw(
+            "send-query",
+            &[V_ICP_OUT],
+            &[V_ICP_WIRE],
+            move |s: &mut StashModel| {
+                let socket = s.socket_of(tid);
+                bump(&mut s.owed, socket, 1);
+                s.queried[tid] = Some(socket);
+            },
+        )
+        .step_rw(
+            "recv-until-deadline",
+            &[V_ICP_OUT, V_ICP_WIRE],
+            &[V_ICP_WIRE],
+            move |s: &mut StashModel| {
+                let socket = s.socket_of(tid);
+                if count(&s.queued, socket) > 0 {
+                    bump(&mut s.queued, socket, -1);
+                    bump(&mut s.owed, socket, -1);
+                    s.answered[tid] = true;
+                }
+            },
+        )
+        .guarded(
+            "lock-return",
+            &[V_ICP_MUTEX],
+            &[V_ICP_MUTEX],
+            |s: &StashModel| s.m.is_free(),
+            move |s: &mut StashModel| s.m.acquire(tid),
+        )
+        .step_rw(
+            "return-socket",
+            &[V_ICP_OUT, V_ICP_WIRE],
+            &[V_ICP_IDLE, V_ICP_OUT],
+            move |s: &mut StashModel| {
+                let at = s
+                    .held
+                    .iter()
+                    .position(|&(t, _)| t == tid)
+                    .expect("the round returns its own socket");
+                let (_, socket) = s.held.remove(at);
+                // Otherwise the socket closes here.
+                if s.answered[tid] || park_after_timeout {
+                    s.idle.push(socket);
+                }
+            },
+        )
+        .step_rw(
+            "unlock-return",
+            &[],
+            &[V_ICP_MUTEX],
+            move |s: &mut StashModel| s.m.release(tid),
+        )
+}
+
+/// The peer answering requester `tid`'s query, at any point after it.
+fn stash_replier(tid: usize) -> MockThread<StashModel> {
+    let name = if tid == 0 { "peer-of-a" } else { "peer-of-b" };
+    MockThread::new(name).guarded(
+        "reply",
+        &[V_ICP_WIRE],
+        &[V_ICP_WIRE],
+        move |s: &StashModel| s.queried[tid].is_some(),
+        move |s: &mut StashModel| {
+            let socket = s.queried[tid].expect("guarded on the query");
+            bump(&mut s.queued, socket, 1);
+        },
+    )
+}
+
+fn explore_stash(park_after_timeout: bool) -> Outcome {
+    explore(
+        &StashModel::new(),
+        &[
+            stash_requester(0, park_after_timeout),
+            stash_requester(1, park_after_timeout),
+            stash_replier(0),
+            stash_replier(1),
+        ],
+        StashModel::check,
+        &[V_ICP_MUTEX, V_ICP_IDLE, V_ICP_OUT, V_ICP_WIRE],
+        Config::default(),
+    )
+}
+
+/// Two requesters share the stash, each peer answers early or late: no
+/// socket serves two rounds at once, none is parked with a reply still
+/// owed, in every interleaving.
+#[test]
+fn icp_stash_never_parks_a_socket_with_a_reply_in_flight() {
+    let out = explore_stash(false);
+    assert!(
+        out.passed(),
+        "the parking rule must hold everywhere: {out:?}"
+    );
+}
+
+/// Seeded violation: park the socket of a round that timed out. Some
+/// schedule parks it with its late reply still owed — the checker must
+/// catch it.
+#[test]
+fn icp_stash_parking_after_a_timeout_is_caught() {
+    let out = explore_stash(true);
+    match out {
+        Outcome::InvariantViolation { message, .. } => {
+            assert!(
+                message.contains("parked with a reply in flight"),
+                "{message}"
+            );
+        }
+        other => unreachable!("parking after a timeout must be caught, got {other:?}"),
+    }
+}

@@ -686,6 +686,40 @@ mod tests {
     }
 
     #[test]
+    fn pooled_connections_are_checked_in_with_nothing_unread() {
+        let cluster = LoopbackCluster::start(2, kb(64), PlacementScheme::Ea).unwrap();
+        // Bodies below, just past and well past one response buffer.
+        for (doc, size) in [(d(1), kb(1)), (d(2), kb(8)), (d(3), kb(40))] {
+            cluster.request(0, doc, size).unwrap(); // origin fetch by cache 0
+            let out = cluster.request(1, doc, size).unwrap(); // peer fetch by cache 1
+            assert!(out.is_remote_hit(), "{out:?}");
+            for (idx, addr) in [(0, cluster.origin.addr()), (1, cluster.doc_addrs()[0])] {
+                let pool = cluster.daemon(idx).pool();
+                let parked = pool.checkout(addr, &cluster.clock).unwrap();
+                assert!(
+                    parked.reused,
+                    "daemon {idx} parked its connection to {addr}"
+                );
+                assert!(
+                    parked.conn.buffer().is_empty(),
+                    "buffered bytes left unread"
+                );
+                let stream = parked.conn.get_ref();
+                stream.set_nonblocking(true).unwrap();
+                let err = stream.peek(&mut [0u8; 1]).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock,
+                    "socket bytes left unread"
+                );
+                stream.set_nonblocking(false).unwrap();
+                pool.checkin(addr, parked.conn, &cluster.clock);
+            }
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
     fn full_group_eviction_pressure_over_wire() {
         // Tiny caches: force evictions and check ages turn finite.
         let cluster = LoopbackCluster::start(2, kb(8), PlacementScheme::Ea).unwrap();

@@ -14,10 +14,12 @@
 //! by the time the HTTP fetch arrives. The daemon absorbs every peer
 //! failure instead of surfacing it to the client:
 //!
-//! * **Multi-candidate failover** — the ICP wait collects *all* positive
-//!   repliers (deduplicated by cache id, ordered by arrival); the fetch
-//!   tries them in order with one bounded retry each and falls back to
-//!   the origin when the list is exhausted.
+//! * **Multi-candidate failover** — candidates are pulled lazily from
+//!   the ICP round, in reply arrival order (deduplicated by cache id):
+//!   the fetch starts as soon as the first positive reply arrives, the
+//!   next candidate is read only when that fetch fails (one bounded
+//!   retry each), and the origin serves once the round has no more.
+//!   The rest of the round is collected after the request is served.
 //! * **Peer health tracking** — consecutive failures (including ICP
 //!   silence) quarantine a peer with exponential backoff, so a dead
 //!   sibling stops costing an ICP timeout on every group miss.
@@ -45,13 +47,16 @@
 //! The client side pools its outbound peer/origin connections
 //! (`pool.rs`) and sheds cacheable-store work under memory pressure
 //! (`memory.rs`); both surface in the stats plane as the
-//! `connections-reused` and `admission-shed` counters.
+//! `connections-reused` and `admission-shed` counters. It also keeps a
+//! stash of ICP sockets: a round takes one and returns it only when
+//! every queried peer has answered, so no late reply can reach a later
+//! round.
 
 use crate::clock::SharedClock;
 use crate::fault::{DocFault, FaultState, IcpFault};
 use crate::memory::AdmissionGate;
 use crate::origin::{drain_body, fetch_on_origin_conn, write_body};
-use crate::pool::ConnectionPool;
+use crate::pool::{Conn, ConnectionPool};
 use crate::wire::{peek_frame_kind, read_frame, write_frame, PeekedFrame, WireMessage};
 use coopcache_core::{CacheConfig, ExpirationWindow, PlacementScheme, PolicyKind};
 use coopcache_obs::{
@@ -347,6 +352,30 @@ impl PeerFetchError {
     }
 }
 
+/// One ICP round in flight. The queries go out when it starts; replies
+/// are read lazily — [`CacheDaemon::next_candidate`] reads up to the next
+/// positive one, [`CacheDaemon::finish_icp_round`] reads the rest.
+#[derive(Debug)]
+struct IcpRound {
+    doc: DocId,
+    /// The round's socket; `None` when no peer was queried.
+    socket: Option<UdpSocket>,
+    /// The peers the query reached, each with whether it has answered.
+    queried: Vec<(PeerAddr, bool)>,
+    deadline_us: u64,
+    /// The round's span until the round is decided: at its first
+    /// positive reply, or once it turns out a group miss.
+    span: Option<Span>,
+}
+
+impl IcpRound {
+    /// True once every queried peer has answered: nothing more can
+    /// arrive on the socket.
+    fn complete(&self) -> bool {
+        self.queried.iter().all(|&(_, answered)| answered)
+    }
+}
+
 /// Registry of live server-side document connections, shared between
 /// the accept loop (inserts), each connection thread (removes itself)
 /// and `halt` (shuts every stream down to unblock parked reads, then
@@ -485,6 +514,8 @@ pub struct CacheDaemon {
     alerts: Arc<Mutex<AlertEngine>>,
     /// Pooled outbound peer/origin connections.
     pool: ConnectionPool,
+    /// ICP sockets of finished rounds, each with no reply still owed.
+    icp_sockets: Mutex<Vec<UdpSocket>>,
     /// Memory-pressure gate over cacheable-store work.
     admission: AdmissionGate,
     /// Live inbound connections, shared with the accept loop.
@@ -617,7 +648,11 @@ impl CacheDaemon {
             );
         }
 
-        let pool = ConnectionPool::new(config.pool_max_idle, config.pool_idle_timeout);
+        let pool = ConnectionPool::new(
+            config.pool_max_idle,
+            config.pool_idle_timeout,
+            config.io_timeout,
+        );
         let admission = AdmissionGate::new(config.memory_probe, config.min_available_pct);
         Ok(Self {
             config,
@@ -638,6 +673,7 @@ impl CacheDaemon {
             series,
             alerts,
             pool,
+            icp_sockets: Mutex::new(Vec::new()),
             admission,
             conns,
             icp_iters,
@@ -793,6 +829,22 @@ impl CacheDaemon {
         self.pool.idle_count(addr)
     }
 
+    /// The outbound connection pool (tests inspect parked connections).
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &ConnectionPool {
+        &self.pool
+    }
+
+    /// Number of ICP sockets parked for reuse by later rounds. Not part
+    /// of the documented API: it exists for the chaos test asserting that
+    /// a round which timed out did not park its socket, and is public only
+    /// because that test lives outside the crate.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn parked_icp_sockets(&self) -> usize {
+        lock(&self.icp_sockets).len()
+    }
+
     /// Serves one client request end-to-end over the real network,
     /// recording its wall-clock latency (and emitting a `Request` event
     /// when a sink is installed).
@@ -865,13 +917,30 @@ impl CacheDaemon {
             return Ok(RequestOutcome::LocalHit);
         }
 
-        // 2. ICP fan-out over UDP: collect every positive replier within
-        // the deadline, in arrival order.
-        let candidates = self.icp_candidates(doc, trace, root)?;
+        // 2. ICP fan-out over UDP; the replies are read as they are
+        // needed, in arrival order.
+        let mut round = self.start_icp_round(doc, trace, root)?;
+        let outcome = self.serve_group_miss(&mut round, doc, size, trace, root);
+        // 4. The replies the fetch did not wait for: by now they are
+        // normally queued already.
+        self.finish_icp_round(round);
+        outcome
+    }
 
-        // 3a. Remote fetch with piggybacked expiration ages, failing
-        // over through the candidate list.
-        for (i, peer) in candidates.iter().enumerate() {
+    /// Steps 3a and 3b of [`CacheDaemon::serve`]: fetch from the
+    /// round's positive repliers, else from the origin.
+    fn serve_group_miss(
+        &self,
+        round: &mut IcpRound,
+        doc: DocId,
+        size: ByteSize,
+        trace: u64,
+        root: u64,
+    ) -> io::Result<RequestOutcome> {
+        // 3a. Remote fetch with piggybacked expiration ages, from the
+        // first positive replier, failing over to the next one to reply.
+        let mut next = self.next_candidate(round)?;
+        while let Some(peer) = next {
             let span_id = self.next_span();
             let start_us = self.clock.now_micros();
             let ctx = TraceCtx {
@@ -890,7 +959,7 @@ impl CacheDaemon {
                 end_us: 0,
                 status,
             };
-            match self.fetch_with_retry(*peer, doc, ctx) {
+            match self.fetch_with_retry(peer, doc, ctx) {
                 Ok(Some(outcome)) => {
                     let stored = matches!(
                         outcome,
@@ -908,6 +977,7 @@ impl CacheDaemon {
                 Ok(None) => {
                     self.close_span(fetch_span("not-found"));
                     self.note_peer_ok(peer.id);
+                    next = self.next_candidate(round)?;
                 }
                 Err(fault) => {
                     self.close_span(fetch_span(error_label(&fault.error)));
@@ -919,11 +989,12 @@ impl CacheDaemon {
                         error: error_label(&fault.error),
                     });
                     self.note_peer_failure(peer.id);
+                    next = self.next_candidate(round)?;
                     self.emit(&Event::Failover {
                         cache: self.config.id,
                         doc,
                         from: peer.id,
-                        to: candidates.get(i + 1).map(|p| p.id),
+                        to: next.map(|p| p.id),
                     });
                 }
             }
@@ -976,12 +1047,10 @@ impl CacheDaemon {
     /// turns out to have died while parked (the origin restarting or
     /// reaping idle sockets is not an error worth surfacing).
     fn fetch_origin_pooled(&self, doc: u64, size: u64) -> io::Result<u64> {
-        let checkout = self
-            .pool
-            .checkout(self.origin, self.config.io_timeout, &self.clock)?;
+        let checkout = self.pool.checkout(self.origin, &self.clock)?;
         let reused = checkout.reused;
-        let mut stream = checkout.stream;
-        match fetch_on_origin_conn(&mut stream, doc, size, self.config.io_timeout) {
+        let mut conn = checkout.conn;
+        match fetch_on_origin_conn(&mut conn, doc, size) {
             Ok(n) => {
                 if reused {
                     self.emit(&Event::ConnReused {
@@ -989,51 +1058,54 @@ impl CacheDaemon {
                         peer: None,
                     });
                 }
-                self.pool.checkin(self.origin, stream, &self.clock);
+                self.pool.checkin(self.origin, conn, &self.clock);
                 Ok(n)
             }
             Err(_) if reused => {
                 // Stale pooled connection: everything else parked for
                 // this host is at least as old, so drop the lot and
                 // retry once on a fresh connect.
-                drop(stream);
+                drop(conn);
                 self.pool.discard(self.origin);
-                let fresh = self
-                    .pool
-                    .checkout(self.origin, self.config.io_timeout, &self.clock)?;
-                let mut stream = fresh.stream;
-                let n = fetch_on_origin_conn(&mut stream, doc, size, self.config.io_timeout)?;
-                self.pool.checkin(self.origin, stream, &self.clock);
+                let mut conn = self.pool.checkout(self.origin, &self.clock)?.conn;
+                let n = fetch_on_origin_conn(&mut conn, doc, size)?;
+                self.pool.checkin(self.origin, conn, &self.clock);
                 Ok(n)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Queries every non-quarantined peer over UDP and returns all that
-    /// replied with a hit, deduplicated by cache id, in arrival order.
+    /// Starts an ICP round for `doc`: sends the query to every
+    /// non-quarantined peer, from a stashed socket when one is parked.
     ///
-    /// Per-peer send failures and ICP silence are health signals, not
-    /// request errors; only local socket failures propagate.
-    fn icp_candidates(&self, doc: DocId, trace: u64, root: u64) -> io::Result<Vec<PeerAddr>> {
+    /// Per-peer send failures are health signals, not request errors;
+    /// only local socket failures propagate.
+    fn start_icp_round(&self, doc: DocId, trace: u64, root: u64) -> io::Result<IcpRound> {
+        let mut round = IcpRound {
+            doc,
+            socket: None,
+            queried: Vec::new(),
+            deadline_us: 0,
+            span: None,
+        };
         if self.peers.is_empty() {
-            return Ok(Vec::new());
+            return Ok(round);
         }
-        let round = self.next_span();
-        let start_us = self.clock.now_micros();
-        let round_span = |status: &'static str| Span {
+        let span_id = self.next_span();
+        let now_us = self.clock.now_micros();
+        round.span = Some(Span {
             trace_id: trace,
-            span_id: round,
+            span_id,
             parent: Some(root),
             cache: self.config.id,
             kind: SpanKind::IcpRound,
             doc: Some(doc),
             peer: None,
-            start_us,
+            start_us: now_us,
             end_us: 0,
-            status,
-        };
-        let now_us = self.clock.now_micros();
+            status: "",
+        });
         let targets: Vec<PeerAddr> = self
             .peers
             .iter()
@@ -1041,10 +1113,13 @@ impl CacheDaemon {
             .filter(|p| !self.is_quarantined(p.id, now_us))
             .collect();
         if targets.is_empty() {
-            self.close_span(round_span("miss"));
-            return Ok(Vec::new());
+            return Ok(round);
         }
-        let socket = UdpSocket::bind("127.0.0.1:0")?;
+        let parked = lock(&self.icp_sockets).pop();
+        let socket = match parked {
+            Some(socket) => socket,
+            None => UdpSocket::bind("127.0.0.1:0")?,
+        };
         let query = WireMessage::IcpQuery {
             query: IcpQuery {
                 from: self.config.id,
@@ -1052,14 +1127,13 @@ impl CacheDaemon {
             },
             ctx: Some(TraceCtx {
                 trace_id: trace,
-                parent_span: round,
+                parent_span: span_id,
             }),
         }
         .encode();
-        let mut queried: Vec<CacheId> = Vec::new();
-        for peer in &targets {
+        for peer in targets {
             match socket.send_to(&query, peer.icp) {
-                Ok(_) => queried.push(peer.id),
+                Ok(_) => round.queried.push((peer, false)),
                 Err(e) => {
                     // A vanished peer must not fail the request.
                     self.emit(&Event::PeerFault {
@@ -1074,59 +1148,128 @@ impl CacheDaemon {
             }
         }
         let timeout_us = u64::try_from(self.config.icp_timeout.as_micros()).unwrap_or(u64::MAX);
-        let deadline_us = self.clock.now_micros().saturating_add(timeout_us);
+        round.deadline_us = self.clock.now_micros().saturating_add(timeout_us);
+        round.socket = Some(socket);
+        Ok(round)
+    }
+
+    /// Reads the round's next reply from a queried peer that has not
+    /// answered yet: that peer and whether it holds the document, or
+    /// `None` once every queried peer has answered or the deadline has
+    /// passed with no reply left queued.
+    ///
+    /// A reply already queued when the deadline passes counts as on
+    /// time: it arrived while the requester was busy elsewhere (fetching
+    /// from an earlier candidate), and reading the round lazily must
+    /// yield the candidates and silences a full read would have.
+    fn next_reply(&self, round: &mut IcpRound) -> io::Result<Option<(PeerAddr, bool)>> {
+        let Some(socket) = round.socket.as_ref() else {
+            return Ok(None);
+        };
         let mut buf = [0u8; 64];
-        let mut seen: Vec<CacheId> = Vec::new();
-        let mut positive: Vec<PeerAddr> = Vec::new();
-        loop {
-            if seen.len() >= queried.len() {
-                break;
-            }
-            let now_us = self.clock.now_micros();
-            if now_us >= deadline_us {
-                break;
-            }
-            // One timed recv covering exactly the remaining window (the
-            // loop guard keeps the duration nonzero, which `set_read_
-            // timeout` requires) — replacing the retired 20 ms poll.
-            socket.set_read_timeout(Some(Duration::from_micros(deadline_us - now_us)))?;
-            let (n, _) = match socket.recv_from(&mut buf) {
+        // Past the deadline: only what is already queued is left.
+        let mut draining = false;
+        while !round.complete() {
+            let received = if draining {
+                // A failure to restore blocking mode propagates before the
+                // round can complete, so such a socket is never parked.
+                socket.set_nonblocking(true)?;
+                let received = socket.recv_from(&mut buf);
+                socket.set_nonblocking(false)?;
+                received
+            } else {
+                let now_us = self.clock.now_micros();
+                if now_us >= round.deadline_us {
+                    draining = true;
+                    continue;
+                }
+                // One timed recv covering exactly the remaining window
+                // (the check above keeps the duration nonzero, which
+                // `set_read_timeout` requires).
+                socket.set_read_timeout(Some(Duration::from_micros(round.deadline_us - now_us)))?;
+                socket.recv_from(&mut buf)
+            };
+            let (n, _) = match received {
                 Ok(received) => received,
-                Err(ref e) if is_timeout(e) => break, // deadline reached
+                Err(ref e) if is_timeout(e) => {
+                    if draining {
+                        return Ok(None); // nothing queued
+                    }
+                    draining = true; // deadline reached
+                    continue;
+                }
                 // Any other transient recv error is skipped — never a
                 // client error.
                 Err(_) => continue,
             };
-            if let Ok(WireMessage::IcpReply(reply)) = WireMessage::decode(&buf[..n]) {
-                if reply.doc != doc {
-                    continue; // stale reply from an earlier query
-                }
-                if !queried.contains(&reply.from) || seen.contains(&reply.from) {
-                    continue; // stray sender, or a duplicate reply
-                }
-                seen.push(reply.from);
-                if reply.hit {
-                    if let Some(p) = targets.iter().find(|p| p.id == reply.from) {
-                        positive.push(*p);
-                    }
-                }
+            let Ok(WireMessage::IcpReply(reply)) = WireMessage::decode(&buf[..n]) else {
+                continue;
+            };
+            if reply.doc != round.doc {
+                continue; // not a reply to this round's query
+            }
+            // A stray sender or a duplicate reply matches no unanswered
+            // queried peer.
+            if let Some((peer, answered)) = round
+                .queried
+                .iter_mut()
+                .find(|(p, answered)| p.id == reply.from && !*answered)
+            {
+                *answered = true;
+                return Ok(Some((*peer, reply.hit)));
             }
         }
-        // Silence before the deadline is a failed health probe.
-        for id in &queried {
-            if !seen.contains(id) {
+        Ok(None)
+    }
+
+    /// The round's next fetch candidate: the next peer to reply with a
+    /// hit, in arrival order. Closes the round's span when the round is
+    /// decided — at its first positive reply, or on finding none.
+    fn next_candidate(&self, round: &mut IcpRound) -> io::Result<Option<PeerAddr>> {
+        while let Some((peer, hit)) = self.next_reply(round)? {
+            if hit {
+                self.close_round_span(round, "hit");
+                return Ok(Some(peer));
+            }
+        }
+        self.close_round_span(round, "miss");
+        Ok(None)
+    }
+
+    /// Closes the round's span with `status` unless it is closed already.
+    fn close_round_span(&self, round: &mut IcpRound, status: &'static str) {
+        if let Some(mut span) = round.span.take() {
+            span.status = status;
+            self.close_span(span);
+        }
+    }
+
+    /// Reads the rest of the round against its deadline (replies queued
+    /// by then included), books every queried peer that stayed silent as
+    /// a failed health probe, and
+    /// parks the socket for a later round only if no reply is still owed
+    /// on it — a round that timed out drops its socket, so a late reply
+    /// can never be read as a later round's answer.
+    fn finish_icp_round(&self, mut round: IcpRound) {
+        while let Ok(Some(_)) = self.next_reply(&mut round) {}
+        self.close_round_span(&mut round, "miss");
+        for (peer, answered) in &round.queried {
+            if !answered {
                 self.emit(&Event::PeerFault {
                     cache: self.config.id,
-                    peer: *id,
-                    doc,
+                    peer: peer.id,
+                    doc: round.doc,
                     op: FaultOp::Icp,
                     error: "silent",
                 });
-                self.note_peer_failure(*id);
+                self.note_peer_failure(peer.id);
             }
         }
-        self.close_span(round_span(if positive.is_empty() { "miss" } else { "hit" }));
-        Ok(positive)
+        if let Some(socket) = round.socket.take() {
+            if round.complete() {
+                lock(&self.icp_sockets).push(socket);
+            }
+        }
     }
 
     /// One candidate fetch with the configured number of bounded
@@ -1164,10 +1307,10 @@ impl CacheDaemon {
     ) -> Result<Option<RequestOutcome>, PeerFetchError> {
         let checkout = self
             .pool
-            .checkout(peer.doc, self.config.io_timeout, &self.clock)
+            .checkout(peer.doc, &self.clock)
             .map_err(PeerFetchError::connect)?;
         let reused = checkout.reused;
-        match self.exchange_with_peer(checkout.stream, peer, doc, ctx) {
+        match self.exchange_with_peer(checkout.conn, peer, doc, ctx) {
             Ok(outcome) => {
                 if reused {
                     self.emit(&Event::ConnReused {
@@ -1183,41 +1326,36 @@ impl CacheDaemon {
                 self.pool.discard(peer.doc);
                 let fresh = self
                     .pool
-                    .checkout(peer.doc, self.config.io_timeout, &self.clock)
+                    .checkout(peer.doc, &self.clock)
                     .map_err(PeerFetchError::connect)?;
-                self.exchange_with_peer(fresh.stream, peer, doc, ctx)
+                self.exchange_with_peer(fresh.conn, peer, doc, ctx)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// One request/response exchange with `peer` on `stream`. A healthy
-    /// exchange (including an honest not-found) parks the connection
-    /// back in the pool; any error consumes it.
+    /// One request/response exchange with `peer` on `conn`: the request
+    /// frame is one write, the response frame and body are read through
+    /// the connection's buffer. A healthy exchange (including an honest
+    /// not-found) parks the connection back in the pool; any error
+    /// consumes it.
     fn exchange_with_peer(
         &self,
-        mut stream: TcpStream,
+        mut conn: Conn,
         peer: PeerAddr,
         doc: DocId,
         ctx: TraceCtx,
     ) -> Result<Option<RequestOutcome>, PeerFetchError> {
         let sent = self.node.build_http_request(doc);
-        stream.set_nodelay(true).map_err(PeerFetchError::transfer)?;
-        stream
-            .set_read_timeout(Some(self.config.io_timeout))
-            .map_err(PeerFetchError::transfer)?;
-        stream
-            .set_write_timeout(Some(self.config.io_timeout))
-            .map_err(PeerFetchError::transfer)?;
         write_frame(
-            &mut stream,
+            conn.get_mut(),
             &WireMessage::DocRequest {
                 request: sent,
                 ctx: Some(ctx),
             },
         )
         .map_err(PeerFetchError::transfer)?;
-        let decoded = read_frame(&mut stream).map_err(PeerFetchError::transfer)?;
+        let decoded = read_frame(&mut conn).map_err(PeerFetchError::transfer)?;
         let WireMessage::DocResponse { response, found } = decoded else {
             return Err(PeerFetchError::transfer(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1225,11 +1363,11 @@ impl CacheDaemon {
             )));
         };
         if !found {
-            self.pool.checkin(peer.doc, stream, &self.clock);
+            self.pool.checkin(peer.doc, conn, &self.clock);
             return Ok(None);
         }
-        drain_body(&mut stream, response.size.as_bytes()).map_err(PeerFetchError::transfer)?;
-        self.pool.checkin(peer.doc, stream, &self.clock);
+        drain_body(&mut conn, response.size.as_bytes()).map_err(PeerFetchError::transfer)?;
+        self.pool.checkin(peer.doc, conn, &self.clock);
         let promoted = self
             .config
             .scheme
@@ -1923,5 +2061,64 @@ fn record_sample(
             windows: firing.windows,
             state: firing.state,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{ClusterConfig, LoopbackCluster};
+    use coopcache_obs::RingBufferSink;
+
+    /// A reply that arrived while the requester was busy past the round's
+    /// deadline — fetching from an earlier candidate, say — is still read:
+    /// it yields its candidate, and its sender is not booked silent.
+    #[test]
+    fn replies_queued_past_the_deadline_count_as_on_time() {
+        let icp_timeout = Duration::from_millis(50);
+        let config = ClusterConfig::new(3, ByteSize::from_kb(64), PlacementScheme::AdHoc)
+            .icp_timeout(icp_timeout);
+        let mut cluster = LoopbackCluster::start_with_config(config).unwrap();
+        let doc = DocId::new(5);
+        // Ad-hoc replication leaves a copy at caches 1 and 2.
+        cluster.request(1, doc, ByteSize::from_kb(4)).unwrap();
+        cluster.request(2, doc, ByteSize::from_kb(4)).unwrap();
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(256)));
+        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
+        let daemon = cluster.daemon(0);
+        let holders = [CacheId::new(1), CacheId::new(2)];
+
+        // A slow fetch from the first candidate: the other reply is read
+        // when the round is finished.
+        let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
+        std::thread::sleep(icp_timeout * 4);
+        let first = daemon.next_candidate(&mut round).unwrap();
+        assert!(first.is_some_and(|p| holders.contains(&p.id)), "{first:?}");
+        daemon.finish_icp_round(round);
+        assert_eq!(daemon.parked_icp_sockets(), 1, "every peer answered");
+
+        // A slow failing fetch from the first candidate: the second is
+        // still pulled.
+        let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
+        std::thread::sleep(icp_timeout * 4);
+        let mut pulled = Vec::new();
+        while let Some(peer) = daemon.next_candidate(&mut round).unwrap() {
+            pulled.push(peer.id);
+        }
+        pulled.sort_unstable();
+        assert_eq!(pulled, holders);
+        daemon.finish_icp_round(round);
+        assert_eq!(daemon.parked_icp_sockets(), 1, "every peer answered");
+
+        {
+            let ring = ring.lock().unwrap();
+            let faults: Vec<&Event> = ring
+                .events()
+                .filter(|e| matches!(e, Event::PeerFault { .. }))
+                .collect();
+            assert!(faults.is_empty(), "{faults:?}");
+        }
+        assert!(daemon.quarantined_peers().is_empty());
+        cluster.shutdown();
     }
 }

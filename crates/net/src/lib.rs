@@ -14,9 +14,10 @@
 //! peer fetch, origin fallback — runs over genuine sockets with genuine
 //! concurrency (including the doc-vanished-between-ICP-and-fetch race).
 //!
-//! Peer failures never surface to clients: the ICP wait collects every
-//! positive replier, the fetch fails over through them (with bounded
-//! retries) to the origin, and repeatedly failing peers are quarantined
+//! Peer failures never surface to clients: the fetch starts at the first
+//! positive ICP replier and fails over through the later ones, pulled
+//! from the round in arrival order (with bounded retries), to the
+//! origin, and repeatedly failing peers are quarantined
 //! with exponential backoff. A seeded [`FaultPlan`] injects dropped ICP
 //! traffic, refused/reset connections and truncated bodies
 //! deterministically for chaos testing (see `ClusterConfig::faults`).

@@ -13,13 +13,18 @@
 //! counted in [`OriginServer::write_timeouts`]).
 
 use crate::daemon::is_timeout;
+use crate::pool::Conn;
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Body bytes written per `write` by [`write_body`], and the most the
+/// origin sends in the same `write` as a reply's length.
+const BODY_CHUNK: usize = 8192;
 
 /// Recovers the guard from a poisoned lock (a panicked connection
 /// thread must not wedge shutdown).
@@ -28,27 +33,19 @@ fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One request/response exchange on an already-connected origin
-/// stream, leaving the connection healthy for reuse.
+/// connection, leaving it healthy for reuse.
 ///
 /// Wire format: request = `doc: u64, size: u64` (big-endian); response =
 /// `size: u64` followed by `size` body bytes.
-pub(crate) fn fetch_on_origin_conn(
-    stream: &mut TcpStream,
-    doc: u64,
-    size: u64,
-    timeout: Duration,
-) -> io::Result<u64> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
+pub(crate) fn fetch_on_origin_conn(conn: &mut Conn, doc: u64, size: u64) -> io::Result<u64> {
     let mut req = [0u8; 16];
     req[..8].copy_from_slice(&doc.to_be_bytes());
     req[8..].copy_from_slice(&size.to_be_bytes());
-    stream.write_all(&req)?;
+    conn.get_mut().write_all(&req)?;
     let mut header = [0u8; 8];
-    stream.read_exact(&mut header)?;
+    conn.read_exact(&mut header)?;
     let body_len = u64::from_be_bytes(header);
-    drain_body(stream, body_len)?;
+    drain_body(conn, body_len)?;
     Ok(body_len)
 }
 
@@ -61,25 +58,33 @@ pub(crate) fn fetch_from_origin(
     size: u64,
     timeout: Duration,
 ) -> io::Result<u64> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    fetch_on_origin_conn(&mut stream, doc, size, timeout)
+    let mut conn = crate::pool::connect(addr, timeout)?;
+    fetch_on_origin_conn(&mut conn, doc, size)
 }
 
-/// Reads and discards exactly `len` body bytes.
-pub(crate) fn drain_body<R: Read>(reader: &mut R, len: u64) -> io::Result<()> {
+/// Reads and discards exactly `len` body bytes, straight out of the
+/// reader's buffer.
+pub(crate) fn drain_body<R: BufRead>(reader: &mut R, len: u64) -> io::Result<()> {
     let mut remaining = len;
-    let mut chunk = [0u8; 8192];
     while remaining > 0 {
-        let want = remaining.min(chunk.len() as u64) as usize;
-        reader.read_exact(&mut chunk[..want])?;
-        remaining -= want as u64;
+        let available = match reader.fill_buf() {
+            Ok(buf) => buf.len(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available == 0 {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        let take = available.min(usize::try_from(remaining).unwrap_or(usize::MAX));
+        reader.consume(take);
+        remaining -= take as u64;
     }
     Ok(())
 }
 
 /// Writes exactly `len` zero bytes as a synthetic document body.
 pub(crate) fn write_body<W: Write>(writer: &mut W, len: u64) -> io::Result<()> {
-    let chunk = [0u8; 8192];
+    let chunk = [0u8; BODY_CHUNK];
     let mut remaining = len;
     while remaining > 0 {
         let want = remaining.min(chunk.len() as u64) as usize;
@@ -87,6 +92,21 @@ pub(crate) fn write_body<W: Write>(writer: &mut W, len: u64) -> io::Result<()> {
         remaining -= want as u64;
     }
     Ok(())
+}
+
+/// Writes one origin reply — the body length, then `size` zero bytes —
+/// with the length and up to [`BODY_CHUNK`] body bytes in one `write`.
+/// `buf` is the connection's reply buffer: its body part stays zero, so
+/// only the length is written into it per reply.
+fn write_reply<W: Write>(
+    writer: &mut W,
+    size: u64,
+    buf: &mut [u8; 8 + BODY_CHUNK],
+) -> io::Result<()> {
+    buf[..8].copy_from_slice(&size.to_be_bytes());
+    let first = size.min(BODY_CHUNK as u64);
+    writer.write_all(&buf[..8 + first as usize])?;
+    write_body(writer, size - first)
 }
 
 /// State shared between the origin's accept loop, its per-connection
@@ -289,6 +309,7 @@ fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared:
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
+    let mut reply = [0u8; 8 + BODY_CHUNK];
     loop {
         // lint:allow(atomic-order) -- Acquire: pairs with the Release
         // store in `halt`/`drop`.
@@ -310,10 +331,7 @@ fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared:
         // lint:allow(atomic-order) -- SeqCst: pairs with the
         // SeqCst load in `served`; see that comment.
         shared.served.fetch_add(1, Ordering::SeqCst);
-        let wrote = stream
-            .write_all(&size.to_be_bytes())
-            .and_then(|()| write_body(&mut stream, size));
-        if let Err(e) = wrote {
+        if let Err(e) = write_reply(&mut stream, size, &mut reply) {
             if is_timeout(&e) {
                 // The client stalled without draining its response —
                 // the bug class write timeouts exist for. The response
@@ -360,14 +378,61 @@ mod tests {
     #[test]
     fn persistent_connection_serves_many_requests() {
         let origin = OriginServer::start(Duration::ZERO).unwrap();
-        let mut stream =
-            TcpStream::connect_timeout(&origin.addr(), Duration::from_secs(5)).unwrap();
+        let mut conn = crate::pool::connect(origin.addr(), Duration::from_secs(5)).unwrap();
         for doc in 0..4 {
-            let got = fetch_on_origin_conn(&mut stream, doc, 64, Duration::from_secs(5)).unwrap();
+            let got = fetch_on_origin_conn(&mut conn, doc, 64).unwrap();
             assert_eq!(got, 64);
         }
         assert_eq!(origin.served(), 4, "four requests on one connection");
         origin.shutdown();
+    }
+
+    /// A `Write` that records every `write` call's bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reply_that_fits_the_buffer_is_one_write() {
+        let mut buf = [0u8; 8 + BODY_CHUNK];
+        for size in [0u64, 1, 4_096, BODY_CHUNK as u64] {
+            let mut out = CountingWriter::default();
+            write_reply(&mut out, size, &mut buf).unwrap();
+            assert_eq!(out.writes.len(), 1, "a {size}-byte body is one write");
+            let mut expect = size.to_be_bytes().to_vec();
+            expect.resize(8 + size as usize, 0);
+            assert_eq!(out.writes[0], expect);
+        }
+        // A larger body still carries its length in the first write.
+        let mut out = CountingWriter::default();
+        write_reply(&mut out, 3 * BODY_CHUNK as u64, &mut buf).unwrap();
+        assert_eq!(out.writes[0].len(), 8 + BODY_CHUNK);
+        let sent: usize = out.writes.iter().map(Vec::len).sum();
+        assert_eq!(sent, 8 + 3 * BODY_CHUNK);
+    }
+
+    #[test]
+    fn drain_body_consumes_exactly_the_body() {
+        let bytes = [7u8; 100];
+        let mut reader = io::BufReader::with_capacity(16, &bytes[..]);
+        drain_body(&mut reader, 60).unwrap();
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest.len(), 40, "the bytes after the body stay unread");
+        let err = drain_body(&mut io::BufReader::new(&bytes[..3]), 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

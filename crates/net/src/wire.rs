@@ -47,20 +47,26 @@ pub const FRAME_V2: u8 = 0xC2;
 /// cannot drift apart.
 pub const MAX_FRAME_LEN: usize = 1024;
 
-/// Writes one length-prefixed header frame to a TCP stream.
+/// Writes one length-prefixed header frame to a TCP stream in a single
+/// `write`: the prefix is encoded into the same buffer as the header, so
+/// with `TCP_NODELAY` on the frame leaves as one segment and the far
+/// side wakes once for it.
 ///
 /// # Errors
 ///
 /// Propagates write failures.
 pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> io::Result<()> {
-    let header = msg.encode();
-    debug_assert!(header.len() <= MAX_FRAME_LEN, "encoded header too large");
-    writer.write_all(&(header.len() as u32).to_be_bytes())?;
-    writer.write_all(&header)
+    let mut frame = Vec::with_capacity(4 + 64);
+    frame.extend_from_slice(&[0; 4]);
+    msg.encode_into(&mut frame);
+    let header_len = frame.len() - 4;
+    debug_assert!(header_len <= MAX_FRAME_LEN, "encoded header too large");
+    frame[..4].copy_from_slice(&(header_len as u32).to_be_bytes());
+    writer.write_all(&frame)
 }
 
 /// Reads one length-prefixed header frame, enforcing [`MAX_FRAME_LEN`]
-/// before allocating.
+/// before reading the header.
 ///
 /// # Errors
 ///
@@ -76,9 +82,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
             "oversized header",
         ));
     }
-    let mut header = vec![0u8; header_len];
-    reader.read_exact(&mut header)?;
-    WireMessage::decode(&header).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let mut header = [0u8; MAX_FRAME_LEN];
+    let header = &mut header[..header_len];
+    reader.read_exact(header)?;
+    WireMessage::decode(header).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// What a blocking peek at a doc-port connection found.
@@ -98,9 +105,9 @@ pub(crate) enum PeekedFrame {
 /// scrapes while document fetches still see the connection die with the
 /// frame unread (observability must survive chaos) — and, on persistent
 /// connections, to draw faults per *arriving* frame rather than per
-/// idle wait. The client's length prefix and header are written
-/// separately and can land in different segments, so short peeks wait
-/// briefly for the rest; a stuck partial frame is treated as a
+/// idle wait. [`write_frame`] sends a frame in one segment, but other
+/// clients may split the length prefix from the header, so short peeks
+/// wait briefly for the rest; a stuck partial frame is treated as a
 /// document fetch.
 ///
 /// # Errors
@@ -325,54 +332,59 @@ impl WireMessage {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
-        put_u16(&mut buf, MAGIC);
-        put_u8(&mut buf, FRAME_V2);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the encoded header to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_u16(buf, MAGIC);
+        put_u8(buf, FRAME_V2);
         match self {
             Self::IcpQuery { query, ctx } => {
-                put_u8(&mut buf, OP_ICP_QUERY);
-                put_u16(&mut buf, query.from.as_u16());
-                put_u64(&mut buf, query.doc.as_u64());
-                put_ctx(&mut buf, *ctx);
+                put_u8(buf, OP_ICP_QUERY);
+                put_u16(buf, query.from.as_u16());
+                put_u64(buf, query.doc.as_u64());
+                put_ctx(buf, *ctx);
             }
             Self::IcpReply(r) => {
-                put_u8(&mut buf, OP_ICP_REPLY);
-                put_u16(&mut buf, r.from.as_u16());
-                put_u64(&mut buf, r.doc.as_u64());
-                put_u8(&mut buf, u8::from(r.hit));
+                put_u8(buf, OP_ICP_REPLY);
+                put_u16(buf, r.from.as_u16());
+                put_u64(buf, r.doc.as_u64());
+                put_u8(buf, u8::from(r.hit));
             }
             Self::DocRequest { request, ctx } => {
-                put_u8(&mut buf, OP_DOC_REQUEST);
-                put_u16(&mut buf, request.from.as_u16());
-                put_u64(&mut buf, request.doc.as_u64());
-                put_age(&mut buf, request.requester_age);
-                put_ctx(&mut buf, *ctx);
+                put_u8(buf, OP_DOC_REQUEST);
+                put_u16(buf, request.from.as_u16());
+                put_u64(buf, request.doc.as_u64());
+                put_age(buf, request.requester_age);
+                put_ctx(buf, *ctx);
             }
             Self::DocResponse { response, found } => {
-                put_u8(&mut buf, OP_DOC_RESPONSE);
-                put_u16(&mut buf, response.from.as_u16());
-                put_u64(&mut buf, response.doc.as_u64());
-                put_u64(&mut buf, response.size.as_bytes());
-                put_age(&mut buf, response.responder_age);
-                put_u8(&mut buf, u8::from(*found));
+                put_u8(buf, OP_DOC_RESPONSE);
+                put_u16(buf, response.from.as_u16());
+                put_u64(buf, response.doc.as_u64());
+                put_u64(buf, response.size.as_bytes());
+                put_age(buf, response.responder_age);
+                put_u8(buf, u8::from(*found));
             }
             Self::StatsRequest => {
-                put_u8(&mut buf, OP_STATS_REQUEST);
+                put_u8(buf, OP_STATS_REQUEST);
             }
             Self::StatsResponse { cache, body_len } => {
-                put_u8(&mut buf, OP_STATS_RESPONSE);
-                put_u16(&mut buf, cache.as_u16());
-                put_u64(&mut buf, *body_len);
+                put_u8(buf, OP_STATS_RESPONSE);
+                put_u16(buf, cache.as_u16());
+                put_u64(buf, *body_len);
             }
             Self::SeriesRequest => {
-                put_u8(&mut buf, OP_SERIES_REQUEST);
+                put_u8(buf, OP_SERIES_REQUEST);
             }
             Self::SeriesResponse { cache, body_len } => {
-                put_u8(&mut buf, OP_SERIES_RESPONSE);
-                put_u16(&mut buf, cache.as_u16());
-                put_u64(&mut buf, *body_len);
+                put_u8(buf, OP_SERIES_RESPONSE);
+                put_u16(buf, cache.as_u16());
+                put_u64(buf, *body_len);
             }
         }
-        buf
     }
 
     /// Decodes a message from a byte slice.
@@ -642,6 +654,41 @@ mod tests {
         assert_eq!(got, msg);
     }
 
+    /// A `Write` that records the length of every `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_for_every_variant() {
+        let mut rng = TestRng(0x0E5E);
+        let mut seen = [false; 8];
+        for _ in 0..200 {
+            let msg = rng.message();
+            seen[variant_index(&msg)] = true;
+            let mut out = CountingWriter::default();
+            write_frame(&mut out, &msg).unwrap();
+            assert_eq!(
+                out.writes,
+                vec![4 + msg.encode().len()],
+                "{msg:?} must leave as one write of prefix + header"
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "generator missed a variant");
+    }
+
     #[test]
     fn read_frame_rejects_oversized_length_prefix() {
         // A peer-supplied length just past the cap must be rejected
@@ -763,22 +810,26 @@ mod tests {
         }
     }
 
+    fn variant_index(msg: &WireMessage) -> usize {
+        match msg {
+            WireMessage::IcpQuery { .. } => 0,
+            WireMessage::IcpReply(..) => 1,
+            WireMessage::DocRequest { .. } => 2,
+            WireMessage::DocResponse { .. } => 3,
+            WireMessage::StatsRequest => 4,
+            WireMessage::StatsResponse { .. } => 5,
+            WireMessage::SeriesRequest => 6,
+            WireMessage::SeriesResponse { .. } => 7,
+        }
+    }
+
     #[test]
     fn seeded_roundtrip_every_variant() {
         let mut rng = TestRng(0xC0FF_EE00);
         let mut seen = [false; 8];
         for _ in 0..2_000 {
             let msg = rng.message();
-            seen[match &msg {
-                WireMessage::IcpQuery { .. } => 0,
-                WireMessage::IcpReply(..) => 1,
-                WireMessage::DocRequest { .. } => 2,
-                WireMessage::DocResponse { .. } => 3,
-                WireMessage::StatsRequest => 4,
-                WireMessage::StatsResponse { .. } => 5,
-                WireMessage::SeriesRequest => 6,
-                WireMessage::SeriesResponse { .. } => 7,
-            }] = true;
+            seen[variant_index(&msg)] = true;
             let bytes = msg.encode();
             assert!(bytes.len() <= MAX_FRAME_LEN);
             assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);

@@ -91,6 +91,12 @@ for workload in store-churn store-read; do
     run --workload "$workload" --seconds 1
 done
 
+echo "== coopbench live-coop / live-pipelined (origin fetches = origin outcomes, per-daemon store invariants, no failed request)"
+for workload in live-coop live-pipelined; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seconds 1
+done
+
 echo "== results/ (full-scale regeneration must match the committed tables)"
 scripts/regen_results.sh
 git diff --exit-code results/

@@ -409,6 +409,75 @@ fn quarantined_peer_recovers_after_backoff_without_pooling() {
     quarantine_recovery_scenario(UNPOOLED);
 }
 
+fn late_icp_reply_scenario(pool_max_idle: usize) {
+    // Cache 1 answers its first ICP query after the requester's deadline.
+    // That round times out, and its socket must be dropped, not parked:
+    // parked, it would hand the late "miss" to the next round for the
+    // same document, which would then ignore cache 1's current "hit".
+    let icp_timeout = Duration::from_millis(80);
+    let plan = FaultPlan::seeded(10).rule(
+        c(1),
+        FaultKind::DelayIcpReply(icp_timeout * 3),
+        FaultMode::FirstN(1),
+    );
+    let (cluster, ring) = chaos_cluster(2, PlacementScheme::Ea, plan, pool_max_idle);
+    let late_replies_sent = || {
+        ring.lock()
+            .unwrap()
+            .events()
+            .filter(|e| {
+                matches!(e, Event::Span(s) if s.kind == coopcache::obs::SpanKind::IcpHandle && s.cache == c(1))
+            })
+            .count()
+    };
+
+    // Larger than a cache, so cache 0 does not keep it.
+    let out = cluster.request(0, d(30), kb(128)).unwrap();
+    assert_eq!(
+        out,
+        RequestOutcome::Miss {
+            stored_locally: false,
+            stored_at_ancestor: false
+        },
+        "cache 1's late reply must time the round out to the origin"
+    );
+    assert_eq!(
+        cluster.daemon(0).parked_icp_sockets(),
+        0,
+        "the round that timed out must not park its socket"
+    );
+
+    // Cache 1's answer changes to "hit" (its ICP query to cache 0 is a
+    // miss, so it fetches and stores the document from the origin).
+    let out = cluster.request(1, d(30), kb(4)).unwrap();
+    assert!(matches!(out, RequestOutcome::Miss { .. }), "{out:?}");
+    // Its late reply to the first round has been sent by now.
+    let mut polls = 0;
+    while late_replies_sent() == 0 {
+        polls += 1;
+        assert!(polls < 400, "cache 1 never sent its late reply");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let out = cluster.request(0, d(30), kb(4)).unwrap();
+    assert!(
+        matches!(out, RequestOutcome::RemoteHit { responder, .. } if responder == c(1)),
+        "the outcome must follow cache 1's current answer, got {out:?}"
+    );
+    assert_eq!(cluster.daemon(0).parked_icp_sockets(), 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn late_icp_reply_never_reaches_a_later_round() {
+    late_icp_reply_scenario(POOLED);
+}
+
+#[test]
+fn late_icp_reply_never_reaches_a_later_round_without_pooling() {
+    late_icp_reply_scenario(UNPOOLED);
+}
+
 /// A fault on a *reused* pooled connection must be absorbed exactly like
 /// one on a fresh connection: transparent stale-retry first, then
 /// failover to the origin — never a client-visible error.

@@ -3,6 +3,8 @@
 
 use coopcache::net::LoopbackCluster;
 use coopcache::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 fn kb(n: u64) -> ByteSize {
     ByteSize::from_kb(n)
@@ -34,16 +36,33 @@ fn adhoc_cluster_replicates_and_ea_cluster_does_not() {
     ea.shutdown();
 }
 
-#[test]
-fn cluster_agrees_with_synchronous_group_on_small_workload() {
-    // Drive the identical request sequence through the socket cluster and
-    // the in-process group, both stamping cache time with the trace's
-    // timestamps (single-threaded client → no races): every placement
-    // decision, and so every outcome, must coincide.
-    let trace = generate(&TraceProfile::small().with_requests(300)).unwrap();
+/// Each cache's placement and eviction events, in emission order, as
+/// JSON lines (neither kind carries a timestamp or a latency).
+#[derive(Debug, Default)]
+struct Decisions(BTreeMap<CacheId, Vec<String>>);
+
+impl EventSink for Decisions {
+    fn emit(&mut self, event: &Event) {
+        if let Event::Placement { cache, .. } | Event::Eviction { cache, .. } = event {
+            self.0.entry(*cache).or_default().push(event.to_json());
+        }
+    }
+}
+
+/// Drives the first `requests` requests of the small profile through the
+/// socket cluster and the in-process group, both stamping cache time
+/// with the trace's timestamps (single-threaded client → no races):
+/// every outcome, and each cache's sequence of placement decisions and
+/// evictions, must coincide.
+fn cluster_agrees_with_synchronous_group(requests: usize) {
+    let trace = generate(&TraceProfile::small().with_requests(requests)).unwrap();
     let scheme = PlacementScheme::Ea;
-    let cluster = LoopbackCluster::start(2, kb(32), scheme).unwrap();
+    let mut cluster = LoopbackCluster::start(2, kb(32), scheme).unwrap();
     let mut group = DistributedGroup::new(2, kb(64), PolicyKind::Lru, scheme);
+    let wire_log = Arc::new(Mutex::new(Decisions::default()));
+    let sim_log = Arc::new(Mutex::new(Decisions::default()));
+    cluster.set_sink(SinkHandle::from_arc(Arc::clone(&wire_log)));
+    group.set_sink(SinkHandle::from_arc(Arc::clone(&sim_log)));
     let part = Partitioner::default();
 
     for (seq, r) in trace.iter().enumerate() {
@@ -56,7 +75,38 @@ fn cluster_agrees_with_synchronous_group_on_small_workload() {
         let sim = group.handle_request(requester, r.doc, size, r.time);
         assert_eq!(wire, sim, "request {seq}: {} at {requester}", r.doc);
     }
+    // Shutdown joins the responders' threads: every event is in.
     cluster.shutdown();
+    let wire = wire_log.lock().unwrap();
+    let sim = sim_log.lock().unwrap();
+    assert_eq!(
+        wire.0.keys().collect::<Vec<_>>(),
+        sim.0.keys().collect::<Vec<_>>()
+    );
+    for (cache, expected) in &sim.0 {
+        let got = &wire.0[cache];
+        let first_diff = got.iter().zip(expected).position(|(g, e)| g != e);
+        assert!(
+            first_diff.is_none() && got.len() == expected.len(),
+            "{cache}: live sequence diverges at event {} of {} (group has {}): \
+             live {:?}, group {:?}",
+            first_diff.unwrap_or(got.len().min(expected.len())),
+            got.len(),
+            expected.len(),
+            first_diff.map(|i| &got[i]),
+            first_diff.map(|i| &expected[i]),
+        );
+    }
+}
+
+#[test]
+fn cluster_agrees_with_synchronous_group_on_small_workload() {
+    cluster_agrees_with_synchronous_group(300);
+}
+
+#[test]
+fn cluster_agrees_with_synchronous_group_on_the_whole_small_profile() {
+    cluster_agrees_with_synchronous_group(TraceProfile::small().requests);
 }
 
 #[test]
