@@ -8,6 +8,19 @@
 //! document can be evicted between the ICP reply and the HTTP fetch
 //! (the responder then misses and the requester falls back to the
 //! origin), and per-request latency is *measured* rather than estimated.
+//!
+//! # The event queue
+//!
+//! A [`Trace`] is time-ordered, so arrivals are read straight from it by
+//! a cursor (`EventQueue`); the heap holds only requests waiting on a
+//! timed phase — ICP round, peer fetch, origin fetch — and each
+//! entry carries its request's whole state. A run's memory is therefore
+//! O(requests in flight) plus one latency per request, not O(trace).
+//!
+//! **Tie rule.** Each step takes the next arrival when it is due no later
+//! than the heap's earliest entry, and pops the heap otherwise. So at
+//! equal times an arrival goes before any queued phase, arrivals keep
+//! trace order, and queued phases keep the order they were queued in.
 
 use crate::config::SimConfig;
 use coopcache_metrics::GroupMetrics;
@@ -17,28 +30,14 @@ use coopcache_obs::{
 };
 use coopcache_proxy::{DistributedGroup, HttpRequest, IcpQuery, RequestOutcome};
 use coopcache_trace::Trace;
-use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, Timestamp};
-use std::cmp::Reverse;
+use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, Request, Timestamp};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Simulated-time µs for a span timestamp.
 fn sim_us(t: Timestamp) -> u64 {
     t.as_millis().saturating_mul(1_000)
-}
-
-/// The root span of request `idx` (always the first id of its trace).
-fn root_span(idx: usize) -> u64 {
-    ((idx as u64) << 16) | 1
-}
-
-/// Allocates the next span id of request `idx`'s trace: ids are
-/// `(idx << 16) | k` with `k` sequential, so two same-seed runs assemble
-/// byte-identical trace trees.
-fn alloc_span(span_next: &mut [u64], idx: usize) -> u64 {
-    let k = span_next[idx];
-    span_next[idx] += 1;
-    ((idx as u64) << 16) | k
 }
 
 /// One-way delays and transfer rates of the simulated network.
@@ -158,28 +157,132 @@ pub struct DesReport {
     pub avg_expiration_age_ms: Option<f64>,
 }
 
+/// The timed phase a queued request waits on; it resumes when the phase
+/// completes.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
-    /// A client request enters its cache.
-    Arrival,
-    /// The ICP round completed; pick a responder or go to the origin.
-    IcpDone,
-    /// The peer transfer completed.
-    PeerFetchDone {
+    /// The ICP round; then pick a responder or go to the origin.
+    IcpRound,
+    /// The peer transfer.
+    PeerFetch {
         responder: CacheId,
         sent: HttpRequest,
     },
-    /// The origin transfer completed (`started` = when the fetch began,
-    /// for the origin-fetch span).
-    OriginFetchDone { started: Timestamp },
+    /// The origin transfer (`started` = when the fetch began, for the
+    /// origin-fetch span).
+    OriginFetch { started: Timestamp },
 }
 
+/// One request between its arrival and its completion.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
+    /// Trace index: the request's `seq` and trace id.
+    idx: usize,
     requester: CacheId,
     doc: DocId,
     size: ByteSize,
     arrival: Timestamp,
+    /// What the request waits on while it is queued.
+    phase: Phase,
+    /// Next span-id suffix; the root span is always `k = 1`.
+    span_next: u64,
+}
+
+impl InFlight {
+    /// The root span (always the first id of the request's trace).
+    fn root_span(&self) -> u64 {
+        ((self.idx as u64) << 16) | 1
+    }
+
+    /// Allocates the next span id of the request's trace: ids are
+    /// `(idx << 16) | k` with `k` sequential, so two same-seed runs
+    /// assemble byte-identical trace trees.
+    fn next_span(&mut self) -> u64 {
+        let k = self.span_next;
+        self.span_next += 1;
+        ((self.idx as u64) << 16) | k
+    }
+}
+
+/// A heap entry: `req` resumes at `at`. `seq` counts pushes, so entries
+/// due at the same time pop in the order they were queued.
+struct Queued {
+    at: Timestamp,
+    seq: u64,
+    req: InFlight,
+}
+
+impl Ord for Queued {
+    /// Reversed, so the max-heap [`BinaryHeap`] pops the earliest entry.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
+
+/// What the DES does next.
+enum Step<'t> {
+    /// Trace request `idx` enters its cache.
+    Arrival(usize, &'t Request),
+    /// A queued request's timed phase completed.
+    Resume(InFlight),
+}
+
+/// The DES's event source: a cursor over the time-ordered trace merged
+/// with a min-heap of the requests in flight (see the module doc for the
+/// tie rule).
+struct EventQueue<'t> {
+    arrivals: &'t [Request],
+    next: usize,
+    waiting: BinaryHeap<Queued>,
+    pushed: u64,
+}
+
+impl<'t> EventQueue<'t> {
+    fn new(trace: &'t Trace) -> Self {
+        Self {
+            arrivals: trace.requests(),
+            next: 0,
+            waiting: BinaryHeap::new(),
+            pushed: 0,
+        }
+    }
+
+    /// Queues `req` to resume in its `phase` at `at`.
+    fn push(&mut self, at: Timestamp, req: InFlight) {
+        self.waiting.push(Queued {
+            at,
+            seq: self.pushed,
+            req,
+        });
+        self.pushed += 1;
+    }
+
+    /// The next step and its virtual time: the next arrival if it is due
+    /// no later than the earliest queued request, else that request.
+    fn pop(&mut self) -> Option<(Timestamp, Step<'t>)> {
+        match self.arrivals.get(self.next) {
+            Some(r) if self.waiting.peek().is_none_or(|w| r.time <= w.at) => {
+                let idx = self.next;
+                self.next += 1;
+                Some((r.time, Step::Arrival(idx, r)))
+            }
+            _ => self.waiting.pop().map(|q| (q.at, Step::Resume(q.req))),
+        }
+    }
 }
 
 /// Counts events per cache into series recorders while forwarding them
@@ -501,36 +604,9 @@ fn run_des_inner(
         .as_deref()
         .map_or(u64::MAX, |tap| lock_tap(tap).next_due_ms());
 
-    let requests: Vec<InFlight> = trace
-        .iter()
-        .enumerate()
-        .map(|(seq, r)| InFlight {
-            requester: config.partitioner.assign(r, seq, n),
-            doc: r.doc,
-            size: r.size,
-            arrival: r.time,
-        })
-        .collect();
-
-    // Min-heap of (time, tiebreak seq, request index, phase).
-    let mut queue: BinaryHeap<Reverse<(Timestamp, u64, usize)>> = BinaryHeap::new();
-    let mut phases: Vec<Phase> = vec![Phase::Arrival; requests.len()];
-    // Next span-id suffix per request; the root span is always k = 1.
-    let mut span_next: Vec<u64> = vec![2; requests.len()];
-    let mut seq = 0u64;
-    let push = |queue: &mut BinaryHeap<Reverse<(Timestamp, u64, usize)>>,
-                seq: &mut u64,
-                at: Timestamp,
-                idx: usize| {
-        queue.push(Reverse((at, *seq, idx)));
-        *seq += 1;
-    };
-    for (idx, r) in requests.iter().enumerate() {
-        push(&mut queue, &mut seq, r.arrival, idx);
-    }
-
+    let mut events = EventQueue::new(trace);
     let mut metrics = GroupMetrics::default();
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests.len());
+    let mut latencies: Vec<u64> = Vec::with_capacity(trace.len());
     let mut icp_fallbacks = 0u64;
 
     // `out` is the step's tap guard: the caller takes it once, after the
@@ -538,7 +614,6 @@ fn run_des_inner(
     let complete = |metrics: &mut GroupMetrics,
                     latencies: &mut Vec<u64>,
                     out: Option<&mut SeriesTap>,
-                    idx: usize,
                     r: &InFlight,
                     outcome: RequestOutcome,
                     done: Timestamp| {
@@ -551,8 +626,8 @@ fn run_des_inner(
             // fixed (`k = 1`), so it sorts first in the assembled tree
             // even though the child spans were emitted earlier.
             out.emit(&Event::Span(Span {
-                trace_id: idx as u64,
-                span_id: root_span(idx),
+                trace_id: r.idx as u64,
+                span_id: r.root_span(),
                 parent: None,
                 cache: r.requester,
                 kind: SpanKind::Request,
@@ -563,7 +638,7 @@ fn run_des_inner(
                 status: class.name(),
             }));
             out.emit(&Event::Request {
-                seq: idx as u64,
+                seq: r.idx as u64,
                 cache: r.requester,
                 doc: r.doc,
                 class,
@@ -575,16 +650,24 @@ fn run_des_inner(
     };
 
     let mut end_time = Timestamp::from_millis(0);
-    while let Some(Reverse((now, _, idx))) = queue.pop() {
+    while let Some((now, step)) = events.pop() {
         if now.as_millis() >= next_due_ms {
             next_due_ms = tap
                 .as_deref()
                 .map_or(u64::MAX, |tap| lock_tap(tap).advance(&group, now));
         }
         end_time = end_time.max(now);
-        let r = requests[idx];
-        match phases[idx] {
-            Phase::Arrival => {
+        let mut r = match step {
+            Step::Arrival(idx, request) => {
+                let r = InFlight {
+                    idx,
+                    requester: config.partitioner.assign(request, idx, n),
+                    doc: request.doc,
+                    size: request.size,
+                    arrival: now,
+                    phase: Phase::IcpRound,
+                    span_next: 2,
+                };
                 if group
                     .node_mut(r.requester)
                     .handle_client_lookup(r.doc, now)
@@ -595,17 +678,19 @@ fn run_des_inner(
                         &mut metrics,
                         &mut latencies,
                         out.as_deref_mut(),
-                        idx,
                         &r,
                         RequestOutcome::LocalHit,
                         now + network.local_service,
                     );
                 } else {
-                    phases[idx] = Phase::IcpDone;
-                    push(&mut queue, &mut seq, now + network.icp_round, idx);
+                    events.push(now + network.icp_round, r);
                 }
+                continue;
             }
-            Phase::IcpDone => {
+            Step::Resume(r) => r,
+        };
+        match r.phase {
+            Phase::IcpRound => {
                 let query = IcpQuery {
                     from: r.requester,
                     doc: r.doc,
@@ -614,7 +699,7 @@ fn run_des_inner(
                 // ICP handling is read-only on the peers and emits nothing
                 // from inside the group: one guard for the whole round.
                 let mut out = tap.as_deref().map(lock_tap);
-                let round = out.is_some().then(|| alloc_span(&mut span_next, idx));
+                let round = out.is_some().then(|| r.next_span());
                 for off in 1..n {
                     let peer = CacheId::new(((r.requester.index() + off) % n) as u16);
                     if let Some(out) = &mut out {
@@ -624,7 +709,7 @@ fn run_des_inner(
                             doc: r.doc,
                         });
                     }
-                    if network.icp_lost(idx, peer) {
+                    if network.icp_lost(r.idx, peer) {
                         // The exchange vanished on the wire: the query
                         // event stands, but no reply ever arrives (and
                         // no icp-handle span — the peer never saw it).
@@ -638,8 +723,8 @@ fn run_des_inner(
                             hit,
                         });
                         out.emit(&Event::Span(Span {
-                            trace_id: idx as u64,
-                            span_id: alloc_span(&mut span_next, idx),
+                            trace_id: r.idx as u64,
+                            span_id: r.next_span(),
                             parent: Some(round),
                             cache: peer,
                             kind: SpanKind::IcpHandle,
@@ -657,9 +742,9 @@ fn run_des_inner(
                 }
                 if let (Some(out), Some(round)) = (&mut out, round) {
                     out.emit(&Event::Span(Span {
-                        trace_id: idx as u64,
+                        trace_id: r.idx as u64,
                         span_id: round,
-                        parent: Some(root_span(idx)),
+                        parent: Some(r.root_span()),
                         cache: r.requester,
                         kind: SpanKind::IcpRound,
                         doc: Some(r.doc),
@@ -673,32 +758,27 @@ fn run_des_inner(
                 match responder {
                     Some(peer) => {
                         let sent = group.node(r.requester).build_http_request(r.doc);
-                        phases[idx] = Phase::PeerFetchDone {
+                        r.phase = Phase::PeerFetch {
                             responder: peer,
                             sent,
                         };
                         let at = now
                             + network.peer_rtt
                             + NetworkModel::transfer(r.size, network.peer_bytes_per_ms);
-                        push(&mut queue, &mut seq, at, idx);
+                        events.push(at, r);
                     }
                     None => {
-                        phases[idx] = Phase::OriginFetchDone { started: now };
+                        r.phase = Phase::OriginFetch { started: now };
                         let at = now
                             + network.origin_rtt
                             + NetworkModel::transfer(r.size, network.origin_bytes_per_ms);
-                        push(&mut queue, &mut seq, at, idx);
+                        events.push(at, r);
                     }
                 }
             }
-            Phase::PeerFetchDone { responder, sent } => {
+            Phase::PeerFetch { responder, sent } => {
                 let served = group.node_mut(responder).handle_http_request(sent, now);
-                let spans = tap.is_some().then(|| {
-                    (
-                        alloc_span(&mut span_next, idx),
-                        alloc_span(&mut span_next, idx),
-                    )
-                });
+                let spans = tap.is_some().then(|| (r.next_span(), r.next_span()));
                 // Mirrors the live daemon: the requester's peer-fetch
                 // span covers the TCP leg, the responder's doc-serve
                 // span hangs under it.
@@ -707,9 +787,9 @@ fn run_des_inner(
                                   serve_status: &'static str| {
                     if let (Some(out), Some((fetch, serve))) = (out, spans) {
                         out.emit(&Event::Span(Span {
-                            trace_id: idx as u64,
+                            trace_id: r.idx as u64,
                             span_id: fetch,
-                            parent: Some(root_span(idx)),
+                            parent: Some(r.root_span()),
                             cache: r.requester,
                             kind: SpanKind::PeerFetch,
                             doc: Some(r.doc),
@@ -719,7 +799,7 @@ fn run_des_inner(
                             status: fetch_status,
                         }));
                         out.emit(&Event::Span(Span {
-                            trace_id: idx as u64,
+                            trace_id: r.idx as u64,
                             span_id: serve,
                             parent: Some(fetch),
                             cache: responder,
@@ -751,7 +831,6 @@ fn run_des_inner(
                             &mut metrics,
                             &mut latencies,
                             out.as_deref_mut(),
-                            idx,
                             &r,
                             RequestOutcome::RemoteHit {
                                 responder,
@@ -767,24 +846,24 @@ fn run_des_inner(
                         let mut out = tap.as_deref().map(lock_tap);
                         emit_spans(out.as_deref_mut(), "not-found", "not-found");
                         icp_fallbacks += 1;
-                        phases[idx] = Phase::OriginFetchDone { started: now };
+                        r.phase = Phase::OriginFetch { started: now };
                         let at = now
                             + network.origin_rtt
                             + NetworkModel::transfer(r.size, network.origin_bytes_per_ms);
-                        push(&mut queue, &mut seq, at, idx);
+                        events.push(at, r);
                     }
                 }
             }
-            Phase::OriginFetchDone { started } => {
+            Phase::OriginFetch { started } => {
                 let stored = group
                     .node_mut(r.requester)
                     .complete_origin_fetch(r.doc, r.size, now);
                 let mut out = tap.as_deref().map(lock_tap);
                 if let Some(out) = &mut out {
                     out.emit(&Event::Span(Span {
-                        trace_id: idx as u64,
-                        span_id: alloc_span(&mut span_next, idx),
-                        parent: Some(root_span(idx)),
+                        trace_id: r.idx as u64,
+                        span_id: r.next_span(),
+                        parent: Some(r.root_span()),
                         cache: r.requester,
                         kind: SpanKind::OriginFetch,
                         doc: Some(r.doc),
@@ -798,7 +877,6 @@ fn run_des_inner(
                     &mut metrics,
                     &mut latencies,
                     out.as_deref_mut(),
-                    idx,
                     &r,
                     RequestOutcome::Miss {
                         stored_locally: stored,
@@ -810,20 +888,7 @@ fn run_des_inner(
         }
     }
 
-    latencies.sort_unstable();
-    let mean = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-    };
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-            latencies[idx]
-        }
-    };
+    let (mean, p50, p95) = latency_summary(&mut latencies);
     // Flush trailing sample boundaries up to the last event time, then
     // hand the health plane's output back.
     let health = tap.map_or_else(
@@ -851,13 +916,34 @@ fn run_des_inner(
         DesReport {
             metrics,
             mean_latency_ms: mean,
-            p50_latency_ms: percentile(0.50),
-            p95_latency_ms: percentile(0.95),
+            p50_latency_ms: p50,
+            p95_latency_ms: p95,
             icp_fallbacks,
             avg_expiration_age_ms: group.average_expiration_age_ms(),
         },
         health,
     )
+}
+
+/// The mean, median and 95th percentile of `latencies` (zeros when
+/// empty). A percentile `p` is the element at rank `round((len − 1) · p)`
+/// of the sorted order, found by selection rather than a full sort.
+fn latency_summary(latencies: &mut [u64]) -> (f64, u64, u64) {
+    if latencies.is_empty() {
+        return (0.0, 0, 0);
+    }
+    let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
+    let rank = |p: f64| ((latencies.len() - 1) as f64 * p).round() as usize;
+    let (r50, r95) = (rank(0.50), rank(0.95));
+    let (below, &mut p95, _) = latencies.select_nth_unstable(r95);
+    // Everything below rank r95 is no larger than p95, so the median is
+    // selected among those alone.
+    let p50 = if r50 < r95 {
+        *below.select_nth_unstable(r50).1
+    } else {
+        p95
+    };
+    (mean, p50, p95)
 }
 
 #[cfg(test)]
@@ -1168,6 +1254,81 @@ mod tests {
         // Simulated timestamps make even the timed render reproducible.
         let (_, again) = run_once();
         assert_eq!(rendered, again);
+    }
+
+    #[test]
+    fn latency_summary_matches_the_sorted_ranks() {
+        assert_eq!(latency_summary(&mut []), (0.0, 0, 0));
+        for len in 1..=40u64 {
+            // A scrambled permutation of 0..len with repeats folded in.
+            let mut xs: Vec<u64> = (0..len).map(|i| (i * 7919) % len / 2).collect();
+            let mut sorted = xs.clone();
+            sorted.sort_unstable();
+            let at = |p: f64| sorted[((len - 1) as f64 * p).round() as usize];
+            let mean = sorted.iter().sum::<u64>() as f64 / len as f64;
+            assert_eq!(latency_summary(&mut xs), (mean, at(0.50), at(0.95)));
+        }
+    }
+
+    #[test]
+    fn arrivals_precede_queued_phases_at_equal_times() {
+        use coopcache_obs::{RingBufferSink, SinkHandle};
+        use coopcache_types::{ClientId, Request};
+        use std::sync::{Arc, Mutex};
+        let req = |ms: u64, client: u32, doc: u64| {
+            Request::new(
+                Timestamp::from_millis(ms),
+                ClientId::new(client),
+                DocId::new(doc),
+                ByteSize::from_kb(1),
+            )
+        };
+        let net = NetworkModel::default();
+        let round = net.icp_round.as_millis();
+        // Request 0 leaves doc 1 at cache 1. A (doc 2) misses at cache 0,
+        // and its ICP round ends in the millisecond B hits doc 1 at cache
+        // 1; C and D hit doc 1 there in one shared millisecond.
+        let t = Trace::from_requests(vec![
+            req(0, 1, 1),
+            req(10_000, 0, 2),
+            req(10_000 + round, 1, 1),
+            req(20_000, 1, 1),
+            req(20_000, 5, 1),
+        ]);
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(1_024)));
+        let _ = run_des_with_sink(
+            &cfg(100),
+            &net,
+            &t,
+            Some(SinkHandle::from_arc(Arc::clone(&ring))),
+        );
+        let ring = ring.lock().unwrap();
+        let events: Vec<&Event> = ring.events().collect();
+        let of = |idx: u64| -> Vec<usize> {
+            (0..events.len())
+                .filter(|&p| match events[p] {
+                    Event::Request { seq, .. } => *seq == idx,
+                    Event::Span(span) => span.trace_id == idx,
+                    _ => false,
+                })
+                .collect()
+        };
+        let a_query = events
+            .iter()
+            .position(|e| matches!(e, Event::IcpQuery { doc, .. } if *doc == DocId::new(2)))
+            .expect("A queries its peers");
+        let b = of(2);
+        assert!(!b.is_empty(), "B completes");
+        assert!(
+            b.iter().all(|&p| p < a_query),
+            "B's lookup events {b:?} precede A's query at {a_query}"
+        );
+        let (c, d) = (of(3), of(4));
+        assert!(!c.is_empty() && !d.is_empty(), "C and D complete");
+        assert!(
+            c.iter().max() < d.iter().min(),
+            "C's events {c:?} precede D's {d:?}"
+        );
     }
 
     #[test]

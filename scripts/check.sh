@@ -40,6 +40,10 @@ run_concurrency_lint
 echo "== cargo test (interleave: bounded model checking)"
 cargo test -q -p coopcache-interleave
 
+# The root package is a workspace member, so this also runs tests/chaos.rs
+# (live cluster under injected faults), tests/determinism.rs (byte-identical
+# DES streams, trees, series, alerts, rollups and the pinned hashes) and
+# tests/proptests.rs — each exactly once.
 echo "== cargo test"
 cargo test -q --workspace
 
@@ -48,26 +52,6 @@ cargo test -q -p coopcache-core --features paranoid
 
 echo "== cargo test (hot-path profiling feature)"
 cargo test -q -p coopcache-core --features profile
-
-echo "== cargo test (chaos: live cluster under injected faults)"
-cargo test -q --test chaos
-
-echo "== trace determinism (two same-seed DES runs, byte-identical trees)"
-cargo test -q --test determinism des_trace_trees_are_identical_across_runs
-
-echo "== series determinism (DES + replayed series, byte-identical)"
-cargo test -q --test determinism des_series_rings_are_identical_across_runs
-cargo test -q --test determinism series_replay_is_byte_identical_across_runs
-
-echo "== sampling determinism (sampled stream = reproducible subsequence)"
-cargo test -q --test determinism sampled_event_streams_are_deterministic_subsequences
-cargo test -q --test proptests sampling_is_a_deterministic_subsequence_for_any_seed_and_rate
-
-echo "== alert determinism (same-seed DES runs fire byte-identical alerts)"
-cargo test -q --test determinism des_alert_firings_are_identical_across_runs
-
-echo "== rollup sweep (64-node DES under bounded aggregator memory)"
-cargo test -q --test determinism des_rollup_sweep_64_nodes_is_bounded_and_byte_identical
 
 echo "== ThreadSanitizer storm test (advisory; needs nightly + rust-src)"
 if cargo +nightly --version >/dev/null 2>&1 &&
@@ -81,18 +65,15 @@ fi
 echo "== bench-daemon smoke (pooled transport + sampled-telemetry overhead)"
 cargo run --release -q -p coopcache-cli --bin coopcache -- bench-daemon --smoke true --events both
 
-echo "== coopbench des-health (benchmark builds against this tree; its checks gate)"
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  run --workload des-health --seconds 1
-
-echo "== coopbench store-churn / store-read (hit counts per block, invariants, used <= capacity)"
-for workload in store-churn store-read; do
-  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    run --workload "$workload" --seconds 1
-done
-
-echo "== coopbench live-coop / live-pipelined (origin fetches = origin outcomes, per-daemon store invariants, no failed request)"
-for workload in live-coop live-pipelined; do
+# Every workload's built-in checks gate (the benchmark builds against this
+# tree): sim-sync and des-health replay the BENCH_9 hit cells and must
+# repeat byte-identically; store-churn / store-read check hit counts per
+# block, store invariants and used <= capacity; live-coop / live-pipelined
+# check origin fetches = origin outcomes, per-daemon store invariants and
+# that no request failed.
+echo "== coopbench (all six workloads, 1 s each; their checks gate)"
+for workload in sim-sync des-health store-churn store-read live-coop live-pipelined; do
+  echo "   $workload"
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     run --workload "$workload" --seconds 1
 done

@@ -404,3 +404,76 @@ fn des_output_bytes_match_the_pinned_streams() {
         "series rings, alert lines"
     );
 }
+
+/// `small()` with every arrival floored to a multiple of the ICP round
+/// (42 ms): arrivals then share timestamps with each other and with
+/// other requests' ICP completions, so the event queue's tie order
+/// decides what the stream looks like.
+fn icp_floored_trace() -> Trace {
+    let round = NetworkModel::paper_calibrated().icp_round.as_millis();
+    generate(&TraceProfile::small())
+        .unwrap()
+        .into_iter()
+        .map(|r| Request {
+            time: Timestamp::from_millis(r.time.as_millis() / round * round),
+            ..r
+        })
+        .collect()
+}
+
+/// One DES run's report plus the FNV-1a of its JSONL stream and of the
+/// report's `Debug` text.
+fn des_pins(
+    cfg: &SimConfig,
+    net: &NetworkModel,
+    trace: &Trace,
+) -> (coopcache::sim::DesReport, [String; 2]) {
+    use std::sync::{Arc, Mutex, PoisonError};
+    let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+    let report = run_des_with_sink(
+        cfg,
+        net,
+        trace,
+        Some(SinkHandle::from_arc(Arc::clone(&sink))),
+    );
+    let bytes = Arc::try_unwrap(sink)
+        .expect("runner drops its sink handles")
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_inner();
+    let pins =
+        [fnv1a(&bytes), fnv1a(format!("{report:?}").as_bytes())].map(|h| format!("{h:#018x}"));
+    (report, pins)
+}
+
+/// The event queue's tie rule, pinned: the streams and reports of three
+/// runs where equal timestamps occur, computed before the queue stopped
+/// holding the whole trace (at commit `417c96b`).
+#[test]
+fn des_tie_order_matches_the_pinned_streams() {
+    let trace = icp_floored_trace();
+    let round = NetworkModel::paper_calibrated().icp_round.as_millis();
+    let times: std::collections::HashSet<u64> = trace.iter().map(|r| r.time.as_millis()).collect();
+    assert!(times.len() < trace.len(), "arrivals must share timestamps");
+    assert!(
+        trace
+            .iter()
+            .any(|r| times.contains(&(r.time.as_millis() + round))),
+        "some arrival must land one ICP round after another"
+    );
+    let net = NetworkModel::paper_calibrated();
+    let cfg = SimConfig::new(ByteSize::from_kb(100)).with_scheme(PlacementScheme::Ea);
+    let (_, lossless) = des_pins(&cfg, &net, &trace);
+    let (_, lossy) = des_pins(&cfg, &net.with_icp_loss_permille(100), &trace);
+    let (report, fallbacks) = des_pins(&SimConfig::new(ByteSize::from_kb(8)), &net, &trace);
+    assert!(report.icp_fallbacks > 0, "the 8 KB cell must fall back");
+    assert_eq!(
+        [lossless, lossy, fallbacks],
+        [
+            ["0xba1a721ce6009809", "0x54294aa25ee30c99"],
+            ["0x1283884697b16ced", "0x3cdc68aa58f8da5e"],
+            ["0xa38a3b24abd89aad", "0x3939d7d8e30e7fd1"],
+        ],
+        "(stream, report) for: EA 100 KB, the same at 10% ICP loss, ad-hoc 8 KB"
+    );
+}
