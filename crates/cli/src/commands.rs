@@ -80,21 +80,6 @@ COMMANDS:
                 --chaos SEED                  (inject a seeded peer-fault mix)
                 --kill-after N                (halt the last daemon mid-run)
                 --events PATH                 (stream events, spans included, as JSONL)
-    bench-daemon  measure live daemon throughput over loopback sockets
-                --requests N                  (default 200000)
-                --clients N                   (default 2)
-                --pipeline N                  (default 64, requests per batch)
-                --doc-size BYTES              (default 256)
-                --docs N                      (default 64, pre-warmed working set)
-                --smoke true                  (small gating run; fails unless
-                                               connections are reused)
-                --json PATH                   (write the results/ experiment record)
-                --events off|sampled|both     (telemetry during the bench: off,
-                                               deterministically sampled, or one
-                                               run of each plus the overhead)
-                --sample-rate PERMILLE        (span keep rate, default 100)
-                --sample-seed N               (sampler seed, default 1)
-                --repeat N                    (best-of-N per mode, default 1)
     analyze   characterize a workload (locality, popularity, sharing, MIN bound)
                 --trace PATH | --profile NAME (default small)
                 --aggregate SIZE for the MIN bound (default 10MB)
@@ -102,11 +87,6 @@ COMMANDS:
                 --log PATH                    (required)
                 --format squid|clf            (default squid)
                 --out PATH                    (required)
-    bench-diff  compare two BENCH_*.json snapshots cell by cell
-                --old PATH                    (required)
-                --new PATH                    (required)
-    bench-trend collate BENCH_*.json snapshots into per-cell trend lines
-                --files PATH,PATH,...         (two or more, oldest first)
     help      print this message
 ";
 
@@ -122,9 +102,6 @@ pub fn dispatch<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError
         "stats" => cmd_stats(args, out),
         "top" => cmd_top(args, out),
         "health" => cmd_health(args, out),
-        "bench-diff" => cmd_bench_diff(args, out),
-        "bench-trend" => cmd_bench_trend(args, out),
-        "bench-daemon" => cmd_bench_daemon(args, out),
         "trace" => cmd_trace(args, out),
         "simulate" => cmd_simulate(args, out),
         "sweep" => cmd_sweep(args, out),
@@ -851,430 +828,6 @@ fn cmd_top<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
         }
         std::thread::sleep(refresh);
     }
-}
-
-/// One experiment out of a `BENCH_*.json` snapshot.
-struct BenchExperiment {
-    id: String,
-    headers: Vec<String>,
-    /// Rows keyed by their leading non-numeric label cells.
-    rows: Vec<(String, Vec<String>)>,
-}
-
-/// A bench table cell as a number, `None` for label cells like `100KB`
-/// or `ad-hoc`. Signed cells (`+1.46`) parse.
-fn bench_cell_value(cell: &str) -> Option<f64> {
-    let v: f64 = cell.trim().parse().ok()?;
-    v.is_finite().then_some(v)
-}
-
-/// The label a row is matched on across snapshots: every leading cell
-/// that is not a number (`["100KB", "ad-hoc"]` → `"100KB ad-hoc"`).
-fn bench_row_key(cells: &[String]) -> String {
-    let label: Vec<&str> = cells
-        .iter()
-        .map(String::as_str)
-        .take_while(|c| bench_cell_value(c).is_none())
-        .collect();
-    if label.is_empty() {
-        cells.first().cloned().unwrap_or_default()
-    } else {
-        label.join(" ")
-    }
-}
-
-/// Loads a snapshot written by `scripts/bench.sh`.
-fn load_bench(path: &str) -> Result<(String, Vec<BenchExperiment>), ArgError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let v = parse_json(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
-    let name = v
-        .get("bench")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?")
-        .to_owned();
-    let raw = v
-        .get("experiments")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| ArgError(format!("{path}: no experiments array")))?;
-    let mut experiments = Vec::new();
-    for exp in raw {
-        let id = exp
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ArgError(format!("{path}: experiment without an id")))?
-            .to_owned();
-        let strings = |key: &str| -> Vec<String> {
-            exp.get(key)
-                .and_then(JsonValue::as_array)
-                .map_or_else(Vec::new, |cells| {
-                    cells
-                        .iter()
-                        .filter_map(JsonValue::as_str)
-                        .map(str::to_owned)
-                        .collect()
-                })
-        };
-        let headers = strings("headers");
-        let rows = exp
-            .get("rows")
-            .and_then(JsonValue::as_array)
-            .map_or_else(Vec::new, |rows| {
-                rows.iter()
-                    .map(|row| {
-                        let cells: Vec<String> = row.as_array().map_or_else(Vec::new, |cells| {
-                            cells
-                                .iter()
-                                .filter_map(JsonValue::as_str)
-                                .map(str::to_owned)
-                                .collect()
-                        });
-                        (bench_row_key(&cells), cells)
-                    })
-                    .collect()
-            });
-        experiments.push(BenchExperiment { id, headers, rows });
-    }
-    Ok((name, experiments))
-}
-
-/// The `bench-diff` subcommand: compares two benchmark snapshots
-/// experiment by experiment and prints per-cell deltas. Advisory by
-/// design — drift is reported, only unreadable snapshots are errors.
-fn cmd_bench_diff<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
-    args.expect_only(&["old", "new"])?;
-    let old_path = args
-        .get("old")
-        .ok_or_else(|| ArgError("bench-diff requires --old PATH".into()))?;
-    let new_path = args
-        .get("new")
-        .ok_or_else(|| ArgError("bench-diff requires --new PATH".into()))?;
-    let (old_name, old) = load_bench(old_path)?;
-    let (new_name, new) = load_bench(new_path)?;
-    write_out(
-        out,
-        format!("bench-diff: {old_name} ({old_path}) -> {new_name} ({new_path})\n"),
-    )?;
-    let mut changed = 0usize;
-    let mut compared = 0usize;
-    for exp in &new {
-        let Some(before) = old.iter().find(|e| e.id == exp.id) else {
-            write_out(out, format!("  {}: only in {new_path}\n", exp.id))?;
-            continue;
-        };
-        for (key, cells) in &exp.rows {
-            let Some((_, old_cells)) = before.rows.iter().find(|(k, _)| k == key) else {
-                write_out(out, format!("  {} / {key}: new row\n", exp.id))?;
-                continue;
-            };
-            for (i, (n, o)) in cells.iter().zip(old_cells.iter()).enumerate() {
-                compared += 1;
-                let column = exp.headers.get(i).map_or("?", String::as_str);
-                match (bench_cell_value(o), bench_cell_value(n)) {
-                    (Some(a), Some(b)) if (b - a).abs() > 1e-9 => {
-                        changed += 1;
-                        write_out(
-                            out,
-                            format!(
-                                "  {} / {key} / {column}: {o} -> {n} ({:+.2})\n",
-                                exp.id,
-                                b - a
-                            ),
-                        )?;
-                    }
-                    (Some(_), Some(_)) => {}
-                    _ if o != n => {
-                        changed += 1;
-                        write_out(
-                            out,
-                            format!("  {} / {key} / {column}: {o} -> {n}\n", exp.id),
-                        )?;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    for exp in &old {
-        if !new.iter().any(|e| e.id == exp.id) {
-            write_out(out, format!("  {}: only in {old_path}\n", exp.id))?;
-        }
-    }
-    write_out(
-        out,
-        if changed == 0 {
-            format!("no differences across {compared} compared cell(s)\n")
-        } else {
-            format!("{changed} differing cell(s) of {compared} compared\n")
-        },
-    )
-}
-
-/// The `bench-daemon` subcommand: drives the pooled daemon transport
-/// over loopback (`coopcache_net::run_daemon_bench`) and reports
-/// sustained throughput, latency percentiles, and the pooling/admission
-/// counters scraped over `OP_STATS`. `--smoke true` turns the run into
-/// a gate: it fails unless the pipelined clients actually reused their
-/// connections.
-fn cmd_bench_daemon<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
-    use coopcache_net::{run_daemon_bench, DaemonBenchConfig, EventsMode};
-    args.expect_only(&[
-        "requests",
-        "clients",
-        "pipeline",
-        "doc-size",
-        "docs",
-        "smoke",
-        "json",
-        "events",
-        "sample-rate",
-        "sample-seed",
-        "repeat",
-    ])?;
-    let smoke = parse_bool("smoke", args.get("smoke").unwrap_or("false"))?;
-    let mut cfg = if smoke {
-        DaemonBenchConfig::smoke()
-    } else {
-        DaemonBenchConfig::default()
-    };
-    cfg.requests = args.get_or("requests", cfg.requests)?;
-    cfg.clients = args.get_or("clients", cfg.clients)?;
-    cfg.pipeline = args.get_or("pipeline", cfg.pipeline)?;
-    cfg.doc_size = args.get_or("doc-size", cfg.doc_size)?;
-    cfg.docs = args.get_or("docs", cfg.docs)?;
-    if cfg.clients == 0 || cfg.pipeline == 0 || cfg.docs == 0 {
-        return Err(ArgError(
-            "bench-daemon needs nonzero --clients, --pipeline and --docs".into(),
-        ));
-    }
-    let rate: u32 = args.get_or("sample-rate", 100u32)?;
-    let seed: u64 = args.get_or("sample-seed", 1u64)?;
-    let (run_off, run_sampled) = match args.get("events").unwrap_or("off") {
-        "off" => (true, false),
-        "sampled" => (false, true),
-        "both" => (true, true),
-        other => {
-            return Err(ArgError(format!(
-                "--events {other:?}: expected off, sampled or both"
-            )))
-        }
-    };
-    let repeat: u32 = args.get_or("repeat", 1u32)?;
-    if repeat == 0 {
-        return Err(ArgError("bench-daemon needs nonzero --repeat".into()));
-    }
-    // Loopback throughput is noisy run to run; best-of-N per mode keeps
-    // the off/sampled comparison from being dominated by scheduler luck,
-    // and the modes are *interleaved* across repeats so slow machine
-    // drift lands on both sides of the comparison equally. The counters
-    // (reused, shed, events) are deterministic across repeats, so
-    // keeping the fastest run loses nothing.
-    let run_mode = |events: EventsMode| {
-        let mut mode_cfg = cfg.clone();
-        mode_cfg.events = events;
-        run_daemon_bench(&mode_cfg).map_err(|e| ArgError(format!("bench failed: {e}")))
-    };
-    let keep_best = |best: &mut Option<coopcache_net::DaemonBenchReport>,
-                     r: coopcache_net::DaemonBenchReport| {
-        if best.as_ref().is_none_or(|b| r.req_per_sec > b.req_per_sec) {
-            *best = Some(r);
-        }
-    };
-    let mut off = None;
-    let mut sampled = None;
-    for _ in 0..repeat {
-        if run_off {
-            keep_best(&mut off, run_mode(EventsMode::Off)?);
-        }
-        if run_sampled {
-            keep_best(&mut sampled, run_mode(EventsMode::Sampled { seed, rate })?);
-        }
-    }
-
-    let mut headers = vec!["metric".to_owned()];
-    if off.is_some() {
-        headers.push("events off".to_owned());
-    }
-    if sampled.is_some() {
-        headers.push(format!("sampled {rate}/1000"));
-    }
-    let mut table = Table::new(headers);
-    let reports: Vec<&coopcache_net::DaemonBenchReport> = [off.as_ref(), sampled.as_ref()]
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut metric = |name: &str, value: &dyn Fn(&coopcache_net::DaemonBenchReport) -> String| {
-        let mut cells = vec![name.to_owned()];
-        cells.extend(reports.iter().map(|r| value(r)));
-        table.row(cells);
-    };
-    metric("requests", &|r| r.requests.to_string());
-    metric("clients x pipeline", &|_| {
-        format!("{} x {}", cfg.clients, cfg.pipeline)
-    });
-    metric("elapsed (ms)", &|r| (r.elapsed_us / 1_000).to_string());
-    metric("req/s", &|r| r.req_per_sec.to_string());
-    metric("p50 latency (us)", &|r| r.p50_us.to_string());
-    metric("p99 latency (us)", &|r| r.p99_us.to_string());
-    metric("connections reused", &|r| r.connections_reused.to_string());
-    metric("admission shed", &|r| r.admission_shed.to_string());
-    metric("events emitted", &|r| r.events_emitted.to_string());
-    write_out(out, table.to_string())?;
-
-    // With both modes measured, the headline number: how much throughput
-    // the always-on sampled telemetry pipeline costs.
-    let overhead_pct = match (&off, &sampled) {
-        (Some(o), Some(s)) if o.req_per_sec > 0 => {
-            let o_rps = o.req_per_sec as f64;
-            Some((o_rps - s.req_per_sec as f64) / o_rps * 100.0)
-        }
-        _ => None,
-    };
-    if let (Some(pct), Some(s)) = (overhead_pct, &sampled) {
-        write_out(
-            out,
-            format!(
-                "sampled telemetry overhead: {pct:+.2}% req/s ({} events emitted)\n",
-                s.events_emitted
-            ),
-        )?;
-    }
-
-    if let Some(path) = args.get("json") {
-        // The standard results/ experiment shape, mergeable by
-        // scripts/bench.sh. Throughput varies run to run, so bench-diff
-        // treats drift here as advisory.
-        let row = |label: &str, r: &coopcache_net::DaemonBenchReport| {
-            format!(
-                r#"["{label}","{}","{}","{}","{}","{}","{}"]"#,
-                r.req_per_sec,
-                r.p50_us,
-                r.p99_us,
-                r.connections_reused,
-                r.admission_shed,
-                r.events_emitted,
-            )
-        };
-        let rows: Vec<String> = off
-            .iter()
-            .map(|r| row("pipelined", r))
-            .chain(sampled.iter().map(|r| row("pipelined-sampled", r)))
-            .collect();
-        let record = format!(
-            concat!(
-                r#"{{"id":"bench_daemon","title":"live daemon loopback throughput","#,
-                r#""trace":"synthetic uniform, {docs} docs x {size}B","#,
-                r#""headers":["workload","req/s","p50 us","p99 us","reused","shed","events"],"#,
-                r#""rows":[{rows}]}}"#,
-                "\n"
-            ),
-            docs = cfg.docs,
-            size = cfg.doc_size,
-            rows = rows.join(","),
-        );
-        std::fs::write(path, record).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        write_out(out, format!("wrote {path}\n"))?;
-    }
-    if smoke {
-        if reports.iter().any(|r| r.connections_reused == 0) {
-            return Err(ArgError(
-                "bench-daemon --smoke: no connection reuse observed (pooled transport broken?)"
-                    .into(),
-            ));
-        }
-        if let Some(s) = &sampled {
-            if s.events_emitted == 0 {
-                return Err(ArgError(
-                    "bench-daemon --smoke: sampled run emitted no events (telemetry plane dead?)"
-                        .into(),
-                ));
-            }
-        }
-        // Generous smoke bound — the <=5% acceptance number comes from
-        // the full-size scripts/bench.sh run; tiny smoke runs are noisy,
-        // and debug builds amplify the per-event cost past any useful
-        // threshold, so the gate only bites in release builds.
-        if let Some(pct) = overhead_pct.filter(|_| !cfg!(debug_assertions)) {
-            if pct > 50.0 {
-                return Err(ArgError(format!(
-                    "bench-daemon --smoke: sampled telemetry halved throughput ({pct:+.1}%)"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The `bench-trend` subcommand: collates two or more snapshots (oldest
-/// first) into one line per numeric cell showing how it moved across
-/// the sequence. Advisory by design, like `bench-diff`: drift is shown,
-/// only unreadable snapshots are errors.
-fn cmd_bench_trend<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
-    args.expect_only(&["files"])?;
-    let raw = args
-        .get("files")
-        .ok_or_else(|| ArgError("bench-trend requires --files PATH,PATH,...".into()))?;
-    let paths: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if paths.len() < 2 {
-        return Err(ArgError(
-            "bench-trend needs at least two --files snapshots".into(),
-        ));
-    }
-    let mut names = Vec::new();
-    let mut snapshots = Vec::new();
-    for path in &paths {
-        let (name, experiments) = load_bench(path)?;
-        names.push(name);
-        snapshots.push(experiments);
-    }
-    write_out(out, format!("bench-trend: {}\n", names.join(" -> ")))?;
-    let Some(newest) = snapshots.last() else {
-        return Ok(());
-    };
-    let mut lines = 0usize;
-    for exp in newest {
-        for (key, cells) in &exp.rows {
-            for (i, cell) in cells.iter().enumerate() {
-                if bench_cell_value(cell).is_none() {
-                    continue;
-                }
-                let column = exp.headers.get(i).map_or("?", String::as_str);
-                let series: Vec<String> = snapshots
-                    .iter()
-                    .map(|experiments| {
-                        experiments
-                            .iter()
-                            .find(|e| e.id == exp.id)
-                            .and_then(|e| e.rows.iter().find(|(k, _)| k == key))
-                            .and_then(|(_, cells)| cells.get(i))
-                            .cloned()
-                            .unwrap_or_else(|| "-".into())
-                    })
-                    .collect();
-                let delta = series
-                    .iter()
-                    .find_map(|c| bench_cell_value(c))
-                    .zip(bench_cell_value(&series[series.len() - 1]))
-                    .map_or(String::new(), |(first, last)| {
-                        format!(" ({:+.2})", last - first)
-                    });
-                write_out(
-                    out,
-                    format!(
-                        "  {} / {key} / {column}: {}{delta}\n",
-                        exp.id,
-                        series.join(" -> ")
-                    ),
-                )?;
-                lines += 1;
-            }
-        }
-    }
-    write_out(out, format!("{lines} cell trend(s)\n"))
 }
 
 /// Parses a trace id: decimal, or hex with an `0x` prefix (daemon trace
@@ -2237,156 +1790,6 @@ mod tests {
     fn stats_cluster_flag_validation() {
         assert!(run_cmd(&["stats", "--cluster", ""]).is_err());
         assert!(run_cmd(&["stats", "--cluster", "nope"]).is_err());
-    }
-
-    fn write_bench(path: &std::path::Path, ea_hit: &str) -> String {
-        let body = format!(
-            concat!(
-                r#"{{"bench":"BENCH_T","experiments":[{{"id":"fig1","title":"t","#,
-                r#""trace":"x","headers":["aggregate","ad-hoc hit %","EA hit %"],"#,
-                r#""rows":[["100KB","53.08","{}"],["1MB","76.03","76.18"]]}}]}}"#
-            ),
-            ea_hit
-        );
-        std::fs::write(path, &body).unwrap();
-        path.to_str().unwrap().to_owned()
-    }
-
-    #[test]
-    fn bench_diff_reports_deltas_and_identity() {
-        let dir = std::env::temp_dir().join("coopcache_cli_bench_diff");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = write_bench(&dir.join("old.json"), "54.54");
-        let new = write_bench(&dir.join("new.json"), "55.04");
-
-        let same = run_cmd(&["bench-diff", "--old", &old, "--new", &old]).unwrap();
-        assert!(same.contains("no differences"), "{same}");
-
-        let diff = run_cmd(&["bench-diff", "--old", &old, "--new", &new]).unwrap();
-        assert!(diff.contains("fig1 / 100KB / EA hit %"), "{diff}");
-        assert!(diff.contains("54.54 -> 55.04 (+0.50)"), "{diff}");
-        assert!(diff.contains("1 differing cell(s)"), "{diff}");
-
-        assert!(run_cmd(&["bench-diff", "--old", &old]).is_err());
-        assert!(run_cmd(&["bench-diff", "--old", "/nonexistent/x", "--new", &new]).is_err());
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "not json").unwrap();
-        assert!(run_cmd(&[
-            "bench-diff",
-            "--old",
-            &old,
-            "--new",
-            garbage.to_str().unwrap()
-        ])
-        .is_err());
-    }
-
-    #[test]
-    fn bench_daemon_smoke_gates_on_reuse_and_writes_json() {
-        let dir = std::env::temp_dir().join("coopcache_cli_bench_daemon");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_daemon.json");
-        let path_s = path.to_str().unwrap();
-        let text = run_cmd(&[
-            "bench-daemon",
-            "--smoke",
-            "true",
-            "--requests",
-            "400",
-            "--pipeline",
-            "8",
-            "--docs",
-            "8",
-            "--doc-size",
-            "64",
-            "--json",
-            path_s,
-        ])
-        .unwrap();
-        assert!(text.contains("req/s"), "{text}");
-        assert!(text.contains("connections reused"), "{text}");
-        assert!(text.contains(&format!("wrote {path_s}")), "{text}");
-        let record = std::fs::read_to_string(&path).unwrap();
-        assert!(record.starts_with("{\"id\":\"bench_daemon\""), "{record}");
-        assert!(record.ends_with("}\n"), "{record:?}");
-        // The record is one well-formed experiment in the results/ shape.
-        let v = parse_json(record.trim()).unwrap();
-        assert_eq!(
-            v.get("headers")
-                .and_then(JsonValue::as_array)
-                .map(<[_]>::len),
-            Some(7)
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bench_daemon_flag_validation() {
-        assert!(run_cmd(&["bench-daemon", "--clients", "0"]).is_err());
-        assert!(run_cmd(&["bench-daemon", "--smoke", "maybe"]).is_err());
-        assert!(run_cmd(&["bench-daemon", "--bogus", "1"]).is_err());
-    }
-
-    #[test]
-    fn bench_daemon_events_both_measures_overhead() {
-        let dir = std::env::temp_dir().join("coopcache_cli_bench_events");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench_daemon.json");
-        let path_s = path.to_str().unwrap();
-        let text = run_cmd(&[
-            "bench-daemon",
-            "--smoke",
-            "true",
-            "--requests",
-            "600",
-            "--pipeline",
-            "8",
-            "--docs",
-            "8",
-            "--doc-size",
-            "64",
-            "--events",
-            "both",
-            "--json",
-            path_s,
-        ])
-        .unwrap();
-        assert!(text.contains("events off"), "{text}");
-        assert!(text.contains("sampled 100/1000"), "{text}");
-        assert!(text.contains("events emitted"), "{text}");
-        assert!(text.contains("sampled telemetry overhead:"), "{text}");
-        let record = std::fs::read_to_string(&path).unwrap();
-        assert!(record.contains(r#"["pipelined","#), "{record}");
-        assert!(record.contains(r#"["pipelined-sampled","#), "{record}");
-        let v = parse_json(record.trim()).unwrap();
-        assert_eq!(
-            v.get("rows").and_then(JsonValue::as_array).map(<[_]>::len),
-            Some(2)
-        );
-        std::fs::remove_file(&path).unwrap();
-
-        assert!(run_cmd(&["bench-daemon", "--events", "sometimes"]).is_err());
-    }
-
-    #[test]
-    fn bench_trend_collates_snapshots_per_cell() {
-        let dir = std::env::temp_dir().join("coopcache_cli_bench_trend");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = write_bench(&dir.join("a.json"), "54.54");
-        let b = write_bench(&dir.join("b.json"), "55.04");
-        let files = format!("{a},{b}");
-
-        let text = run_cmd(&["bench-trend", "--files", &files]).unwrap();
-        assert!(text.contains("bench-trend: BENCH_T -> BENCH_T"), "{text}");
-        assert!(text.contains("fig1 / 100KB / EA hit %"), "{text}");
-        assert!(text.contains("54.54 -> 55.04 (+0.50)"), "{text}");
-        // Label cells are not trended; numeric cells are.
-        assert!(!text.contains("/ aggregate:"), "{text}");
-        assert!(text.ends_with("cell trend(s)\n"), "{text}");
-
-        assert!(run_cmd(&["bench-trend"]).is_err());
-        assert!(run_cmd(&["bench-trend", "--files", &a]).is_err());
-        assert!(run_cmd(&["bench-trend", "--files", "/nonexistent/x,/nonexistent/y"]).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A single byte-capacity-bounded proxy cache: the arena-backed document
-//! store and its audited, profiled front.
+//! store and its audited front.
 
 use crate::config::CacheConfig;
 use crate::entry::{CacheEntry, EvictionReason, EvictionRecord};
@@ -34,9 +34,9 @@ use std::fmt;
 /// hot-path operation is pointer-free O(1) (O(log n) for the
 /// heap-ordered policies) with zero per-operation allocation once the
 /// backing vectors reach steady-state capacity. The public mutators are
-/// the one place those operations are timed (`profile` feature) and
-/// audited (`paranoid` feature); [`crate::ConcurrentCache`] routes
-/// documents over 2^k caches, one lock each, and calls the same methods.
+/// the one place those operations are audited (`paranoid` feature);
+/// [`crate::ConcurrentCache`] routes documents over 2^k caches, one lock
+/// each, and calls the same methods.
 ///
 /// # Example
 ///
@@ -65,8 +65,6 @@ pub struct Cache {
     tracker: ExpirationTracker,
     stats: CacheStats,
     ttl: Option<DurationMs>,
-    #[cfg(feature = "profile")]
-    profile: crate::profile::ProfileSnapshot,
 }
 
 /// A broken internal invariant, as reported by
@@ -215,8 +213,6 @@ impl Cache {
             tracker: ExpirationTracker::new(policy.expiration_flavor(), window),
             stats: CacheStats::default(),
             ttl: None,
-            #[cfg(feature = "profile")]
-            profile: crate::profile::ProfileSnapshot::default(),
         }
     }
 
@@ -331,10 +327,8 @@ impl Cache {
     /// (last-hit time, hit counter, policy promotion) and its size is
     /// returned; on a miss, `None`.
     pub fn lookup(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
-        let timer = crate::profile::Timer::start();
         let served = self.lookup_raw(doc, now);
         self.audit();
-        self.record_profile(crate::profile::ProfileOp::Lookup, timer);
         served
     }
 
@@ -349,10 +343,8 @@ impl Cache {
     /// Returns the document size, or `None` if the document is not here
     /// (e.g. it was evicted between the ICP reply and the HTTP request).
     pub fn serve_remote(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
-        let timer = crate::profile::Timer::start();
         let served = self.serve_remote_raw(doc, now, promote);
         self.audit();
-        self.record_profile(crate::profile::ProfileOp::ServeRemote, timer);
         served
     }
 
@@ -362,10 +354,8 @@ impl Cache {
     /// the caller (the simulator logs them). A document wider than the
     /// cache is rejected rather than flushing everything.
     pub fn insert(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
-        let timer = crate::profile::Timer::start();
         let outcome = self.insert_raw(doc, size, now);
         self.audit();
-        self.record_profile(crate::profile::ProfileOp::Insert, timer);
         outcome
     }
 
@@ -455,30 +445,10 @@ impl Cache {
         Ok(())
     }
 
-    /// The accumulated hot-path profile.
-    ///
-    /// `Some` only when the crate is built with the `profile` feature;
-    /// `None` otherwise, so callers can report "profiling off"
-    /// explicitly instead of showing all-zero timings. The snapshot's
-    /// `growth_events` field carries [`Cache::growth_events`].
-    #[must_use]
-    pub fn profile(&self) -> Option<crate::profile::ProfileSnapshot> {
-        #[cfg(feature = "profile")]
-        {
-            let mut snap = self.profile;
-            snap.growth_events = self.growth_events();
-            Some(snap)
-        }
-        #[cfg(not(feature = "profile"))]
-        {
-            None
-        }
-    }
-
     /// Times the store's backing vectors grew, summed over the arena, the
     /// table and the policy's own storage: 0 once the cache reaches
     /// steady-state occupancy (the `store_scale` integration test asserts
-    /// exactly that). Available with or without the `profile` feature.
+    /// exactly that).
     #[must_use]
     pub fn growth_events(&self) -> u64 {
         self.nodes.growth_events() + self.table.growth_events() + self.policy.growth_events()
@@ -582,7 +552,6 @@ impl Cache {
     }
 
     fn evict(&mut self, slot: u32, now: Timestamp, reason: EvictionReason) -> EvictionRecord {
-        let timer = crate::profile::Timer::start();
         let entry = self.detach(slot);
         let record = EvictionRecord {
             entry,
@@ -598,7 +567,6 @@ impl Cache {
             // contention signals.
             self.policy.on_evicted(entry.doc, now);
         }
-        self.record_profile(crate::profile::ProfileOp::Evict, timer);
         record
     }
 
@@ -631,16 +599,6 @@ impl Cache {
             }
             self.nodes.audit_freelist();
         }
-    }
-
-    /// Accounts one timed hot-path call; compiles to nothing without the
-    /// `profile` feature.
-    #[inline]
-    fn record_profile(&mut self, op: crate::profile::ProfileOp, timer: crate::profile::Timer) {
-        #[cfg(feature = "profile")]
-        self.profile.record(op, timer.elapsed_ns());
-        #[cfg(not(feature = "profile"))]
-        let _ = (op, timer);
     }
 }
 
@@ -961,32 +919,5 @@ mod tests {
             baseline,
             "hot path must not grow backing vectors at steady state"
         );
-    }
-
-    #[test]
-    fn profile_matches_feature_state() {
-        let mut c = cache(8);
-        let now = t(5);
-        c.insert(d(1), kb(4), now);
-        c.lookup(d(1), now);
-        c.lookup(d(2), now);
-        c.serve_remote(d(1), now, true);
-        c.insert(d(2), kb(8), now); // evicts d(1) under capacity pressure
-        c.remove(d(2), now);
-        assert_eq!(
-            c.profile().is_some(),
-            cfg!(feature = "profile"),
-            "profile() must be Some exactly under the profile feature"
-        );
-        if let Some(profile) = c.profile() {
-            assert_eq!(profile.lookup.calls, 2);
-            assert_eq!(profile.serve_remote.calls, 1);
-            assert_eq!(profile.insert.calls, 2);
-            assert_eq!(
-                profile.evict.calls, 2,
-                "capacity eviction + explicit remove"
-            );
-            assert_eq!(profile.growth_events, c.growth_events());
-        }
     }
 }

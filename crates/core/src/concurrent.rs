@@ -220,18 +220,6 @@ impl ConcurrentCache {
         self.each_shard()
             .try_for_each(|shard| shard.check_invariants())
     }
-
-    /// The accumulated hot-path profile (see [`Cache::profile`]),
-    /// aggregated over the shards.
-    #[must_use]
-    pub fn profile(&self) -> Option<crate::profile::ProfileSnapshot> {
-        let mut parts = self.each_shard().filter_map(|shard| shard.profile());
-        let mut total = parts.next()?;
-        for part in parts {
-            total.merge(&part);
-        }
-        Some(total)
-    }
 }
 
 #[cfg(test)]

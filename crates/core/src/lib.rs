@@ -48,7 +48,6 @@ mod expiration;
 mod index;
 mod placement;
 mod policy;
-mod profile;
 mod stats;
 
 pub use cache::{Cache, InsertOutcome, InvariantViolation};
@@ -58,5 +57,4 @@ pub use entry::{CacheEntry, EvictionReason, EvictionRecord};
 pub use expiration::{ExpirationTracker, ExpirationWindow};
 pub use placement::{PlacementScheme, TieBreak};
 pub use policy::{ExpirationFlavor, PolicyKind};
-pub use profile::{OpProfile, ProfileOp, ProfileSnapshot, Timer as ProfileTimer};
 pub use stats::CacheStats;

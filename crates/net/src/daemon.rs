@@ -1912,14 +1912,13 @@ fn build_stats_json(
         }
     }
     w.end_array();
-    let (docs, used, capacity, age_ms, profile) = {
+    let (docs, used, capacity, age_ms) = {
         let cache = node.cache();
         (
             u64::try_from(cache.len()).unwrap_or(u64::MAX),
             cache.used().as_bytes(),
             cache.capacity().as_bytes(),
             age_to_ms(node.expiration_age()),
-            cache.profile(),
         )
     };
     w.key("occupancy");
@@ -1933,34 +1932,8 @@ fn build_stats_json(
     w.end_object();
     w.key("expiration_age_ms");
     w.opt_u64(age_ms);
-    w.key("profile");
-    write_profile_json(&mut w, profile);
     w.end_object();
     w.finish()
-}
-
-/// Writes the `profile` section of the stats document: `null` when the
-/// workspace was built without the core `profile` feature, else one
-/// object per hot-path op with call count and accumulated wall time.
-fn write_profile_json(w: &mut JsonWriter, profile: Option<coopcache_core::ProfileSnapshot>) {
-    let Some(p) = profile else {
-        w.null();
-        return;
-    };
-    w.begin_object();
-    for op in coopcache_core::ProfileOp::ALL {
-        let slot = p.op(op);
-        w.key(op.name());
-        w.begin_object();
-        w.key("calls");
-        w.u64(slot.calls);
-        w.key("total_ns");
-        w.u64(slot.total_ns);
-        w.key("mean_ns");
-        w.u64(slot.mean_ns());
-        w.end_object();
-    }
-    w.end_object();
 }
 
 /// Takes one time-series sample of a daemon's live state: cumulative

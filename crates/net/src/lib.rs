@@ -35,7 +35,6 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-mod bench;
 mod clock;
 mod cluster;
 mod daemon;
@@ -46,7 +45,6 @@ mod pool;
 mod stats;
 mod wire;
 
-pub use bench::{run_daemon_bench, DaemonBenchConfig, DaemonBenchReport, EventsMode};
 pub use clock::SharedClock;
 pub use cluster::{ClusterConfig, LoopbackCluster};
 pub use daemon::{BoundSockets, CacheDaemon, DaemonConfig, PeerAddr, ServeSource};

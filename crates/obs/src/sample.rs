@@ -1,8 +1,9 @@
 //! Deterministic head sampling over the event stream.
 //!
-//! At daemon throughput (~1M req/s, BENCH_8) a full per-event JSONL
-//! stream is unaffordable, but switching tracing off entirely blinds the
-//! cluster exactly when it is under the most load. A [`Sampler`] is the
+//! At daemon throughput (~1M req/s, coopbench `live-pipelined`) a full
+//! per-event JSONL stream is unaffordable, but switching tracing off
+//! entirely blinds the cluster exactly when it is under the most load.
+//! A [`Sampler`] is the
 //! middle ground: a seeded, per-trace *head* decision — made once from
 //! the trace id, before any span of the trace is emitted — that keeps a
 //! fixed fraction of traces and drops the rest.

@@ -467,33 +467,15 @@ pub fn run_des_with_sink(
 /// Like [`run_des_with_sink`], but additionally samples every node's
 /// cumulative counters, request latency and occupancy into a per-node
 /// time-series ring at `interval_ms` boundaries of *virtual* time
-/// (`capacity` retained points per node, oldest evicted first).
+/// (`capacity` retained points per node, oldest evicted first),
+/// evaluates the SLO rules at every sample boundary and (optionally)
+/// folds the full event stream into an online [`Rollup`]. With no rules
+/// and no rollup it records the rings alone.
 ///
 /// Fully deterministic: the same trace and config produce byte-identical
-/// rings ([`SeriesRing::to_json`]) on every run — the pinned fixture
-/// behind `coopcache top --replay` and the determinism suite.
-#[must_use]
-pub fn run_des_with_series(
-    config: &SimConfig,
-    network: &NetworkModel,
-    trace: &Trace,
-    sink: Option<SinkHandle>,
-    interval_ms: u64,
-    capacity: usize,
-) -> (DesReport, Vec<SeriesRing>) {
-    let spec = TapSpec {
-        series: Some((interval_ms, capacity)),
-        rules: Vec::new(),
-        rollup: None,
-    };
-    let (report, health) = run_des_inner(config, network, trace, sink, Some(spec));
-    (report, health.rings)
-}
-
-/// Like [`run_des_with_series`], additionally evaluating SLO rules at
-/// every virtual-time sample boundary and (optionally) folding the full
-/// event stream into an online [`Rollup`]. The alert stream and the
-/// rollup are pure functions of the trace: same seed, same bytes.
+/// rings ([`SeriesRing::to_json`]), alerts and rollups on every run —
+/// the pinned fixture behind `coopcache top --replay` and the
+/// determinism suite.
 #[must_use]
 pub fn run_des_with_health(
     config: &SimConfig,
@@ -961,6 +943,19 @@ mod tests {
         SimConfig::new(ByteSize::from_kb(kb))
     }
 
+    /// The rings alone: a 500 KB group sampled with no rules and no rollup.
+    fn series(t: &Trace, interval_ms: u64, capacity: usize) -> (DesReport, Vec<SeriesRing>) {
+        let health = HealthConfig {
+            interval_ms,
+            capacity,
+            rules: vec![],
+            rollup: None,
+        };
+        let (report, health) =
+            run_des_with_health(&cfg(500), &NetworkModel::default(), t, None, health);
+        (report, health.rings)
+    }
+
     #[test]
     fn network_model_matches_paper_constants_at_4kb() {
         let net = NetworkModel::paper_calibrated();
@@ -1008,8 +1003,8 @@ mod tests {
     #[test]
     fn des_series_is_byte_identical_across_runs() {
         let t = trace();
-        let (_, a) = run_des_with_series(&cfg(500), &NetworkModel::default(), &t, None, 500, 64);
-        let (_, b) = run_des_with_series(&cfg(500), &NetworkModel::default(), &t, None, 500, 64);
+        let (_, a) = series(&t, 500, 64);
+        let (_, b) = series(&t, 500, 64);
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty(), "a group run must produce rings");
         for (ra, rb) in a.iter().zip(&b) {
@@ -1022,8 +1017,7 @@ mod tests {
     fn des_series_does_not_change_the_report() {
         let t = trace();
         let plain = run_des(&cfg(500), &NetworkModel::default(), &t);
-        let (sampled, rings) =
-            run_des_with_series(&cfg(500), &NetworkModel::default(), &t, None, 500, 64);
+        let (sampled, rings) = series(&t, 500, 64);
         assert_eq!(plain, sampled);
         // Counters accumulate: the last point of each ring dominates the
         // first, and the per-node request counts sum to the run's total.
@@ -1087,8 +1081,7 @@ mod tests {
         // one the series rings, riding the same clock, sampled last.
         let window_ms = RollupConfig::default().window_ms;
         assert!(rollup.windows().len() as u64 + rollup.windows_dropped() > 1);
-        let (_, rings) =
-            run_des_with_series(&cfg(500), &NetworkModel::default(), &t, None, window_ms, 1);
+        let (_, rings) = series(&t, window_ms, 1);
         let last_sample_ms = rings[0].points().last().unwrap().t_ms;
         let mut closed = rollup.clone();
         closed.advance(u64::MAX);

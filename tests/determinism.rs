@@ -108,13 +108,19 @@ fn des_event_streams_are_byte_identical_across_runs() {
 #[test]
 fn des_series_rings_are_identical_across_runs() {
     use coopcache::obs::SeriesRing;
-    use coopcache::sim::run_des_with_series;
+    use coopcache::sim::{run_des_with_health, HealthConfig};
     let trace = generate(&TraceProfile::small().with_requests(3_000)).unwrap();
     let cfg = SimConfig::new(ByteSize::from_kb(300));
     let net = NetworkModel::paper_calibrated();
     let rings = || -> Vec<String> {
-        let (_, rings) = run_des_with_series(&cfg, &net, &trace, None, 500, 64);
-        rings.iter().map(SeriesRing::to_json).collect()
+        let health = HealthConfig {
+            interval_ms: 500,
+            capacity: 64,
+            rules: vec![],
+            rollup: None,
+        };
+        let (_, health) = run_des_with_health(&cfg, &net, &trace, None, health);
+        health.rings.iter().map(SeriesRing::to_json).collect()
     };
     let a = rings();
     assert!(!a.is_empty());

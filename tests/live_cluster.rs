@@ -2,6 +2,7 @@
 //! semantics the simulators exhibit, observed over genuine UDP/TCP.
 
 use coopcache::net::LoopbackCluster;
+use coopcache::obs::{parse_json, EventKind, JsonValue, SamplerConfig};
 use coopcache::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -107,6 +108,117 @@ fn cluster_agrees_with_synchronous_group_on_small_workload() {
 #[test]
 fn cluster_agrees_with_synchronous_group_on_the_whole_small_profile() {
     cluster_agrees_with_synchronous_group(TraceProfile::small().requests);
+}
+
+/// Events per kind name, one count per line a JSONL sink would write.
+#[derive(Debug, Default)]
+struct KindCounts(BTreeMap<&'static str, u64>);
+
+impl EventSink for KindCounts {
+    fn emit(&mut self, event: &Event) {
+        *self.0.entry(event.kind().name()).or_default() += 1;
+    }
+}
+
+/// What one sampled replay of a trace left behind.
+struct SampledRun {
+    /// Lines per kind in the (possibly sampled) event stream.
+    stream: BTreeMap<&'static str, u64>,
+    /// Each daemon's `OP_STATS` counters, in cache-id order.
+    counters: Vec<BTreeMap<String, u64>>,
+    /// Remote hits per (requester, responder) pair.
+    remote_hits: BTreeMap<(usize, CacheId), u64>,
+}
+
+/// Replays the first 300 requests of the small profile serially through
+/// a 2-cache EA cluster on trace time, streaming into a sink sampled at
+/// `rate` permille (`None`: no sampler).
+fn sampled_run(rate: Option<u32>) -> SampledRun {
+    let trace = generate(&TraceProfile::small().with_requests(300)).unwrap();
+    let mut cluster = LoopbackCluster::start(2, kb(32), PlacementScheme::Ea).unwrap();
+    let stream = Arc::new(Mutex::new(KindCounts::default()));
+    cluster.set_sink(
+        SinkHandle::from_arc(Arc::clone(&stream))
+            .sampled(rate.map(|rate| SamplerConfig::new(0xC0FFEE, rate))),
+    );
+    let part = Partitioner::default();
+    let mut remote_hits = BTreeMap::new();
+    for (seq, r) in trace.iter().enumerate() {
+        let requester = part.assign(r, seq, 2).index();
+        let size = ByteSize::from_bytes(r.size.as_bytes().clamp(100, 8_000));
+        let out = cluster.request_at(requester, r.doc, size, r.time).unwrap();
+        if let RequestOutcome::RemoteHit { responder, .. } = out {
+            *remote_hits.entry((requester, responder)).or_default() += 1;
+        }
+    }
+    // Halting joins every server and connection thread, so the trailing
+    // responder spans are in the counters and the stream.
+    for idx in 0..cluster.len() {
+        cluster.kill(idx);
+    }
+    let counters = (0..cluster.len())
+        .map(|idx| {
+            let doc = parse_json(&cluster.daemon(idx).stats_json()).unwrap();
+            doc.get("counters")
+                .and_then(JsonValue::as_object)
+                .unwrap()
+                .iter()
+                .map(|(kind, n)| (kind.clone(), n.as_u64().unwrap()))
+                .collect()
+        })
+        .collect();
+    cluster.shutdown();
+    let stream = std::mem::take(&mut stream.lock().unwrap().0);
+    SampledRun {
+        stream,
+        counters,
+        remote_hits,
+    }
+}
+
+#[test]
+fn sampling_sheds_request_scoped_lines_and_keeps_counters_exact() {
+    let full = sampled_run(None);
+    let none = sampled_run(Some(0));
+    let all = sampled_run(Some(1_000));
+
+    // Peer fetches from one requester ride a pooled connection, so the
+    // responder serves later frames on an already-used connection.
+    let (&(_, responder), &hits) = full
+        .remote_hits
+        .iter()
+        .max_by_key(|(_, &hits)| hits)
+        .expect("the trace produces remote hits");
+    assert!(hits >= 3, "only {hits} remote hits from one requester");
+    let reused = EventKind::ConnReused.name();
+    for run in [&full, &none, &all] {
+        assert_eq!(
+            run.remote_hits, full.remote_hits,
+            "same trace, same outcomes"
+        );
+        assert!(
+            run.counters[responder.index()][reused] > 0,
+            "no reuse counted"
+        );
+        // OP_STATS counters are recorded ahead of the sampler.
+        assert_eq!(
+            run.counters, full.counters,
+            "counters must not depend on sampling"
+        );
+    }
+
+    let scoped: Vec<_> = none
+        .stream
+        .keys()
+        .filter(|name| EventKind::from_name(name).unwrap().is_request_scoped())
+        .collect();
+    assert!(scoped.is_empty(), "0 permille still streamed {scoped:?}");
+    assert!(
+        none.stream.contains_key(EventKind::Eviction.name()),
+        "health kinds keep flowing at 0 permille"
+    );
+    assert!(full.stream[reused] > 0);
+    assert_eq!(all.stream, full.stream, "1000 permille keeps every line");
 }
 
 #[test]
