@@ -27,13 +27,14 @@ use std::fmt;
 ///
 /// Each document lives exactly once: one slot of a dense [`Slab`] arena
 /// holding its [`CacheEntry`] and an 8-byte policy word, found through
-/// the cache's one open-addressing [`DocTable`] (document hash → slot).
-/// The replacement policy orders those same slots — list links or a heap
-/// position in the policy word — so a hit is one table probe plus one
-/// relink, and an evicting insert drops its victim by slot. Every
-/// hot-path operation is pointer-free O(1) (O(log n) for the
-/// heap-ordered policies) with zero per-operation allocation once the
-/// backing vectors reach steady-state capacity. The public mutators are
+/// the cache's one open-addressing [`DocTable`], whose 8-byte buckets
+/// hold a hash fragment and the slot but not the key. The replacement
+/// policy orders those same slots — list links or a heap position in the
+/// policy word — so a hit is one table probe plus one relink, and an
+/// evicting insert drops its victim by slot. Every hot-path operation is
+/// pointer-free O(1) (O(log n) for the heap-ordered policies). Once the
+/// backing vectors reach steady-state capacity, only an insert with two
+/// or more victims allocates (its [`Evictions`]). The public mutators are
 /// the one place those operations are audited (`paranoid` feature);
 /// [`crate::ConcurrentCache`] routes documents over 2^k caches, one lock
 /// each, and calls the same methods.
@@ -93,6 +94,15 @@ pub enum InvariantViolation {
         /// Live slots in the entry arena.
         arena_len: usize,
     },
+    /// A doc→slot table bucket points at a free slot, carries a hash
+    /// fragment other than its document's, or is not where a probe for
+    /// its document lands.
+    TableBucket {
+        /// The bucket's index in the table.
+        bucket: usize,
+        /// The arena slot it points at.
+        slot: u32,
+    },
     /// The replacement policy tracks a different document set than the
     /// entry store.
     PolicyDesync {
@@ -132,6 +142,10 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "doc table maps {table_len} docs but the arena holds {arena_len}"
             ),
+            Self::TableBucket { bucket, slot } => write!(
+                f,
+                "doc table bucket {bucket} (slot {slot}) does not map its slot's document"
+            ),
             Self::PolicyDesync {
                 policy_len,
                 entries_len,
@@ -152,12 +166,79 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
+/// The victims of one [`Cache::insert`], in eviction order.
+///
+/// Held inline: an insert that evicts nothing or one document — every
+/// insert of a full cache of equal-size documents — allocates nothing;
+/// only a multi-victim insert moves its records into a `Vec`. It reads
+/// as a slice (it derefs to `[EvictionRecord]`), compares as one, and its
+/// `Debug` form is that of `Vec<EvictionRecord>`.
+#[derive(Clone, Default)]
+pub struct Evictions(Victims);
+
+#[derive(Clone, Default)]
+enum Victims {
+    #[default]
+    None,
+    One(EvictionRecord),
+    Many(Vec<EvictionRecord>),
+}
+
+impl Evictions {
+    fn push(&mut self, record: EvictionRecord) {
+        match &mut self.0 {
+            Victims::Many(records) => records.push(record),
+            Victims::One(first) => {
+                let first = *first;
+                self.0 = Victims::Many(vec![first, record]);
+            }
+            Victims::None => self.0 = Victims::One(record),
+        }
+    }
+}
+
+impl std::ops::Deref for Evictions {
+    type Target = [EvictionRecord];
+
+    fn deref(&self) -> &[EvictionRecord] {
+        match &self.0 {
+            Victims::None => &[],
+            Victims::One(record) => std::slice::from_ref(record),
+            Victims::Many(records) => records,
+        }
+    }
+}
+
+impl From<Vec<EvictionRecord>> for Evictions {
+    fn from(records: Vec<EvictionRecord>) -> Self {
+        Self(match records.len() {
+            0 => Victims::None,
+            1 => Victims::One(records[0]),
+            _ => Victims::Many(records),
+        })
+    }
+}
+
+impl PartialEq for Evictions {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Evictions {}
+
+impl fmt::Debug for Evictions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Outcome of a [`Cache::insert`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// The document was stored; the listed victims were evicted to make
     /// room (possibly none).
-    Stored(Vec<EvictionRecord>),
+    Stored(Evictions),
     /// The document was already cached; nothing changed.
     AlreadyPresent,
     /// The document is larger than the whole cache and was not stored.
@@ -273,13 +354,15 @@ impl Cache {
     /// Read-only ICP probe: is the document cached here?
     #[must_use]
     pub fn contains(&self, doc: DocId) -> bool {
-        self.table.get(doc).is_some()
+        self.table.get(doc, &self.nodes).is_some()
     }
 
     /// Read-only view of a cached entry.
     #[must_use]
     pub fn entry(&self, doc: DocId) -> Option<&CacheEntry> {
-        self.table.get(doc).map(|slot| &self.nodes.get(slot).entry)
+        self.table
+            .get(doc, &self.nodes)
+            .map(|slot| &self.nodes.get(slot).entry)
     }
 
     /// Operation counters.
@@ -366,7 +449,7 @@ impl Cache {
     pub fn remove(&mut self, doc: DocId, now: Timestamp) -> Option<EvictionRecord> {
         let rec = self
             .table
-            .get(doc)
+            .get(doc, &self.nodes)
             .map(|slot| self.evict(slot, now, EvictionReason::Explicit));
         if rec.is_some() {
             self.stats.explicit_removals += 1;
@@ -389,7 +472,10 @@ impl Cache {
     ///
     /// 1. `used` equals the sum of all stored entry sizes;
     /// 2. `used <= capacity`;
-    /// 3. the doc→slot table and the entry arena agree on occupancy;
+    /// 3. the doc→slot table and the entry arena agree on occupancy, and
+    ///    every table bucket points at a live slot, carries the hash
+    ///    fragment of that slot's document and is where a probe for the
+    ///    document lands;
     /// 4. the replacement policy orders as many slots as the arena holds,
     ///    and its proposed victim is a live slot the table maps its
     ///    document to — with a victim available whenever the cache is
@@ -423,6 +509,9 @@ impl Cache {
                 arena_len: self.nodes.len(),
             });
         }
+        if let Err((bucket, slot)) = self.table.audit(&self.nodes) {
+            return Err(InvariantViolation::TableBucket { bucket, slot });
+        }
         if self.policy.len() != self.nodes.len() {
             return Err(InvariantViolation::PolicyDesync {
                 policy_len: self.policy.len(),
@@ -431,7 +520,10 @@ impl Cache {
         }
         match self.policy.victim(&self.nodes) {
             Some(slot) => {
-                let mapped = self.nodes.live(slot).map(|n| self.table.get(n.entry.doc));
+                let mapped = self
+                    .nodes
+                    .live(slot)
+                    .map(|n| self.table.get(n.entry.doc, &self.nodes));
                 if mapped != Some(Some(slot)) {
                     return Err(InvariantViolation::VictimNotCached { slot });
                 }
@@ -466,7 +558,7 @@ impl Cache {
     /// returning its entry.
     fn detach(&mut self, slot: u32) -> CacheEntry {
         let doc = self.nodes.get(slot).entry.doc;
-        self.table.remove(doc);
+        self.table.remove(doc, &self.nodes);
         self.policy.on_remove(&mut self.nodes, slot);
         let entry = self.nodes.free(slot).entry;
         self.used -= entry.size;
@@ -485,7 +577,7 @@ impl Cache {
         // One probe serves both the staleness check and the hit: the
         // stale branch is the rare one, so the hot path is a single
         // table probe, one node access and the policy's relink.
-        let Some(slot) = self.table.get(doc) else {
+        let Some(slot) = self.table.get(doc, &self.nodes) else {
             self.stats.local_misses += 1;
             return None;
         };
@@ -503,7 +595,7 @@ impl Cache {
     }
 
     fn serve_remote_raw(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
-        let slot = self.table.get(doc)?;
+        let slot = self.table.get(doc, &self.nodes)?;
         if self.entry_expired(&self.nodes.get(slot).entry, now) {
             self.expire(slot);
             return None;
@@ -519,16 +611,16 @@ impl Cache {
     }
 
     /// Stores a document, evicting victims as needed (the returned list
-    /// allocates only when there is a victim to report).
+    /// allocates only when there are two or more victims to report).
     fn insert_raw(&mut self, doc: DocId, size: ByteSize, now: Timestamp) -> InsertOutcome {
-        if self.table.get(doc).is_some() {
+        if self.table.get(doc, &self.nodes).is_some() {
             return InsertOutcome::AlreadyPresent;
         }
         if size > self.capacity {
             self.stats.rejected_too_large += 1;
             return InsertOutcome::TooLarge;
         }
-        let mut evictions = Vec::new();
+        let mut evictions = Evictions::default();
         while self.used + size > self.capacity {
             let victim = self
                 .policy
@@ -540,7 +632,7 @@ impl Cache {
             evictions.push(self.evict(victim, now, EvictionReason::CapacityPressure));
         }
         let slot = self.nodes.alloc(Node::new(CacheEntry::new(doc, size, now)));
-        self.table.insert(doc, slot);
+        self.table.insert(doc, slot, &self.nodes);
         if let Some(gap) = self.policy.on_insert(&mut self.nodes, slot, now) {
             // Ghost re-admission (S3-FIFO): the eviction→return gap is an
             // observed inter-reference gap, fed to the eq. 5 average.
@@ -613,7 +705,9 @@ impl Cache {
 
     /// A cached document's policy word.
     pub(crate) fn links(&self, doc: DocId) -> Option<crate::index::Links> {
-        self.table.get(doc).map(|slot| self.nodes.get(slot).links)
+        self.table
+            .get(doc, &self.nodes)
+            .map(|slot| self.nodes.get(slot).links)
     }
 
     pub(crate) fn policy(&self) -> &Policy {
@@ -679,6 +773,33 @@ mod tests {
         assert_eq!(out.evictions().len(), 3);
         assert_eq!(c.len(), 1);
         assert!(c.contains(d(4)));
+    }
+
+    #[test]
+    fn stored_victims_print_and_compare_like_a_vec() {
+        /// `InsertOutcome::Stored` as it was declared, with a `Vec`; only
+        /// ever read through `Debug`.
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        enum VecOutcome {
+            Stored(Vec<EvictionRecord>),
+        }
+        // An insert that fits (0 victims), a wide one evicting three, and
+        // a plain eviction (1).
+        let mut c = cache(10);
+        let none = c.insert(d(1), kb(3), t(0));
+        c.insert(d(2), kb(3), t(1));
+        c.insert(d(3), kb(3), t(2));
+        let three = c.insert(d(4), kb(8), t(3));
+        let one = c.insert(d(5), kb(4), t(4));
+        for (outcome, victims) in [(none, 0), (one, 1), (three, 3)] {
+            let records = outcome.evictions().to_vec();
+            assert_eq!(records.len(), victims);
+            let old = VecOutcome::Stored(records.clone());
+            assert_eq!(format!("{outcome:?}"), format!("{old:?}"));
+            assert_eq!(format!("{outcome:#?}"), format!("{old:#?}"));
+            assert_eq!(outcome, InsertOutcome::Stored(records.into()));
+        }
     }
 
     #[test]

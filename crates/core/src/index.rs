@@ -8,11 +8,14 @@
 //!
 //! A cache's arena node is [`Node`]: its public [`CacheEntry`] plus that
 //! word, so the replacement policies order the cache's own slots and no
-//! policy keeps a second index. Lookup, eviction and promotion are
-//! pointer-free O(1) (O(log n) for the heap-ordered policies) with zero
-//! per-operation allocation once the backing vectors reach steady-state
-//! capacity. Every structure counts backing-vector growth events so the
-//! `store_scale` test can assert the hot path stopped allocating.
+//! policy keeps a second index. The node is also the only place a
+//! document's key is stored: a table bucket holds a hash fragment and a
+//! slot, and confirms a match through the arena ([`Keyed`]). Lookup,
+//! eviction and promotion are pointer-free O(1) (O(log n) for the
+//! heap-ordered policies), and none of these structures allocates once
+//! its backing vector reaches steady-state capacity. Every structure
+//! counts backing-vector growth events so the `store_scale` test can
+//! assert that growth stopped.
 
 use crate::entry::CacheEntry;
 use coopcache_types::DocId;
@@ -111,6 +114,12 @@ pub(crate) trait Linked: Copy {
     fn links_mut(&mut self) -> &mut Links;
 }
 
+/// Arena values that hold their own document key, so a [`DocTable`] over
+/// their slab keeps no copy of it.
+pub(crate) trait Keyed: Linked {
+    fn doc(&self) -> DocId;
+}
+
 /// A cache's arena node: the entry the paper's proxy keeps anyway, plus
 /// the policy word that orders it.
 #[derive(Debug, Clone, Copy)]
@@ -139,6 +148,13 @@ impl Linked for Node {
     #[inline]
     fn links_mut(&mut self) -> &mut Links {
         &mut self.links
+    }
+}
+
+impl Keyed for Node {
+    #[inline]
+    fn doc(&self) -> DocId {
+        self.entry.doc
     }
 }
 
@@ -279,28 +295,43 @@ impl<T: Linked> Slab<T> {
     }
 }
 
-/// One bucket of a [`DocTable`]: key and value interleaved so a probe
-/// touches a single cache line, not one per parallel array. Empty iff
-/// `val == NIL` (`key` is then meaningless).
+impl<T: Keyed> Slab<T> {
+    /// The key in slot `idx`, read without [`get`](Self::get)'s free-slot
+    /// check so a table probe touches only the key's word of the node. A
+    /// freed slot keeps its last key; [`DocTable::audit`] is what catches
+    /// a bucket left pointing at one.
+    #[inline]
+    fn key(&self, idx: u32) -> DocId {
+        self.slots[idx as usize].doc()
+    }
+}
+
+/// One bucket of a [`DocTable`]: the low 32 bits of the document's seeded
+/// hash and its arena slot — 8 bytes, eight buckets to a cache line. The
+/// key itself lives only in the slot's node. Empty iff `slot == NIL`
+/// (`frag` is then meaningless).
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
-    key: DocId,
-    val: u32,
+    frag: u32,
+    slot: u32,
 }
 
 impl Bucket {
-    const EMPTY: Self = Self {
-        key: DocId::new(0),
-        val: NIL,
-    };
+    const EMPTY: Self = Self { frag: 0, slot: NIL };
 }
 
-/// Open-addressing hash table mapping [`DocId`] to an arena slot index.
+/// Open-addressing hash table mapping [`DocId`] to a slot of a [`Slab`]
+/// of [`Keyed`] nodes, which hold the keys.
 ///
 /// Power-of-two capacity, linear probing, backward-shift deletion (no
-/// tombstones, so probe chains never rot). The seed decorrelates bucket
-/// order between shards without affecting any externally visible order —
-/// every external iteration path sorts by `DocId` first.
+/// tombstones, so probe chains never rot). A probe compares hash
+/// fragments and confirms a matching one against the key in the caller's
+/// arena, so only a true hit (or a 2^-32 fragment collision) reads a
+/// node. The home bucket is the fragment's low bits, so rebuilds and
+/// backward shifts never read a node; but `get` and `remove` do, so every
+/// `remove` must run while its slot is still live. The seed decorrelates
+/// bucket order between shards without affecting any externally visible
+/// order — every external iteration path sorts by `DocId` first.
 #[derive(Debug, Clone)]
 pub(crate) struct DocTable {
     buckets: Vec<Bucket>,
@@ -333,85 +364,100 @@ impl DocTable {
         self.buckets.len() - 1
     }
 
-    fn bucket(&self, doc: DocId) -> usize {
-        (mix64(doc.as_u64() ^ self.seed) as usize) & self.mask()
+    /// The low 32 bits of `doc`'s seeded hash. Slots take 30 bits, so at
+    /// 7/8 load the table never has more buckets than a fragment can
+    /// address.
+    #[inline]
+    fn fragment(&self, doc: DocId) -> u32 {
+        mix64(doc.as_u64() ^ self.seed) as u32
+    }
+
+    #[inline]
+    fn home(&self, frag: u32) -> usize {
+        frag as usize & self.mask()
     }
 
     fn rebuild(&mut self, new_cap: usize) {
         debug_assert!(new_cap.is_power_of_two());
         let old = std::mem::replace(&mut self.buckets, vec![Bucket::EMPTY; new_cap]);
         self.growths += 1;
-        self.len = 0;
-        for bucket in old {
-            if bucket.val != NIL {
-                self.insert_inner(bucket.key, bucket.val);
+        let mask = self.mask();
+        for bucket in old.into_iter().filter(|b| b.slot != NIL) {
+            let mut i = self.home(bucket.frag);
+            while self.buckets[i].slot != NIL {
+                i = (i + 1) & mask;
             }
+            self.buckets[i] = bucket;
         }
     }
 
-    fn insert_inner(&mut self, doc: DocId, val: u32) {
+    /// Maps `doc` to `slot`. Grows (and rehashes) past 7/8 load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doc` is already mapped to a slot of `arena`.
+    pub(crate) fn insert<T: Keyed>(&mut self, doc: DocId, slot: u32, arena: &Slab<T>) {
+        if self.buckets.is_empty() {
+            self.rebuild(Self::MIN_CAP);
+        } else if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            self.rebuild(self.buckets.len() * 2);
+        }
         let mask = self.mask();
-        let mut i = self.bucket(doc);
+        let frag = self.fragment(doc);
+        let mut i = self.home(frag);
         loop {
-            if self.buckets[i].val == NIL {
-                self.buckets[i] = Bucket { key: doc, val };
+            let b = self.buckets[i];
+            if b.slot == NIL {
+                self.buckets[i] = Bucket { frag, slot };
                 self.len += 1;
                 return;
             }
             assert!(
-                self.buckets[i].key != doc,
+                b.frag != frag || arena.key(b.slot) != doc,
                 "doc {doc} inserted twice into table"
             );
             i = (i + 1) & mask;
         }
     }
 
-    /// Inserts a new mapping. Grows (and rehashes) past 7/8 load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` is already present.
-    pub(crate) fn insert(&mut self, doc: DocId, val: u32) {
-        if self.buckets.is_empty() {
-            self.rebuild(Self::MIN_CAP);
-        } else if (self.len + 1) * 8 > self.buckets.len() * 7 {
-            self.rebuild(self.buckets.len() * 2);
-        }
-        self.insert_inner(doc, val);
-    }
-
-    fn probe(&self, doc: DocId) -> Option<usize> {
+    /// The bucket mapping `doc` to a slot of `arena`, if any.
+    #[inline]
+    fn probe<T: Keyed>(&self, doc: DocId, arena: &Slab<T>) -> Option<usize> {
         if self.buckets.is_empty() {
             return None;
         }
         let mask = self.mask();
-        let mut i = self.bucket(doc);
+        let frag = self.fragment(doc);
+        let mut i = self.home(frag);
         loop {
             let b = self.buckets[i];
-            if b.val == NIL {
+            if b.slot == NIL {
                 return None;
             }
-            if b.key == doc {
+            if b.frag == frag && arena.key(b.slot) == doc {
                 return Some(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    pub(crate) fn get(&self, doc: DocId) -> Option<u32> {
-        self.probe(doc).map(|i| self.buckets[i].val)
+    /// The slot of `arena` that holds `doc`, if any.
+    #[inline]
+    pub(crate) fn get<T: Keyed>(&self, doc: DocId, arena: &Slab<T>) -> Option<u32> {
+        self.probe(doc, arena).map(|i| self.buckets[i].slot)
     }
 
     /// Removes the mapping for `doc`, backward-shifting the probe chain.
-    pub(crate) fn remove(&mut self, doc: DocId) -> Option<u32> {
-        let mut hole = self.probe(doc)?;
-        let removed = self.buckets[hole].val;
+    /// Its slot must still be live in `arena`.
+    pub(crate) fn remove<T: Keyed>(&mut self, doc: DocId, arena: &Slab<T>) -> Option<u32> {
+        let mut hole = self.probe(doc, arena)?;
+        let removed = self.buckets[hole].slot;
         let mask = self.mask();
-        self.buckets[hole].val = NIL;
+        self.buckets[hole].slot = NIL;
         self.len -= 1;
         let mut i = (hole + 1) & mask;
-        while self.buckets[i].val != NIL {
-            let home = self.bucket(self.buckets[i].key);
+        while self.buckets[i].slot != NIL {
+            let home = self.home(self.buckets[i].frag);
             // Shift the entry back iff the hole lies cyclically between its
             // home bucket and its current slot.
             let between = if hole <= i {
@@ -421,12 +467,32 @@ impl DocTable {
             };
             if between {
                 self.buckets[hole] = self.buckets[i];
-                self.buckets[i].val = NIL;
+                self.buckets[i].slot = NIL;
                 hole = i;
             }
             i = (i + 1) & mask;
         }
         Some(removed)
+    }
+
+    /// Checks every occupied bucket against `arena`: it points at a live
+    /// slot, its fragment is that of the slot's key, and a probe for that
+    /// key finds this very bucket (so no key is mapped twice). Returns the
+    /// first bucket that fails, as `(bucket, slot)`.
+    pub(crate) fn audit<T: Keyed>(&self, arena: &Slab<T>) -> Result<(), (usize, u32)> {
+        for (i, b) in self.buckets.iter().enumerate() {
+            if b.slot == NIL {
+                continue;
+            }
+            let sound = arena.live(b.slot).is_some_and(|node| {
+                let doc = node.doc();
+                b.frag == self.fragment(doc) && self.probe(doc, arena) == Some(i)
+            });
+            if !sound {
+                return Err((i, b.slot));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -742,6 +808,62 @@ mod tests {
         }
     }
 
+    impl Keyed for TestNode {
+        fn doc(&self) -> DocId {
+            self.doc
+        }
+    }
+
+    /// A table over its own arena, driven the way the cache drives one:
+    /// allocate then map, unmap then free.
+    struct Mapped {
+        table: DocTable,
+        arena: Slab<TestNode>,
+    }
+
+    impl Mapped {
+        fn new(seed: u64) -> Self {
+            Self {
+                table: DocTable::new(seed),
+                arena: Slab::new(),
+            }
+        }
+
+        fn insert(&mut self, doc: u64) -> u32 {
+            let slot = self.arena.alloc(TestNode::new(doc));
+            self.table.insert(DocId::new(doc), slot, &self.arena);
+            slot
+        }
+
+        fn get(&self, doc: u64) -> Option<u32> {
+            self.table.get(DocId::new(doc), &self.arena)
+        }
+
+        fn remove(&mut self, doc: u64) -> Option<u32> {
+            let slot = self.table.remove(DocId::new(doc), &self.arena)?;
+            self.arena.free(slot);
+            Some(slot)
+        }
+
+        fn audit(&self) {
+            assert_eq!(self.table.audit(&self.arena), Ok(()));
+            assert_eq!(self.table.len(), self.arena.len());
+        }
+    }
+
+    /// The first two docs, in a deterministic search upward from 0, whose
+    /// hashes under `seed` share their low 32 bits.
+    fn fragment_collision(seed: u64) -> (u64, u64) {
+        let table = DocTable::new(seed);
+        let mut seen = std::collections::HashMap::new();
+        (0u64..)
+            .find_map(|doc| {
+                seen.insert(table.fragment(DocId::new(doc)), doc)
+                    .map(|earlier| (earlier, doc))
+            })
+            .expect("a 32-bit fragment collides within 2^32 + 1 docs")
+    }
+
     #[test]
     fn slab_recycles_freed_slots() {
         let mut slab = Slab::new();
@@ -788,25 +910,21 @@ mod tests {
 
     #[test]
     fn table_insert_get_remove_roundtrip() {
-        let mut table = DocTable::new(0xabcd);
+        let mut m = Mapped::new(0xabcd);
+        let slots: Vec<u32> = (0..200u64).map(|i| m.insert(i)).collect();
+        assert_eq!(m.table.len(), 200);
+        m.audit();
         for i in 0..200u64 {
-            table.insert(DocId::new(i), i as u32);
-        }
-        assert_eq!(table.len(), 200);
-        for i in 0..200u64 {
-            assert_eq!(table.get(DocId::new(i)), Some(i as u32));
+            assert_eq!(m.get(i), Some(slots[i as usize]));
         }
         for i in (0..200u64).step_by(2) {
-            assert_eq!(table.remove(DocId::new(i)), Some(i as u32));
+            assert_eq!(m.remove(i), Some(slots[i as usize]));
         }
-        assert_eq!(table.len(), 100);
+        assert_eq!(m.table.len(), 100);
+        m.audit();
         for i in 0..200u64 {
-            let want = if i % 2 == 0 { None } else { Some(i as u32) };
-            assert_eq!(
-                table.get(DocId::new(i)),
-                want,
-                "doc {i} after interleaved removal"
-            );
+            let want = (i % 2 == 1).then_some(slots[i as usize]);
+            assert_eq!(m.get(i), want, "doc {i} after interleaved removal");
         }
     }
 
@@ -814,20 +932,14 @@ mod tests {
     fn table_backward_shift_keeps_probe_chains_intact() {
         // Same-bucket collisions: remove the middle of a probe chain and
         // confirm the tail entries remain reachable.
-        let mut table = DocTable::new(7);
-        let docs: Vec<DocId> = (0..6u64).map(DocId::new).collect();
-        for (i, &d) in docs.iter().enumerate() {
-            table.insert(d, i as u32);
-        }
-        table.remove(docs[2]);
-        table.remove(docs[0]);
-        for (i, &d) in docs.iter().enumerate() {
-            let want = if i == 0 || i == 2 {
-                None
-            } else {
-                Some(i as u32)
-            };
-            assert_eq!(table.get(d), want);
+        let mut m = Mapped::new(7);
+        let slots: Vec<u32> = (0..6u64).map(|i| m.insert(i)).collect();
+        m.remove(2);
+        m.remove(0);
+        m.audit();
+        for i in 0..6u64 {
+            let want = (i != 0 && i != 2).then_some(slots[i as usize]);
+            assert_eq!(m.get(i), want);
         }
     }
 
@@ -835,25 +947,89 @@ mod tests {
     fn table_presized_does_not_grow_under_churn() {
         // One pass at the peak occupancy sizes the table; after that,
         // churn at or below it must never rehash.
-        let mut table = DocTable::new(9);
-        let round = |table: &mut DocTable, base: u64| {
+        let mut m = Mapped::new(9);
+        let round = |m: &mut Mapped, base: u64| {
             for i in 0..32u64 {
-                table.insert(DocId::new(base + i), i as u32);
+                m.insert(base + i);
             }
             for i in 0..32u64 {
-                table.remove(DocId::new(base + i));
+                m.remove(base + i);
             }
         };
-        round(&mut table, 0);
-        let presized = table.growth_events();
+        round(&mut m, 0);
+        let presized = m.table.growth_events();
         for r in 1..10u64 {
-            round(&mut table, r * 1000);
+            round(&mut m, r * 1000);
         }
         assert_eq!(
-            table.growth_events(),
+            m.table.growth_events(),
             presized,
             "bounded occupancy must not rehash"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "inserted twice")]
+    fn table_double_insert_panics() {
+        let mut m = Mapped::new(3);
+        let slot = m.insert(5);
+        m.table.insert(DocId::new(5), slot, &m.arena);
+    }
+
+    #[test]
+    fn table_fragment_collisions_resolve_through_the_arena() {
+        const SEED: u64 = 0x5eed;
+        let (a, b) = fragment_collision(SEED);
+        let table = DocTable::new(SEED);
+        assert_ne!(a, b);
+        assert_eq!(table.fragment(DocId::new(a)), table.fragment(DocId::new(b)));
+        // Equal fragments mean one home bucket at every capacity, so the
+        // second doc always sits right behind the first in its chain.
+        for (first, second) in [(a, b), (b, a)] {
+            let mut m = Mapped::new(SEED);
+            let fillers: Vec<u64> = (0..5u64).map(|i| (1 << 40) + i).collect();
+            for &f in &fillers {
+                m.insert(f);
+            }
+            let s1 = m.insert(first);
+            let s2 = m.insert(second);
+            m.audit();
+            assert_eq!(m.get(first), Some(s1));
+            assert_eq!(m.get(second), Some(s2));
+            // Removing the chain's first doc shifts the second back into
+            // its bucket; the second must stay reachable there.
+            assert_eq!(m.remove(first), Some(s1));
+            assert_eq!(m.get(first), None);
+            assert_eq!(m.get(second), Some(s2));
+            m.audit();
+            // Now behind it again: remove the front one, the other stays.
+            let s1 = m.insert(first);
+            assert_eq!(m.remove(second), Some(s2));
+            assert_eq!(m.get(second), None);
+            assert_eq!(m.get(first), Some(s1));
+            m.audit();
+            for &f in &fillers {
+                assert!(m.get(f).is_some(), "filler {f} lost");
+            }
+        }
+    }
+
+    #[test]
+    fn table_audit_names_a_bad_bucket() {
+        let mut m = Mapped::new(11);
+        for i in 0..20u64 {
+            m.insert(i);
+        }
+        m.audit();
+        // A bucket whose slot was freed behind the table's back.
+        let slot = m.get(4).unwrap();
+        m.arena.free(slot);
+        assert!(matches!(m.table.audit(&m.arena), Err((_, s)) if s == slot));
+        // A live slot whose key no longer hashes to its bucket's fragment.
+        let mut m = Mapped::new(11);
+        let slot = m.insert(1);
+        m.arena.get_mut(slot).doc = DocId::new(2);
+        assert_eq!(m.table.audit(&m.arena).map_err(|(_, s)| s), Err(slot));
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod placement;
 mod policy;
 mod stats;
 
-pub use cache::{Cache, InsertOutcome, InvariantViolation};
+pub use cache::{Cache, Evictions, InsertOutcome, InvariantViolation};
 pub use concurrent::{ConcurrentCache, LockContention};
 pub use config::CacheConfig;
 pub use entry::{CacheEntry, EvictionReason, EvictionRecord};

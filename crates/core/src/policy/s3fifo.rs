@@ -2,7 +2,7 @@
 //! "FIFO queues are all you need for cache eviction", SOSP '23).
 
 use super::VictimOrder;
-use crate::index::{DocTable, Linked, Links, List, Node, Slab, NIL};
+use crate::index::{DocTable, Keyed, Linked, Links, List, Node, Slab, NIL};
 use coopcache_types::{DocId, DurationMs, Timestamp};
 
 const GHOST_SEED: u64 = 0x5333_4649_0000_0002;
@@ -32,6 +32,12 @@ impl Linked for Ghost {
     }
     fn links_mut(&mut self) -> &mut Links {
         &mut self.links
+    }
+}
+
+impl Keyed for Ghost {
+    fn doc(&self) -> DocId {
+        self.doc
     }
 }
 
@@ -153,16 +159,16 @@ impl S3Fifo {
         }
     }
 
-    fn drop_ghost(&mut self, doc: DocId) {
-        if let Some(gidx) = self.ghost_table.remove(doc) {
-            self.ghost_queue.unlink(&mut self.ghosts, gidx);
-            self.ghosts.free(gidx);
-        }
+    /// Forgets `doc`'s ghost, returning when it was evicted.
+    fn drop_ghost(&mut self, doc: DocId) -> Option<Timestamp> {
+        let gidx = self.ghost_table.remove(doc, &self.ghosts)?;
+        self.ghost_queue.unlink(&mut self.ghosts, gidx);
+        Some(self.ghosts.free(gidx).evicted_at)
     }
 
     #[cfg(test)]
     pub(super) fn is_ghost(&self, doc: DocId) -> bool {
-        self.ghost_table.get(doc).is_some()
+        self.ghost_table.get(doc, &self.ghosts).is_some()
     }
 
     #[cfg(test)]
@@ -179,12 +185,8 @@ impl VictimOrder for S3Fifo {
         now: Timestamp,
     ) -> Option<DurationMs> {
         let doc = nodes.get(slot).entry.doc;
-        let remembered = self
-            .ghost_table
-            .get(doc)
-            .map(|g| self.ghosts.get(g).evicted_at);
+        let remembered = self.drop_ghost(doc);
         if remembered.is_some() {
-            self.drop_ghost(doc);
             nodes.get_mut(slot).links.set_flag(MAIN, true);
             self.main.push_tail(nodes, slot);
         } else {
@@ -240,14 +242,11 @@ impl VictimOrder for S3Fifo {
             evicted_at: now,
             links: Links::NEW,
         });
-        self.ghost_table.insert(doc, gidx);
+        self.ghost_table.insert(doc, gidx, &self.ghosts);
         self.ghost_queue.push_tail(&mut self.ghosts, gidx);
         while self.ghost_queue.len() > self.ghost_target() {
-            let oldest = self.ghost_queue.head();
-            let stale = self.ghosts.get(oldest).doc;
-            self.ghost_queue.unlink(&mut self.ghosts, oldest);
-            self.ghosts.free(oldest);
-            self.ghost_table.remove(stale);
+            let oldest = self.ghosts.get(self.ghost_queue.head()).doc;
+            self.drop_ghost(oldest);
         }
     }
 

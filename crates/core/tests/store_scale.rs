@@ -2,7 +2,7 @@
 //!
 //! 1. **O(1) scaling** — per-op cost of a hit/miss/insert/evict mix stays
 //!    flat as the store grows 10×;
-//! 2. **allocation-free steady state** — no backing vector grows across
+//! 2. **no growth at steady state** — no backing vector grows across
 //!    that mix (`growth_events` stays flat);
 //! 3. **lock independence** — readers pinned to disjoint shards of a
 //!    [`coopcache_core::ConcurrentCache`] record zero contended

@@ -43,6 +43,9 @@ pub struct DistributedGroup {
     discovery: Discovery,
     digests: Vec<DigestState>,
     protocol: ProtocolStats,
+    /// The current ICP round's positive repliers, in probe order; kept
+    /// between requests so a round allocates nothing.
+    icp_hits: Vec<CacheId>,
     /// Optional event sink for ICP traffic; node-level events (placement,
     /// eviction) are emitted by the nodes themselves.
     sink: Option<SinkHandle>,
@@ -133,6 +136,7 @@ impl DistributedGroup {
             discovery,
             digests,
             protocol: ProtocolStats::default(),
+            icp_hits: Vec::new(),
             sink: None,
         }
     }
@@ -275,38 +279,38 @@ impl DistributedGroup {
 
         // 2. Locate the document at a peer, by the configured mechanism;
         // 3a. on success, fetch it with piggybacked expiration ages.
-        let rotation: Vec<CacheId> = (1..n)
-            .map(|off| CacheId::new(((requester.index() + off) % n) as u16))
-            .collect();
+        let rotation = (1..n).map(|off| CacheId::new(((requester.index() + off) % n) as u16));
         match self.discovery {
             Discovery::Icp => {
-                // One query to every peer; every peer replies.
+                // One query to every peer; every peer replies. The whole
+                // round is emitted before the first fetch.
                 let query = IcpQuery {
                     from: requester,
                     doc,
                 };
-                self.protocol.icp_queries += rotation.len() as u64;
-                self.protocol.icp_replies += rotation.len() as u64;
-                let replies: Vec<(CacheId, bool)> = rotation
-                    .iter()
-                    .map(|&peer| {
-                        let reply = self.nodes[peer.index()].handle_icp_query(query);
-                        if let Some(sink) = &self.sink {
-                            sink.emit(&Event::IcpQuery {
-                                from: requester,
-                                to: peer,
-                                doc,
-                            });
-                            sink.emit(&Event::IcpReply {
-                                from: peer,
-                                doc,
-                                hit: reply.hit,
-                            });
-                        }
-                        (peer, reply.hit)
-                    })
-                    .collect();
-                for peer in replies.into_iter().filter(|(_, hit)| *hit).map(|(p, _)| p) {
+                self.protocol.icp_queries += (n - 1) as u64;
+                self.protocol.icp_replies += (n - 1) as u64;
+                self.icp_hits.clear();
+                for peer in rotation {
+                    let reply = self.nodes[peer.index()].handle_icp_query(query);
+                    if let Some(sink) = &self.sink {
+                        sink.emit(&Event::IcpQuery {
+                            from: requester,
+                            to: peer,
+                            doc,
+                        });
+                        sink.emit(&Event::IcpReply {
+                            from: peer,
+                            doc,
+                            hit: reply.hit,
+                        });
+                    }
+                    if reply.hit {
+                        self.icp_hits.push(peer);
+                    }
+                }
+                for i in 0..self.icp_hits.len() {
+                    let peer = self.icp_hits[i];
                     match self.remote_fetch(requester, peer, doc, now) {
                         Some(outcome) => return outcome,
                         // An ICP hit can still come back empty when the

@@ -146,7 +146,8 @@ where
     // Window bookkeeping: the trace splits into `timeseries_windows`
     // near-equal windows (the last one absorbs the remainder and any
     // short trace simply yields fewer, shorter windows).
-    let window_len = (trace.len() / config.timeseries_windows).max(1);
+    let total = trace.len() as u64;
+    let window_len = (total / config.timeseries_windows as u64).max(1);
     let mut windows: Vec<WindowStat> = Vec::new();
     let mut win = (0u64, 0u64, 0u64); // (requests, local hits, remote hits)
     let mut cum_hits = 0u64;
@@ -174,13 +175,12 @@ where
         } else if outcome.is_remote_hit() {
             win.2 += 1;
         }
-        let last = seq + 1 == trace.len();
-        // Roll over on the boundary, except that the final window runs to
-        // the end of the trace so no short tail window is emitted.
-        let boundary = (seq + 1) % window_len == 0 && trace.len() - (seq + 1) >= window_len;
-        if last || boundary {
+        let served = seq as u64 + 1;
+        // Roll over when the window is full, except that the final window
+        // runs to the end of the trace so no short tail window is emitted.
+        let boundary = win.0 == window_len && total - served >= window_len;
+        if served == total || boundary {
             cum_hits += win.1 + win.2;
-            let served = (seq + 1) as u64;
             let mean_age_ms = mean_current_age_ms(&group);
             let stat = WindowStat {
                 index: windows.len() as u64,

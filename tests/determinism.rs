@@ -80,6 +80,37 @@ fn event_streams_are_byte_identical_across_runs() {
     assert_eq!(requests, trace.len());
 }
 
+/// The sync runner's JSONL stream on `small()`, pinned for ad-hoc, EA
+/// and digest discovery (computed at commit `6c944c7`, before the doc
+/// table stopped storing keys and the ICP round stopped collecting its
+/// replies): the order of ICP replies, fetches, placements and
+/// evictions is checked against that commit, not a second run.
+#[test]
+fn sync_event_streams_match_the_pinned_streams() {
+    use coopcache::proxy::Discovery;
+    let trace = generate(&TraceProfile::small()).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(500));
+    let digest = Discovery::Digest {
+        refresh_every: DurationMs::from_secs(600),
+        fp_rate: 0.01,
+    };
+    let streams = [
+        cfg.clone().with_scheme(PlacementScheme::AdHoc),
+        cfg.clone().with_scheme(PlacementScheme::Ea),
+        cfg.with_scheme(PlacementScheme::Ea).with_discovery(digest),
+    ]
+    .map(|cfg| format!("{:#018x}", fnv1a(&event_stream(&cfg, &trace))));
+    assert_eq!(
+        streams,
+        [
+            "0xadd5b20e153406b6",
+            "0xb9c728432fa33f34",
+            "0xd7ae9e190a0b51a5",
+        ],
+        "sync JSONL streams: ad-hoc ICP, EA ICP, EA digest"
+    );
+}
+
 #[test]
 fn des_event_streams_are_byte_identical_across_runs() {
     use std::sync::{Arc, Mutex, PoisonError};

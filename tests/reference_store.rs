@@ -339,7 +339,7 @@ impl Model {
         }
         self.used += size;
         self.stats.insertions += 1;
-        InsertOutcome::Stored(evicted)
+        InsertOutcome::Stored(evicted.into())
     }
 
     fn remove(&mut self, doc: DocId, now: Timestamp) -> Option<EvictionRecord> {
