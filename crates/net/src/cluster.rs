@@ -16,68 +16,22 @@ use std::time::Duration;
 /// this covers the rest.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of cache daemons.
-    pub caches: u16,
-    /// Capacity of each cache.
-    pub per_cache_capacity: ByteSize,
-    /// Placement scheme.
-    pub scheme: PlacementScheme,
-    /// Artificial origin service delay.
-    pub origin_delay: Duration,
-    /// ICP reply deadline per request.
-    pub icp_timeout: Duration,
-    /// Per-connection I/O timeout.
-    pub io_timeout: Duration,
-    /// Consecutive peer failures before quarantine (0 disables it).
-    pub quarantine_after: u32,
-    /// First quarantine duration; doubles per re-quarantine.
-    pub quarantine_base: Duration,
-    /// Seeded fault schedule (empty = no injection anywhere).
-    pub faults: FaultPlan,
-    /// Metrics sampling interval for every daemon (`None` = on-demand
-    /// sampling only; see `DaemonConfig::sample_interval`).
-    pub sample_interval: Option<Duration>,
-    /// Shards per cache (power of two; see `DaemonConfig::shards`).
-    pub shards: usize,
-    /// Idle pooled connections kept per remote host (0 disables pooling;
-    /// see `DaemonConfig::pool_max_idle`).
-    pub pool_max_idle: usize,
-    /// How long an idle pooled connection may sit before reaping.
-    pub pool_idle_timeout: Duration,
-    /// Concurrent inbound document connections per daemon.
-    pub max_conns: usize,
-    /// Where the admission gate reads available memory from.
-    pub memory_probe: crate::MemoryProbe,
-    /// Minimum available-memory percentage to admit origin stores
-    /// (0 disables admission control).
-    pub min_available_pct: u8,
-    /// SLO rules installed on every daemon (see `DaemonConfig::alerts`).
-    pub alerts: Vec<AlertRule>,
+    caches: u16,
+    origin_delay: Duration,
+    faults: FaultPlan,
+    /// Every daemon's configuration but its id.
+    daemon: DaemonConfig,
 }
 
 impl ClusterConfig {
     /// A fault-free cluster with the default daemon timeouts.
     #[must_use]
     pub fn new(caches: u16, per_cache_capacity: ByteSize, scheme: PlacementScheme) -> Self {
-        let defaults = DaemonConfig::loopback(CacheId::new(0), per_cache_capacity, scheme);
         Self {
             caches,
-            per_cache_capacity,
-            scheme,
             origin_delay: Duration::ZERO,
-            icp_timeout: defaults.icp_timeout,
-            io_timeout: defaults.io_timeout,
-            quarantine_after: defaults.quarantine_after,
-            quarantine_base: defaults.quarantine_base,
             faults: FaultPlan::default(),
-            sample_interval: None,
-            shards: defaults.shards,
-            pool_max_idle: defaults.pool_max_idle,
-            pool_idle_timeout: defaults.pool_idle_timeout,
-            max_conns: defaults.max_conns,
-            memory_probe: defaults.memory_probe,
-            min_available_pct: defaults.min_available_pct,
-            alerts: Vec::new(),
+            daemon: DaemonConfig::loopback(CacheId::new(0), per_cache_capacity, scheme),
         }
     }
 
@@ -88,7 +42,7 @@ impl ClusterConfig {
     /// Panics (at daemon start) unless `n` is a power of two.
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
+        self.daemon.shards = n;
         self
     }
 
@@ -102,28 +56,28 @@ impl ClusterConfig {
     /// Sets the ICP reply deadline (builder style).
     #[must_use]
     pub fn icp_timeout(mut self, timeout: Duration) -> Self {
-        self.icp_timeout = timeout;
+        self.daemon.icp_timeout = timeout;
         self
     }
 
     /// Sets the per-connection I/O timeout (builder style).
     #[must_use]
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = timeout;
+        self.daemon.io_timeout = timeout;
         self
     }
 
     /// Sets the quarantine threshold, 0 to disable (builder style).
     #[must_use]
     pub fn quarantine_after(mut self, failures: u32) -> Self {
-        self.quarantine_after = failures;
+        self.daemon.quarantine_after = failures;
         self
     }
 
     /// Sets the initial quarantine backoff (builder style).
     #[must_use]
     pub fn quarantine_base(mut self, base: Duration) -> Self {
-        self.quarantine_base = base;
+        self.daemon.quarantine_base = base;
         self
     }
 
@@ -137,7 +91,7 @@ impl ClusterConfig {
     /// Sets the metrics sampling interval (builder style).
     #[must_use]
     pub fn sample_interval(mut self, interval: Duration) -> Self {
-        self.sample_interval = Some(interval);
+        self.daemon.sample_interval = Some(interval);
         self
     }
 
@@ -145,7 +99,7 @@ impl ClusterConfig {
     /// (builder style).
     #[must_use]
     pub fn pool_max_idle(mut self, n: usize) -> Self {
-        self.pool_max_idle = n;
+        self.daemon.pool_max_idle = n;
         self
     }
 
@@ -153,21 +107,21 @@ impl ClusterConfig {
     /// style).
     #[must_use]
     pub fn pool_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.pool_idle_timeout = timeout;
+        self.daemon.pool_idle_timeout = timeout;
         self
     }
 
     /// Sets the inbound connection cap per daemon (builder style).
     #[must_use]
     pub fn max_conns(mut self, n: usize) -> Self {
-        self.max_conns = n;
+        self.daemon.max_conns = n;
         self
     }
 
     /// Installs a memory probe for admission control (builder style).
     #[must_use]
     pub fn memory_probe(mut self, probe: crate::MemoryProbe) -> Self {
-        self.memory_probe = probe;
+        self.daemon.memory_probe = probe;
         self
     }
 
@@ -175,14 +129,14 @@ impl ClusterConfig {
     /// disable shedding (builder style).
     #[must_use]
     pub fn min_available_pct(mut self, pct: u8) -> Self {
-        self.min_available_pct = pct;
+        self.daemon.min_available_pct = pct;
         self
     }
 
     /// Installs SLO rules on every daemon (builder style).
     #[must_use]
     pub fn alerts(mut self, rules: Vec<AlertRule>) -> Self {
-        self.alerts = rules;
+        self.daemon.alerts = rules;
         self
     }
 }
@@ -229,28 +183,7 @@ impl LoopbackCluster {
         per_cache_capacity: ByteSize,
         scheme: PlacementScheme,
     ) -> io::Result<Self> {
-        Self::start_with_origin_delay(n, per_cache_capacity, scheme, Duration::ZERO)
-    }
-
-    /// Like [`start`](Self::start) with an artificial origin delay, to
-    /// make miss latency visibly dominate (as in the paper's 2784 ms).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and thread-spawn failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn start_with_origin_delay(
-        n: u16,
-        per_cache_capacity: ByteSize,
-        scheme: PlacementScheme,
-        origin_delay: Duration,
-    ) -> io::Result<Self> {
-        Self::start_with_config(
-            ClusterConfig::new(n, per_cache_capacity, scheme).origin_delay(origin_delay),
-        )
+        Self::start_with_config(ClusterConfig::new(n, per_cache_capacity, scheme))
     }
 
     /// Starts a cluster from a full [`ClusterConfig`] — the only way to
@@ -288,22 +221,11 @@ impl LoopbackCluster {
         for (i, socket) in sockets.into_iter().enumerate() {
             let id = CacheId::new(i as u16);
             let peers: Vec<PeerAddr> = addrs.iter().copied().filter(|p| p.id != id).collect();
-            let mut daemon_config =
-                DaemonConfig::loopback(id, config.per_cache_capacity, config.scheme);
-            daemon_config.icp_timeout = config.icp_timeout;
-            daemon_config.io_timeout = config.io_timeout;
-            daemon_config.quarantine_after = config.quarantine_after;
-            daemon_config.quarantine_base = config.quarantine_base;
-            daemon_config.sample_interval = config.sample_interval;
-            daemon_config.shards = config.shards;
-            daemon_config.pool_max_idle = config.pool_max_idle;
-            daemon_config.pool_idle_timeout = config.pool_idle_timeout;
-            daemon_config.max_conns = config.max_conns;
-            daemon_config.memory_probe = config.memory_probe;
-            daemon_config.min_available_pct = config.min_available_pct;
-            daemon_config.alerts = config.alerts.clone();
             daemons.push(CacheDaemon::start_with_faults(
-                daemon_config,
+                DaemonConfig {
+                    id,
+                    ..config.daemon.clone()
+                },
                 socket,
                 peers,
                 origin.addr(),

@@ -3,10 +3,10 @@
 //! Each daemon runs two background threads — an ICP responder on a UDP
 //! socket and a document server on a TCP listener — around the same
 //! I/O-free [`ProxyNode`] the simulators use. The client-facing
-//! [`CacheDaemon::request`] drives the full protocol over the loopback
-//! network: local lookup, UDP ICP fan-out, TCP fetch from the positive
-//! repliers in arrival order (with expiration ages piggybacked both
-//! ways), origin fallback.
+//! [`CacheDaemon::request`] drives the same [`Requester`] machine as the
+//! simulators over the loopback network: local lookup, UDP ICP fan-out,
+//! TCP fetch from the positive repliers in arrival order (with expiration
+//! ages piggybacked both ways), origin fallback.
 //!
 //! # Fault tolerance
 //!
@@ -14,10 +14,10 @@
 //! by the time the HTTP fetch arrives. The daemon absorbs every peer
 //! failure instead of surfacing it to the client:
 //!
-//! * **Multi-candidate failover** — candidates are pulled lazily from
-//!   the ICP round, in reply arrival order (deduplicated by cache id):
-//!   the fetch starts as soon as the first positive reply arrives, the
-//!   next candidate is read only when that fetch fails (one bounded
+//! * **Multi-candidate failover** — the machine's `NextReply` is answered
+//!   by one ICP reply at a time, in arrival order (deduplicated by cache
+//!   id): the fetch starts as soon as the first positive reply arrives,
+//!   the next reply is read only when that fetch fails (one bounded
 //!   retry each), and the origin serves once the round has no more.
 //!   The rest of the round is collected after the request is served.
 //! * **Peer health tracking** — consecutive failures (including ICP
@@ -54,6 +54,7 @@
 
 use crate::clock::SharedClock;
 use crate::fault::{DocFault, FaultState, IcpFault};
+use crate::lock;
 use crate::memory::AdmissionGate;
 use crate::origin::{drain_body, fetch_on_origin_conn, write_body};
 use crate::pool::{Conn, ConnectionPool};
@@ -64,7 +65,9 @@ use coopcache_obs::{
     JsonWriter, Sampler, SamplerConfig, SeriesPoint, SeriesRing, ServerLoop, SinkHandle, Span,
     SpanKind, StatsRegistry, TraceCtx, DEFAULT_SERIES_CAPACITY,
 };
-use coopcache_proxy::{ConcurrentNode, IcpQuery, RequestOutcome};
+use coopcache_proxy::{
+    ConcurrentNode, IcpQuery, RequestOutcome, Requester, RequesterAction, RequesterInput,
+};
 use coopcache_types::{ByteSize, CacheId, DocId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,15 +75,9 @@ use std::io;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Locks a mutex, recovering the data from a poisoned lock — a panicked
-/// server thread should degrade the daemon, not wedge it.
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Lock-free copy of the installed sink's sampler, refreshed by
 /// `set_sink`. The per-frame head decision runs at request rate and must
@@ -331,30 +328,17 @@ struct PeerHealth {
 /// A peer-fetch failure: which protocol step failed and how. Absorbed by
 /// failover, never surfaced to the client.
 #[derive(Debug)]
-struct PeerFetchError {
-    op: FaultOp,
-    error: io::Error,
-}
+struct PeerFetchError(FaultOp, io::Error);
 
-impl PeerFetchError {
-    fn connect(error: io::Error) -> Self {
-        Self {
-            op: FaultOp::Connect,
-            error,
-        }
-    }
-
-    fn transfer(error: io::Error) -> Self {
-        Self {
-            op: FaultOp::Transfer,
-            error,
-        }
-    }
+/// A peer fetch that failed after the connection was made.
+fn transfer_error(error: io::Error) -> PeerFetchError {
+    PeerFetchError(FaultOp::Transfer, error)
 }
 
 /// One ICP round in flight. The queries go out when it starts; replies
-/// are read lazily — [`CacheDaemon::next_candidate`] reads up to the next
-/// positive one, [`CacheDaemon::finish_icp_round`] reads the rest.
+/// are read lazily — one per `NextReply` of the request's [`Requester`],
+/// up to the first positive one or the next on failover —
+/// and [`CacheDaemon::finish_icp_round`] reads the rest.
 #[derive(Debug)]
 struct IcpRound {
     doc: DocId,
@@ -364,11 +348,23 @@ struct IcpRound {
     queried: Vec<(PeerAddr, bool)>,
     deadline_us: u64,
     /// The round's span until the round is decided: at its first
-    /// positive reply, or once it turns out a group miss.
+    /// positive reply, or once it turns out a group miss (the status it
+    /// carries until then).
     span: Option<Span>,
 }
 
 impl IcpRound {
+    /// A round that queried no peer: it has no reply to give.
+    fn idle(doc: DocId) -> Self {
+        Self {
+            doc,
+            socket: None,
+            queried: Vec::new(),
+            deadline_us: 0,
+            span: None,
+        }
+    }
+
     /// True once every queried peer has answered: nothing more can
     /// arrive on the socket.
     fn complete(&self) -> bool {
@@ -418,7 +414,7 @@ impl ConnTable {
 }
 
 /// State shared between the daemon handle and its server threads.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct LoopCtx {
     id: CacheId,
     node: Arc<ConcurrentNode>,
@@ -482,50 +478,24 @@ impl LoopCtx {
 #[derive(Debug)]
 pub struct CacheDaemon {
     config: DaemonConfig,
-    node: Arc<ConcurrentNode>,
-    clock: SharedClock,
+    /// The node, clock, telemetry and peer health, shared with the
+    /// server threads (whose loops also serve them over `OP_STATS` and
+    /// `OP_SERIES`). Installing a sink installs it into the node too, so
+    /// placement and eviction events flow alongside the request events.
+    ctx: LoopCtx,
     peers: Vec<PeerAddr>,
     origin: SocketAddr,
     icp_addr: SocketAddr,
     doc_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    /// Optional event stream, shared with the server loops; installed
-    /// into the node too, so placement and eviction events flow
-    /// alongside the daemon's request events.
-    sink: Arc<Mutex<Option<SinkHandle>>>,
     /// Request sequence numbers for the event stream and trace ids.
     seq: AtomicU64,
-    /// Always-on live counters, served over `OP_STATS`. Shared with the
-    /// server loops and the inner node.
-    stats: Arc<StatsRegistry>,
-    /// Span id allocator shared with the server loops.
-    span_seq: Arc<AtomicU64>,
-    /// Measured wall-clock request latency (µs), split by serve source.
-    /// Shared with the doc server so `OP_STATS` can report it.
-    latency: Arc<Mutex<BTreeMap<ServeSource, Histogram>>>,
-    /// Consecutive-failure counts and quarantine state per peer.
-    /// Shared with the doc server so `OP_STATS` can report it.
-    health: Arc<Mutex<BTreeMap<CacheId, PeerHealth>>>,
-    /// Sampled time-series ring, shared with the sampler thread and the
-    /// doc server so `OP_SERIES` can report it.
-    series: Arc<Mutex<SeriesRing>>,
-    /// SLO rule evaluation state, shared with the sampler thread.
-    alerts: Arc<Mutex<AlertEngine>>,
     /// Pooled outbound peer/origin connections.
     pool: ConnectionPool,
     /// ICP sockets of finished rounds, each with no reply still owed.
     icp_sockets: Mutex<Vec<UdpSocket>>,
     /// Memory-pressure gate over cacheable-store work.
     admission: AdmissionGate,
-    /// Live inbound connections, shared with the accept loop.
-    conns: Arc<ConnTable>,
-    /// Server-loop iteration counters, shared with the loops.
-    icp_iters: Arc<AtomicU64>,
-    accept_iters: Arc<AtomicU64>,
-    /// Lock-free view of the sink's sampler, shared with the loops so
-    /// the per-frame head decision never takes the sink lock.
-    sampler_snap: Arc<SamplerSnapshot>,
 }
 
 impl CacheDaemon {
@@ -563,122 +533,74 @@ impl CacheDaemon {
                 .shards(config.shards),
             config.scheme,
         ));
-        let stop = Arc::new(AtomicBool::new(false));
-        let sink: Arc<Mutex<Option<SinkHandle>>> = Arc::new(Mutex::new(None));
         let stats = Arc::new(StatsRegistry::new());
-        let span_seq = Arc::new(AtomicU64::new(0));
-        let latency: Arc<Mutex<BTreeMap<ServeSource, Histogram>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
-        let health: Arc<Mutex<BTreeMap<CacheId, PeerHealth>>> =
-            Arc::new(Mutex::new(BTreeMap::new()));
+        // Placement/eviction decisions count into the same registry as
+        // the daemon's own events, with or without a sink.
+        node.set_stats(Arc::clone(&stats));
         // The ring exists even without a sampler thread, so on-demand
         // samples and `OP_SERIES` scrapes always have a document.
         let interval_ms = config
             .sample_interval
             .map_or(1_000, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
-        let series = Arc::new(Mutex::new(SeriesRing::new(
-            config.id,
-            interval_ms,
-            DEFAULT_SERIES_CAPACITY,
-        )));
-        let alerts = Arc::new(Mutex::new(AlertEngine::new(
-            config.id,
-            config.alerts.clone(),
-        )));
-        // Placement/eviction decisions count into the same registry as
-        // the daemon's own events, with or without a sink.
-        node.set_stats(Arc::clone(&stats));
-        let faults = faults.map(Arc::new);
-        let conns = Arc::new(ConnTable::default());
-        let icp_iters = Arc::new(AtomicU64::new(0));
-        let accept_iters = Arc::new(AtomicU64::new(0));
-        let sampler_snap = Arc::new(SamplerSnapshot::default());
-        let mut threads = Vec::new();
         let ctx = LoopCtx {
             id: config.id,
-            node: Arc::clone(&node),
-            stop: Arc::clone(&stop),
-            sink: Arc::clone(&sink),
-            faults,
-            clock: clock.clone(),
-            stats: Arc::clone(&stats),
-            latency: Arc::clone(&latency),
-            health: Arc::clone(&health),
-            series: Arc::clone(&series),
-            alerts: Arc::clone(&alerts),
-            span_seq: Arc::clone(&span_seq),
-            conns: Arc::clone(&conns),
-            icp_iters: Arc::clone(&icp_iters),
-            accept_iters: Arc::clone(&accept_iters),
-            sampler_snap: Arc::clone(&sampler_snap),
+            node,
+            stop: Arc::new(AtomicBool::new(false)),
+            sink: Arc::new(Mutex::new(None)),
+            faults: faults.map(Arc::new),
+            clock,
+            stats,
+            latency: Arc::new(Mutex::new(BTreeMap::new())),
+            health: Arc::new(Mutex::new(BTreeMap::new())),
+            series: Arc::new(Mutex::new(SeriesRing::new(
+                config.id,
+                interval_ms,
+                DEFAULT_SERIES_CAPACITY,
+            ))),
+            alerts: Arc::new(Mutex::new(AlertEngine::new(
+                config.id,
+                config.alerts.clone(),
+            ))),
+            span_seq: Arc::new(AtomicU64::new(0)),
+            conns: Arc::new(ConnTable::default()),
+            icp_iters: Arc::new(AtomicU64::new(0)),
+            accept_iters: Arc::new(AtomicU64::new(0)),
+            sampler_snap: Arc::new(SamplerSnapshot::default()),
         };
 
-        // ICP responder thread: a plain blocking `recv_from` with no
-        // timeout — `halt` wakes it with a junk datagram.
-        {
-            let ctx = ctx.clone();
-            let socket = sockets.icp;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("coopcache-icp-{}", config.id))
-                    .spawn(move || icp_loop(&socket, &ctx))?,
-            );
-        }
-
-        // Document acceptor thread: a plain blocking `accept` — `halt`
-        // wakes it with a throwaway connect.
-        {
-            let ctx = ctx.clone();
-            let listener = sockets.doc;
-            let io_timeout = config.io_timeout;
-            let max_conns = config.max_conns;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("coopcache-doc-{}", config.id))
-                    .spawn(move || doc_loop(&listener, &ctx, io_timeout, max_conns))?,
-            );
-        }
-
-        // Metrics sampler thread, only when an interval is configured.
+        // ICP responder: a plain blocking `recv_from` with no timeout —
+        // `halt` wakes it with a junk datagram.
+        let socket = sockets.icp;
+        let mut threads = vec![spawn_loop(&ctx, "icp", move |ctx| icp_loop(&socket, ctx))?];
+        // Document acceptor: a plain blocking `accept` — `halt` wakes it
+        // with a throwaway connect.
+        let (listener, io_timeout, max_conns) = (sockets.doc, config.io_timeout, config.max_conns);
+        threads.push(spawn_loop(&ctx, "doc", move |ctx| {
+            doc_loop(&listener, ctx, io_timeout, max_conns);
+        })?);
+        // Metrics sampler, only when an interval is configured.
         if let Some(interval) = config.sample_interval {
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("coopcache-sample-{}", config.id))
-                    .spawn(move || sample_loop(&ctx, interval))?,
-            );
+            threads.push(spawn_loop(&ctx, "sample", move |ctx| {
+                sample_loop(ctx, interval);
+            })?);
         }
 
-        let pool = ConnectionPool::new(
-            config.pool_max_idle,
-            config.pool_idle_timeout,
-            config.io_timeout,
-        );
-        let admission = AdmissionGate::new(config.memory_probe, config.min_available_pct);
         Ok(Self {
+            pool: ConnectionPool::new(
+                config.pool_max_idle,
+                config.pool_idle_timeout,
+                config.io_timeout,
+            ),
+            admission: AdmissionGate::new(config.memory_probe, config.min_available_pct),
             config,
-            node,
-            clock,
+            ctx,
             peers,
             origin,
             icp_addr: sockets.icp_addr,
             doc_addr: sockets.doc_addr,
-            stop,
             threads,
-            sink,
             seq: AtomicU64::new(0),
-            stats,
-            span_seq,
-            latency,
-            health,
-            series,
-            alerts,
-            pool,
             icp_sockets: Mutex::new(Vec::new()),
-            admission,
-            conns,
-            icp_iters,
-            accept_iters,
-            sampler_snap,
         })
     }
 
@@ -706,37 +628,15 @@ impl CacheDaemon {
     /// `ServerLoopError`), and the inner node emits placement/eviction
     /// events through the same sink.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.sampler_snap.store(sink.sampler());
-        self.node.set_sink(sink.clone());
-        *lock(&self.sink) = Some(sink);
-    }
-
-    fn emit(&self, event: &Event) {
-        self.stats.record(event.kind());
-        // Request-scoped kinds on a muted thread would be dropped by the
-        // sink handle; bail before the registry lock (the counter above
-        // stays exact either way).
-        if event.kind().is_request_scoped() && coopcache_obs::request_scoped_muted() {
-            return;
-        }
-        if let Some(sink) = lock(&self.sink).as_ref() {
-            sink.emit(event);
-        }
-    }
-
-    /// Allocates the next span id, scoped to this daemon's cache id so
-    /// ids from different daemons never collide in one trace.
-    fn next_span(&self) -> u64 {
-        scoped_id(
-            self.config.id,
-            self.span_seq.fetch_add(1, Ordering::Relaxed) + 1,
-        )
+        self.ctx.sampler_snap.store(sink.sampler());
+        self.ctx.node.set_sink(sink.clone());
+        *lock(&self.ctx.sink) = Some(sink);
     }
 
     /// Stamps `span` closed at the current clock and emits it.
     fn close_span(&self, mut span: Span) {
-        span.end_us = self.clock.now_micros();
-        self.emit(&Event::Span(span));
+        span.end_us = self.ctx.clock.now_micros();
+        self.ctx.emit(&Event::Span(span));
     }
 
     /// Deterministic JSON snapshot of this daemon's live state: event
@@ -745,48 +645,34 @@ impl CacheDaemon {
     /// same document the daemon serves over `OP_STATS`.
     #[must_use]
     pub fn stats_json(&self) -> String {
-        build_stats_json(
-            self.config.id,
-            &self.stats,
-            &self.latency,
-            &self.health,
-            &self.node,
-            &self.clock,
-        )
+        self.ctx.stats_json()
     }
 
     /// Deterministic JSON document of this daemon's sampled time
     /// series — the same document it serves over `OP_SERIES`.
     #[must_use]
     pub fn series_json(&self) -> String {
-        lock(&self.series).to_json()
+        lock(&self.ctx.series).to_json()
     }
 
     /// A clone of the sampled time-series ring.
     #[must_use]
     pub fn series(&self) -> SeriesRing {
-        lock(&self.series).clone()
+        lock(&self.ctx.series).clone()
     }
 
     /// Takes one time-series sample immediately, regardless of the
     /// configured interval (tests and one-shot scrapes need points
     /// without waiting out a wall-clock cadence).
     pub fn sample_now(&self) {
-        let point = sample_point(
-            &self.stats,
-            &self.latency,
-            &self.health,
-            &self.node,
-            &self.clock,
-        );
-        record_sample(point, &self.series, &self.alerts, |event| self.emit(event));
+        self.ctx.sample();
     }
 
     /// Snapshot of the wall-clock latency histograms, one per serve
     /// source, in `ServeSource` order.
     #[must_use]
     pub fn latency_snapshots(&self) -> Vec<(ServeSource, HistogramSnapshot)> {
-        lock(&self.latency)
+        lock(&self.ctx.latency)
             .iter()
             .map(|(source, hist)| (*source, hist.snapshot()))
             .collect()
@@ -795,18 +681,13 @@ impl CacheDaemon {
     /// Peers currently under quarantine (for inspection and tests).
     #[must_use]
     pub fn quarantined_peers(&self) -> Vec<CacheId> {
-        let now_us = self.clock.now_micros();
-        lock(&self.health)
-            .iter()
-            .filter(|(_, h)| now_us < h.quarantined_until_us)
-            .map(|(id, _)| *id)
-            .collect()
+        self.ctx.quarantined()
     }
 
     /// Runs a closure with read access to the underlying node (for
     /// inspecting stats and cache contents).
     pub fn with_node<R>(&self, f: impl FnOnce(&ConcurrentNode) -> R) -> R {
-        f(&self.node)
+        f(&self.ctx.node)
     }
 
     /// Cumulative server-loop iteration counts `(icp, doc_accept)`.
@@ -816,8 +697,8 @@ impl CacheDaemon {
     #[must_use]
     pub fn loop_iterations(&self) -> (u64, u64) {
         (
-            self.icp_iters.load(Ordering::Relaxed),
-            self.accept_iters.load(Ordering::Relaxed),
+            self.ctx.icp_iters.load(Ordering::Relaxed),
+            self.ctx.accept_iters.load(Ordering::Relaxed),
         )
     }
 
@@ -859,23 +740,28 @@ impl CacheDaemon {
     pub fn request(&self, doc: DocId, size: ByteSize) -> io::Result<RequestOutcome> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let trace = scoped_id(self.config.id, seq);
-        let _mute = mute_if_unsampled(&self.sampler_snap, trace);
-        let root = self.next_span();
-        let started_us = self.clock.now_micros();
-        let outcome = self.serve(doc, size, trace, root)?;
-        let ended_us = self.clock.now_micros();
+        let _mute = mute_if_unsampled(&self.ctx.sampler_snap, trace);
+        let root = self.ctx.next_span();
+        let started_us = self.ctx.clock.now_micros();
+        let mut round = IcpRound::idle(doc);
+        let served = self.serve(doc, size, trace, root, &mut round);
+        // The replies the fetch did not wait for: by now they are
+        // normally queued already.
+        self.finish_icp_round(round);
+        let outcome = served?;
+        let ended_us = self.ctx.clock.now_micros();
         let latency_us = ended_us.saturating_sub(started_us);
-        let source = match outcome {
-            RequestOutcome::LocalHit => ServeSource::Local,
-            RequestOutcome::RemoteHit { responder, .. } => ServeSource::Peer(responder),
-            RequestOutcome::Miss { .. } => ServeSource::Origin,
+        let (class, responder, stored) = outcome.event_parts();
+        let source = match responder {
+            Some(peer) => ServeSource::Peer(peer),
+            None if outcome.is_local_hit() => ServeSource::Local,
+            None => ServeSource::Origin,
         };
-        lock(&self.latency)
+        lock(&self.ctx.latency)
             .entry(source)
             .or_default()
             .record(latency_us);
-        let (class, responder, stored) = outcome.event_parts();
-        self.emit(&Event::Span(Span {
+        self.ctx.emit(&Event::Span(Span {
             trace_id: trace,
             span_id: root,
             parent: None,
@@ -887,7 +773,7 @@ impl CacheDaemon {
             end_us: ended_us,
             status: class.name(),
         }));
-        self.emit(&Event::Request {
+        self.ctx.emit(&Event::Request {
             seq,
             cache: self.config.id,
             doc,
@@ -899,181 +785,224 @@ impl CacheDaemon {
         Ok(outcome)
     }
 
-    /// The protocol flow behind [`CacheDaemon::request`]. `trace` is the
-    /// request's trace id, `root` its root span: every protocol step
-    /// opens a child span under `root`, and remote steps carry the
-    /// context on the wire so peers attach their server-side spans to
-    /// the same tree.
+    /// The protocol flow behind [`CacheDaemon::request`]: this daemon's
+    /// driver of the [`Requester`] machine. `trace` is the request's
+    /// trace id, `root` its root span: every protocol step opens a child
+    /// span under `root`, and remote steps carry the context on the wire
+    /// so peers attach their server-side spans to the same tree. A local
+    /// miss starts `round`; its replies answer `NextReply` in arrival
+    /// order.
     fn serve(
         &self,
         doc: DocId,
         size: ByteSize,
         trace: u64,
         root: u64,
+        round: &mut IcpRound,
     ) -> io::Result<RequestOutcome> {
-        // 1. Local lookup.
-        let now = self.clock.now();
-        if self.node.handle_client_lookup(doc, now).is_some() {
-            return Ok(RequestOutcome::LocalHit);
+        let mut machine = Requester::new();
+        let mut action = machine.pending();
+        loop {
+            if let Some((from, to)) = action.failover() {
+                self.ctx.emit(&Event::Failover {
+                    cache: self.config.id,
+                    doc,
+                    from,
+                    to,
+                });
+            }
+            let input = match action {
+                RequesterAction::Lookup => {
+                    let local_hit = self
+                        .ctx
+                        .node
+                        .handle_client_lookup(doc, self.ctx.clock.now())
+                        .is_some();
+                    if !local_hit {
+                        *round = self.start_icp_round(doc, trace, root)?;
+                    }
+                    RequesterInput::Start { local_hit }
+                }
+                RequesterAction::NextReply => {
+                    let reply = self.next_reply(round)?;
+                    // The round is decided at its first positive reply, or
+                    // once no reply is left; its span closes then.
+                    if reply.is_none_or(|(_, hit)| hit) {
+                        if let Some(mut span) = round.span.take() {
+                            if reply.is_some() {
+                                span.status = "hit";
+                            }
+                            self.close_span(span);
+                        }
+                    }
+                    reply.map_or(RequesterInput::RoundOver, |(peer, hit)| {
+                        RequesterInput::IcpReply { peer: peer.id, hit }
+                    })
+                }
+                RequesterAction::Fetch { peer, .. } => {
+                    match self.peers.iter().find(|p| p.id == peer) {
+                        Some(&peer) => self.fetch_candidate(peer, doc, trace, root),
+                        None => RequesterInput::FetchFailed,
+                    }
+                }
+                // The requester stores (distributed architecture, paper
+                // §4.1) unless the admission gate sheds the store under
+                // memory pressure; the client gets its bytes either way.
+                RequesterAction::FetchOrigin { .. } => {
+                    let span_id = self.ctx.next_span();
+                    let start_us = self.ctx.clock.now_micros();
+                    self.on_pooled_conn(
+                        self.origin,
+                        None,
+                        |e| e,
+                        |conn| fetch_on_origin_conn(conn, doc.as_u64(), size.as_bytes()),
+                    )?;
+                    let admitted = self.admission.allow_store(&self.ctx.clock);
+                    if !admitted {
+                        self.ctx.emit(&Event::AdmissionShed {
+                            cache: self.config.id,
+                            doc,
+                        });
+                    }
+                    let stored = admitted
+                        && self
+                            .ctx
+                            .node
+                            .complete_origin_fetch(doc, size, self.ctx.clock.now());
+                    let status = match (admitted, stored) {
+                        (false, _) => "shed",
+                        (true, true) => "stored",
+                        (true, false) => "declined",
+                    };
+                    self.close_span(Span {
+                        trace_id: trace,
+                        span_id,
+                        parent: Some(root),
+                        cache: self.config.id,
+                        kind: SpanKind::OriginFetch,
+                        doc: Some(doc),
+                        peer: None,
+                        start_us,
+                        end_us: 0,
+                        status,
+                    });
+                    RequesterInput::OriginServed { stored }
+                }
+                RequesterAction::Done(outcome) => return Ok(outcome),
+            };
+            action = machine.step(input);
         }
-
-        // 2. ICP fan-out over UDP; the replies are read as they are
-        // needed, in arrival order.
-        let mut round = self.start_icp_round(doc, trace, root)?;
-        let outcome = self.serve_group_miss(&mut round, doc, size, trace, root);
-        // 4. The replies the fetch did not wait for: by now they are
-        // normally queued already.
-        self.finish_icp_round(round);
-        outcome
     }
 
-    /// Steps 3a and 3b of [`CacheDaemon::serve`]: fetch from the
-    /// round's positive repliers, else from the origin.
-    fn serve_group_miss(
-        &self,
-        round: &mut IcpRound,
-        doc: DocId,
-        size: ByteSize,
-        trace: u64,
-        root: u64,
-    ) -> io::Result<RequestOutcome> {
-        // 3a. Remote fetch with piggybacked expiration ages, from the
-        // first positive replier, failing over to the next one to reply.
-        let mut next = self.next_candidate(round)?;
-        while let Some(peer) = next {
-            let span_id = self.next_span();
-            let start_us = self.clock.now_micros();
-            let ctx = TraceCtx {
-                trace_id: trace,
-                parent_span: span_id,
-            };
-            let fetch_span = |status: &'static str| Span {
-                trace_id: trace,
-                span_id,
-                parent: Some(root),
-                cache: self.config.id,
-                kind: SpanKind::PeerFetch,
-                doc: Some(doc),
-                peer: Some(peer.id),
-                start_us,
-                end_us: 0,
-                status,
-            };
-            match self.fetch_with_retry(peer, doc, ctx) {
-                Ok(Some(outcome)) => {
-                    let stored = matches!(
-                        outcome,
-                        RequestOutcome::RemoteHit {
-                            stored_locally: true,
-                            ..
-                        }
-                    );
-                    self.close_span(fetch_span(if stored { "stored" } else { "declined" }));
-                    self.note_peer_ok(peer.id);
-                    return Ok(outcome);
-                }
-                // Peer lost the document between ICP and fetch: an
-                // honest answer from a healthy peer — try the next one.
-                Ok(None) => {
-                    self.close_span(fetch_span("not-found"));
-                    self.note_peer_ok(peer.id);
-                    next = self.next_candidate(round)?;
-                }
-                Err(fault) => {
-                    self.close_span(fetch_span(error_label(&fault.error)));
-                    self.emit(&Event::PeerFault {
-                        cache: self.config.id,
-                        peer: peer.id,
-                        doc,
-                        op: fault.op,
-                        error: error_label(&fault.error),
-                    });
-                    self.note_peer_failure(peer.id);
-                    next = self.next_candidate(round)?;
-                    self.emit(&Event::Failover {
-                        cache: self.config.id,
-                        doc,
-                        from: peer.id,
-                        to: next.map(|p| p.id),
-                    });
-                }
-            }
-        }
-
-        // 3b. Origin fetch; the requester stores (distributed
-        // architecture, paper §4.1) unless the admission gate sheds the
-        // store under memory pressure — the client still gets its bytes
-        // either way.
-        let span_id = self.next_span();
-        let start_us = self.clock.now_micros();
-        self.fetch_origin_pooled(doc.as_u64(), size.as_bytes())?;
-        let admitted = self.admission.allow_store(&self.clock);
-        let stored = if admitted {
-            self.node.complete_origin_fetch(doc, size, self.clock.now())
-        } else {
-            self.emit(&Event::AdmissionShed {
-                cache: self.config.id,
-                doc,
-            });
-            false
+    /// Fetches `doc` from one candidate, with piggybacked expiration ages
+    /// and the configured retries, and books the peer's health. A peer
+    /// that lost the document is healthy and answers `NotFound`; a fault
+    /// is absorbed as `FetchFailed`.
+    fn fetch_candidate(&self, peer: PeerAddr, doc: DocId, trace: u64, root: u64) -> RequesterInput {
+        let span_id = self.ctx.next_span();
+        let start_us = self.ctx.clock.now_micros();
+        let ctx = TraceCtx {
+            trace_id: trace,
+            parent_span: span_id,
         };
-        let status = if !admitted {
-            "shed"
-        } else if stored {
-            "stored"
-        } else {
-            "declined"
+        let fetch = || {
+            self.on_pooled_conn(
+                peer.doc,
+                Some(peer.id),
+                |e| PeerFetchError(FaultOp::Connect, e),
+                |conn| self.exchange_with_peer(conn, doc, ctx),
+            )
+        };
+        let mut fetched = fetch();
+        for _ in 0..self.config.peer_retries {
+            if fetched.is_ok() {
+                break;
+            }
+            fetched = fetch();
+        }
+        let status = match &fetched {
+            Ok(RequesterInput::Fetched { stored: true, .. }) => "stored",
+            Ok(RequesterInput::Fetched { .. }) => "declined",
+            Ok(_) => "not-found",
+            Err(PeerFetchError(_, e)) => error_label(e),
         };
         self.close_span(Span {
             trace_id: trace,
             span_id,
             parent: Some(root),
             cache: self.config.id,
-            kind: SpanKind::OriginFetch,
+            kind: SpanKind::PeerFetch,
             doc: Some(doc),
-            peer: None,
+            peer: Some(peer.id),
             start_us,
             end_us: 0,
             status,
         });
-        Ok(RequestOutcome::Miss {
-            stored_locally: stored,
-            stored_at_ancestor: false,
-        })
+        match fetched {
+            Ok(input) => {
+                self.note_peer_ok(peer.id);
+                input
+            }
+            Err(PeerFetchError(op, e)) => {
+                self.ctx.emit(&Event::PeerFault {
+                    cache: self.config.id,
+                    peer: peer.id,
+                    doc,
+                    op,
+                    error: error_label(&e),
+                });
+                self.note_peer_failure(peer.id);
+                RequesterInput::FetchFailed
+            }
+        }
     }
 
-    /// Fetches `doc` from the origin on a pooled connection, with one
-    /// transparent fresh-connection retry when a *reused* connection
-    /// turns out to have died while parked (the origin restarting or
-    /// reaping idle sockets is not an error worth surfacing).
-    fn fetch_origin_pooled(&self, doc: u64, size: u64) -> io::Result<u64> {
-        let checkout = self.pool.checkout(self.origin, &self.clock)?;
-        let reused = checkout.reused;
+    /// Runs `exchange` on a pooled connection to `addr` (`peer` names
+    /// it in the `ConnReused` event; `None` is the origin), parking the
+    /// connection again after a healthy exchange.
+    ///
+    /// A failure on a *reused* connection gets one transparent retry on
+    /// a fresh connect, with no fault booked for the stale attempt: an
+    /// idle pooled socket dying (far side restarted or reaped it, timeout
+    /// while parked) says nothing about the far side's present health.
+    /// Everything else parked for `addr` is at least as old, so it is
+    /// dropped too.
+    fn on_pooled_conn<T, E>(
+        &self,
+        addr: SocketAddr,
+        peer: Option<CacheId>,
+        connect_error: fn(io::Error) -> E,
+        exchange: impl Fn(&mut Conn) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let checkout = self
+            .pool
+            .checkout(addr, &self.ctx.clock)
+            .map_err(connect_error)?;
         let mut conn = checkout.conn;
-        match fetch_on_origin_conn(&mut conn, doc, size) {
-            Ok(n) => {
-                if reused {
-                    self.emit(&Event::ConnReused {
+        let value = match exchange(&mut conn) {
+            Ok(value) => {
+                if checkout.reused {
+                    self.ctx.emit(&Event::ConnReused {
                         cache: self.config.id,
-                        peer: None,
+                        peer,
                     });
                 }
-                self.pool.checkin(self.origin, conn, &self.clock);
-                Ok(n)
+                value
             }
-            Err(_) if reused => {
-                // Stale pooled connection: everything else parked for
-                // this host is at least as old, so drop the lot and
-                // retry once on a fresh connect.
+            Err(_) if checkout.reused => {
                 drop(conn);
-                self.pool.discard(self.origin);
-                let mut conn = self.pool.checkout(self.origin, &self.clock)?.conn;
-                let n = fetch_on_origin_conn(&mut conn, doc, size)?;
-                self.pool.checkin(self.origin, conn, &self.clock);
-                Ok(n)
+                self.pool.discard(addr);
+                conn = self
+                    .pool
+                    .checkout(addr, &self.ctx.clock)
+                    .map_err(connect_error)?
+                    .conn;
+                exchange(&mut conn)?
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        self.pool.checkin(addr, conn, &self.ctx.clock);
+        Ok(value)
     }
 
     /// Starts an ICP round for `doc`: sends the query to every
@@ -1082,18 +1011,12 @@ impl CacheDaemon {
     /// Per-peer send failures are health signals, not request errors;
     /// only local socket failures propagate.
     fn start_icp_round(&self, doc: DocId, trace: u64, root: u64) -> io::Result<IcpRound> {
-        let mut round = IcpRound {
-            doc,
-            socket: None,
-            queried: Vec::new(),
-            deadline_us: 0,
-            span: None,
-        };
+        let mut round = IcpRound::idle(doc);
         if self.peers.is_empty() {
             return Ok(round);
         }
-        let span_id = self.next_span();
-        let now_us = self.clock.now_micros();
+        let span_id = self.ctx.next_span();
+        let now_us = self.ctx.clock.now_micros();
         round.span = Some(Span {
             trace_id: trace,
             span_id,
@@ -1104,13 +1027,14 @@ impl CacheDaemon {
             peer: None,
             start_us: now_us,
             end_us: 0,
-            status: "",
+            status: "miss",
         });
+        let benched = self.ctx.quarantined();
         let targets: Vec<PeerAddr> = self
             .peers
             .iter()
             .copied()
-            .filter(|p| !self.is_quarantined(p.id, now_us))
+            .filter(|p| !benched.contains(&p.id))
             .collect();
         if targets.is_empty() {
             return Ok(round);
@@ -1136,7 +1060,7 @@ impl CacheDaemon {
                 Ok(_) => round.queried.push((peer, false)),
                 Err(e) => {
                     // A vanished peer must not fail the request.
-                    self.emit(&Event::PeerFault {
+                    self.ctx.emit(&Event::PeerFault {
                         cache: self.config.id,
                         peer: peer.id,
                         doc,
@@ -1148,7 +1072,7 @@ impl CacheDaemon {
             }
         }
         let timeout_us = u64::try_from(self.config.icp_timeout.as_micros()).unwrap_or(u64::MAX);
-        round.deadline_us = self.clock.now_micros().saturating_add(timeout_us);
+        round.deadline_us = self.ctx.clock.now_micros().saturating_add(timeout_us);
         round.socket = Some(socket);
         Ok(round)
     }
@@ -1178,7 +1102,7 @@ impl CacheDaemon {
                 socket.set_nonblocking(false)?;
                 received
             } else {
-                let now_us = self.clock.now_micros();
+                let now_us = self.ctx.clock.now_micros();
                 if now_us >= round.deadline_us {
                     draining = true;
                     continue;
@@ -1222,28 +1146,6 @@ impl CacheDaemon {
         Ok(None)
     }
 
-    /// The round's next fetch candidate: the next peer to reply with a
-    /// hit, in arrival order. Closes the round's span when the round is
-    /// decided — at its first positive reply, or on finding none.
-    fn next_candidate(&self, round: &mut IcpRound) -> io::Result<Option<PeerAddr>> {
-        while let Some((peer, hit)) = self.next_reply(round)? {
-            if hit {
-                self.close_round_span(round, "hit");
-                return Ok(Some(peer));
-            }
-        }
-        self.close_round_span(round, "miss");
-        Ok(None)
-    }
-
-    /// Closes the round's span with `status` unless it is closed already.
-    fn close_round_span(&self, round: &mut IcpRound, status: &'static str) {
-        if let Some(mut span) = round.span.take() {
-            span.status = status;
-            self.close_span(span);
-        }
-    }
-
     /// Reads the rest of the round against its deadline (replies queued
     /// by then included), books every queried peer that stayed silent as
     /// a failed health probe, and
@@ -1252,10 +1154,12 @@ impl CacheDaemon {
     /// can never be read as a later round's answer.
     fn finish_icp_round(&self, mut round: IcpRound) {
         while let Ok(Some(_)) = self.next_reply(&mut round) {}
-        self.close_round_span(&mut round, "miss");
+        if let Some(span) = round.span.take() {
+            self.close_span(span);
+        }
         for (peer, answered) in &round.queried {
             if !answered {
-                self.emit(&Event::PeerFault {
+                self.ctx.emit(&Event::PeerFault {
                     cache: self.config.id,
                     peer: peer.id,
                     doc: round.doc,
@@ -1272,81 +1176,17 @@ impl CacheDaemon {
         }
     }
 
-    /// One candidate fetch with the configured number of bounded
-    /// retries.
-    fn fetch_with_retry(
-        &self,
-        peer: PeerAddr,
-        doc: DocId,
-        ctx: TraceCtx,
-    ) -> Result<Option<RequestOutcome>, PeerFetchError> {
-        let mut last = self.fetch_from_peer(peer, doc, ctx);
-        for _ in 0..self.config.peer_retries {
-            if last.is_ok() {
-                break;
-            }
-            last = self.fetch_from_peer(peer, doc, ctx);
-        }
-        last
-    }
-
-    /// Fetches `doc` from `peer` over a pooled TCP connection. Returns
-    /// `Ok(None)` when the peer no longer holds the document.
-    ///
-    /// A failure on a *reused* connection gets one transparent retry on
-    /// a fresh connect, with no `PeerFault` for the stale attempt: an
-    /// idle pooled socket dying (peer restarted, far-side reap, timeout
-    /// while parked) says nothing about the peer's present health. Only
-    /// a fresh-connection failure is a peer fault, exactly as before
-    /// pooling.
-    fn fetch_from_peer(
-        &self,
-        peer: PeerAddr,
-        doc: DocId,
-        ctx: TraceCtx,
-    ) -> Result<Option<RequestOutcome>, PeerFetchError> {
-        let checkout = self
-            .pool
-            .checkout(peer.doc, &self.clock)
-            .map_err(PeerFetchError::connect)?;
-        let reused = checkout.reused;
-        match self.exchange_with_peer(checkout.conn, peer, doc, ctx) {
-            Ok(outcome) => {
-                if reused {
-                    self.emit(&Event::ConnReused {
-                        cache: self.config.id,
-                        peer: Some(peer.id),
-                    });
-                }
-                Ok(outcome)
-            }
-            Err(_) if reused => {
-                // Stale pooled connection: drop everything parked for
-                // this peer (it is at least as old) and retry fresh.
-                self.pool.discard(peer.doc);
-                let fresh = self
-                    .pool
-                    .checkout(peer.doc, &self.clock)
-                    .map_err(PeerFetchError::connect)?;
-                self.exchange_with_peer(fresh.conn, peer, doc, ctx)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// One request/response exchange with `peer` on `conn`: the request
     /// frame is one write, the response frame and body are read through
-    /// the connection's buffer. A healthy exchange (including an honest
-    /// not-found) parks the connection back in the pool; any error
-    /// consumes it.
+    /// the connection's buffer. `Fetched`, or `NotFound` when the peer no
+    /// longer holds the document.
     fn exchange_with_peer(
         &self,
-        mut conn: Conn,
-        peer: PeerAddr,
+        conn: &mut Conn,
         doc: DocId,
         ctx: TraceCtx,
-    ) -> Result<Option<RequestOutcome>, PeerFetchError> {
-        let sent = self.node.build_http_request(doc);
+    ) -> Result<RequesterInput, PeerFetchError> {
+        let sent = self.ctx.node.build_http_request(doc);
         write_frame(
             conn.get_mut(),
             &WireMessage::DocRequest {
@@ -1354,44 +1194,34 @@ impl CacheDaemon {
                 ctx: Some(ctx),
             },
         )
-        .map_err(PeerFetchError::transfer)?;
-        let decoded = read_frame(&mut conn).map_err(PeerFetchError::transfer)?;
+        .map_err(transfer_error)?;
+        let decoded = read_frame(conn).map_err(transfer_error)?;
         let WireMessage::DocResponse { response, found } = decoded else {
-            return Err(PeerFetchError::transfer(io::Error::new(
+            return Err(transfer_error(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "peer sent a non-response message",
             )));
         };
         if !found {
-            self.pool.checkin(peer.doc, conn, &self.clock);
-            return Ok(None);
+            return Ok(RequesterInput::NotFound);
         }
-        drain_body(&mut conn, response.size.as_bytes()).map_err(PeerFetchError::transfer)?;
-        self.pool.checkin(peer.doc, conn, &self.clock);
+        drain_body(conn, response.size.as_bytes()).map_err(transfer_error)?;
+        // The promote bit does not travel on the wire: recompute the
+        // responder's rule from the two ages it decided on.
         let promoted = self
             .config
             .scheme
             .responder_promotes(response.responder_age, sent.requester_age);
         let stored = self
+            .ctx
             .node
-            .complete_remote_fetch(sent, response, self.clock.now());
-        Ok(Some(RequestOutcome::RemoteHit {
-            responder: peer.id,
-            stored_locally: stored,
-            promoted_at_responder: promoted,
-        }))
-    }
-
-    /// True while `peer` is benched by the quarantine policy.
-    fn is_quarantined(&self, peer: CacheId, now_us: u64) -> bool {
-        lock(&self.health)
-            .get(&peer)
-            .is_some_and(|h| now_us < h.quarantined_until_us)
+            .complete_remote_fetch(sent, response, self.ctx.clock.now());
+        Ok(RequesterInput::Fetched { stored, promoted })
     }
 
     /// A successful interaction fully rehabilitates the peer.
     fn note_peer_ok(&self, peer: CacheId) {
-        let mut health = lock(&self.health);
+        let mut health = lock(&self.ctx.health);
         if let Some(h) = health.get_mut(&peer) {
             *h = PeerHealth::default();
         }
@@ -1404,7 +1234,7 @@ impl CacheDaemon {
             return;
         }
         let event = {
-            let mut health = lock(&self.health);
+            let mut health = lock(&self.ctx.health);
             let h = health.entry(peer).or_default();
             h.consecutive_failures = h.consecutive_failures.saturating_add(1);
             if h.consecutive_failures < self.config.quarantine_after {
@@ -1416,7 +1246,7 @@ impl CacheDaemon {
                     .saturating_mul(1u32 << h.quarantines.min(16))
                     .min(self.config.quarantine_cap);
                 let backoff_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-                h.quarantined_until_us = self.clock.now_micros().saturating_add(backoff_us);
+                h.quarantined_until_us = self.ctx.clock.now_micros().saturating_add(backoff_us);
                 h.quarantines = h.quarantines.saturating_add(1);
                 Some(Event::PeerQuarantined {
                     cache: self.config.id,
@@ -1427,7 +1257,7 @@ impl CacheDaemon {
             }
         };
         if let Some(event) = event {
-            self.emit(&event);
+            self.ctx.emit(&event);
             // A quarantined peer's parked connections are dead weight:
             // reusing one after the backoff window would mask whatever
             // got the peer benched. Discarded outside the health lock.
@@ -1459,14 +1289,14 @@ impl CacheDaemon {
         // lint:allow(atomic-order) -- Release: pairs with the Acquire
         // loads in the server loops, so a loop that observes the flag
         // also observes everything written before shutdown began.
-        self.stop.store(true, Ordering::Release);
+        self.ctx.stop.store(true, Ordering::Release);
         self.wake_server_loops();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
         // With the acceptor joined, no new connections can register:
         // shut down and join every in-flight connection thread.
-        self.conns.shutdown_all();
+        self.ctx.conns.shutdown_all();
     }
 
     /// Stops the background threads and waits for them to exit.
@@ -1481,11 +1311,24 @@ impl Drop for CacheDaemon {
         // wakes matter here too: the loops block indefinitely in the
         // kernel and only re-check the flag once woken.
         // lint:allow(atomic-order) -- Release: same pairing as `halt`.
-        self.stop.store(true, Ordering::Release);
+        self.ctx.stop.store(true, Ordering::Release);
         if !self.threads.is_empty() {
             self.wake_server_loops();
         }
     }
+}
+
+/// Spawns the daemon thread `coopcache-{role}-{id}`, running `body` on
+/// its own handle to the shared state.
+fn spawn_loop(
+    ctx: &LoopCtx,
+    role: &str,
+    body: impl FnOnce(&LoopCtx) + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    let ctx = ctx.clone();
+    std::thread::Builder::new()
+        .name(format!("coopcache-{role}-{}", ctx.id))
+        .spawn(move || body(&ctx))
 }
 
 fn icp_loop(socket: &UdpSocket, ctx: &LoopCtx) {
@@ -1540,9 +1383,7 @@ fn icp_loop(socket: &UdpSocket, ctx: &LoopCtx) {
                     }
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
+            Err(ref e) if is_timeout(e) => {}
             // Transient socket errors degrade to a logged event, never a
             // silently dead responder; only shutdown exits the loop.
             Err(e) => {
@@ -1745,39 +1586,22 @@ fn serve_frame<R: Read, W: Write>(
     conn_trace_base: u64,
 ) -> io::Result<FrameDisposition> {
     let (request, trace) = match read_frame(reader)? {
-        // A stats scrape shares the doc port; it is answered even on a
-        // fault-injected daemon — observability must survive chaos.
-        WireMessage::StatsRequest => {
-            let body = build_stats_json(
-                ctx.id,
-                &ctx.stats,
-                &ctx.latency,
-                &ctx.health,
-                &ctx.node,
-                &ctx.clock,
-            );
-            write_frame(
-                writer,
-                &WireMessage::StatsResponse {
-                    cache: ctx.id,
-                    body_len: u64::try_from(body.len()).unwrap_or(u64::MAX),
-                },
-            )?;
-            writer.write_all(body.as_bytes())?;
-            *served += 1;
-            return Ok(FrameDisposition::KeepOpen);
-        }
-        // A series scrape shares the doc port and survives chaos the
-        // same way the stats probe does.
-        WireMessage::SeriesRequest => {
-            let body = lock(&ctx.series).to_json();
-            write_frame(
-                writer,
-                &WireMessage::SeriesResponse {
-                    cache: ctx.id,
-                    body_len: u64::try_from(body.len()).unwrap_or(u64::MAX),
-                },
-            )?;
+        // A stats or series scrape shares the doc port; it is answered even
+        // on a fault-injected daemon — observability must survive chaos.
+        probe @ (WireMessage::StatsRequest | WireMessage::SeriesRequest) => {
+            let (cache, stats) = (ctx.id, probe == WireMessage::StatsRequest);
+            let body = if stats {
+                ctx.stats_json()
+            } else {
+                lock(&ctx.series).to_json()
+            };
+            let body_len = u64::try_from(body.len()).unwrap_or(u64::MAX);
+            let header = if stats {
+                WireMessage::StatsResponse { cache, body_len }
+            } else {
+                WireMessage::SeriesResponse { cache, body_len }
+            };
+            write_frame(writer, &header)?;
             writer.write_all(body.as_bytes())?;
             *served += 1;
             return Ok(FrameDisposition::KeepOpen);
@@ -1876,117 +1700,120 @@ fn serve_frame<R: Read, W: Write>(
     })
 }
 
-/// Builds the deterministic JSON document behind `OP_STATS`: per-kind
-/// event counters (zeros included, [`coopcache_obs::EVENT_KINDS`]
-/// order), wall-clock
-/// latency snapshots per serve source, currently quarantined peers,
-/// cache occupancy, and the live cache expiration age (paper eq. 5,
-/// `null` while the cache still reports an infinite age).
-fn build_stats_json(
-    cache: CacheId,
-    stats: &StatsRegistry,
-    latency: &Mutex<BTreeMap<ServeSource, Histogram>>,
-    health: &Mutex<BTreeMap<CacheId, PeerHealth>>,
-    node: &ConcurrentNode,
-    clock: &SharedClock,
-) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("cache");
-    w.u64(u64::from(cache.as_u16()));
-    w.key("counters");
-    stats.write_counters(&mut w);
-    w.key("latency");
-    w.begin_object();
-    for (source, hist) in lock(latency).iter() {
-        w.key(&source.to_string());
-        hist.snapshot().write_json_us(&mut w);
+impl LoopCtx {
+    /// The peers under quarantine at the current clock, in id order.
+    fn quarantined(&self) -> Vec<CacheId> {
+        let now_us = self.clock.now_micros();
+        lock(&self.health)
+            .iter()
+            .filter(|(_, h)| now_us < h.quarantined_until_us)
+            .map(|(id, _)| *id)
+            .collect()
     }
-    w.end_object();
-    w.key("quarantined");
-    w.begin_array();
-    let now_us = clock.now_micros();
-    for (id, h) in lock(health).iter() {
-        if now_us < h.quarantined_until_us {
+
+    /// Cache occupancy — documents, used and capacity bytes — and the
+    /// live expiration age (paper eq. 5, `None` while infinite).
+    fn occupancy(&self) -> (u64, u64, u64, Option<u64>) {
+        let cache = self.node.cache();
+        (
+            u64::try_from(cache.len()).unwrap_or(u64::MAX),
+            cache.used().as_bytes(),
+            cache.capacity().as_bytes(),
+            age_to_ms(self.node.expiration_age()),
+        )
+    }
+
+    /// Builds the deterministic JSON document behind `OP_STATS`: per-kind
+    /// event counters (zeros included, [`coopcache_obs::EVENT_KINDS`]
+    /// order), wall-clock latency snapshots per serve source, currently
+    /// quarantined peers, cache occupancy, and the live cache expiration
+    /// age (`null` while the cache still reports an infinite age).
+    fn stats_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("cache");
+        w.u64(u64::from(self.id.as_u16()));
+        w.key("counters");
+        self.stats.write_counters(&mut w);
+        w.key("latency");
+        w.begin_object();
+        for (source, hist) in lock(&self.latency).iter() {
+            w.key(&source.to_string());
+            hist.snapshot().write_json_us(&mut w);
+        }
+        w.end_object();
+        w.key("quarantined");
+        w.begin_array();
+        for id in self.quarantined() {
             w.u64(u64::from(id.as_u16()));
         }
+        w.end_array();
+        let (docs, used, capacity, age_ms) = self.occupancy();
+        w.key("occupancy");
+        w.begin_object();
+        w.key("docs");
+        w.u64(docs);
+        w.key("used_bytes");
+        w.u64(used);
+        w.key("capacity_bytes");
+        w.u64(capacity);
+        w.end_object();
+        w.key("expiration_age_ms");
+        w.opt_u64(age_ms);
+        w.end_object();
+        w.finish()
     }
-    w.end_array();
-    let (docs, used, capacity, age_ms) = {
-        let cache = node.cache();
-        (
-            u64::try_from(cache.len()).unwrap_or(u64::MAX),
-            cache.used().as_bytes(),
-            cache.capacity().as_bytes(),
-            age_to_ms(node.expiration_age()),
-        )
-    };
-    w.key("occupancy");
-    w.begin_object();
-    w.key("docs");
-    w.u64(docs);
-    w.key("used_bytes");
-    w.u64(used);
-    w.key("capacity_bytes");
-    w.u64(capacity);
-    w.end_object();
-    w.key("expiration_age_ms");
-    w.opt_u64(age_ms);
-    w.end_object();
-    w.finish()
-}
 
-/// Takes one time-series sample of a daemon's live state: cumulative
-/// event counters, the merged request-latency histogram, cache
-/// occupancy, the live expiration age (paper eq. 5) and the number of
-/// quarantined peers, stamped with the daemon clock.
-fn sample_point(
-    stats: &StatsRegistry,
-    latency: &Mutex<BTreeMap<ServeSource, Histogram>>,
-    health: &Mutex<BTreeMap<CacheId, PeerHealth>>,
-    node: &ConcurrentNode,
-    clock: &SharedClock,
-) -> SeriesPoint {
-    let mut counters = [0u64; coopcache_obs::EVENT_KINDS.len()];
-    for (slot, (_, count)) in counters.iter_mut().zip(stats.snapshot()) {
-        *slot = count;
-    }
-    let mut merged = Histogram::new();
-    let (mut local_hits, mut remote_hits) = (0u64, 0u64);
-    for (source, hist) in lock(latency).iter() {
-        match source {
-            ServeSource::Local => local_hits = local_hits.saturating_add(hist.count()),
-            ServeSource::Peer(_) => remote_hits = remote_hits.saturating_add(hist.count()),
-            ServeSource::Origin => {}
+    /// Takes one time-series sample of the daemon's live state —
+    /// cumulative event counters, the merged request-latency histogram,
+    /// occupancy, the expiration age and the number of quarantined peers,
+    /// stamped with the daemon clock — and lands it: pushes the point into
+    /// the `OP_SERIES` ring, runs the SLO rules over it, and emits one
+    /// [`Event::Alert`] per state transition. The alert carries no
+    /// timestamp of its own, so same-seed workloads produce byte-identical
+    /// alert streams even under the wall clock.
+    fn sample(&self) {
+        let mut counters = [0u64; coopcache_obs::EVENT_KINDS.len()];
+        for (slot, (_, count)) in counters.iter_mut().zip(self.stats.snapshot()) {
+            *slot = count;
         }
-        merged.merge(hist);
-    }
-    let snapshot = merged.snapshot();
-    let now_us = clock.now_micros();
-    let quarantined = lock(health)
-        .values()
-        .filter(|h| now_us < h.quarantined_until_us)
-        .count();
-    let (docs, used_bytes, capacity_bytes, expiration_age_ms) = {
-        let cache = node.cache();
-        (
-            u64::try_from(cache.len()).unwrap_or(u64::MAX),
-            cache.used().as_bytes(),
-            cache.capacity().as_bytes(),
-            age_to_ms(node.expiration_age()),
-        )
-    };
-    SeriesPoint {
-        t_ms: clock.now().as_millis(),
-        counters,
-        local_hits,
-        remote_hits,
-        latency: (snapshot.count > 0).then_some(snapshot),
-        docs,
-        used_bytes,
-        capacity_bytes,
-        expiration_age_ms,
-        quarantined: u64::try_from(quarantined).unwrap_or(u64::MAX),
+        let mut merged = Histogram::new();
+        let (mut local_hits, mut remote_hits) = (0u64, 0u64);
+        for (source, hist) in lock(&self.latency).iter() {
+            match source {
+                ServeSource::Local => local_hits = local_hits.saturating_add(hist.count()),
+                ServeSource::Peer(_) => remote_hits = remote_hits.saturating_add(hist.count()),
+                ServeSource::Origin => {}
+            }
+            merged.merge(hist);
+        }
+        let snapshot = merged.snapshot();
+        let (docs, used_bytes, capacity_bytes, expiration_age_ms) = self.occupancy();
+        let point = SeriesPoint {
+            t_ms: self.clock.now().as_millis(),
+            counters,
+            local_hits,
+            remote_hits,
+            latency: (snapshot.count > 0).then_some(snapshot),
+            docs,
+            used_bytes,
+            capacity_bytes,
+            expiration_age_ms,
+            quarantined: u64::try_from(self.quarantined().len()).unwrap_or(u64::MAX),
+        };
+        lock(&self.series).push(point);
+        let fired = lock(&self.alerts).observe(&point);
+        for firing in fired {
+            self.emit(&Event::Alert {
+                cache: firing.cache,
+                metric: firing.metric,
+                op: firing.op,
+                threshold: firing.threshold,
+                value: firing.value,
+                windows: firing.windows,
+                state: firing.state,
+            });
+        }
     }
 }
 
@@ -2007,33 +1834,7 @@ fn sample_loop(ctx: &LoopCtx, interval: Duration) {
             std::thread::sleep(chunk);
             remaining = remaining.saturating_sub(chunk);
         }
-        let point = sample_point(&ctx.stats, &ctx.latency, &ctx.health, &ctx.node, &ctx.clock);
-        record_sample(point, &ctx.series, &ctx.alerts, |event| ctx.emit(event));
-    }
-}
-
-/// Lands one sample: pushes the point into the `OP_SERIES` ring, runs
-/// the SLO rules over it, and emits one [`Event::Alert`] per state
-/// transition. The alert carries no timestamp of its own, so same-seed
-/// workloads produce byte-identical alert streams even under the wall
-/// clock.
-fn record_sample(
-    point: SeriesPoint,
-    series: &Mutex<SeriesRing>,
-    alerts: &Mutex<AlertEngine>,
-    emit: impl Fn(&Event),
-) {
-    lock(series).push(point);
-    for firing in lock(alerts).observe(&point) {
-        emit(&Event::Alert {
-            cache: firing.cache,
-            metric: firing.metric,
-            op: firing.op,
-            threshold: firing.threshold,
-            value: firing.value,
-            windows: firing.windows,
-            state: firing.state,
-        });
+        ctx.sample();
     }
 }
 
@@ -2065,8 +1866,11 @@ mod tests {
         // when the round is finished.
         let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
         std::thread::sleep(icp_timeout * 4);
-        let first = daemon.next_candidate(&mut round).unwrap();
-        assert!(first.is_some_and(|p| holders.contains(&p.id)), "{first:?}");
+        let first = daemon.next_reply(&mut round).unwrap();
+        assert!(
+            first.is_some_and(|(p, hit)| hit && holders.contains(&p.id)),
+            "{first:?}"
+        );
         daemon.finish_icp_round(round);
         assert_eq!(daemon.parked_icp_sockets(), 1, "every peer answered");
 
@@ -2075,7 +1879,8 @@ mod tests {
         let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
         std::thread::sleep(icp_timeout * 4);
         let mut pulled = Vec::new();
-        while let Some(peer) = daemon.next_candidate(&mut round).unwrap() {
+        while let Some((peer, hit)) = daemon.next_reply(&mut round).unwrap() {
+            assert!(hit, "{peer:?} holds the document");
             pulled.push(peer.id);
         }
         pulled.sort_unstable();

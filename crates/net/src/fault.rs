@@ -13,8 +13,9 @@
 //! rules in the same order on every run, so a fixed seed reproduces the
 //! same fault schedule exactly.
 
+use crate::lock;
 use coopcache_types::CacheId;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// What a fault does when it fires at the daemon it is attached to.
@@ -195,10 +196,6 @@ impl ArmedRule {
 #[derive(Debug)]
 pub(crate) struct FaultState {
     rules: Mutex<Vec<ArmedRule>>,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FaultState {

@@ -53,3 +53,12 @@ pub use memory::MemoryProbe;
 pub use origin::OriginServer;
 pub use stats::{scrape_series, scrape_stats, MAX_STATS_BODY};
 pub use wire::{DecodeError, WireMessage, FRAME_V2, MAGIC, MAX_FRAME_LEN};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, recovering the data from a poisoned lock: every state
+/// behind this crate's locks stays valid, so a panicked thread should
+/// degrade a daemon, not wedge it or its shutdown.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -13,24 +13,19 @@
 //! counted in [`OriginServer::write_timeouts`]).
 
 use crate::daemon::is_timeout;
+use crate::lock;
 use crate::pool::Conn;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Body bytes written per `write` by [`write_body`], and the most the
 /// origin sends in the same `write` as a reply's length.
 const BODY_CHUNK: usize = 8192;
-
-/// Recovers the guard from a poisoned lock (a panicked connection
-/// thread must not wedge shutdown).
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One request/response exchange on an already-connected origin
 /// connection, leaving it healthy for reuse.

@@ -24,10 +24,11 @@
 //! blocks under a lock (see the `lock-blocking` lint).
 
 use crate::clock::SharedClock;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// An outbound connection: requests are written to the stream
@@ -48,13 +49,6 @@ pub(crate) fn connect(addr: SocketAddr, io_timeout: Duration) -> io::Result<Conn
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
     Ok(BufReader::with_capacity(RESPONSE_BUF, stream))
-}
-
-/// Recovers the guard from a poisoned pool lock. Pool state is a plain
-/// map of parked sockets — always valid — so a panicking peer thread
-/// must not take the whole daemon down with it.
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A parked connection and the daemon-clock microsecond it was parked.

@@ -29,27 +29,7 @@ pub const MAX_STATS_BODY: u64 = 1 << 20;
 /// Propagates connect/read/write failures; a non-stats reply or an
 /// oversized body surfaces as [`io::ErrorKind::InvalidData`].
 pub fn scrape_stats(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write_frame(&mut stream, &WireMessage::StatsRequest)?;
-    let WireMessage::StatsResponse { body_len, .. } = read_frame(&mut stream)? else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected a stats response",
-        ));
-    };
-    if body_len > MAX_STATS_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized stats body",
-        ));
-    }
-    let mut body = vec![0u8; usize::try_from(body_len).unwrap_or(0)];
-    stream.read_exact(&mut body)?;
-    String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "stats body is not UTF-8"))
+    scrape(addr, timeout, "stats")
 }
 
 /// Scrapes the sampled time-series ring from the daemon whose
@@ -61,25 +41,33 @@ pub fn scrape_stats(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
 /// Propagates connect/read/write failures; a non-series reply or an
 /// oversized body surfaces as [`io::ErrorKind::InvalidData`].
 pub fn scrape_series(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
+    scrape(addr, timeout, "series")
+}
+
+/// One scrape of the `what` document ("stats" or "series"): the request
+/// frame out, then the body the response frame announces.
+fn scrape(addr: SocketAddr, timeout: Duration, what: &str) -> io::Result<String> {
+    let invalid = |error: String| io::Error::new(io::ErrorKind::InvalidData, error);
+    let series = what == "series";
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write_frame(&mut stream, &WireMessage::SeriesRequest)?;
-    let WireMessage::SeriesResponse { body_len, .. } = read_frame(&mut stream)? else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected a series response",
-        ));
+    let request = if series {
+        WireMessage::SeriesRequest
+    } else {
+        WireMessage::StatsRequest
+    };
+    write_frame(&mut stream, &request)?;
+    let body_len = match read_frame(&mut stream)? {
+        WireMessage::SeriesResponse { body_len, .. } if series => body_len,
+        WireMessage::StatsResponse { body_len, .. } if !series => body_len,
+        _ => return Err(invalid(format!("expected a {what} response"))),
     };
     if body_len > MAX_STATS_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized series body",
-        ));
+        return Err(invalid(format!("oversized {what} body")));
     }
     let mut body = vec![0u8; usize::try_from(body_len).unwrap_or(0)];
     stream.read_exact(&mut body)?;
-    String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "series body is not UTF-8"))
+    String::from_utf8(body).map_err(|_| invalid(format!("{what} body is not UTF-8")))
 }

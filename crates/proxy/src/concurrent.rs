@@ -114,14 +114,13 @@ impl ConcurrentNode {
         self.silent().handle_icp_query(query)
     }
 
-    /// See [`ProxyNode::handle_http_request`]; also hands back whether the
-    /// serve promoted the entry, for the daemon's serve span.
+    /// See [`ProxyNode::handle_http_request`].
     pub fn handle_http_request(
         &self,
         request: HttpRequest,
         now: Timestamp,
     ) -> Option<(HttpResponse, bool)> {
-        self.reporting().serve_http_request(request, now)
+        self.reporting().handle_http_request(request, now)
     }
 
     /// See [`ProxyNode::build_http_request`].
@@ -240,9 +239,7 @@ mod tests {
                                 requester_age: peer_age(draw >> 24),
                             };
                             assert_eq!(
-                                shared
-                                    .handle_http_request(request, now)
-                                    .map(|(response, _)| response),
+                                shared.handle_http_request(request, now),
                                 serial.handle_http_request(request, now),
                                 "{case}: HTTP request #{i}"
                             );

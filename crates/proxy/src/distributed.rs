@@ -4,12 +4,17 @@
 //! architecture of the paper's evaluation (§4.1). A local miss triggers an
 //! ICP query to every peer; a group miss is resolved against the origin by
 //! the requester itself, which always stores the document.
+//!
+//! [`DistributedGroup::handle_request`] is the synchronous driver of the
+//! [`Requester`] machine: it carries out each action at once, answering
+//! `NextReply` from an eager discovery round.
 
 use crate::bloom::BloomFilter;
 use crate::discovery::{Discovery, ProtocolStats};
 use crate::message::IcpQuery;
 use crate::node::ProxyNode;
 use crate::outcome::RequestOutcome;
+use crate::requester::{Requester, RequesterAction, RequesterInput};
 use coopcache_core::{CacheConfig, ExpirationWindow, PlacementScheme, PolicyKind};
 use coopcache_obs::{Event, SinkHandle};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
@@ -43,9 +48,9 @@ pub struct DistributedGroup {
     discovery: Discovery,
     digests: Vec<DigestState>,
     protocol: ProtocolStats,
-    /// The current ICP round's positive repliers, in probe order; kept
-    /// between requests so a round allocates nothing.
-    icp_hits: Vec<CacheId>,
+    /// The current request's untried fetch candidates, the next one last;
+    /// kept between requests so a round allocates nothing.
+    candidates: Vec<CacheId>,
     /// Optional event sink for ICP traffic; node-level events (placement,
     /// eviction) are emitted by the nodes themselves.
     sink: Option<SinkHandle>,
@@ -67,29 +72,13 @@ impl DistributedGroup {
     /// Panics if `n` is zero.
     #[must_use]
     pub fn new(n: u16, aggregate: ByteSize, policy: PolicyKind, scheme: PlacementScheme) -> Self {
-        Self::with_window(n, aggregate, policy, scheme, ExpirationWindow::default())
-    }
-
-    /// Creates a group with an explicit expiration-age window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_window(
-        n: u16,
-        aggregate: ByteSize,
-        policy: PolicyKind,
-        scheme: PlacementScheme,
-        window: ExpirationWindow,
-    ) -> Self {
         assert!(n > 0, "a group needs at least one cache");
         let per_cache = aggregate.split_evenly(u64::from(n));
         Self::with_capacities(
             &vec![per_cache; usize::from(n)],
             policy,
             scheme,
-            window,
+            ExpirationWindow::default(),
             Discovery::Icp,
         )
     }
@@ -136,7 +125,7 @@ impl DistributedGroup {
             discovery,
             digests,
             protocol: ProtocolStats::default(),
-            icp_hits: Vec::new(),
+            candidates: Vec::new(),
             sink: None,
         }
     }
@@ -152,7 +141,7 @@ impl DistributedGroup {
     }
 
     /// Replaces the discovery mechanism (builder-style, for use after
-    /// `new`/`with_window`).
+    /// `new`).
     #[must_use]
     pub fn with_discovery(mut self, discovery: Discovery) -> Self {
         self.discovery = discovery;
@@ -195,9 +184,8 @@ impl DistributedGroup {
     }
 
     /// Mutable access to a node, for drivers (like the discrete-event
-    /// simulator and the socket runtime) that sequence the protocol
-    /// steps themselves instead of calling
-    /// [`handle_request`](Self::handle_request).
+    /// simulator) that run the [`Requester`] machine on their own
+    /// schedule instead of calling [`handle_request`](Self::handle_request).
     ///
     /// # Panics
     ///
@@ -249,12 +237,13 @@ impl DistributedGroup {
     }
 
     /// Handles one client request arriving at `requester`, running the
-    /// full protocol: local lookup → ICP probe of all peers → remote
-    /// fetch with piggybacked expiration ages, or origin fetch.
+    /// [`Requester`] machine's full protocol: local lookup → ICP probe of
+    /// all peers → remote fetch with piggybacked expiration ages, failing
+    /// over to the next positive replier, or origin fetch.
     ///
-    /// Peers are probed starting at `requester + 1` (wrapping), modelling
-    /// the first positive ICP reply winning without biasing any fixed
-    /// cache id.
+    /// Positive repliers are tried in probe order from `requester + 1`
+    /// (wrapping), modelling the first positive reply winning without
+    /// biasing any fixed cache id.
     ///
     /// # Panics
     ///
@@ -266,31 +255,77 @@ impl DistributedGroup {
         size: ByteSize,
         now: Timestamp,
     ) -> RequestOutcome {
-        let n = self.nodes.len();
-        assert!(requester.index() < n, "unknown requester {requester}");
-
-        // 1. Local lookup.
-        if self.nodes[requester.index()]
-            .handle_client_lookup(doc, now)
-            .is_some()
-        {
-            return RequestOutcome::LocalHit;
+        assert!(
+            requester.index() < self.nodes.len(),
+            "unknown requester {requester}"
+        );
+        let mut machine = Requester::new();
+        let mut action = machine.pending();
+        loop {
+            let input = match action {
+                RequesterAction::Lookup => {
+                    let local_hit = self.nodes[requester.index()]
+                        .handle_client_lookup(doc, now)
+                        .is_some();
+                    if !local_hit {
+                        self.discover(requester, doc, now);
+                    }
+                    RequesterInput::Start { local_hit }
+                }
+                RequesterAction::NextReply => {
+                    self.candidates
+                        .pop()
+                        .map_or(RequesterInput::RoundOver, |peer| RequesterInput::IcpReply {
+                            peer,
+                            hit: true,
+                        })
+                }
+                RequesterAction::Fetch { peer, .. } => {
+                    self.protocol.doc_requests += 1;
+                    let sent = self.nodes[requester.index()].build_http_request(doc);
+                    match self.nodes[peer.index()].handle_http_request(sent, now) {
+                        Some((response, promoted)) => RequesterInput::Fetched {
+                            stored: self.nodes[requester.index()]
+                                .complete_remote_fetch(sent, response, now),
+                            promoted,
+                        },
+                        // The copy is gone: a stale digest or a Bloom false
+                        // positive, or a copy that expired under a freshness
+                        // TTL since the probe.
+                        None => {
+                            if matches!(self.discovery, Discovery::Digest { .. }) {
+                                self.protocol.digest_misdirections += 1;
+                            }
+                            RequesterInput::NotFound
+                        }
+                    }
+                }
+                // Group miss: the requester always stores (paper §4.1).
+                RequesterAction::FetchOrigin { .. } => RequesterInput::OriginServed {
+                    stored: self.nodes[requester.index()].complete_origin_fetch(doc, size, now),
+                },
+                RequesterAction::Done(outcome) => return outcome,
+            };
+            action = machine.step(input);
         }
+    }
 
-        // 2. Locate the document at a peer, by the configured mechanism;
-        // 3a. on success, fetch it with piggybacked expiration ages.
+    /// Collects into `candidates` the peers that `requester`'s discovery
+    /// mechanism says hold `doc`, the first in probe order last. An ICP
+    /// round queries every peer and is emitted whole before the first
+    /// fetch.
+    fn discover(&mut self, requester: CacheId, doc: DocId, now: Timestamp) {
+        let n = self.nodes.len();
         let rotation = (1..n).map(|off| CacheId::new(((requester.index() + off) % n) as u16));
+        self.candidates.clear();
         match self.discovery {
             Discovery::Icp => {
-                // One query to every peer; every peer replies. The whole
-                // round is emitted before the first fetch.
                 let query = IcpQuery {
                     from: requester,
                     doc,
                 };
                 self.protocol.icp_queries += (n - 1) as u64;
                 self.protocol.icp_replies += (n - 1) as u64;
-                self.icp_hits.clear();
                 for peer in rotation {
                     let reply = self.nodes[peer.index()].handle_icp_query(query);
                     if let Some(sink) = &self.sink {
@@ -306,18 +341,7 @@ impl DistributedGroup {
                         });
                     }
                     if reply.hit {
-                        self.icp_hits.push(peer);
-                    }
-                }
-                for i in 0..self.icp_hits.len() {
-                    let peer = self.icp_hits[i];
-                    match self.remote_fetch(requester, peer, doc, now) {
-                        Some(outcome) => return outcome,
-                        // An ICP hit can still come back empty when the
-                        // copy expired under a freshness TTL between the
-                        // probe and the fetch; fall through to the next
-                        // positive replier (or the origin).
-                        None => continue,
+                        self.candidates.push(peer);
                     }
                 }
             }
@@ -326,52 +350,13 @@ impl DistributedGroup {
                 fp_rate,
             } => {
                 self.refresh_digests(now, refresh_every, fp_rate);
-                for peer in rotation {
-                    if !self.digests[peer.index()].filter.contains(doc) {
-                        continue;
-                    }
-                    match self.remote_fetch(requester, peer, doc, now) {
-                        Some(outcome) => return outcome,
-                        None => {
-                            // Stale digest or Bloom false positive: the
-                            // fetch came back empty; try the next peer.
-                            self.protocol.digest_misdirections += 1;
-                        }
-                    }
-                }
+                let digests = &self.digests;
+                self.candidates
+                    .extend(rotation.filter(|peer| digests[peer.index()].filter.contains(doc)));
             }
             Discovery::Isolated => {}
         }
-
-        // 3b. Group miss: fetch from origin, always store locally.
-        let stored = self.nodes[requester.index()].complete_origin_fetch(doc, size, now);
-        RequestOutcome::Miss {
-            stored_locally: stored,
-            stored_at_ancestor: false,
-        }
-    }
-
-    /// The inter-cache HTTP exchange; `None` when the peer no longer
-    /// holds the document.
-    fn remote_fetch(
-        &mut self,
-        requester: CacheId,
-        peer: CacheId,
-        doc: DocId,
-        now: Timestamp,
-    ) -> Option<RequestOutcome> {
-        self.protocol.doc_requests += 1;
-        let sent = self.nodes[requester.index()].build_http_request(doc);
-        let response = self.nodes[peer.index()].handle_http_request(sent, now)?;
-        let promoted = self.nodes[peer.index()]
-            .scheme()
-            .responder_promotes(response.responder_age, sent.requester_age);
-        let stored = self.nodes[requester.index()].complete_remote_fetch(sent, response, now);
-        Some(RequestOutcome::RemoteHit {
-            responder: peer,
-            stored_locally: stored,
-            promoted_at_responder: promoted,
-        })
+        self.candidates.reverse();
     }
 
     /// Rebuilds and "broadcasts" any digest older than the refresh period
@@ -570,6 +555,31 @@ mod tests {
             RequestOutcome::RemoteHit { responder, .. } => assert_eq!(responder, c(2)),
             other => panic!("expected remote hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn failover_reaches_the_second_positive_replier() {
+        use coopcache_types::DurationMs;
+        // Caches 1 and 2 both hold the doc; cache 1's copy is older than
+        // the TTL. ICP ignores freshness, so both reply hit; the fetch from
+        // cache 1 expires its copy and comes back empty, and cache 2 (next
+        // in probe order from requester 0) serves.
+        let mut g = group(PlacementScheme::AdHoc);
+        g.set_ttl(Some(DurationMs::from_secs(10)));
+        g.node_mut(c(1)).complete_origin_fetch(d(7), kb(2), t(0));
+        g.node_mut(c(2))
+            .complete_origin_fetch(d(7), kb(2), t(5_000));
+        let out = g.handle_request(c(0), d(7), kb(2), t(12_000));
+        assert_eq!(
+            out,
+            RequestOutcome::RemoteHit {
+                responder: c(2),
+                stored_locally: true,
+                promoted_at_responder: true,
+            }
+        );
+        assert_eq!(g.protocol_stats().doc_requests, 2);
+        assert!(!g.node(c(1)).cache().contains(d(7)), "stale copy expired");
     }
 
     #[test]

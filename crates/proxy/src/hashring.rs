@@ -11,7 +11,7 @@
 
 use crate::node::ProxyNode;
 use crate::outcome::RequestOutcome;
-use coopcache_core::{ExpirationWindow, PlacementScheme, PolicyKind};
+use coopcache_core::{PlacementScheme, PolicyKind};
 use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 
 /// A consistent-hash ring over cache ids with virtual nodes.
@@ -122,14 +122,13 @@ impl HashRoutedGroup {
         let per_cache = aggregate.split_evenly(u64::from(n));
         let nodes = (0..n)
             .map(|i| {
-                ProxyNode::with_window(
+                ProxyNode::new(
                     CacheId::new(i),
                     per_cache,
                     policy,
                     // The placement scheme is irrelevant: hash routing
                     // never replicates, so no EA decision ever fires.
                     PlacementScheme::AdHoc,
-                    ExpirationWindow::default(),
                 )
             })
             .collect();

@@ -269,10 +269,9 @@ impl HierarchicalGroup {
             // (e.g. a freshness TTL expires the copy in between); in that
             // case the fetch falls through to the parent path below, just
             // as if the probe had missed.
-            if let Some(response) = self.nodes[peer.index()].handle_http_request(sent, now) {
-                let promoted = self.nodes[peer.index()]
-                    .scheme()
-                    .responder_promotes(response.responder_age, sent.requester_age);
+            if let Some((response, promoted)) =
+                self.nodes[peer.index()].handle_http_request(sent, now)
+            {
                 let stored =
                     self.nodes[requester.index()].complete_remote_fetch(sent, response, now);
                 return RequestOutcome::RemoteHit {
@@ -338,14 +337,12 @@ impl HierarchicalGroup {
         // by its direct children, not by deeper descendants). A TTL-stale
         // copy is expired inside the handler and resolves as a miss, so
         // the fetch continues upward instead of serving stale bytes.
-        if let Some(response) = self.nodes[idx].handle_http_request(request, now) {
-            let scheme = self.nodes[idx].scheme();
+        if let Some((response, promoted)) = self.nodes[idx].handle_http_request(request, now) {
             return UpwardResult {
                 response,
                 hit_above: true,
                 stored_above: false,
-                promoted_at_hit: scheme
-                    .responder_promotes(response.responder_age, request.requester_age),
+                promoted_at_hit: promoted,
             };
         }
         match self.parent[idx] {

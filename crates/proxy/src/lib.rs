@@ -13,9 +13,11 @@
 //!   upward and each parent applies the EA parent rule on the way down.
 //!
 //! Everything here is I/O-free: [`ProxyNode`] exposes pure protocol
-//! handlers that the synchronous driver, the discrete-event simulator
-//! (`coopcache-sim`) and the real-socket runtime (`coopcache-net`) all
-//! share, so every execution mode runs identical placement logic.
+//! handlers, and [`Requester`] is the request lifecycle around them
+//! (lookup, ICP round, fetch, failover, origin). The synchronous driver,
+//! the discrete-event simulator (`coopcache-sim`) and the real-socket
+//! runtime (`coopcache-net`) all share both, so every execution mode runs
+//! identical placement logic and the same protocol sequence.
 //!
 //! # Example
 //!
@@ -45,6 +47,7 @@ mod hierarchy;
 mod message;
 mod node;
 mod outcome;
+mod requester;
 mod store;
 
 pub use bloom::BloomFilter;
@@ -56,3 +59,4 @@ pub use hierarchy::{HierarchicalGroup, TopologyError};
 pub use message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
 pub use node::ProxyNode;
 pub use outcome::RequestOutcome;
+pub use requester::{Requester, RequesterAction, RequesterInput};

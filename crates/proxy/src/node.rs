@@ -11,8 +11,8 @@
 use crate::message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
 use crate::store::Store;
 use coopcache_core::{
-    Cache, CacheConfig, EvictionReason, EvictionRecord, ExpirationFlavor, ExpirationWindow,
-    InsertOutcome, PlacementScheme, PolicyKind,
+    Cache, CacheConfig, EvictionReason, EvictionRecord, ExpirationFlavor, InsertOutcome,
+    PlacementScheme, PolicyKind,
 };
 use coopcache_obs::{Event, EventKind, EvictionCause, PlacementRole, SinkHandle, StatsRegistry};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
@@ -72,22 +72,7 @@ impl ProxyNode {
         policy: PolicyKind,
         scheme: PlacementScheme,
     ) -> Self {
-        Self::with_window(id, capacity, policy, scheme, ExpirationWindow::default())
-    }
-
-    /// Creates a node with an explicit expiration-age window.
-    #[must_use]
-    pub fn with_window(
-        id: CacheId,
-        capacity: ByteSize,
-        policy: PolicyKind,
-        scheme: PlacementScheme,
-        window: ExpirationWindow,
-    ) -> Self {
-        Self::from_config(
-            CacheConfig::new(id, capacity, policy).window(window),
-            scheme,
-        )
+        Self::from_config(CacheConfig::new(id, capacity, policy), scheme)
     }
 
     /// Creates a node from a full cache configuration (window and TTL
@@ -236,23 +221,13 @@ impl<S: Store> ProxyNode<S> {
     }
 
     /// Responder side of a remote hit: serves the document and applies the
-    /// scheme's promotion rule using the piggybacked requester age.
+    /// scheme's promotion rule (paper §3.5) using the piggybacked requester
+    /// age. Returns the response and whether the entry was promoted.
     ///
     /// Returns `None` when the document is no longer cached (it can be
-    /// evicted between the ICP reply and the HTTP request — the requester
-    /// then falls back to the origin).
+    /// evicted, or go stale under a TTL, between the ICP reply and the
+    /// HTTP request — the requester then tries its next candidate).
     pub fn handle_http_request(
-        &mut self,
-        request: HttpRequest,
-        now: Timestamp,
-    ) -> Option<HttpResponse> {
-        self.serve_http_request(request, now)
-            .map(|(response, _promoted)| response)
-    }
-
-    /// [`Self::handle_http_request`] plus the promotion decision (paper
-    /// §3.5) it applied, which the daemons label their serve span with.
-    pub(crate) fn serve_http_request(
         &mut self,
         request: HttpRequest,
         now: Timestamp,
@@ -433,7 +408,8 @@ mod tests {
             doc: d(7),
             requester_age: ExpirationAge::Infinite,
         };
-        let resp = responder.handle_http_request(req, t(10)).unwrap();
+        let (resp, promoted) = responder.handle_http_request(req, t(10)).unwrap();
+        assert!(promoted, "a calm responder promotes");
         assert_eq!(resp.size, kb(4));
         assert_eq!(resp.doc, d(7));
         assert_eq!(resp.responder_age, ExpirationAge::Infinite);
@@ -500,7 +476,8 @@ mod tests {
             doc: d(4),
             requester_age: ExpirationAge::Infinite,
         };
-        let resp = responder.handle_http_request(req, t(10)).unwrap();
+        let (resp, promoted) = responder.handle_http_request(req, t(10)).unwrap();
+        assert!(!promoted);
         assert!(resp.responder_age < ExpirationAge::Infinite);
         let after = responder.cache().entry(d(4)).copied().unwrap();
         assert_eq!(before, after, "EA responder refreshed a doomed replica");
@@ -515,7 +492,7 @@ mod tests {
             doc: d(4),
             requester_age: ExpirationAge::Infinite,
         };
-        responder.handle_http_request(req, t(10)).unwrap();
+        assert!(responder.handle_http_request(req, t(10)).unwrap().1);
         let entry = responder.cache().entry(d(4)).unwrap();
         assert_eq!(entry.hit_count, 2);
         assert_eq!(entry.last_hit_at, t(10));

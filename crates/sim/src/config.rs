@@ -2,7 +2,7 @@
 
 use coopcache_core::{ExpirationWindow, PlacementScheme, PolicyKind};
 use coopcache_metrics::LatencyModel;
-use coopcache_proxy::Discovery;
+use coopcache_proxy::{Discovery, DistributedGroup};
 use coopcache_trace::Partitioner;
 use coopcache_types::{ByteSize, DurationMs};
 use std::fmt;
@@ -200,6 +200,22 @@ impl SimConfig {
                     .collect()
             }
         }
+    }
+
+    /// The group this configuration describes: one cache per entry of
+    /// [`Self::cache_capacities`], with the configured policy, scheme,
+    /// window, discovery and TTL. Every runner builds its group here.
+    #[must_use]
+    pub fn build_group(&self) -> DistributedGroup {
+        let mut group = DistributedGroup::with_capacities(
+            &self.cache_capacities(),
+            self.policy,
+            self.scheme,
+            self.window,
+            self.discovery,
+        );
+        group.set_ttl(self.ttl);
+        group
     }
 
     /// Per-cache capacity under the even split.

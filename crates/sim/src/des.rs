@@ -9,6 +9,13 @@
 //! (the responder then misses and the requester falls back to the
 //! origin), and per-request latency is *measured* rather than estimated.
 //!
+//! Each request carries its own [`Requester`] machine, the same one the
+//! synchronous group and the live daemons drive; the machine's pending
+//! action is the phase the request waits on. The DES answers the
+//! machine's `NextReply` with ring-order ICP probes up to the first hit,
+//! then `RoundOver`: a fetch that comes back empty goes to the origin
+//! and counts as an ICP fallback.
+//!
 //! # The event queue
 //!
 //! A [`Trace`] is time-ordered, so arrivals are read straight from it by
@@ -28,9 +35,11 @@ use coopcache_obs::{
     age_to_ms, event_cache, AlertEngine, AlertRule, Event, EventSink, Rollup, RollupConfig,
     SeriesGauges, SeriesRecorder, SeriesRing, SinkHandle, Span, SpanKind,
 };
-use coopcache_proxy::{DistributedGroup, HttpRequest, IcpQuery, RequestOutcome};
-use coopcache_trace::Trace;
-use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, Request, Timestamp};
+use coopcache_proxy::{
+    DistributedGroup, HttpRequest, IcpQuery, Requester, RequesterAction, RequesterInput,
+};
+use coopcache_trace::{Partitioner, Trace};
+use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Request, Timestamp};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -157,22 +166,6 @@ pub struct DesReport {
     pub avg_expiration_age_ms: Option<f64>,
 }
 
-/// The timed phase a queued request waits on; it resumes when the phase
-/// completes.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// The ICP round; then pick a responder or go to the origin.
-    IcpRound,
-    /// The peer transfer.
-    PeerFetch {
-        responder: CacheId,
-        sent: HttpRequest,
-    },
-    /// The origin transfer (`started` = when the fetch began, for the
-    /// origin-fetch span).
-    OriginFetch { started: Timestamp },
-}
-
 /// One request between its arrival and its completion.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -182,13 +175,40 @@ struct InFlight {
     doc: DocId,
     size: ByteSize,
     arrival: Timestamp,
-    /// What the request waits on while it is queued.
-    phase: Phase,
+    /// The request's protocol state; its pending action is the timed
+    /// phase the request waits on while it is queued.
+    machine: Requester,
+    /// When the pending action was issued (the start of its span).
+    since: Timestamp,
+    /// The HTTP request of a pending peer fetch, with the requester's
+    /// age when the fetch was issued.
+    sent: HttpRequest,
     /// Next span-id suffix; the root span is always `k = 1`.
     span_next: u64,
 }
 
 impl InFlight {
+    /// Trace request `idx` entering `requester`'s cache, pending its
+    /// lookup.
+    fn arriving(idx: usize, request: &Request, requester: CacheId) -> Self {
+        Self {
+            idx,
+            requester,
+            doc: request.doc,
+            size: request.size,
+            arrival: request.time,
+            machine: Requester::new(),
+            since: request.time,
+            // Rebuilt when a peer fetch is issued.
+            sent: HttpRequest {
+                from: requester,
+                doc: request.doc,
+                requester_age: ExpirationAge::Infinite,
+            },
+            span_next: 2,
+        }
+    }
+
     /// The root span (always the first id of the request's trace).
     fn root_span(&self) -> u64 {
         ((self.idx as u64) << 16) | 1
@@ -233,35 +253,32 @@ impl PartialEq for Queued {
 
 impl Eq for Queued {}
 
-/// What the DES does next.
-enum Step<'t> {
-    /// Trace request `idx` enters its cache.
-    Arrival(usize, &'t Request),
-    /// A queued request's timed phase completed.
-    Resume(InFlight),
-}
-
 /// The DES's event source: a cursor over the time-ordered trace merged
 /// with a min-heap of the requests in flight (see the module doc for the
 /// tie rule).
 struct EventQueue<'t> {
     arrivals: &'t [Request],
     next: usize,
+    /// Assigns each arrival its cache in a group of `caches`.
+    partitioner: Partitioner,
+    caches: usize,
     waiting: BinaryHeap<Queued>,
     pushed: u64,
 }
 
 impl<'t> EventQueue<'t> {
-    fn new(trace: &'t Trace) -> Self {
+    fn new(trace: &'t Trace, partitioner: Partitioner, caches: usize) -> Self {
         Self {
             arrivals: trace.requests(),
             next: 0,
+            partitioner,
+            caches,
             waiting: BinaryHeap::new(),
             pushed: 0,
         }
     }
 
-    /// Queues `req` to resume in its `phase` at `at`.
+    /// Queues `req` to resume at `at` with its pending action.
     fn push(&mut self, at: Timestamp, req: InFlight) {
         self.waiting.push(Queued {
             at,
@@ -271,16 +288,18 @@ impl<'t> EventQueue<'t> {
         self.pushed += 1;
     }
 
-    /// The next step and its virtual time: the next arrival if it is due
-    /// no later than the earliest queued request, else that request.
-    fn pop(&mut self) -> Option<(Timestamp, Step<'t>)> {
+    /// The next request due and its virtual time: the next arrival if it
+    /// is due no later than the earliest queued request, else that
+    /// request.
+    fn pop(&mut self) -> Option<(Timestamp, InFlight)> {
         match self.arrivals.get(self.next) {
             Some(r) if self.waiting.peek().is_none_or(|w| r.time <= w.at) => {
                 let idx = self.next;
                 self.next += 1;
-                Some((r.time, Step::Arrival(idx, r)))
+                let requester = self.partitioner.assign(r, idx, self.caches);
+                Some((r.time, InFlight::arriving(idx, r, requester)))
             }
-            _ => self.waiting.pop().map(|q| (q.at, Step::Resume(q.req))),
+            _ => self.waiting.pop().map(|q| (q.at, q.req)),
         }
     }
 }
@@ -397,9 +416,16 @@ impl SeriesTap {
 
 /// Runs the discrete-event simulation of a distributed group.
 ///
-/// Uses `config` for the group shape/scheme and `network` for timing.
-/// The eq. 6 latency constants in `config.latency` are ignored — latency
-/// is measured from the event timeline instead.
+/// Uses `config` for the group — built by [`SimConfig::build_group`],
+/// exactly as the synchronous runner builds it: per-cache capacities
+/// (`capacity_weights` included), policy, scheme, window and TTL — and
+/// `network` for timing. The DES ignores the rest of `config`:
+/// - `latency`: the eq. 6 constants; latency is measured from the event
+///   timeline instead;
+/// - `discovery`: every local miss runs an ICP round;
+/// - `warmup_fraction`: every request is counted;
+/// - `timeseries_windows`: [`run_des_with_health`] samples virtual time
+///   instead.
 ///
 /// # Example
 ///
@@ -439,7 +465,7 @@ pub struct HealthConfig {
 }
 
 /// Everything the health plane produced during a DES run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthReport {
     /// Per-node series rings, ascending by cache id.
     pub rings: Vec<SeriesRing>,
@@ -517,6 +543,7 @@ pub fn run_des_with_rollups(
 
 /// What a run's tap should record beyond forwarding to the caller's
 /// sink (internal shape behind the public entry points).
+#[derive(Default)]
 struct TapSpec {
     series: Option<(u64, usize)>,
     rules: Vec<AlertRule>,
@@ -530,51 +557,34 @@ fn run_des_inner(
     sink: Option<SinkHandle>,
     spec: Option<TapSpec>,
 ) -> (DesReport, HealthReport) {
-    let mut group = DistributedGroup::with_window(
-        config.group_size,
-        config.aggregate_capacity,
-        config.policy,
-        config.scheme,
-        config.window,
-    );
-    let n = config.group_size as usize;
+    let mut group = config.build_group();
+    let n = group.len();
     // The tap fronts the caller's sink whenever anything observes the
     // run; with neither a sink nor a series requested there is no tap
     // and the run pays nothing.
     let tap = (sink.is_some() || spec.is_some()).then(|| {
-        let (recorders, engines, rollup) = spec.as_ref().map_or_else(
-            || (Vec::new(), Vec::new(), None),
-            |spec| {
-                let recorders: Vec<SeriesRecorder> =
-                    spec.series
-                        .map_or_else(Vec::new, |(interval_ms, capacity)| {
-                            (0..n)
-                                .map(|i| {
-                                    SeriesRecorder::new(
-                                        CacheId::new(i as u16),
-                                        interval_ms,
-                                        capacity,
-                                    )
-                                })
-                                .collect()
-                        });
-                let engines = if spec.rules.is_empty() {
-                    Vec::new()
-                } else {
-                    recorders
-                        .iter()
-                        .map(|r| AlertEngine::new(r.cache(), spec.rules.clone()))
+        let spec = spec.unwrap_or_default();
+        let recorders: Vec<SeriesRecorder> =
+            spec.series
+                .map_or_else(Vec::new, |(interval_ms, capacity)| {
+                    (0..n)
+                        .map(|i| SeriesRecorder::new(CacheId::new(i as u16), interval_ms, capacity))
                         .collect()
-                };
-                (recorders, engines, spec.rollup.map(Rollup::new))
-            },
-        );
+                });
+        let engines = if spec.rules.is_empty() {
+            Vec::new()
+        } else {
+            recorders
+                .iter()
+                .map(|r| AlertEngine::new(r.cache(), spec.rules.clone()))
+                .collect()
+        };
         Arc::new(Mutex::new(SeriesTap {
-            inner: sink.clone(),
+            inner: sink,
             recorders,
             engines,
             alerts: Vec::new(),
-            rollup,
+            rollup: spec.rollup.map(Rollup::new),
         }))
     });
     if let Some(tap) = &tap {
@@ -586,102 +596,40 @@ fn run_des_inner(
         .as_deref()
         .map_or(u64::MAX, |tap| lock_tap(tap).next_due_ms());
 
-    let mut events = EventQueue::new(trace);
+    let mut events = EventQueue::new(trace, config.partitioner, n);
     let mut metrics = GroupMetrics::default();
     let mut latencies: Vec<u64> = Vec::with_capacity(trace.len());
     let mut icp_fallbacks = 0u64;
 
-    // `out` is the step's tap guard: the caller takes it once, after the
-    // step's `node_mut` calls, and every event of the step goes through it.
-    let complete = |metrics: &mut GroupMetrics,
-                    latencies: &mut Vec<u64>,
-                    out: Option<&mut SeriesTap>,
-                    r: &InFlight,
-                    outcome: RequestOutcome,
-                    done: Timestamp| {
-        metrics.record(outcome, r.size);
-        let latency_ms = done.saturating_since(r.arrival).as_millis();
-        latencies.push(latency_ms);
-        if let Some(out) = out {
-            let (class, responder, stored) = outcome.event_parts();
-            // The root span closes when the request completes; its id is
-            // fixed (`k = 1`), so it sorts first in the assembled tree
-            // even though the child spans were emitted earlier.
-            out.emit(&Event::Span(Span {
-                trace_id: r.idx as u64,
-                span_id: r.root_span(),
-                parent: None,
-                cache: r.requester,
-                kind: SpanKind::Request,
-                doc: Some(r.doc),
-                peer: None,
-                start_us: sim_us(r.arrival),
-                end_us: sim_us(done),
-                status: class.name(),
-            }));
-            out.emit(&Event::Request {
-                seq: r.idx as u64,
-                cache: r.requester,
-                doc: r.doc,
-                class,
-                responder,
-                stored,
-                latency_us: Some(latency_ms * 1_000),
-            });
-        }
-    };
-
     let mut end_time = Timestamp::from_millis(0);
-    while let Some((now, step)) = events.pop() {
+    while let Some((now, mut r)) = events.pop() {
         if now.as_millis() >= next_due_ms {
             next_due_ms = tap
                 .as_deref()
                 .map_or(u64::MAX, |tap| lock_tap(tap).advance(&group, now));
         }
         end_time = end_time.max(now);
-        let mut r = match step {
-            Step::Arrival(idx, request) => {
-                let r = InFlight {
-                    idx,
-                    requester: config.partitioner.assign(request, idx, n),
-                    doc: request.doc,
-                    size: request.size,
-                    arrival: now,
-                    phase: Phase::IcpRound,
-                    span_next: 2,
-                };
-                if group
+        // Carry out the pending action. `out` is the step's tap guard,
+        // taken once the step's `node_mut` calls have returned.
+        let (action, mut out) = match r.machine.pending() {
+            RequesterAction::Lookup => {
+                let local_hit = group
                     .node_mut(r.requester)
                     .handle_client_lookup(r.doc, now)
-                    .is_some()
-                {
-                    let mut out = tap.as_deref().map(lock_tap);
-                    complete(
-                        &mut metrics,
-                        &mut latencies,
-                        out.as_deref_mut(),
-                        &r,
-                        RequestOutcome::LocalHit,
-                        now + network.local_service,
-                    );
-                } else {
-                    events.push(now + network.icp_round, r);
-                }
-                continue;
+                    .is_some();
+                (r.machine.step(RequesterInput::Start { local_hit }), None)
             }
-            Step::Resume(r) => r,
-        };
-        match r.phase {
-            Phase::IcpRound => {
+            // The ICP round: ring-order probes up to the first hit. ICP
+            // handling is read-only on the peers and emits nothing from
+            // inside the group, so one guard covers the whole round.
+            RequesterAction::NextReply => {
                 let query = IcpQuery {
                     from: r.requester,
                     doc: r.doc,
                 };
-                let mut responder = None;
-                // ICP handling is read-only on the peers and emits nothing
-                // from inside the group: one guard for the whole round.
                 let mut out = tap.as_deref().map(lock_tap);
                 let round = out.is_some().then(|| r.next_span());
+                let mut action = RequesterAction::NextReply;
                 for off in 1..n {
                     let peer = CacheId::new(((r.requester.index() + off) % n) as u16);
                     if let Some(out) = &mut out {
@@ -717,12 +665,16 @@ fn run_des_inner(
                             status: if hit { "hit" } else { "miss" },
                         }));
                     }
-                    if hit {
-                        responder = Some(peer);
+                    action = r.machine.step(RequesterInput::IcpReply { peer, hit });
+                    if action != RequesterAction::NextReply {
                         break;
                     }
                 }
+                if action == RequesterAction::NextReply {
+                    action = r.machine.step(RequesterInput::RoundOver);
+                }
                 if let (Some(out), Some(round)) = (&mut out, round) {
+                    let hit = matches!(action, RequesterAction::Fetch { .. });
                     out.emit(&Event::Span(Span {
                         trace_id: r.idx as u64,
                         span_id: round,
@@ -733,110 +685,72 @@ fn run_des_inner(
                         peer: None,
                         start_us: sim_us(r.arrival),
                         end_us: sim_us(now),
-                        status: if responder.is_some() { "hit" } else { "miss" },
+                        status: if hit { "hit" } else { "miss" },
                     }));
                 }
-                drop(out);
-                match responder {
-                    Some(peer) => {
-                        let sent = group.node(r.requester).build_http_request(r.doc);
-                        r.phase = Phase::PeerFetch {
-                            responder: peer,
-                            sent,
-                        };
-                        let at = now
-                            + network.peer_rtt
-                            + NetworkModel::transfer(r.size, network.peer_bytes_per_ms);
-                        events.push(at, r);
-                    }
-                    None => {
-                        r.phase = Phase::OriginFetch { started: now };
-                        let at = now
-                            + network.origin_rtt
-                            + NetworkModel::transfer(r.size, network.origin_bytes_per_ms);
-                        events.push(at, r);
-                    }
-                }
+                (action, out)
             }
-            Phase::PeerFetch { responder, sent } => {
-                let served = group.node_mut(responder).handle_http_request(sent, now);
-                let spans = tap.is_some().then(|| (r.next_span(), r.next_span()));
+            RequesterAction::Fetch {
+                peer: responder, ..
+            } => {
+                let (input, fetch_status, serve_status) =
+                    match group.node_mut(responder).handle_http_request(r.sent, now) {
+                        Some((response, promoted)) => {
+                            let stored = group
+                                .node_mut(r.requester)
+                                .complete_remote_fetch(r.sent, response, now);
+                            (
+                                RequesterInput::Fetched { stored, promoted },
+                                if stored { "stored" } else { "declined" },
+                                if promoted { "promoted" } else { "kept" },
+                            )
+                        }
+                        // The document vanished between ICP and HTTP.
+                        None => {
+                            icp_fallbacks += 1;
+                            (RequesterInput::NotFound, "not-found", "not-found")
+                        }
+                    };
+                let mut out = tap.as_deref().map(lock_tap);
                 // Mirrors the live daemon: the requester's peer-fetch
                 // span covers the TCP leg, the responder's doc-serve
                 // span hangs under it.
-                let emit_spans = |out: Option<&mut SeriesTap>,
-                                  fetch_status: &'static str,
-                                  serve_status: &'static str| {
-                    if let (Some(out), Some((fetch, serve))) = (out, spans) {
-                        out.emit(&Event::Span(Span {
-                            trace_id: r.idx as u64,
-                            span_id: fetch,
-                            parent: Some(r.root_span()),
-                            cache: r.requester,
-                            kind: SpanKind::PeerFetch,
-                            doc: Some(r.doc),
-                            peer: Some(responder),
-                            start_us: sim_us(r.arrival + network.icp_round),
-                            end_us: sim_us(now),
-                            status: fetch_status,
-                        }));
-                        out.emit(&Event::Span(Span {
-                            trace_id: r.idx as u64,
-                            span_id: serve,
-                            parent: Some(fetch),
-                            cache: responder,
-                            kind: SpanKind::DocServe,
-                            doc: Some(r.doc),
-                            peer: Some(r.requester),
-                            start_us: sim_us(now),
-                            end_us: sim_us(now),
-                            status: serve_status,
-                        }));
-                    }
-                };
-                match served {
-                    Some(response) => {
-                        let promoted = group
-                            .node(responder)
-                            .scheme()
-                            .responder_promotes(response.responder_age, sent.requester_age);
-                        let stored = group
-                            .node_mut(r.requester)
-                            .complete_remote_fetch(sent, response, now);
-                        let mut out = tap.as_deref().map(lock_tap);
-                        emit_spans(
-                            out.as_deref_mut(),
-                            if stored { "stored" } else { "declined" },
-                            if promoted { "promoted" } else { "kept" },
-                        );
-                        complete(
-                            &mut metrics,
-                            &mut latencies,
-                            out.as_deref_mut(),
-                            &r,
-                            RequestOutcome::RemoteHit {
-                                responder,
-                                stored_locally: stored,
-                                promoted_at_responder: promoted,
-                            },
-                            now,
-                        );
-                    }
-                    None => {
-                        // The document vanished between ICP and HTTP:
-                        // fall back to the origin server.
-                        let mut out = tap.as_deref().map(lock_tap);
-                        emit_spans(out.as_deref_mut(), "not-found", "not-found");
-                        icp_fallbacks += 1;
-                        r.phase = Phase::OriginFetch { started: now };
-                        let at = now
-                            + network.origin_rtt
-                            + NetworkModel::transfer(r.size, network.origin_bytes_per_ms);
-                        events.push(at, r);
-                    }
+                if let Some(out) = &mut out {
+                    let fetch = r.next_span();
+                    out.emit(&Event::Span(Span {
+                        trace_id: r.idx as u64,
+                        span_id: fetch,
+                        parent: Some(r.root_span()),
+                        cache: r.requester,
+                        kind: SpanKind::PeerFetch,
+                        doc: Some(r.doc),
+                        peer: Some(responder),
+                        start_us: sim_us(r.since),
+                        end_us: sim_us(now),
+                        status: fetch_status,
+                    }));
+                    out.emit(&Event::Span(Span {
+                        trace_id: r.idx as u64,
+                        span_id: r.next_span(),
+                        parent: Some(fetch),
+                        cache: responder,
+                        kind: SpanKind::DocServe,
+                        doc: Some(r.doc),
+                        peer: Some(r.requester),
+                        start_us: sim_us(now),
+                        end_us: sim_us(now),
+                        status: serve_status,
+                    }));
                 }
+                let mut action = r.machine.step(input);
+                if action == RequesterAction::NextReply {
+                    // The round ended at its first hit, so no candidate
+                    // is left: the requester falls back to the origin.
+                    action = r.machine.step(RequesterInput::RoundOver);
+                }
+                (action, out)
             }
-            Phase::OriginFetch { started } => {
+            RequesterAction::FetchOrigin { .. } => {
                 let stored = group
                     .node_mut(r.requester)
                     .complete_origin_fetch(r.doc, r.size, now);
@@ -850,50 +764,92 @@ fn run_des_inner(
                         kind: SpanKind::OriginFetch,
                         doc: Some(r.doc),
                         peer: None,
-                        start_us: sim_us(started),
+                        start_us: sim_us(r.since),
                         end_us: sim_us(now),
                         status: if stored { "stored" } else { "declined" },
                     }));
                 }
-                complete(
-                    &mut metrics,
-                    &mut latencies,
-                    out.as_deref_mut(),
-                    &r,
-                    RequestOutcome::Miss {
-                        stored_locally: stored,
-                        stored_at_ancestor: false,
-                    },
-                    now,
-                );
+                (r.machine.step(RequesterInput::OriginServed { stored }), out)
             }
-        }
+            // A served request leaves the queue for good.
+            RequesterAction::Done(_) => continue,
+        };
+        // Queue the request until its next action completes, or complete it.
+        let delay = match action {
+            RequesterAction::NextReply => network.icp_round,
+            RequesterAction::Fetch { .. } => {
+                r.sent = group.node(r.requester).build_http_request(r.doc);
+                network.peer_rtt + NetworkModel::transfer(r.size, network.peer_bytes_per_ms)
+            }
+            RequesterAction::FetchOrigin { .. } => {
+                network.origin_rtt + NetworkModel::transfer(r.size, network.origin_bytes_per_ms)
+            }
+            RequesterAction::Done(outcome) => {
+                let done = if outcome.is_local_hit() {
+                    now + network.local_service
+                } else {
+                    now
+                };
+                metrics.record(outcome, r.size);
+                let latency_ms = done.saturating_since(r.arrival).as_millis();
+                latencies.push(latency_ms);
+                if out.is_none() {
+                    out = tap.as_deref().map(lock_tap);
+                }
+                if let Some(out) = out.as_deref_mut() {
+                    let (class, responder, stored) = outcome.event_parts();
+                    // The root span closes when the request completes; its
+                    // id is fixed (`k = 1`), so it sorts first in the
+                    // assembled tree even though the child spans were
+                    // emitted earlier.
+                    out.emit(&Event::Span(Span {
+                        trace_id: r.idx as u64,
+                        span_id: r.root_span(),
+                        parent: None,
+                        cache: r.requester,
+                        kind: SpanKind::Request,
+                        doc: Some(r.doc),
+                        peer: None,
+                        start_us: sim_us(r.arrival),
+                        end_us: sim_us(done),
+                        status: class.name(),
+                    }));
+                    out.emit(&Event::Request {
+                        seq: r.idx as u64,
+                        cache: r.requester,
+                        doc: r.doc,
+                        class,
+                        responder,
+                        stored,
+                        latency_us: Some(latency_ms * 1_000),
+                    });
+                }
+                continue;
+            }
+            // A started machine never asks for its lookup again.
+            RequesterAction::Lookup => continue,
+        };
+        r.since = now;
+        events.push(now + delay, r);
     }
 
     let (mean, p50, p95) = latency_summary(&mut latencies);
     // Flush trailing sample boundaries up to the last event time, then
     // hand the health plane's output back.
-    let health = tap.map_or_else(
-        || HealthReport {
-            rings: Vec::new(),
-            alerts: Vec::new(),
-            rollup: None,
-        },
-        |tap| {
-            let mut guard = lock_tap(&tap);
-            let tap = &mut *guard;
-            tap.advance(&group, end_time);
-            HealthReport {
-                rings: tap
-                    .recorders
-                    .drain(..)
-                    .map(SeriesRecorder::into_ring)
-                    .collect(),
-                alerts: std::mem::take(&mut tap.alerts),
-                rollup: tap.rollup.take(),
-            }
-        },
-    );
+    let health = tap.map_or_else(HealthReport::default, |tap| {
+        let mut guard = lock_tap(&tap);
+        let tap = &mut *guard;
+        tap.advance(&group, end_time);
+        HealthReport {
+            rings: tap
+                .recorders
+                .drain(..)
+                .map(SeriesRecorder::into_ring)
+                .collect(),
+            alerts: std::mem::take(&mut tap.alerts),
+            rollup: tap.rollup.take(),
+        }
+    });
     (
         DesReport {
             metrics,
@@ -941,6 +897,16 @@ mod tests {
 
     fn cfg(kb: u64) -> SimConfig {
         SimConfig::new(ByteSize::from_kb(kb))
+    }
+
+    /// A 1 KB request for `doc` from `client` at `ms`.
+    fn req(ms: u64, client: u32, doc: u64) -> Request {
+        Request::new(
+            Timestamp::from_millis(ms),
+            coopcache_types::ClientId::new(client),
+            DocId::new(doc),
+            ByteSize::from_kb(1),
+        )
     }
 
     /// The rings alone: a 500 KB group sampled with no rules and no rollup.
@@ -1266,16 +1232,7 @@ mod tests {
     #[test]
     fn arrivals_precede_queued_phases_at_equal_times() {
         use coopcache_obs::{RingBufferSink, SinkHandle};
-        use coopcache_types::{ClientId, Request};
         use std::sync::{Arc, Mutex};
-        let req = |ms: u64, client: u32, doc: u64| {
-            Request::new(
-                Timestamp::from_millis(ms),
-                ClientId::new(client),
-                DocId::new(doc),
-                ByteSize::from_kb(1),
-            )
-        };
         let net = NetworkModel::default();
         let round = net.icp_round.as_millis();
         // Request 0 leaves doc 1 at cache 1. A (doc 2) misses at cache 0,
@@ -1322,6 +1279,35 @@ mod tests {
             c.iter().max() < d.iter().min(),
             "C's events {c:?} precede D's {d:?}"
         );
+    }
+
+    #[test]
+    fn des_group_honours_ttl_and_capacity_weights() {
+        let net = NetworkModel::default();
+        // Client 0 asks cache 0 for doc 1 twice, 20 s apart.
+        let t = Trace::from_requests(vec![req(0, 0, 1), req(20_000, 0, 1)]);
+        let fresh = run_des(&cfg(100), &net, &t);
+        assert_eq!(fresh.metrics.local_hits, 1);
+        let ttl = cfg(100).with_ttl(DurationMs::from_secs(10));
+        let stale = run_des(&ttl, &net, &t);
+        assert_eq!(stale.metrics.local_hits, 0, "a TTL-stale copy is served");
+        assert_eq!(stale.metrics.misses, 2);
+
+        // Each node's series reports the capacity its weight gives it.
+        let weighted = cfg(100).with_capacity_weights(vec![1, 3]);
+        let health = HealthConfig {
+            interval_ms: 1_000,
+            capacity: 4,
+            rules: vec![],
+            rollup: None,
+        };
+        let (_, health) = run_des_with_health(&weighted, &net, &t, None, health);
+        let capacities: Vec<ByteSize> = health
+            .rings
+            .iter()
+            .map(|ring| ByteSize::from_bytes(ring.points().last().unwrap().capacity_bytes))
+            .collect();
+        assert_eq!(capacities, weighted.cache_capacities());
     }
 
     #[test]

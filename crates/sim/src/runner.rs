@@ -129,14 +129,7 @@ fn run_inner<F>(
 where
     F: FnMut(usize, &Request, RequestOutcome),
 {
-    let mut group = DistributedGroup::with_capacities(
-        &config.cache_capacities(),
-        config.policy,
-        config.scheme,
-        config.window,
-        config.discovery,
-    );
-    group.set_ttl(config.ttl);
+    let mut group = config.build_group();
     if let Some(sink) = &sink {
         group.set_sink(sink.clone());
     }
