@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Workload analytics for cooperative-caching research.
 //!
 //! Tools for characterizing a trace before simulating it, and an offline

@@ -4,12 +4,12 @@
 //! matches the paper's Table 2 (EA remote-hit rate ≫ ad-hoc at 1 GB).
 //! The "ties" column counts placement decisions where both expiration
 //! ages were equal — exactly the decisions the two readings resolve
-//! differently (event-counted via `HistogramSink::placement_ties`).
+//! differently (event-counted via `Tally::placement_ties`).
 //! Supports `--fast` and `--json` like every bench binary.
 
 use coopcache_bench::{emit, trace_from_args};
 use coopcache_core::PlacementScheme;
-use coopcache_metrics::{pct, HistogramSink, SinkHandle, Table};
+use coopcache_metrics::{pct, SinkHandle, Table, Tally};
 use coopcache_sim::{run_with_sink, SimConfig, PAPER_CACHE_SIZES};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -33,7 +33,7 @@ fn main() {
             let cfg = SimConfig::new(aggregate)
                 .with_group_size(4)
                 .with_scheme(scheme);
-            let sink = Arc::new(Mutex::new(HistogramSink::new()));
+            let sink = Arc::new(Mutex::new(Tally::new()));
             let report = run_with_sink(&cfg, &trace, Some(SinkHandle::from_arc(Arc::clone(&sink))));
             let sink = Arc::try_unwrap(sink)
                 .expect("runner drops its sink handles")

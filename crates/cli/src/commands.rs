@@ -7,8 +7,7 @@ use crate::args::{
 use coopcache_metrics::{pct, Table};
 use coopcache_net::{ClusterConfig, FaultKind, FaultMode, FaultPlan, LoopbackCluster};
 use coopcache_obs::{
-    parse_json, Event, EventKind, EventSink, HistogramSink, JsonValue, JsonlSink, SeriesRing,
-    SinkHandle,
+    parse_json, Event, EventKind, EventSink, JsonValue, JsonlSink, SeriesRing, SinkHandle, Tally,
 };
 use coopcache_sim::{capacity_sweep, run, run_with_sink, SimConfig, PAPER_CACHE_SIZES};
 use coopcache_trace::{generate, read_trace, write_trace, Rng, Trace, TraceProfile};
@@ -547,7 +546,7 @@ fn health_rules(args: &ParsedArgs) -> Result<Vec<coopcache_obs::AlertRule>, ArgE
 /// already serves. Node failures are isolated; the command exits nonzero
 /// only when *no* node could be scraped.
 fn cmd_health<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
-    use coopcache_obs::{AlertEngine, AlertState};
+    use coopcache_obs::{AlertEngine, AlertRule, AlertState};
     use std::time::Duration;
     args.expect_only(&[
         "addrs",
@@ -569,7 +568,7 @@ fn cmd_health<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
 
     struct NodeHealth {
         addr: std::net::SocketAddr,
-        scraped: Result<(SeriesRing, Vec<coopcache_obs::AlertFiring>), String>,
+        scraped: Result<(SeriesRing, Vec<Event>), String>,
     }
     let nodes: Vec<NodeHealth> = addrs
         .iter()
@@ -594,24 +593,27 @@ fn cmd_health<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
 
     // The final state of each rule is the last transition it emitted
     // (transitions-only streams make "currently firing" a fold).
-    let firing_now =
-        |transitions: &[coopcache_obs::AlertFiring]| -> Vec<coopcache_obs::AlertFiring> {
-            rules
-                .iter()
-                .filter_map(|rule| {
-                    transitions
-                        .iter()
-                        .rev()
-                        .find(|t| {
-                            t.metric == rule.metric
-                                && t.op == rule.op
-                                && t.threshold == rule.threshold
-                        })
-                        .filter(|t| t.state == AlertState::Firing)
-                        .copied()
-                })
-                .collect()
-        };
+    let firing_now = |transitions: &[Event]| -> Vec<AlertRule> {
+        rules
+            .iter()
+            .filter(|rule| {
+                let last = transitions.iter().rev().find_map(|t| match *t {
+                    Event::Alert {
+                        metric,
+                        op,
+                        threshold,
+                        state,
+                        ..
+                    } if (metric, op, threshold) == (rule.metric, rule.op, rule.threshold) => {
+                        Some(state)
+                    }
+                    _ => None,
+                });
+                last == Some(AlertState::Firing)
+            })
+            .copied()
+            .collect()
+    };
 
     if json {
         let mut w = coopcache_obs::JsonWriter::new();
@@ -661,19 +663,31 @@ fn cmd_health<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> 
                     w.key("alerts");
                     w.begin_array();
                     for t in transitions {
+                        let Event::Alert {
+                            metric,
+                            op,
+                            threshold,
+                            value,
+                            windows,
+                            state,
+                            ..
+                        } = *t
+                        else {
+                            continue;
+                        };
                         w.begin_object();
                         w.key("metric");
-                        w.string(t.metric.name());
+                        w.string(metric.name());
                         w.key("op");
-                        w.string(t.op.name());
+                        w.string(op.name());
                         w.key("threshold");
-                        w.u64(t.threshold);
+                        w.u64(threshold);
                         w.key("value");
-                        w.u64(t.value);
+                        w.u64(value);
                         w.key("windows");
-                        w.u64(t.windows);
+                        w.u64(windows);
                         w.key("state");
-                        w.string(t.state.name());
+                        w.string(state.name());
                         w.end_object();
                     }
                     w.end_array();
@@ -893,7 +907,7 @@ fn cmd_trace<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
 /// handle feeds the JSONL stream and the histogram summary.
 struct SimulateSink {
     jsonl: Option<JsonlSink<std::io::BufWriter<std::fs::File>>>,
-    summary: Option<HistogramSink>,
+    summary: Option<Tally>,
 }
 
 impl EventSink for SimulateSink {
@@ -965,7 +979,7 @@ fn cmd_simulate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError
             .transpose()?;
         let sink = std::sync::Arc::new(std::sync::Mutex::new(SimulateSink {
             jsonl,
-            summary: want_summary.then(HistogramSink::new),
+            summary: want_summary.then(Tally::new),
         }));
         let handle = SinkHandle::from_arc(std::sync::Arc::clone(&sink));
         let report = run_with_sink(&cfg, &trace, Some(handle));
@@ -1121,7 +1135,7 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
             .transpose()?;
         let sink = Arc::new(Mutex::new(SimulateSink {
             jsonl,
-            summary: Some(HistogramSink::new()),
+            summary: Some(Tally::new()),
         }));
         cluster.set_sink(SinkHandle::from_arc(Arc::clone(&sink)));
         Some(sink)

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Core cache engine for expiration-age based cooperative web caching.
 //!
 //! This crate implements the primary contribution of *"A New Document

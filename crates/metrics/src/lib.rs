@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Evaluation metrics for cooperative caching experiments.
 //!
 //! Implements exactly the measurement apparatus of the paper's §4:
@@ -42,6 +43,6 @@ pub use report::{pct, secs, Table};
 /// The observability layer, re-exported wholesale from `coopcache-obs`.
 pub use coopcache_obs as obs;
 pub use coopcache_obs::{
-    Event, EventKind, EventSink, Histogram, HistogramSink, HistogramSnapshot, JsonWriter,
-    JsonlSink, NullSink, RingBufferSink, SinkHandle,
+    Event, EventKind, EventSink, Histogram, HistogramSnapshot, JsonWriter, JsonlSink, NullSink,
+    RingBufferSink, SinkHandle, Tally,
 };

@@ -528,10 +528,10 @@ mod tests {
     #[test]
     fn sink_sees_wire_requests_and_latency_is_recorded() {
         use crate::daemon::ServeSource;
-        use coopcache_obs::{EventKind, HistogramSink, RequestClass, RingBufferSink, SinkHandle};
+        use coopcache_obs::{EventKind, RequestClass, RingBufferSink, SinkHandle, Tally};
         use std::sync::{Arc, Mutex};
         let mut cluster = LoopbackCluster::start(2, kb(64), PlacementScheme::Ea).unwrap();
-        let sink = Arc::new(Mutex::new(HistogramSink::new()));
+        let sink = Arc::new(Mutex::new(Tally::new()));
         cluster.set_sink(SinkHandle::from_arc(Arc::clone(&sink)));
         cluster.request(0, d(1), kb(4)).unwrap(); // miss
         cluster.request(0, d(1), kb(4)).unwrap(); // local hit

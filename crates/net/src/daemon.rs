@@ -1803,16 +1803,8 @@ impl LoopCtx {
         };
         lock(&self.series).push(point);
         let fired = lock(&self.alerts).observe(&point);
-        for firing in fired {
-            self.emit(&Event::Alert {
-                cache: firing.cache,
-                metric: firing.metric,
-                op: firing.op,
-                threshold: firing.threshold,
-                value: firing.value,
-                windows: firing.windows,
-                state: firing.state,
-            });
+        for alert in &fired {
+            self.emit(alert);
         }
     }
 }

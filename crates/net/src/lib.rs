@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Live cooperative caching over real sockets.
 //!
 //! The paper ran its simulator instances on several department machines,

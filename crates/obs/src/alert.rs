@@ -4,9 +4,9 @@
 //! threshold, and a burn count: the rule fires only after the threshold
 //! has been violated for `for_windows` *consecutive* sampling windows,
 //! so one noisy window never pages. An [`AlertEngine`] holds the rules
-//! for one node and is fed every new series point; it returns
-//! [`AlertFiring`] transitions (firing ↔ resolved), which the drivers
-//! turn into [`Event::Alert`](crate::Event) emissions.
+//! for one node and is fed every new series point; it returns its
+//! transitions (firing ↔ resolved) as [`Event::Alert`]s, which the
+//! drivers emit like any other event.
 //!
 //! # Virtual vs wall clock
 //!
@@ -30,7 +30,7 @@
 //! only latency the series carries); quarantine reads the instantaneous
 //! gauge.
 
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::series::{SeriesPoint, SeriesRing};
 use coopcache_types::CacheId;
 
@@ -181,27 +181,6 @@ impl AlertRule {
     }
 }
 
-/// One state transition of one rule on one node — everything a driver
-/// needs to construct an [`Event::Alert`](crate::Event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlertFiring {
-    /// The node the rule evaluated on.
-    pub cache: CacheId,
-    /// The watched metric.
-    pub metric: AlertMetric,
-    /// Which side of the threshold violates.
-    pub op: AlertOp,
-    /// The rule's threshold.
-    pub threshold: u64,
-    /// The metric value that caused the transition.
-    pub value: u64,
-    /// Consecutive windows in the transition's condition: the burn count
-    /// for `Firing`, `1` for `Resolved` (resolution is immediate).
-    pub windows: u64,
-    /// Entering or leaving the alerting state.
-    pub state: AlertState,
-}
-
 /// Per-rule burn bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
 struct RuleState {
@@ -273,43 +252,34 @@ impl AlertEngine {
             .collect()
     }
 
-    /// Feeds one new series point; returns the transitions it caused,
-    /// in rule order. The first point's deltas are its absolute
-    /// counters, which is the right reading for a fresh series.
-    pub fn observe(&mut self, point: &SeriesPoint) -> Vec<AlertFiring> {
+    /// Feeds one new series point; returns the transitions it caused as
+    /// [`Event::Alert`]s, in rule order. The first point's deltas are its
+    /// absolute counters, which is the right reading for a fresh series.
+    pub fn observe(&mut self, point: &SeriesPoint) -> Vec<Event> {
         let mut out = Vec::new();
         for (rule, state) in self.rules.iter().zip(self.states.iter_mut()) {
             let Some(value) = Self::metric_value(self.prev, rule, point) else {
                 continue; // window not evaluable: hold the streak
             };
-            if rule.violates(value) {
+            let (windows, transition) = if rule.violates(value) {
                 state.streak = state.streak.saturating_add(1);
-                if !state.firing && state.streak >= rule.for_windows.max(1) {
-                    state.firing = true;
-                    out.push(AlertFiring {
-                        cache: self.cache,
-                        metric: rule.metric,
-                        op: rule.op,
-                        threshold: rule.threshold,
-                        value,
-                        windows: u64::from(state.streak),
-                        state: AlertState::Firing,
-                    });
-                }
+                let fires = !state.firing && state.streak >= rule.for_windows.max(1);
+                (u64::from(state.streak), fires.then_some(AlertState::Firing))
             } else {
                 state.streak = 0;
-                if state.firing {
-                    state.firing = false;
-                    out.push(AlertFiring {
-                        cache: self.cache,
-                        metric: rule.metric,
-                        op: rule.op,
-                        threshold: rule.threshold,
-                        value,
-                        windows: 1,
-                        state: AlertState::Resolved,
-                    });
-                }
+                (1, state.firing.then_some(AlertState::Resolved))
+            };
+            if let Some(transition) = transition {
+                state.firing = transition == AlertState::Firing;
+                out.push(Event::Alert {
+                    cache: self.cache,
+                    metric: rule.metric,
+                    op: rule.op,
+                    threshold: rule.threshold,
+                    value,
+                    windows,
+                    state: transition,
+                });
             }
         }
         self.prev = Some(PrevCounters::of(point));
@@ -349,7 +319,7 @@ impl AlertEngine {
     /// Replays a whole scraped ring through a fresh engine — how the
     /// `coopcache health` view evaluates rules client-side.
     #[must_use]
-    pub fn replay(ring: &SeriesRing, rules: Vec<AlertRule>) -> Vec<AlertFiring> {
+    pub fn replay(ring: &SeriesRing, rules: Vec<AlertRule>) -> Vec<Event> {
         let mut engine = Self::new(ring.cache(), rules);
         let mut out = Vec::new();
         for point in ring.points() {
@@ -384,6 +354,20 @@ mod tests {
         }
     }
 
+    /// `(metric, value, windows, state)` of one alert transition.
+    fn parts(event: &Event) -> (AlertMetric, u64, u64, AlertState) {
+        match *event {
+            Event::Alert {
+                metric,
+                value,
+                windows,
+                state,
+                ..
+            } => (metric, value, windows, state),
+            _ => panic!("not an alert: {event:?}"),
+        }
+    }
+
     #[test]
     fn hit_rate_floor_fires_after_burn_count() {
         let rule = AlertRule::hit_rate_floor(500, 2);
@@ -393,18 +377,20 @@ mod tests {
         // Window 2: 10 more req, 2 more hits — streak 2 → fires.
         let fired = engine.observe(&point(200, 20, 4, 0));
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].state, AlertState::Firing);
-        assert_eq!(fired[0].metric, AlertMetric::HitRate);
-        assert_eq!(fired[0].value, 200);
-        assert_eq!(fired[0].windows, 2);
+        assert_eq!(
+            parts(&fired[0]),
+            (AlertMetric::HitRate, 200, 2, AlertState::Firing)
+        );
         assert_eq!(engine.firing(), vec![rule]);
         // Still violating: no duplicate emission.
         assert!(engine.observe(&point(300, 30, 6, 0)).is_empty());
         // Healthy window (10 req, 8 hits = 800‰) resolves immediately.
         let resolved = engine.observe(&point(400, 40, 14, 0));
         assert_eq!(resolved.len(), 1);
-        assert_eq!(resolved[0].state, AlertState::Resolved);
-        assert_eq!(resolved[0].value, 800);
+        assert_eq!(
+            parts(&resolved[0]),
+            (AlertMetric::HitRate, 800, 1, AlertState::Resolved)
+        );
         assert!(engine.firing().is_empty());
     }
 
@@ -417,7 +403,7 @@ mod tests {
         // Next violating window completes the burn.
         let fired = engine.observe(&point(300, 20, 0, 0));
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].state, AlertState::Firing);
+        assert_eq!(parts(&fired[0]).3, AlertState::Firing);
     }
 
     #[test]
@@ -431,10 +417,14 @@ mod tests {
         p.counters[EventKind::AdmissionShed.index()] = 5; // 500‰ shed
         let fired = engine.observe(&p);
         assert_eq!(fired.len(), 2);
-        assert_eq!(fired[0].metric, AlertMetric::Quarantined);
-        assert_eq!(fired[0].value, 2);
-        assert_eq!(fired[1].metric, AlertMetric::ShedRate);
-        assert_eq!(fired[1].value, 500);
+        assert_eq!(
+            parts(&fired[0]),
+            (AlertMetric::Quarantined, 2, 1, AlertState::Firing)
+        );
+        assert_eq!(
+            parts(&fired[1]),
+            (AlertMetric::ShedRate, 500, 1, AlertState::Firing)
+        );
     }
 
     #[test]
@@ -454,7 +444,7 @@ mod tests {
         });
         let fired = engine.observe(&p);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].value, 2_000);
+        assert_eq!(parts(&fired[0]).1, 2_000);
     }
 
     #[test]

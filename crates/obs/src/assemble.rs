@@ -106,7 +106,6 @@ fn cache_id(raw: u64) -> Option<CacheId> {
 #[derive(Debug, Default)]
 pub struct TraceAssembler {
     traces: BTreeMap<u64, Vec<SpanRecord>>,
-    collected: u64,
 }
 
 impl TraceAssembler {
@@ -125,7 +124,6 @@ impl TraceAssembler {
 
     /// Adds one already-decoded span record.
     pub fn push(&mut self, record: SpanRecord) {
-        self.collected += 1;
         self.traces.entry(record.trace_id).or_default().push(record);
     }
 
@@ -159,12 +157,6 @@ impl TraceAssembler {
             }
         }
         Ok(())
-    }
-
-    /// Number of span events folded in so far.
-    #[must_use]
-    pub const fn span_count(&self) -> u64 {
-        self.collected
     }
 
     /// All trace ids seen, ascending.
@@ -364,7 +356,6 @@ mod tests {
             "eof",
         )));
         asm.observe(&Event::Span(span(5, 1, None, SpanKind::Request, "miss")));
-        assert_eq!(asm.span_count(), 3);
         assert_eq!(asm.trace_ids(), vec![5]);
         let tree = asm.render(5, false).expect("trace exists");
         let expected = "trace 5 (3 spans)\n\

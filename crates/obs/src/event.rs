@@ -317,7 +317,8 @@ pub enum Event {
         threshold: u64,
         /// The metric value at the transition.
         value: u64,
-        /// Consecutive windows in the transition's condition.
+        /// Consecutive windows in the transition's condition: the burn
+        /// count when firing, `1` when resolved (resolution is immediate).
         windows: u64,
         /// Entering (`firing`) or leaving (`resolved`) the alert state.
         state: AlertState,

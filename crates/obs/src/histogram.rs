@@ -169,18 +169,6 @@ impl Histogram {
             max: self.max().unwrap_or(0),
         }
     }
-
-    /// Iterates over the non-empty buckets as `(lower, upper, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = Self::bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
 }
 
 /// Summary percentiles of a [`Histogram`], all zero when empty.
@@ -384,15 +372,5 @@ mod tests {
         assert_eq!(s.max, 32);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99);
         assert!(s.mean > 0.0);
-    }
-
-    #[test]
-    fn nonzero_buckets_iterate_in_order() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(0, 1, 1), (4, 8, 2)]);
     }
 }

@@ -343,12 +343,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether the value is `null`.
-    #[must_use]
-    pub const fn is_null(&self) -> bool {
-        matches!(self, Self::Null)
-    }
 }
 
 /// Why [`parse_json`] rejected its input.
@@ -720,7 +714,7 @@ mod tests {
             parsed.get("trace").and_then(JsonValue::as_u64),
             Some(u64::MAX)
         );
-        assert!(parsed.get("parent").is_some_and(JsonValue::is_null));
+        assert_eq!(parsed.get("parent"), Some(&JsonValue::Null));
         assert_eq!(parsed.get("ok").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(parsed.get("mean").and_then(JsonValue::as_f64), Some(1.5));
         let rows = parsed.get("rows").and_then(JsonValue::as_array).unwrap();

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Observability for the `coopcache` workspace.
 //!
 //! All three execution modes — the synchronous [`DistributedGroup`],
@@ -11,8 +12,9 @@
 //! * [`EventSink`] — the consumer trait, with [`NullSink`] (discard,
 //!   the default — an absent sink costs one `Option` branch per event),
 //!   [`RingBufferSink`] (last-n for tests), [`JsonlSink`] (deterministic
-//!   JSON lines; same trace → byte-identical file) and [`HistogramSink`]
-//!   (per-kind counts plus log-bucketed latency/age histograms);
+//!   JSON lines; same trace → byte-identical file) and [`Tally`]
+//!   (per-kind counts plus log-bucketed latency/age histograms — the one
+//!   fold of the stream, which the series and rollups below reuse);
 //! * [`SinkHandle`] — the cloneable handle threaded through the drivers;
 //! * [`Histogram`] — a log₂-bucketed histogram with p50/p90/p99
 //!   [snapshots](Histogram::snapshot);
@@ -42,12 +44,12 @@
 //! # Example
 //!
 //! ```
-//! use coopcache_obs::{Event, EventSink, HistogramSink, RequestClass, SinkHandle};
+//! use coopcache_obs::{Event, RequestClass, SinkHandle, Tally};
 //! use coopcache_types::{CacheId, DocId};
 //! use std::sync::{Arc, Mutex};
 //!
-//! let hist = Arc::new(Mutex::new(HistogramSink::new()));
-//! let sink = SinkHandle::from_arc(Arc::clone(&hist));
+//! let tally = Arc::new(Mutex::new(Tally::new()));
+//! let sink = SinkHandle::from_arc(Arc::clone(&tally));
 //! sink.emit(&Event::Request {
 //!     seq: 0,
 //!     cache: CacheId::new(0),
@@ -57,7 +59,7 @@
 //!     stored: true,
 //!     latency_us: Some(146_000),
 //! });
-//! assert_eq!(hist.lock().unwrap().request_split(), (1, 0, 0));
+//! assert_eq!(tally.lock().unwrap().request_split(), (1, 0, 0));
 //! ```
 
 mod alert;
@@ -71,8 +73,9 @@ mod series;
 mod sink;
 mod span;
 mod stats;
+mod tally;
 
-pub use alert::{AlertEngine, AlertFiring, AlertMetric, AlertOp, AlertRule, AlertState};
+pub use alert::{AlertEngine, AlertMetric, AlertOp, AlertRule, AlertState};
 pub use assemble::{SpanRecord, TraceAssembler};
 pub use event::{
     age_to_ms, Event, EventKind, EvictionCause, FaultOp, PlacementRole, RequestClass, ServerLoop,
@@ -87,8 +90,9 @@ pub use series::{
     SeriesReplayer, SeriesRing, DEFAULT_SERIES_CAPACITY,
 };
 pub use sink::{
-    mute_request_scoped, request_scoped_muted, EventSink, HistogramSink, JsonlSink, NullSink,
-    RequestMuteGuard, RingBufferSink, SinkHandle,
+    mute_request_scoped, request_scoped_muted, EventSink, JsonlSink, NullSink, RequestMuteGuard,
+    RingBufferSink, SinkHandle,
 };
 pub use span::{scoped_cache, scoped_id, scoped_seq, Span, SpanKind, TraceCtx};
 pub use stats::StatsRegistry;
+pub use tally::Tally;

@@ -8,8 +8,8 @@
 //! contents are. A [`Rollup`] folds the event stream into exactly those
 //! aggregates in **bounded memory**, whatever the run length:
 //!
-//! * a per-node table capped at [`RollupConfig::max_nodes`] entries
-//!   (counters, hit split, log-bucketed latency digest); events for
+//! * a per-node table of [`Tally`]s capped at [`RollupConfig::max_nodes`]
+//!   entries (counters, hit split, log-bucketed latency digest); events for
 //!   nodes beyond the cap are tallied in one overflow counter instead of
 //!   growing the table;
 //! * a ring of the last [`RollupConfig::max_windows`] non-empty window
@@ -25,10 +25,10 @@
 //! byte-identical [`Rollup::to_json`] documents.
 
 use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
-use crate::histogram::Histogram;
-use crate::json::{parse_json, JsonParseError, JsonValue, JsonWriter};
+use crate::json::JsonWriter;
 use crate::sample::splitmix64;
 use crate::sink::EventSink;
+use crate::tally::Tally;
 use coopcache_types::CacheId;
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -55,37 +55,6 @@ impl Default for RollupConfig {
             max_windows: 64,
         }
     }
-}
-
-/// Per-node aggregate state.
-#[derive(Debug, Clone)]
-struct NodeAgg {
-    counters: [u64; EVENT_KINDS.len()],
-    local_hits: u64,
-    remote_hits: u64,
-    latency_us: Histogram,
-}
-
-impl NodeAgg {
-    fn new() -> Self {
-        Self {
-            counters: [0; EVENT_KINDS.len()],
-            local_hits: 0,
-            remote_hits: 0,
-            latency_us: Histogram::new(),
-        }
-    }
-}
-
-/// What the fold needs from a completed request, whether it arrived as
-/// an [`Event`] or as a replayed JSONL line.
-#[derive(Debug, Clone, Copy)]
-struct RequestFacts {
-    /// `None` for a replayed line whose class is missing or unknown.
-    class: Option<RequestClass>,
-    latency_us: Option<u64>,
-    /// The document, when the requester kept a local copy.
-    stored_doc: Option<u64>,
 }
 
 /// One completed (non-empty) window's group-level summary.
@@ -177,12 +146,11 @@ impl OpenWindow {
 ///
 /// Drive it either explicitly — [`Rollup::observe`] per event plus
 /// [`Rollup::advance`] as the clock moves — or as an [`EventSink`],
-/// where spans self-clock the windows from their `end_us`, or from a
-/// JSONL file via [`Rollup::observe_jsonl`].
+/// where spans self-clock the windows from their `end_us`.
 #[derive(Debug, Clone)]
 pub struct Rollup {
     config: RollupConfig,
-    nodes: BTreeMap<u16, NodeAgg>,
+    nodes: BTreeMap<u16, Tally>,
     /// Events billed to nodes beyond the `max_nodes` cap.
     overflow_events: u64,
     current: OpenWindow,
@@ -249,12 +217,9 @@ impl Rollup {
     /// all zero for untracked nodes.
     #[must_use]
     pub fn node_split(&self, cache: CacheId) -> (u64, u64, u64) {
-        self.nodes.get(&cache.as_u16()).map_or((0, 0, 0), |n| {
-            (
-                n.counters[EventKind::Request.index()],
-                n.local_hits,
-                n.remote_hits,
-            )
+        self.nodes.get(&cache.as_u16()).map_or((0, 0, 0), |node| {
+            let (local, remote, _) = node.request_split();
+            (node.count(EventKind::Request), local, remote)
         })
     }
 
@@ -294,132 +259,38 @@ impl Rollup {
         (self.current.index.saturating_add(1)).saturating_mul(self.config.window_ms)
     }
 
-    /// The one fold behind [`Self::observe`] and
-    /// [`Self::observe_json_line`]: bills the event to its node (one
-    /// table probe) and, for a completed request, to the open window.
-    fn fold(&mut self, kind: EventKind, cache: u16, request: Option<RequestFacts>) {
-        let tracked = self.nodes.len();
-        let node = match self.nodes.entry(cache) {
-            Entry::Occupied(slot) => Some(slot.into_mut()),
-            Entry::Vacant(slot) if tracked < self.config.max_nodes => {
-                Some(slot.insert(NodeAgg::new()))
-            }
-            Entry::Vacant(_) => {
-                self.overflow_events += 1;
-                None
-            }
-        };
-        if let Some(node) = node {
-            node.counters[kind.index()] += 1;
-            if let Some(request) = request {
-                match request.class {
-                    Some(RequestClass::LocalHit) => node.local_hits += 1,
-                    Some(RequestClass::RemoteHit) => node.remote_hits += 1,
-                    Some(RequestClass::Miss) | None => {}
-                }
-                if let Some(us) = request.latency_us {
-                    node.latency_us.record(us);
-                }
-            }
-        }
-        // Window accounting is group-level and unaffected by the node
-        // cap — a capped table must not bias the duplication estimate.
-        if let Some(request) = request {
-            self.current.requests += 1;
-            self.totals.0 += 1;
-            if matches!(
-                request.class,
-                Some(RequestClass::LocalHit | RequestClass::RemoteHit)
-            ) {
-                self.current.hits += 1;
-                self.totals.1 += 1;
-            }
-            if let Some(doc) = request.stored_doc {
-                self.current.observe_store(doc);
-                self.totals.2 += 1;
-            }
-        }
-    }
-
-    /// Folds one event in (at the current window clock).
+    /// Folds one event in (at the current window clock): bills it to its
+    /// node (one table probe) and, for a completed request, to the open
+    /// window.
     pub fn observe(&mut self, event: &Event) {
         let Some(cache) = crate::series::event_cache(event) else {
             return; // group-wide events carry no node to bill
         };
-        let request = match event {
-            Event::Request {
-                doc,
-                class,
-                stored,
-                latency_us,
-                ..
-            } => Some(RequestFacts {
-                class: Some(*class),
-                latency_us: *latency_us,
-                stored_doc: stored.then_some(doc.as_u64()),
-            }),
-            _ => None,
-        };
-        self.fold(event.kind(), cache.as_u16(), request);
-    }
-
-    /// Folds one JSONL event line in, self-clocking from span `end_us`
-    /// (the same convention as [`SeriesReplayer`](crate::SeriesReplayer)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonParseError`] for lines that do not parse or are
-    /// not tagged with a known `"ev"` kind.
-    pub fn observe_json_line(&mut self, line: &str) -> Result<(), JsonParseError> {
-        let value = parse_json(line)?;
-        let kind = value
-            .get("ev")
-            .and_then(JsonValue::as_str)
-            .and_then(EventKind::from_name)
-            .ok_or(JsonParseError {
-                offset: 0,
-                what: "not a coopcache event line",
-            })?;
-        if kind == EventKind::Span {
-            if let Some(end_us) = value.get("end_us").and_then(JsonValue::as_u64) {
-                self.advance(end_us / 1_000);
+        let tracked = self.nodes.len();
+        match self.nodes.entry(cache.as_u16()) {
+            Entry::Occupied(slot) => slot.into_mut().observe(event),
+            Entry::Vacant(slot) if tracked < self.config.max_nodes => {
+                slot.insert(Tally::new()).observe(event);
+            }
+            Entry::Vacant(_) => self.overflow_events += 1,
+        }
+        // Window accounting is group-level and unaffected by the node
+        // cap — a capped table must not bias the duplication estimate.
+        if let Event::Request {
+            doc, class, stored, ..
+        } = event
+        {
+            self.current.requests += 1;
+            self.totals.0 += 1;
+            if *class != RequestClass::Miss {
+                self.current.hits += 1;
+                self.totals.1 += 1;
+            }
+            if *stored {
+                self.current.observe_store(doc.as_u64());
+                self.totals.2 += 1;
             }
         }
-        let cache = ["cache", "from"]
-            .iter()
-            .find_map(|k| value.get(k).and_then(JsonValue::as_u64))
-            .and_then(|c| u16::try_from(c).ok());
-        let Some(cache) = cache else {
-            return Ok(());
-        };
-        let request = (kind == EventKind::Request).then(|| RequestFacts {
-            class: value
-                .get("class")
-                .and_then(JsonValue::as_str)
-                .and_then(RequestClass::from_name),
-            latency_us: value.get("latency_us").and_then(JsonValue::as_u64),
-            stored_doc: value
-                .get("stored")
-                .and_then(JsonValue::as_bool)
-                .filter(|stored| *stored)
-                .and_then(|_| value.get("doc").and_then(JsonValue::as_u64)),
-        });
-        self.fold(kind, cache, request);
-        Ok(())
-    }
-
-    /// Folds every line of a JSONL document in, skipping blanks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`JsonParseError`].
-    pub fn observe_jsonl(&mut self, text: &str) -> Result<(), JsonParseError> {
-        for line in text.lines() {
-            if !line.trim().is_empty() {
-                self.observe_json_line(line)?;
-            }
-        }
-        Ok(())
     }
 
     /// Closes the open window (if non-empty) and encodes the rollup as
@@ -447,27 +318,24 @@ impl Rollup {
             w.begin_object();
             for kind in EVENT_KINDS {
                 w.key(kind.name());
-                w.u64(node.counters[kind.index()]);
+                w.u64(node.count(kind));
             }
             w.end_object();
+            let (local_hits, remote_hits, _) = node.request_split();
             w.key("local_hits");
-            w.u64(node.local_hits);
+            w.u64(local_hits);
             w.key("remote_hits");
-            w.u64(node.remote_hits);
-            let requests = node.counters[EventKind::Request.index()];
+            w.u64(remote_hits);
             w.key("hit_permille");
-            match (node.local_hits + node.remote_hits)
-                .saturating_mul(1_000)
-                .checked_div(requests)
-            {
-                Some(permille) => w.u64(permille),
-                None => w.null(),
-            }
+            w.opt_u64(
+                (local_hits + remote_hits)
+                    .saturating_mul(1_000)
+                    .checked_div(node.count(EventKind::Request)),
+            );
             w.key("latency");
-            if node.latency_us.is_empty() {
-                w.null();
-            } else {
-                node.latency_us.snapshot().write_json_us(&mut w);
+            match node.latency_snapshot() {
+                Some(snapshot) => snapshot.write_json_us(&mut w),
+                None => w.null(),
             }
             w.end_object();
         }
@@ -612,28 +480,5 @@ mod tests {
         assert!(a.contains(r#""stores":1"#), "{a}");
         // to_json must not mutate the rollup itself.
         assert!(rollup.windows().is_empty());
-    }
-
-    #[test]
-    fn jsonl_replay_matches_direct_observation() {
-        let events = [
-            request(0, 1, RequestClass::Miss, true),
-            request(1, 1, RequestClass::RemoteHit, false),
-            request(0, 2, RequestClass::LocalHit, false),
-        ];
-        let mut direct = Rollup::new(RollupConfig::default());
-        let mut replayed = Rollup::new(RollupConfig::default());
-        let mut text = String::new();
-        for ev in &events {
-            direct.observe(ev);
-            text.push_str(&ev.to_json());
-            text.push('\n');
-        }
-        replayed.observe_jsonl(&text).expect("well-formed");
-        assert_eq!(direct.to_json(), replayed.to_json());
-        // Malformed input is a typed error.
-        let mut bad = Rollup::new(RollupConfig::default());
-        assert!(bad.observe_json_line("{nope").is_err());
-        assert!(bad.observe_json_line(r#"{"ev":"martian"}"#).is_err());
     }
 }

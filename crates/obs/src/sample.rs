@@ -69,15 +69,6 @@ impl SamplerConfig {
     pub const fn new(seed: u64, rate: u32) -> Self {
         Self { seed, rate }
     }
-
-    /// The identity sampler: every span kept.
-    #[must_use]
-    pub const fn keep_all() -> Self {
-        Self {
-            seed: 0,
-            rate: 1_000,
-        }
-    }
 }
 
 /// The per-event filter compiled from a [`SamplerConfig`].
@@ -146,7 +137,7 @@ mod tests {
 
     #[test]
     fn extreme_rates_keep_all_or_none() {
-        let all = Sampler::new(SamplerConfig::keep_all());
+        let all = Sampler::new(SamplerConfig::new(0, 1_000));
         let none = Sampler::new(SamplerConfig::new(7, 0));
         for trace in 0..1_000u64 {
             assert!(all.keeps_trace(trace));

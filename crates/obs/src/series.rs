@@ -2,9 +2,8 @@
 //!
 //! The [`StatsRegistry`](crate::StatsRegistry) answers "what are the
 //! counters *now*"; this module records how they *evolve*. A
-//! [`SeriesRecorder`] accumulates per-kind event counts and request
-//! latencies, and emits one [`SeriesPoint`] per elapsed sampling
-//! interval into a [`SeriesRing`] — a bounded ring buffer whose JSON
+//! [`SeriesRecorder`] folds events into a [`Tally`], and emits one
+//! [`SeriesPoint`] per elapsed sampling interval into a [`SeriesRing`] — a bounded ring buffer whose JSON
 //! form is the `OP_SERIES` wire body. Points carry cumulative counters
 //! (rates are derived from deltas at render time), the cumulative
 //! latency snapshot, cache occupancy, the live expiration age (paper
@@ -17,9 +16,10 @@
 //! seed; only the live daemons' wall-clock sampler threads are
 //! nondeterministic, and they use the same point format.
 
-use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::event::{Event, EventKind, EVENT_KINDS};
+use crate::histogram::HistogramSnapshot;
 use crate::json::{parse_json, JsonParseError, JsonValue, JsonWriter};
+use crate::tally::Tally;
 use coopcache_types::CacheId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -281,13 +281,11 @@ impl SeriesRing {
     }
 }
 
-/// Accumulates events and emits interval-boundary samples into a ring.
+/// Folds events into a [`Tally`] and emits interval-boundary samples
+/// into a ring.
 #[derive(Debug, Clone)]
 pub struct SeriesRecorder {
-    counters: [u64; EVENT_KINDS.len()],
-    local_hits: u64,
-    remote_hits: u64,
-    latency: Histogram,
+    tally: Tally,
     next_t_ms: u64,
     ring: SeriesRing,
 }
@@ -298,10 +296,7 @@ impl SeriesRecorder {
     pub fn new(cache: CacheId, interval_ms: u64, capacity: usize) -> Self {
         let ring = SeriesRing::new(cache, interval_ms, capacity);
         Self {
-            counters: [0; EVENT_KINDS.len()],
-            local_hits: 0,
-            remote_hits: 0,
-            latency: Histogram::new(),
+            tally: Tally::new(),
             next_t_ms: ring.interval_ms(),
             ring,
         }
@@ -313,39 +308,9 @@ impl SeriesRecorder {
         self.ring.cache()
     }
 
-    /// Counts one event of `kind`.
-    pub fn observe_kind(&mut self, kind: EventKind) {
-        let slot = &mut self.counters[kind.index()];
-        *slot = slot.saturating_add(1);
-    }
-
-    /// Records one measured request latency.
-    pub fn record_latency_us(&mut self, us: u64) {
-        self.latency.record(us);
-    }
-
-    /// Counts one served request toward the cumulative hit split.
-    pub fn observe_request_class(&mut self, class: RequestClass) {
-        match class {
-            RequestClass::LocalHit => self.local_hits = self.local_hits.saturating_add(1),
-            RequestClass::RemoteHit => self.remote_hits = self.remote_hits.saturating_add(1),
-            RequestClass::Miss => {}
-        }
-    }
-
-    /// Counts one event, folding in its measured latency and hit class
-    /// when it is a completed request.
+    /// Folds one event into the tally the next sample reads.
     pub fn observe(&mut self, event: &Event) {
-        self.observe_kind(event.kind());
-        if let Event::Request {
-            class, latency_us, ..
-        } = event
-        {
-            self.observe_request_class(*class);
-            if let Some(us) = latency_us {
-                self.latency.record(*us);
-            }
-        }
+        self.tally.observe(event);
     }
 
     /// Advances the sampling clock to `now_ms`, emitting one point per
@@ -367,17 +332,13 @@ impl SeriesRecorder {
         mut visit: impl FnMut(&SeriesPoint),
     ) {
         while self.next_t_ms <= now_ms {
-            let latency = if self.latency.is_empty() {
-                None
-            } else {
-                Some(self.latency.snapshot())
-            };
+            let (local_hits, remote_hits, _) = self.tally.request_split();
             let point = SeriesPoint {
                 t_ms: self.next_t_ms,
-                counters: self.counters,
-                local_hits: self.local_hits,
-                remote_hits: self.remote_hits,
-                latency,
+                counters: *self.tally.counts(),
+                local_hits,
+                remote_hits,
+                latency: self.tally.latency_snapshot(),
                 docs: gauges.docs,
                 used_bytes: gauges.used_bytes,
                 capacity_bytes: gauges.capacity_bytes,
@@ -500,19 +461,7 @@ impl SeriesReplayer {
             r.advance(now_ms, SeriesGauges::default()); // backfill for alignment
             r
         });
-        recorder.observe_kind(kind);
-        if kind == EventKind::Request {
-            if let Some(us) = value.get("latency_us").and_then(JsonValue::as_u64) {
-                recorder.record_latency_us(us);
-            }
-            if let Some(class) = value
-                .get("class")
-                .and_then(JsonValue::as_str)
-                .and_then(RequestClass::from_name)
-            {
-                recorder.observe_request_class(class);
-            }
-        }
+        recorder.tally.observe_line(kind, &value);
         Ok(())
     }
 
@@ -546,19 +495,28 @@ impl SeriesReplayer {
     }
 }
 
-/// Sums per-node rings into one group-wide point list aligned on
-/// `t_ms`. Counters, occupancy and quarantine counts add; the
-/// expiration age becomes the mean of the finite per-node ages; latency
-/// snapshots do not merge (quantiles are not additive) so the aggregate
-/// carries `None`.
+/// Sums per-node rings into one group-wide point list, one point per
+/// sampling interval. Each node stamps its own samples (a live daemon
+/// with its own sampler thread, a few ms apart from its peers), so
+/// points are bucketed by `t_ms / interval_ms` over the widest ring
+/// interval, keeping each ring's latest point per bucket; the group
+/// point carries the bucket's start time. Counters, occupancy and
+/// quarantine counts add; the expiration age becomes the mean of the
+/// finite per-node ages; latency snapshots do not merge (quantiles are
+/// not additive) so the aggregate carries `None`.
 #[must_use]
 pub fn aggregate_points(rings: &[SeriesRing]) -> Vec<SeriesPoint> {
-    let mut by_t: BTreeMap<u64, (SeriesPoint, u64, u64)> = BTreeMap::new();
+    let interval_ms = rings.iter().map(SeriesRing::interval_ms).max().unwrap_or(1);
+    let mut by_bucket: BTreeMap<u64, (SeriesPoint, u64, u64)> = BTreeMap::new();
     for ring in rings {
+        let mut latest: BTreeMap<u64, &SeriesPoint> = BTreeMap::new();
         for p in ring.points() {
-            let (acc, finite, age_sum) = by_t
-                .entry(p.t_ms)
-                .or_insert_with(|| (SeriesPoint::zero(p.t_ms), 0, 0));
+            latest.insert(p.t_ms / interval_ms, p);
+        }
+        for (bucket, p) in latest {
+            let (acc, finite, age_sum) = by_bucket
+                .entry(bucket)
+                .or_insert_with(|| (SeriesPoint::zero(bucket * interval_ms), 0, 0));
             for (slot, add) in acc.counters.iter_mut().zip(p.counters.iter()) {
                 *slot = slot.saturating_add(*add);
             }
@@ -574,7 +532,8 @@ pub fn aggregate_points(rings: &[SeriesRing]) -> Vec<SeriesPoint> {
             }
         }
     }
-    by_t.into_values()
+    by_bucket
+        .into_values()
         .map(|(mut p, finite, age_sum)| {
             if let Some(mean) = age_sum.checked_div(finite) {
                 p.expiration_age_ms = Some(mean);
@@ -722,7 +681,12 @@ mod tests {
     fn ring_json_roundtrip_is_byte_stable() {
         let mut recorder = SeriesRecorder::new(CacheId::new(2), 250, 8);
         recorder.observe(&request_event(2, Some(1_500)));
-        recorder.observe_kind(EventKind::Eviction);
+        recorder.observe(&Event::Eviction {
+            cache: CacheId::new(2),
+            doc: DocId::new(1),
+            age_ms: 40,
+            cause: crate::event::EvictionCause::Capacity,
+        });
         recorder.advance(
             500,
             SeriesGauges {
@@ -755,7 +719,7 @@ mod tests {
     #[test]
     fn recorder_emits_one_point_per_boundary() {
         let mut recorder = SeriesRecorder::new(CacheId::new(0), 100, 16);
-        recorder.observe_kind(EventKind::Request);
+        recorder.observe(&request_event(0, None));
         recorder.advance(350, SeriesGauges::default());
         let points = recorder.ring().points();
         let times: Vec<u64> = points.iter().map(|p| p.t_ms).collect();
@@ -838,6 +802,39 @@ mod tests {
         assert_eq!(group[0].docs, 5);
         assert_eq!(group[0].expiration_age_ms, Some(200));
         assert_eq!(group[0].latency, None);
+    }
+
+    #[test]
+    fn aggregate_aligns_nodes_sampled_a_few_ms_apart() {
+        // Two live daemons, each stamping samples with its own sampler
+        // thread's wake-up time: the same intervals, 3-7 ms apart.
+        let ring = |cache: u16, stamps: &[(u64, u64)]| {
+            let mut ring = SeriesRing::new(CacheId::new(cache), 1_000, 8);
+            for &(t_ms, requests) in stamps {
+                let mut p = SeriesPoint::zero(t_ms);
+                p.counters[EventKind::Request.index()] = requests;
+                ring.push(p);
+            }
+            ring
+        };
+        let rings = [
+            ring(0, &[(1_003, 10), (2_004, 30)]),
+            ring(1, &[(1_007, 20), (2_010, 60)]),
+        ];
+        let group = aggregate_points(&rings);
+        let requests = |p: &SeriesPoint| p.counters[EventKind::Request.index()];
+        assert_eq!(group.len(), 2, "one group point per interval");
+        assert_eq!(
+            group
+                .iter()
+                .map(|p| (p.t_ms, requests(p)))
+                .collect::<Vec<_>>(),
+            vec![(1_000, 30), (2_000, 90)]
+        );
+        // The group row's rate is over both nodes: (90 − 30) per second.
+        let top = render_top(&rings, false);
+        let group_row = top.lines().find(|l| l.starts_with("group")).unwrap();
+        assert!(group_row.contains("60.0"), "{top}");
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! The placement code never knows which sink it is talking to — drivers
 //! hand it a [`SinkHandle`] (or none at all). The provided sinks cover the
-//! three use cases:
+//! common use cases:
 //!
 //! * [`NullSink`] — discard everything (the default; one branch per event);
 //! * [`RingBufferSink`] — keep the last `n` events for tests and
 //!   post-mortems;
 //! * [`JsonlSink`] — stream each event as one compact JSON line;
-//! * [`HistogramSink`] — aggregate into per-kind counts and log-bucketed
-//!   latency/age histograms.
+//! * [`Tally`](crate::Tally) — aggregate into per-kind counts and
+//!   log-bucketed latency/age histograms.
 
-use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
-use crate::histogram::Histogram;
+use crate::event::Event;
 use crate::sample::{Sampler, SamplerConfig};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -164,136 +163,6 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Aggregates events into per-kind counts and log-bucketed histograms —
-/// the in-process answer to "what did this run look like" without storing
-/// the stream.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramSink {
-    counts: [u64; EVENT_KINDS.len()],
-    local_hits: u64,
-    remote_hits: u64,
-    misses: u64,
-    placement_stores: u64,
-    placement_declines: u64,
-    placement_ties: u64,
-    /// Request latency in microseconds (only requests that carried one).
-    pub request_latency_us: Histogram,
-    /// Document expiration age at eviction, in milliseconds.
-    pub eviction_age_ms: Histogram,
-}
-
-impl HistogramSink {
-    /// Creates an empty aggregate.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Events seen of the given kind.
-    #[must_use]
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind.index()]
-    }
-
-    /// `(local hits, remote hits, misses)` among request events.
-    #[must_use]
-    pub fn request_split(&self) -> (u64, u64, u64) {
-        (self.local_hits, self.remote_hits, self.misses)
-    }
-
-    /// `(stored, declined)` among placement decisions.
-    #[must_use]
-    pub fn placement_split(&self) -> (u64, u64) {
-        (self.placement_stores, self.placement_declines)
-    }
-
-    /// Placement decisions where both expiration ages were exactly equal
-    /// (the §3.4 vs §3.5 tie case).
-    #[must_use]
-    pub fn placement_ties(&self) -> u64 {
-        self.placement_ties
-    }
-
-    /// Renders a human-readable multi-line summary.
-    #[must_use]
-    pub fn render_summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("event summary:\n");
-        for kind in EVENT_KINDS {
-            let n = self.count(kind);
-            if n > 0 {
-                let _ = writeln!(out, "  {:<12} {n}", kind.name());
-            }
-        }
-        if self.local_hits + self.remote_hits + self.misses > 0 {
-            let _ = writeln!(
-                out,
-                "  requests: {} local / {} remote / {} miss",
-                self.local_hits, self.remote_hits, self.misses
-            );
-        }
-        if self.placement_stores + self.placement_declines > 0 {
-            let _ = writeln!(
-                out,
-                "  placements: {} stored / {} declined / {} ties",
-                self.placement_stores, self.placement_declines, self.placement_ties
-            );
-        }
-        if !self.request_latency_us.is_empty() {
-            let s = self.request_latency_us.snapshot();
-            let _ = writeln!(
-                out,
-                "  latency_us: p50={} p90={} p99={} max={} (n={})",
-                s.p50, s.p90, s.p99, s.max, s.count
-            );
-        }
-        if !self.eviction_age_ms.is_empty() {
-            let s = self.eviction_age_ms.snapshot();
-            let _ = writeln!(
-                out,
-                "  evict_age_ms: p50={} p90={} p99={} max={} (n={})",
-                s.p50, s.p90, s.p99, s.max, s.count
-            );
-        }
-        out
-    }
-}
-
-impl EventSink for HistogramSink {
-    fn emit(&mut self, event: &Event) {
-        self.counts[event.kind().index()] += 1;
-        match event {
-            Event::Request {
-                class, latency_us, ..
-            } => {
-                match class {
-                    RequestClass::LocalHit => self.local_hits += 1,
-                    RequestClass::RemoteHit => self.remote_hits += 1,
-                    RequestClass::Miss => self.misses += 1,
-                }
-                if let Some(us) = latency_us {
-                    self.request_latency_us.record(*us);
-                }
-            }
-            Event::Placement { stored, tie, .. } => {
-                if *stored {
-                    self.placement_stores += 1;
-                } else {
-                    self.placement_declines += 1;
-                }
-                if *tie {
-                    self.placement_ties += 1;
-                }
-            }
-            Event::Eviction { age_ms, .. } => {
-                self.eviction_age_ms.record(*age_ms);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A cloneable, thread-safe handle to a shared sink.
 ///
 /// This is what gets threaded through `ProxyNode`, the simulators and the
@@ -325,15 +194,6 @@ impl SinkHandle {
         }
     }
 
-    /// Wraps a sink behind a deterministic head sampler: spans whose
-    /// trace the sampler drops never reach the sink (or its lock).
-    pub fn with_sampler<S: EventSink + Send + 'static>(sink: S, config: SamplerConfig) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(sink)),
-            sampler: Some(Sampler::new(config)),
-        }
-    }
-
     /// Returns this handle with the sampling policy replaced (`None`
     /// emits everything). Clones share the sink but each carries its own
     /// filter, so one subsystem can sample while another stays exact.
@@ -361,7 +221,7 @@ impl SinkHandle {
 
     /// Wraps an existing shared sink; the caller keeps its typed `Arc` to
     /// inspect the sink after the run (e.g. read a
-    /// [`HistogramSink`] summary).
+    /// [`Tally`](crate::Tally) summary).
     ///
     /// Emitters block on the shared lock, and live-daemon threads emit
     /// even after a request's reply is on the wire — never hold the typed
@@ -399,8 +259,22 @@ thread_local! {
     static MUTE_REQUEST_SCOPED: Cell<bool> = const { Cell::new(false) };
 }
 
+/// Whether the current thread is inside a [`mute_request_scoped`] scope.
+///
+/// [`SinkHandle::emit`] already applies the mute; this query exists for
+/// emitters whose *preparation* for a request-scoped event is the
+/// expensive part (taking a sink registry lock, building the event) so
+/// they can skip it entirely on muted threads. Skipping on `true` is
+/// always equivalent to emitting: the handle would have dropped the
+/// event anyway.
+#[must_use]
+pub fn request_scoped_muted() -> bool {
+    MUTE_REQUEST_SCOPED.with(Cell::get)
+}
+
 /// Suppresses *request-scoped* event kinds
-/// ([`EventKind::is_request_scoped`]) emitted through any [`SinkHandle`]
+/// ([`EventKind::is_request_scoped`](crate::EventKind::is_request_scoped))
+/// emitted through any [`SinkHandle`]
 /// on the current thread until the returned guard drops.
 ///
 /// This is how a daemon extends the head sampler's per-trace decision to
@@ -417,19 +291,6 @@ thread_local! {
 /// Because the head decision is pure in `(seed, rate, trace_id)`, muting
 /// by it keeps the sampled stream a deterministic subsequence of the
 /// full stream.
-/// Whether the current thread is inside a [`mute_request_scoped`] scope.
-///
-/// [`SinkHandle::emit`] already applies the mute; this query exists for
-/// emitters whose *preparation* for a request-scoped event is the
-/// expensive part (taking a sink registry lock, building the event) so
-/// they can skip it entirely on muted threads. Skipping on `true` is
-/// always equivalent to emitting: the handle would have dropped the
-/// event anyway.
-#[must_use]
-pub fn request_scoped_muted() -> bool {
-    MUTE_REQUEST_SCOPED.with(Cell::get)
-}
-
 #[must_use]
 pub fn mute_request_scoped() -> RequestMuteGuard {
     let was = MUTE_REQUEST_SCOPED.with(|m| m.replace(true));
@@ -452,8 +313,8 @@ impl Drop for RequestMuteGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EvictionCause, PlacementRole};
-    use coopcache_types::{CacheId, DocId, ExpirationAge};
+    use crate::event::{EventKind, EvictionCause, RequestClass};
+    use coopcache_types::{CacheId, DocId};
 
     fn sample_request(seq: u64, class: RequestClass, latency_us: Option<u64>) -> Event {
         Event::Request {
@@ -508,38 +369,6 @@ mod tests {
         handle.emit(&sample_request(7, RequestClass::RemoteHit, None));
         let guard = buf.lock().unwrap();
         assert_eq!(guard.lines(), 1);
-    }
-
-    #[test]
-    fn histogram_sink_aggregates() {
-        let mut sink = HistogramSink::new();
-        sink.emit(&sample_request(0, RequestClass::LocalHit, Some(100)));
-        sink.emit(&sample_request(1, RequestClass::RemoteHit, Some(300)));
-        sink.emit(&sample_request(2, RequestClass::Miss, None));
-        sink.emit(&Event::Placement {
-            cache: CacheId::new(0),
-            doc: DocId::new(1),
-            role: PlacementRole::RequesterStore,
-            self_age: ExpirationAge::Infinite,
-            peer_age: ExpirationAge::Infinite,
-            stored: false,
-            tie: true,
-        });
-        sink.emit(&Event::Eviction {
-            cache: CacheId::new(0),
-            doc: DocId::new(2),
-            age_ms: 512,
-            cause: EvictionCause::Capacity,
-        });
-        assert_eq!(sink.count(EventKind::Request), 3);
-        assert_eq!(sink.request_split(), (1, 1, 1));
-        assert_eq!(sink.placement_split(), (0, 1));
-        assert_eq!(sink.placement_ties(), 1);
-        assert_eq!(sink.request_latency_us.count(), 2);
-        assert_eq!(sink.eviction_age_ms.count(), 1);
-        let summary = sink.render_summary();
-        assert!(summary.contains("request"));
-        assert!(summary.contains("1 ties"));
     }
 
     #[test]

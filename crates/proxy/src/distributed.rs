@@ -713,10 +713,10 @@ mod tests {
 
     #[test]
     fn sink_sees_icp_traffic_matching_protocol_counters() {
-        use coopcache_obs::{EventKind, HistogramSink, SinkHandle};
+        use coopcache_obs::{EventKind, SinkHandle, Tally};
         use std::sync::{Arc, Mutex};
 
-        let hist = Arc::new(Mutex::new(HistogramSink::new()));
+        let hist = Arc::new(Mutex::new(Tally::new()));
         let mut g = group(PlacementScheme::AdHoc);
         g.set_sink(SinkHandle::from_arc(Arc::clone(&hist)));
         g.handle_request(c(0), d(1), kb(2), t(0)); // miss: 2 queries

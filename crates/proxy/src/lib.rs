@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! The cooperative caching protocol layer.
 //!
 //! This crate turns the single-cache engine of `coopcache-core` into a

@@ -387,19 +387,9 @@ impl SeriesTap {
                 quarantined: 0,
             };
             match self.engines.get_mut(i) {
-                Some(engine) => rec.advance_with(now_ms, gauges, |point| {
-                    for f in engine.observe(point) {
-                        fired.push(Event::Alert {
-                            cache: f.cache,
-                            metric: f.metric,
-                            op: f.op,
-                            threshold: f.threshold,
-                            value: f.value,
-                            windows: f.windows,
-                            state: f.state,
-                        });
-                    }
-                }),
+                Some(engine) => {
+                    rec.advance_with(now_ms, gauges, |point| fired.extend(engine.observe(point)));
+                }
                 None => rec.advance(now_ms, gauges),
             }
         }
@@ -1161,10 +1151,10 @@ mod tests {
 
     #[test]
     fn sink_measures_latency_for_every_request() {
-        use coopcache_obs::{EventKind, HistogramSink, SinkHandle};
+        use coopcache_obs::{EventKind, SinkHandle, Tally};
         use std::sync::{Arc, Mutex};
         let t = trace();
-        let sink = Arc::new(Mutex::new(HistogramSink::new()));
+        let sink = Arc::new(Mutex::new(Tally::new()));
         let handle = SinkHandle::from_arc(Arc::clone(&sink));
         let rep = run_des_with_sink(
             &cfg(100).with_scheme(PlacementScheme::Ea),

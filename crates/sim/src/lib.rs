@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Trace-driven simulation of cooperative cache groups.
 //!
 //! Reproduces the paper's experimental apparatus (§4.1) in two flavors:

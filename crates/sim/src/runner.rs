@@ -484,10 +484,10 @@ mod tests {
 
     #[test]
     fn sink_sees_every_request_and_rollover() {
-        use coopcache_obs::{EventKind, HistogramSink, SinkHandle};
+        use coopcache_obs::{EventKind, SinkHandle, Tally};
         use std::sync::{Arc, Mutex};
         let trace = small_trace();
-        let sink = Arc::new(Mutex::new(HistogramSink::new()));
+        let sink = Arc::new(Mutex::new(Tally::new()));
         let handle = SinkHandle::from_arc(Arc::clone(&sink));
         let report = run_with_sink(
             &cfg(500).with_scheme(PlacementScheme::Ea),

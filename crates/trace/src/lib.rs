@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Synthetic web-proxy workload traces for cooperative-caching experiments.
 //!
 //! The paper's evaluation replays the Boston University 1994–95 proxy trace,

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 //! Shared vocabulary types for the `coopcache` workspace.
 //!
 //! Every crate in the workspace speaks in terms of the newtypes defined here:

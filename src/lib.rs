@@ -61,7 +61,7 @@ pub mod prelude {
         Cache, ExpirationTracker, ExpirationWindow, PlacementScheme, PolicyKind,
     };
     pub use coopcache_metrics::{GroupMetrics, LatencyModel, Table};
-    pub use coopcache_obs::{Event, EventSink, HistogramSink, JsonlSink, SinkHandle};
+    pub use coopcache_obs::{Event, EventSink, JsonlSink, SinkHandle, Tally};
     pub use coopcache_proxy::{DistributedGroup, HierarchicalGroup, ProxyNode, RequestOutcome};
     pub use coopcache_sim::{
         capacity_sweep, run, run_des, run_des_with_sink, run_with_sink, NetworkModel, SimConfig,

@@ -8,7 +8,7 @@
 //! (and the regression test for the PR 5 sink-lock-across-join class).
 
 use coopcache::net::{scrape_series, scrape_stats, ClusterConfig, LoopbackCluster};
-use coopcache::obs::{EventKind, HistogramSink, SeriesRing, SinkHandle};
+use coopcache::obs::{EventKind, SeriesRing, SinkHandle, Tally};
 use coopcache::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -48,7 +48,7 @@ fn storm() -> u64 {
             .sample_interval(Duration::from_millis(5)),
     )
     .expect("cluster starts");
-    let sink = Arc::new(Mutex::new(HistogramSink::new()));
+    let sink = Arc::new(Mutex::new(Tally::new()));
     cluster.set_sink(SinkHandle::from_arc(Arc::clone(&sink)));
     let addrs = cluster.doc_addrs();
     let scrape_timeout = Duration::from_secs(5);

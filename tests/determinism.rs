@@ -199,6 +199,16 @@ fn series_replay_is_byte_identical_across_runs() {
     let (rings_b, top_b) = replay(&stream());
     assert_eq!(rings_a, rings_b, "replayed rings must be byte-identical");
     assert_eq!(top_a, top_b, "rendered dashboard must be byte-identical");
+    // Pinned at commit `14b1977`, before the three event folds became one.
+    assert_eq!(
+        [
+            fnv1a(rings_a.join("\n").as_bytes()),
+            fnv1a(top_a.as_bytes())
+        ]
+        .map(|h| format!("{h:#018x}")),
+        ["0x457a973502fce659", "0x2a41217e13b1934f"],
+        "replayed rings, rendered dashboard"
+    );
 }
 
 /// True when every line of `small` appears in `big` in the same order —
@@ -310,6 +320,12 @@ fn des_rollup_sweep_64_nodes_is_bounded_and_byte_identical() {
     assert!(rollup_a.windows().len() <= 8);
     let (requests, _, _) = rollup_a.totals();
     assert_eq!(requests, 2_000, "totals still count every request");
+    // Pinned at commit `14b1977`, before the three event folds became one.
+    assert_eq!(
+        format!("{:#018x}", fnv1a(rollup_a.to_json().as_bytes())),
+        "0x6650e2762920df3a",
+        "64-node rollup JSON"
+    );
 }
 
 #[test]
@@ -364,6 +380,12 @@ fn des_trace_trees_are_identical_across_runs() {
     let a = trees();
     assert!(a.contains("request"), "trace trees must not be empty");
     assert_eq!(a, trees(), "assembled trace trees must be deterministic");
+    // Pinned at commit `14b1977`, before the three event folds became one.
+    assert_eq!(
+        format!("{:#018x}", fnv1a(a.as_bytes())),
+        "0x9bd2538f988e5c2e",
+        "timed trace trees"
+    );
 }
 
 /// 64-bit FNV-1a — small enough to pin whole output streams as one
@@ -439,6 +461,42 @@ fn des_output_bytes_match_the_pinned_streams() {
         [rings, alerts].map(|h| format!("{h:#018x}")),
         ["0x51aa18052de5c391", "0x38467d6948c84a95"],
         "series rings, alert lines"
+    );
+    // Pinned at commit `14b1977`, before the three event folds became one.
+    let rollup = report.rollup.as_ref().expect("a rollup was configured");
+    assert_eq!(
+        format!("{:#018x}", fnv1a(rollup.to_json().as_bytes())),
+        "0x94fa81b41aa140ee",
+        "health-run rollup JSON"
+    );
+}
+
+/// The event summary `simulate --event-summary` prints, fed one DES run
+/// and pinned at commit `14b1977` (when this fold had its own sink type).
+#[test]
+fn des_event_summary_matches_the_pinned_text() {
+    use coopcache::obs::Tally;
+    use std::sync::{Arc, Mutex, PoisonError};
+    let trace = generate(&TraceProfile::small().with_requests(2_000)).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(300)).with_scheme(PlacementScheme::Ea);
+    let net = NetworkModel::paper_calibrated();
+    let summary = Arc::new(Mutex::new(Tally::new()));
+    let _ = run_des_with_sink(
+        &cfg,
+        &net,
+        &trace,
+        Some(SinkHandle::from_arc(Arc::clone(&summary))),
+    );
+    let text = summary
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .render_summary();
+    assert!(text.contains("placements:"), "{text}");
+    assert!(text.contains("evict_age_ms:"), "{text}");
+    assert_eq!(
+        format!("{:#018x}", fnv1a(text.as_bytes())),
+        "0xa06a2307c4e09839",
+        "event summary text"
     );
 }
 

@@ -231,36 +231,44 @@ fn sampling_is_a_deterministic_subsequence_for_any_seed_and_rate() {
         }
     }
 
-    let stream = |sampler: Option<SamplerConfig>| -> String {
-        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+    /// Emits every event through a handle sampled by `sampler` and
+    /// returns the sink it fed.
+    fn fed<S: EventSink + Send + 'static>(
+        sink: S,
+        sampler: Option<SamplerConfig>,
+        events: &[Event],
+    ) -> S {
+        let sink = Arc::new(Mutex::new(sink));
         let handle = SinkHandle::from_arc(Arc::clone(&sink)).sampled(sampler);
-        for event in &events {
+        for event in events {
             handle.emit(event);
         }
         drop(handle);
-        let bytes = Arc::try_unwrap(sink)
+        Arc::try_unwrap(sink)
+            .ok()
             .expect("no other handles")
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
-            .into_inner();
+    }
+    let stream = |sampler: Option<SamplerConfig>| -> String {
+        let bytes = fed(JsonlSink::new(Vec::new()), sampler, &events).into_inner();
         String::from_utf8(bytes).expect("jsonl is utf-8")
     };
     let is_line_subsequence = |small: &str, big: &str| -> bool {
         let mut big_lines = big.lines();
         small.lines().all(|needle| big_lines.any(|l| l == needle))
     };
-    let rollup_of = |text: &str| -> Rollup {
-        let mut rollup = Rollup::new(RollupConfig {
+    let rollup_of = |sampler: Option<SamplerConfig>| -> Rollup {
+        let config = RollupConfig {
             window_ms: 50,
             max_nodes: 8,
             max_windows: 16,
-        });
-        rollup.observe_jsonl(text).expect("well-formed stream");
-        rollup
+        };
+        fed(Rollup::new(config), sampler, &events)
     };
 
     let full = stream(None);
-    let full_rollup = rollup_of(&full);
+    let full_rollup = rollup_of(None);
     let mut rng = Rng::seed_from(0x5EED);
     for case in 0..CASES {
         let config = SamplerConfig::new(rng.next_below(u64::MAX), rng.next_below(1_001) as u32);
@@ -283,7 +291,7 @@ fn sampling_is_a_deterministic_subsequence_for_any_seed_and_rate() {
         assert_eq!(non_span(&sampled), non_span(&full), "case {case}");
         // Rollups from the two streams agree on request-derived counters
         // (spans only feed the rollup clock, never the counters).
-        let sampled_rollup = rollup_of(&sampled);
+        let sampled_rollup = rollup_of(Some(config));
         assert_eq!(
             sampled_rollup.totals(),
             full_rollup.totals(),
