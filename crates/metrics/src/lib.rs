@@ -10,7 +10,7 @@
 //! * [`LatencyModel`] — the measured latency constants (146 / 342 /
 //!   2784 ms) and the eq. 6 average-latency estimator;
 //! * [`Table`] with [`pct`] / [`secs`] — diff-friendly plain-text and CSV
-//!   rendering used by every experiment binary;
+//!   rendering used by every experiment;
 //! * the [`obs`] observability layer (re-exported from `coopcache-obs`):
 //!   structured [`Event`]s, pluggable [`EventSink`]s and the log-bucketed
 //!   [`Histogram`].

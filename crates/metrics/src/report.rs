@@ -3,7 +3,7 @@
 use std::fmt;
 use std::io::{self, Write};
 
-/// A simple column-aligned table: the experiment binaries use it to print
+/// A simple column-aligned table: the experiment driver uses it to print
 /// each of the paper's tables and figure series in a diff-friendly form.
 ///
 /// # Example
@@ -110,33 +110,6 @@ impl Table {
             )?;
         }
         Ok(())
-    }
-
-    /// Renders the table as one compact JSON object:
-    /// `{"headers":[...],"rows":[[...],...]}` — cells stay strings, so
-    /// the encoding is lossless and byte-stable.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut w = coopcache_obs::JsonWriter::new();
-        w.begin_object();
-        w.key("headers");
-        w.begin_array();
-        for h in &self.headers {
-            w.string(h);
-        }
-        w.end_array();
-        w.key("rows");
-        w.begin_array();
-        for row in &self.rows {
-            w.begin_array();
-            for cell in row {
-                w.string(cell);
-            }
-            w.end_array();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -257,14 +230,6 @@ mod tests {
         assert_eq!(t.headers(), ["a", "bb"]);
         assert_eq!(t.rows().len(), 2);
         assert_eq!(t.rows()[1][0], "333");
-    }
-
-    #[test]
-    fn json_output() {
-        assert_eq!(
-            sample().to_json(),
-            r#"{"headers":["a","bb"],"rows":[["1","2"],["333","4"]]}"#
-        );
     }
 
     #[test]

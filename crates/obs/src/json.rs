@@ -2,7 +2,7 @@
 //!
 //! The workspace builds against an offline registry, so there is no serde;
 //! every machine-readable document whose shape is dynamic (stats, series,
-//! rollups, the bench binaries' `--json` tables) goes through this writer
+//! rollups, the experiment driver's `results/` tables) goes through this writer
 //! instead. It emits compact JSON with the exact field order the caller
 //! uses, which is what makes outputs byte-comparable across runs. Event
 //! lines have a fixed shape and their own encoder

@@ -19,7 +19,7 @@
 //! * [`Histogram`] — a log₂-bucketed histogram with p50/p90/p99
 //!   [snapshots](Histogram::snapshot);
 //! * [`JsonWriter`] — the hand-rolled compact JSON writer behind the
-//!   JSONL stream and the bench binaries' `--json` output (the workspace
+//!   JSONL stream and the experiment driver's `results/` tables (the workspace
 //!   builds against an offline registry; there is no serde) — and its
 //!   inverse, [`parse_json`], used wherever those documents are read
 //!   back;

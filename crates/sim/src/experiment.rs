@@ -1,4 +1,4 @@
-//! Experiment helpers shared by the table/figure reproduction binaries.
+//! Experiment helpers shared by the table/figure reproduction experiments.
 
 use crate::config::SimConfig;
 use crate::runner::{run, SimReport};

@@ -42,8 +42,8 @@
 //!          100.0 * ea.metrics.hit_rate());
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the binaries that regenerate every table and figure of the paper.
+//! See `examples/` for runnable scenarios and `crates/bench` for the
+//! `experiments` binary that regenerates every table and figure of the paper.
 
 pub use coopcache_analysis as analysis;
 pub use coopcache_core as cache;
