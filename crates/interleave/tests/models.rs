@@ -774,6 +774,299 @@ fn pr5_release_before_join_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
+// The DES's sink offload: the simulation thread ships batches to a worker
+// over a depth-bounded queue, then closes it; the scope joins the worker
+// (crates/obs/src/sink.rs SinkOffload, crates/sim/src/des.rs run_des_inner)
+// ---------------------------------------------------------------------------
+
+const V_TAP_MUTEX: VarId = 70;
+const V_OFFLOAD_SINK: VarId = 71;
+const V_QUEUE: VarId = 72;
+const V_CLOSED: VarId = 73;
+const V_SPARE: VarId = 74;
+const V_DELIVERED: VarId = 75;
+const V_IN_HAND: VarId = 76;
+const V_FILLING: VarId = 77;
+const V_OFFLOAD_DONE: VarId = 78;
+const V_RETURNED: VarId = 79;
+const V_JOINED: VarId = 80;
+
+/// Full batches the producer ships before its final partial one.
+const FULL_BATCHES: u64 = 2;
+/// Queue depth, as `OFFLOAD_DEPTH`.
+const DEPTH: usize = 1;
+/// Buffers in circulation: one filling, `DEPTH` queued, one delivering.
+const BUFFERS: u64 = DEPTH as u64 + 2;
+
+#[derive(Clone)]
+struct OffloadModel {
+    tap: MockMutex,
+    sink: MockMutex,
+    /// Batch ids queued for the worker, oldest first.
+    queue: Vec<u64>,
+    closed: bool,
+    /// Recycled buffers waiting for the producer.
+    spare: u64,
+    /// Whether the producer holds a buffer to fill.
+    filling: bool,
+    /// The batch the worker is delivering.
+    in_hand: Option<u64>,
+    /// Batch ids the sink received, in order.
+    delivered: Vec<u64>,
+    /// The producer found no spare buffer after a successful send.
+    starved: bool,
+    worker_done: bool,
+    /// The producer's closure returned, so the scope may join.
+    returned: bool,
+    joined: bool,
+}
+
+impl OffloadModel {
+    fn new() -> Self {
+        Self {
+            tap: MockMutex::new(V_TAP_MUTEX),
+            sink: MockMutex::new(V_OFFLOAD_SINK),
+            queue: Vec::new(),
+            closed: false,
+            spare: BUFFERS - 1,
+            filling: true,
+            in_hand: None,
+            delivered: Vec::new(),
+            starved: false,
+            worker_done: false,
+            returned: false,
+            joined: false,
+        }
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.tap.poisoned() || self.sink.poisoned() {
+            return Err("mutex protocol violated".to_string());
+        }
+        if self.starved {
+            return Err("no spare buffer after a successful send".to_string());
+        }
+        if self.queue.len() > DEPTH {
+            return Err(format!("queue holds {} batches", self.queue.len()));
+        }
+        let held = u64::from(self.filling)
+            + self.queue.len() as u64
+            + u64::from(self.in_hand.is_some())
+            + self.spare;
+        if held != BUFFERS {
+            return Err(format!("{held} buffers in circulation, not {BUFFERS}"));
+        }
+        let expected: Vec<u64> = (0..=FULL_BATCHES).collect();
+        if !expected.starts_with(&self.delivered) {
+            return Err(format!(
+                "delivered {:?}: not once, in order",
+                self.delivered
+            ));
+        }
+        if self.joined && self.delivered != expected {
+            return Err(format!("joined after delivering only {:?}", self.delivered));
+        }
+        Ok(())
+    }
+}
+
+/// `SinkOffload::ship` for batch `id`: a send that blocks while the queue
+/// is full, then a recycled buffer to fill next.
+fn ship(thread: MockThread<OffloadModel>, id: u64) -> MockThread<OffloadModel> {
+    thread
+        .guarded(
+            "send",
+            &[V_QUEUE, V_FILLING],
+            &[V_QUEUE, V_FILLING],
+            |s: &OffloadModel| s.queue.len() < DEPTH,
+            move |s: &mut OffloadModel| {
+                s.queue.push(id);
+                s.filling = false;
+            },
+        )
+        .step_rw(
+            "take-spare",
+            &[V_SPARE],
+            &[V_SPARE, V_FILLING],
+            |s: &mut OffloadModel| {
+                if s.spare == 0 {
+                    s.starved = true;
+                } else {
+                    s.spare -= 1;
+                    s.filling = true;
+                }
+            },
+        )
+}
+
+/// The simulation thread: each full batch is shipped from inside the
+/// tap guard, as `SeriesTap::emit` does.
+fn offload_producer() -> MockThread<OffloadModel> {
+    let mut producer = MockThread::new("producer");
+    for id in 0..FULL_BATCHES {
+        producer = producer.guarded(
+            "lock-tap",
+            &[V_TAP_MUTEX],
+            &[V_TAP_MUTEX],
+            |s: &OffloadModel| s.tap.is_free(),
+            |s: &mut OffloadModel| s.tap.acquire(0),
+        );
+        producer = ship(producer, id).step_rw(
+            "unlock-tap",
+            &[],
+            &[V_TAP_MUTEX],
+            |s: &mut OffloadModel| s.tap.release(0),
+        );
+    }
+    producer
+}
+
+/// The worker: receive, deliver under the sink lock, recycle; exit once
+/// the queue is empty and closed.
+fn offload_worker() -> MockThread<OffloadModel> {
+    let mut worker = MockThread::new("worker");
+    for _ in 0..=FULL_BATCHES {
+        worker = worker
+            .guarded(
+                "recv",
+                &[V_QUEUE, V_IN_HAND],
+                &[V_QUEUE, V_IN_HAND],
+                |s: &OffloadModel| !s.queue.is_empty(),
+                |s: &mut OffloadModel| s.in_hand = Some(s.queue.remove(0)),
+            )
+            .guarded(
+                "lock-sink",
+                &[V_OFFLOAD_SINK],
+                &[V_OFFLOAD_SINK],
+                |s: &OffloadModel| s.sink.is_free(),
+                |s: &mut OffloadModel| s.sink.acquire(1),
+            )
+            .step_rw(
+                "deliver",
+                &[V_IN_HAND, V_DELIVERED],
+                &[V_DELIVERED],
+                |s: &mut OffloadModel| s.delivered.extend(s.in_hand),
+            )
+            .step_rw(
+                "unlock-sink",
+                &[],
+                &[V_OFFLOAD_SINK],
+                |s: &mut OffloadModel| s.sink.release(1),
+            )
+            .step_rw(
+                "recycle",
+                &[V_IN_HAND, V_SPARE],
+                &[V_IN_HAND, V_SPARE],
+                |s: &mut OffloadModel| {
+                    s.in_hand = None;
+                    s.spare += 1;
+                },
+            );
+    }
+    worker.guarded(
+        "recv-closed",
+        &[V_QUEUE, V_CLOSED],
+        &[V_OFFLOAD_DONE],
+        |s: &OffloadModel| s.queue.is_empty() && s.closed,
+        |s: &mut OffloadModel| s.worker_done = true,
+    )
+}
+
+/// `thread::scope`'s join, which runs once the producer's closure has
+/// returned.
+fn offload_joiner() -> MockThread<OffloadModel> {
+    MockThread::new("joiner")
+        .guarded(
+            "await-return",
+            &[V_RETURNED],
+            &[],
+            |s: &OffloadModel| s.returned,
+            |_| {},
+        )
+        .guarded(
+            "join",
+            &[V_OFFLOAD_DONE],
+            &[V_JOINED],
+            |s: &OffloadModel| s.worker_done,
+            |s: &mut OffloadModel| s.joined = true,
+        )
+}
+
+fn close(thread: MockThread<OffloadModel>) -> MockThread<OffloadModel> {
+    thread.step_rw("close", &[], &[V_CLOSED], |s: &mut OffloadModel| {
+        s.closed = true;
+    })
+}
+
+fn return_from_scope(thread: MockThread<OffloadModel>) -> MockThread<OffloadModel> {
+    thread.step_rw("return", &[], &[V_RETURNED], |s: &mut OffloadModel| {
+        s.returned = true;
+    })
+}
+
+const OFFLOAD_READS: [VarId; 8] = [
+    V_TAP_MUTEX,
+    V_OFFLOAD_SINK,
+    V_QUEUE,
+    V_SPARE,
+    V_FILLING,
+    V_IN_HAND,
+    V_DELIVERED,
+    V_JOINED,
+];
+
+/// The real order: the run drops the offload — shipping the partial
+/// batch and closing the queue — outside the tap guard and before its
+/// closure returns to the scope. Every batch reaches the sink once, in
+/// order; a spare buffer is always waiting after a send; nothing
+/// deadlocks.
+#[test]
+fn sink_offload_delivers_every_batch_before_the_join() {
+    let producer = return_from_scope(close(ship(offload_producer(), FULL_BATCHES)));
+    let out = explore(
+        &OffloadModel::new(),
+        &[producer, offload_worker(), offload_joiner()],
+        OffloadModel::check,
+        &OFFLOAD_READS,
+        Config::default(),
+    );
+    assert!(out.passed(), "the offload handoff must be clean: {out:?}");
+}
+
+/// Seeded violation: the offload outlives the scope, so the join comes
+/// before the close. The worker waits for the close, the close for the
+/// join, the join for the worker — the scheduler must report it.
+#[test]
+fn sink_offload_join_before_close_deadlocks() {
+    let producer = return_from_scope(ship(offload_producer(), FULL_BATCHES));
+    let producer = close(producer.guarded(
+        "await-join",
+        &[V_JOINED],
+        &[],
+        |s: &OffloadModel| s.joined,
+        |_| {},
+    ));
+    let out = explore(
+        &OffloadModel::new(),
+        &[producer, offload_worker(), offload_joiner()],
+        OffloadModel::check,
+        &OFFLOAD_READS,
+        Config::default(),
+    );
+    match out {
+        Outcome::Deadlock { blocked, .. } => {
+            for name in ["producer", "worker", "joiner"] {
+                assert!(
+                    blocked.contains(&name.to_string()),
+                    "{name} wedges: {blocked:?}"
+                );
+            }
+        }
+        other => unreachable!("joining before the close must deadlock, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // PR 8: sharded arena store — per-shard locking in ConcurrentCache
 // (crates/core/src/concurrent.rs lock_shard / each_shard)
 // ---------------------------------------------------------------------------

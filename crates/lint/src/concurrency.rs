@@ -23,7 +23,7 @@
 //!
 //! | rule            | what it catches |
 //! |-----------------|-----------------|
-//! | `lock-blocking` | a blocking call (`join`, socket/file I/O, `sleep`, channel `recv`, wire-frame I/O) inside a live guard span — the PR 5 deadlock class |
+//! | `lock-blocking` | a blocking call (`join`, socket/file I/O, `sleep`, channel `send`/`recv`, wire-frame I/O) inside a live guard span — the join-under-lock deadlock class |
 //! | `lock-order`    | inconsistent acquisition order between two locks (a cycle in the workspace-wide acquisition graph), or re-acquiring a lock under its own guard |
 //! | `atomic-order`  | any `Ordering` stronger than `Relaxed` without a justified `atomic-order` allow, and `Relaxed` used on an `AtomicBool` cross-thread flag |
 //! | `guard-await`   | `.await` (or a `move` closure capturing the guard) inside a live guard span — future-proofing the async rewrite |
@@ -44,9 +44,11 @@ const IO_LOCK_RECEIVERS: [&str; 3] = ["stdout", "stderr", "stdin"];
 /// yield the guard (poison recovery and friends).
 const GUARD_ADAPTERS: [&str; 4] = ["unwrap", "expect", "unwrap_or_else", "unwrap_or_default"];
 
-/// Methods that can block the calling thread (I/O, joins, channels).
-const BLOCKING_METHODS: [&str; 11] = [
+/// Methods that can block the calling thread (I/O, joins, channels —
+/// a bounded `SyncSender::send` waits while its queue is full).
+const BLOCKING_METHODS: [&str; 12] = [
     "join",
+    "send",
     "recv",
     "recv_timeout",
     "recv_from",

@@ -186,6 +186,15 @@ fn lock_blocking_clean_fixture_produces_nothing() {
 }
 
 #[test]
+fn lock_blocking_flags_a_bounded_send_only_under_the_guard() {
+    let src = include_str!("fixtures/lock_blocking_send.rs");
+    let findings = lint("crates/obs/src/fixture.rs", src);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(count(&findings, Rule::LockBlocking), 1, "{findings:?}");
+    lines_contain(&findings, src, Rule::LockBlocking, "waits for a consumer");
+}
+
+#[test]
 fn lock_order_fixture_reports_the_cycle_and_the_reentry() {
     let src = include_str!("fixtures/lock_order_bad.rs");
     let sources = vec![(PathBuf::from("crates/net/src/fixture.rs"), src.to_string())];

@@ -140,7 +140,7 @@ impl ServerLoop {
 
 /// One protocol-level occurrence, emitted through an
 /// [`EventSink`](crate::EventSink).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A client request completed, with its outcome.
     Request {

@@ -15,7 +15,9 @@
 //!   JSON lines; same trace → byte-identical file) and [`Tally`]
 //!   (per-kind counts plus log-bucketed latency/age histograms — the one
 //!   fold of the stream, which the series and rollups below reuse);
-//! * [`SinkHandle`] — the cloneable handle threaded through the drivers;
+//! * [`SinkHandle`] — the cloneable handle threaded through the drivers,
+//!   and [`SinkOffload`] — the same handle fed in batches from a worker
+//!   thread, which is how the DES delivers its caller's sink;
 //! * [`Histogram`] — a log₂-bucketed histogram with p50/p90/p99
 //!   [snapshots](Histogram::snapshot);
 //! * [`JsonWriter`] — the hand-rolled compact JSON writer behind the
@@ -91,7 +93,7 @@ pub use series::{
 };
 pub use sink::{
     mute_request_scoped, request_scoped_muted, EventSink, JsonlSink, NullSink, RequestMuteGuard,
-    RingBufferSink, SinkHandle,
+    RingBufferSink, SinkHandle, SinkOffload,
 };
 pub use span::{scoped_cache, scoped_id, scoped_seq, Span, SpanKind, TraceCtx};
 pub use stats::StatsRegistry;

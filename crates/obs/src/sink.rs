@@ -10,18 +10,30 @@
 //! * [`JsonlSink`] — stream each event as one compact JSON line;
 //! * [`Tally`](crate::Tally) — aggregate into per-kind counts and
 //!   log-bucketed latency/age histograms.
+//!
+//! # Inline and offloaded delivery
+//!
+//! [`SinkHandle::emit`] filters and delivers on the emitting thread: the
+//! synchronous runner and the live daemons pay for their sink inline.
+//! The DES instead feeds the caller's handle through a [`SinkOffload`]:
+//! the simulation thread still applies the handle's filter, then batches
+//! the surviving events for a worker thread that delivers each batch
+//! under one lock of the shared sink.
 
 use crate::event::Event;
 use crate::sample::{Sampler, SamplerConfig};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SendError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::Scope;
 
 /// A consumer of [`Event`]s.
 ///
 /// Implementations must be cheap per call — sinks run inline on the
-/// request path of all three drivers.
+/// request path of the synchronous runner and the live daemons (the DES
+/// hands its caller's sink whole batches on a worker thread).
 pub trait EventSink {
     /// Consumes one event.
     fn emit(&mut self, event: &Event);
@@ -85,7 +97,7 @@ impl EventSink for RingBufferSink {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
-        self.buf.push_back(event.clone());
+        self.buf.push_back(*event);
         self.total += 1;
     }
 }
@@ -104,8 +116,10 @@ pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
     error: Option<io::Error>,
-    /// Reused line buffer ([`Event::write_json`] plus the newline): the
-    /// hot path allocates on the first event and never again.
+    /// Reused line buffer ([`Event::write_json`] plus the newline),
+    /// allocated with the sink: the hot path allocates nothing, so a
+    /// [`SinkOffload`] worker encoding the lines leaves no allocation of
+    /// its own for the constructing thread to free.
     buf: Vec<u8>,
 }
 
@@ -117,7 +131,7 @@ impl<W: Write> JsonlSink<W> {
             writer,
             lines: 0,
             error: None,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(JSONL_LINE),
         }
     }
 
@@ -162,6 +176,10 @@ impl<W: Write> EventSink for JsonlSink<W> {
         }
     }
 }
+
+/// Initial capacity of a [`JsonlSink`]'s line buffer: the longest event
+/// line, a span with every field set, is under 300 bytes.
+const JSONL_LINE: usize = 512;
 
 /// A cloneable, thread-safe handle to a shared sink.
 ///
@@ -237,19 +255,134 @@ impl SinkHandle {
     /// request-scoped events inside a [`mute_request_scoped`] scope
     /// return before touching the lock.
     pub fn emit(&self, event: &Event) {
-        if let Some(sampler) = &self.sampler {
-            if !sampler.keep(event) {
-                return;
+        if admits(self.sampler.as_ref(), event) {
+            self.deliver(std::slice::from_ref(event));
+        }
+    }
+
+    /// Hands `events`, already filtered, to the shared sink under one
+    /// lock.
+    fn deliver(&self, events: &[Event]) {
+        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        for event in events {
+            guard.emit(event);
+        }
+    }
+}
+
+/// A handle's filter: `false` for a span its sampler drops and for a
+/// request-scoped event emitted inside a [`mute_request_scoped`] scope
+/// on the current thread.
+fn admits(sampler: Option<&Sampler>, event: &Event) -> bool {
+    sampler.is_none_or(|s| s.keep(event))
+        && !(event.kind().is_request_scoped() && MUTE_REQUEST_SCOPED.with(Cell::get))
+}
+
+/// Events the emitting thread collects before handing them to the
+/// worker. At 256 the worker woke four times as often and a DES run
+/// cost 40 % more CPU per request for a smaller speed-up.
+const OFFLOAD_BATCH: usize = 1024;
+
+/// Full batches queued ahead of the worker. One more batch is filling
+/// and one is being delivered, so `OFFLOAD_DEPTH + 2` buffers circulate
+/// and at most that many batches of events are in flight.
+const OFFLOAD_DEPTH: usize = 1;
+
+/// A [`SinkHandle`] fed from a worker thread.
+///
+/// The emitting thread applies the handle's filter — its sampler and
+/// the [`mute_request_scoped`] state, a thread-local the worker does not
+/// share — and copies each surviving event into a fixed-size batch.
+/// Full batches cross a bounded channel to a worker spawned on the
+/// caller's [`std::thread::scope`]; the worker hands each batch to the
+/// shared sink under one lock, then returns the buffer for reuse. The
+/// sink sees exactly the events, in exactly the order, that
+/// [`SinkHandle::emit`] would have given it.
+///
+/// The buffers are allocated when the worker is spawned and only
+/// circulate afterwards, so the emitting thread allocates nothing per
+/// event or per batch.
+///
+/// Dropping the offload ships the partial batch and closes the channel:
+/// the worker delivers what is queued and exits, and the scope's join
+/// then returns only after every event is delivered and the worker's
+/// clone of the handle is gone. Shipping blocks while the queue is
+/// full, so drop the offload outside any lock the sink might need. A
+/// sink that panics ends the worker; the emitting side then discards
+/// the rest of the stream and the scope re-raises the panic when it
+/// joins.
+#[derive(Debug)]
+pub struct SinkOffload {
+    sampler: Option<Sampler>,
+    batch: Vec<Event>,
+    full: SyncSender<Vec<Event>>,
+    spare: Receiver<Vec<Event>>,
+}
+
+impl SinkOffload {
+    /// Spawns on `scope` the worker that delivers `handle`'s events, and
+    /// returns the emitting side.
+    pub fn spawn<'scope>(scope: &'scope Scope<'scope, '_>, handle: SinkHandle) -> Self {
+        let (full, batches) = mpsc::sync_channel::<Vec<Event>>(OFFLOAD_DEPTH);
+        // Room for every spare buffer, so returning one never waits.
+        let (recycle, spare) = mpsc::sync_channel(OFFLOAD_DEPTH + 1);
+        for _ in 0..=OFFLOAD_DEPTH {
+            let _ = recycle.try_send(Vec::with_capacity(OFFLOAD_BATCH));
+        }
+        let sampler = handle.sampler;
+        scope.spawn(move || {
+            for mut batch in batches {
+                handle.deliver(&batch);
+                batch.clear();
+                // Once the emitting side is gone the buffer is freed.
+                let _ = recycle.try_send(batch);
+            }
+        });
+        Self {
+            sampler,
+            batch: Vec::with_capacity(OFFLOAD_BATCH),
+            full,
+            spare,
+        }
+    }
+
+    /// Hands the current batch to the worker, blocking while the queue
+    /// is full, and starts the next one in a recycled buffer.
+    fn ship(&mut self) {
+        let batch = std::mem::take(&mut self.batch);
+        self.batch = match self.full.send(batch) {
+            // Once the send succeeds, the queue holds this batch and the
+            // worker at most one more, so a spare is always waiting.
+            Ok(()) => self
+                .spare
+                .try_recv()
+                .unwrap_or_else(|_| Vec::with_capacity(OFFLOAD_BATCH)),
+            // The worker panicked: keep the buffer and drop the events;
+            // the scope re-raises the panic when it joins.
+            Err(SendError(mut batch)) => {
+                batch.clear();
+                batch
+            }
+        };
+    }
+}
+
+impl EventSink for SinkOffload {
+    fn emit(&mut self, event: &Event) {
+        if admits(self.sampler.as_ref(), event) {
+            self.batch.push(*event);
+            if self.batch.len() == OFFLOAD_BATCH {
+                self.ship();
             }
         }
-        if event.kind().is_request_scoped() && MUTE_REQUEST_SCOPED.with(Cell::get) {
-            return;
+    }
+}
+
+impl Drop for SinkOffload {
+    fn drop(&mut self) {
+        if !self.batch.is_empty() {
+            self.ship();
         }
-        let mut guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.emit(event);
     }
 }
 
@@ -402,6 +535,56 @@ mod tests {
             kinds,
             vec![EventKind::Eviction, EventKind::Request],
             "muted scope drops request-scoped kinds, keeps health kinds"
+        );
+    }
+
+    #[test]
+    fn offload_delivers_what_emit_would_in_order() {
+        use crate::span::{Span, SpanKind};
+        let span = |trace_id: u64| {
+            Event::Span(Span {
+                trace_id,
+                span_id: 1,
+                parent: None,
+                cache: CacheId::new(0),
+                kind: SpanKind::Request,
+                doc: None,
+                peer: None,
+                start_us: 0,
+                end_us: 1,
+                status: "ok",
+            })
+        };
+        let events: Vec<Event> = (0..2_500)
+            .flat_map(|i| [sample_request(i, RequestClass::Miss, None), span(i)])
+            .collect();
+        let sampler = Some(SamplerConfig::new(7, 100));
+        let ring = || Arc::new(Mutex::new(RingBufferSink::new(events.len())));
+        let kept = |ring: &Mutex<RingBufferSink>| -> Vec<Event> {
+            ring.lock().unwrap().events().copied().collect()
+        };
+
+        let inline = ring();
+        let handle = SinkHandle::from_arc(Arc::clone(&inline)).sampled(sampler);
+        for event in &events {
+            handle.emit(event);
+        }
+        let offloaded = ring();
+        std::thread::scope(|scope| {
+            let handle = SinkHandle::from_arc(Arc::clone(&offloaded)).sampled(sampler);
+            let mut offload = SinkOffload::spawn(scope, handle);
+            for event in &events {
+                offload.emit(event);
+            }
+        });
+        let kept_inline = kept(&inline);
+        assert!(kept_inline.len() > 2 * OFFLOAD_BATCH, "several batches");
+        assert!(kept_inline.len() < events.len(), "the sampler drops spans");
+        assert_eq!(kept(&offloaded), kept_inline);
+        assert_eq!(
+            Arc::strong_count(&offloaded),
+            1,
+            "the worker's handle is gone"
         );
     }
 

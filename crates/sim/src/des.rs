@@ -33,7 +33,7 @@ use crate::config::SimConfig;
 use coopcache_metrics::GroupMetrics;
 use coopcache_obs::{
     age_to_ms, event_cache, AlertEngine, AlertRule, Event, EventSink, Rollup, RollupConfig,
-    SeriesGauges, SeriesRecorder, SeriesRing, SinkHandle, Span, SpanKind,
+    SeriesGauges, SeriesRecorder, SeriesRing, SinkHandle, SinkOffload, Span, SpanKind,
 };
 use coopcache_proxy::{
     DistributedGroup, HttpRequest, IcpQuery, Requester, RequesterAction, RequesterInput,
@@ -43,6 +43,7 @@ use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Reque
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 /// Simulated-time µs for a span timestamp.
 fn sim_us(t: Timestamp) -> u64 {
@@ -309,8 +310,12 @@ impl<'t> EventQueue<'t> {
 /// sink *or* a series is requested, so placement and eviction events
 /// from inside the group are counted exactly once. The events the DES
 /// builds itself reach it under one guard per step (see [`lock_tap`]).
+///
+/// The recorders, alert engines and rollup fold every event inline; the
+/// caller's sink is fed through a [`SinkOffload`], which filters on this
+/// thread and delivers on a worker.
 struct SeriesTap {
-    inner: Option<SinkHandle>,
+    inner: Option<SinkOffload>,
     recorders: Vec<SeriesRecorder>,
     /// One SLO engine per recorder (empty when no rules are installed);
     /// fed each boundary point as the recorders cross it.
@@ -334,7 +339,7 @@ impl EventSink for SeriesTap {
         if let Some(rollup) = &mut self.rollup {
             rollup.observe(event);
         }
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = &mut self.inner {
             inner.emit(event);
         }
     }
@@ -470,6 +475,14 @@ pub struct HealthReport {
 /// Request events carry the *measured* completion latency (in µs), and
 /// ICP query/reply events reflect the peers actually probed — including
 /// queries whose replies were lost.
+///
+/// The sink is fed in batches from a worker thread ([`SinkOffload`]);
+/// the handle's sampler and [`mute_request_scoped`] still apply as on
+/// the calling thread. The run returns once every event is delivered and
+/// its clones of `sink` are dropped, and a panic in the sink panics the
+/// run.
+///
+/// [`mute_request_scoped`]: coopcache_obs::mute_request_scoped
 #[must_use]
 pub fn run_des_with_sink(
     config: &SimConfig,
@@ -540,11 +553,31 @@ struct TapSpec {
     rollup: Option<RollupConfig>,
 }
 
+/// Runs the DES, delivering the caller's sink, if any, from a worker
+/// thread. [`simulate`] drops the offload before returning and the scope
+/// then joins the worker, so every event is delivered — and every clone
+/// of the caller's handle dropped — when this returns. A sink that
+/// panicked panics the caller here. Without a sink nothing is spawned.
 fn run_des_inner(
     config: &SimConfig,
     network: &NetworkModel,
     trace: &Trace,
     sink: Option<SinkHandle>,
+    spec: Option<TapSpec>,
+) -> (DesReport, HealthReport) {
+    thread::scope(|scope| {
+        let sink = sink.map(|handle| SinkOffload::spawn(scope, handle));
+        simulate(config, network, trace, sink, spec)
+    })
+}
+
+/// The DES loop. `sink` is dropped — its last batch shipped, its
+/// channel closed — before this returns.
+fn simulate(
+    config: &SimConfig,
+    network: &NetworkModel,
+    trace: &Trace,
+    sink: Option<SinkOffload>,
     spec: Option<TapSpec>,
 ) -> (DesReport, HealthReport) {
     let mut group = config.build_group();
@@ -826,11 +859,11 @@ fn run_des_inner(
     let (mean, p50, p95) = latency_summary(&mut latencies);
     // Flush trailing sample boundaries up to the last event time, then
     // hand the health plane's output back.
-    let health = tap.map_or_else(HealthReport::default, |tap| {
+    let (health, sink) = tap.map_or_else(Default::default, |tap| {
         let mut guard = lock_tap(&tap);
         let tap = &mut *guard;
         tap.advance(&group, end_time);
-        HealthReport {
+        let health = HealthReport {
             rings: tap
                 .recorders
                 .drain(..)
@@ -838,8 +871,12 @@ fn run_des_inner(
                 .collect(),
             alerts: std::mem::take(&mut tap.alerts),
             rollup: tap.rollup.take(),
-        }
+        };
+        (health, tap.inner.take())
     });
+    // Ships the last batch and closes the worker's channel, outside the
+    // tap guard: shipping blocks while the worker's queue is full.
+    drop(sink);
     (
         DesReport {
             metrics,

@@ -136,6 +136,116 @@ fn des_event_streams_are_byte_identical_across_runs() {
     assert_eq!(a, stream(), "DES event stream must be deterministic");
 }
 
+/// A JSONL sink that yields the thread on every event, so the DES fills
+/// its worker's queue and has to wait for it.
+#[derive(Debug)]
+struct SlowSink(JsonlSink<Vec<u8>>);
+
+impl EventSink for SlowSink {
+    fn emit(&mut self, event: &Event) {
+        std::thread::yield_now();
+        self.0.emit(event);
+    }
+}
+
+/// The caller's sink is fed from a worker thread; a sink slower than the
+/// simulation must see the same bytes as a fast one, and the run must
+/// hand back sole ownership of it.
+#[test]
+fn des_slow_sink_gets_the_whole_stream() {
+    use std::sync::{Arc, Mutex, PoisonError};
+    let trace = generate(&TraceProfile::small().with_requests(3_000)).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(300));
+    let net = NetworkModel::paper_calibrated();
+    let fast = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+    let _ = run_des_with_sink(
+        &cfg,
+        &net,
+        &trace,
+        Some(SinkHandle::from_arc(Arc::clone(&fast))),
+    );
+    let slow = Arc::new(Mutex::new(SlowSink(JsonlSink::new(Vec::new()))));
+    let _ = run_des_with_sink(
+        &cfg,
+        &net,
+        &trace,
+        Some(SinkHandle::from_arc(Arc::clone(&slow))),
+    );
+    let fast = Arc::try_unwrap(fast)
+        .expect("runner drops its sink handles")
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_inner();
+    let slow = Arc::try_unwrap(slow)
+        .expect("runner drops its sink handles")
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+        .into_inner();
+    assert!(fast.len() > 1 << 20, "enough events to fill many batches");
+    assert_eq!(slow, fast, "a slow sink sees the same stream");
+}
+
+/// The request-scoped mute is a thread-local of the caller: it must be
+/// applied on the simulation thread, before events reach the worker.
+#[test]
+fn des_mute_drops_request_scoped_events() {
+    use coopcache::obs::{mute_request_scoped, RingBufferSink};
+    use std::sync::{Arc, Mutex, PoisonError};
+    let trace = generate(&TraceProfile::small().with_requests(3_000)).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(300));
+    let net = NetworkModel::paper_calibrated();
+    let events = |muted: bool| -> Vec<Event> {
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 20)));
+        let _mute = muted.then(mute_request_scoped);
+        let _ = run_des_with_sink(
+            &cfg,
+            &net,
+            &trace,
+            Some(SinkHandle::from_arc(Arc::clone(&ring))),
+        );
+        let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(ring.total_emitted() < 1 << 20, "the ring kept every event");
+        ring.events().copied().collect()
+    };
+    let all = events(false);
+    let muted = events(true);
+    let health: Vec<Event> = all
+        .iter()
+        .filter(|e| !e.kind().is_request_scoped())
+        .copied()
+        .collect();
+    assert!(!health.is_empty(), "the 300 KB cell evicts");
+    assert!(health.len() < all.len());
+    assert_eq!(
+        muted, health,
+        "a muted caller gets exactly the health kinds"
+    );
+}
+
+/// Panics on the 100th event it is handed.
+struct PanickingSink(u32);
+
+impl EventSink for PanickingSink {
+    fn emit(&mut self, _event: &Event) {
+        self.0 += 1;
+        assert!(self.0 < 100, "sink failed on its 100th event");
+    }
+}
+
+/// A sink that panics on the worker must panic the run: no hang, and no
+/// report returned over a truncated stream.
+#[test]
+fn des_panicking_sink_panics_the_run() {
+    let trace = generate(&TraceProfile::small().with_requests(3_000)).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(300));
+    let net = NetworkModel::paper_calibrated();
+    let run = std::panic::catch_unwind(|| {
+        run_des_with_sink(&cfg, &net, &trace, Some(SinkHandle::new(PanickingSink(0))))
+    });
+    assert!(run.is_err(), "the sink's panic must reach the caller");
+}
+
 #[test]
 fn des_series_rings_are_identical_across_runs() {
     use coopcache::obs::SeriesRing;
