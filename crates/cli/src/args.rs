@@ -73,6 +73,23 @@ impl ParsedArgs {
         self.flags.get(key).map(String::as_str)
     }
 
+    /// A flag parsed via `FromStr`, if present.
+    ///
+    /// # Errors
+    ///
+    /// Reports the flag name on parse failure.
+    pub fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|e| err(format!("--{key} {raw:?}: {e}")))
+            })
+            .transpose()
+    }
+
     /// A flag parsed via `FromStr`, or a default.
     ///
     /// # Errors
@@ -82,11 +99,19 @@ impl ParsedArgs {
     where
         T::Err: fmt::Display,
     {
+        Ok(self.get_opt(key)?.unwrap_or(default))
+    }
+
+    /// A `true`/`false` flag (also `yes`/`no`, `1`/`0`), false when absent.
+    ///
+    /// # Errors
+    ///
+    /// Reports the flag name for any other value.
+    pub fn get_bool(&self, key: &str) -> Result<bool, ArgError> {
         match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| err(format!("--{key} {raw:?}: {e}"))),
+            None | Some("false" | "no" | "0") => Ok(false),
+            Some("true" | "yes" | "1") => Ok(true),
+            Some(other) => Err(err(format!("--{key} {other:?}: expected true or false"))),
         }
     }
 
@@ -228,6 +253,7 @@ mod tests {
         assert_eq!(a.get("caches"), Some("8"));
         assert_eq!(a.get_or("caches", 4u16).unwrap(), 8);
         assert_eq!(a.get_or("missing", 4u16).unwrap(), 4);
+        assert_eq!(a.get_opt::<u16>("missing").unwrap(), None);
         assert!(a.expect_only(&["caches", "scheme"]).is_ok());
         assert!(a.expect_only(&["caches"]).is_err());
     }

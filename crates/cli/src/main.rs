@@ -7,10 +7,12 @@
 //! coopcache simulate --trace campus.trace --aggregate 10MB --scheme ea
 //! coopcache sweep --profile medium --caches 8
 //! coopcache serve --caches 3 --scheme ea
+//! coopcache status --addrs 127.0.0.1:40117,127.0.0.1:40119
 //! ```
 
 mod args;
 mod commands;
+mod status;
 
 use args::ParsedArgs;
 use commands::{dispatch, USAGE};

@@ -207,8 +207,10 @@ pub struct DaemonConfig {
     pub quarantine_cap: Duration,
     /// Metrics sampling interval. `Some` starts a sampler thread that
     /// snapshots the daemon's counters, latency and occupancy into the
-    /// `OP_SERIES` ring at this cadence; `None` (the default) samples
-    /// only on demand ([`CacheDaemon::sample_now`]).
+    /// `OP_SERIES` ring at this cadence, and series probes answer from
+    /// that ring. `None` (the default) samples only on demand: each
+    /// series probe first lands one sample, as
+    /// [`CacheDaemon::sample_now`] does, so a scrape is always live.
     pub sample_interval: Option<Duration>,
     /// Outbound connection pooling: idle connections kept per remote
     /// host. `0` disables pooling (every fetch pays a fresh connect).
@@ -445,6 +447,8 @@ struct LoopCtx {
     accept_iters: Arc<AtomicU64>,
     /// Lock-free view of the sink's sampler for per-frame decisions.
     sampler_snap: Arc<SamplerSnapshot>,
+    /// No sampler thread runs, so each series probe samples first.
+    sample_on_probe: bool,
 }
 
 impl LoopCtx {
@@ -566,6 +570,7 @@ impl CacheDaemon {
             icp_iters: Arc::new(AtomicU64::new(0)),
             accept_iters: Arc::new(AtomicU64::new(0)),
             sampler_snap: Arc::new(SamplerSnapshot::default()),
+            sample_on_probe: config.sample_interval.is_none(),
         };
 
         // ICP responder: a plain blocking `recv_from` with no timeout —
@@ -648,22 +653,9 @@ impl CacheDaemon {
         self.ctx.stats_json()
     }
 
-    /// Deterministic JSON document of this daemon's sampled time
-    /// series — the same document it serves over `OP_SERIES`.
-    #[must_use]
-    pub fn series_json(&self) -> String {
-        lock(&self.ctx.series).to_json()
-    }
-
-    /// A clone of the sampled time-series ring.
-    #[must_use]
-    pub fn series(&self) -> SeriesRing {
-        lock(&self.ctx.series).clone()
-    }
-
     /// Takes one time-series sample immediately, regardless of the
-    /// configured interval (tests and one-shot scrapes need points
-    /// without waiting out a wall-clock cadence).
+    /// configured interval (tests need points without waiting out a
+    /// wall-clock cadence).
     pub fn sample_now(&self) {
         self.ctx.sample();
     }
@@ -1593,6 +1585,9 @@ fn serve_frame<R: Read, W: Write>(
             let body = if stats {
                 ctx.stats_json()
             } else {
+                if ctx.sample_on_probe {
+                    ctx.sample();
+                }
                 lock(&ctx.series).to_json()
             };
             let body_len = u64::try_from(body.len()).unwrap_or(u64::MAX);

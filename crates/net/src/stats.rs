@@ -4,13 +4,14 @@
 //! with a [`WireMessage::StatsResponse`] header frame followed by a raw
 //! JSON body — the same deterministic document
 //! [`CacheDaemon::stats_json`](crate::CacheDaemon::stats_json) builds
-//! locally — and a [`WireMessage::SeriesRequest`] with the sampled
-//! time-series ring behind
-//! [`CacheDaemon::series_json`](crate::CacheDaemon::series_json).
-//! [`scrape_stats`] and [`scrape_series`] are the one-shot clients the
-//! `coopcache stats` and `coopcache top` subcommands (and tests) use to
+//! locally — and a [`WireMessage::SeriesRequest`] with its sampled
+//! time-series ring ([`coopcache_obs::SeriesRing::to_json`]). A daemon
+//! without a sampler thread lands one sample per series probe, so that
+//! ring is live too.
+//! [`scrape_stats`] and [`scrape_series`] are the one-shot clients that
 //! pull those documents off a live cluster without disturbing its
-//! request path.
+//! request path: `coopcache stats --addr` reads one daemon's stats, and
+//! `coopcache status` reads every daemon's series.
 
 use crate::wire::{read_frame, write_frame, WireMessage};
 use std::io::{self, Read};

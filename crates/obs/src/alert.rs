@@ -31,7 +31,7 @@
 //! gauge.
 
 use crate::event::{Event, EventKind};
-use crate::series::{SeriesPoint, SeriesRing};
+use crate::series::SeriesPoint;
 use coopcache_types::CacheId;
 
 /// Which series-derived quantity a rule watches.
@@ -235,12 +235,6 @@ impl AlertEngine {
         }
     }
 
-    /// The rules under evaluation.
-    #[must_use]
-    pub fn rules(&self) -> &[AlertRule] {
-        &self.rules
-    }
-
     /// Rules currently in the firing state.
     #[must_use]
     pub fn firing(&self) -> Vec<AlertRule> {
@@ -314,18 +308,6 @@ impl AlertEngine {
                 (requests > 0).then(|| shed.saturating_mul(1_000) / requests)
             }
         }
-    }
-
-    /// Replays a whole scraped ring through a fresh engine — how the
-    /// `coopcache health` view evaluates rules client-side.
-    #[must_use]
-    pub fn replay(ring: &SeriesRing, rules: Vec<AlertRule>) -> Vec<Event> {
-        let mut engine = Self::new(ring.cache(), rules);
-        let mut out = Vec::new();
-        for point in ring.points() {
-            out.extend(engine.observe(point));
-        }
-        out
     }
 }
 
@@ -445,23 +427,6 @@ mod tests {
         let fired = engine.observe(&p);
         assert_eq!(fired.len(), 1);
         assert_eq!(parts(&fired[0]).1, 2_000);
-    }
-
-    #[test]
-    fn replay_matches_streaming_evaluation() {
-        let rules = vec![AlertRule::hit_rate_floor(500, 2)];
-        let mut ring = SeriesRing::new(CacheId::new(4), 100, 16);
-        for (t, req, hits) in [(100, 10, 1), (200, 20, 2), (300, 30, 20)] {
-            ring.push(point(t, req, hits, 0));
-        }
-        let replayed = AlertEngine::replay(&ring, rules.clone());
-        let mut engine = AlertEngine::new(CacheId::new(4), rules);
-        let mut streamed = Vec::new();
-        for p in ring.points() {
-            streamed.extend(engine.observe(p));
-        }
-        assert_eq!(replayed, streamed);
-        assert_eq!(replayed.len(), 2, "one firing, one resolution");
     }
 
     #[test]

@@ -233,6 +233,13 @@ impl SeriesRing {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`Self::to_json`] document into `w`, so a caller can
+    /// embed the ring as one value of a larger document.
+    pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("cache");
         w.u64(u64::from(self.cache.as_u16()));
@@ -243,11 +250,10 @@ impl SeriesRing {
         w.key("points");
         w.begin_array();
         for point in &self.points {
-            point.write_json(&mut w);
+            point.write_json(w);
         }
         w.end_array();
         w.end_object();
-        w.finish()
     }
 
     /// Decodes a document written by [`Self::to_json`]. Structural
@@ -543,13 +549,16 @@ pub fn aggregate_points(rings: &[SeriesRing]) -> Vec<SeriesPoint> {
         .collect()
 }
 
-/// Events-per-second over the window ending at `cur`, derived from the
-/// cumulative counter delta against `prev` (all-zero when `cur` is the
-/// first point).
+/// Events-per-second over the window ending at `cur`: the cumulative
+/// counter delta against `prev` over the time between the two points. A
+/// first point counts from zero over one `interval_ms`. On-demand
+/// samples land at any spacing, so the window is measured, not assumed.
 fn rate(cur: &SeriesPoint, prev: Option<&SeriesPoint>, kind: EventKind, interval_ms: u64) -> f64 {
-    let before = prev.map_or(0, |p| p.counters[kind.index()]);
+    let (before, window_ms) = prev.map_or((0, interval_ms), |p| {
+        (p.counters[kind.index()], cur.t_ms.saturating_sub(p.t_ms))
+    });
     let delta = cur.counters[kind.index()].saturating_sub(before);
-    delta as f64 * 1_000.0 / interval_ms.max(1) as f64
+    delta as f64 * 1_000.0 / window_ms.max(1) as f64
 }
 
 fn push_cells(out: &mut String, label: &str, cells: &[String]) {
@@ -591,7 +600,7 @@ fn row_cells(points: &[SeriesPoint], interval_ms: u64, with_gauges: bool) -> Vec
 /// How many trailing aggregate points the history section shows.
 const HISTORY_POINTS: usize = 12;
 
-/// Renders the `coopcache top` dashboard: one row per node (latest
+/// Renders the `coopcache status` dashboard: one row per node (latest
 /// sample; rates over the last interval) plus a `group` row, then a
 /// short group-wide history. A pure function of the rings — identical
 /// input renders byte-identical output. `with_gauges` adds the
@@ -835,6 +844,21 @@ mod tests {
         let top = render_top(&rings, false);
         let group_row = top.lines().find(|l| l.starts_with("group")).unwrap();
         assert!(group_row.contains("60.0"), "{top}");
+    }
+
+    #[test]
+    fn rates_use_the_measured_gap_between_points() {
+        // On-demand samples land at any spacing: 5 requests over 250 ms
+        // is 20/s on a ring whose nominal interval is 1 s.
+        let mut ring = SeriesRing::new(CacheId::new(0), 1_000, 4);
+        for (t_ms, requests) in [(1_000, 10), (1_250, 15)] {
+            let mut p = SeriesPoint::zero(t_ms);
+            p.counters[EventKind::Request.index()] = requests;
+            ring.push(p);
+        }
+        let top = render_top(&[ring], false);
+        let row = top.lines().find(|l| l.starts_with("0 ")).unwrap();
+        assert!(row.contains(" 20.0 "), "{top}");
     }
 
     #[test]

@@ -503,7 +503,7 @@ pub fn run_des_with_sink(
 ///
 /// Fully deterministic: the same trace and config produce byte-identical
 /// rings ([`SeriesRing::to_json`]), alerts and rollups on every run —
-/// the pinned fixture behind `coopcache top --replay` and the
+/// the pinned fixture behind `coopcache status --replay` and the
 /// determinism suite.
 #[must_use]
 pub fn run_des_with_health(

@@ -66,6 +66,55 @@ fn kind_count(ring: &Mutex<RingBufferSink>, kind: EventKind) -> usize {
         .count()
 }
 
+/// One pooled and one unpooled `#[test]` per scenario, each named in
+/// the table, so the twenty tests still run in parallel.
+macro_rules! scenarios {
+    ($($scenario:ident: $pooled:ident, $unpooled:ident;)*) => {$(
+        #[test]
+        fn $pooled() {
+            $scenario(POOLED);
+        }
+
+        #[test]
+        fn $unpooled() {
+            $scenario(UNPOOLED);
+        }
+    )*};
+}
+
+scenarios! {
+    refused_doc_scenario:
+        refused_doc_connection_falls_back_to_origin,
+        refused_doc_connection_falls_back_to_origin_without_pooling;
+    second_replier_scenario:
+        second_positive_replier_serves_after_first_fails,
+        second_positive_replier_serves_after_first_fails_without_pooling;
+    killed_peer_scenario:
+        killed_peer_is_absorbed_and_quarantined,
+        killed_peer_is_absorbed_and_quarantined_without_pooling;
+    dropped_icp_scenario:
+        dropped_icp_queries_degrade_to_origin_misses,
+        dropped_icp_queries_degrade_to_origin_misses_without_pooling;
+    truncated_body_scenario:
+        truncated_body_is_absorbed_by_origin_fallback,
+        truncated_body_is_absorbed_by_origin_fallback_without_pooling;
+    reset_connection_scenario:
+        reset_connection_is_absorbed_by_origin_fallback,
+        reset_connection_is_absorbed_by_origin_fallback_without_pooling;
+    deterministic_seed_scenario:
+        chaos_run_is_deterministic_for_a_fixed_seed,
+        chaos_run_is_deterministic_for_a_fixed_seed_without_pooling;
+    garbage_connection_scenario:
+        garbage_connection_logs_loop_error_and_listener_survives,
+        garbage_connection_logs_loop_error_and_listener_survives_without_pooling;
+    quarantine_recovery_scenario:
+        quarantined_peer_recovers_after_backoff,
+        quarantined_peer_recovers_after_backoff_without_pooling;
+    late_icp_reply_scenario:
+        late_icp_reply_never_reaches_a_later_round,
+        late_icp_reply_never_reaches_a_later_round_without_pooling;
+}
+
 fn refused_doc_scenario(pool_max_idle: usize) {
     // Cache 1 answers ICP but its doc listener drops every connection —
     // a peer that died between the ICP reply and the fetch.
@@ -100,16 +149,6 @@ fn refused_doc_scenario(pool_max_idle: usize) {
         "stats scrape must succeed on a refusing daemon: {body}"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn refused_doc_connection_falls_back_to_origin() {
-    refused_doc_scenario(POOLED);
-}
-
-#[test]
-fn refused_doc_connection_falls_back_to_origin_without_pooling() {
-    refused_doc_scenario(UNPOOLED);
 }
 
 fn second_replier_scenario(pool_max_idle: usize) {
@@ -151,16 +190,6 @@ fn second_replier_scenario(pool_max_idle: usize) {
     cluster.shutdown();
 }
 
-#[test]
-fn second_positive_replier_serves_after_first_fails() {
-    second_replier_scenario(POOLED);
-}
-
-#[test]
-fn second_positive_replier_serves_after_first_fails_without_pooling() {
-    second_replier_scenario(UNPOOLED);
-}
-
 fn killed_peer_scenario(pool_max_idle: usize) {
     // No fault plan: the peer genuinely dies. ICP goes silent and the
     // doc port refuses; requests keep succeeding via the origin, and
@@ -186,16 +215,6 @@ fn killed_peer_scenario(pool_max_idle: usize) {
     cluster.shutdown();
 }
 
-#[test]
-fn killed_peer_is_absorbed_and_quarantined() {
-    killed_peer_scenario(POOLED);
-}
-
-#[test]
-fn killed_peer_is_absorbed_and_quarantined_without_pooling() {
-    killed_peer_scenario(UNPOOLED);
-}
-
 fn dropped_icp_scenario(pool_max_idle: usize) {
     let plan = FaultPlan::seeded(3).rule(c(1), FaultKind::DropIcpQuery, FaultMode::Always);
     let (cluster, ring) = chaos_cluster(2, PlacementScheme::Ea, plan, pool_max_idle);
@@ -214,16 +233,6 @@ fn dropped_icp_scenario(pool_max_idle: usize) {
     cluster.shutdown();
 }
 
-#[test]
-fn dropped_icp_queries_degrade_to_origin_misses() {
-    dropped_icp_scenario(POOLED);
-}
-
-#[test]
-fn dropped_icp_queries_degrade_to_origin_misses_without_pooling() {
-    dropped_icp_scenario(UNPOOLED);
-}
-
 fn truncated_body_scenario(pool_max_idle: usize) {
     let plan = FaultPlan::seeded(4).rule(c(1), FaultKind::TruncateDocBody, FaultMode::Always);
     let (cluster, ring) = chaos_cluster(2, PlacementScheme::Ea, plan, pool_max_idle);
@@ -234,16 +243,6 @@ fn truncated_body_scenario(pool_max_idle: usize) {
     assert!(kind_count(&ring, EventKind::PeerFault) >= 1);
     assert!(kind_count(&ring, EventKind::Failover) >= 1);
     cluster.shutdown();
-}
-
-#[test]
-fn truncated_body_is_absorbed_by_origin_fallback() {
-    truncated_body_scenario(POOLED);
-}
-
-#[test]
-fn truncated_body_is_absorbed_by_origin_fallback_without_pooling() {
-    truncated_body_scenario(UNPOOLED);
 }
 
 fn reset_connection_scenario(pool_max_idle: usize) {
@@ -259,16 +258,6 @@ fn reset_connection_scenario(pool_max_idle: usize) {
         "the fallback reached the origin"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn reset_connection_is_absorbed_by_origin_fallback() {
-    reset_connection_scenario(POOLED);
-}
-
-#[test]
-fn reset_connection_is_absorbed_by_origin_fallback_without_pooling() {
-    reset_connection_scenario(UNPOOLED);
 }
 
 fn deterministic_seed_scenario(pool_max_idle: usize) {
@@ -312,16 +301,6 @@ fn deterministic_seed_scenario(pool_max_idle: usize) {
     assert!(first.1 > 0, "the schedule must actually inject faults");
 }
 
-#[test]
-fn chaos_run_is_deterministic_for_a_fixed_seed() {
-    deterministic_seed_scenario(POOLED);
-}
-
-#[test]
-fn chaos_run_is_deterministic_for_a_fixed_seed_without_pooling() {
-    deterministic_seed_scenario(UNPOOLED);
-}
-
 fn garbage_connection_scenario(pool_max_idle: usize) {
     let config = ClusterConfig::new(2, kb(64), PlacementScheme::Ea)
         .icp_timeout(Duration::from_millis(80))
@@ -351,16 +330,6 @@ fn garbage_connection_scenario(pool_max_idle: usize) {
         "listener must survive garbage: {out:?}"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn garbage_connection_logs_loop_error_and_listener_survives() {
-    garbage_connection_scenario(POOLED);
-}
-
-#[test]
-fn garbage_connection_logs_loop_error_and_listener_survives_without_pooling() {
-    garbage_connection_scenario(UNPOOLED);
 }
 
 fn quarantine_recovery_scenario(pool_max_idle: usize) {
@@ -397,16 +366,6 @@ fn quarantine_recovery_scenario(pool_max_idle: usize) {
         "recovered peer must serve again: {out:?}"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn quarantined_peer_recovers_after_backoff() {
-    quarantine_recovery_scenario(POOLED);
-}
-
-#[test]
-fn quarantined_peer_recovers_after_backoff_without_pooling() {
-    quarantine_recovery_scenario(UNPOOLED);
 }
 
 fn late_icp_reply_scenario(pool_max_idle: usize) {
@@ -466,16 +425,6 @@ fn late_icp_reply_scenario(pool_max_idle: usize) {
     );
     assert_eq!(cluster.daemon(0).parked_icp_sockets(), 1);
     cluster.shutdown();
-}
-
-#[test]
-fn late_icp_reply_never_reaches_a_later_round() {
-    late_icp_reply_scenario(POOLED);
-}
-
-#[test]
-fn late_icp_reply_never_reaches_a_later_round_without_pooling() {
-    late_icp_reply_scenario(UNPOOLED);
 }
 
 /// A fault on a *reused* pooled connection must be absorbed exactly like
