@@ -56,9 +56,9 @@ use crate::clock::SharedClock;
 use crate::fault::{DocFault, FaultState, IcpFault};
 use crate::lock;
 use crate::memory::AdmissionGate;
-use crate::origin::{drain_body, fetch_on_origin_conn, write_body};
+use crate::origin::{drain_body, fetch_on_origin_conn, write_body, ZERO_BLOCK};
 use crate::pool::{Conn, ConnectionPool};
-use crate::wire::{peek_frame_kind, read_frame, write_frame, PeekedFrame, WireMessage};
+use crate::wire::{peek_frame_kind, read_frame, write_frame, Frame, PeekedFrame, WireMessage};
 use coopcache_core::{CacheConfig, ExpirationWindow, PlacementScheme, PolicyKind};
 use coopcache_obs::{
     age_to_ms, scoped_id, AlertEngine, AlertRule, Event, FaultOp, Histogram, HistogramSnapshot,
@@ -422,6 +422,9 @@ struct LoopCtx {
     node: Arc<ConcurrentNode>,
     stop: Arc<AtomicBool>,
     sink: Arc<Mutex<Option<SinkHandle>>>,
+    /// Set by `set_sink` once `sink` holds a sink: until then an emit
+    /// never touches the sink's mutex.
+    sink_installed: Arc<AtomicBool>,
     faults: Option<Arc<FaultState>>,
     clock: SharedClock,
     /// Always-on live counters behind the `OP_STATS` snapshot.
@@ -454,6 +457,11 @@ struct LoopCtx {
 impl LoopCtx {
     fn emit(&self, event: &Event) {
         self.stats.record(event.kind());
+        // lint:allow(atomic-order) -- Acquire: pairs with the Release
+        // store in `set_sink`, which follows the sink's installation.
+        if !self.sink_installed.load(Ordering::Acquire) {
+            return;
+        }
         // Request-scoped kinds on a muted thread would be dropped by the
         // sink handle; bail before the registry lock (the counter above
         // stays exact either way).
@@ -551,6 +559,7 @@ impl CacheDaemon {
             node,
             stop: Arc::new(AtomicBool::new(false)),
             sink: Arc::new(Mutex::new(None)),
+            sink_installed: Arc::new(AtomicBool::new(false)),
             faults: faults.map(Arc::new),
             clock,
             stats,
@@ -636,6 +645,9 @@ impl CacheDaemon {
         self.ctx.sampler_snap.store(sink.sampler());
         self.ctx.node.set_sink(sink.clone());
         *lock(&self.ctx.sink) = Some(sink);
+        // lint:allow(atomic-order) -- Release: pairs with the Acquire
+        // load in `LoopCtx::emit`, publishing the sink stored above.
+        self.ctx.sink_installed.store(true, Ordering::Release);
     }
 
     /// Stamps `span` closed at the current clock and emits it.
@@ -1036,7 +1048,7 @@ impl CacheDaemon {
             Some(socket) => socket,
             None => UdpSocket::bind("127.0.0.1:0")?,
         };
-        let query = WireMessage::IcpQuery {
+        let query = Frame::encode(&WireMessage::IcpQuery {
             query: IcpQuery {
                 from: self.config.id,
                 doc,
@@ -1045,10 +1057,9 @@ impl CacheDaemon {
                 trace_id: trace,
                 parent_span: span_id,
             }),
-        }
-        .encode();
+        });
         for peer in targets {
-            match socket.send_to(&query, peer.icp) {
+            match socket.send_to(query.header(), peer.icp) {
                 Ok(_) => round.queried.push((peer, false)),
                 Err(e) => {
                     // A vanished peer must not fail the request.
@@ -1349,14 +1360,15 @@ fn icp_loop(socket: &UdpSocket, ctx: &LoopCtx) {
                     // delayed) send, so this daemon's id sequence is
                     // ordered by protocol causality, not by emit races.
                     let span_id = trace.map(|_| ctx.next_span());
+                    let datagram = Frame::encode(&WireMessage::IcpReply(reply));
                     match fault {
                         IcpFault::DropReply => {} // the reply "was lost"
                         IcpFault::DelayReply(d) => {
                             std::thread::sleep(d);
-                            let _ = socket.send_to(&WireMessage::IcpReply(reply).encode(), from);
+                            let _ = socket.send_to(datagram.header(), from);
                         }
                         _ => {
-                            let _ = socket.send_to(&WireMessage::IcpReply(reply).encode(), from);
+                            let _ = socket.send_to(datagram.header(), from);
                         }
                     }
                     if let (Some(t), Some(span_id)) = (trace, span_id) {
@@ -1455,7 +1467,7 @@ fn serve_conn(stream: &TcpStream, ctx: &LoopCtx, io_timeout: Duration) {
     let result = if ctx.faults.is_some() {
         serve_conn_raw(stream, ctx, &mut served, conn_trace_base)
     } else {
-        serve_conn_buffered(stream, ctx, &mut served, conn_trace_base)
+        serve_conn_buffered(stream, stream, ctx, &mut served, conn_trace_base)
     };
     if let Err(e) = result {
         // Persistent-connection lifecycle is not an error: a clean EOF
@@ -1471,18 +1483,37 @@ fn serve_conn(stream: &TcpStream, ctx: &LoopCtx, io_timeout: Duration) {
     }
 }
 
-/// The fault-free frame loop: buffered reads and writes, with the
-/// write side flushed lazily — only once the read buffer runs dry (a
-/// pipelined batch of requests is answered with a single `writev`-like
-/// flush instead of one syscall pair per frame).
-fn serve_conn_buffered(
-    stream: &TcpStream,
+/// Read buffer of the fault-free frame loop: the most request bytes one
+/// drained `read` delivers.
+const READ_BUF: usize = 8 * 1024;
+
+/// Write buffer of the fault-free frame loop, sized to hold the answers
+/// to one drained read. A full [`READ_BUF`] is at most 292 of the
+/// smallest (28-byte) request frames, each answered by a 36-byte header
+/// and its body: eight read buffers cover a full read of documents
+/// averaging up to ~190 bytes, and two 64-frame batches of 256-byte
+/// documents (37 KB).
+const WRITE_BUF: usize = 8 * READ_BUF;
+
+// A body chunk of `ZERO_BLOCK` bytes must bypass the write buffer.
+const _: () = assert!(ZERO_BLOCK >= WRITE_BUF);
+
+/// The fault-free frame loop: buffered reads and writes, with the write
+/// side flushed lazily — only once the read buffer runs dry. The write
+/// buffer holds the answers to everything one drained read delivered, so
+/// a pipelined batch is answered with one `write`; a body larger than
+/// the buffer is written through, after what was buffered before it.
+/// Generic over the I/O halves, like [`serve_frame`], so the syscall
+/// pattern is testable without a socket.
+fn serve_conn_buffered<R: Read, W: Write>(
+    reader: R,
+    writer: W,
     ctx: &LoopCtx,
     served: &mut u64,
     conn_trace_base: u64,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUF, reader);
+    let mut writer = BufWriter::with_capacity(WRITE_BUF, writer);
     loop {
         // lint:allow(atomic-order) -- Acquire: pairs with the Release
         // store in `halt`.
@@ -1614,8 +1645,9 @@ fn serve_frame<R: Read, W: Write>(
     };
     // Stamped once the frame is in hand: on a persistent connection the
     // blocking read above is mostly idle wait for the requester's next
-    // frame, which is not part of serving it.
-    let start_us = ctx.clock.now_micros();
+    // frame, which is not part of serving it. Only a traced frame emits
+    // the span, so only a traced frame reads the clock for it.
+    let start_us = trace.map(|_| ctx.clock.now_micros());
     if fault == DocFault::Reset {
         // Drop the connection after reading: crash mid-exchange.
         return Ok(FrameDisposition::Close);
@@ -1667,7 +1699,7 @@ fn serve_frame<R: Read, W: Write>(
         };
         write_body(writer, len)?;
     }
-    if let (Some(t), Some(span_id)) = (trace, span_id) {
+    if let (Some(t), Some(span_id), Some(start_us)) = (trace, span_id, start_us) {
         let status = if !found {
             "not-found"
         } else if promoted {
@@ -1829,7 +1861,255 @@ fn sample_loop(ctx: &LoopCtx, interval: Duration) {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, LoopbackCluster};
-    use coopcache_obs::RingBufferSink;
+    use crate::wire::CountingWriter;
+    use coopcache_obs::{parse_json, EventKind, JsonValue, RingBufferSink};
+    use coopcache_proxy::HttpRequest;
+    use coopcache_types::{DurationMs, ExpirationAge};
+    use std::collections::VecDeque;
+
+    /// Size of the small documents the frame-loop tests serve.
+    const SMALL: u64 = 256;
+    /// Documents `0..SMALL_DOCS` are small; [`BIG_DOC`] outgrows the
+    /// loop's write buffer.
+    const SMALL_DOCS: u64 = 64;
+    const BIG_DOC: u64 = 1_000;
+    const BIG: u64 = 3 * WRITE_BUF as u64 + 5;
+
+    /// A one-daemon cluster holding the small documents and the big one.
+    fn warm_cluster() -> LoopbackCluster {
+        let config = ClusterConfig::new(1, ByteSize::from_kb(1024), PlacementScheme::Ea);
+        let cluster = LoopbackCluster::start_with_config(config).unwrap();
+        for doc in 0..SMALL_DOCS {
+            cluster
+                .request(0, DocId::new(doc), ByteSize::from_bytes(SMALL))
+                .unwrap();
+        }
+        cluster
+            .request(0, DocId::new(BIG_DOC), ByteSize::from_bytes(BIG))
+            .unwrap();
+        cluster
+    }
+
+    /// Appends one `DocRequest` frame per document, as a pipelining peer
+    /// sends them.
+    fn doc_requests(buf: &mut Vec<u8>, docs: impl IntoIterator<Item = u64>) {
+        for doc in docs {
+            let request = HttpRequest {
+                from: CacheId::new(1),
+                doc: DocId::new(doc),
+                requester_age: ExpirationAge::finite(DurationMs::from_secs(1)),
+            };
+            write_frame(buf, &WireMessage::DocRequest { request, ctx: None }).unwrap();
+        }
+    }
+
+    /// A reader that hands out one chunk per `read`, as a socket hands
+    /// out whatever one segment brought.
+    struct Chunked(VecDeque<Vec<u8>>);
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(chunk) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    /// Runs the fault-free loop over `chunks` until the input runs out.
+    fn serve_buffered(ctx: &LoopCtx, chunks: Vec<Vec<u8>>) -> CountingWriter {
+        let mut out = CountingWriter::default();
+        let err = serve_conn_buffered(Chunked(chunks.into()), &mut out, ctx, &mut 0, 0)
+            .expect_err("the loop ends at end of input");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        out
+    }
+
+    /// Runs `input` frame by frame on unbuffered halves, as the
+    /// fault-path loop does.
+    fn serve_raw(ctx: &LoopCtx, input: &[u8]) -> CountingWriter {
+        let (mut reader, mut out, mut served) = (input, CountingWriter::default(), 0);
+        loop {
+            match serve_frame(&mut reader, &mut out, ctx, DocFault::None, &mut served, 0) {
+                Ok(FrameDisposition::KeepOpen) => {}
+                Ok(FrameDisposition::Close) => panic!("a fault-free frame closed"),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// Length of one framed `DocResponse` header.
+    fn response_header_len() -> usize {
+        let response = coopcache_proxy::HttpResponse {
+            from: CacheId::new(0),
+            doc: DocId::new(0),
+            size: ByteSize::ZERO,
+            responder_age: ExpirationAge::Infinite,
+        };
+        4 + WireMessage::DocResponse {
+            response,
+            found: true,
+        }
+        .encode()
+        .len()
+    }
+
+    #[test]
+    fn buffered_loop_answers_each_drained_read_with_one_write() {
+        let cluster = warm_cluster();
+        let ctx = &cluster.daemon(0).ctx;
+        let batches: Vec<Vec<u8>> = (0..3)
+            .map(|b| {
+                let mut batch = Vec::new();
+                doc_requests(&mut batch, (0..SMALL_DOCS).map(|k| (b + k) % SMALL_DOCS));
+                batch
+            })
+            .collect();
+        let buffered = serve_buffered(ctx, batches.clone());
+        let batch_bytes = SMALL_DOCS as usize * (response_header_len() + SMALL as usize);
+        assert_eq!(
+            buffered.writes,
+            vec![batch_bytes; 3],
+            "one write per 64-frame batch"
+        );
+        let raw = serve_raw(ctx, &batches.concat());
+        assert!(raw.writes.len() >= 2 * 3 * SMALL_DOCS as usize);
+        assert_eq!(buffered.bytes, raw.bytes, "same bytes as the raw loop");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn buffered_loop_writes_a_body_larger_than_its_buffer_through() {
+        let cluster = warm_cluster();
+        let ctx = &cluster.daemon(0).ctx;
+        let mut input = Vec::new();
+        doc_requests(&mut input, [1, BIG_DOC, 2]);
+        let buffered = serve_buffered(ctx, vec![input.clone()]);
+        let raw = serve_raw(ctx, &input);
+        assert_eq!(buffered.bytes, raw.bytes, "same bytes as the raw loop");
+        let full_blocks = buffered.writes.iter().filter(|&&n| n == ZERO_BLOCK).count();
+        assert_eq!(full_blocks, 3, "{:?}", buffered.writes);
+
+        let mut reader = buffered.bytes.as_slice();
+        for (doc, size) in [(1, SMALL), (BIG_DOC, BIG), (2, SMALL)] {
+            let Ok(WireMessage::DocResponse { response, found }) = read_frame(&mut reader) else {
+                panic!("expected the response for document {doc}");
+            };
+            assert!(found);
+            assert_eq!(
+                (response.doc, response.size.as_bytes()),
+                (DocId::new(doc), size)
+            );
+            let (body, rest) = reader.split_at(size as usize);
+            assert!(
+                body.iter().all(|&b| b == 0),
+                "document {doc} arrives intact"
+            );
+            reader = rest;
+        }
+        assert!(reader.is_empty());
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn buffered_loop_answers_a_stats_probe_inside_a_batch_in_order() {
+        let cluster = warm_cluster();
+        let ctx = &cluster.daemon(0).ctx;
+        let mut input = Vec::new();
+        doc_requests(&mut input, 0..5);
+        write_frame(&mut input, &WireMessage::StatsRequest).unwrap();
+        doc_requests(&mut input, 5..10);
+        let out = serve_buffered(ctx, vec![input]);
+        assert_eq!(out.writes.len(), 1, "{:?}", out.writes);
+
+        let mut reader = out.bytes.as_slice();
+        let doc_response = |reader: &mut &[u8], doc: u64| {
+            let Ok(WireMessage::DocResponse { response, found }) = read_frame(reader) else {
+                panic!("expected the response for document {doc}");
+            };
+            assert!(found && response.doc == DocId::new(doc));
+            *reader = &reader[SMALL as usize..];
+        };
+        for doc in 0..5 {
+            doc_response(&mut reader, doc);
+        }
+        let Ok(WireMessage::StatsResponse { cache, body_len }) = read_frame(&mut reader) else {
+            panic!("expected the stats response sixth");
+        };
+        assert_eq!(cache, CacheId::new(0));
+        let (body, rest) = reader.split_at(body_len as usize);
+        assert!(body.starts_with(b"{\"cache\":0,"));
+        reader = rest;
+        for doc in 5..10 {
+            doc_response(&mut reader, doc);
+        }
+        assert!(reader.is_empty());
+        cluster.shutdown();
+    }
+
+    /// One counter of the daemon's `OP_STATS` document.
+    fn counter(daemon: &CacheDaemon, kind: EventKind) -> u64 {
+        let doc = parse_json(&daemon.stats_json()).unwrap();
+        doc.get("counters")
+            .and_then(|c| c.get(kind.name()))
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    }
+
+    #[test]
+    fn sinkless_daemon_counts_exactly_and_a_later_sink_sees_the_next_frame() {
+        const FRAMES: u64 = 16;
+        let mut cluster = warm_cluster();
+        let daemon = cluster.daemon(0);
+        let reused_before = counter(daemon, EventKind::ConnReused);
+        let placed_before = counter(daemon, EventKind::Placement);
+
+        let stream = TcpStream::connect(daemon.doc_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut exchange = |docs: std::ops::Range<u64>| {
+            let mut batch = Vec::new();
+            doc_requests(&mut batch, docs.clone());
+            (&stream).write_all(&batch).unwrap();
+            for _ in docs {
+                let Ok(WireMessage::DocResponse { response, found }) = read_frame(&mut reader)
+                else {
+                    panic!("expected a document response");
+                };
+                assert!(found);
+                drain_body(&mut reader, response.size.as_bytes()).unwrap();
+            }
+        };
+        exchange(0..FRAMES);
+        assert_eq!(
+            counter(daemon, EventKind::ConnReused) - reused_before,
+            FRAMES - 1
+        );
+        assert_eq!(
+            counter(daemon, EventKind::Placement) - placed_before,
+            FRAMES
+        );
+
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(64)));
+        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
+        exchange(FRAMES..FRAMES + 1);
+        let kinds: Vec<EventKind> = ring.lock().unwrap().events().map(Event::kind).collect();
+        assert!(kinds.contains(&EventKind::ConnReused), "{kinds:?}");
+        assert!(kinds.contains(&EventKind::Placement), "{kinds:?}");
+        drop(stream);
+        cluster.shutdown();
+    }
 
     /// A reply that arrived while the requester was busy past the round's
     /// deadline — fetching from an earlier candidate, say — is still read:

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::large_stack_arrays)]
 //! Live cooperative caching over real sockets.
 //!
 //! The paper ran its simulator instances on several department machines,

@@ -23,9 +23,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Body bytes written per `write` by [`write_body`], and the most the
-/// origin sends in the same `write` as a reply's length.
+/// The most body bytes the origin sends in the same `write` as a
+/// reply's length.
 const BODY_CHUNK: usize = 8192;
+
+/// Length of [`ZEROS`]: the most body bytes [`write_body`] hands to one
+/// `write_all`. At least the document server's write buffer, so a body
+/// that outgrows that buffer is written through rather than copied.
+pub(crate) const ZERO_BLOCK: usize = 64 * 1024;
+
+/// Every synthetic body's bytes: one shared immutable block, so serving
+/// a body zeroes nothing per call.
+static ZEROS: [u8; ZERO_BLOCK] = [0; ZERO_BLOCK];
 
 /// One request/response exchange on an already-connected origin
 /// connection, leaving it healthy for reuse.
@@ -79,11 +88,10 @@ pub(crate) fn drain_body<R: BufRead>(reader: &mut R, len: u64) -> io::Result<()>
 
 /// Writes exactly `len` zero bytes as a synthetic document body.
 pub(crate) fn write_body<W: Write>(writer: &mut W, len: u64) -> io::Result<()> {
-    let chunk = [0u8; BODY_CHUNK];
     let mut remaining = len;
     while remaining > 0 {
-        let want = remaining.min(chunk.len() as u64) as usize;
-        writer.write_all(&chunk[..want])?;
+        let want = remaining.min(ZERO_BLOCK as u64) as usize;
+        writer.write_all(&ZEROS[..want])?;
         remaining -= want as u64;
     }
     Ok(())
@@ -93,11 +101,8 @@ pub(crate) fn write_body<W: Write>(writer: &mut W, len: u64) -> io::Result<()> {
 /// with the length and up to [`BODY_CHUNK`] body bytes in one `write`.
 /// `buf` is the connection's reply buffer: its body part stays zero, so
 /// only the length is written into it per reply.
-fn write_reply<W: Write>(
-    writer: &mut W,
-    size: u64,
-    buf: &mut [u8; 8 + BODY_CHUNK],
-) -> io::Result<()> {
+fn write_reply<W: Write>(writer: &mut W, size: u64, buf: &mut [u8]) -> io::Result<()> {
+    debug_assert_eq!(buf.len(), 8 + BODY_CHUNK);
     buf[..8].copy_from_slice(&size.to_be_bytes());
     let first = size.min(BODY_CHUNK as u64);
     writer.write_all(&buf[..8 + first as usize])?;
@@ -304,7 +309,8 @@ fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared:
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
-    let mut reply = [0u8; 8 + BODY_CHUNK];
+    // Allocated once per connection; too large for the stack.
+    let mut reply = vec![0u8; 8 + BODY_CHUNK];
     loop {
         // lint:allow(atomic-order) -- Acquire: pairs with the Release
         // store in `halt`/`drop`.
@@ -342,6 +348,7 @@ fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::CountingWriter;
 
     #[test]
     fn origin_serves_requested_size() {
@@ -382,40 +389,31 @@ mod tests {
         origin.shutdown();
     }
 
-    /// A `Write` that records every `write` call's bytes.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: Vec<Vec<u8>>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes.push(buf.to_vec());
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn reply_that_fits_the_buffer_is_one_write() {
-        let mut buf = [0u8; 8 + BODY_CHUNK];
+        let mut buf = vec![0u8; 8 + BODY_CHUNK];
         for size in [0u64, 1, 4_096, BODY_CHUNK as u64] {
             let mut out = CountingWriter::default();
             write_reply(&mut out, size, &mut buf).unwrap();
             assert_eq!(out.writes.len(), 1, "a {size}-byte body is one write");
             let mut expect = size.to_be_bytes().to_vec();
             expect.resize(8 + size as usize, 0);
-            assert_eq!(out.writes[0], expect);
+            assert_eq!(out.bytes, expect);
         }
         // A larger body still carries its length in the first write.
         let mut out = CountingWriter::default();
         write_reply(&mut out, 3 * BODY_CHUNK as u64, &mut buf).unwrap();
-        assert_eq!(out.writes[0].len(), 8 + BODY_CHUNK);
-        let sent: usize = out.writes.iter().map(Vec::len).sum();
-        assert_eq!(sent, 8 + 3 * BODY_CHUNK);
+        assert_eq!(out.writes[0], 8 + BODY_CHUNK);
+        assert_eq!(out.bytes.len(), 8 + 3 * BODY_CHUNK);
+    }
+
+    #[test]
+    fn write_body_sends_zero_blocks() {
+        let len = 2 * ZERO_BLOCK as u64 + 3;
+        let mut out = CountingWriter::default();
+        write_body(&mut out, len).unwrap();
+        assert_eq!(out.writes, vec![ZERO_BLOCK, ZERO_BLOCK, 3]);
+        assert!(out.bytes.iter().all(|&b| b == 0));
     }
 
     #[test]

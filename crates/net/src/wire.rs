@@ -23,8 +23,9 @@
 //! [`DecodeError::UnsupportedVersion`], so version bumps fail loudly
 //! instead of being misparsed.
 //!
-//! The codec is hand-rolled over `Vec<u8>` / slice cursors (big-endian
-//! fields) — the workspace is dependency-free by construction.
+//! The codec is hand-rolled over a fixed stack buffer ([`Frame`]) and
+//! slice cursors (big-endian fields) — the workspace is dependency-free
+//! by construction, and encoding a header allocates nothing.
 
 use coopcache_obs::TraceCtx;
 use coopcache_proxy::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
@@ -41,39 +42,119 @@ pub const MAGIC: u16 = 0xCA5E;
 pub const FRAME_V2: u8 = 0xC2;
 
 /// Upper bound on a length-prefixed TCP header frame. Real headers are
-/// ~60 bytes; the cap keeps a malicious or corrupted length field from
+/// at most 40 bytes; the cap keeps a malicious or corrupted length field from
 /// forcing a giant allocation. Both directions of the document protocol
 /// enforce it through [`read_frame`], so the client and server paths
 /// cannot drift apart.
 pub const MAX_FRAME_LEN: usize = 1024;
 
+/// Length of the largest v2 header — a `DocRequest` carrying a finite
+/// age and a trace context. [`Frame`] is sized by it.
+const MAX_HEADER_LEN: usize = 40;
+
+/// Length of the `u32` prefix in front of every TCP header.
+const PREFIX_LEN: usize = 4;
+
+/// One encoded message on the stack: room for the TCP length prefix and
+/// the largest v2 header, so encoding allocates nothing. The same bytes
+/// serve as a TCP frame ([`Frame::framed`]) and, without the prefix, as
+/// an ICP datagram ([`Frame::header`]).
+pub(crate) struct Frame {
+    bytes: [u8; PREFIX_LEN + MAX_HEADER_LEN],
+    len: usize,
+}
+
+impl Frame {
+    /// Encodes `msg` in the current (v2) layout behind its length prefix.
+    pub(crate) fn encode(msg: &WireMessage) -> Self {
+        let mut frame = Self {
+            bytes: [0; PREFIX_LEN + MAX_HEADER_LEN],
+            len: PREFIX_LEN,
+        };
+        msg.encode_into(&mut frame);
+        let header_len = (frame.len - PREFIX_LEN) as u32;
+        frame.bytes[..PREFIX_LEN].copy_from_slice(&header_len.to_be_bytes());
+        frame
+    }
+
+    /// Prefix and header: one TCP frame.
+    pub(crate) fn framed(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// The header alone: one ICP datagram.
+    pub(crate) fn header(&self) -> &[u8] {
+        &self.bytes[PREFIX_LEN..self.len]
+    }
+
+    fn put(&mut self, src: &[u8]) {
+        let end = self.len + src.len();
+        self.bytes[self.len..end].copy_from_slice(src);
+        self.len = end;
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.put(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_be_bytes());
+    }
+
+    fn put_age(&mut self, age: ExpirationAge) {
+        match age.as_finite() {
+            None => {
+                self.put_u8(AGE_INFINITE);
+                self.put_u64(0);
+            }
+            Some(d) => {
+                self.put_u8(AGE_FINITE);
+                self.put_u64(d.as_millis());
+            }
+        }
+    }
+
+    fn put_ctx(&mut self, ctx: Option<TraceCtx>) {
+        match ctx {
+            None => self.put_u8(CTX_ABSENT),
+            Some(ctx) => {
+                self.put_u8(CTX_PRESENT);
+                self.put_u64(ctx.trace_id);
+                self.put_u64(ctx.parent_span);
+            }
+        }
+    }
+}
+
 /// Writes one length-prefixed header frame to a TCP stream in a single
-/// `write`: the prefix is encoded into the same buffer as the header, so
-/// with `TCP_NODELAY` on the frame leaves as one segment and the far
-/// side wakes once for it.
+/// `write`: the prefix is encoded into the same stack buffer as the
+/// header, so with `TCP_NODELAY` on the frame leaves as one segment and
+/// the far side wakes once for it.
 ///
 /// # Errors
 ///
 /// Propagates write failures.
 pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + 64);
-    frame.extend_from_slice(&[0; 4]);
-    msg.encode_into(&mut frame);
-    let header_len = frame.len() - 4;
-    debug_assert!(header_len <= MAX_FRAME_LEN, "encoded header too large");
-    frame[..4].copy_from_slice(&(header_len as u32).to_be_bytes());
-    writer.write_all(&frame)
+    writer.write_all(Frame::encode(msg).framed())
 }
 
 /// Reads one length-prefixed header frame, enforcing [`MAX_FRAME_LEN`]
 /// before reading the header.
+///
+/// No valid header is longer than [`MAX_HEADER_LEN`], and decoding never
+/// looks past it, so only that much is kept; the rest of a longer (but
+/// legal) frame is read and discarded.
 ///
 /// # Errors
 ///
 /// Propagates read failures; an oversized length prefix or an
 /// undecodable header surfaces as [`io::ErrorKind::InvalidData`].
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
-    let mut len_buf = [0u8; 4];
+    let mut len_buf = [0u8; PREFIX_LEN];
     reader.read_exact(&mut len_buf)?;
     let header_len = u32::from_be_bytes(len_buf) as usize;
     if header_len > MAX_FRAME_LEN {
@@ -82,10 +163,14 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
             "oversized header",
         ));
     }
-    let mut header = [0u8; MAX_FRAME_LEN];
-    let header = &mut header[..header_len];
-    reader.read_exact(header)?;
-    WireMessage::decode(header).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let mut header = [0u8; MAX_HEADER_LEN];
+    let kept = header_len.min(MAX_HEADER_LEN);
+    reader.read_exact(&mut header[..kept])?;
+    let rest = (header_len - kept) as u64;
+    if rest > 0 && io::copy(&mut reader.take(rest), &mut io::sink())? < rest {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    WireMessage::decode(&header[..kept]).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// What a blocking peek at a doc-port connection found.
@@ -179,18 +264,6 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
 /// A read cursor over a received byte slice; every `get_*` checks bounds.
 struct Cursor<'a> {
     data: &'a [u8],
@@ -228,19 +301,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_age(buf: &mut Vec<u8>, age: ExpirationAge) {
-    match age.as_finite() {
-        None => {
-            put_u8(buf, AGE_INFINITE);
-            put_u64(buf, 0);
-        }
-        Some(d) => {
-            put_u8(buf, AGE_FINITE);
-            put_u64(buf, d.as_millis());
-        }
-    }
-}
-
 fn get_age(buf: &mut Cursor<'_>) -> Result<ExpirationAge, DecodeError> {
     let tag = buf.get_u8()?;
     let ms = buf.get_u64()?;
@@ -248,17 +308,6 @@ fn get_age(buf: &mut Cursor<'_>) -> Result<ExpirationAge, DecodeError> {
         AGE_INFINITE => Ok(ExpirationAge::Infinite),
         AGE_FINITE => Ok(ExpirationAge::finite(DurationMs::from_millis(ms))),
         _ => Err(DecodeError::Malformed("unknown expiration-age tag")),
-    }
-}
-
-fn put_ctx(buf: &mut Vec<u8>, ctx: Option<TraceCtx>) {
-    match ctx {
-        None => put_u8(buf, CTX_ABSENT),
-        Some(ctx) => {
-            put_u8(buf, CTX_PRESENT);
-            put_u64(buf, ctx.trace_id);
-            put_u64(buf, ctx.parent_span);
-        }
     }
 }
 
@@ -331,58 +380,56 @@ impl WireMessage {
     /// bodies are streamed separately).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        self.encode_into(&mut buf);
-        buf
+        Frame::encode(self).header().to_vec()
     }
 
     /// Appends the encoded header to `buf`.
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        put_u16(buf, MAGIC);
-        put_u8(buf, FRAME_V2);
+    fn encode_into(&self, buf: &mut Frame) {
+        buf.put_u16(MAGIC);
+        buf.put_u8(FRAME_V2);
         match self {
             Self::IcpQuery { query, ctx } => {
-                put_u8(buf, OP_ICP_QUERY);
-                put_u16(buf, query.from.as_u16());
-                put_u64(buf, query.doc.as_u64());
-                put_ctx(buf, *ctx);
+                buf.put_u8(OP_ICP_QUERY);
+                buf.put_u16(query.from.as_u16());
+                buf.put_u64(query.doc.as_u64());
+                buf.put_ctx(*ctx);
             }
             Self::IcpReply(r) => {
-                put_u8(buf, OP_ICP_REPLY);
-                put_u16(buf, r.from.as_u16());
-                put_u64(buf, r.doc.as_u64());
-                put_u8(buf, u8::from(r.hit));
+                buf.put_u8(OP_ICP_REPLY);
+                buf.put_u16(r.from.as_u16());
+                buf.put_u64(r.doc.as_u64());
+                buf.put_u8(u8::from(r.hit));
             }
             Self::DocRequest { request, ctx } => {
-                put_u8(buf, OP_DOC_REQUEST);
-                put_u16(buf, request.from.as_u16());
-                put_u64(buf, request.doc.as_u64());
-                put_age(buf, request.requester_age);
-                put_ctx(buf, *ctx);
+                buf.put_u8(OP_DOC_REQUEST);
+                buf.put_u16(request.from.as_u16());
+                buf.put_u64(request.doc.as_u64());
+                buf.put_age(request.requester_age);
+                buf.put_ctx(*ctx);
             }
             Self::DocResponse { response, found } => {
-                put_u8(buf, OP_DOC_RESPONSE);
-                put_u16(buf, response.from.as_u16());
-                put_u64(buf, response.doc.as_u64());
-                put_u64(buf, response.size.as_bytes());
-                put_age(buf, response.responder_age);
-                put_u8(buf, u8::from(*found));
+                buf.put_u8(OP_DOC_RESPONSE);
+                buf.put_u16(response.from.as_u16());
+                buf.put_u64(response.doc.as_u64());
+                buf.put_u64(response.size.as_bytes());
+                buf.put_age(response.responder_age);
+                buf.put_u8(u8::from(*found));
             }
             Self::StatsRequest => {
-                put_u8(buf, OP_STATS_REQUEST);
+                buf.put_u8(OP_STATS_REQUEST);
             }
             Self::StatsResponse { cache, body_len } => {
-                put_u8(buf, OP_STATS_RESPONSE);
-                put_u16(buf, cache.as_u16());
-                put_u64(buf, *body_len);
+                buf.put_u8(OP_STATS_RESPONSE);
+                buf.put_u16(cache.as_u16());
+                buf.put_u64(*body_len);
             }
             Self::SeriesRequest => {
-                put_u8(buf, OP_SERIES_REQUEST);
+                buf.put_u8(OP_SERIES_REQUEST);
             }
             Self::SeriesResponse { cache, body_len } => {
-                put_u8(buf, OP_SERIES_RESPONSE);
-                put_u16(buf, cache.as_u16());
-                put_u64(buf, *body_len);
+                buf.put_u8(OP_SERIES_RESPONSE);
+                buf.put_u16(cache.as_u16());
+                buf.put_u64(*body_len);
             }
         }
     }
@@ -456,9 +503,45 @@ impl WireMessage {
     }
 }
 
+/// A `Write` that records the length of every `write` call and the
+/// bytes written, for tests that pin how output is split into syscalls.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    /// Length of each `write`, in call order.
+    pub(crate) writes: Vec<usize>,
+    /// Everything written, concatenated.
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.push(buf.len());
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_u8(buf: &mut Vec<u8>, v: u8) {
+        buf.push(v);
+    }
+
+    fn put_u16(buf: &mut Vec<u8>, v: u16) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
 
     fn ages() -> [ExpirationAge; 3] {
         [
@@ -654,23 +737,6 @@ mod tests {
         assert_eq!(got, msg);
     }
 
-    /// A `Write` that records the length of every `write` call.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: Vec<usize>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes.push(buf.len());
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn write_frame_is_one_write_for_every_variant() {
         let mut rng = TestRng(0x0E5E);
@@ -687,6 +753,49 @@ mod tests {
             );
         }
         assert!(seen.iter().all(|&s| s), "generator missed a variant");
+    }
+
+    #[test]
+    fn largest_header_fills_the_stack_frame() {
+        let msg = WireMessage::DocRequest {
+            request: HttpRequest {
+                from: CacheId::new(u16::MAX),
+                doc: DocId::new(u64::MAX),
+                requester_age: ExpirationAge::finite(DurationMs::from_millis(1)),
+            },
+            ctx: ctxs()[1],
+        };
+        assert_eq!(msg.encode().len(), MAX_HEADER_LEN);
+        let mut rng = TestRng(0x4EAD);
+        for _ in 0..2_000 {
+            let msg = rng.message();
+            let frame = Frame::encode(&msg);
+            assert!(frame.header().len() <= MAX_HEADER_LEN, "{msg:?}");
+            assert_eq!(frame.header(), msg.encode());
+            assert_eq!(frame.framed()[PREFIX_LEN..], *frame.header());
+        }
+    }
+
+    #[test]
+    fn read_frame_skips_bytes_past_the_largest_header() {
+        // A legal frame longer than any v2 header: the trailing bytes are
+        // consumed with it, and the next frame reads cleanly.
+        let msg = WireMessage::StatsRequest;
+        let header = msg.encode();
+        let padded = MAX_FRAME_LEN - header.len();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME_LEN as u32).to_be_bytes());
+        buf.extend_from_slice(&header);
+        buf.resize(buf.len() + padded, 0xAB);
+        write_frame(&mut buf, &WireMessage::SeriesRequest).unwrap();
+        let mut reader = buf.as_slice();
+        assert_eq!(read_frame(&mut reader).unwrap(), msg);
+        assert_eq!(read_frame(&mut reader).unwrap(), WireMessage::SeriesRequest);
+        assert!(reader.is_empty());
+        // A frame cut short inside its padding is an EOF, not a decode.
+        let mut cut = &buf[..PREFIX_LEN + MAX_HEADER_LEN + 1];
+        let err = read_frame(&mut cut).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -243,7 +243,7 @@ mod tests {
     /// is misplaced: then the state must stay unchanged and the pending
     /// action be returned again.
     #[rustfmt::skip]
-    const TABLE: [Row; 10] = [
+    static TABLE: [Row; 10] = [
         ("lookup", &[], [Some(A::Done(RequestOutcome::LocalHit)), Some(A::NextReply), NO, NO, NO, NO, NO, NO, NO]),
         ("polling", &[MISSED], [NO, NO, fetch_q(None), Some(A::NextReply), origin(None), NO, NO, NO, NO]),
         ("polling after a failure", &[MISSED, HIT_P, In::FetchFailed], [NO, NO, fetch_q(Some(P)), Some(A::NextReply), origin(Some(P)), NO, NO, NO, NO]),
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn every_input_in_every_state() {
-        for (state, path, row) in TABLE {
+        for &(state, path, row) in &TABLE {
             for (input, expected) in INPUTS.into_iter().zip(row) {
                 let before = reach(path);
                 let mut m = before;
