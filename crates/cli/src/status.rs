@@ -121,8 +121,25 @@ fn stats_table(body: &str) -> Result<String, ArgError> {
     Ok(table.to_string())
 }
 
+/// Escapes a scraped string as a Prometheus label value: the text
+/// exposition format escapes backslash, double quote and line feed.
+fn prom_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Renders an `OP_STATS` body in the Prometheus text exposition format —
 /// counters keep their zero series so scrapes produce stable label sets.
+/// Counter kinds and latency sources come off the wire, so they are
+/// escaped into their label values.
 fn stats_prometheus(body: &str) -> Result<String, ArgError> {
     use std::fmt::Write as _;
     let v = parse_stats_body(body)?;
@@ -131,7 +148,7 @@ fn stats_prometheus(body: &str) -> Result<String, ArgError> {
     out.push_str("# TYPE coopcache_events_total counter\n");
     if let Some(counters) = v.get("counters").and_then(JsonValue::as_object) {
         for (kind, n) in counters {
-            let n = n.as_u64().unwrap_or(0);
+            let (kind, n) = (prom_label(kind), n.as_u64().unwrap_or(0));
             let _ = writeln!(
                 out,
                 "coopcache_events_total{{cache=\"{cache}\",kind=\"{kind}\"}} {n}"
@@ -141,6 +158,7 @@ fn stats_prometheus(body: &str) -> Result<String, ArgError> {
     out.push_str("# TYPE coopcache_latency_us gauge\n");
     if let Some(latency) = v.get("latency").and_then(JsonValue::as_object) {
         for (source, snap) in latency {
+            let source = prom_label(source);
             for stat in ["p50", "p90", "p99", "max"] {
                 let n = snap
                     .get(&format!("{stat}_us"))
@@ -669,6 +687,72 @@ mod tests {
 
         // No node reachable is a failure.
         assert!(run_cmd(&["status", "--addrs", "127.0.0.1:1", "--timeout-ms", "200"]).is_err());
+    }
+
+    /// A Prometheus sample: metric name, unescaped labels, value.
+    type Sample<'a> = (&'a str, Vec<(String, String)>, u64);
+
+    /// Splits one Prometheus sample line into its parts; `None` unless
+    /// well formed.
+    fn parse_sample(line: &str) -> Option<Sample<'_>> {
+        let (name, mut rest) = line.split_once('{')?;
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return None;
+        }
+        let mut labels = Vec::new();
+        loop {
+            let (key, after) = rest.split_once("=\"")?;
+            if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase()) {
+                return None;
+            }
+            let mut value = String::new();
+            let mut chars = after.char_indices();
+            let end = loop {
+                match chars.next()? {
+                    (i, '"') => break i,
+                    (_, '\\') => value.push(match chars.next()?.1 {
+                        'n' => '\n',
+                        c @ ('\\' | '"') => c,
+                        _ => return None,
+                    }),
+                    (_, '\n') => return None,
+                    (_, c) => value.push(c),
+                }
+            };
+            labels.push((key.to_string(), value));
+            rest = &after[end + 1..];
+            if let Some(tail) = rest.strip_prefix("} ") {
+                return Some((name, labels, tail.parse().ok()?));
+            }
+            rest = rest.strip_prefix(',')?;
+        }
+    }
+
+    #[test]
+    fn prom_stats_escape_scraped_label_values() {
+        // Keys that would end their label value and inject a sample of
+        // their own if copied into the output verbatim.
+        let kind = "a\"} 1\nx{k=\"v";
+        let source = "peer:\\\"0\"";
+        let body = r#"{"cache":3,"counters":{"a\"} 1\nx{k=\"v":2,"request":5},"latency":{"peer:\\\"0\"":{"count":4,"p50_us":5,"p90_us":6,"p99_us":7,"max_us":8}},"quarantined":[],"occupancy":{"docs":1,"used_bytes":2,"capacity_bytes":3},"expiration_age_ms":9}"#;
+        let prom = stats_prometheus(body).unwrap();
+        let (mut kinds, mut sources) = (Vec::new(), Vec::new());
+        for line in prom.lines().filter(|line| !line.starts_with("# TYPE ")) {
+            let (name, labels, value) =
+                parse_sample(line).unwrap_or_else(|| panic!("malformed line {line:?}\n{prom}"));
+            assert_eq!(labels[0], ("cache".to_string(), "3".to_string()), "{line}");
+            for (key, label) in labels {
+                match key.as_str() {
+                    "kind" => kinds.push((label, value)),
+                    "source" if name == "coopcache_latency_samples_total" => {
+                        sources.push((label, value));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(kinds, [(kind.to_string(), 2), ("request".to_string(), 5)]);
+        assert_eq!(sources, [(source.to_string(), 4)]);
     }
 
     #[test]

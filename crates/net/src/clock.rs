@@ -20,7 +20,7 @@ const UNSET: u64 = u64::MAX;
 /// ICP deadlines, latency and pool reaping, and a frozen deadline clock
 /// would hang every ICP round.
 #[derive(Debug, Clone)]
-pub struct SharedClock {
+pub(crate) struct SharedClock {
     epoch: Arc<Instant>,
     /// Manually set cache time in milliseconds, [`UNSET`] until first set.
     manual_ms: Option<Arc<AtomicU64>>,
@@ -29,7 +29,7 @@ pub struct SharedClock {
 impl SharedClock {
     /// Starts a new clock at "now".
     #[must_use]
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         Self {
             epoch: Arc::new(Instant::now()),
             manual_ms: None,
@@ -40,7 +40,7 @@ impl SharedClock {
     /// [`set_cache_time`](Self::set_cache_time) it reads exactly like
     /// [`start`](Self::start)'s.
     #[must_use]
-    pub fn start_with_manual_time() -> Self {
+    pub(crate) fn start_with_manual_time() -> Self {
         Self {
             manual_ms: Some(Arc::new(AtomicU64::new(UNSET))),
             ..Self::start()
@@ -54,7 +54,7 @@ impl SharedClock {
     ///
     /// Panics if the clock has no manual source (it was not built with
     /// [`start_with_manual_time`](Self::start_with_manual_time)).
-    pub fn set_cache_time(&self, t: Timestamp) {
+    pub(crate) fn set_cache_time(&self, t: Timestamp) {
         let Some(manual_ms) = &self.manual_ms else {
             // lint:allow(panic) -- documented contract: setting the time of
             // a wall-clock-only clock would be silently ignored otherwise.
@@ -69,7 +69,7 @@ impl SharedClock {
     /// The cache time: the manually set time if there is one, else
     /// milliseconds since the epoch.
     #[must_use]
-    pub fn now(&self) -> Timestamp {
+    pub(crate) fn now(&self) -> Timestamp {
         if let Some(manual_ms) = &self.manual_ms {
             // lint:allow(atomic-order) -- Acquire: pairs with the Release
             // store in `set_cache_time`.
@@ -86,7 +86,7 @@ impl SharedClock {
     /// type (enforced by `coopcache-lint`'s `wall-clock` rule), so the
     /// simulators can never accidentally observe real time.
     #[must_use]
-    pub fn now_micros(&self) -> u64 {
+    pub(crate) fn now_micros(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 }

@@ -1,11 +1,11 @@
 //! A whole cooperative cache group on loopback sockets.
 
 use crate::clock::SharedClock;
-use crate::daemon::{BoundSockets, CacheDaemon, DaemonConfig, PeerAddr};
+use crate::daemon::{BoundSockets, CacheDaemon, PeerAddr};
 use crate::fault::FaultPlan;
 use crate::origin::OriginServer;
 use coopcache_core::PlacementScheme;
-use coopcache_obs::{AlertRule, SinkHandle};
+use coopcache_obs::SinkHandle;
 use coopcache_proxy::RequestOutcome;
 use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 use std::io;
@@ -13,14 +13,20 @@ use std::time::Duration;
 
 /// Everything needed to start a [`LoopbackCluster`], including the
 /// optional chaos schedule. The plain starters cover the common cases;
-/// this covers the rest.
+/// this covers the rest. Every daemon of the cluster reads it directly.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    caches: u16,
-    origin_delay: Duration,
-    faults: FaultPlan,
-    /// Every daemon's configuration but its id.
-    daemon: DaemonConfig,
+    pub(crate) caches: u16,
+    pub(crate) capacity: ByteSize,
+    pub(crate) scheme: PlacementScheme,
+    pub(crate) shards: usize,
+    pub(crate) icp_timeout: Duration,
+    pub(crate) io_timeout: Duration,
+    pub(crate) quarantine_after: u32,
+    pub(crate) quarantine_base: Duration,
+    pub(crate) faults: FaultPlan,
+    pub(crate) sample_interval: Option<Duration>,
+    pub(crate) pool_max_idle: usize,
 }
 
 impl ClusterConfig {
@@ -29,55 +35,61 @@ impl ClusterConfig {
     pub fn new(caches: u16, per_cache_capacity: ByteSize, scheme: PlacementScheme) -> Self {
         Self {
             caches,
-            origin_delay: Duration::ZERO,
+            capacity: per_cache_capacity,
+            scheme,
+            shards: 1,
+            icp_timeout: Duration::from_millis(250),
+            io_timeout: Duration::from_secs(5),
+            quarantine_after: 2,
+            quarantine_base: Duration::from_millis(250),
             faults: FaultPlan::default(),
-            daemon: DaemonConfig::loopback(CacheId::new(0), per_cache_capacity, scheme),
+            sample_interval: None,
+            pool_max_idle: 8,
         }
     }
 
-    /// Sets the shard count of every cache (builder style).
+    /// Sets the shard count of every cache (builder style). With more
+    /// than one shard, requests touching different shards are served
+    /// concurrently instead of serializing on a node-wide lock; `1` (the
+    /// default) reproduces the single-store behavior exactly.
     ///
     /// # Panics
     ///
     /// Panics (at daemon start) unless `n` is a power of two.
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
-        self.daemon.shards = n;
+        self.shards = n;
         self
     }
 
-    /// Sets the artificial origin delay (builder style).
-    #[must_use]
-    pub fn origin_delay(mut self, delay: Duration) -> Self {
-        self.origin_delay = delay;
-        self
-    }
-
-    /// Sets the ICP reply deadline (builder style).
+    /// Sets how long a requester waits for ICP replies before declaring
+    /// a group miss (builder style).
     #[must_use]
     pub fn icp_timeout(mut self, timeout: Duration) -> Self {
-        self.daemon.icp_timeout = timeout;
+        self.icp_timeout = timeout;
         self
     }
 
     /// Sets the per-connection I/O timeout (builder style).
     #[must_use]
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
-        self.daemon.io_timeout = timeout;
+        self.io_timeout = timeout;
         self
     }
 
-    /// Sets the quarantine threshold, 0 to disable (builder style).
+    /// Sets how many consecutive failures quarantine a peer, 0 to
+    /// disable quarantine (builder style).
     #[must_use]
     pub fn quarantine_after(mut self, failures: u32) -> Self {
-        self.daemon.quarantine_after = failures;
+        self.quarantine_after = failures;
         self
     }
 
-    /// Sets the initial quarantine backoff (builder style).
+    /// Sets the first quarantine backoff, which doubles on each
+    /// re-quarantine (builder style).
     #[must_use]
     pub fn quarantine_base(mut self, base: Duration) -> Self {
-        self.daemon.quarantine_base = base;
+        self.quarantine_base = base;
         self
     }
 
@@ -88,10 +100,15 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the metrics sampling interval (builder style).
+    /// Sets the metrics sampling interval (builder style): each daemon
+    /// starts a sampler thread that snapshots its counters, latency and
+    /// occupancy into the `OP_SERIES` ring at this cadence, and series
+    /// probes answer from that ring. Without it, each series probe first
+    /// lands one sample, as [`CacheDaemon::sample_now`] does, so a scrape
+    /// is always live.
     #[must_use]
     pub fn sample_interval(mut self, interval: Duration) -> Self {
-        self.daemon.sample_interval = Some(interval);
+        self.sample_interval = Some(interval);
         self
     }
 
@@ -99,44 +116,7 @@ impl ClusterConfig {
     /// (builder style).
     #[must_use]
     pub fn pool_max_idle(mut self, n: usize) -> Self {
-        self.daemon.pool_max_idle = n;
-        self
-    }
-
-    /// Sets the idle reaping deadline for pooled connections (builder
-    /// style).
-    #[must_use]
-    pub fn pool_idle_timeout(mut self, timeout: Duration) -> Self {
-        self.daemon.pool_idle_timeout = timeout;
-        self
-    }
-
-    /// Sets the inbound connection cap per daemon (builder style).
-    #[must_use]
-    pub fn max_conns(mut self, n: usize) -> Self {
-        self.daemon.max_conns = n;
-        self
-    }
-
-    /// Installs a memory probe for admission control (builder style).
-    #[must_use]
-    pub fn memory_probe(mut self, probe: crate::MemoryProbe) -> Self {
-        self.daemon.memory_probe = probe;
-        self
-    }
-
-    /// Sets the admission floor as available-memory percent, 0 to
-    /// disable shedding (builder style).
-    #[must_use]
-    pub fn min_available_pct(mut self, pct: u8) -> Self {
-        self.daemon.min_available_pct = pct;
-        self
-    }
-
-    /// Installs SLO rules on every daemon (builder style).
-    #[must_use]
-    pub fn alerts(mut self, rules: Vec<AlertRule>) -> Self {
-        self.daemon.alerts = rules;
+        self.pool_max_idle = n;
         self
     }
 }
@@ -168,8 +148,7 @@ pub struct LoopbackCluster {
 }
 
 impl LoopbackCluster {
-    /// Starts `n` daemons of `per_cache_capacity` each and an origin stub
-    /// with no artificial delay.
+    /// Starts `n` daemons of `per_cache_capacity` each and an origin stub.
     ///
     /// # Errors
     ///
@@ -199,7 +178,7 @@ impl LoopbackCluster {
     pub fn start_with_config(config: ClusterConfig) -> io::Result<Self> {
         let n = config.caches;
         assert!(n > 0, "a cluster needs at least one cache");
-        let origin = OriginServer::start(config.origin_delay)?;
+        let origin = OriginServer::start()?;
         let clock = SharedClock::start_with_manual_time();
 
         // Two-phase start: bind every socket first so the full peer table
@@ -221,16 +200,13 @@ impl LoopbackCluster {
         for (i, socket) in sockets.into_iter().enumerate() {
             let id = CacheId::new(i as u16);
             let peers: Vec<PeerAddr> = addrs.iter().copied().filter(|p| p.id != id).collect();
-            daemons.push(CacheDaemon::start_with_faults(
-                DaemonConfig {
-                    id,
-                    ..config.daemon.clone()
-                },
+            daemons.push(CacheDaemon::start(
+                id,
+                &config,
                 socket,
                 peers,
                 origin.addr(),
                 clock.clone(),
-                config.faults.compile(id),
             )?);
         }
         Ok(Self {
@@ -242,7 +218,8 @@ impl LoopbackCluster {
 
     /// Installs a shared event sink into every daemon: each emits
     /// `Request` events with measured wall-clock latency, plus the
-    /// placement/eviction events of its inner node.
+    /// placement/eviction events of its inner node. A sink is installed
+    /// once: a later call leaves the first sink in place.
     pub fn set_sink(&mut self, sink: SinkHandle) {
         for daemon in &mut self.daemons {
             daemon.set_sink(sink.clone());
@@ -307,6 +284,12 @@ impl LoopbackCluster {
     #[must_use]
     pub fn daemon(&self, idx: usize) -> &CacheDaemon {
         &self.daemons[idx]
+    }
+
+    /// The daemon at `idx`, for tests that swap one of its parts.
+    #[cfg(test)]
+    pub(crate) fn daemon_mut(&mut self, idx: usize) -> &mut CacheDaemon {
+        &mut self.daemons[idx]
     }
 
     /// Every daemon's document (TCP) endpoint, in cache-id order — the
@@ -528,16 +511,20 @@ mod tests {
     #[test]
     fn sink_sees_wire_requests_and_latency_is_recorded() {
         use crate::daemon::ServeSource;
-        use coopcache_obs::{EventKind, RequestClass, RingBufferSink, SinkHandle, Tally};
+        use coopcache_obs::{
+            EventKind, EventSink, RequestClass, RingBufferSink, SinkHandle, Tally,
+        };
         use std::sync::{Arc, Mutex};
         let mut cluster = LoopbackCluster::start(2, kb(64), PlacementScheme::Ea).unwrap();
-        let sink = Arc::new(Mutex::new(Tally::new()));
-        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&sink)));
+        // A daemon keeps its first sink, so one ring records the whole run.
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(1024)));
+        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
         cluster.request(0, d(1), kb(4)).unwrap(); // miss
         cluster.request(0, d(1), kb(4)).unwrap(); // local hit
         cluster.request(1, d(1), kb(4)).unwrap(); // remote hit
         {
-            let agg = sink.lock().unwrap();
+            let mut agg = Tally::new();
+            ring.lock().unwrap().events().for_each(|e| agg.emit(e));
             assert_eq!(agg.count(EventKind::Request), 3);
             assert_eq!(agg.request_split(), (1, 1, 1));
             // Every wire request carries a measured wall-clock latency.
@@ -555,13 +542,12 @@ mod tests {
         assert_eq!(at1.len(), 1);
         assert!(matches!(at1[0].0, ServeSource::Peer(id) if id == CacheId::new(0)));
         assert_eq!(at1[0].1.count, 1);
-        // A ring sink on one daemon records the event sequence verbatim.
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(16)));
-        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
         // Cache 0 is parked in a blocking read on the pooled connection
-        // from cache 1; let it idle there, then fetch over it again.
+        // from cache 1; let it idle there, then fetch over it again. The
+        // ring records that request's event sequence verbatim after `seen`.
         let idle = std::time::Duration::from_millis(150);
         std::thread::sleep(idle);
+        let seen = ring.lock().unwrap().len();
         cluster.request(1, d(1), kb(4)).unwrap(); // remote hit again
                                                   // The responder's serve span covers serving the frame, not the
                                                   // idle wait for it. It trails the reply, so poll for it.
@@ -569,7 +555,7 @@ mod tests {
             .find_map(|_| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 let ring = ring.lock().unwrap();
-                let serve = ring.events().find_map(|e| match e {
+                let serve = ring.events().skip(seen).find_map(|e| match e {
                     coopcache_obs::Event::Span(span)
                         if span.kind == coopcache_obs::SpanKind::DocServe =>
                     {
@@ -591,6 +577,7 @@ mod tests {
             let ring = ring.lock().unwrap();
             let requests: Vec<_> = ring
                 .events()
+                .skip(seen)
                 .filter(|e| e.kind() == EventKind::Request)
                 .collect();
             assert_eq!(requests.len(), 1);

@@ -38,7 +38,7 @@
 //! blocked in `recv`/`accept`/`read` *is* the readiness mechanism, and
 //! it burns zero CPU at idle, unlike the 20 ms poll loops this design
 //! replaced). The document port serves each accepted connection on its
-//! own thread, bounded by [`DaemonConfig::max_conns`], and connections
+//! own thread, at most [`MAX_CONNS`] at once, and connections
 //! are *persistent*: a client may pipeline any number of frames on one
 //! connection. Shutdown wakes the blocked threads explicitly — a junk
 //! datagram for the ICP responder, a throwaway connect for the
@@ -53,17 +53,18 @@
 //! round.
 
 use crate::clock::SharedClock;
+use crate::cluster::ClusterConfig;
 use crate::fault::{DocFault, FaultState, IcpFault};
 use crate::lock;
-use crate::memory::AdmissionGate;
+use crate::memory::{AdmissionGate, MemoryProbe};
 use crate::origin::{drain_body, fetch_on_origin_conn, write_body, ZERO_BLOCK};
 use crate::pool::{Conn, ConnectionPool};
 use crate::wire::{peek_frame_kind, read_frame, write_frame, Frame, PeekedFrame, WireMessage};
-use coopcache_core::{CacheConfig, ExpirationWindow, PlacementScheme, PolicyKind};
+use coopcache_core::{CacheConfig, PolicyKind};
 use coopcache_obs::{
-    age_to_ms, scoped_id, AlertEngine, AlertRule, Event, FaultOp, Histogram, HistogramSnapshot,
-    JsonWriter, Sampler, SamplerConfig, SeriesPoint, SeriesRing, ServerLoop, SinkHandle, Span,
-    SpanKind, StatsRegistry, TraceCtx, DEFAULT_SERIES_CAPACITY,
+    age_to_ms, scoped_id, Event, FaultOp, Histogram, HistogramSnapshot, JsonWriter, SeriesPoint,
+    SeriesRing, ServerLoop, SinkHandle, Span, SpanKind, StatsRegistry, TraceCtx,
+    DEFAULT_SERIES_CAPACITY,
 };
 use coopcache_proxy::{
     ConcurrentNode, IcpQuery, RequestOutcome, Requester, RequesterAction, RequesterInput,
@@ -79,49 +80,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Lock-free copy of the installed sink's sampler, refreshed by
-/// `set_sink`. The per-frame head decision runs at request rate and must
-/// not take the sink lock; two relaxed atomics carry the config
-/// (`rate_plus_one` packs presence: `0` = no sampler, `r + 1` = rate
-/// `r`). A torn read during a concurrent `set_sink` can at worst pair
-/// one sampler's seed with another's rate — still a pure, valid
-/// decision, and every driver installs its sink before serving anyway.
-#[derive(Debug, Default)]
-struct SamplerSnapshot {
-    seed: AtomicU64,
-    rate_plus_one: AtomicU64,
-}
-
-impl SamplerSnapshot {
-    fn store(&self, config: Option<SamplerConfig>) {
-        match config {
-            Some(c) => {
-                self.seed.store(c.seed, Ordering::Relaxed);
-                self.rate_plus_one
-                    .store(u64::from(c.rate) + 1, Ordering::Relaxed);
-            }
-            None => self.rate_plus_one.store(0, Ordering::Relaxed),
-        }
-    }
-
-    /// Whether a sampler is installed at all — lets hot paths skip even
-    /// the trace-id computation in the unsampled posture.
-    fn active(&self) -> bool {
-        self.rate_plus_one.load(Ordering::Relaxed) != 0
-    }
-
-    fn keeps_trace(&self, trace: u64) -> bool {
-        match self.rate_plus_one.load(Ordering::Relaxed) {
-            0 => true,
-            r => {
-                let rate = u32::try_from(r - 1).unwrap_or(u32::MAX);
-                let seed = self.seed.load(Ordering::Relaxed);
-                Sampler::new(SamplerConfig::new(seed, rate)).keeps_trace(trace)
-            }
-        }
-    }
-}
-
 /// Extends the installed sink's head-sampling decision to a whole
 /// request: when the sampler drops `trace`, every request-scoped event
 /// emitted while the returned guard lives (request completion,
@@ -129,10 +87,11 @@ impl SamplerSnapshot {
 /// lock. Health kinds keep flowing and `OP_STATS` counters are recorded
 /// ahead of the sink, so both stay exact at any sampling rate.
 fn mute_if_unsampled(
-    snap: &SamplerSnapshot,
+    sink: Option<&SinkHandle>,
     trace: u64,
 ) -> Option<coopcache_obs::RequestMuteGuard> {
-    (!snap.keeps_trace(trace)).then(coopcache_obs::mute_request_scoped)
+    sink.filter(|sink| !sink.keeps_trace(trace))
+        .map(|_| coopcache_obs::mute_request_scoped())
 }
 
 /// True when `e` is a socket-timeout error. Which `ErrorKind` a timed
@@ -165,122 +124,42 @@ fn error_label(e: &io::Error) -> &'static str {
 
 /// Addresses a daemon needs to reach a peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerAddr {
+pub(crate) struct PeerAddr {
     /// The peer's cache id.
-    pub id: CacheId,
+    pub(crate) id: CacheId,
     /// Its ICP (UDP) endpoint.
-    pub icp: SocketAddr,
+    pub(crate) icp: SocketAddr,
     /// Its document (TCP) endpoint.
-    pub doc: SocketAddr,
+    pub(crate) doc: SocketAddr,
 }
 
-/// Timeouts, identity, and failover policy for a daemon.
-#[derive(Debug, Clone)]
-pub struct DaemonConfig {
-    /// This daemon's cache id.
-    pub id: CacheId,
-    /// Cache capacity.
-    pub capacity: ByteSize,
-    /// Replacement policy.
-    pub policy: PolicyKind,
-    /// Placement scheme.
-    pub scheme: PlacementScheme,
-    /// Expiration-age window.
-    pub window: ExpirationWindow,
-    /// Shard count for the node's cache (power of two). With more than
-    /// one shard, requests touching different shards are served
-    /// concurrently by the daemon's threads instead of serializing on a
-    /// node-wide lock; `1` reproduces the single-store behavior exactly.
-    pub shards: usize,
-    /// How long to wait for ICP replies before declaring a group miss.
-    pub icp_timeout: Duration,
-    /// Per-connection I/O timeout.
-    pub io_timeout: Duration,
-    /// Extra fetch attempts per failed candidate (bounded retry).
-    pub peer_retries: u32,
-    /// Consecutive failures before a peer is quarantined (0 disables
-    /// quarantine entirely).
-    pub quarantine_after: u32,
-    /// First quarantine duration; doubles on each re-quarantine.
-    pub quarantine_base: Duration,
-    /// Upper bound on the quarantine backoff.
-    pub quarantine_cap: Duration,
-    /// Metrics sampling interval. `Some` starts a sampler thread that
-    /// snapshots the daemon's counters, latency and occupancy into the
-    /// `OP_SERIES` ring at this cadence, and series probes answer from
-    /// that ring. `None` (the default) samples only on demand: each
-    /// series probe first lands one sample, as
-    /// [`CacheDaemon::sample_now`] does, so a scrape is always live.
-    pub sample_interval: Option<Duration>,
-    /// Outbound connection pooling: idle connections kept per remote
-    /// host. `0` disables pooling (every fetch pays a fresh connect).
-    pub pool_max_idle: usize,
-    /// Pooled connections idle longer than this are reaped instead of
-    /// reused.
-    pub pool_idle_timeout: Duration,
-    /// Cap on concurrently served inbound document connections; beyond
-    /// it, new connections are closed at accept (peers absorb the
-    /// refusal through their normal failover path).
-    pub max_conns: usize,
-    /// How the admission gate measures available memory.
-    pub memory_probe: crate::MemoryProbe,
-    /// Available-memory floor (percent): below it the daemon sheds
-    /// cacheable-store work after origin fetches (it still serves the
-    /// bytes). `0` disables admission control.
-    pub min_available_pct: u8,
-    /// Declarative SLO rules evaluated against every series sample
-    /// (interval cadence and [`CacheDaemon::sample_now`] alike). Each
-    /// state transition is emitted as an [`Event::Alert`] and counted in
-    /// the `OP_STATS` registry. Empty (the default) disables the plane.
-    pub alerts: Vec<AlertRule>,
-}
+/// Extra fetch attempts per failed candidate (bounded retry).
+const PEER_RETRIES: u32 = 1;
 
-impl DaemonConfig {
-    /// A sensible loopback configuration.
-    #[must_use]
-    pub fn loopback(id: CacheId, capacity: ByteSize, scheme: PlacementScheme) -> Self {
-        Self {
-            id,
-            capacity,
-            policy: PolicyKind::Lru,
-            scheme,
-            window: ExpirationWindow::default(),
-            shards: 1,
-            icp_timeout: Duration::from_millis(250),
-            io_timeout: Duration::from_secs(5),
-            peer_retries: 1,
-            quarantine_after: 2,
-            quarantine_base: Duration::from_millis(250),
-            quarantine_cap: Duration::from_secs(8),
-            sample_interval: None,
-            pool_max_idle: 8,
-            pool_idle_timeout: Duration::from_secs(30),
-            max_conns: 64,
-            memory_probe: crate::MemoryProbe::Meminfo,
-            min_available_pct: 5,
-            alerts: Vec::new(),
-        }
-    }
-}
+/// Upper bound on the quarantine backoff.
+const QUARANTINE_CAP: Duration = Duration::from_secs(8);
+
+/// Pooled connections idle longer than this are reaped instead of
+/// reused.
+const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Cap on concurrently served inbound document connections; beyond it,
+/// new connections are closed at accept (peers absorb the refusal
+/// through their normal failover path).
+const MAX_CONNS: usize = 64;
 
 /// The sockets a daemon has bound, published before peers start.
 #[derive(Debug)]
-pub struct BoundSockets {
+pub(crate) struct BoundSockets {
     icp: UdpSocket,
     doc: TcpListener,
-    /// The ICP endpoint peers should query.
-    pub icp_addr: SocketAddr,
-    /// The TCP endpoint peers should fetch documents from.
-    pub doc_addr: SocketAddr,
+    pub(crate) icp_addr: SocketAddr,
+    pub(crate) doc_addr: SocketAddr,
 }
 
 impl BoundSockets {
     /// Binds fresh loopback sockets on ephemeral ports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn bind_loopback() -> io::Result<Self> {
+    pub(crate) fn bind_loopback() -> io::Result<Self> {
         let icp = UdpSocket::bind("127.0.0.1:0")?;
         let doc = TcpListener::bind("127.0.0.1:0")?;
         let icp_addr = icp.local_addr()?;
@@ -421,13 +300,10 @@ struct LoopCtx {
     id: CacheId,
     node: Arc<ConcurrentNode>,
     stop: Arc<AtomicBool>,
-    sink: Arc<Mutex<Option<SinkHandle>>>,
-    /// Set by `set_sink` once `sink` holds a sink: until then an emit
-    /// never touches the sink's mutex.
-    sink_installed: Arc<AtomicBool>,
     faults: Option<Arc<FaultState>>,
     clock: SharedClock,
-    /// Always-on live counters behind the `OP_STATS` snapshot.
+    /// Always-on live counters behind the `OP_STATS` snapshot: the
+    /// node's own registry, so its placements count in the same place.
     stats: Arc<StatsRegistry>,
     /// Wall-clock latency histograms, shared with the daemon handle so
     /// the doc server can serve them over `OP_STATS`.
@@ -437,8 +313,6 @@ struct LoopCtx {
     /// Sampled time-series ring, shared with the sampler thread and the
     /// daemon handle so the doc server can serve it over `OP_SERIES`.
     series: Arc<Mutex<SeriesRing>>,
-    /// SLO rule evaluation state, fed one point per series sample.
-    alerts: Arc<Mutex<AlertEngine>>,
     /// Span id allocator, shared with the daemon handle so client-side
     /// and server-side spans of one daemon never collide.
     span_seq: Arc<AtomicU64>,
@@ -448,29 +322,24 @@ struct LoopCtx {
     /// makes no iterations — the idle-CPU regression test pins this.
     icp_iters: Arc<AtomicU64>,
     accept_iters: Arc<AtomicU64>,
-    /// Lock-free view of the sink's sampler for per-frame decisions.
-    sampler_snap: Arc<SamplerSnapshot>,
     /// No sampler thread runs, so each series probe samples first.
     sample_on_probe: bool,
 }
 
 impl LoopCtx {
+    /// Counts `event`, then hands it to the node's sink, if one is set.
     fn emit(&self, event: &Event) {
         self.stats.record(event.kind());
-        // lint:allow(atomic-order) -- Acquire: pairs with the Release
-        // store in `set_sink`, which follows the sink's installation.
-        if !self.sink_installed.load(Ordering::Acquire) {
+        let Some(sink) = self.node.sink() else {
             return;
-        }
+        };
         // Request-scoped kinds on a muted thread would be dropped by the
-        // sink handle; bail before the registry lock (the counter above
-        // stays exact either way).
+        // sink handle; bail before it (the counter above stays exact
+        // either way).
         if event.kind().is_request_scoped() && coopcache_obs::request_scoped_muted() {
             return;
         }
-        if let Some(sink) = lock(&self.sink).as_ref() {
-            sink.emit(event);
-        }
+        sink.emit(event);
     }
 
     fn next_span(&self) -> u64 {
@@ -489,11 +358,12 @@ impl LoopCtx {
 /// A running cache daemon.
 #[derive(Debug)]
 pub struct CacheDaemon {
-    config: DaemonConfig,
+    /// The cluster's configuration, which every daemon shares.
+    config: ClusterConfig,
     /// The node, clock, telemetry and peer health, shared with the
     /// server threads (whose loops also serve them over `OP_STATS` and
-    /// `OP_SERIES`). Installing a sink installs it into the node too, so
-    /// placement and eviction events flow alongside the request events.
+    /// `OP_SERIES`). The node holds the one sink slot, so placement and
+    /// eviction events flow alongside the request events.
     ctx: LoopCtx,
     peers: Vec<PeerAddr>,
     origin: SocketAddr,
@@ -511,74 +381,47 @@ pub struct CacheDaemon {
 }
 
 impl CacheDaemon {
-    /// Starts a daemon on pre-bound sockets.
+    /// Starts daemon `id` of a cluster on pre-bound sockets, with the
+    /// cluster's fault schedule for `id` compiled into its server loops.
     ///
     /// `peers` lists every *other* cache in the group; `origin` is the
     /// stub origin server misses resolve against.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket configuration and thread-spawn failures.
-    pub fn start(
-        config: DaemonConfig,
+    pub(crate) fn start(
+        id: CacheId,
+        config: &ClusterConfig,
         sockets: BoundSockets,
         peers: Vec<PeerAddr>,
         origin: SocketAddr,
         clock: SharedClock,
     ) -> io::Result<Self> {
-        Self::start_with_faults(config, sockets, peers, origin, clock, None)
-    }
-
-    /// Starts a daemon with an optional compiled fault state injected
-    /// into its server loops (see [`crate::FaultPlan`]).
-    pub(crate) fn start_with_faults(
-        config: DaemonConfig,
-        sockets: BoundSockets,
-        peers: Vec<PeerAddr>,
-        origin: SocketAddr,
-        clock: SharedClock,
-        faults: Option<FaultState>,
-    ) -> io::Result<Self> {
+        // Every daemon runs LRU with the default expiration-age window.
         let node = Arc::new(ConcurrentNode::from_config(
-            CacheConfig::new(config.id, config.capacity, config.policy)
-                .window(config.window)
-                .shards(config.shards),
+            CacheConfig::new(id, config.capacity, PolicyKind::Lru).shards(config.shards),
             config.scheme,
         ));
-        let stats = Arc::new(StatsRegistry::new());
-        // Placement/eviction decisions count into the same registry as
-        // the daemon's own events, with or without a sink.
-        node.set_stats(Arc::clone(&stats));
         // The ring exists even without a sampler thread, so on-demand
         // samples and `OP_SERIES` scrapes always have a document.
         let interval_ms = config
             .sample_interval
             .map_or(1_000, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
         let ctx = LoopCtx {
-            id: config.id,
+            id,
+            stats: Arc::clone(node.stats()),
             node,
             stop: Arc::new(AtomicBool::new(false)),
-            sink: Arc::new(Mutex::new(None)),
-            sink_installed: Arc::new(AtomicBool::new(false)),
-            faults: faults.map(Arc::new),
+            faults: config.faults.compile(id).map(Arc::new),
             clock,
-            stats,
             latency: Arc::new(Mutex::new(BTreeMap::new())),
             health: Arc::new(Mutex::new(BTreeMap::new())),
             series: Arc::new(Mutex::new(SeriesRing::new(
-                config.id,
+                id,
                 interval_ms,
                 DEFAULT_SERIES_CAPACITY,
-            ))),
-            alerts: Arc::new(Mutex::new(AlertEngine::new(
-                config.id,
-                config.alerts.clone(),
             ))),
             span_seq: Arc::new(AtomicU64::new(0)),
             conns: Arc::new(ConnTable::default()),
             icp_iters: Arc::new(AtomicU64::new(0)),
             accept_iters: Arc::new(AtomicU64::new(0)),
-            sampler_snap: Arc::new(SamplerSnapshot::default()),
             sample_on_probe: config.sample_interval.is_none(),
         };
 
@@ -588,9 +431,9 @@ impl CacheDaemon {
         let mut threads = vec![spawn_loop(&ctx, "icp", move |ctx| icp_loop(&socket, ctx))?];
         // Document acceptor: a plain blocking `accept` — `halt` wakes it
         // with a throwaway connect.
-        let (listener, io_timeout, max_conns) = (sockets.doc, config.io_timeout, config.max_conns);
+        let (listener, io_timeout) = (sockets.doc, config.io_timeout);
         threads.push(spawn_loop(&ctx, "doc", move |ctx| {
-            doc_loop(&listener, ctx, io_timeout, max_conns);
+            doc_loop(&listener, ctx, io_timeout);
         })?);
         // Metrics sampler, only when an interval is configured.
         if let Some(interval) = config.sample_interval {
@@ -600,13 +443,9 @@ impl CacheDaemon {
         }
 
         Ok(Self {
-            pool: ConnectionPool::new(
-                config.pool_max_idle,
-                config.pool_idle_timeout,
-                config.io_timeout,
-            ),
-            admission: AdmissionGate::new(config.memory_probe, config.min_available_pct),
-            config,
+            pool: ConnectionPool::new(config.pool_max_idle, POOL_IDLE_TIMEOUT, config.io_timeout),
+            admission: AdmissionGate::new(MemoryProbe::Meminfo),
+            config: config.clone(),
             ctx,
             peers,
             origin,
@@ -621,7 +460,7 @@ impl CacheDaemon {
     /// This daemon's cache id.
     #[must_use]
     pub fn id(&self) -> CacheId {
-        self.config.id
+        self.ctx.id
     }
 
     /// The ICP (UDP) endpoint this daemon answers queries on.
@@ -640,14 +479,10 @@ impl CacheDaemon {
     /// measured wall-clock latency) per served request plus the failover
     /// events (`PeerFault`, `Failover`, `PeerQuarantined`,
     /// `ServerLoopError`), and the inner node emits placement/eviction
-    /// events through the same sink.
+    /// events through the same sink. A sink is installed once: a later
+    /// call leaves the first sink in place and drops `sink`.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        self.ctx.sampler_snap.store(sink.sampler());
-        self.ctx.node.set_sink(sink.clone());
-        *lock(&self.ctx.sink) = Some(sink);
-        // lint:allow(atomic-order) -- Release: pairs with the Acquire
-        // load in `LoopCtx::emit`, publishing the sink stored above.
-        self.ctx.sink_installed.store(true, Ordering::Release);
+        self.ctx.node.set_sink(sink);
     }
 
     /// Stamps `span` closed at the current clock and emits it.
@@ -743,8 +578,8 @@ impl CacheDaemon {
     /// never reported as an error.
     pub fn request(&self, doc: DocId, size: ByteSize) -> io::Result<RequestOutcome> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let trace = scoped_id(self.config.id, seq);
-        let _mute = mute_if_unsampled(&self.ctx.sampler_snap, trace);
+        let trace = scoped_id(self.ctx.id, seq);
+        let _mute = mute_if_unsampled(self.ctx.node.sink(), trace);
         let root = self.ctx.next_span();
         let started_us = self.ctx.clock.now_micros();
         let mut round = IcpRound::idle(doc);
@@ -769,7 +604,7 @@ impl CacheDaemon {
             trace_id: trace,
             span_id: root,
             parent: None,
-            cache: self.config.id,
+            cache: self.ctx.id,
             kind: SpanKind::Request,
             doc: Some(doc),
             peer: None,
@@ -779,7 +614,7 @@ impl CacheDaemon {
         }));
         self.ctx.emit(&Event::Request {
             seq,
-            cache: self.config.id,
+            cache: self.ctx.id,
             doc,
             class,
             responder,
@@ -809,7 +644,7 @@ impl CacheDaemon {
         loop {
             if let Some((from, to)) = action.failover() {
                 self.ctx.emit(&Event::Failover {
-                    cache: self.config.id,
+                    cache: self.ctx.id,
                     doc,
                     from,
                     to,
@@ -864,7 +699,7 @@ impl CacheDaemon {
                     let admitted = self.admission.allow_store(&self.ctx.clock);
                     if !admitted {
                         self.ctx.emit(&Event::AdmissionShed {
-                            cache: self.config.id,
+                            cache: self.ctx.id,
                             doc,
                         });
                     }
@@ -882,7 +717,7 @@ impl CacheDaemon {
                         trace_id: trace,
                         span_id,
                         parent: Some(root),
-                        cache: self.config.id,
+                        cache: self.ctx.id,
                         kind: SpanKind::OriginFetch,
                         doc: Some(doc),
                         peer: None,
@@ -918,7 +753,7 @@ impl CacheDaemon {
             )
         };
         let mut fetched = fetch();
-        for _ in 0..self.config.peer_retries {
+        for _ in 0..PEER_RETRIES {
             if fetched.is_ok() {
                 break;
             }
@@ -934,7 +769,7 @@ impl CacheDaemon {
             trace_id: trace,
             span_id,
             parent: Some(root),
-            cache: self.config.id,
+            cache: self.ctx.id,
             kind: SpanKind::PeerFetch,
             doc: Some(doc),
             peer: Some(peer.id),
@@ -949,7 +784,7 @@ impl CacheDaemon {
             }
             Err(PeerFetchError(op, e)) => {
                 self.ctx.emit(&Event::PeerFault {
-                    cache: self.config.id,
+                    cache: self.ctx.id,
                     peer: peer.id,
                     doc,
                     op,
@@ -987,7 +822,7 @@ impl CacheDaemon {
             Ok(value) => {
                 if checkout.reused {
                     self.ctx.emit(&Event::ConnReused {
-                        cache: self.config.id,
+                        cache: self.ctx.id,
                         peer,
                     });
                 }
@@ -1025,7 +860,7 @@ impl CacheDaemon {
             trace_id: trace,
             span_id,
             parent: Some(root),
-            cache: self.config.id,
+            cache: self.ctx.id,
             kind: SpanKind::IcpRound,
             doc: Some(doc),
             peer: None,
@@ -1050,7 +885,7 @@ impl CacheDaemon {
         };
         let query = Frame::encode(&WireMessage::IcpQuery {
             query: IcpQuery {
-                from: self.config.id,
+                from: self.ctx.id,
                 doc,
             },
             ctx: Some(TraceCtx {
@@ -1064,7 +899,7 @@ impl CacheDaemon {
                 Err(e) => {
                     // A vanished peer must not fail the request.
                     self.ctx.emit(&Event::PeerFault {
-                        cache: self.config.id,
+                        cache: self.ctx.id,
                         peer: peer.id,
                         doc,
                         op: FaultOp::Icp,
@@ -1163,7 +998,7 @@ impl CacheDaemon {
         for (peer, answered) in &round.queried {
             if !answered {
                 self.ctx.emit(&Event::PeerFault {
-                    cache: self.config.id,
+                    cache: self.ctx.id,
                     peer: peer.id,
                     doc: round.doc,
                     op: FaultOp::Icp,
@@ -1247,12 +1082,12 @@ impl CacheDaemon {
                     .config
                     .quarantine_base
                     .saturating_mul(1u32 << h.quarantines.min(16))
-                    .min(self.config.quarantine_cap);
+                    .min(QUARANTINE_CAP);
                 let backoff_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
                 h.quarantined_until_us = self.ctx.clock.now_micros().saturating_add(backoff_us);
                 h.quarantines = h.quarantines.saturating_add(1);
                 Some(Event::PeerQuarantined {
-                    cache: self.config.id,
+                    cache: self.ctx.id,
                     peer,
                     failures: u64::from(h.consecutive_failures),
                     backoff_ms: u64::try_from(backoff.as_millis()).unwrap_or(u64::MAX),
@@ -1402,7 +1237,7 @@ fn icp_loop(socket: &UdpSocket, ctx: &LoopCtx) {
 /// connection to its own server thread. Connections are persistent —
 /// a client may pipeline any number of frames — and every live one is
 /// registered in [`ConnTable`] so `halt` can unblock it.
-fn doc_loop(listener: &TcpListener, ctx: &LoopCtx, io_timeout: Duration, max_conns: usize) {
+fn doc_loop(listener: &TcpListener, ctx: &LoopCtx, io_timeout: Duration) {
     let mut conn_seq = 0u64;
     // lint:allow(atomic-order) -- Acquire: pairs with the Release store
     // in `halt`, ordering the flag read before loop teardown.
@@ -1417,7 +1252,7 @@ fn doc_loop(listener: &TcpListener, ctx: &LoopCtx, io_timeout: Duration, max_con
                 if ctx.stop.load(Ordering::Acquire) {
                     break;
                 }
-                if ctx.conns.active() >= max_conns {
+                if ctx.conns.active() >= MAX_CONNS {
                     // Over the connection cap: shed by closing at
                     // accept. Peers absorb this through failover.
                     drop(stream);
@@ -1657,12 +1492,8 @@ fn serve_frame<R: Read, W: Write>(
     // id, so both sides agree); untraced requests — raw clients hitting
     // the doc port — get a synthetic root trace, which is exactly what a
     // head sampler does for traffic entering at this hop.
-    let _mute = if ctx.sampler_snap.active() {
-        let frame_trace = trace.map_or(conn_trace_base.wrapping_add(*served), |t| t.trace_id);
-        mute_if_unsampled(&ctx.sampler_snap, frame_trace)
-    } else {
-        None
-    };
+    let frame_trace = trace.map_or(conn_trace_base.wrapping_add(*served), |t| t.trace_id);
+    let _mute = mute_if_unsampled(ctx.node.sink(), frame_trace);
     if *served > 0 {
         // A second (or later) frame on one inbound connection: the
         // requester is reusing a persistent connection to this daemon.
@@ -1794,11 +1625,8 @@ impl LoopCtx {
     /// Takes one time-series sample of the daemon's live state —
     /// cumulative event counters, the merged request-latency histogram,
     /// occupancy, the expiration age and the number of quarantined peers,
-    /// stamped with the daemon clock — and lands it: pushes the point into
-    /// the `OP_SERIES` ring, runs the SLO rules over it, and emits one
-    /// [`Event::Alert`] per state transition. The alert carries no
-    /// timestamp of its own, so same-seed workloads produce byte-identical
-    /// alert streams even under the wall clock.
+    /// stamped with the daemon clock — and pushes the point into the
+    /// `OP_SERIES` ring. Rules are judged by whoever scrapes the ring.
     fn sample(&self) {
         let mut counters = [0u64; coopcache_obs::EVENT_KINDS.len()];
         for (slot, (_, count)) in counters.iter_mut().zip(self.stats.snapshot()) {
@@ -1829,10 +1657,6 @@ impl LoopCtx {
             quarantined: u64::try_from(self.quarantined().len()).unwrap_or(u64::MAX),
         };
         lock(&self.series).push(point);
-        let fired = lock(&self.alerts).observe(&point);
-        for alert in &fired {
-            self.emit(alert);
-        }
     }
 }
 
@@ -1860,8 +1684,9 @@ fn sample_loop(ctx: &LoopCtx, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, LoopbackCluster};
+    use crate::cluster::LoopbackCluster;
     use crate::wire::CountingWriter;
+    use coopcache_core::PlacementScheme;
     use coopcache_obs::{parse_json, EventKind, JsonValue, RingBufferSink};
     use coopcache_proxy::HttpRequest;
     use coopcache_types::{DurationMs, ExpirationAge};
@@ -2108,6 +1933,95 @@ mod tests {
         assert!(kinds.contains(&EventKind::ConnReused), "{kinds:?}");
         assert!(kinds.contains(&EventKind::Placement), "{kinds:?}");
         drop(stream);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn admission_shed_serves_the_bytes_and_stores_nothing() {
+        let mut cluster =
+            LoopbackCluster::start(1, ByteSize::from_kb(64), PlacementScheme::Ea).unwrap();
+        // 4 % of memory available: below the gate's 5 % floor.
+        cluster.daemon_mut(0).admission = AdmissionGate::new(MemoryProbe::Fixed(4));
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(256)));
+        cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
+        let (doc, size) = (DocId::new(9), ByteSize::from_kb(4));
+        for shed in 1..=2 {
+            // The client gets the bytes; the requester keeps no copy, so
+            // the repeat request misses again and reaches the origin.
+            let out = cluster.request(0, doc, size).unwrap();
+            assert!(
+                matches!(
+                    out,
+                    RequestOutcome::Miss {
+                        stored_locally: false,
+                        ..
+                    }
+                ),
+                "{out:?}"
+            );
+            assert_eq!(cluster.origin_fetches(), shed);
+            let body = crate::scrape_stats(cluster.doc_addrs()[0], Duration::from_secs(5)).unwrap();
+            let shed_count = parse_json(&body)
+                .unwrap()
+                .get("counters")
+                .and_then(|c| c.get(EventKind::AdmissionShed.name()))
+                .and_then(JsonValue::as_u64);
+            assert_eq!(shed_count, Some(shed), "{body}");
+        }
+        assert!(!cluster.daemon(0).with_node(|n| n.cache().contains(doc)));
+        let statuses: Vec<&str> = ring
+            .lock()
+            .unwrap()
+            .events()
+            .filter_map(|e| match e {
+                Event::Span(span) if span.kind == SpanKind::OriginFetch => Some(span.status),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(statuses, ["shed", "shed"]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn connections_past_the_cap_close_unanswered_until_one_frees() {
+        // Idle connections must outlive the test, not the I/O timeout.
+        let config = ClusterConfig::new(1, ByteSize::from_kb(64), PlacementScheme::Ea)
+            .io_timeout(Duration::from_secs(60));
+        let cluster = LoopbackCluster::start_with_config(config).unwrap();
+        let daemon = cluster.daemon(0);
+        let clock = SharedClock::start();
+        let wait_until = |done: &dyn Fn() -> bool| {
+            while !done() {
+                assert!(clock.now_micros() < 10_000_000, "timed out");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let stats_probe = |stream: &TcpStream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            write_frame(&mut &*stream, &WireMessage::StatsRequest)
+                .and_then(|()| read_frame(&mut &*stream))
+        };
+        let mut held: Vec<TcpStream> = (0..MAX_CONNS)
+            .map(|_| TcpStream::connect(daemon.doc_addr()).unwrap())
+            .collect();
+        wait_until(&|| daemon.ctx.conns.active() == MAX_CONNS);
+
+        let over = TcpStream::connect(daemon.doc_addr()).unwrap();
+        match stats_probe(&over) {
+            Ok(answer) => panic!("over the cap, yet answered {answer:?}"),
+            Err(e) => assert!(!is_timeout(&e), "closed, not left hanging: {e}"),
+        }
+
+        drop(held.pop());
+        wait_until(&|| daemon.ctx.conns.active() < MAX_CONNS);
+        let next = TcpStream::connect(daemon.doc_addr()).unwrap();
+        assert!(
+            matches!(stats_probe(&next), Ok(WireMessage::StatsResponse { .. })),
+            "a freed slot serves the next connection"
+        );
+        drop((held, over, next));
         cluster.shutdown();
     }
 

@@ -1,6 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::large_stack_arrays)]
+#![warn(unreachable_pub)]
 //! Live cooperative caching over real sockets.
 //!
 //! The paper ran its simulator instances on several department machines,
@@ -11,10 +12,15 @@
 //! UDP socket and documents over TCP with the EA scheme's expiration ages
 //! piggybacked in the binary wire format ([`WireMessage`]).
 //!
-//! [`LoopbackCluster`] assembles a whole group plus a stub
-//! [`OriginServer`], so the full protocol — local lookup, ICP fan-out,
-//! peer fetch, origin fallback — runs over genuine sockets with genuine
-//! concurrency (including the doc-vanished-between-ICP-and-fetch race).
+//! [`LoopbackCluster`] assembles a whole group plus a stub origin
+//! server, so the full protocol — local lookup, ICP fan-out, peer fetch,
+//! origin fallback — runs over genuine sockets with genuine concurrency
+//! (including the doc-vanished-between-ICP-and-fetch race). One
+//! [`ClusterConfig`] configures every daemon; it carries only what some
+//! caller varies (cache size, group size, scheme, shards, timeouts,
+//! quarantine, faults, sampling, pooling), and the rest — LRU, the
+//! inbound connection cap, the pool's idle deadline, the 5 % memory
+//! floor — is fixed in the daemon.
 //!
 //! Peer failures never surface to clients: the fetch starts at the first
 //! positive ICP replier and fails over through the later ones, pulled
@@ -47,12 +53,9 @@ mod pool;
 mod stats;
 mod wire;
 
-pub use clock::SharedClock;
 pub use cluster::{ClusterConfig, LoopbackCluster};
-pub use daemon::{BoundSockets, CacheDaemon, DaemonConfig, PeerAddr, ServeSource};
+pub use daemon::{CacheDaemon, ServeSource};
 pub use fault::{FaultKind, FaultMode, FaultPlan, FaultRule};
-pub use memory::MemoryProbe;
-pub use origin::OriginServer;
 pub use stats::{scrape_series, scrape_stats, MAX_STATS_BODY};
 pub use wire::{DecodeError, WireMessage, FRAME_V2, MAGIC, MAX_FRAME_LEN};
 

@@ -4,9 +4,9 @@
 //! never blocks on admission — but sheds the optional work of storing an
 //! origin-fetched copy, the same load-shedding posture production caches
 //! take when the host is short on memory. Pressure is read from
-//! `/proc/meminfo` (`MemAvailable` over `MemTotal`), behind a
-//! test-injectable [`MemoryProbe`] so the shed path is exercisable
-//! without actually exhausting the host.
+//! `/proc/meminfo` (`MemAvailable` over `MemTotal`); below a fixed 5 %
+//! floor the store is shed. Tests swap the probe for a fixed reading, so
+//! the shed path is exercisable without actually exhausting the host.
 
 use crate::clock::SharedClock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,25 +14,26 @@ use std::time::Duration;
 
 /// How the admission gate measures available memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryProbe {
+pub(crate) enum MemoryProbe {
     /// Read `MemAvailable` / `MemTotal` from `/proc/meminfo`. On any
     /// read or parse failure the gate fails open (stores are admitted):
     /// a broken probe must never turn the cache off.
     Meminfo,
     /// A fixed available-memory percentage — the test hook.
+    #[cfg(test)]
     Fixed(u8),
 }
 
 impl MemoryProbe {
     /// The current available-memory percentage (0–100), `None` when the
     /// probe cannot produce a reading.
-    #[must_use]
-    pub fn available_pct(self) -> Option<u64> {
+    fn available_pct(self) -> Option<u64> {
         match self {
             Self::Meminfo => {
                 let text = std::fs::read_to_string("/proc/meminfo").ok()?;
                 parse_meminfo_pct(&text)
             }
+            #[cfg(test)]
             Self::Fixed(pct) => Some(u64::from(pct)),
         }
     }
@@ -64,8 +65,12 @@ fn parse_kb(rest: &str) -> Option<u64> {
     rest.split_whitespace().next()?.parse().ok()
 }
 
+/// Available-memory floor (percent): below it a daemon sheds
+/// cacheable-store work after origin fetches (it still serves the bytes).
+const MIN_AVAILABLE_PCT: u64 = 5;
+
 /// The admission gate: sheds cacheable-store work while available
-/// memory sits below a configured floor.
+/// memory sits below [`MIN_AVAILABLE_PCT`].
 ///
 /// The probe reading is cached and refreshed at most once per
 /// [`REFRESH_INTERVAL`] of daemon-clock time, so the request hot path
@@ -73,7 +78,6 @@ fn parse_kb(rest: &str) -> Option<u64> {
 #[derive(Debug)]
 pub(crate) struct AdmissionGate {
     probe: MemoryProbe,
-    min_available_pct: u8,
     /// Cached probe reading (percent); 100 until the first refresh.
     cached_pct: AtomicU64,
     /// Daemon-clock microsecond of the next allowed refresh.
@@ -84,10 +88,9 @@ pub(crate) struct AdmissionGate {
 const REFRESH_INTERVAL: Duration = Duration::from_millis(250);
 
 impl AdmissionGate {
-    pub(crate) fn new(probe: MemoryProbe, min_available_pct: u8) -> Self {
+    pub(crate) fn new(probe: MemoryProbe) -> Self {
         Self {
             probe,
-            min_available_pct,
             cached_pct: AtomicU64::new(100),
             next_refresh_us: AtomicU64::new(0),
         }
@@ -95,12 +98,10 @@ impl AdmissionGate {
 
     /// Whether a cacheable store should be admitted right now.
     ///
-    /// `min_available_pct == 0` disables the gate entirely, which also
-    /// keeps it off every deterministic replay path by default.
+    /// The gate is on in every daemon, so a replay is deterministic only
+    /// while the host keeps at least the floor free and every store is
+    /// admitted.
     pub(crate) fn allow_store(&self, clock: &SharedClock) -> bool {
-        if self.min_available_pct == 0 {
-            return true;
-        }
         let now_us = clock.now_micros();
         if now_us >= self.next_refresh_us.load(Ordering::Relaxed) {
             let interval_us = u64::try_from(REFRESH_INTERVAL.as_micros()).unwrap_or(u64::MAX);
@@ -111,7 +112,7 @@ impl AdmissionGate {
             let pct = self.probe.available_pct().unwrap_or(100);
             self.cached_pct.store(pct, Ordering::Relaxed);
         }
-        self.cached_pct.load(Ordering::Relaxed) >= u64::from(self.min_available_pct)
+        self.cached_pct.load(Ordering::Relaxed) >= MIN_AVAILABLE_PCT
     }
 }
 
@@ -149,20 +150,20 @@ mod tests {
     }
 
     #[test]
-    fn fixed_probe_gates_stores_and_zero_floor_disables() {
+    fn fixed_probe_gates_stores_at_the_floor() {
         let clock = SharedClock::start();
-        let pressured = AdmissionGate::new(MemoryProbe::Fixed(3), 5);
-        assert!(!pressured.allow_store(&clock), "3% available < 5% floor");
-        let healthy = AdmissionGate::new(MemoryProbe::Fixed(80), 5);
+        let pressured = AdmissionGate::new(MemoryProbe::Fixed(4));
+        assert!(!pressured.allow_store(&clock), "4% available < 5% floor");
+        let at_floor = AdmissionGate::new(MemoryProbe::Fixed(5));
+        assert!(at_floor.allow_store(&clock), "the floor itself is admitted");
+        let healthy = AdmissionGate::new(MemoryProbe::Fixed(80));
         assert!(healthy.allow_store(&clock));
-        let disabled = AdmissionGate::new(MemoryProbe::Fixed(0), 0);
-        assert!(disabled.allow_store(&clock), "floor 0 disables the gate");
     }
 
     #[test]
     fn gate_caches_readings_between_refreshes() {
         let clock = SharedClock::start();
-        let gate = AdmissionGate::new(MemoryProbe::Fixed(50), 5);
+        let gate = AdmissionGate::new(MemoryProbe::Fixed(50));
         assert!(gate.allow_store(&clock));
         // The cached percentage is now 50 and stays trusted for the
         // refresh interval regardless of repeated calls.

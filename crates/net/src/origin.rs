@@ -1,8 +1,8 @@
 //! A stub origin web server for the live runtime.
 //!
 //! Serves any document on request, synthesizing a body of the requested
-//! size, with an optional artificial service delay standing in for
-//! wide-area distance (the paper measured ~2.8 s for a real miss in 2002).
+//! size at once: loopback origin fetches cost no wide-area distance (the
+//! paper measured ~2.8 s for a real miss in 2002).
 //!
 //! Connections are persistent: each accepted connection gets its own
 //! thread that answers requests until the client closes or times out,
@@ -123,42 +123,23 @@ struct OriginShared {
 }
 
 /// A running stub origin server on a loopback TCP port.
-///
-/// # Example
-///
-/// ```no_run
-/// use coopcache_net::OriginServer;
-/// use std::time::Duration;
-///
-/// let origin = OriginServer::start(Duration::from_millis(5)).unwrap();
-/// println!("origin at {}", origin.addr());
-/// origin.shutdown();
-/// ```
 #[derive(Debug)]
-pub struct OriginServer {
+pub(crate) struct OriginServer {
     addr: SocketAddr,
     shared: Arc<OriginShared>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl OriginServer {
-    /// Binds a loopback listener and starts serving with the given
-    /// artificial per-request delay and a default 5 s I/O timeout.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind errors.
-    pub fn start(delay: Duration) -> io::Result<Self> {
-        Self::start_with_timeout(delay, Duration::from_secs(5))
+    /// Binds a loopback listener and starts serving with a 5 s I/O
+    /// timeout.
+    pub(crate) fn start() -> io::Result<Self> {
+        Self::start_with_timeout(Duration::from_secs(5))
     }
 
     /// As [`OriginServer::start`], with an explicit per-connection I/O
     /// timeout (tests exercising stall handling want a short one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind errors.
-    pub fn start_with_timeout(delay: Duration, io_timeout: Duration) -> io::Result<Self> {
+    pub(crate) fn start_with_timeout(io_timeout: Duration) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(OriginShared {
@@ -172,7 +153,7 @@ impl OriginServer {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("coopcache-origin".into())
-                .spawn(move || accept_loop(&listener, delay, io_timeout, &shared))?
+                .spawn(move || accept_loop(&listener, io_timeout, &shared))?
         };
         Ok(Self {
             addr,
@@ -183,13 +164,13 @@ impl OriginServer {
 
     /// The address clients should fetch misses from.
     #[must_use]
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Number of documents served so far (each is one group miss).
     #[must_use]
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         // lint:allow(atomic-order) -- SeqCst: pairs with the SeqCst
         // fetch_add in `serve_conn`; tests compare this against bytes
         // already received over TCP, so the count may never lag a
@@ -199,13 +180,13 @@ impl OriginServer {
 
     /// Number of responses abandoned because the client stalled without
     /// draining them until the write timeout expired.
-    #[must_use]
-    pub fn write_timeouts(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn write_timeouts(&self) -> u64 {
         self.shared.write_timeouts.load(Ordering::Relaxed)
     }
 
     /// Stops the listener and connection threads and waits for them.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.halt();
     }
 
@@ -257,12 +238,7 @@ impl Drop for OriginServer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    delay: Duration,
-    io_timeout: Duration,
-    shared: &Arc<OriginShared>,
-) {
+fn accept_loop(listener: &TcpListener, io_timeout: Duration, shared: &Arc<OriginShared>) {
     let mut conn_seq = 0u64;
     // lint:allow(atomic-order) -- Acquire: pairs with the Release store
     // in `halt`/`drop`, ordering the flag read before loop exit.
@@ -283,7 +259,7 @@ fn accept_loop(
                 let spawned = std::thread::Builder::new()
                     .name(format!("coopcache-origin-{id}"))
                     .spawn(move || {
-                        serve_conn(&stream, delay, io_timeout, &conn_shared);
+                        serve_conn(&stream, io_timeout, &conn_shared);
                         lock(&conn_shared.conns).remove(&id);
                     });
                 match spawned {
@@ -304,7 +280,7 @@ fn accept_loop(
 
 /// Serves one connection until the client closes, stalls past the I/O
 /// timeout, or shutdown.
-fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared: &OriginShared) {
+fn serve_conn(stream: &TcpStream, io_timeout: Duration, shared: &OriginShared) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(io_timeout));
@@ -320,9 +296,6 @@ fn serve_conn(stream: &TcpStream, delay: Duration, io_timeout: Duration, shared:
         let mut req = [0u8; 16];
         if stream.read_exact(&mut req).is_err() {
             return; // client closed or idled out; both end the connection
-        }
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
         }
         let mut size_bytes = [0u8; 8];
         size_bytes.copy_from_slice(&req[8..]);
@@ -352,7 +325,7 @@ mod tests {
 
     #[test]
     fn origin_serves_requested_size() {
-        let origin = OriginServer::start(Duration::ZERO).unwrap();
+        let origin = OriginServer::start().unwrap();
         let got = fetch_from_origin(origin.addr(), 42, 10_000, Duration::from_secs(5)).unwrap();
         assert_eq!(got, 10_000);
         assert_eq!(origin.served(), 1);
@@ -361,7 +334,7 @@ mod tests {
 
     #[test]
     fn origin_counts_multiple_fetches() {
-        let origin = OriginServer::start(Duration::ZERO).unwrap();
+        let origin = OriginServer::start().unwrap();
         for doc in 0..5 {
             fetch_from_origin(origin.addr(), doc, 100, Duration::from_secs(5)).unwrap();
         }
@@ -371,7 +344,7 @@ mod tests {
 
     #[test]
     fn zero_byte_document() {
-        let origin = OriginServer::start(Duration::ZERO).unwrap();
+        let origin = OriginServer::start().unwrap();
         let got = fetch_from_origin(origin.addr(), 1, 0, Duration::from_secs(5)).unwrap();
         assert_eq!(got, 0);
         origin.shutdown();
@@ -379,7 +352,7 @@ mod tests {
 
     #[test]
     fn persistent_connection_serves_many_requests() {
-        let origin = OriginServer::start(Duration::ZERO).unwrap();
+        let origin = OriginServer::start().unwrap();
         let mut conn = crate::pool::connect(origin.addr(), Duration::from_secs(5)).unwrap();
         for doc in 0..4 {
             let got = fetch_on_origin_conn(&mut conn, doc, 64).unwrap();
@@ -435,8 +408,7 @@ mod tests {
         // buffers until the origin's `write_all` would block forever.
         // With a write timeout the origin abandons the response,
         // counts it, and keeps serving other clients.
-        let origin =
-            OriginServer::start_with_timeout(Duration::ZERO, Duration::from_millis(200)).unwrap();
+        let origin = OriginServer::start_with_timeout(Duration::from_millis(200)).unwrap();
         let mut stall = TcpStream::connect_timeout(&origin.addr(), Duration::from_secs(5)).unwrap();
         let mut req = [0u8; 16];
         req[..8].copy_from_slice(&7u64.to_be_bytes());

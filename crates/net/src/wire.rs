@@ -138,7 +138,7 @@ impl Frame {
 /// # Errors
 ///
 /// Propagates write failures.
-pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> io::Result<()> {
+pub(crate) fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> io::Result<()> {
     writer.write_all(Frame::encode(msg).framed())
 }
 
@@ -153,7 +153,7 @@ pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMessage) -> io::Result<()
 ///
 /// Propagates read failures; an oversized length prefix or an
 /// undecodable header surfaces as [`io::ErrorKind::InvalidData`].
-pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
+pub(crate) fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
     let mut len_buf = [0u8; PREFIX_LEN];
     reader.read_exact(&mut len_buf)?;
     let header_len = u32::from_be_bytes(len_buf) as usize;

@@ -1,65 +1,64 @@
 //! A shared-reference proxy node for the socket daemons.
 //!
 //! [`ConcurrentNode`] holds what sharing a node across server threads
-//! actually needs — a [`ConcurrentCache`] and an interior-mutable
-//! telemetry slot — and no protocol logic of its own. Every handler
-//! takes `&self`, lends the shared cache to a [`ProxyNode`] that lives
-//! for the one call, and runs that type's handler: the ICP responder,
-//! the document server and the client request path of a `coopcache-net`
-//! daemon therefore execute the same bodies the simulators do, and two
-//! requests touching different shards never serialize on a node-wide
-//! lock (each store operation locks one shard and releases it before the
-//! handler reports anything).
+//! actually needs — a [`ConcurrentCache`], the stats registry it is built
+//! with and a set-once sink slot — and no protocol logic of its own.
+//! Every handler takes `&self`, lends the shared cache to a [`ProxyNode`]
+//! that lives for the one call, and runs that type's handler: the ICP
+//! responder, the document server and the client request path of a
+//! `coopcache-net` daemon therefore execute the same bodies the
+//! simulators do, and two requests touching different shards never
+//! serialize on a node-wide lock (each store operation locks one shard
+//! and releases it before the handler reports anything).
 
 use crate::message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
 use crate::node::{ProxyNode, Telemetry};
 use coopcache_core::{CacheConfig, ConcurrentCache, PlacementScheme};
 use coopcache_obs::{SinkHandle, StatsRegistry};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// One cooperative proxy, sharable across server threads by reference.
 #[derive(Debug)]
 pub struct ConcurrentNode {
     cache: ConcurrentCache,
     scheme: PlacementScheme,
-    /// The optional sink and stats registry, behind a mutex so they can
-    /// be installed on a node that is already shared. It is held only to
-    /// copy the two handles out — never across a store operation or an
-    /// emit.
-    telemetry: Mutex<Telemetry>,
+    /// Placement and eviction counts, kept whether or not a sink is set.
+    stats: Arc<StatsRegistry>,
+    /// The event sink, installed at most once: reading it takes no lock.
+    sink: OnceLock<SinkHandle>,
 }
 
 impl ConcurrentNode {
-    /// Creates a node from a full cache configuration.
+    /// Creates a node from a full cache configuration, with a fresh stats
+    /// registry and no sink.
     #[must_use]
     pub fn from_config(config: CacheConfig, scheme: PlacementScheme) -> Self {
         Self {
             cache: config.build_concurrent(),
             scheme,
-            telemetry: Mutex::default(),
+            stats: Arc::new(StatsRegistry::new()),
+            sink: OnceLock::new(),
         }
     }
 
     /// Attaches an event sink; placement decisions and evictions from
-    /// this node flow into it.
+    /// this node flow into it. The first sink stays: a later call leaves
+    /// it in place and drops `sink`.
     pub fn set_sink(&self, sink: SinkHandle) {
-        self.lock_telemetry().sink = Some(sink);
+        let _ = self.sink.set(sink);
     }
 
-    /// Attaches a live stats registry; placement and eviction counts
-    /// from this node land in it whether or not a sink is installed.
-    pub fn set_stats(&self, stats: Arc<StatsRegistry>) {
-        self.lock_telemetry().stats = Some(stats);
+    /// The installed sink, if any.
+    #[must_use]
+    pub fn sink(&self) -> Option<&SinkHandle> {
+        self.sink.get()
     }
 
-    /// Locks the telemetry slot, recovering from poisoning (a panicked
-    /// peer thread should degrade the node, not wedge it — same stance as
-    /// the daemons).
-    fn lock_telemetry(&self) -> std::sync::MutexGuard<'_, Telemetry> {
-        self.telemetry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The registry this node counts placements and evictions into.
+    #[must_use]
+    pub fn stats(&self) -> &Arc<StatsRegistry> {
+        &self.stats
     }
 
     /// The single-owner node one call runs on: the shared cache by
@@ -74,13 +73,13 @@ impl ConcurrentNode {
 
     /// The node for a handler that reports placements or evictions.
     fn reporting(&self) -> ProxyNode<&ConcurrentCache> {
-        let telemetry = self.lock_telemetry().clone();
-        self.node(telemetry)
+        let (sink, stats) = (self.sink.get().cloned(), Some(Arc::clone(&self.stats)));
+        self.node(Telemetry { sink, stats })
     }
 
     /// The node for a handler that reports nothing (lookups, ICP probes,
     /// request building): skipping the telemetry copy keeps the hit path
-    /// free of any node-wide lock.
+    /// free of shared reference counts.
     fn silent(&self) -> ProxyNode<&ConcurrentCache> {
         self.node(Telemetry::default())
     }
@@ -151,6 +150,7 @@ mod tests {
     use coopcache_core::PolicyKind;
     use coopcache_obs::{mute_request_scoped, splitmix64, EventKind, RingBufferSink};
     use coopcache_types::DurationMs;
+    use std::sync::Mutex;
 
     fn d(i: u64) -> DocId {
         DocId::new(i)
@@ -202,10 +202,10 @@ mod tests {
                 let config = CacheConfig::new(CacheId::new(0), kb(16), PolicyKind::Lru);
                 let shared = ConcurrentNode::from_config(config, scheme);
                 let mut serial = ProxyNode::from_config(config, scheme);
-                let (shared_ring, shared_stats) = probes();
+                let (shared_ring, _) = probes();
                 let (serial_ring, serial_stats) = probes();
                 shared.set_sink(SinkHandle::from_arc(Arc::clone(&shared_ring)));
-                shared.set_stats(Arc::clone(&shared_stats));
+                let shared_stats = shared.stats();
                 serial.set_sink(SinkHandle::from_arc(Arc::clone(&serial_ring)));
                 serial.set_stats(Arc::clone(&serial_stats));
                 let _mute = muted.then(mute_request_scoped);
