@@ -121,6 +121,14 @@ pub enum InvariantViolation {
     /// The expiration-age tracker's window exceeds its configured bound
     /// or its running sum drifted from the recorded ages (paper eq. 5).
     TrackerWindow,
+    /// A sharded cache's published eq. 5 age disagrees with its shards:
+    /// shard `Some(i)`'s entry in the window table is not that shard's
+    /// window, or (`None`) the published age is not the pooled age of
+    /// the table.
+    PublishedAge {
+        /// The shard whose table entry is stale, if that is the fault.
+        shard: Option<usize>,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -161,6 +169,15 @@ impl fmt::Display for InvariantViolation {
             }
             Self::TrackerWindow => {
                 f.write_str("expiration-age tracker window bounds or sums are inconsistent")
+            }
+            Self::PublishedAge { shard: Some(i) } => {
+                write!(
+                    f,
+                    "window table entry of shard {i} is not that shard's window"
+                )
+            }
+            Self::PublishedAge { shard: None } => {
+                f.write_str("published expiration age is not the pooled age of the shard windows")
             }
         }
     }

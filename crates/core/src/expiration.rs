@@ -232,6 +232,11 @@ impl ExpirationTracker {
 /// One window is a tracker's own age; a sharded cache passes one window
 /// per shard. [`ExpirationAge::Infinite`] while every window is empty —
 /// no eviction observed, so no disk contention shown.
+///
+/// A finite mean saturates at [`MAX_FINITE_AGE_MS`], so a sharded cache
+/// can publish the age in one `u64` with `u64::MAX` reserved for
+/// infinite; only a window of ages that are all `u64::MAX` ms (half a
+/// billion years) would reach it.
 pub(crate) fn pooled_expiration_age(
     windows: impl IntoIterator<Item = (u128, usize)>,
 ) -> ExpirationAge {
@@ -241,8 +246,12 @@ pub(crate) fn pooled_expiration_age(
     if len == 0 {
         return ExpirationAge::Infinite;
     }
-    ExpirationAge::finite(DurationMs::from_millis((sum / len as u128) as u64))
+    let mean = (sum / len as u128).min(u128::from(MAX_FINITE_AGE_MS));
+    ExpirationAge::finite(DurationMs::from_millis(mean as u64))
 }
+
+/// The largest finite eq. 5 age, one millisecond short of `u64::MAX`.
+pub(crate) const MAX_FINITE_AGE_MS: u64 = u64::MAX - 1;
 
 impl Default for ExpirationTracker {
     fn default() -> Self {

@@ -1080,8 +1080,8 @@ const V_SNAP: VarId = 44;
 /// Two shards of a `ConcurrentCache`: each shard is a lock plus its
 /// insert count; the snapshot pass copies shard 0 then shard 1, taking
 /// one lock at a time in index order — exactly what the aggregations
-/// `ConcurrentCache::{len, used, stats, expiration_age}` do when they sum
-/// one per-shard reading after another.
+/// `ConcurrentCache::{len, used, stats}` do when they sum one per-shard
+/// reading after another.
 #[derive(Clone)]
 struct ShardModel {
     locks: [MockMutex; 2],
@@ -1380,6 +1380,237 @@ fn shard_lock_order_inversion_deadlocks_and_is_caught() {
             );
         }
         other => unreachable!("lock-order inversion must deadlock somewhere, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Published eq. 5 age: shard writers publish the pooled age under the
+// window-table lock, readers load it lock-free
+// (crates/core/src/concurrent.rs insert / expiration_age)
+// ---------------------------------------------------------------------------
+
+const V_AGE_SHARD0_MUTEX: VarId = 90;
+const V_AGE_SHARD1_MUTEX: VarId = 91;
+const V_AGE_SHARD0: VarId = 92;
+const V_AGE_SHARD1: VarId = 93;
+const V_AGE_TABLE_MUTEX: VarId = 94;
+const V_AGE_TABLE: VarId = 95;
+const V_AGE_WORD: VarId = 96;
+const V_AGE_READS: VarId = 97;
+const V_AGE_FINISHED: VarId = 98;
+
+/// The published word of an infinite age, as in the real cache.
+const AGE_INFINITE: u64 = u64::MAX;
+
+/// The window each shard's insert records: (sum of ages, count). The
+/// pooled ages of the publication prefixes — ∞, 10, 40 and 25 — are
+/// pairwise distinct, so a read names the prefix it saw.
+const AGE_WINDOWS: [(u64, u64); 2] = [(10, 1), (40, 1)];
+
+/// Paper eq. 5 over the union of `windows`, as a published word.
+fn pooled_word(windows: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let (sum, len) = windows
+        .into_iter()
+        .fold((0, 0), |(s, l), (ws, wl)| (s + ws, l + wl));
+    sum.checked_div(len).unwrap_or(AGE_INFINITE)
+}
+
+/// Two shards of a `ConcurrentCache`, the window table behind its own
+/// leaf lock and the published age. Ghost state: the publications in
+/// table order, and each read with the prefix of that log it matched.
+#[derive(Clone)]
+struct AgeModel {
+    shard_locks: [MockMutex; 2],
+    table_lock: MockMutex,
+    shard_window: [(u64, u64); 2],
+    table: [(u64, u64); 2],
+    /// The word a writer computed under the table lock, not yet stored.
+    pending: [u64; 2],
+    age: MockAtomicU64,
+    log: Vec<usize>,
+    reads: Vec<(u64, Option<usize>)>,
+    finished: usize,
+}
+
+impl AgeModel {
+    fn new() -> Self {
+        Self {
+            shard_locks: [
+                MockMutex::new(V_AGE_SHARD0_MUTEX),
+                MockMutex::new(V_AGE_SHARD1_MUTEX),
+            ],
+            table_lock: MockMutex::new(V_AGE_TABLE_MUTEX),
+            shard_window: [(0, 0); 2],
+            table: [(0, 0); 2],
+            pending: [AGE_INFINITE; 2],
+            age: MockAtomicU64::new(V_AGE_WORD, AGE_INFINITE),
+            log: Vec::new(),
+            reads: Vec::new(),
+            finished: 0,
+        }
+    }
+
+    /// The pooled word after the first `k` publications.
+    fn prefix_word(&self, k: usize) -> u64 {
+        pooled_word(self.log[..k].iter().map(|&shard| AGE_WINDOWS[shard]))
+    }
+
+    /// Deadlock is the scheduler's verdict; this checks the rest: the
+    /// lock protocol, every read a prefix of the publications completed
+    /// when it was taken, later reads never seeing a shorter prefix, and
+    /// once both writers are done the published age is the table's.
+    fn check(&self) -> Result<(), String> {
+        let locks = self.shard_locks.iter().chain([&self.table_lock]);
+        if locks.into_iter().any(MockMutex::poisoned) {
+            return Err("lock protocol violated".into());
+        }
+        let mut seen = 0;
+        for &(word, prefix) in &self.reads {
+            let Some(k) = prefix else {
+                return Err(format!("read {word} is no prefix of {:?}", self.log));
+            };
+            if k < seen {
+                return Err(format!("read {word} went back to prefix {k} from {seen}"));
+            }
+            seen = k;
+        }
+        if self.finished == 2 && self.age.load() != pooled_word(self.table) {
+            return Err(format!(
+                "published {} but the table pools to {}",
+                self.age.load(),
+                pooled_word(self.table)
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Where a writer stores the pooled word relative to the table unlock.
+#[derive(Clone, Copy, PartialEq)]
+enum Publish {
+    /// Under the table lock, as `ConcurrentCache::insert` does.
+    UnderTableLock,
+    /// After releasing it: the seeded violation.
+    AfterUnlock,
+}
+
+/// An insert on `shard` that records one eq. 5 sample: shard lock, the
+/// sample, the table lock, the table entry and pooled word, the store.
+fn age_writer(shard: usize, publish: Publish) -> MockThread<AgeModel> {
+    let (mutex, data) = if shard == 0 {
+        (V_AGE_SHARD0_MUTEX, V_AGE_SHARD0)
+    } else {
+        (V_AGE_SHARD1_MUTEX, V_AGE_SHARD1)
+    };
+    let store = move |s: &mut AgeModel| {
+        let word = s.pending[shard];
+        s.age.store(word);
+    };
+    let unlock_table = move |s: &mut AgeModel| s.table_lock.release(shard);
+    let t = MockThread::new(if shard == 0 { "insert-s0" } else { "insert-s1" })
+        .guarded(
+            "lock-shard",
+            &[mutex],
+            &[mutex],
+            move |s: &AgeModel| s.shard_locks[shard].is_free(),
+            move |s: &mut AgeModel| s.shard_locks[shard].acquire(shard),
+        )
+        .step_rw("evict", &[data], &[data], move |s: &mut AgeModel| {
+            s.shard_window[shard] = AGE_WINDOWS[shard];
+        })
+        .guarded(
+            "lock-table",
+            &[V_AGE_TABLE_MUTEX],
+            &[V_AGE_TABLE_MUTEX],
+            |s: &AgeModel| s.table_lock.is_free(),
+            move |s: &mut AgeModel| s.table_lock.acquire(shard),
+        )
+        .step_rw(
+            "set-window",
+            &[data, V_AGE_TABLE],
+            &[V_AGE_TABLE],
+            move |s: &mut AgeModel| {
+                s.table[shard] = s.shard_window[shard];
+                s.log.push(shard);
+                s.pending[shard] = pooled_word(s.table);
+            },
+        );
+    let t = match publish {
+        Publish::UnderTableLock => t.step_rw("store-age", &[], &[V_AGE_WORD], store).step_rw(
+            "unlock-table",
+            &[],
+            &[V_AGE_TABLE_MUTEX],
+            unlock_table,
+        ),
+        Publish::AfterUnlock => t
+            .step_rw("unlock-table", &[], &[V_AGE_TABLE_MUTEX], unlock_table)
+            .step_rw("store-age", &[], &[V_AGE_WORD], store),
+    };
+    t.step_rw(
+        "unlock-shard",
+        &[V_AGE_FINISHED],
+        &[mutex, V_AGE_FINISHED],
+        move |s: &mut AgeModel| {
+            s.shard_locks[shard].release(shard);
+            s.finished += 1;
+        },
+    )
+}
+
+/// `expiration_age`: two lock-free loads, each matched against the
+/// publications completed at that instant.
+fn age_reader() -> MockThread<AgeModel> {
+    let load = |s: &mut AgeModel| {
+        let word = s.age.load();
+        let prefix = (0..=s.log.len()).rev().find(|&k| s.prefix_word(k) == word);
+        s.reads.push((word, prefix));
+    };
+    MockThread::new("reader")
+        .step_rw("load-age", &[V_AGE_WORD, V_AGE_TABLE], &[V_AGE_READS], load)
+        .step_rw("load-age", &[V_AGE_WORD, V_AGE_TABLE], &[V_AGE_READS], load)
+}
+
+fn explore_published_age(publish: Publish) -> Outcome {
+    explore(
+        &AgeModel::new(),
+        &[age_writer(0, publish), age_writer(1, publish), age_reader()],
+        AgeModel::check,
+        &[
+            V_AGE_SHARD0_MUTEX,
+            V_AGE_SHARD1_MUTEX,
+            V_AGE_TABLE_MUTEX,
+            V_AGE_TABLE,
+            V_AGE_WORD,
+            V_AGE_READS,
+            V_AGE_FINISHED,
+        ],
+        Config::default(),
+    )
+}
+
+/// Two shard writers publish while a reader loads the age twice: no
+/// schedule deadlocks (the table is a leaf under each shard lock), every
+/// read is the pooled age of a prefix of the completed publications,
+/// reads never go back, and the last word is the whole table's.
+#[test]
+fn published_age_reads_a_prefix_of_the_publications() {
+    let out = explore_published_age(Publish::UnderTableLock);
+    assert!(out.passed(), "publishing under the table lock: {out:?}");
+}
+
+/// Seeded violation: store the word after releasing the table lock. A
+/// writer that computed the pooled age of one publication can then
+/// store it over the newer value of two — the checker must find it.
+#[test]
+fn published_age_stored_after_the_unlock_is_caught() {
+    match explore_published_age(Publish::AfterUnlock) {
+        Outcome::InvariantViolation { message, .. } => {
+            assert!(
+                message.contains("went back") || message.contains("table pools to"),
+                "{message}"
+            );
+        }
+        other => unreachable!("a stale store must be caught, got {other:?}"),
     }
 }
 

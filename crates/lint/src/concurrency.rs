@@ -2,8 +2,9 @@
 //!
 //! These rules reason about *guard liveness*: where a `MutexGuard`
 //! obtained through this workspace's locking idioms (`lock(&mutex)` /
-//! `lock_tap(&tap)` helpers, or a direct `receiver.lock()` call) is
-//! still alive. The analysis is textual, like every other rule here,
+//! `lock_tap(&tap)` helpers, the `ConcurrentCache` shard helpers
+//! `lock_shard(i)` / `lock_for(doc)`, or a direct `receiver.lock()`
+//! call) is still alive. The analysis is textual, like every other rule here,
 //! but models the Rust drop rules that matter in practice:
 //!
 //! * a `let g = lock(..);` binding (optionally through poison-recovery
@@ -35,7 +36,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Call-style helpers in this workspace that return a `MutexGuard`.
-const LOCK_HELPERS: [&str; 2] = ["lock", "lock_tap"];
+const LOCK_HELPERS: [&str; 4] = ["lock", "lock_tap", "lock_shard", "lock_for"];
+
+/// Helpers that lock one mutex of a family picked by their argument —
+/// a `ConcurrentCache` shard. Which shard is not visible in the text, so
+/// every such acquisition is one lock class, [`SHARD_LOCK`]: nesting two
+/// is a re-acquisition, the discipline the shard scheme forbids.
+const SHARD_HELPERS: [&str; 2] = ["lock_shard", "lock_for"];
+
+/// The lock name of every [`SHARD_HELPERS`] acquisition.
+const SHARD_LOCK: &str = "shard";
 
 /// `.lock()` receivers that are re-entrant I/O handles, not mutexes.
 const IO_LOCK_RECEIVERS: [&str; 3] = ["stdout", "stderr", "stdin"];
@@ -310,7 +320,9 @@ fn guard_spans(code: &str) -> Vec<GuardSpan> {
                 continue;
             };
             let method = pos > 0 && bytes[pos - 1] == b'.';
-            let lock = if method {
+            let lock = if SHARD_HELPERS.contains(&helper) {
+                SHARD_LOCK.to_string()
+            } else if method {
                 // The receiver may sit on the previous line of a chain.
                 let Some(recv) = ident_opt(bytes, pos - 1) else {
                     continue;

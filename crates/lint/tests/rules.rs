@@ -283,6 +283,39 @@ fn lock_order_collision_note_names_multi_declared_locks() {
 }
 
 #[test]
+fn lock_blocking_sees_a_shard_guard_from_lock_for() {
+    let src = include_str!("fixtures/shard_lock_blocking_bad.rs");
+    let findings = lint("crates/core/src/fixture.rs", src);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(count(&findings, Rule::LockBlocking), 1, "{findings:?}");
+    lines_contain(&findings, src, Rule::LockBlocking, "write_frame");
+    assert!(findings[0].message.contains("`shard`"), "{findings:?}");
+}
+
+#[test]
+fn lock_order_accepts_the_window_table_below_a_shard_guard() {
+    let src = include_str!("fixtures/shard_lock_order_good.rs");
+    let path = "crates/core/src/fixture.rs";
+    assert!(lint(path, src).is_empty());
+    let sources = vec![(PathBuf::from(path), src.to_string())];
+    let findings = check_lock_order(&sources);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn lock_order_flags_a_shard_taken_under_the_window_table() {
+    let src = include_str!("fixtures/shard_lock_order_bad.rs");
+    let sources = vec![(PathBuf::from("crates/core/src/fixture.rs"), src.to_string())];
+    let findings = check_lock_order(&sources);
+    assert_eq!(count(&findings, Rule::LockOrder), 1, "{findings:?}");
+    let msg = &findings[0].message;
+    assert!(
+        msg.contains("cycle") && msg.contains("shard") && msg.contains("windows"),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn atomic_order_fixture_flags_relaxed_flags_and_bare_seqcst() {
     let src = include_str!("fixtures/atomic_order_bad.rs");
     let findings = lint("crates/net/src/fixture.rs", src);

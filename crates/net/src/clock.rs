@@ -24,6 +24,10 @@ pub(crate) struct SharedClock {
     epoch: Arc<Instant>,
     /// Manually set cache time in milliseconds, [`UNSET`] until first set.
     manual_ms: Option<Arc<AtomicU64>>,
+    /// Calls to [`now`](Self::now) over every clone, for tests that pin
+    /// how often a loop reads the cache time.
+    #[cfg(test)]
+    reads: Arc<AtomicU64>,
 }
 
 impl SharedClock {
@@ -33,6 +37,8 @@ impl SharedClock {
         Self {
             epoch: Arc::new(Instant::now()),
             manual_ms: None,
+            #[cfg(test)]
+            reads: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -70,6 +76,8 @@ impl SharedClock {
     /// milliseconds since the epoch.
     #[must_use]
     pub(crate) fn now(&self) -> Timestamp {
+        #[cfg(test)]
+        self.reads.fetch_add(1, Ordering::Relaxed);
         if let Some(manual_ms) = &self.manual_ms {
             // lint:allow(atomic-order) -- Acquire: pairs with the Release
             // store in `set_cache_time`.
@@ -79,6 +87,12 @@ impl SharedClock {
             }
         }
         Timestamp::from_millis(self.epoch.elapsed().as_millis() as u64)
+    }
+
+    /// Calls to [`now`](Self::now) so far, over every clone.
+    #[cfg(test)]
+    pub(crate) fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Microseconds since the epoch — the daemon's latency and deadline

@@ -37,12 +37,14 @@
 //! workspace forbids `unsafe`, so there is no epoll — a parked thread
 //! blocked in `recv`/`accept`/`read` *is* the readiness mechanism, and
 //! it burns zero CPU at idle, unlike the 20 ms poll loops this design
-//! replaced). The document port serves each accepted connection on its
-//! own thread, at most [`MAX_CONNS`] at once, and connections
+//! replaced; the optional metrics sampler parks until its next sample).
+//! The document port serves each accepted connection on its own thread,
+//! at most [`MAX_CONNS`] at once, and connections
 //! are *persistent*: a client may pipeline any number of frames on one
 //! connection. Shutdown wakes the blocked threads explicitly — a junk
 //! datagram for the ICP responder, a throwaway connect for the
-//! acceptor, and a `shutdown(2)` on every registered live connection.
+//! acceptor, an unpark for the sampler, and a `shutdown(2)` on every
+//! registered live connection.
 //!
 //! The client side pools its outbound peer/origin connections
 //! (`pool.rs`) and sheds cacheable-store work under memory pressure
@@ -59,7 +61,9 @@ use crate::lock;
 use crate::memory::{AdmissionGate, MemoryProbe};
 use crate::origin::{drain_body, fetch_on_origin_conn, write_body, ZERO_BLOCK};
 use crate::pool::{Conn, ConnectionPool};
-use crate::wire::{peek_frame_kind, read_frame, write_frame, Frame, PeekedFrame, WireMessage};
+use crate::wire::{
+    decode_buffered, peek_frame_kind, read_frame, write_frame, Frame, PeekedFrame, WireMessage,
+};
 use coopcache_core::{CacheConfig, PolicyKind};
 use coopcache_obs::{
     age_to_ms, scoped_id, Event, FaultOp, Histogram, HistogramSnapshot, JsonWriter, SeriesPoint,
@@ -69,11 +73,11 @@ use coopcache_obs::{
 use coopcache_proxy::{
     ConcurrentNode, IcpQuery, RequestOutcome, Requester, RequesterAction, RequesterInput,
 };
-use coopcache_types::{ByteSize, CacheId, DocId};
+use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -322,6 +326,9 @@ struct LoopCtx {
     /// makes no iterations — the idle-CPU regression test pins this.
     icp_iters: Arc<AtomicU64>,
     accept_iters: Arc<AtomicU64>,
+    /// Times the sampler thread returned from a park: once per interval
+    /// on a quiet daemon, plus the shutdown unpark.
+    sampler_wakeups: Arc<AtomicU64>,
     /// No sampler thread runs, so each series probe samples first.
     sample_on_probe: bool,
 }
@@ -422,6 +429,7 @@ impl CacheDaemon {
             conns: Arc::new(ConnTable::default()),
             icp_iters: Arc::new(AtomicU64::new(0)),
             accept_iters: Arc::new(AtomicU64::new(0)),
+            sampler_wakeups: Arc::new(AtomicU64::new(0)),
             sample_on_probe: config.sample_interval.is_none(),
         };
 
@@ -539,6 +547,13 @@ impl CacheDaemon {
             self.ctx.icp_iters.load(Ordering::Relaxed),
             self.ctx.accept_iters.load(Ordering::Relaxed),
         )
+    }
+
+    /// Cumulative sampler-thread wakeups: one per sample interval on a
+    /// quiet daemon (zero without a sampler), plus the one `halt` causes.
+    #[must_use]
+    pub fn sampler_wakeups(&self) -> u64 {
+        self.ctx.sampler_wakeups.load(Ordering::Relaxed)
     }
 
     /// Number of pooled outbound connections currently parked for
@@ -1107,8 +1122,9 @@ impl CacheDaemon {
 
     /// Best-effort wake-ups for the blocking server loops: a junk
     /// datagram unparks the ICP `recv_from`, a throwaway connect
-    /// unparks the doc `accept`. Errors are ignored — if the sockets
-    /// are already gone the loops are already dead.
+    /// unparks the doc `accept` (the sampler is unparked by its handle).
+    /// Errors are ignored — if the sockets are already gone the loops
+    /// are already dead.
     fn wake_server_loops(&self) {
         if let Ok(socket) = UdpSocket::bind("127.0.0.1:0") {
             let _ = socket.send_to(&[0u8], self.icp_addr);
@@ -1130,6 +1146,9 @@ impl CacheDaemon {
         self.ctx.stop.store(true, Ordering::Release);
         self.wake_server_loops();
         for handle in self.threads.drain(..) {
+            // The sampler parks between samples; the other loops block in
+            // the kernel, where an unpark is a no-op.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // With the acceptor joined, no new connections can register:
@@ -1152,6 +1171,9 @@ impl Drop for CacheDaemon {
         self.ctx.stop.store(true, Ordering::Release);
         if !self.threads.is_empty() {
             self.wake_server_loops();
+        }
+        for handle in &self.threads {
+            handle.thread().unpark();
         }
     }
 }
@@ -1286,13 +1308,23 @@ fn doc_loop(listener: &TcpListener, ctx: &LoopCtx, io_timeout: Duration) {
     }
 }
 
+/// What one inbound connection has served so far.
+#[derive(Debug, Default)]
+struct Served {
+    /// Every frame, probes included: what the idle-timeout rule and the
+    /// synthetic trace ids count.
+    frames: u64,
+    /// Document frames only: the second and later are connection reuse.
+    docs: u64,
+}
+
 /// Serves one inbound connection to completion: frames are read and
 /// answered in a loop until the client closes, errors, or shutdown.
 fn serve_conn(stream: &TcpStream, ctx: &LoopCtx, io_timeout: Duration) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
-    let mut served = 0u64;
+    let mut served = Served::default();
     // Base for synthetic root trace ids handed to untraced frames: one
     // scoped id per connection, spread across the 64-bit space by the
     // sampler's own mixer, plus the frame ordinal. This keeps the hot
@@ -1311,7 +1343,8 @@ fn serve_conn(stream: &TcpStream, ctx: &LoopCtx, io_timeout: Duration) {
         // an idle connection expiring. Anything else — garbage framing,
         // a connection that sent nothing until timeout — is logged and
         // the listener keeps serving.
-        let benign = e.kind() == io::ErrorKind::UnexpectedEof || (served > 0 && is_timeout(&e));
+        let benign =
+            e.kind() == io::ErrorKind::UnexpectedEof || (served.frames > 0 && is_timeout(&e));
         if !benign {
             ctx.loop_error(ServerLoop::Doc, &e);
         }
@@ -1338,17 +1371,26 @@ const _: () = assert!(ZERO_BLOCK >= WRITE_BUF);
 /// buffer holds the answers to everything one drained read delivered, so
 /// a pipelined batch is answered with one `write`; a body larger than
 /// the buffer is written through, after what was buffered before it.
+///
+/// The work is per drained read, not per frame: the cache clock is read
+/// once after each read returns, and every frame that read delivered is
+/// served at that time; a frame whole in the read buffer is decoded in
+/// place, and only a frame split across reads goes through
+/// [`read_frame`] (which reads on, so the clock is read again after it).
 /// Generic over the I/O halves, like [`serve_frame`], so the syscall
 /// pattern is testable without a socket.
 fn serve_conn_buffered<R: Read, W: Write>(
     reader: R,
     writer: W,
     ctx: &LoopCtx,
-    served: &mut u64,
+    served: &mut Served,
     conn_trace_base: u64,
 ) -> io::Result<()> {
     let mut reader = BufReader::with_capacity(READ_BUF, reader);
     let mut writer = BufWriter::with_capacity(WRITE_BUF, writer);
+    // The cache time of the frames in the read buffer, set after every
+    // read; the buffer starts empty, so a read sets it before first use.
+    let mut now = Timestamp::ZERO;
     loop {
         // lint:allow(atomic-order) -- Acquire: pairs with the Release
         // store in `halt`.
@@ -1357,14 +1399,32 @@ fn serve_conn_buffered<R: Read, W: Write>(
         }
         if reader.buffer().is_empty() {
             writer.flush()?;
+            match reader.fill_buf() {
+                Ok([]) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => now = ctx.clock.now(),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
         }
-        match serve_frame(
-            &mut reader,
+        let message = match decode_buffered(reader.buffer()) {
+            Some((len, message)) => {
+                reader.consume(len);
+                message?
+            }
+            None => {
+                let message = read_frame(&mut reader)?;
+                now = ctx.clock.now();
+                message
+            }
+        };
+        match answer_frame(
+            message,
             &mut writer,
             ctx,
             DocFault::None,
             served,
             conn_trace_base,
+            now,
         )? {
             FrameDisposition::KeepOpen => {}
             FrameDisposition::Close => return writer.flush(),
@@ -1378,7 +1438,7 @@ fn serve_conn_buffered<R: Read, W: Write>(
 fn serve_conn_raw(
     stream: &TcpStream,
     ctx: &LoopCtx,
-    served: &mut u64,
+    served: &mut Served,
     conn_trace_base: u64,
 ) -> io::Result<()> {
     loop {
@@ -1432,18 +1492,35 @@ enum FrameDisposition {
     Close,
 }
 
-/// Reads and answers exactly one frame. Generic over the I/O halves so
-/// the fault-free path runs buffered while the fault path stays on the
-/// raw stream (whose bytes the chaos tests pin).
+/// Reads and answers exactly one frame, at the cache time it was read:
+/// the fault path's frame loop, on the raw stream (whose bytes the chaos
+/// tests pin).
 fn serve_frame<R: Read, W: Write>(
     reader: &mut R,
     writer: &mut W,
     ctx: &LoopCtx,
     fault: DocFault,
-    served: &mut u64,
+    served: &mut Served,
     conn_trace_base: u64,
 ) -> io::Result<FrameDisposition> {
-    let (request, trace) = match read_frame(reader)? {
+    let message = read_frame(reader)?;
+    let now = ctx.clock.now();
+    answer_frame(message, writer, ctx, fault, served, conn_trace_base, now)
+}
+
+/// Answers one decoded frame, serving a document at cache time `now`.
+/// Generic over the writer so the fault-free path writes buffered while
+/// the fault path writes to the raw stream.
+fn answer_frame<W: Write>(
+    message: WireMessage,
+    writer: &mut W,
+    ctx: &LoopCtx,
+    fault: DocFault,
+    served: &mut Served,
+    conn_trace_base: u64,
+    now: Timestamp,
+) -> io::Result<FrameDisposition> {
+    let (request, trace) = match message {
         // A stats or series scrape shares the doc port; it is answered even
         // on a fault-injected daemon — observability must survive chaos.
         probe @ (WireMessage::StatsRequest | WireMessage::SeriesRequest) => {
@@ -1464,7 +1541,7 @@ fn serve_frame<R: Read, W: Write>(
             };
             write_frame(writer, &header)?;
             writer.write_all(body.as_bytes())?;
-            *served += 1;
+            served.frames += 1;
             return Ok(FrameDisposition::KeepOpen);
         }
         WireMessage::DocRequest {
@@ -1492,20 +1569,21 @@ fn serve_frame<R: Read, W: Write>(
     // id, so both sides agree); untraced requests — raw clients hitting
     // the doc port — get a synthetic root trace, which is exactly what a
     // head sampler does for traffic entering at this hop.
-    let frame_trace = trace.map_or(conn_trace_base.wrapping_add(*served), |t| t.trace_id);
+    let frame_trace = trace.map_or(conn_trace_base.wrapping_add(served.frames), |t| t.trace_id);
     let _mute = mute_if_unsampled(ctx.node.sink(), frame_trace);
-    if *served > 0 {
-        // A second (or later) frame on one inbound connection: the
-        // requester is reusing a persistent connection to this daemon.
+    if served.docs > 0 {
+        // A second (or later) document frame on one inbound connection:
+        // the requester is reusing a persistent connection to this daemon.
         ctx.emit(&Event::ConnReused {
             cache: ctx.id,
             peer: Some(request.from),
         });
     }
-    *served += 1;
+    served.frames += 1;
+    served.docs += 1;
     let span_id = trace.map(|_| ctx.next_span());
     let node = &ctx.node;
-    let (response, found, promoted) = match node.handle_http_request(request, ctx.clock.now()) {
+    let (response, found, promoted) = match node.handle_http_request(request, now) {
         Some((response, promoted)) => (response, true, promoted),
         None => (
             coopcache_proxy::HttpResponse {
@@ -1661,23 +1739,23 @@ impl LoopCtx {
 }
 
 /// Sampler thread body: pushes one [`SeriesPoint`] per interval into
-/// the shared ring. The sleep is chunked so shutdown never blocks
-/// behind a long interval.
+/// the shared ring. Between samples the thread is parked until the next
+/// one is due — an idle daemon wakes it once per interval — and `halt`
+/// unparks it, so shutdown never waits out a long interval.
 fn sample_loop(ctx: &LoopCtx, interval: Duration) {
+    let interval_us = u64::try_from(interval.as_micros()).unwrap_or(u64::MAX);
+    let mut due_us = ctx.clock.now_micros().saturating_add(interval_us);
     // lint:allow(atomic-order) -- Acquire: pairs with the Release store
     // in `halt`, ordering the flag read before loop teardown.
     while !ctx.stop.load(Ordering::Acquire) {
-        let mut remaining = interval;
-        while !remaining.is_zero() {
-            // lint:allow(atomic-order) -- Acquire: same pairing as above.
-            if ctx.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let chunk = remaining.min(Duration::from_millis(5));
-            std::thread::sleep(chunk);
-            remaining = remaining.saturating_sub(chunk);
+        let now_us = ctx.clock.now_micros();
+        if now_us < due_us {
+            std::thread::park_timeout(Duration::from_micros(due_us - now_us));
+            ctx.sampler_wakeups.fetch_add(1, Ordering::Relaxed);
+            continue;
         }
         ctx.sample();
+        due_us = now_us.saturating_add(interval_us);
     }
 }
 
@@ -1702,7 +1780,13 @@ mod tests {
 
     /// A one-daemon cluster holding the small documents and the big one.
     fn warm_cluster() -> LoopbackCluster {
-        let config = ClusterConfig::new(1, ByteSize::from_kb(1024), PlacementScheme::Ea);
+        warm_cluster_with_shards(1)
+    }
+
+    /// [`warm_cluster`] with its cache split over `shards` shard locks.
+    fn warm_cluster_with_shards(shards: usize) -> LoopbackCluster {
+        let config =
+            ClusterConfig::new(1, ByteSize::from_kb(1024), PlacementScheme::Ea).shards(shards);
         let cluster = LoopbackCluster::start_with_config(config).unwrap();
         for doc in 0..SMALL_DOCS {
             cluster
@@ -1750,7 +1834,8 @@ mod tests {
     /// Runs the fault-free loop over `chunks` until the input runs out.
     fn serve_buffered(ctx: &LoopCtx, chunks: Vec<Vec<u8>>) -> CountingWriter {
         let mut out = CountingWriter::default();
-        let err = serve_conn_buffered(Chunked(chunks.into()), &mut out, ctx, &mut 0, 0)
+        let mut served = Served::default();
+        let err = serve_conn_buffered(Chunked(chunks.into()), &mut out, ctx, &mut served, 0)
             .expect_err("the loop ends at end of input");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         out
@@ -1759,7 +1844,8 @@ mod tests {
     /// Runs `input` frame by frame on unbuffered halves, as the
     /// fault-path loop does.
     fn serve_raw(ctx: &LoopCtx, input: &[u8]) -> CountingWriter {
-        let (mut reader, mut out, mut served) = (input, CountingWriter::default(), 0);
+        let (mut reader, mut out) = (input, CountingWriter::default());
+        let mut served = Served::default();
         loop {
             match serve_frame(&mut reader, &mut out, ctx, DocFault::None, &mut served, 0) {
                 Ok(FrameDisposition::KeepOpen) => {}
@@ -1934,6 +2020,97 @@ mod tests {
         assert!(kinds.contains(&EventKind::Placement), "{kinds:?}");
         drop(stream);
         cluster.shutdown();
+    }
+
+    #[test]
+    fn a_probe_before_the_first_document_frame_is_not_connection_reuse() {
+        let cluster = warm_cluster();
+        let daemon = cluster.daemon(0);
+        let reused_before = counter(daemon, EventKind::ConnReused);
+        let mut input = Vec::new();
+        write_frame(&mut input, &WireMessage::StatsRequest).unwrap();
+        write_frame(&mut input, &WireMessage::SeriesRequest).unwrap();
+        doc_requests(&mut input, [1]);
+        serve_buffered(&daemon.ctx, vec![input]);
+        assert_eq!(
+            counter(daemon, EventKind::ConnReused) - reused_before,
+            0,
+            "the first document frame opens the connection's reuse count"
+        );
+        let mut input = Vec::new();
+        write_frame(&mut input, &WireMessage::StatsRequest).unwrap();
+        doc_requests(&mut input, [1, 2]);
+        serve_buffered(&daemon.ctx, vec![input]);
+        assert_eq!(counter(daemon, EventKind::ConnReused) - reused_before, 1);
+        cluster.shutdown();
+    }
+
+    /// The fault-free responder takes one shard lock per served
+    /// document, whatever the shard count: the eq. 5 age it piggybacks
+    /// is a published atomic, not a pass over the shards.
+    #[test]
+    fn each_served_document_takes_exactly_one_shard_lock() {
+        const FRAMES: u64 = 3 * SMALL_DOCS;
+        for shards in [1, 4] {
+            let cluster = warm_cluster_with_shards(shards);
+            let ctx = &cluster.daemon(0).ctx;
+            let mut input = Vec::new();
+            doc_requests(&mut input, (0..FRAMES).map(|k| k % SMALL_DOCS));
+            let before = ctx.node.cache().contention();
+            serve_buffered(ctx, vec![input]);
+            let taken = ctx.node.cache().contention().acquisitions - before.acquisitions;
+            assert_eq!(taken, FRAMES, "{shards} shard(s)");
+            cluster.shutdown();
+        }
+    }
+
+    /// Every frame a drained read delivers is served at one cache time:
+    /// the clock is read once per read, not once per frame.
+    #[test]
+    fn the_buffered_loop_reads_the_clock_once_per_drained_read() {
+        let cluster = warm_cluster();
+        let ctx = &cluster.daemon(0).ctx;
+        let batches: Vec<Vec<u8>> = (0..3)
+            .map(|_| {
+                let mut batch = Vec::new();
+                doc_requests(&mut batch, 0..SMALL_DOCS);
+                batch
+            })
+            .collect();
+        let before = ctx.clock.reads();
+        serve_buffered(ctx, batches);
+        assert_eq!(ctx.clock.reads() - before, 3, "one read per 64-frame batch");
+
+        // A frame split across reads is read whole by `read_frame`, which
+        // reads on; the clock is read again after it.
+        let mut input = Vec::new();
+        doc_requests(&mut input, 0..2);
+        let (first, second) = input.split_at(input.len() / 2 + 3);
+        let before = ctx.clock.reads();
+        let out = serve_buffered(ctx, vec![first.to_vec(), second.to_vec()]);
+        assert_eq!(ctx.clock.reads() - before, 2);
+        assert_eq!(out.bytes, serve_raw(ctx, &input).bytes);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn the_sampler_parks_until_its_next_sample_and_halt_unparks_it() {
+        let config = ClusterConfig::new(1, ByteSize::from_kb(64), PlacementScheme::Ea)
+            .sample_interval(Duration::from_secs(1));
+        let cluster = LoopbackCluster::start_with_config(config).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        let wakeups = cluster.daemon(0).sampler_wakeups();
+        assert!(
+            wakeups <= 1,
+            "an idle sampler woke {wakeups} times in 300 ms"
+        );
+        let clock = SharedClock::start();
+        cluster.shutdown();
+        let took_ms = clock.now_micros() / 1_000;
+        assert!(
+            took_ms < 500,
+            "shutdown waited {took_ms} ms for the sampler"
+        );
     }
 
     #[test]

@@ -170,7 +170,30 @@ pub(crate) fn read_frame<R: Read>(reader: &mut R) -> io::Result<WireMessage> {
     if rest > 0 && io::copy(&mut reader.take(rest), &mut io::sink())? < rest {
         return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    WireMessage::decode(&header[..kept]).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    decode_header(&header[..kept])
+}
+
+/// Decodes a header from its first [`MAX_HEADER_LEN`] bytes (decoding
+/// never looks further), an undecodable one as
+/// [`io::ErrorKind::InvalidData`].
+fn decode_header(header: &[u8]) -> io::Result<WireMessage> {
+    WireMessage::decode(&header[..header.len().min(MAX_HEADER_LEN)])
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Decodes the frame at the head of `buf` in place when all of it is
+/// there: `Some((frame length, message))`, with the same
+/// [`io::ErrorKind::InvalidData`] for an undecodable header as
+/// [`read_frame`]. A frame split across reads, or a length prefix over
+/// [`MAX_FRAME_LEN`], is `None`: left to [`read_frame`].
+pub(crate) fn decode_buffered(buf: &[u8]) -> Option<(usize, io::Result<WireMessage>)> {
+    let prefix = buf.first_chunk::<PREFIX_LEN>()?;
+    let header_len = u32::from_be_bytes(*prefix) as usize;
+    if header_len > MAX_FRAME_LEN {
+        return None;
+    }
+    let header = buf.get(PREFIX_LEN..PREFIX_LEN + header_len)?;
+    Some((PREFIX_LEN + header_len, decode_header(header)))
 }
 
 /// What a blocking peek at a doc-port connection found.
@@ -817,6 +840,44 @@ mod tests {
         buf.extend_from_slice(b"junk");
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn decode_buffered_agrees_with_read_frame_on_whole_frames_only() {
+        let mut rng = TestRng(0xB0FF);
+        for _ in 0..500 {
+            let msg = rng.message();
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &msg).unwrap();
+            buf.extend_from_slice(&[0xEE; 3]); // the next frame's first bytes
+            let frame_len = buf.len() - 3;
+            let (len, decoded) = decode_buffered(&buf).expect("a whole frame");
+            assert_eq!(len, frame_len);
+            assert_eq!(decoded.unwrap(), read_frame(&mut buf.as_slice()).unwrap());
+            for cut in 0..frame_len {
+                assert!(decode_buffered(&buf[..cut]).is_none(), "split at {cut}");
+            }
+        }
+        // A legal frame longer than any header: consumed whole, decoded
+        // from its first `MAX_HEADER_LEN` bytes, as `read_frame` does.
+        let mut padded = Vec::new();
+        padded.extend_from_slice(&(MAX_FRAME_LEN as u32).to_be_bytes());
+        padded.extend_from_slice(&WireMessage::StatsRequest.encode());
+        padded.resize(PREFIX_LEN + MAX_FRAME_LEN, 0xAB);
+        let (len, decoded) = decode_buffered(&padded).unwrap();
+        assert_eq!(
+            (len, decoded.unwrap()),
+            (padded.len(), WireMessage::StatsRequest)
+        );
+        // Errors: junk is InvalidData, an oversized prefix is left to
+        // `read_frame`, which rejects it.
+        let mut junk = 4u32.to_be_bytes().to_vec();
+        junk.extend_from_slice(b"junk");
+        let (_, decoded) = decode_buffered(&junk).unwrap();
+        assert_eq!(decoded.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let mut oversized = (MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec();
+        oversized.resize(PREFIX_LEN + MAX_FRAME_LEN + 1, 0);
+        assert!(decode_buffered(&oversized).is_none());
     }
 
     #[test]

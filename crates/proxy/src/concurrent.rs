@@ -3,8 +3,9 @@
 //! [`ConcurrentNode`] holds what sharing a node across server threads
 //! actually needs — a [`ConcurrentCache`], the stats registry it is built
 //! with and a set-once sink slot — and no protocol logic of its own.
-//! Every handler takes `&self`, lends the shared cache to a [`ProxyNode`]
-//! that lives for the one call, and runs that type's handler: the ICP
+//! Every handler takes `&self`, lends the shared cache, registry and sink
+//! by reference to a [`ProxyNode`] that lives for the one call (no
+//! reference-count traffic), and runs that type's handler: the ICP
 //! responder, the document server and the client request path of a
 //! `coopcache-net` daemon therefore execute the same bodies the
 //! simulators do, and two requests touching different shards never
@@ -12,7 +13,7 @@
 //! and releases it before the handler reports anything).
 
 use crate::message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
-use crate::node::{ProxyNode, Telemetry};
+use crate::node::{Lent, ProxyNode};
 use coopcache_core::{CacheConfig, ConcurrentCache, PlacementScheme};
 use coopcache_obs::{SinkHandle, StatsRegistry};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
@@ -61,27 +62,17 @@ impl ConcurrentNode {
         &self.stats
     }
 
-    /// The single-owner node one call runs on: the shared cache by
-    /// reference plus the given telemetry.
-    fn node(&self, telemetry: Telemetry) -> ProxyNode<&ConcurrentCache> {
+    /// The single-owner node one call runs on: the shared cache and this
+    /// node's telemetry, all by reference.
+    fn node(&self) -> ProxyNode<&ConcurrentCache, Lent<'_>> {
         ProxyNode {
             cache: &self.cache,
             scheme: self.scheme,
-            telemetry,
+            telemetry: Lent {
+                sink: self.sink.get(),
+                stats: &self.stats,
+            },
         }
-    }
-
-    /// The node for a handler that reports placements or evictions.
-    fn reporting(&self) -> ProxyNode<&ConcurrentCache> {
-        let (sink, stats) = (self.sink.get().cloned(), Some(Arc::clone(&self.stats)));
-        self.node(Telemetry { sink, stats })
-    }
-
-    /// The node for a handler that reports nothing (lookups, ICP probes,
-    /// request building): skipping the telemetry copy keeps the hit path
-    /// free of shared reference counts.
-    fn silent(&self) -> ProxyNode<&ConcurrentCache> {
-        self.node(Telemetry::default())
     }
 
     /// This node's cache id.
@@ -104,13 +95,13 @@ impl ConcurrentNode {
 
     /// See [`ProxyNode::handle_client_lookup`].
     pub fn handle_client_lookup(&self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
-        self.silent().handle_client_lookup(doc, now)
+        self.node().handle_client_lookup(doc, now)
     }
 
     /// See [`ProxyNode::handle_icp_query`].
     #[must_use]
     pub fn handle_icp_query(&self, query: IcpQuery) -> IcpReply {
-        self.silent().handle_icp_query(query)
+        self.node().handle_icp_query(query)
     }
 
     /// See [`ProxyNode::handle_http_request`].
@@ -119,13 +110,13 @@ impl ConcurrentNode {
         request: HttpRequest,
         now: Timestamp,
     ) -> Option<(HttpResponse, bool)> {
-        self.reporting().handle_http_request(request, now)
+        self.node().handle_http_request(request, now)
     }
 
     /// See [`ProxyNode::build_http_request`].
     #[must_use]
     pub fn build_http_request(&self, doc: DocId) -> HttpRequest {
-        self.silent().build_http_request(doc)
+        self.node().build_http_request(doc)
     }
 
     /// See [`ProxyNode::complete_remote_fetch`].
@@ -135,12 +126,12 @@ impl ConcurrentNode {
         response: HttpResponse,
         now: Timestamp,
     ) -> bool {
-        self.reporting().complete_remote_fetch(sent, response, now)
+        self.node().complete_remote_fetch(sent, response, now)
     }
 
     /// See [`ProxyNode::complete_origin_fetch`].
     pub fn complete_origin_fetch(&self, doc: DocId, size: ByteSize, now: Timestamp) -> bool {
-        self.reporting().complete_origin_fetch(doc, size, now)
+        self.node().complete_origin_fetch(doc, size, now)
     }
 }
 

@@ -18,25 +18,61 @@ use coopcache_obs::{Event, EventKind, EvictionCause, PlacementRole, SinkHandle, 
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
 use std::sync::Arc;
 
-/// Where a node reports its placement decisions and evictions. Both
-/// parts are optional shared handles, so a copy is two reference counts.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Telemetry {
-    /// Optional event sink; `None` (the default) costs one branch per
-    /// protocol step.
-    pub(crate) sink: Option<SinkHandle>,
+/// Where a node reports its placement decisions and evictions. Like
+/// [`Store`], a seam in a private module: the single-owner node owns its
+/// handles ([`Handles`]); [`crate::ConcurrentNode`] lends its own for one
+/// call ([`Lent`]), so a handler call costs no reference counts.
+pub trait Telemetry {
+    /// Optional event sink; `None` costs one branch per protocol step.
+    fn sink(&self) -> Option<&SinkHandle>;
     /// Optional live counters; unlike the sink these count placements
     /// and evictions even when no sink is installed (relaxed atomics,
     /// so the hot path takes no lock).
-    pub(crate) stats: Option<Arc<StatsRegistry>>,
+    fn stats(&self) -> Option<&StatsRegistry>;
+}
+
+/// Telemetry a node owns: both parts optional shared handles (the
+/// default, neither, is the zero-cost one).
+#[derive(Debug, Clone, Default)]
+pub struct Handles {
+    sink: Option<SinkHandle>,
+    stats: Option<Arc<StatsRegistry>>,
+}
+
+impl Telemetry for Handles {
+    fn sink(&self) -> Option<&SinkHandle> {
+        self.sink.as_ref()
+    }
+
+    fn stats(&self) -> Option<&StatsRegistry> {
+        self.stats.as_deref()
+    }
+}
+
+/// Telemetry borrowed for the length of one handler call.
+#[derive(Debug, Clone, Copy)]
+pub struct Lent<'a> {
+    pub(crate) sink: Option<&'a SinkHandle>,
+    pub(crate) stats: &'a StatsRegistry,
+}
+
+impl Telemetry for Lent<'_> {
+    fn sink(&self) -> Option<&SinkHandle> {
+        self.sink
+    }
+
+    fn stats(&self) -> Option<&StatsRegistry> {
+        Some(self.stats)
+    }
 }
 
 /// One cooperative proxy: a cache plus the requester/responder logic of
 /// the configured [`PlacementScheme`].
 ///
-/// `S` is the store the handlers run on — the single-owner [`Cache`]
-/// unless [`crate::ConcurrentNode`] is lending its shared cache for one
-/// call.
+/// `S` is the store the handlers run on and `T` where they report — the
+/// single-owner [`Cache`] and owned handles, unless
+/// [`crate::ConcurrentNode`] is lending its shared cache and telemetry
+/// for one call.
 ///
 /// # Example
 ///
@@ -57,10 +93,10 @@ pub(crate) struct Telemetry {
 /// assert!(reply.hit);
 /// ```
 #[derive(Debug)]
-pub struct ProxyNode<S = Cache> {
+pub struct ProxyNode<S = Cache, T = Handles> {
     pub(crate) cache: S,
     pub(crate) scheme: PlacementScheme,
-    pub(crate) telemetry: Telemetry,
+    pub(crate) telemetry: T,
 }
 
 impl ProxyNode {
@@ -82,7 +118,7 @@ impl ProxyNode {
         Self {
             cache: config.build(),
             scheme,
-            telemetry: Telemetry::default(),
+            telemetry: Handles::default(),
         }
     }
 
@@ -115,7 +151,7 @@ impl ProxyNode {
     }
 }
 
-impl<S: Store> ProxyNode<S> {
+impl<S: Store, T: Telemetry> ProxyNode<S, T> {
     fn emit_placement(
         &self,
         doc: DocId,
@@ -124,10 +160,10 @@ impl<S: Store> ProxyNode<S> {
         peer_age: ExpirationAge,
         stored: bool,
     ) {
-        if let Some(stats) = &self.telemetry.stats {
+        if let Some(stats) = self.telemetry.stats() {
             stats.record(EventKind::Placement);
         }
-        let Some(sink) = &self.telemetry.sink else {
+        let Some(sink) = self.telemetry.sink() else {
             return;
         };
         // A muted thread (the head sampler dropped this request's trace)
@@ -153,12 +189,12 @@ impl<S: Store> ProxyNode<S> {
         if evictions.is_empty() {
             return;
         }
-        if let Some(stats) = &self.telemetry.stats {
+        if let Some(stats) = self.telemetry.stats() {
             for _ in evictions {
                 stats.record(EventKind::Eviction);
             }
         }
-        let Some(sink) = &self.telemetry.sink else {
+        let Some(sink) = self.telemetry.sink() else {
             return;
         };
         let flavor = self.cache.expiration_flavor();
