@@ -14,7 +14,7 @@
 //! `coopcache status` reads every daemon's series.
 
 use crate::wire::{read_frame, write_frame, WireMessage};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -60,6 +60,7 @@ fn scrape(addr: SocketAddr, timeout: Duration, what: &str) -> io::Result<String>
         WireMessage::StatsRequest
     };
     write_frame(&mut stream, &request)?;
+    let mut stream = BufReader::new(stream);
     let body_len = match read_frame(&mut stream)? {
         WireMessage::SeriesResponse { body_len, .. } if series => body_len,
         WireMessage::StatsResponse { body_len, .. } if !series => body_len,
