@@ -12,14 +12,12 @@
 //! longer wedge the origin in `write_all` forever (such stalls are
 //! counted in [`OriginServer::write_timeouts`]).
 
-use crate::daemon::is_timeout;
-use crate::lock;
+use crate::daemon::{is_timeout, ConnTable};
 use crate::pool::Conn;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -116,10 +114,8 @@ struct OriginShared {
     served: AtomicU64,
     write_timeouts: AtomicU64,
     stop: AtomicBool,
-    /// `try_clone`d handles of live connections, shut down at exit to
-    /// unblock parked reads.
-    conns: Mutex<BTreeMap<u64, TcpStream>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Live connections, shut down at exit to unblock parked reads.
+    conns: Arc<ConnTable>,
 }
 
 /// A running stub origin server on a loopback TCP port.
@@ -146,8 +142,7 @@ impl OriginServer {
             served: AtomicU64::new(0),
             write_timeouts: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            conns: Mutex::new(BTreeMap::new()),
-            handles: Mutex::new(Vec::new()),
+            conns: Arc::default(),
         });
         let handle = {
             let shared = Arc::clone(&shared);
@@ -203,22 +198,8 @@ impl OriginServer {
             let _ = handle.join();
         }
         // Acceptor joined: no new connections can register. Unblock and
-        // join the per-connection threads (teardown outside the locks).
-        let drained: Vec<TcpStream> = {
-            let mut conns = lock(&self.shared.conns);
-            std::mem::take(&mut *conns).into_values().collect()
-        };
-        for stream in &drained {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        drop(drained);
-        let handles: Vec<JoinHandle<()>> = {
-            let mut handles = lock(&self.shared.handles);
-            std::mem::take(&mut *handles)
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
+        // join the per-connection threads.
+        self.shared.conns.shutdown_all();
     }
 }
 
@@ -252,22 +233,12 @@ fn accept_loop(listener: &TcpListener, io_timeout: Duration, shared: &Arc<Origin
                 }
                 let id = conn_seq;
                 conn_seq += 1;
-                if let Ok(clone) = stream.try_clone() {
-                    lock(&shared.conns).insert(id, clone);
-                }
                 let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("coopcache-origin-{id}"))
-                    .spawn(move || {
-                        serve_conn(&stream, io_timeout, &conn_shared);
-                        lock(&conn_shared.conns).remove(&id);
-                    });
-                match spawned {
-                    Ok(handle) => lock(&shared.handles).push(handle),
-                    Err(_) => {
-                        lock(&shared.conns).remove(&id);
-                    }
-                }
+                let serve = move |stream: &TcpStream| serve_conn(stream, io_timeout, &conn_shared);
+                // A failed spawn drops the connection; the origin serves on.
+                let _ = shared
+                    .conns
+                    .spawn(id, format!("coopcache-origin-{id}"), stream, serve);
             }
             // Any other accept error is transient on loopback; keep the
             // origin alive — only shutdown exits.
