@@ -56,13 +56,16 @@ const GUARD_ADAPTERS: [&str; 4] = ["unwrap", "expect", "unwrap_or_else", "unwrap
 
 /// Methods that can block the calling thread (I/O, joins, channels —
 /// a bounded `SyncSender::send` waits while its queue is full).
-const BLOCKING_METHODS: [&str; 12] = [
+const BLOCKING_METHODS: [&str; 15] = [
     "join",
     "send",
+    "send_to",
     "recv",
     "recv_timeout",
     "recv_from",
     "accept",
+    "peek",
+    "fill_buf",
     "read_exact",
     "read_to_end",
     "write_all",
@@ -72,14 +75,18 @@ const BLOCKING_METHODS: [&str; 12] = [
 ];
 
 /// Free or path-called functions that block: std sleeps/connects plus
-/// this workspace's wire and console I/O helpers.
-const BLOCKING_CALLS: [&str; 9] = [
+/// this workspace's socket and console I/O helpers (the document port's
+/// frame reader and writer, the origin exchange and body transfer, the
+/// stats/series scrapes).
+const BLOCKING_CALLS: [&str; 11] = [
     "sleep",
     "connect",
     "connect_timeout",
     "read_frame",
     "write_frame",
-    "fetch_from_origin",
+    "fetch_on_origin_conn",
+    "drain_body",
+    "write_body",
     "scrape_stats",
     "scrape_series",
     "write_out",

@@ -195,6 +195,22 @@ fn lock_blocking_flags_a_bounded_send_only_under_the_guard() {
 }
 
 #[test]
+fn lock_blocking_flags_body_transfer_peek_fill_and_send_to_under_a_guard() {
+    let src = include_str!("fixtures/lock_blocking_transfer.rs");
+    let findings = lint("crates/net/src/fixture.rs", src);
+    assert_eq!(count(&findings, Rule::LockBlocking), 4, "{findings:?}");
+    assert_eq!(findings.len(), 4, "{findings:?}");
+    for token in ["drain_body", "fill_buf", "peek", "send_to"] {
+        assert!(
+            findings
+                .iter()
+                .any(|f| src.lines().nth(f.line - 1).unwrap_or("").contains(token)),
+            "no finding at `{token}`: {findings:?}"
+        );
+    }
+}
+
+#[test]
 fn lock_order_fixture_reports_the_cycle_and_the_reentry() {
     let src = include_str!("fixtures/lock_order_bad.rs");
     let sources = vec![(PathBuf::from("crates/net/src/fixture.rs"), src.to_string())];
