@@ -282,14 +282,18 @@ pub enum Event {
     /// the same tree.
     Span(Span),
     /// A pooled connection carried one more exchange instead of a fresh
-    /// `connect`. Emitted by the client side on a pool checkout hit and
-    /// by the server side when a persistent connection serves its
-    /// second (or later) document frame.
+    /// `connect`. Each side counts into its own daemon: the requester
+    /// when an exchange on a pooled connection succeeds, and the
+    /// responder when a persistent connection serves its second (or
+    /// later) document frame. Summed over a cluster, a peer fetch on a
+    /// reused connection therefore counts twice and an origin fetch
+    /// once.
     ConnReused {
         /// The cache observing the reuse.
         cache: CacheId,
-        /// The remote peer, when it is a cache (`None` for the origin
-        /// pool and for server-side reuse of an anonymous client).
+        /// The other end when it is a cache: the responder on the
+        /// requester's side, the requester on the responder's (`None` for
+        /// the origin pool).
         peer: Option<CacheId>,
     },
     /// Memory-pressure admission control declined to store an
