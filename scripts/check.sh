@@ -47,6 +47,11 @@ cargo test -q -p coopcache-interleave
 echo "== cargo test"
 cargo test -q --workspace
 
+# The responder frame loop's deep harness: more seeds, streams and
+# corruptions than the tier-1 run, in release.
+echo "== cargo test (deep frame-loop harness)"
+cargo test -q --release -p coopcache-net -- --ignored
+
 echo "== cargo test (paranoid invariant audits)"
 cargo test -q -p coopcache-core --features paranoid
 
