@@ -1,5 +1,5 @@
 //! The registry: one function per paper table, figure and ablation, in
-//! the order of `DESIGN.md` §3.
+//! the order of `DESIGN.md` §1.
 
 use crate::{Experiment, Inputs};
 use coopcache_analysis::belady_min;

@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! The experiment driver that regenerates every table and figure of the
-//! paper (see `DESIGN.md` §3 for the index).
+//! paper (see `DESIGN.md` §1 for the index).
 //!
 //! One binary, `experiments`, runs the entries of [`REGISTRY`]:
 //!

@@ -44,10 +44,9 @@
 use crate::cache::{Cache, InvariantViolation};
 use crate::config::SHARD_SEED;
 use crate::expiration::{pooled_expiration_age, MAX_FINITE_AGE_MS};
-use crate::index::mix64;
 use crate::policy::ExpirationFlavor;
 use crate::stats::CacheStats;
-use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
+use coopcache_types::{mix64, ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 

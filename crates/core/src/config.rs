@@ -11,9 +11,8 @@
 use crate::cache::Cache;
 use crate::concurrent::ConcurrentCache;
 use crate::expiration::ExpirationWindow;
-use crate::index::mix64;
 use crate::policy::PolicyKind;
-use coopcache_types::{ByteSize, CacheId, DurationMs};
+use coopcache_types::{mix64, ByteSize, CacheId, DurationMs};
 
 /// Shard-assignment seed. Any fixed value works — determinism only
 /// requires that the same seed is used across a comparison run.

@@ -18,7 +18,7 @@
 //! assert that growth stopped.
 
 use crate::entry::CacheEntry;
-use coopcache_types::DocId;
+use coopcache_types::{mix64, DocId};
 
 /// Slot indices take the low 30 bits of a link.
 const INDEX: u32 = (1 << 30) - 1;
@@ -28,21 +28,6 @@ pub(crate) const NIL: u32 = INDEX;
 
 /// Top bit of `next`: the slot is on the arena's freelist.
 const FREE: u32 = 1 << 31;
-
-/// Multiplies the 64-bit key into a well-mixed hash (splitmix64 finalizer).
-///
-/// Used both for table bucketing and for seeded shard assignment; the seed
-/// is XORed in by callers before mixing so runs stay reproducible while
-/// distinct seeds decorrelate placements.
-#[must_use]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
 
 /// The per-slot policy word: 8 bytes beside each arena value.
 ///

@@ -1243,9 +1243,9 @@ fn shard_locks_requesters_vs_snapshot_never_deadlock() {
 /// that weaker contract is the strongest one available: with a writer
 /// inserting into shard 0 then shard 1 (in program order), some schedule
 /// yields the combined snapshot (0, 1), a state the cache never globally
-/// held. The checker must find that schedule; the DESIGN.md §14 wording
-/// ("shard-by-shard consistent, no cross-shard cut") documents exactly
-/// this.
+/// held. The checker must find that schedule; the DESIGN.md §2 wording
+/// ("a sum of per-shard-consistent parts, not a global cut") documents
+/// exactly this.
 #[test]
 fn shard_snapshot_is_not_a_global_cut_and_docs_say_so() {
     let writer = MockThread::new("writer")

@@ -53,7 +53,7 @@ fn main() {
                 println!("rules: wall-clock, panic, map-iter, float-eq, dead-event,");
                 println!("       paranoid-wiring (see DESIGN.md §8); with --concurrency,");
                 println!("       only lock-blocking, lock-order, atomic-order, guard-await,");
-                println!("       unsafe (see DESIGN.md §13)");
+                println!("       unsafe (see DESIGN.md §8)");
                 return;
             }
             _ => usage(),

@@ -15,7 +15,7 @@
 //! same fault schedule exactly.
 
 use crate::lock;
-use coopcache_types::CacheId;
+use coopcache_types::{CacheId, SplitMix64};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -186,7 +186,7 @@ impl ArmedRule {
             FaultMode::Always => true,
             FaultMode::FirstN(n) => self.fired < n,
             FaultMode::AfterFirstN(n) => past >= n,
-            FaultMode::Probability(pct) => self.rng.next() % 100 < u64::from(pct.min(100)),
+            FaultMode::Probability(pct) => self.rng.next_u64() % 100 < u64::from(pct.min(100)),
         };
         if fire {
             self.fired += 1;
@@ -233,27 +233,6 @@ impl FaultState {
             }
         }
         DocFault::None
-    }
-}
-
-/// Sebastiano Vigna's splitmix64 — tiny, seedable, and plenty for fault
-/// scheduling (the workspace is dependency-free by construction).
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 

@@ -185,6 +185,20 @@ mod tests {
     }
 
     #[test]
+    fn connect_sets_nodelay_and_both_timeouts() {
+        let (_listener, addr) = listener();
+        let timeout = Duration::from_millis(750);
+        let conn = connect(addr, timeout).expect("connect");
+        let stream = conn.get_ref();
+        assert!(stream.nodelay().expect("read TCP_NODELAY"));
+        // The kernel keeps socket timeouts in scheduler ticks.
+        let near =
+            |set: Option<Duration>| set.is_some_and(|d| d.abs_diff(timeout).as_millis() < 20);
+        assert!(near(stream.read_timeout().expect("read timeout")));
+        assert!(near(stream.write_timeout().expect("write timeout")));
+    }
+
+    #[test]
     fn checkout_connects_fresh_then_reuses_checked_in_connection() {
         let (_listener, addr) = listener();
         let clock = SharedClock::start();

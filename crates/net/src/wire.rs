@@ -510,6 +510,7 @@ impl Write for CountingWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coopcache_types::SplitMix64;
 
     fn put_u8(buf: &mut Vec<u8>, v: u8) {
         buf.push(v);
@@ -719,7 +720,7 @@ mod tests {
 
     #[test]
     fn write_frame_is_one_write_for_every_variant() {
-        let mut rng = TestRng(0x0E5E);
+        let mut rng = TestRng::new(0x0E5E);
         let mut seen = [false; 8];
         for _ in 0..200 {
             let msg = rng.message();
@@ -746,7 +747,7 @@ mod tests {
             ctx: ctxs()[1],
         };
         assert_eq!(msg.encode().len(), MAX_HEADER_LEN);
-        let mut rng = TestRng(0x4EAD);
+        let mut rng = TestRng::new(0x4EAD);
         for _ in 0..2_000 {
             let msg = rng.message();
             let frame = Frame::encode(&msg);
@@ -780,7 +781,7 @@ mod tests {
 
     #[test]
     fn read_frame_gathers_a_split_frame_and_leaves_the_body_unread() {
-        let mut rng = TestRng(0x5B17);
+        let mut rng = TestRng::new(0x5B17);
         for _ in 0..200 {
             let msg = rng.message();
             let mut buf = Vec::new();
@@ -819,7 +820,7 @@ mod tests {
 
     #[test]
     fn decode_frame_agrees_with_read_frame_on_whole_frames_only() {
-        let mut rng = TestRng(0xB0FF);
+        let mut rng = TestRng::new(0xB0FF);
         for _ in 0..500 {
             let msg = rng.message();
             let mut buf = Vec::new();
@@ -873,17 +874,16 @@ mod tests {
     // tests attack the codec itself with a deterministic splitmix64
     // stream, so every `cargo test` covers the same few thousand cases.
 
-    /// Minimal splitmix64 — the test generator must not depend on the
-    /// trace crate (net does not).
-    struct TestRng(u64);
+    /// The workspace's splitmix64 stream with the draws these tests need.
+    struct TestRng(SplitMix64);
 
     impl TestRng {
+        fn new(seed: u64) -> Self {
+            Self(SplitMix64::new(seed))
+        }
+
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next_u64()
         }
 
         fn below(&mut self, n: u64) -> u64 {
@@ -973,7 +973,7 @@ mod tests {
 
     #[test]
     fn seeded_roundtrip_every_variant() {
-        let mut rng = TestRng(0xC0FF_EE00);
+        let mut rng = TestRng::new(0xC0FF_EE00);
         let mut seen = [false; 8];
         for _ in 0..2_000 {
             let msg = rng.message();
@@ -990,7 +990,7 @@ mod tests {
 
     #[test]
     fn seeded_truncations_error_never_panic() {
-        let mut rng = TestRng(0x7A3E);
+        let mut rng = TestRng::new(0x7A3E);
         for _ in 0..500 {
             let bytes = rng.message().encode();
             for cut in 0..bytes.len() {
@@ -1004,7 +1004,7 @@ mod tests {
 
     #[test]
     fn seeded_garbage_never_panics() {
-        let mut rng = TestRng(0x5EED);
+        let mut rng = TestRng::new(0x5EED);
         for _ in 0..5_000 {
             let len = rng.below(64) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| (rng.next() & 0xFF) as u8).collect();
@@ -1015,7 +1015,7 @@ mod tests {
 
     #[test]
     fn seeded_bitflips_never_panic() {
-        let mut rng = TestRng(0xF11B);
+        let mut rng = TestRng::new(0xF11B);
         for _ in 0..2_000 {
             let msg = rng.message();
             let mut bytes = msg.encode();

@@ -38,18 +38,10 @@
 
 use crate::event::Event;
 
-/// SplitMix64 finalizer: a fast, high-quality 64-bit mixer. Used to turn
-/// `seed ^ trace_id` into an unbiased keep decision without carrying RNG
-/// state (the same mixer family the DES uses for ICP loss). Public so
-/// emitters can spread synthetic trace-id bases across the 64-bit space
-/// with the same mixer the sampler itself uses.
-#[must_use]
-pub const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Turns `seed ^ trace_id` into an unbiased keep decision without carrying
+/// RNG state. Re-exported so emitters can spread synthetic trace-id bases
+/// across the 64-bit space with the mixer the sampler itself uses.
+pub use coopcache_types::splitmix64;
 
 /// Head-sampling policy: which fraction of traces to keep, under which
 /// seed.

@@ -6,7 +6,7 @@
 //! structure: k-fold double hashing over a fixed bit array, sized from a
 //! capacity hint and a target false-positive rate.
 
-use coopcache_types::DocId;
+use coopcache_types::{splitmix64, DocId};
 
 /// A fixed-size Bloom filter over document ids.
 ///
@@ -87,12 +87,9 @@ impl BloomFilter {
     }
 
     fn hashes(&self, doc: DocId) -> (u64, u64) {
-        // Two independent 64-bit mixes (SplitMix64 finalizers with
-        // different constants) drive k-fold double hashing.
-        let mut h1 = doc.as_u64().wrapping_add(0x9E37_79B9_7F4A_7C15);
-        h1 = (h1 ^ (h1 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h1 = (h1 ^ (h1 >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h1 ^= h1 >> 31;
+        // Two independent 64-bit mixes (SplitMix64, and a finalizer with
+        // murmur3's fmix64 constants) drive k-fold double hashing.
+        let h1 = splitmix64(doc.as_u64());
         let mut h2 = doc.as_u64().wrapping_add(0xC2B2_AE3D_27D4_EB4F);
         h2 = (h2 ^ (h2 >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         h2 = (h2 ^ (h2 >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);

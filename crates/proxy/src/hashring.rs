@@ -12,7 +12,7 @@
 use crate::node::ProxyNode;
 use crate::outcome::RequestOutcome;
 use coopcache_core::{PlacementScheme, PolicyKind};
-use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
+use coopcache_types::{splitmix64, ByteSize, CacheId, DocId, Timestamp};
 
 /// A consistent-hash ring over cache ids with virtual nodes.
 ///
@@ -33,13 +33,6 @@ pub struct HashRing {
     points: Vec<(u64, CacheId)>,
 }
 
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl HashRing {
     /// Builds a ring for `n` caches with `vnodes` virtual nodes each
     /// (more virtual nodes = smoother load split; 64–128 is typical).
@@ -55,7 +48,7 @@ impl HashRing {
         for cache in 0..n {
             for v in 0..vnodes {
                 let key = (u64::from(cache) << 32) | u64::from(v);
-                points.push((mix(key), CacheId::new(cache)));
+                points.push((splitmix64(key), CacheId::new(cache)));
             }
         }
         points.sort_unstable();
@@ -67,7 +60,7 @@ impl HashRing {
     /// after the document's hash, wrapping.
     #[must_use]
     pub fn home(&self, doc: DocId) -> CacheId {
-        let h = mix(doc.as_u64() ^ 0xD6E8_FEB8_6659_FD93);
+        let h = splitmix64(doc.as_u64() ^ 0xD6E8_FEB8_6659_FD93);
         let idx = self.points.partition_point(|&(pos, _)| pos < h);
         self.points[idx % self.points.len()].1
     }

@@ -39,7 +39,9 @@ use coopcache_proxy::{
     DistributedGroup, HttpRequest, IcpQuery, Requester, RequesterAction, RequesterInput,
 };
 use coopcache_trace::{Partitioner, Trace};
-use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Request, Timestamp};
+use coopcache_types::{
+    mix64, ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Request, Timestamp,
+};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -113,13 +115,11 @@ impl NetworkModel {
         if self.icp_loss_permille == 0 {
             return false;
         }
-        let mut z = self
-            .loss_seed
-            .wrapping_add((request_idx as u64) << 16)
-            .wrapping_add(u64::from(peer.as_u16()));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(
+            self.loss_seed
+                .wrapping_add((request_idx as u64) << 16)
+                .wrapping_add(u64::from(peer.as_u16())),
+        );
         (z % 1000) < u64::from(self.icp_loss_permille)
     }
 

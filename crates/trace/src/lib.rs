@@ -4,7 +4,7 @@
 //!
 //! The paper's evaluation replays the Boston University 1994–95 proxy trace,
 //! which cannot be redistributed. This crate synthesizes statistically
-//! matching workloads instead (see `DESIGN.md` §4 for the substitution
+//! matching workloads instead (see `DESIGN.md` §1 for the substitution
 //! argument): Zipf-skewed document popularity, lognormal-body /
 //! Pareto-tail document sizes, a session-structured client population, and
 //! per-client temporal locality — all driven by a seeded, in-tree PRNG so

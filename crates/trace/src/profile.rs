@@ -80,7 +80,7 @@ pub struct TraceProfile {
 
 impl TraceProfile {
     /// The Boston-University-1994-like profile used by the paper's
-    /// evaluation (see DESIGN.md §4 for the substitution rationale).
+    /// evaluation (see DESIGN.md §1 for the substitution rationale).
     #[must_use]
     pub fn bu94() -> Self {
         Self {

@@ -6,6 +6,8 @@
 //! generator is xoshiro256** (Blackman & Vigna), seeded through SplitMix64 —
 //! the standard recommendation for seeding xoshiro from a single `u64`.
 
+use coopcache_types::SplitMix64;
+
 /// A seeded xoshiro256** generator.
 ///
 /// Not cryptographically secure; statistically excellent and extremely fast,
@@ -28,15 +30,8 @@ impl Rng {
     /// Creates a generator from a single seed value via SplitMix64.
     #[must_use]
     pub fn seed_from(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let state = [next(), next(), next(), next()];
+        let mut sm = SplitMix64::new(seed);
+        let state = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Self { state }
     }
 

@@ -28,12 +28,14 @@
 
 mod expage;
 mod id;
+mod mix;
 mod request;
 mod size;
 mod time;
 
 pub use expage::ExpirationAge;
 pub use id::{CacheId, ClientId, DocId};
+pub use mix::{mix64, splitmix64, SplitMix64};
 pub use request::Request;
 pub use size::ByteSize;
 pub use time::{DurationMs, Timestamp};

@@ -193,3 +193,73 @@ fn tie_store_variant_replicates_more_than_strict_ea() {
         "tie handling must not change what the group can serve"
     );
 }
+
+// ---- Where the full-scale tables diverge from the paper -----------------
+//
+// These read the committed `results/` tables, which `scripts/check.sh`
+// regenerates and diffs. A change that moves a divergence fails here, and
+// DESIGN.md §10 moves with it.
+
+fn results_rows(id: &str) -> Vec<Vec<String>> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(format!("{id}.csv"));
+    let text = std::fs::read_to_string(&path).expect("committed results table");
+    text.lines()
+        .skip(1)
+        .map(|line| line.split(',').map(str::to_string).collect())
+        .collect()
+}
+
+fn cell(row: &[String], column: usize) -> f64 {
+    row[column]
+        .trim_start_matches('+')
+        .parse()
+        .expect("numeric cell")
+}
+
+#[test]
+fn fig3_mid_range_premium_is_the_known_divergence() {
+    // Columns: aggregate, ad-hoc ms, EA ms, EA saves (ms).
+    let rows = results_rows("fig3_latency");
+    let sizes: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+    assert_eq!(sizes, ["100KB", "1MB", "10MB", "100MB", "1GB"]);
+    let saves: Vec<f64> = rows.iter().map(|r| cell(r, 3)).collect();
+    assert!(
+        saves[0] > 0.0,
+        "EA saves latency at 100 KB, as in the paper"
+    );
+    for (size, saved) in sizes[1..4].iter().zip(&saves[1..4]) {
+        assert!(
+            (-60.0..=-20.0).contains(saved),
+            "{size}: the EA premium is now {saved} ms; the paper shows a saving"
+        );
+    }
+    assert!(saves[4] < 0.0, "EA pays latency at 1 GB, as in the paper");
+}
+
+#[test]
+fn table2_one_gigabyte_shares_overshoot_the_paper() {
+    // Columns: aggregate, ad-hoc local %, ad-hoc remote %, ad-hoc ms,
+    // EA local %, EA remote %, EA ms.
+    const PAPER_EA_REMOTE: f64 = 32.02;
+    const PAPER_ADHOC_REMOTE: f64 = 11.06;
+    let rows = results_rows("table2_local_remote");
+    for row in &rows {
+        assert!(
+            cell(row, 5) > cell(row, 2),
+            "{}: EA remote ≤ ad-hoc",
+            row[0]
+        );
+    }
+    let gb = rows.iter().find(|r| r[0] == "1GB").expect("1 GB row");
+    let (adhoc_remote, ea_remote) = (cell(gb, 2), cell(gb, 5));
+    assert!(
+        ea_remote > PAPER_EA_REMOTE + 20.0,
+        "EA remote share at 1 GB is {ea_remote} %; strict ties gave ≈ 56 %"
+    );
+    assert!(
+        adhoc_remote < PAPER_ADHOC_REMOTE / 2.0,
+        "ad-hoc remote share at 1 GB is {adhoc_remote} %; it was ≈ 3.6 %"
+    );
+}

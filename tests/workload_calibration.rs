@@ -1,5 +1,5 @@
 //! Validates that the synthetic workload carries the statistical
-//! properties the substitution argument (DESIGN.md §4) relies on, using
+//! properties the substitution argument (DESIGN.md §1) relies on, using
 //! the analysis toolkit itself.
 
 use coopcache::analysis::{belady_min, PopularityProfile, ReuseProfile, SharingProfile};
