@@ -4,7 +4,7 @@
 use crate::config::CacheConfig;
 use crate::entry::{CacheEntry, EvictionReason, EvictionRecord};
 use crate::expiration::{ExpirationTracker, ExpirationWindow};
-use crate::index::{DocTable, Node, Slab};
+use crate::index::{DocTable, Slab};
 use crate::policy::{Policy, PolicyKind};
 use crate::stats::CacheStats;
 use coopcache_types::{ByteSize, CacheId, DocId, DurationMs, ExpirationAge, Timestamp};
@@ -26,16 +26,18 @@ use std::fmt;
 /// # Storage layout
 ///
 /// Each document lives exactly once: one slot of a dense [`Slab`] arena
-/// holding its [`CacheEntry`] and an 8-byte policy word, found through
-/// the cache's one open-addressing [`DocTable`], whose 8-byte buckets
-/// hold a hash fragment and the slot but not the key. The replacement
-/// policy orders those same slots — list links or a heap position in the
-/// policy word — so a hit is one table probe plus one relink, and an
-/// evicting insert drops its victim by slot. Every hot-path operation is
-/// pointer-free O(1) (O(log n) for the heap-ordered policies). Once the
-/// backing vectors reach steady-state capacity, only an insert with two
-/// or more victims allocates (its [`Evictions`]). The public mutators are
-/// the one place those operations are audited (`paranoid` feature);
+/// holding its 40-byte [`CacheEntry`], with the slot's 8-byte policy word
+/// in a second dense array beside it, found through the cache's one
+/// open-addressing [`DocTable`], whose 8-byte buckets hold a hash
+/// fragment and the slot but not the key. The replacement policy orders
+/// those same slots — list links or a heap position in the policy word —
+/// so a hit is one table probe, one entry write and a relink that stays
+/// in the word array, and an evicting insert drops its victim by slot.
+/// Every hot-path operation is pointer-free O(1) (O(log n) for the
+/// heap-ordered policies). Once the backing vectors reach steady-state
+/// capacity, only an insert with two or more victims allocates (its
+/// [`Evictions`]). The public mutators are the one place those
+/// operations are audited (`paranoid` feature);
 /// [`crate::ConcurrentCache`] routes documents over 2^k caches, one lock
 /// each, and calls the same methods.
 ///
@@ -60,7 +62,7 @@ pub struct Cache {
     shard_index: usize,
     capacity: ByteSize,
     used: ByteSize,
-    nodes: Slab<Node>,
+    nodes: Slab<CacheEntry>,
     table: DocTable,
     policy: Policy,
     tracker: ExpirationTracker,
@@ -118,6 +120,13 @@ pub enum InvariantViolation {
     },
     /// The cache is non-empty but the policy has no victim to offer.
     VictimUnavailable,
+    /// The arena's policy-word array is not as long as the arena
+    /// (`None`), or slot `Some(i)`'s word and entry disagree about whether
+    /// the slot is free.
+    PolicyWords {
+        /// The slot whose two free marks disagree, if that is the fault.
+        slot: Option<u32>,
+    },
     /// The expiration-age tracker's window exceeds its configured bound
     /// or its running sum drifted from the recorded ages (paper eq. 5).
     TrackerWindow,
@@ -167,6 +176,13 @@ impl fmt::Display for InvariantViolation {
             Self::VictimUnavailable => {
                 f.write_str("cache is non-empty but the policy offers no victim")
             }
+            Self::PolicyWords { slot: None } => {
+                f.write_str("the arena's policy-word array and entries differ in length")
+            }
+            Self::PolicyWords { slot: Some(slot) } => write!(
+                f,
+                "slot {slot}'s policy word and entry disagree about whether it is free"
+            ),
             Self::TrackerWindow => {
                 f.write_str("expiration-age tracker window bounds or sums are inconsistent")
             }
@@ -379,7 +395,7 @@ impl Cache {
     pub fn entry(&self, doc: DocId) -> Option<&CacheEntry> {
         self.table
             .get(doc, &self.nodes)
-            .map(|slot| &self.nodes.get(slot).entry)
+            .map(|slot| self.nodes.get(slot))
     }
 
     /// Operation counters.
@@ -492,7 +508,8 @@ impl Cache {
     /// 3. the doc→slot table and the entry arena agree on occupancy, and
     ///    every table bucket points at a live slot, carries the hash
     ///    fragment of that slot's document and is where a probe for the
-    ///    document lands;
+    ///    document lands; the policy-word array is as long as the arena,
+    ///    and a slot's word is marked free exactly when its entry is;
     /// 4. the replacement policy orders as many slots as the arena holds,
     ///    and its proposed victim is a live slot the table maps its
     ///    document to — with a victim available whenever the cache is
@@ -529,6 +546,9 @@ impl Cache {
         if let Err((bucket, slot)) = self.table.audit(&self.nodes) {
             return Err(InvariantViolation::TableBucket { bucket, slot });
         }
+        if let Err(slot) = self.nodes.audit_words() {
+            return Err(InvariantViolation::PolicyWords { slot });
+        }
         if self.policy.len() != self.nodes.len() {
             return Err(InvariantViolation::PolicyDesync {
                 policy_len: self.policy.len(),
@@ -540,7 +560,7 @@ impl Cache {
                 let mapped = self
                     .nodes
                     .live(slot)
-                    .map(|n| self.table.get(n.entry.doc, &self.nodes));
+                    .map(|entry| self.table.get(entry.doc, &self.nodes));
                 if mapped != Some(Some(slot)) {
                     return Err(InvariantViolation::VictimNotCached { slot });
                 }
@@ -574,10 +594,10 @@ impl Cache {
     /// Takes `slot` out of the table, the policy order and the arena,
     /// returning its entry.
     fn detach(&mut self, slot: u32) -> CacheEntry {
-        let doc = self.nodes.get(slot).entry.doc;
+        let doc = self.nodes.get(slot).doc;
         self.table.remove(doc, &self.nodes);
         self.policy.on_remove(&mut self.nodes, slot);
-        let entry = self.nodes.free(slot).entry;
+        let entry = self.nodes.free(slot);
         self.used -= entry.size;
         entry
     }
@@ -598,12 +618,12 @@ impl Cache {
             self.stats.local_misses += 1;
             return None;
         };
-        if self.entry_expired(&self.nodes.get(slot).entry, now) {
+        if self.entry_expired(self.nodes.get(slot), now) {
             self.expire(slot);
             self.stats.local_misses += 1;
             return None;
         }
-        let entry = &mut self.nodes.get_mut(slot).entry;
+        let entry = self.nodes.get_mut(slot);
         entry.record_hit(now);
         let size = entry.size;
         self.policy.on_hit(&mut self.nodes, slot);
@@ -613,11 +633,11 @@ impl Cache {
 
     fn serve_remote_raw(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
         let slot = self.table.get(doc, &self.nodes)?;
-        if self.entry_expired(&self.nodes.get(slot).entry, now) {
+        if self.entry_expired(self.nodes.get(slot), now) {
             self.expire(slot);
             return None;
         }
-        let entry = &mut self.nodes.get_mut(slot).entry;
+        let entry = self.nodes.get_mut(slot);
         let size = entry.size;
         if promote {
             entry.record_hit(now);
@@ -648,7 +668,7 @@ impl Cache {
                 .expect("used > 0 implies the policy orders a victim");
             evictions.push(self.evict(victim, now, EvictionReason::CapacityPressure));
         }
-        let slot = self.nodes.alloc(Node::new(CacheEntry::new(doc, size, now)));
+        let slot = self.nodes.alloc(CacheEntry::new(doc, size, now));
         self.table.insert(doc, slot, &self.nodes);
         if let Some(gap) = self.policy.on_insert(&mut self.nodes, slot, now) {
             // Ghost re-admission (S3-FIFO): the eviction→return gap is an
@@ -685,8 +705,7 @@ impl Cache {
     /// externally visible walk sorts first (the map-iter lint's
     /// open-addressing clause checks this pattern statically).
     fn sorted_entries(&self) -> Vec<&CacheEntry> {
-        let mut out: Vec<&CacheEntry> =
-            self.nodes.iter_unordered().map(|(_, n)| &n.entry).collect();
+        let mut out: Vec<&CacheEntry> = self.nodes.iter_unordered().map(|(_, e)| e).collect();
         out.sort_unstable_by_key(|e| e.doc);
         out
     }
@@ -717,14 +736,14 @@ impl Cache {
     /// The document the policy would evict next.
     pub(crate) fn victim(&self) -> Option<DocId> {
         let slot = self.policy.victim(&self.nodes)?;
-        Some(self.nodes.get(slot).entry.doc)
+        Some(self.nodes.get(slot).doc)
     }
 
     /// A cached document's policy word.
     pub(crate) fn links(&self, doc: DocId) -> Option<crate::index::Links> {
         self.table
             .get(doc, &self.nodes)
-            .map(|slot| self.nodes.get(slot).links)
+            .map(|slot| self.nodes.links(slot))
     }
 
     pub(crate) fn policy(&self) -> &Policy {

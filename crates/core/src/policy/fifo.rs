@@ -1,7 +1,8 @@
 //! First-in-first-out replacement.
 
 use super::VictimOrder;
-use crate::index::{List, Node, Slab};
+use crate::entry::CacheEntry;
+use crate::index::{List, Slab};
 use coopcache_types::{DurationMs, Timestamp};
 
 /// FIFO victim ordering: documents are evicted in insertion order and hits
@@ -31,12 +32,17 @@ pub(crate) struct Fifo {
 }
 
 impl VictimOrder for Fifo {
-    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<CacheEntry>,
+        slot: u32,
+        _: Timestamp,
+    ) -> Option<DurationMs> {
         self.queue.push_tail(nodes, slot);
         None
     }
 
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         // FIFO ignores hits, but an untracked hit is still a cache bug.
         assert!(
             self.queue.contains(nodes, slot),
@@ -44,11 +50,11 @@ impl VictimOrder for Fifo {
         );
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         self.queue.unlink(nodes, slot);
     }
 
-    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, _: &Slab<CacheEntry>) -> Option<u32> {
         self.queue.front()
     }
 

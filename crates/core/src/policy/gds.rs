@@ -3,7 +3,7 @@
 
 use super::VictimOrder;
 use crate::entry::CacheEntry;
-use crate::index::{KeyedMinHeap, Node, Slab};
+use crate::index::{KeyedMinHeap, Slab};
 use coopcache_types::{DurationMs, Timestamp};
 
 /// Micro-units per 1.0 of priority.
@@ -68,25 +68,30 @@ impl<const FREQUENCY: bool> GreedyDual<FREQUENCY> {
 }
 
 impl<const FREQUENCY: bool> VictimOrder for GreedyDual<FREQUENCY> {
-    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
-        let priority = self.priority(&nodes.get(slot).entry);
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<CacheEntry>,
+        slot: u32,
+        _: Timestamp,
+    ) -> Option<DurationMs> {
+        let priority = self.priority(nodes.get(slot));
         self.heap.push(nodes, slot, priority);
         None
     }
 
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         // The defining GreedyDual move: restore full priority at the
         // current clock.
-        let priority = self.priority(&nodes.get(slot).entry);
+        let priority = self.priority(nodes.get(slot));
         self.heap.rekey(nodes, slot, priority);
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         let priority = self.heap.remove(nodes, slot);
         self.clock = self.clock.max(priority);
     }
 
-    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, _: &Slab<CacheEntry>) -> Option<u32> {
         self.heap.peek()
     }
 

@@ -1,7 +1,8 @@
 //! Least-frequently-used replacement.
 
 use super::VictimOrder;
-use crate::index::{KeyedMinHeap, Node, Slab};
+use crate::entry::CacheEntry;
+use crate::index::{KeyedMinHeap, Slab};
 use coopcache_types::{DurationMs, Timestamp};
 
 /// LFU victim ordering: the document with the fewest hits is evicted
@@ -37,22 +38,27 @@ pub(crate) struct Lfu {
 }
 
 impl VictimOrder for Lfu {
-    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
-        let hits = nodes.get(slot).entry.hit_count;
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<CacheEntry>,
+        slot: u32,
+        _: Timestamp,
+    ) -> Option<DurationMs> {
+        let hits = nodes.get(slot).hit_count;
         self.heap.push(nodes, slot, hits);
         None
     }
 
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
-        let hits = nodes.get(slot).entry.hit_count;
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
+        let hits = nodes.get(slot).hit_count;
         self.heap.rekey(nodes, slot, hits);
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         self.heap.remove(nodes, slot);
     }
 
-    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, _: &Slab<CacheEntry>) -> Option<u32> {
         self.heap.peek()
     }
 

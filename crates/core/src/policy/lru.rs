@@ -1,7 +1,8 @@
 //! Least-recently-used replacement.
 
 use super::VictimOrder;
-use crate::index::{List, Node, Slab};
+use crate::entry::CacheEntry;
+use crate::index::{List, Slab};
 use coopcache_types::{DurationMs, Timestamp};
 
 /// LRU victim ordering: the document that has gone longest without a hit
@@ -33,21 +34,26 @@ pub(crate) struct Lru {
 }
 
 impl VictimOrder for Lru {
-    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<CacheEntry>,
+        slot: u32,
+        _: Timestamp,
+    ) -> Option<DurationMs> {
         self.order.push_tail(nodes, slot);
         None
     }
 
     #[inline]
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         self.order.move_to_tail(nodes, slot);
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         self.order.unlink(nodes, slot);
     }
 
-    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, _: &Slab<CacheEntry>) -> Option<u32> {
         self.order.front()
     }
 

@@ -1,10 +1,11 @@
 //! Document replacement policies: the victim orders of a cache.
 //!
 //! A cache keeps each document once — an arena slot holding its
-//! [`crate::CacheEntry`] plus an 8-byte policy word — and a policy orders
-//! those slots: which one should be removed next under capacity pressure.
-//! No policy keeps a table of its own; S3-FIFO's ghost queue, which
-//! remembers documents that are *not* resident, is the one exception.
+//! [`crate::CacheEntry`], with the slot's 8-byte policy word in an array
+//! beside the arena — and a policy orders those slots: which one should
+//! be removed next under capacity pressure. No policy keeps a table of
+//! its own; S3-FIFO's ghost queue, which remembers documents that are
+//! *not* resident, is the one exception.
 //!
 //! Seven policies are provided, all intrusive-list or arena-heap backed
 //! (pointer-free O(1), O(log n) for the heap-ordered family), chosen by
@@ -28,7 +29,8 @@ mod lru;
 mod s3fifo;
 mod slru;
 
-use crate::index::{Node, Slab};
+use crate::entry::CacheEntry;
+use crate::index::Slab;
 use coopcache_types::{DocId, DurationMs, Timestamp};
 use std::fmt;
 
@@ -47,20 +49,20 @@ pub(crate) trait VictimOrder {
     /// expiration-age tracker.
     fn on_insert(
         &mut self,
-        nodes: &mut Slab<Node>,
+        nodes: &mut Slab<CacheEntry>,
         slot: u32,
         now: Timestamp,
     ) -> Option<DurationMs>;
 
     /// Records a hit (LRU promotes to the tail, LFU bumps frequency, FIFO
     /// ignores).
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32);
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32);
 
     /// Stops ordering a slot (evicted, expired or explicitly removed).
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32);
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32);
 
     /// The slot that should be evicted next, if any.
-    fn victim(&self, nodes: &Slab<Node>) -> Option<u32>;
+    fn victim(&self, nodes: &Slab<CacheEntry>) -> Option<u32>;
 
     /// Number of ordered slots.
     fn len(&self) -> usize;
@@ -109,7 +111,7 @@ impl Policy {
     #[inline]
     pub(crate) fn on_insert(
         &mut self,
-        nodes: &mut Slab<Node>,
+        nodes: &mut Slab<CacheEntry>,
         slot: u32,
         now: Timestamp,
     ) -> Option<DurationMs> {
@@ -117,17 +119,17 @@ impl Policy {
     }
 
     #[inline]
-    pub(crate) fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    pub(crate) fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         dispatch!(self, order => order.on_hit(nodes, slot));
     }
 
     #[inline]
-    pub(crate) fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    pub(crate) fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         dispatch!(self, order => order.on_remove(nodes, slot));
     }
 
     #[inline]
-    pub(crate) fn victim(&self, nodes: &Slab<Node>) -> Option<u32> {
+    pub(crate) fn victim(&self, nodes: &Slab<CacheEntry>) -> Option<u32> {
         dispatch!(self, order => order.victim(nodes))
     }
 
@@ -259,7 +261,7 @@ impl fmt::Display for ExpirationFlavor {
 #[cfg(test)]
 pub(crate) mod testing {
     use crate::entry::CacheEntry;
-    use crate::index::{Node, Slab};
+    use crate::index::Slab;
     use crate::{Cache, PolicyKind};
     use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 
@@ -300,9 +302,9 @@ pub(crate) mod testing {
 
     /// A one-node arena, for driving an order directly with a slot it
     /// does not track.
-    pub(crate) fn lone_slot() -> (Slab<Node>, u32) {
+    pub(crate) fn lone_slot() -> (Slab<CacheEntry>, u32) {
         let mut nodes = Slab::new();
-        let slot = nodes.alloc(Node::new(CacheEntry::new(d(1), kb(1), t(0))));
+        let slot = nodes.alloc(CacheEntry::new(d(1), kb(1), t(0)));
         (nodes, slot)
     }
 

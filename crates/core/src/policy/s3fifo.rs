@@ -2,7 +2,8 @@
 //! "FIFO queues are all you need for cache eviction", SOSP '23).
 
 use super::VictimOrder;
-use crate::index::{DocTable, Keyed, Linked, Links, List, Node, Slab, NIL};
+use crate::entry::CacheEntry;
+use crate::index::{DocTable, Keyed, Links, List, Slab, Vacancy, NIL};
 use coopcache_types::{DocId, DurationMs, Timestamp};
 
 const GHOST_SEED: u64 = 0x5333_4649_0000_0002;
@@ -22,16 +23,16 @@ const GHOST_FLOOR: usize = 8;
 #[derive(Debug, Clone, Copy)]
 struct Ghost {
     doc: DocId,
-    evicted_at: Timestamp,
-    links: Links,
+    /// When the document was evicted; `None` marks a freed slot.
+    evicted_at: Option<Timestamp>,
 }
 
-impl Linked for Ghost {
-    fn links(&self) -> &Links {
-        &self.links
+impl Vacancy for Ghost {
+    fn vacate(&mut self) {
+        self.evicted_at = None;
     }
-    fn links_mut(&mut self) -> &mut Links {
-        &mut self.links
+    fn is_vacant(&self) -> bool {
+        self.evicted_at.is_none()
     }
 }
 
@@ -118,10 +119,10 @@ impl S3Fifo {
     }
 
     /// First never-hit slot in a queue, walking head→tail.
-    fn scan_cold(nodes: &Slab<Node>, list: &List) -> Option<u32> {
+    fn scan_cold(nodes: &Slab<CacheEntry>, list: &List) -> Option<u32> {
         let mut cursor = list.head();
         while cursor != NIL {
-            let links = nodes.get(cursor).links;
+            let links = nodes.links(cursor);
             if !links.flag(HIT) {
                 return Some(cursor);
             }
@@ -135,8 +136,8 @@ impl S3Fifo {
     /// Main slots with hits ahead of the victim spend them CLOCK-style
     /// (hit cleared, requeued at tail). Called only when the removed slot
     /// is the announced victim, so explicit removals stay pure unlinks.
-    fn settle_before(&mut self, nodes: &mut Slab<Node>, victim: u32) {
-        let in_main = nodes.get(victim).links.flag(MAIN);
+    fn settle_before(&mut self, nodes: &mut Slab<CacheEntry>, victim: u32) {
+        let in_main = nodes.links(victim).flag(MAIN);
         loop {
             let cursor = if in_main {
                 self.main.head()
@@ -146,13 +147,13 @@ impl S3Fifo {
             if cursor == victim || cursor == NIL {
                 return;
             }
-            debug_assert!(nodes.get(cursor).links.flag(HIT));
+            debug_assert!(nodes.links(cursor).flag(HIT));
             if in_main {
                 self.main.unlink(nodes, cursor);
             } else {
                 self.small.unlink(nodes, cursor);
             }
-            let links = &mut nodes.get_mut(cursor).links;
+            let links = nodes.links_mut(cursor);
             links.set_flag(MAIN, true);
             links.set_flag(HIT, false);
             self.main.push_tail(nodes, cursor);
@@ -163,7 +164,7 @@ impl S3Fifo {
     fn drop_ghost(&mut self, doc: DocId) -> Option<Timestamp> {
         let gidx = self.ghost_table.remove(doc, &self.ghosts)?;
         self.ghost_queue.unlink(&mut self.ghosts, gidx);
-        Some(self.ghosts.free(gidx).evicted_at)
+        self.ghosts.free(gidx).evicted_at
     }
 
     #[cfg(test)]
@@ -180,14 +181,14 @@ impl S3Fifo {
 impl VictimOrder for S3Fifo {
     fn on_insert(
         &mut self,
-        nodes: &mut Slab<Node>,
+        nodes: &mut Slab<CacheEntry>,
         slot: u32,
         now: Timestamp,
     ) -> Option<DurationMs> {
-        let doc = nodes.get(slot).entry.doc;
+        let doc = nodes.get(slot).doc;
         let remembered = self.drop_ghost(doc);
         if remembered.is_some() {
-            nodes.get_mut(slot).links.set_flag(MAIN, true);
+            nodes.links_mut(slot).set_flag(MAIN, true);
             self.main.push_tail(nodes, slot);
         } else {
             self.small.push_tail(nodes, slot);
@@ -195,26 +196,26 @@ impl VictimOrder for S3Fifo {
         remembered.map(|evicted_at| now.saturating_since(evicted_at))
     }
 
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         assert!(
             self.small.contains(nodes, slot) || self.main.contains(nodes, slot),
             "hit on untracked slot {slot}"
         );
-        nodes.get_mut(slot).links.set_flag(HIT, true);
+        nodes.links_mut(slot).set_flag(HIT, true);
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
         if self.victim(nodes) == Some(slot) {
             self.settle_before(nodes, slot);
         }
-        if nodes.get(slot).links.flag(MAIN) {
+        if nodes.links(slot).flag(MAIN) {
             self.main.unlink(nodes, slot);
         } else {
             self.small.unlink(nodes, slot);
         }
     }
 
-    fn victim(&self, nodes: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, nodes: &Slab<CacheEntry>) -> Option<u32> {
         let small_due = !self.small.is_empty()
             && (self.small.len() >= self.small_target() || self.main.is_empty());
         if small_due {
@@ -239,8 +240,7 @@ impl VictimOrder for S3Fifo {
         self.drop_ghost(doc); // re-eviction refreshes the ghost clock
         let gidx = self.ghosts.alloc(Ghost {
             doc,
-            evicted_at: now,
-            links: Links::NEW,
+            evicted_at: Some(now),
         });
         self.ghost_table.insert(doc, gidx, &self.ghosts);
         self.ghost_queue.push_tail(&mut self.ghosts, gidx);

@@ -1,7 +1,8 @@
 //! Segmented LRU replacement.
 
 use super::VictimOrder;
-use crate::index::{Links, List, Node, Slab};
+use crate::entry::CacheEntry;
+use crate::index::{Links, List, Slab};
 use coopcache_types::{DurationMs, Timestamp};
 
 /// Policy-word flag: the slot sits in the protected segment.
@@ -41,42 +42,47 @@ pub(crate) struct Slru {
 }
 
 impl Slru {
-    fn rebalance(&mut self, nodes: &mut Slab<Node>) {
+    fn rebalance(&mut self, nodes: &mut Slab<CacheEntry>) {
         while self.protected.len() > self.len().div_ceil(2) {
             let head = self.protected.head();
             self.protected.unlink(nodes, head);
-            nodes.get_mut(head).links.set_flag(PROTECTED, false);
+            nodes.links_mut(head).set_flag(PROTECTED, false);
             self.probation.push_tail(nodes, head); // demote to MRU of probation
         }
     }
 }
 
 impl VictimOrder for Slru {
-    fn on_insert(&mut self, nodes: &mut Slab<Node>, slot: u32, _: Timestamp) -> Option<DurationMs> {
+    fn on_insert(
+        &mut self,
+        nodes: &mut Slab<CacheEntry>,
+        slot: u32,
+        _: Timestamp,
+    ) -> Option<DurationMs> {
         self.probation.push_tail(nodes, slot);
         None
     }
 
-    fn on_hit(&mut self, nodes: &mut Slab<Node>, slot: u32) {
-        if nodes.get(slot).links.flag(PROTECTED) {
+    fn on_hit(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
+        if nodes.links(slot).flag(PROTECTED) {
             self.protected.move_to_tail(nodes, slot);
         } else {
             self.probation.unlink(nodes, slot);
-            nodes.get_mut(slot).links.set_flag(PROTECTED, true);
+            nodes.links_mut(slot).set_flag(PROTECTED, true);
             self.protected.push_tail(nodes, slot);
         }
         self.rebalance(nodes);
     }
 
-    fn on_remove(&mut self, nodes: &mut Slab<Node>, slot: u32) {
-        if nodes.get(slot).links.flag(PROTECTED) {
+    fn on_remove(&mut self, nodes: &mut Slab<CacheEntry>, slot: u32) {
+        if nodes.links(slot).flag(PROTECTED) {
             self.protected.unlink(nodes, slot);
         } else {
             self.probation.unlink(nodes, slot);
         }
     }
 
-    fn victim(&self, _: &Slab<Node>) -> Option<u32> {
+    fn victim(&self, _: &Slab<CacheEntry>) -> Option<u32> {
         self.probation.front().or(self.protected.front())
     }
 

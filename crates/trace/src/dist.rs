@@ -19,12 +19,16 @@ pub trait Distribution {
     fn sample(&self, rng: &mut Rng) -> Self::Output;
 }
 
-/// Zipf(α) over ranks `1..=n`, sampled in O(log n) by binary search over a
-/// precomputed CDF table.
+/// Zipf(α) over ranks `1..=n`, sampled by searching a precomputed CDF
+/// table in O(1) expected time.
 ///
 /// The table costs O(n) memory, which is perfectly fine for the ≤ 10⁶
 /// document universes used here and gives *exact* Zipf probabilities
-/// (rejection-free, no approximation).
+/// (rejection-free, no approximation). A guide table over `B = n/4`
+/// equal slices of `[0, 1)` narrows each search to the few CDF entries
+/// around the draw's slice (the guide-table method of inverse-transform
+/// sampling), and returns exactly the rank a binary search over the whole
+/// table would.
 ///
 /// # Example
 ///
@@ -38,6 +42,9 @@ pub trait Distribution {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first 0-based rank whose CDF is `≥ j/B`, for
+    /// `j` in `0..=B` (`cdf.len()` if none is).
+    guide: Vec<u32>,
     alpha: f64,
 }
 
@@ -67,12 +74,17 @@ impl Zipf {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParamError`] if `n` is zero or `alpha` is negative
-    /// or non-finite.
+    /// Returns [`InvalidParamError`] if `n` is zero or above `u32::MAX`,
+    /// or `alpha` is negative or non-finite.
     pub fn new(n: u64, alpha: f64) -> Result<Self, InvalidParamError> {
         if n == 0 {
             return Err(InvalidParamError {
                 what: "zipf population must be positive",
+            });
+        }
+        if n > u64::from(u32::MAX) {
+            return Err(InvalidParamError {
+                what: "zipf population must fit in 32 bits",
             });
         }
         if !alpha.is_finite() || alpha < 0.0 {
@@ -90,7 +102,18 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Ok(Self { cdf, alpha })
+        // One merged sweep: the slice edges and the CDF both ascend.
+        let buckets = (cdf.len() / 4).max(1);
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while rank < cdf.len() && cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Ok(Self { cdf, guide, alpha })
     }
 
     /// The population size `n`.
@@ -120,6 +143,26 @@ impl Zipf {
             self.cdf[i] - self.cdf[i - 1]
         }
     }
+
+    /// The rank drawn by the uniform `u` in `[0, 1)`: one more than the
+    /// number of CDF entries below `u`, clamped to `n`.
+    ///
+    /// `b = ⌊u·B⌋` is computed in floating point, so `u` may lie just
+    /// outside `[b/B, (b+1)/B)`, but within one rounding of it: the slice
+    /// edges `(b−1)/B` and `(b+2)/B` bracket `u` for every `u`, so the
+    /// answer lies in `guide[b−1] ..= guide[b+2]`, and every entry
+    /// before that range is below `u`.
+    #[inline]
+    fn rank(&self, u: f64) -> u64 {
+        let buckets = self.guide.len() - 1;
+        let b = ((u * buckets as f64) as usize).min(buckets);
+        let lo = self.guide[b.saturating_sub(1)] as usize;
+        let hi = (self.guide[(b + 2).min(buckets)] as usize + 1).min(self.cdf.len());
+        // partition_point returns the count of entries < u, i.e. the index
+        // of the first cdf entry >= u, i.e. the 0-based rank.
+        let idx = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        (idx.min(self.cdf.len() - 1) + 1) as u64
+    }
 }
 
 impl Distribution for Zipf {
@@ -127,11 +170,7 @@ impl Distribution for Zipf {
 
     /// Samples a rank in `1..=n` (rank 1 is the most popular).
     fn sample(&self, rng: &mut Rng) -> u64 {
-        let u = rng.next_f64();
-        // partition_point returns the count of entries < u, i.e. the index
-        // of the first cdf entry >= u, i.e. the 0-based rank.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        (idx.min(self.cdf.len() - 1) + 1) as u64
+        self.rank(rng.next_f64())
     }
 }
 
@@ -305,6 +344,48 @@ mod tests {
             (got - expected).abs() / expected < 0.05,
             "rank-1 freq {got} vs expected {expected}"
         );
+    }
+
+    /// The rank a binary search over the whole CDF returns for `u`.
+    fn full_search_rank(z: &Zipf, u: f64) -> u64 {
+        let idx = z.cdf.partition_point(|&c| c < u);
+        (idx.min(z.cdf.len() - 1) + 1) as u64
+    }
+
+    #[test]
+    fn zipf_guided_search_equals_the_full_search() {
+        for (n, alpha) in [
+            (1, 0.8),
+            (2, 0.0),
+            (3, 1.0),
+            (7, 0.75),
+            (100, 0.8),
+            (1000, 1.05),
+            (4099, 2.5),
+            (100_000, 0.7),
+        ] {
+            let z = Zipf::new(n, alpha).unwrap();
+            let buckets = z.guide.len() - 1;
+            // Every slice edge, one ulp either side of it, and every CDF
+            // value and its neighbours: where a guided search would slip.
+            let edges = (0..=buckets).map(|j| j as f64 / buckets as f64);
+            for x in edges.chain(z.cdf.iter().copied()) {
+                for u in [x.next_down(), x, x.next_up()] {
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(
+                            z.rank(u),
+                            full_search_rank(&z, u),
+                            "n={n} alpha={alpha} u={u}"
+                        );
+                    }
+                }
+            }
+            let mut rng = Rng::seed_from(n ^ 0x5eed);
+            for _ in 0..100_000 {
+                let u = rng.next_f64();
+                assert_eq!(z.rank(u), full_search_rank(&z, u), "n={n} u={u}");
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,11 @@ cargo test -q --workspace
 echo "== cargo test (deep frame-loop harness)"
 cargo test -q --release -p coopcache-net -- --ignored
 
+# The reference-store model check run on to ten times its seeded cases per
+# policy, in release.
+echo "== cargo test (deep reference-store run)"
+cargo test -q --release --test reference_store -- --ignored
+
 echo "== cargo test (paranoid invariant audits)"
 cargo test -q -p coopcache-core --features paranoid
 
