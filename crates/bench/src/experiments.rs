@@ -4,7 +4,8 @@
 use crate::{Experiment, Inputs};
 use coopcache_analysis::belady_min;
 use coopcache_core::{ExpirationWindow, PlacementScheme, PolicyKind};
-use coopcache_metrics::{pct, secs, GroupMetrics, LatencyModel, SinkHandle, Table, Tally};
+use coopcache_metrics::{pct, secs, GroupMetrics, LatencyModel, Table};
+use coopcache_obs::{SinkHandle, Tally};
 use coopcache_proxy::{Discovery, HashRoutedGroup, HierarchicalGroup};
 use coopcache_sim::{
     capacity_sweep, run, run_des, run_with_sink, NetworkModel, SimConfig, PAPER_CACHE_SIZES,

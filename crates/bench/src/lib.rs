@@ -24,7 +24,8 @@ mod experiments;
 
 pub use experiments::REGISTRY;
 
-use coopcache_metrics::{JsonWriter, Table};
+use coopcache_metrics::Table;
+use coopcache_obs::JsonWriter;
 use coopcache_sim::{capacity_sweep, SimConfig, SweepPoint, PAPER_CACHE_SIZES};
 use coopcache_trace::{generate, Trace, TraceProfile};
 use coopcache_types::ByteSize;
@@ -225,7 +226,7 @@ pub fn table_json(id: &str, title: &str, scale: &str, table: &Table) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coopcache_metrics::obs::{parse_json, JsonValue};
+    use coopcache_obs::{parse_json, JsonValue};
     use std::collections::BTreeSet;
     use std::path::PathBuf;
 

@@ -25,10 +25,10 @@ use std::fmt;
 ///
 /// # Storage layout
 ///
-/// Each document lives exactly once: one slot of a dense [`Slab`] arena
+/// Each document lives exactly once: one slot of a dense `Slab` arena
 /// holding its 40-byte [`CacheEntry`], with the slot's 8-byte policy word
 /// in a second dense array beside it, found through the cache's one
-/// open-addressing [`DocTable`], whose 8-byte buckets hold a hash
+/// open-addressing `DocTable`, whose 8-byte buckets hold a hash
 /// fragment and the slot but not the key. The replacement policy orders
 /// those same slots — list links or a heap position in the policy word —
 /// so a hit is one table probe, one entry write and a relink that stays

@@ -42,7 +42,10 @@ impl fmt::Display for TieBreak {
 /// 2. should the **responder** refresh (promote) its own copy after
 ///    serving a remote hit?
 /// 3. in a hierarchy, should a **parent** that resolved a miss keep a
-///    copy on the way down?
+///    copy on the way down? The parent decides with the requester rule,
+///    its own age in the requester's place (paper §3.4: "If the Cache
+///    Expiration Age of the parent cache is greater than that of the
+///    Requester, it stores a copy").
 ///
 /// [`PlacementScheme::AdHoc`] answers yes / yes / yes — the behaviour of
 /// every pre-existing cooperative proxy, which the paper shows causes
@@ -107,9 +110,9 @@ impl PlacementScheme {
         }
     }
 
-    /// Decision 1: does the requester store the document it received from
-    /// a supplier (sibling responder, parent, or — degenerately — the
-    /// origin server)?
+    /// Decisions 1 and 3: does the requester (or a parent, for its
+    /// child) store the document it received from a supplier (sibling
+    /// responder, parent, or — degenerately — the origin server)?
     ///
     /// EA stores when strictly older than the supplier; an exact tie is
     /// resolved by the [`TieBreak`] config.
@@ -139,26 +142,6 @@ impl PlacementScheme {
             Some(tie) => match responder.cmp(&requester) {
                 Ordering::Greater => true,
                 Ordering::Equal => tie == TieBreak::ResponderKeeps,
-                Ordering::Less => false,
-            },
-        }
-    }
-
-    /// Decision 3 (hierarchical caching): does a parent that fetched the
-    /// document from the origin on behalf of a child keep a copy?
-    ///
-    /// Under EA the parent stores iff its expiration age is strictly
-    /// greater than the requesting child's (paper §3.4: "If the Cache
-    /// Expiration Age of the parent cache is greater than that of the
-    /// Requester, it stores a copy"); a tie is resolved by the same
-    /// [`TieBreak`] as the requester rule.
-    #[must_use]
-    pub fn parent_stores(self, parent: ExpirationAge, requester: ExpirationAge) -> bool {
-        match self.tie_break() {
-            None => true,
-            Some(tie) => match parent.cmp(&requester) {
-                Ordering::Greater => true,
-                Ordering::Equal => tie == TieBreak::RequesterStores,
                 Ordering::Less => false,
             },
         }
@@ -198,7 +181,6 @@ mod tests {
             for b in [fin(0), fin(100), INF] {
                 assert!(PlacementScheme::AdHoc.requester_stores(a, b));
                 assert!(PlacementScheme::AdHoc.responder_promotes(a, b));
-                assert!(PlacementScheme::AdHoc.parent_stores(a, b));
             }
         }
     }
@@ -238,15 +220,6 @@ mod tests {
             "ties do not promote"
         );
         assert!(v.responder_promotes(fin(200), fin(100)));
-        assert!(v.parent_stores(fin(100), fin(100)));
-    }
-
-    #[test]
-    fn ea_parent_rule_is_strict() {
-        let ea = PlacementScheme::Ea;
-        assert!(ea.parent_stores(fin(200), fin(100)));
-        assert!(!ea.parent_stores(fin(100), fin(100)));
-        assert!(!ea.parent_stores(fin(50), fin(100)));
     }
 
     #[test]
@@ -291,7 +264,6 @@ mod tests {
         let ea = PlacementScheme::ea(TieBreak::default());
         assert!(!ea.requester_stores(fin(100), fin(100)));
         assert!(ea.responder_promotes(fin(100), fin(100)));
-        assert!(!ea.parent_stores(fin(100), fin(100)));
     }
 
     #[test]

@@ -49,17 +49,6 @@ impl CacheStats {
     pub fn lookups(&self) -> u64 {
         self.local_hits + self.local_misses
     }
-
-    /// Fraction of local lookups that hit, or `None` before any lookup.
-    #[must_use]
-    pub fn local_hit_ratio(&self) -> Option<f64> {
-        let total = self.lookups();
-        if total == 0 {
-            None
-        } else {
-            Some(self.local_hits as f64 / total as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -69,11 +58,10 @@ mod tests {
     #[test]
     fn ratios() {
         let mut s = CacheStats::default();
-        assert_eq!(s.local_hit_ratio(), None);
+        assert_eq!(s.lookups(), 0);
         s.local_hits = 3;
         s.local_misses = 1;
         assert_eq!(s.lookups(), 4);
-        assert!((s.local_hit_ratio().unwrap() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -183,7 +183,8 @@ fn stats_snapshots_are_pointwise_monotone() {
 
 // ---------------------------------------------------------------------------
 // SeriesRing: sampler vs scraper handoff (crates/obs/src/series.rs,
-// crates/net/src/daemon.rs sample_loop / OP_SERIES)
+// crates/net/src/daemon.rs: one OP_SERIES probe's sample push against
+// another probe's copy)
 // ---------------------------------------------------------------------------
 
 const V_RING_MUTEX: VarId = 10;

@@ -8,7 +8,7 @@
 //! *for this project's definitions* — "no wall-clock reads outside the
 //! clock abstraction", "no hash-order iteration where order reaches an
 //! event stream" — so this crate hand-rolls a masking lexer
-//! ([`mask`]) and a small set of textual rules ([`rules`]) over it. No
+//! ([`mask`](mod@mask)) and a small set of textual rules ([`rules`]) over it. No
 //! `syn`, no `regex`: the crate registry is unreachable in this
 //! environment, and the rules are simple enough that masked substring
 //! scanning is both sufficient and auditable.
@@ -53,8 +53,8 @@ const SKIP_DIRS: [&str; 8] = [
 ];
 
 /// Collects every production `.rs` file under `root`: files living under
-/// a `src` directory, skipping [`SKIP_DIRS`]. Sorted for deterministic
-/// output.
+/// a `src` directory, skipping the build, test-only and benchmark trees
+/// (`SKIP_DIRS`). Sorted for deterministic output.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! The project-specific conformance rules.
 //!
 //! Every rule scans the masked view of a source file (see
-//! [`crate::mask`]): string/char literal contents and comments are
+//! [`crate::mask()`]): string/char literal contents and comments are
 //! blanked, and — for all rules — `#[cfg(test)]` / `#[test]` items are
 //! excluded via the `app_code` view. Findings can be suppressed with a
 //! justified allow comment — a rule name and a reason, as in

@@ -10,10 +10,7 @@
 //! * [`LatencyModel`] — the measured latency constants (146 / 342 /
 //!   2784 ms) and the eq. 6 average-latency estimator;
 //! * [`Table`] with [`pct`] / [`secs`] — diff-friendly plain-text and CSV
-//!   rendering used by every experiment;
-//! * the [`obs`] observability layer (re-exported from `coopcache-obs`):
-//!   structured [`Event`]s, pluggable [`EventSink`]s and the log-bucketed
-//!   [`Histogram`].
+//!   rendering used by every experiment.
 //!
 //! # Example
 //!
@@ -39,10 +36,3 @@ mod report;
 pub use counters::GroupMetrics;
 pub use latency::LatencyModel;
 pub use report::{pct, secs, Table};
-
-/// The observability layer, re-exported wholesale from `coopcache-obs`.
-pub use coopcache_obs as obs;
-pub use coopcache_obs::{
-    Event, EventKind, EventSink, Histogram, HistogramSnapshot, JsonWriter, JsonlSink, NullSink,
-    RingBufferSink, SinkHandle, Tally,
-};

@@ -25,7 +25,6 @@ pub struct ClusterConfig {
     pub(crate) quarantine_after: u32,
     pub(crate) quarantine_base: Duration,
     pub(crate) faults: FaultPlan,
-    pub(crate) sample_interval: Option<Duration>,
     pub(crate) pool_max_idle: usize,
 }
 
@@ -43,7 +42,6 @@ impl ClusterConfig {
             quarantine_after: 2,
             quarantine_base: Duration::from_millis(250),
             faults: FaultPlan::default(),
-            sample_interval: None,
             pool_max_idle: 8,
         }
     }
@@ -97,18 +95,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the metrics sampling interval (builder style): each daemon
-    /// starts a sampler thread that snapshots its counters, latency and
-    /// occupancy into the `OP_SERIES` ring at this cadence, and series
-    /// probes answer from that ring. Without it, each series probe first
-    /// lands one sample, as [`CacheDaemon::sample_now`] does, so a scrape
-    /// is always live.
-    #[must_use]
-    pub fn sample_interval(mut self, interval: Duration) -> Self {
-        self.sample_interval = Some(interval);
         self
     }
 

@@ -39,14 +39,14 @@
 //! workspace forbids `unsafe`, so there is no epoll — a parked thread
 //! blocked in `recv`/`accept`/`read` *is* the readiness mechanism, and
 //! it burns zero CPU at idle, unlike the 20 ms poll loops this design
-//! replaced; the optional metrics sampler parks until its next sample).
+//! replaced). No thread samples metrics: each `OP_SERIES` probe lands
+//! one sample in the series ring before answering.
 //! The document port serves each accepted connection on its own thread,
 //! at most [`MAX_CONNS`] at once, and connections
 //! are *persistent*: a client may pipeline any number of frames on one
 //! connection. Shutdown wakes the blocked threads explicitly — a junk
 //! datagram for the ICP responder, a throwaway connect for the
-//! acceptor, an unpark for the sampler, and a `shutdown(2)` on every
-//! registered live connection.
+//! acceptor, and a `shutdown(2)` on every registered live connection.
 //!
 //! The client side pools its outbound peer/origin connections
 //! (`pool.rs`) and sheds cacheable-store work under memory pressure
@@ -151,6 +151,11 @@ const POOL_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// new connections are closed at accept (peers absorb the refusal
 /// through their normal failover path).
 const MAX_CONNS: usize = 64;
+
+/// The interval the `OP_SERIES` ring advertises. Points land one per
+/// probe, so renderers divide by the measured gap between points; this
+/// only groups live nodes' points for the dashboard.
+const SERIES_INTERVAL_MS: u64 = 1_000;
 
 /// The sockets a daemon has bound, published before peers start.
 #[derive(Debug)]
@@ -345,8 +350,8 @@ struct LoopCtx {
     latency: Arc<Mutex<BTreeMap<ServeSource, Histogram>>>,
     /// Peer health map, shared for the same reason.
     health: Arc<Mutex<BTreeMap<CacheId, PeerHealth>>>,
-    /// Sampled time-series ring, shared with the sampler thread and the
-    /// daemon handle so the doc server can serve it over `OP_SERIES`.
+    /// Sampled time-series ring, shared with the daemon handle so the doc
+    /// server can sample into it and serve it over `OP_SERIES`.
     series: Arc<Mutex<SeriesRing>>,
     /// Span id allocator, shared with the daemon handle so client-side
     /// and server-side spans of one daemon never collide.
@@ -357,11 +362,6 @@ struct LoopCtx {
     /// makes no iterations — the idle-CPU regression test pins this.
     icp_iters: Arc<AtomicU64>,
     accept_iters: Arc<AtomicU64>,
-    /// Times the sampler thread returned from a park: once per interval
-    /// on a quiet daemon, plus the shutdown unpark.
-    sampler_wakeups: Arc<AtomicU64>,
-    /// No sampler thread runs, so each series probe samples first.
-    sample_on_probe: bool,
 }
 
 impl LoopCtx {
@@ -373,11 +373,6 @@ impl LoopCtx {
             CacheConfig::new(id, config.capacity, PolicyKind::Lru).shards(config.shards),
             config.scheme,
         ));
-        // The ring exists even without a sampler thread, so on-demand
-        // samples and `OP_SERIES` scrapes always have a document.
-        let interval_ms = config
-            .sample_interval
-            .map_or(1_000, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
         Self {
             id,
             stats: Arc::clone(node.stats()),
@@ -389,15 +384,13 @@ impl LoopCtx {
             health: Arc::new(Mutex::new(BTreeMap::new())),
             series: Arc::new(Mutex::new(SeriesRing::new(
                 id,
-                interval_ms,
+                SERIES_INTERVAL_MS,
                 DEFAULT_SERIES_CAPACITY,
             ))),
             span_seq: Arc::new(AtomicU64::new(0)),
             conns: Arc::new(ConnTable::default()),
             icp_iters: Arc::new(AtomicU64::new(0)),
             accept_iters: Arc::new(AtomicU64::new(0)),
-            sampler_wakeups: Arc::new(AtomicU64::new(0)),
-            sample_on_probe: config.sample_interval.is_none(),
         }
     }
 
@@ -480,12 +473,6 @@ impl CacheDaemon {
         threads.push(spawn_loop(&ctx, "doc", move |ctx| {
             doc_loop(&listener, ctx, io_timeout);
         })?);
-        // Metrics sampler, only when an interval is configured.
-        if let Some(interval) = config.sample_interval {
-            threads.push(spawn_loop(&ctx, "sample", move |ctx| {
-                sample_loop(ctx, interval);
-            })?);
-        }
 
         Ok(Self {
             pool: ConnectionPool::new(config.pool_max_idle, POOL_IDLE_TIMEOUT, config.io_timeout),
@@ -545,9 +532,8 @@ impl CacheDaemon {
         self.ctx.stats_json()
     }
 
-    /// Takes one time-series sample immediately, regardless of the
-    /// configured interval (tests need points without waiting out a
-    /// wall-clock cadence).
+    /// Takes one time-series sample immediately, as each `OP_SERIES`
+    /// probe does before it answers.
     pub fn sample_now(&self) {
         self.ctx.sample();
     }
@@ -584,13 +570,6 @@ impl CacheDaemon {
             self.ctx.icp_iters.load(Ordering::Relaxed),
             self.ctx.accept_iters.load(Ordering::Relaxed),
         )
-    }
-
-    /// Cumulative sampler-thread wakeups: one per sample interval on a
-    /// quiet daemon (zero without a sampler), plus the one `halt` causes.
-    #[must_use]
-    pub fn sampler_wakeups(&self) -> u64 {
-        self.ctx.sampler_wakeups.load(Ordering::Relaxed)
     }
 
     /// Number of pooled outbound connections currently parked for
@@ -1159,7 +1138,7 @@ impl CacheDaemon {
 
     /// Best-effort wake-ups for the blocking server loops: a junk
     /// datagram unparks the ICP `recv_from`, a throwaway connect
-    /// unparks the doc `accept` (the sampler is unparked by its handle).
+    /// unparks the doc `accept`.
     /// Errors are ignored — if the sockets are already gone the loops
     /// are already dead.
     fn wake_server_loops(&self) {
@@ -1183,9 +1162,6 @@ impl CacheDaemon {
         self.ctx.stop.store(true, Ordering::Release);
         self.wake_server_loops();
         for handle in self.threads.drain(..) {
-            // The sampler parks between samples; the other loops block in
-            // the kernel, where an unpark is a no-op.
-            handle.thread().unpark();
             let _ = handle.join();
         }
         // With the acceptor joined, no new connections can register:
@@ -1208,9 +1184,6 @@ impl Drop for CacheDaemon {
         self.ctx.stop.store(true, Ordering::Release);
         if !self.threads.is_empty() {
             self.wake_server_loops();
-        }
-        for handle in &self.threads {
-            handle.thread().unpark();
         }
     }
 }
@@ -1486,9 +1459,7 @@ fn answer_frame<W: Write>(
             let body = if stats {
                 ctx.stats_json()
             } else {
-                if ctx.sample_on_probe {
-                    ctx.sample();
-                }
+                ctx.sample();
                 lock(&ctx.series).to_json()
             };
             let body_len = u64::try_from(body.len()).unwrap_or(u64::MAX);
@@ -1694,27 +1665,6 @@ impl LoopCtx {
             quarantined: u64::try_from(self.quarantined().len()).unwrap_or(u64::MAX),
         };
         lock(&self.series).push(point);
-    }
-}
-
-/// Sampler thread body: pushes one [`SeriesPoint`] per interval into
-/// the shared ring. Between samples the thread is parked until the next
-/// one is due — an idle daemon wakes it once per interval — and `halt`
-/// unparks it, so shutdown never waits out a long interval.
-fn sample_loop(ctx: &LoopCtx, interval: Duration) {
-    let interval_us = u64::try_from(interval.as_micros()).unwrap_or(u64::MAX);
-    let mut due_us = ctx.clock.now_micros().saturating_add(interval_us);
-    // lint:allow(atomic-order) -- Acquire: pairs with the Release store
-    // in `halt`, ordering the flag read before loop teardown.
-    while !ctx.stop.load(Ordering::Acquire) {
-        let now_us = ctx.clock.now_micros();
-        if now_us < due_us {
-            std::thread::park_timeout(Duration::from_micros(due_us - now_us));
-            ctx.sampler_wakeups.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        ctx.sample();
-        due_us = now_us.saturating_add(interval_us);
     }
 }
 
@@ -2038,23 +1988,17 @@ mod tests {
     }
 
     #[test]
-    fn the_sampler_parks_until_its_next_sample_and_halt_unparks_it() {
-        let config = ClusterConfig::new(1, ByteSize::from_kb(64), PlacementScheme::Ea)
-            .sample_interval(Duration::from_secs(1));
-        let cluster = LoopbackCluster::start_with_config(config).unwrap();
-        std::thread::sleep(Duration::from_millis(300));
-        let wakeups = cluster.daemon(0).sampler_wakeups();
-        assert!(
-            wakeups <= 1,
-            "an idle sampler woke {wakeups} times in 300 ms"
-        );
-        let clock = SharedClock::start();
+    fn each_series_probe_lands_one_sample() {
+        let cluster =
+            LoopbackCluster::start(1, ByteSize::from_kb(64), PlacementScheme::Ea).unwrap();
+        let addr = cluster.daemon(0).doc_addr();
+        for k in 1..=3 {
+            let body = crate::scrape_series(addr, Duration::from_secs(5)).unwrap();
+            let ring = SeriesRing::from_json(&body).unwrap();
+            assert_eq!(ring.len(), k, "probe {k}");
+            assert_eq!(ring.interval_ms(), SERIES_INTERVAL_MS);
+        }
         cluster.shutdown();
-        let took_ms = clock.now_micros() / 1_000;
-        assert!(
-            took_ms < 500,
-            "shutdown waited {took_ms} ms for the sampler"
-        );
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! (including the doc-vanished-between-ICP-and-fetch race). One
 //! [`ClusterConfig`] configures every daemon; it carries only what some
 //! caller varies (cache size, group size, scheme, shards, timeouts,
-//! quarantine, faults, sampling, pooling), and the rest — LRU, the
-//! inbound connection cap, the pool's idle deadline, the 5 % memory
-//! floor — is fixed in the daemon.
+//! quarantine, faults, pooling), and the rest — LRU, the inbound
+//! connection cap, the pool's idle deadline, the 5 % memory floor, one
+//! series sample per `OP_SERIES` probe — is fixed in the daemon.
 //!
 //! Peer failures never surface to clients: the fetch starts at the first
 //! positive ICP replier and fails over through the later ones, pulled

@@ -44,7 +44,7 @@ pub const FRAME_V2: u8 = 0xC2;
 /// Upper bound on a length-prefixed TCP header frame. Real headers are
 /// at most 40 bytes; the cap bounds what a malicious or corrupted length
 /// field can make a reader buffer. The responder's frame loop, the peer
-/// fetch and the stats/series scrape all frame through [`decode_frame`],
+/// fetch and the stats/series scrape all frame through `decode_frame`,
 /// so the client and server paths cannot drift apart.
 pub const MAX_FRAME_LEN: usize = 1024;
 

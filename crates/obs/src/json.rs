@@ -363,7 +363,7 @@ impl std::fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 /// Parses one JSON document. Trailing non-whitespace is an error; so is
-/// nesting deeper than [`MAX_JSON_DEPTH`]. Never panics.
+/// nesting deeper than 64 levels (`MAX_JSON_DEPTH`). Never panics.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),

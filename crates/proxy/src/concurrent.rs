@@ -139,7 +139,7 @@ impl ConcurrentNode {
 mod tests {
     use super::*;
     use coopcache_core::PolicyKind;
-    use coopcache_obs::{mute_request_scoped, splitmix64, EventKind, RingBufferSink};
+    use coopcache_obs::{mute_request_scoped, splitmix64, EventKind, RingBufferSink, EVENT_KINDS};
     use coopcache_types::DurationMs;
     use std::sync::Mutex;
 
@@ -155,17 +155,15 @@ mod tests {
         ByteSize::from_kb(n)
     }
 
-    /// A ring sink and a registry, installed by the caller on one node.
-    fn probes() -> (Arc<Mutex<RingBufferSink>>, Arc<StatsRegistry>) {
-        (
-            Arc::new(Mutex::new(RingBufferSink::new(4096))),
-            Arc::new(StatsRegistry::new()),
-        )
+    /// A ring sink, installed by the caller on one node.
+    fn ring() -> Arc<Mutex<RingBufferSink>> {
+        Arc::new(Mutex::new(RingBufferSink::new(4096)))
     }
 
-    /// Every event the ring holds, as (kind, JSON line).
+    /// Every event the ring was given, as (kind, JSON line).
     fn recorded(ring: &Mutex<RingBufferSink>) -> Vec<(EventKind, String)> {
         let ring = ring.lock().expect("ring");
+        assert_eq!(ring.total_emitted(), ring.len() as u64, "ring overflowed");
         ring.events().map(|e| (e.kind(), e.to_json())).collect()
     }
 
@@ -183,22 +181,21 @@ mod tests {
     /// placement code": one seeded stream of every handler through a
     /// `ProxyNode` and a one-shard `ConcurrentNode`, under both schemes,
     /// with and without the head sampler's request-scoped mute. Return
-    /// values, store counters, registry counts and the emitted events
-    /// (byte for byte) must agree.
+    /// values, store counters and the emitted events (byte for byte) must
+    /// agree, and the shared node's registry must read, muted or not, the
+    /// per-kind counts of the events the serial node emits unmuted.
     #[test]
     fn mirrors_the_single_threaded_node() {
         for scheme in [PlacementScheme::AdHoc, PlacementScheme::Ea] {
+            let mut unmuted_counts = None;
             for muted in [false, true] {
                 let case = format!("{scheme:?}, muted={muted}");
                 let config = CacheConfig::new(CacheId::new(0), kb(16), PolicyKind::Lru);
                 let shared = ConcurrentNode::from_config(config, scheme);
                 let mut serial = ProxyNode::from_config(config, scheme);
-                let (shared_ring, _) = probes();
-                let (serial_ring, serial_stats) = probes();
+                let (shared_ring, serial_ring) = (ring(), ring());
                 shared.set_sink(SinkHandle::from_arc(Arc::clone(&shared_ring)));
-                let shared_stats = shared.stats();
                 serial.set_sink(SinkHandle::from_arc(Arc::clone(&serial_ring)));
-                serial.set_stats(Arc::clone(&serial_stats));
                 let _mute = muted.then(mute_request_scoped);
 
                 for i in 0..600u64 {
@@ -260,10 +257,17 @@ mod tests {
                     stats.evictions > 0 && stats.remote_serves > 0 && stats.local_hits > 0,
                     "{case}: the stream must exercise every path, got {stats:?}"
                 );
-                assert_eq!(shared_stats.snapshot(), serial_stats.snapshot(), "{case}");
-                assert!(serial_stats.count(EventKind::Placement) > 0, "{case}");
                 let events = recorded(&serial_ring);
                 assert_eq!(recorded(&shared_ring), events, "{case}");
+                let counts = EVENT_KINDS.map(|kind| {
+                    (
+                        kind,
+                        events.iter().filter(|(k, _)| *k == kind).count() as u64,
+                    )
+                });
+                let expected = *unmuted_counts.get_or_insert(counts);
+                assert_eq!(shared.stats().snapshot(), expected, "{case}");
+                assert!(shared.stats().count(EventKind::Placement) > 0, "{case}");
                 // Evictions are health events and pass the mute; placements
                 // are request-scoped and must be shed by it on both nodes.
                 let emitted = |kind| events.iter().any(|(k, _)| *k == kind);

@@ -16,7 +16,6 @@ use coopcache_core::{
 };
 use coopcache_obs::{Event, EventKind, EvictionCause, PlacementRole, SinkHandle, StatsRegistry};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
-use std::sync::Arc;
 
 /// Where a node reports its placement decisions and evictions. Like
 /// [`Store`], a seam in a private module: the single-owner node owns its
@@ -31,12 +30,12 @@ pub trait Telemetry {
     fn stats(&self) -> Option<&StatsRegistry>;
 }
 
-/// Telemetry a node owns: both parts optional shared handles (the
-/// default, neither, is the zero-cost one).
+/// Telemetry a node owns: an optional sink and no registry, which only
+/// [`crate::ConcurrentNode`] keeps (the default, no sink, is the
+/// zero-cost one).
 #[derive(Debug, Clone, Default)]
 pub struct Handles {
     sink: Option<SinkHandle>,
-    stats: Option<Arc<StatsRegistry>>,
 }
 
 impl Telemetry for Handles {
@@ -45,7 +44,7 @@ impl Telemetry for Handles {
     }
 
     fn stats(&self) -> Option<&StatsRegistry> {
-        self.stats.as_deref()
+        None
     }
 }
 
@@ -126,17 +125,6 @@ impl ProxyNode {
     /// this node flow into it.
     pub fn set_sink(&mut self, sink: SinkHandle) {
         self.telemetry.sink = Some(sink);
-    }
-
-    /// Detaches the event sink (back to the zero-cost default).
-    pub fn clear_sink(&mut self) {
-        self.telemetry.sink = None;
-    }
-
-    /// Attaches a live stats registry; placement and eviction counts
-    /// from this node land in it whether or not a sink is installed.
-    pub fn set_stats(&mut self, stats: Arc<StatsRegistry>) {
-        self.telemetry.stats = Some(stats);
     }
 
     /// Sets (or clears) the underlying cache's freshness TTL.
@@ -348,7 +336,9 @@ impl<S: Store, T: Telemetry> ProxyNode<S, T> {
         now: Timestamp,
     ) -> (HttpResponse, bool) {
         let parent_age = self.expiration_age();
-        let keep = self.scheme.parent_stores(parent_age, request.requester_age);
+        let keep = self
+            .scheme
+            .requester_stores(parent_age, request.requester_age);
         self.emit_placement(
             request.doc,
             PlacementRole::ParentStore,
@@ -607,28 +597,19 @@ mod tests {
     }
 
     #[test]
-    fn clear_sink_stops_emission() {
-        use coopcache_obs::{RingBufferSink, SinkHandle};
-        use std::sync::{Arc, Mutex};
-
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(8)));
-        let mut n = node(0, 4, PlacementScheme::AdHoc);
-        n.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
-        n.clear_sink();
-        make_contended(&mut n, 0);
-        assert_eq!(ring.lock().unwrap().total_emitted(), 0);
-    }
-
-    #[test]
     fn stats_registry_counts_without_a_sink() {
-        use coopcache_obs::{EventKind, StatsRegistry};
-        use std::sync::Arc;
+        use crate::ConcurrentNode;
+        use coopcache_obs::EventKind;
 
-        let stats = Arc::new(StatsRegistry::new());
-        let mut n = node(0, 4, PlacementScheme::AdHoc);
-        n.set_stats(Arc::clone(&stats));
-        // No sink installed: counters must still move.
-        make_contended(&mut n, 0);
+        // The one registry slot is the shared node's: with no sink
+        // installed, its counters must still move.
+        let n = ConcurrentNode::from_config(
+            CacheConfig::new(CacheId::new(0), kb(4), PolicyKind::Lru),
+            PlacementScheme::AdHoc,
+        );
+        for i in 0..64 {
+            n.complete_origin_fetch(d(100_000 + i), n.cache().capacity(), t(i));
+        }
         let sent = n.build_http_request(d(1));
         let response = HttpResponse {
             from: CacheId::new(1),
@@ -637,8 +618,8 @@ mod tests {
             responder_age: ExpirationAge::Infinite,
         };
         n.complete_remote_fetch(sent, response, t(100));
-        assert!(stats.count(EventKind::Placement) > 0);
-        assert!(stats.count(EventKind::Eviction) > 0);
+        assert!(n.stats().count(EventKind::Placement) > 0);
+        assert!(n.stats().count(EventKind::Eviction) > 0);
     }
 
     #[test]

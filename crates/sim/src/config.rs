@@ -1,7 +1,6 @@
 //! Simulation configuration.
 
 use coopcache_core::{ExpirationWindow, PlacementScheme, PolicyKind};
-use coopcache_metrics::LatencyModel;
 use coopcache_proxy::{Discovery, DistributedGroup};
 use coopcache_trace::Partitioner;
 use coopcache_types::{ByteSize, DurationMs};
@@ -11,7 +10,8 @@ use std::fmt;
 ///
 /// Defaults mirror the paper's headline setup: a distributed group of
 /// 4 caches sharing the aggregate capacity evenly, LRU replacement, the
-/// client-to-proxy pinning partitioner and the measured latency constants.
+/// and the client-to-proxy pinning partitioner. The eq. 6 estimate always
+/// uses the paper's measured latency constants.
 ///
 /// # Example
 ///
@@ -39,8 +39,6 @@ pub struct SimConfig {
     pub window: ExpirationWindow,
     /// How clients map onto caches.
     pub partitioner: Partitioner,
-    /// Latency constants for the eq. 6 estimate.
-    pub latency: LatencyModel,
     /// How local misses locate documents in the group (ICP, Summary-Cache
     /// digests, or no cooperation).
     pub discovery: Discovery,
@@ -53,10 +51,6 @@ pub struct SimConfig {
     /// Optional per-cache capacity weights; the aggregate is split
     /// proportionally instead of evenly (the paper assumes equal shares).
     pub capacity_weights: Option<Vec<u32>>,
-    /// Number of reporting windows the trace is divided into for the
-    /// per-window hit-rate / expiration-age time series in `SimReport`
-    /// (each rollover also emits a `WindowRollover` event).
-    pub timeseries_windows: usize,
 }
 
 impl SimConfig {
@@ -71,25 +65,11 @@ impl SimConfig {
             scheme: PlacementScheme::AdHoc,
             window: ExpirationWindow::default(),
             partitioner: Partitioner::default(),
-            latency: LatencyModel::paper_2002(),
             discovery: Discovery::Icp,
             ttl: None,
             warmup_fraction: 0.0,
             capacity_weights: None,
-            timeseries_windows: 20,
         }
-    }
-
-    /// Sets the number of reporting windows for the time series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_timeseries_windows(mut self, n: usize) -> Self {
-        assert!(n >= 1, "at least one reporting window is required");
-        self.timeseries_windows = n;
-        self
     }
 
     /// Sets the group size.
@@ -117,20 +97,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_window(mut self, window: ExpirationWindow) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Sets the client partitioner.
-    #[must_use]
-    pub fn with_partitioner(mut self, partitioner: Partitioner) -> Self {
-        self.partitioner = partitioner;
-        self
-    }
-
-    /// Sets the latency model.
-    #[must_use]
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -254,7 +220,7 @@ mod tests {
         assert_eq!(cfg.group_size, 4);
         assert_eq!(cfg.policy, PolicyKind::Lru);
         assert_eq!(cfg.scheme, PlacementScheme::AdHoc);
-        assert_eq!(cfg.latency, LatencyModel::paper_2002());
+        assert_eq!(cfg.partitioner, Partitioner::ByClientModulo);
         assert_eq!(cfg.per_cache_capacity(), ByteSize::from_bytes(250_000));
     }
 
@@ -263,8 +229,7 @@ mod tests {
         let cfg = SimConfig::new(ByteSize::from_kb(100))
             .with_group_size(8)
             .with_scheme(PlacementScheme::Ea)
-            .with_policy(PolicyKind::Lfu)
-            .with_partitioner(Partitioner::RoundRobin);
+            .with_policy(PolicyKind::Lfu);
         assert_eq!(cfg.group_size, 8);
         assert_eq!(cfg.scheme, PlacementScheme::Ea);
         assert_eq!(cfg.policy, PolicyKind::Lfu);
@@ -306,19 +271,6 @@ mod tests {
         assert_eq!(cfg.ttl, Some(DurationMs::from_days(1)));
         assert_eq!(cfg.discovery, Discovery::Isolated);
         assert!((cfg.warmup_fraction - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeseries_windows_builder() {
-        let cfg = SimConfig::new(ByteSize::from_kb(1)).with_timeseries_windows(5);
-        assert_eq!(cfg.timeseries_windows, 5);
-        assert_eq!(SimConfig::new(ByteSize::from_kb(1)).timeseries_windows, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one reporting window")]
-    fn zero_timeseries_windows_panics() {
-        let _ = SimConfig::new(ByteSize::from_kb(1)).with_timeseries_windows(0);
     }
 
     #[test]

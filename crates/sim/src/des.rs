@@ -415,12 +415,12 @@ impl SeriesTap {
 /// exactly as the synchronous runner builds it: per-cache capacities
 /// (`capacity_weights` included), policy, scheme, window and TTL — and
 /// `network` for timing. The DES ignores the rest of `config`:
-/// - `latency`: the eq. 6 constants; latency is measured from the event
-///   timeline instead;
 /// - `discovery`: every local miss runs an ICP round;
-/// - `warmup_fraction`: every request is counted;
-/// - `timeseries_windows`: [`run_des_with_health`] samples virtual time
-///   instead.
+/// - `warmup_fraction`: every request is counted.
+///
+/// It measures latency from the event timeline instead of the eq. 6
+/// estimate, and [`run_des_with_health`] samples virtual time instead of
+/// the synchronous runner's request-count windows.
 ///
 /// # Example
 ///

@@ -8,6 +8,11 @@ use coopcache_proxy::{DistributedGroup, RequestOutcome};
 use coopcache_trace::Trace;
 use coopcache_types::Request;
 
+/// Reporting windows the trace is divided into for the per-window
+/// hit-rate / expiration-age time series in [`SimReport::windows`] (each
+/// rollover also emits a `WindowRollover` event).
+const TIMESERIES_WINDOWS: u64 = 20;
+
 /// One reporting window of the trace: the per-window and cumulative view
 /// of hit rate and group expiration age (the `SimReport` time series).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +54,8 @@ pub struct SimReport {
     /// the amount of replication the placement scheme allowed.
     pub total_docs_cached: usize,
     /// Per-window hit-rate / expiration-age time series
-    /// (`config.timeseries_windows` windows; empty for an empty trace).
+    /// (20 windows, one per request for a shorter trace; empty for an
+    /// empty trace).
     pub windows: Vec<WindowStat>,
 }
 
@@ -136,11 +142,11 @@ where
     let mut metrics = GroupMetrics::default();
     let n = config.group_size as usize;
     let warmup_until = (trace.len() as f64 * config.warmup_fraction) as usize;
-    // Window bookkeeping: the trace splits into `timeseries_windows`
+    // Window bookkeeping: the trace splits into `TIMESERIES_WINDOWS`
     // near-equal windows (the last one absorbs the remainder and any
     // short trace simply yields fewer, shorter windows).
     let total = trace.len() as u64;
-    let window_len = (total / config.timeseries_windows as u64).max(1);
+    let window_len = (total / TIMESERIES_WINDOWS).max(1);
     let mut windows: Vec<WindowStat> = Vec::new();
     let mut win = (0u64, 0u64, 0u64); // (requests, local hits, remote hits)
     let mut cum_hits = 0u64;
@@ -198,17 +204,12 @@ where
         }
         observe(seq, request, outcome);
     }
-    finish(config.latency, metrics, &group, windows)
+    finish(metrics, &group, windows)
 }
 
-fn finish(
-    latency: LatencyModel,
-    metrics: GroupMetrics,
-    group: &DistributedGroup,
-    windows: Vec<WindowStat>,
-) -> SimReport {
+fn finish(metrics: GroupMetrics, group: &DistributedGroup, windows: Vec<WindowStat>) -> SimReport {
     SimReport {
-        estimated_latency_ms: latency.average_latency_ms(&metrics),
+        estimated_latency_ms: LatencyModel::paper_2002().average_latency_ms(&metrics),
         avg_expiration_age_ms: group.average_expiration_age_ms(),
         unique_docs_cached: group.unique_cached_docs(),
         total_docs_cached: group.total_cached_docs(),
@@ -450,8 +451,8 @@ mod tests {
     #[test]
     fn windows_partition_the_trace() {
         let trace = small_trace();
-        let r = run(&cfg(500).with_timeseries_windows(10), &trace);
-        assert_eq!(r.windows.len(), 10);
+        let r = run(&cfg(500), &trace);
+        assert_eq!(r.windows.len() as u64, TIMESERIES_WINDOWS);
         let total: u64 = r.windows.iter().map(|w| w.requests).sum();
         assert_eq!(total as usize, trace.len());
         for (i, w) in r.windows.iter().enumerate() {
@@ -475,8 +476,9 @@ mod tests {
 
     #[test]
     fn more_windows_than_requests_degrades_gracefully() {
-        let trace = small_trace();
-        let r = run(&cfg(500).with_timeseries_windows(10 * trace.len()), &trace);
+        let trace = generate(&TraceProfile::small().with_requests(12)).unwrap();
+        assert!((trace.len() as u64) < TIMESERIES_WINDOWS);
+        let r = run(&cfg(500), &trace);
         // One window per request is the finest possible split.
         assert_eq!(r.windows.len(), trace.len());
         assert!(r.windows.iter().all(|w| w.requests == 1));

@@ -11,38 +11,24 @@ use coopcache_types::{CacheId, Request};
 pub enum Partitioner {
     /// Each client is pinned to `client_id mod group_size` — the standard
     /// model of browsers statically configured against one proxy, and the
-    /// one used for all paper experiments.
+    /// one used for all paper experiments (§4.1).
     ByClientModulo,
-    /// Clients are pinned by a multiplicative hash of their id; like
-    /// [`Partitioner::ByClientModulo`] but robust to client-id patterns
-    /// (e.g. all even ids on one subnet).
-    ByClientHash,
-    /// Requests round-robin over caches regardless of client — a worst-case
-    /// locality stressor (the same client's re-references land on
-    /// different caches).
-    RoundRobin,
 }
 
 impl Partitioner {
     /// Returns the requester cache for the `seq`-th request of a trace.
     ///
-    /// `seq` is the zero-based position of the request in the trace; only
-    /// [`Partitioner::RoundRobin`] consumes it.
+    /// `seq` is the zero-based position of the request in the trace; the
+    /// client pinning does not read it.
     ///
     /// # Panics
     ///
     /// Panics if `group_size` is zero.
     #[must_use]
-    pub fn assign(self, request: &Request, seq: usize, group_size: usize) -> CacheId {
+    pub fn assign(self, request: &Request, _seq: usize, group_size: usize) -> CacheId {
         assert!(group_size > 0, "group must contain at least one cache");
         let idx = match self {
             Self::ByClientModulo => request.client.as_u32() as usize % group_size,
-            Self::ByClientHash => {
-                // Fibonacci hashing spreads structured id spaces evenly.
-                let h = (u64::from(request.client.as_u32())).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (h >> 32) as usize % group_size
-            }
-            Self::RoundRobin => seq % group_size,
         };
         CacheId::new(idx as u16)
     }
@@ -59,8 +45,6 @@ impl std::fmt::Display for Partitioner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Self::ByClientModulo => "by-client-modulo",
-            Self::ByClientHash => "by-client-hash",
-            Self::RoundRobin => "round-robin",
         };
         f.write_str(name)
     }
@@ -90,39 +74,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_pins_clients_and_spreads() {
-        let p = Partitioner::ByClientHash;
-        // Stability per client.
-        assert_eq!(p.assign(&req(42), 0, 8), p.assign(&req(42), 77, 8));
-        // Even client ids (a pattern modulo would map onto half the group)
-        // still cover every cache under hashing.
-        let mut seen = vec![false; 8];
-        for c in (0..256u32).step_by(2) {
-            seen[p.assign(&req(c), 0, 8).index()] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "hash left a cache unused: {seen:?}"
-        );
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let p = Partitioner::RoundRobin;
-        let r = req(9);
-        let ids: Vec<usize> = (0..6).map(|seq| p.assign(&r, seq, 3).index()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn single_cache_group_gets_everything() {
-        for p in [
-            Partitioner::ByClientModulo,
-            Partitioner::ByClientHash,
-            Partitioner::RoundRobin,
-        ] {
-            assert_eq!(p.assign(&req(123), 456, 1), CacheId::new(0));
-        }
+        assert_eq!(
+            Partitioner::ByClientModulo.assign(&req(123), 456, 1),
+            CacheId::new(0)
+        );
     }
 
     #[test]
@@ -134,7 +90,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Partitioner::ByClientModulo.to_string(), "by-client-modulo");
-        assert_eq!(Partitioner::RoundRobin.to_string(), "round-robin");
     }
 
     #[test]

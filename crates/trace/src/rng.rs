@@ -90,19 +90,6 @@ impl Rng {
         }
     }
 
-    /// Returns a uniform integer in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == u64::MIN && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -178,27 +165,6 @@ mod tests {
             // Expected 10_000 per bucket; allow 10% slack.
             assert!((9_000..11_000).contains(&c), "bucket count {c}");
         }
-    }
-
-    #[test]
-    fn next_in_range_inclusive_endpoints() {
-        let mut r = Rng::seed_from(6);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..10_000 {
-            let x = r.next_in_range(3, 5);
-            assert!((3..=5).contains(&x));
-            seen_lo |= x == 3;
-            seen_hi |= x == 5;
-        }
-        assert!(seen_lo && seen_hi);
-        assert_eq!(r.next_in_range(7, 7), 7);
-    }
-
-    #[test]
-    fn full_u64_range_does_not_hang() {
-        let mut r = Rng::seed_from(11);
-        let _ = r.next_in_range(u64::MIN, u64::MAX);
     }
 
     #[test]

@@ -12,9 +12,11 @@ use std::fmt;
 /// this type models as [`ExpirationAge::Infinite`]; `Infinite` compares
 /// greater than every finite age. This makes the EA placement rule total:
 ///
-/// * a requester that has never evicted always stores a copy, and
-/// * two never-evicting caches tie, in which case the requester stores
-///   (the paper's "greater than or equal" rule for the requester side).
+/// * a requester that has never evicted beats every contended supplier, and
+/// * two never-evicting caches tie.
+///
+/// The placement rules themselves live in `coopcache-core`'s
+/// `PlacementScheme::requester_stores` and `responder_promotes`.
 ///
 /// # Example
 ///
@@ -25,8 +27,6 @@ use std::fmt;
 /// let old = ExpirationAge::finite(DurationMs::from_secs(500));
 /// assert!(old > young);
 /// assert!(ExpirationAge::Infinite > old);
-/// assert!(young.allows_store_given(old) == false);
-/// assert!(old.allows_store_given(young));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExpirationAge {
@@ -57,46 +57,6 @@ impl ExpirationAge {
     #[must_use]
     pub const fn is_infinite(self) -> bool {
         matches!(self, Self::Infinite)
-    }
-
-    /// The requester-side EA placement rule: should a cache with expiration
-    /// age `self` store a copy of a document obtained from a cache with
-    /// expiration age `supplier`?
-    ///
-    /// Stores only when `self > supplier` **strictly** (paper §3.4: "if
-    /// the Cache Expiration Age of the Requester is greater than that of
-    /// the Responder, it stores a copy"). On ties — including the
-    /// no-contention `Infinite`/`Infinite` state of uncontended caches —
-    /// the requester does *not* replicate; the responder keeps the copy
-    /// alive instead (see [`allows_promote_given`]). This tie handling is
-    /// what reproduces the paper's Table 2: at 1 GB nothing ever evicts,
-    /// yet the EA remote-hit rate stays ~32% against ad-hoc's ~11%, which
-    /// is only possible if tied requesters keep *not* storing.
-    ///
-    /// (§3.5 of the paper describes a "greater than or equal" variant;
-    /// that reading is available as
-    /// `PlacementScheme::EaTieStore` in `coopcache-core` and is compared
-    /// in the ABL-T ablation.)
-    ///
-    /// [`allows_promote_given`]: ExpirationAge::allows_promote_given
-    #[must_use]
-    pub fn allows_store_given(self, supplier: Self) -> bool {
-        self > supplier
-    }
-
-    /// The responder-side EA rule: should the responder refresh (promote)
-    /// its own copy after serving a remote hit to a requester with
-    /// expiration age `requester`?
-    ///
-    /// Promotes when `self >= requester` — the exact complement of the
-    /// requester rule, so for every age pair **exactly one** side keeps
-    /// the document's lease on life: either the requester stored a
-    /// longer-lived copy, or the responder's copy is refreshed. This
-    /// preserves the paper's worst-case guarantee (EA never reports a
-    /// miss where ad-hoc would have hit) under the strict requester rule.
-    #[must_use]
-    pub fn allows_promote_given(self, requester: Self) -> bool {
-        self >= requester
     }
 }
 
@@ -146,55 +106,6 @@ mod tests {
         assert_eq!(ExpirationAge::Infinite, ExpirationAge::Infinite);
         assert!(fin(10) < fin(20));
         assert_eq!(fin(7), fin(7));
-    }
-
-    #[test]
-    fn requester_rule_is_strict() {
-        // Equal ages: requester does NOT store (strict > rule); the
-        // responder keeps the copy alive instead.
-        assert!(!fin(100).allows_store_given(fin(100)));
-        assert!(!ExpirationAge::Infinite.allows_store_given(ExpirationAge::Infinite));
-        // Strictly younger requester does not store.
-        assert!(!fin(50).allows_store_given(fin(100)));
-        assert!(!fin(50).allows_store_given(ExpirationAge::Infinite));
-        // Strictly older requester stores.
-        assert!(fin(200).allows_store_given(fin(100)));
-        assert!(ExpirationAge::Infinite.allows_store_given(fin(1)));
-    }
-
-    #[test]
-    fn responder_rule_promotes_on_tie() {
-        // Equal ages: the requester did not store, so the responder must
-        // keep the sole copy hot.
-        assert!(fin(100).allows_promote_given(fin(100)));
-        assert!(ExpirationAge::Infinite.allows_promote_given(ExpirationAge::Infinite));
-        // Responder strictly older: promotes.
-        assert!(fin(200).allows_promote_given(fin(100)));
-        assert!(ExpirationAge::Infinite.allows_promote_given(fin(100)));
-        // Responder younger: no promote (the requester stored).
-        assert!(!fin(50).allows_promote_given(fin(100)));
-    }
-
-    #[test]
-    fn exactly_one_side_keeps_the_replica_alive() {
-        // Invariant from the paper's rationale: for any pair of ages, either
-        // the requester stores a new copy or the responder refreshes its
-        // copy — never neither, and "both" only on the requester side of a
-        // tie where the responder lets its copy age out.
-        for a in [fin(0), fin(10), fin(999), ExpirationAge::Infinite] {
-            for b in [fin(0), fin(10), fin(999), ExpirationAge::Infinite] {
-                let requester_stores = a.allows_store_given(b);
-                let responder_promotes = b.allows_promote_given(a);
-                assert!(
-                    requester_stores || responder_promotes,
-                    "neither side kept {a} vs {b} alive"
-                );
-                assert!(
-                    !(requester_stores && responder_promotes),
-                    "both sides refreshed for {a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, the workspace conformance linter, and
+# Pre-PR gate: formatting, lints, rustdoc, the workspace conformance linter, and
 # the full test suite (including the paranoid invariant audits).
 # Usage: scripts/check.sh              run the whole gate
 #        scripts/check.sh lint         run only the conformance linter
@@ -32,6 +32,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 run_lint
 

@@ -1,9 +1,10 @@
 //! A real-thread concurrency storm over the live cluster: request
-//! traffic, per-daemon sampler threads, a shared event sink, and a wave
-//! of `OP_STATS`/`OP_SERIES` scrapers all run at once — and shutdown
-//! lands while the scrapers are still firing. The property under test is
-//! liveness: the whole scenario completes within a watchdog timeout, so
-//! no lock-across-join or sampler-vs-scraper handoff can wedge it. This
+//! traffic, a shared event sink, and a wave of `OP_STATS`/`OP_SERIES`
+//! scrapers all run at once — each series probe pushing a sample into the
+//! ring other probes are copying — and shutdown lands while the scrapers
+//! are still firing. The property under test is liveness: the whole
+//! scenario completes within a watchdog timeout, so no lock-across-join
+//! or sample-vs-scrape handoff on the series ring can wedge it. This
 //! is the real-thread counterpart of the `coopcache-interleave` models
 //! (and the regression test for the PR 5 sink-lock-across-join class).
 
@@ -37,16 +38,17 @@ fn stats_series_storm_with_shutdown_does_not_wedge() {
         }
         Err(_) => panic!(
             "storm scenario wedged for {WATCHDOG:?}: possible deadlock between \
-             the stats/series scrape planes, the sampler threads, and shutdown"
+             the stats/series scrape planes, the series ring, and shutdown"
         ),
     }
 }
 
 fn storm() -> u64 {
-    let mut cluster = LoopbackCluster::start_with_config(
-        ClusterConfig::new(3, ByteSize::from_kb(64), PlacementScheme::Ea)
-            .sample_interval(Duration::from_millis(5)),
-    )
+    let mut cluster = LoopbackCluster::start_with_config(ClusterConfig::new(
+        3,
+        ByteSize::from_kb(64),
+        PlacementScheme::Ea,
+    ))
     .expect("cluster starts");
     let sink = Arc::new(Mutex::new(Tally::new()));
     cluster.set_sink(SinkHandle::from_arc(Arc::clone(&sink)));
@@ -77,8 +79,8 @@ fn storm() -> u64 {
         })
         .collect();
 
-    // Request traffic runs concurrently with the scrape storm and the
-    // 5 ms samplers.
+    // Request traffic runs concurrently with the scrape storm, whose
+    // series probes sample into the rings as they go.
     let cluster = Arc::new(cluster);
     let requesters: Vec<_> = (0..REQUESTERS)
         .map(|r| {
@@ -98,8 +100,8 @@ fn storm() -> u64 {
         r.join().expect("requester panicked");
     }
 
-    // Shutdown races the still-running scrapers: this joins the server,
-    // sampler, and origin threads while OP_STATS/OP_SERIES probes are in
+    // Shutdown races the still-running scrapers: this joins the server
+    // and origin threads while OP_STATS/OP_SERIES probes are in
     // flight — the exact pattern that deadlocks if any of those threads
     // blocks under a lock the scrape path needs.
     let cluster = Arc::try_unwrap(cluster).expect("requesters dropped their handles");

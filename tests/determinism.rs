@@ -453,14 +453,9 @@ fn trace_survives_file_roundtrip_at_scale() {
 #[test]
 fn partitioners_are_stable_functions() {
     let trace = generate(&TraceProfile::small().with_requests(500)).unwrap();
-    for p in [
-        Partitioner::ByClientModulo,
-        Partitioner::ByClientHash,
-        Partitioner::RoundRobin,
-    ] {
-        for (seq, r) in trace.iter().enumerate() {
-            assert_eq!(p.assign(r, seq, 4), p.assign(r, seq, 4));
-        }
+    let p = Partitioner::ByClientModulo;
+    for (seq, r) in trace.iter().enumerate() {
+        assert_eq!(p.assign(r, seq, 4), p.assign(r, seq, 4));
     }
 }
 
