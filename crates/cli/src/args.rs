@@ -143,7 +143,8 @@ impl ParsedArgs {
 ///
 /// # Errors
 ///
-/// Rejects malformed numbers and unknown suffixes.
+/// Rejects malformed numbers, unknown suffixes and sizes past `u64`
+/// bytes.
 pub fn parse_size(raw: &str) -> Result<ByteSize, ArgError> {
     let raw = raw.trim();
     let (digits, factor) = if let Some(d) = raw.strip_suffix("GB") {
@@ -161,7 +162,10 @@ pub fn parse_size(raw: &str) -> Result<ByteSize, ArgError> {
         .trim()
         .parse()
         .map_err(|e| err(format!("invalid size {raw:?}: {e}")))?;
-    Ok(ByteSize::from_bytes(value * factor))
+    value
+        .checked_mul(factor)
+        .map(ByteSize::from_bytes)
+        .ok_or_else(|| err(format!("invalid size {raw:?}: too large")))
 }
 
 /// Parses a placement scheme name.
@@ -204,7 +208,8 @@ pub fn parse_policy(raw: &str) -> Result<PolicyKind, ArgError> {
 ///
 /// # Errors
 ///
-/// Lists the accepted forms on failure.
+/// Lists the accepted forms on failure, and rejects a digest period past
+/// `u64` milliseconds.
 pub fn parse_discovery(raw: &str) -> Result<Discovery, ArgError> {
     if raw == "icp" {
         return Ok(Discovery::Icp);
@@ -213,11 +218,13 @@ pub fn parse_discovery(raw: &str) -> Result<Discovery, ArgError> {
         return Ok(Discovery::Isolated);
     }
     if let Some(secs) = raw.strip_prefix("digest:") {
-        let secs: u64 = secs
-            .parse()
-            .map_err(|e| err(format!("invalid digest period {secs:?}: {e}")))?;
+        let ms = secs
+            .parse::<u64>()
+            .map_err(|e| err(format!("invalid digest period {secs:?}: {e}")))?
+            .checked_mul(1_000)
+            .ok_or_else(|| err(format!("invalid digest period {secs:?}: too large")))?;
         return Ok(Discovery::Digest {
-            refresh_every: DurationMs::from_secs(secs),
+            refresh_every: DurationMs::from_millis(ms),
             fp_rate: 0.01,
         });
     }

@@ -277,21 +277,24 @@ fn cmd_simulate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError
         "events",
         "event-summary",
     ])?;
-    let trace = load_trace(args)?;
     let aggregate = parse_size(args.get("aggregate").unwrap_or("10MB"))?;
     let mut cfg = SimConfig::new(aggregate)
-        .with_group_size(args.get_or("caches", 4u16)?)
+        .with_group_size(caches_flag(args, 4)?)
         .with_scheme(parse_scheme(args.get("scheme").unwrap_or("ea"))?)
         .with_policy(parse_policy(args.get("policy").unwrap_or("lru"))?)
         .with_discovery(parse_discovery(args.get("discovery").unwrap_or("icp"))?);
-    if let Some(ttl) = args.get_opt("ttl")? {
-        cfg = cfg.with_ttl(DurationMs::from_secs(ttl));
+    if let Some(secs) = args.get_opt::<u64>("ttl")? {
+        let ms = secs
+            .checked_mul(1_000)
+            .ok_or_else(|| ArgError(format!("--ttl {secs}: too large")))?;
+        cfg = cfg.with_ttl(DurationMs::from_millis(ms));
     }
     let warmup = args.get_or("warmup", 0.0f64)?;
     if !(0.0..1.0).contains(&warmup) {
         return Err(ArgError("--warmup must be in [0, 1)".into()));
     }
     cfg = cfg.with_warmup_fraction(warmup);
+    let trace = load_trace(args)?;
 
     let events_path = args.get("events");
     let want_summary = args.get_bool("event-summary")?;
@@ -362,8 +365,8 @@ fn cmd_simulate<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError
 
 fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     args.expect_only(&["trace", "profile", "caches"])?;
+    let base = SimConfig::new(ByteSize::ZERO).with_group_size(caches_flag(args, 4)?);
     let trace = load_trace(args)?;
-    let base = SimConfig::new(ByteSize::ZERO).with_group_size(args.get_or("caches", 4u16)?);
     let mut table = Table::new(vec![
         "aggregate",
         "ad-hoc hit %",
@@ -385,6 +388,16 @@ fn cmd_sweep<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
     write_out(out, table.to_string())
 }
 
+/// `--caches`, which must name at least one cache.
+fn caches_flag(args: &ParsedArgs, default: u16) -> Result<u16, ArgError> {
+    match args.get_or("caches", default)? {
+        0 => Err(ArgError(
+            "--caches 0: a group needs at least one cache".into(),
+        )),
+        caches => Ok(caches),
+    }
+}
+
 /// The `--chaos` fault mix: a bit of every fault class, spread over the
 /// non-zero daemons, all drawn from one seed.
 fn chaos_plan(seed: u64, caches: u16) -> FaultPlan {
@@ -392,7 +405,7 @@ fn chaos_plan(seed: u64, caches: u16) -> FaultPlan {
     FaultPlan::seeded(seed)
         .rule(c(1), FaultKind::DropIcpReply, FaultMode::Probability(25))
         .rule(c(1), FaultKind::TruncateDocBody, FaultMode::Probability(25))
-        .rule(c(2), FaultKind::RefuseDoc, FaultMode::Probability(25))
+        .rule(c(2), FaultKind::ResetDoc, FaultMode::Probability(25))
         .rule(c(2), FaultKind::ResetDoc, FaultMode::Probability(15))
 }
 
@@ -407,7 +420,7 @@ fn cmd_serve<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), ArgError> {
         "kill-after",
         "events",
     ])?;
-    let caches = args.get_or("caches", 3u16)?;
+    let caches = caches_flag(args, 3)?;
     let capacity = parse_size(args.get("capacity").unwrap_or("128KB"))?;
     let scheme = parse_scheme(args.get("scheme").unwrap_or("ea"))?;
     let requests = args.get_or("requests", 300u64)?;

@@ -9,8 +9,8 @@ use crate::args::{ArgError, ParsedArgs};
 use crate::commands::write_out;
 use coopcache_metrics::Table;
 use coopcache_obs::{
-    parse_json, render_top, AlertEngine, AlertMetric, AlertOp, AlertRule, Event, EventKind,
-    JsonValue, JsonWriter, SeriesReplayer, SeriesRing, DEFAULT_SERIES_CAPACITY,
+    parse_json, render_top, AlertEngine, AlertMetric, AlertRule, Event, EventKind, JsonValue,
+    JsonWriter, SeriesReplayer, SeriesRing, DEFAULT_SERIES_CAPACITY,
 };
 use std::io::Write;
 use std::net::SocketAddr;
@@ -336,7 +336,7 @@ fn render_text(nodes: &[Node], rules: &[AlertRule], with_gauges: bool) -> String
         } else {
             let names: Vec<String> = firing
                 .iter()
-                .map(|r| format!("{} {} {}", r.metric.name(), r.op.name(), r.threshold))
+                .map(|r| format!("{} {} {}", r.metric.name(), r.metric.side(), r.threshold))
                 .collect();
             format!("FIRING {}", names.join(", "))
         };
@@ -362,11 +362,11 @@ fn render_text(nodes: &[Node], rules: &[AlertRule], with_gauges: bool) -> String
 
 /// Writes the `metric`, `op` and `threshold` keys a rule and its alert
 /// transitions share.
-fn write_rule_keys(w: &mut JsonWriter, metric: AlertMetric, op: AlertOp, threshold: u64) {
+fn write_rule_keys(w: &mut JsonWriter, metric: AlertMetric, threshold: u64) {
     w.key("metric");
     w.string(metric.name());
     w.key("op");
-    w.string(op.name());
+    w.string(metric.side());
     w.key("threshold");
     w.u64(threshold);
 }
@@ -381,7 +381,7 @@ fn render_json(nodes: &[Node], rules: &[AlertRule]) -> String {
     w.begin_array();
     for rule in rules {
         w.begin_object();
-        write_rule_keys(&mut w, rule.metric, rule.op, rule.threshold);
+        write_rule_keys(&mut w, rule.metric, rule.threshold);
         w.key("for_windows");
         w.u64(u64::from(rule.for_windows));
         w.end_object();
@@ -418,7 +418,6 @@ fn render_json(nodes: &[Node], rules: &[AlertRule]) -> String {
                 for alert in alerts {
                     if let Event::Alert {
                         metric,
-                        op,
                         threshold,
                         value,
                         windows,
@@ -427,7 +426,7 @@ fn render_json(nodes: &[Node], rules: &[AlertRule]) -> String {
                     } = *alert
                     {
                         w.begin_object();
-                        write_rule_keys(&mut w, metric, op, threshold);
+                        write_rule_keys(&mut w, metric, threshold);
                         w.key("value");
                         w.u64(value);
                         w.key("windows");
@@ -608,10 +607,10 @@ mod tests {
     #[test]
     fn status_reads_a_default_cluster_with_a_refusing_and_a_killed_daemon() {
         // No sampler thread and no `sample_now`: the series probe itself
-        // lands the sample. Daemon 1 refuses every document connection
-        // (probes are exempt); daemon 2 is dead.
+        // lands the sample. Daemon 1 drops every document request
+        // unanswered (probes are exempt); daemon 2 is dead.
         let plan =
-            FaultPlan::seeded(11).rule(CacheId::new(1), FaultKind::RefuseDoc, FaultMode::Always);
+            FaultPlan::seeded(11).rule(CacheId::new(1), FaultKind::ResetDoc, FaultMode::Always);
         let config = config(3)
             .faults(plan)
             .icp_timeout(Duration::from_millis(80));
@@ -813,6 +812,22 @@ mod tests {
         assert!(run_cmd(&["status"]).is_err(), "a source is required");
         assert!(run_cmd(&["status", "--addrs", "not-an-addr"]).is_err());
         assert!(run_cmd(&["status", "--replay", "/nonexistent/x"]).is_err());
+        // Out-of-range numbers are named errors, not overflow panics.
+        let huge = "18446744073709551615";
+        for argv in [
+            &["simulate", "--aggregate", &format!("{huge}KB")][..],
+            &["simulate", "--ttl", huge],
+            &["simulate", "--discovery", &format!("digest:{huge}")],
+            &["simulate", "--caches", "0"],
+            &["sweep", "--caches", "0"],
+            &["serve", "--caches", "0"],
+        ] {
+            let e = run_cmd(argv).unwrap_err().to_string();
+            assert!(
+                e.contains("too large") || e.contains("--caches 0"),
+                "{argv:?}: {e}"
+            );
+        }
         // The many-daemon views are all `status` now.
         for gone in [
             &["stats", "--cluster", "127.0.0.1:1"][..],

@@ -56,6 +56,6 @@ pub use concurrent::{ConcurrentCache, LockContention};
 pub use config::CacheConfig;
 pub use entry::{CacheEntry, EvictionReason, EvictionRecord};
 pub use expiration::{ExpirationTracker, ExpirationWindow};
-pub use placement::{PlacementScheme, TieBreak};
+pub use placement::PlacementScheme;
 pub use policy::{ExpirationFlavor, PolicyKind};
 pub use stats::CacheStats;

@@ -2,36 +2,7 @@
 //! paper's expiration-age (EA) rule.
 
 use coopcache_types::ExpirationAge;
-use std::cmp::Ordering;
 use std::fmt;
-
-/// What the EA requester rule does when both expiration ages are exactly
-/// equal — the point where the paper's two statements of the rule diverge
-/// (§3.4 strict ">", §3.5 "≥").
-///
-/// Whatever the choice, the responder rule is its exact complement, so a
-/// tie never leads to both sides (or neither side) refreshing the
-/// document's lease on life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TieBreak {
-    /// §3.4: on a tie the requester does **not** store; the responder
-    /// keeps (promotes) its copy. This is the default, being the reading
-    /// consistent with the paper's Table 2.
-    #[default]
-    ResponderKeeps,
-    /// §3.5: on a tie the requester stores and the responder lets its
-    /// copy age out. Ablation variant (ABL-T).
-    RequesterStores,
-}
-
-impl fmt::Display for TieBreak {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::ResponderKeeps => f.write_str("responder-keeps"),
-            Self::RequesterStores => f.write_str("requester-stores"),
-        }
-    }
-}
 
 /// A document placement scheme for cooperative caching.
 ///
@@ -54,11 +25,12 @@ impl fmt::Display for TieBreak {
 /// kept alive) where it is expected to survive longest.
 ///
 /// The paper states the requester rule twice with different tie handling
-/// (§3.4 strict ">", §3.5 "≥"). The choice is the explicit [`TieBreak`]
-/// config: [`PlacementScheme::Ea`] is `ea(TieBreak::ResponderKeeps)` (the
-/// strict form, consistent with the paper's Table 2);
-/// [`PlacementScheme::EaTieStore`] is `ea(TieBreak::RequesterStores)`
-/// (the §3.5 reading, compared in the ABL-T ablation bench).
+/// (§3.4 strict ">", §3.5 "≥"). [`PlacementScheme::Ea`] is the strict
+/// form, consistent with the paper's Table 2: on a tie the requester does
+/// not store and the responder keeps its copy.
+/// [`PlacementScheme::EaTieStore`] is the §3.5 reading, compared in the
+/// ABL-T ablation bench: on a tie the requester stores and the responder
+/// lets its copy age out.
 ///
 /// # Example
 ///
@@ -90,41 +62,18 @@ pub enum PlacementScheme {
 }
 
 impl PlacementScheme {
-    /// The EA scheme with an explicit tie rule.
-    #[must_use]
-    pub const fn ea(tie: TieBreak) -> Self {
-        match tie {
-            TieBreak::ResponderKeeps => Self::Ea,
-            TieBreak::RequesterStores => Self::EaTieStore,
-        }
-    }
-
-    /// The tie rule in force (`None` for ad-hoc, which never compares
-    /// ages).
-    #[must_use]
-    pub const fn tie_break(self) -> Option<TieBreak> {
-        match self {
-            Self::AdHoc => None,
-            Self::Ea => Some(TieBreak::ResponderKeeps),
-            Self::EaTieStore => Some(TieBreak::RequesterStores),
-        }
-    }
-
     /// Decisions 1 and 3: does the requester (or a parent, for its
     /// child) store the document it received from a supplier (sibling
     /// responder, parent, or — degenerately — the origin server)?
     ///
-    /// EA stores when strictly older than the supplier; an exact tie is
-    /// resolved by the [`TieBreak`] config.
+    /// EA stores when strictly older than the supplier; on an exact tie
+    /// only [`PlacementScheme::EaTieStore`] stores.
     #[must_use]
     pub fn requester_stores(self, requester: ExpirationAge, supplier: ExpirationAge) -> bool {
-        match self.tie_break() {
-            None => true,
-            Some(tie) => match requester.cmp(&supplier) {
-                Ordering::Greater => true,
-                Ordering::Equal => tie == TieBreak::RequesterStores,
-                Ordering::Less => false,
-            },
+        match self {
+            Self::AdHoc => true,
+            Self::Ea => requester > supplier,
+            Self::EaTieStore => requester >= supplier,
         }
     }
 
@@ -132,18 +81,15 @@ impl PlacementScheme {
     /// replacement order after serving a remote hit?
     ///
     /// Always the exact complement of the requester rule — on a tie the
-    /// copy is refreshed at whichever side [`TieBreak`] keeps it — so for
+    /// copy is refreshed at whichever side the scheme keeps it — so for
     /// every age pair exactly one side keeps the document's lease on life:
     /// the paper's worst-case guarantee (§3.5) without double-refreshing.
     #[must_use]
     pub fn responder_promotes(self, responder: ExpirationAge, requester: ExpirationAge) -> bool {
-        match self.tie_break() {
-            None => true,
-            Some(tie) => match responder.cmp(&requester) {
-                Ordering::Greater => true,
-                Ordering::Equal => tie == TieBreak::ResponderKeeps,
-                Ordering::Less => false,
-            },
+        match self {
+            Self::AdHoc => true,
+            Self::Ea => responder >= requester,
+            Self::EaTieStore => responder > requester,
         }
     }
 
@@ -243,33 +189,35 @@ mod tests {
     }
 
     #[test]
-    fn tie_break_default_is_responder_keeps() {
-        // Pins the chosen default: the §3.4 strict-">" reading.
-        assert_eq!(TieBreak::default(), TieBreak::ResponderKeeps);
-        assert_eq!(
-            PlacementScheme::ea(TieBreak::default()),
-            PlacementScheme::Ea
-        );
-        assert_eq!(
-            PlacementScheme::Ea.tie_break(),
-            Some(TieBreak::ResponderKeeps)
-        );
-        assert_eq!(
-            PlacementScheme::EaTieStore.tie_break(),
-            Some(TieBreak::RequesterStores)
-        );
-        assert_eq!(PlacementScheme::AdHoc.tie_break(), None);
-        // Under the default, a tie does not store at the requester and
-        // does promote at the responder.
-        let ea = PlacementScheme::ea(TieBreak::default());
-        assert!(!ea.requester_stores(fin(100), fin(100)));
-        assert!(ea.responder_promotes(fin(100), fin(100)));
-    }
-
-    #[test]
-    fn tie_break_display() {
-        assert_eq!(TieBreak::ResponderKeeps.to_string(), "responder-keeps");
-        assert_eq!(TieBreak::RequesterStores.to_string(), "requester-stores");
+    fn rule_table_covers_every_scheme_and_age_order() {
+        // (requester, supplier) age pairs, finite and infinite, with the
+        // requester below, equal to and above the supplier.
+        let rows = [
+            [(fin(50), fin(100)), (fin(100), INF)],
+            [(fin(100), fin(100)), (INF, INF)],
+            [(fin(200), fin(100)), (INF, fin(100))],
+        ];
+        for scheme in PlacementScheme::all() {
+            // Per row: (requester stores, responder promotes).
+            let expected = match scheme {
+                PlacementScheme::AdHoc => [(true, true); 3],
+                PlacementScheme::Ea => [(false, true), (false, true), (true, false)],
+                PlacementScheme::EaTieStore => [(false, true), (true, false), (true, false)],
+            };
+            for (pairs, (stores, promotes)) in rows.into_iter().zip(expected) {
+                for (requester, supplier) in pairs {
+                    let got = (
+                        scheme.requester_stores(requester, supplier),
+                        scheme.responder_promotes(supplier, requester),
+                    );
+                    assert_eq!(
+                        got,
+                        (stores, promotes),
+                        "{scheme}: {requester} from {supplier}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

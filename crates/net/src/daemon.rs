@@ -67,8 +67,7 @@ use crate::wire::{decode_frame, read_frame, write_frame, Frame, WireMessage, MAX
 use coopcache_core::{CacheConfig, PolicyKind};
 use coopcache_obs::{
     age_to_ms, scoped_id, Event, FaultOp, Histogram, HistogramSnapshot, JsonWriter, SeriesPoint,
-    SeriesRing, ServerLoop, SinkHandle, Span, SpanKind, StatsRegistry, TraceCtx,
-    DEFAULT_SERIES_CAPACITY,
+    SeriesRing, ServerLoop, SinkHandle, Span, SpanKind, TraceCtx, DEFAULT_SERIES_CAPACITY,
 };
 use coopcache_proxy::{
     ConcurrentNode, IcpQuery, RequestOutcome, Requester, RequesterAction, RequesterInput,
@@ -342,9 +341,6 @@ struct LoopCtx {
     stop: Arc<AtomicBool>,
     faults: Option<Arc<FaultState>>,
     clock: SharedClock,
-    /// Always-on live counters behind the `OP_STATS` snapshot: the
-    /// node's own registry, so its placements count in the same place.
-    stats: Arc<StatsRegistry>,
     /// Wall-clock latency histograms, shared with the daemon handle so
     /// the doc server can serve them over `OP_STATS`.
     latency: Arc<Mutex<BTreeMap<ServeSource, Histogram>>>,
@@ -375,7 +371,6 @@ impl LoopCtx {
         ));
         Self {
             id,
-            stats: Arc::clone(node.stats()),
             node,
             stop: Arc::new(AtomicBool::new(false)),
             faults: config.faults.compile(id).map(Arc::new),
@@ -396,7 +391,7 @@ impl LoopCtx {
 
     /// Counts `event`, then hands it to the node's sink, if one is set.
     fn emit(&self, event: &Event) {
-        self.stats.record(event.kind());
+        self.node.stats().record(event.kind());
         let Some(sink) = self.node.sink() else {
             return;
         };
@@ -1484,7 +1479,7 @@ fn answer_frame<W: Write>(
             ))
         }
     };
-    if matches!(fault, DocFault::Refuse | DocFault::Reset) {
+    if fault == DocFault::Reset {
         // Drop the connection unanswered: a responder that died between
         // the ICP reply and the fetch, or crashed mid-exchange.
         return Ok(FrameDisposition::Close);
@@ -1600,7 +1595,7 @@ impl LoopCtx {
         w.key("cache");
         w.u64(u64::from(self.id.as_u16()));
         w.key("counters");
-        self.stats.write_counters(&mut w);
+        self.node.stats().write_counters(&mut w);
         w.key("latency");
         w.begin_object();
         for (source, hist) in lock(&self.latency).iter() {
@@ -1637,7 +1632,7 @@ impl LoopCtx {
     /// `OP_SERIES` ring. Rules are judged by whoever scrapes the ring.
     fn sample(&self) {
         let mut counters = [0u64; coopcache_obs::EVENT_KINDS.len()];
-        for (slot, (_, count)) in counters.iter_mut().zip(self.stats.snapshot()) {
+        for (slot, (_, count)) in counters.iter_mut().zip(self.node.stats().snapshot()) {
             *slot = count;
         }
         let mut merged = Histogram::new();
@@ -2316,7 +2311,7 @@ mod tests {
             Self {
                 bytes,
                 end: end.err().map(|e| e.kind()),
-                counters: ctx.stats.snapshot().to_vec(),
+                counters: ctx.node.stats().snapshot().to_vec(),
                 served: (served.frames, served.docs),
                 shard_locks: ctx.node.cache().contention().acquisitions,
                 draws: ctx
@@ -2343,17 +2338,13 @@ mod tests {
     /// (the first `every_offset` streams only) and in `chunkings` random
     /// chunkings: every run must leave what the whole-stream run left,
     /// fault draws included. Every other stream runs under a seeded mix
-    /// of refuse, reset and truncate faults.
+    /// of reset and truncate faults.
     fn check_chunkings(seed: u64, streams: usize, every_offset: usize, chunkings: usize) {
         let mut rng = Rng(seed);
         for s in 0..streams {
             let frames = 4 + rng.below(12) as usize;
             let (stream, _) = request_stream(&mut rng, frames, s % 4 >= 2);
-            let kinds = [
-                FaultKind::RefuseDoc,
-                FaultKind::ResetDoc,
-                FaultKind::TruncateDocBody,
-            ];
+            let kinds = [FaultKind::ResetDoc, FaultKind::TruncateDocBody];
             let plan = match s % 2 {
                 0 => FaultPlan::default(),
                 _ => kinds

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the live cluster.
 //!
 //! A [`FaultPlan`] is a seeded, cluster-wide schedule of per-daemon
-//! misbehaviour: which daemon drops ICP traffic, delays replies, refuses
-//! or resets document connections, or truncates bodies mid-transfer.
+//! misbehaviour: which daemon drops ICP traffic, delays replies, resets
+//! document connections, or truncates bodies mid-transfer.
 //! The plan is compiled per daemon into a [`FaultState`] that the server
 //! loops consult at each injection point — the same loops a fault-free
 //! daemon runs. A daemon without rules carries no state at all, so with
@@ -28,13 +28,9 @@ pub enum FaultKind {
     DropIcpReply,
     /// Delay the ICP reply by the given duration (a slow peer).
     DelayIcpReply(Duration),
-    /// Close the connection on a document request, unanswered — a peer
-    /// that died between ICP and fetch. Since the responder decodes a
-    /// frame before it draws, this closes the way [`Self::ResetDoc`]
-    /// does.
-    RefuseDoc,
     /// Read the document request, then drop the connection without
-    /// replying — a peer that crashed mid-transfer.
+    /// replying — a peer that died between ICP and fetch, or crashed
+    /// mid-transfer.
     ResetDoc,
     /// Send the response header but only half the body, then close.
     TruncateDocBody,
@@ -159,8 +155,6 @@ pub(crate) enum IcpFault {
 pub(crate) enum DocFault {
     /// Behave normally.
     None,
-    /// Close without answering the document request.
-    Refuse,
     /// Read the request, then close without replying.
     Reset,
     /// Reply, but send only half the body.
@@ -225,7 +219,6 @@ impl FaultState {
         for rule in lock(&self.rules).iter_mut().filter(|r| !r.kind.is_icp()) {
             if rule.fires() {
                 return match rule.kind {
-                    FaultKind::RefuseDoc => DocFault::Refuse,
                     FaultKind::ResetDoc => DocFault::Reset,
                     FaultKind::TruncateDocBody => DocFault::Truncate,
                     _ => DocFault::None,
@@ -264,10 +257,10 @@ mod tests {
 
     #[test]
     fn rules_only_arm_their_target_daemon() {
-        let plan = FaultPlan::seeded(1).rule(c(1), FaultKind::RefuseDoc, FaultMode::Always);
+        let plan = FaultPlan::seeded(1).rule(c(1), FaultKind::ResetDoc, FaultMode::Always);
         assert!(plan.compile(c(0)).is_none());
         let state = plan.compile(c(1)).unwrap();
-        assert_eq!(state.doc_fault(), DocFault::Refuse);
+        assert_eq!(state.doc_fault(), DocFault::Reset);
         assert_eq!(state.icp_fault(), IcpFault::None);
     }
 
@@ -326,10 +319,10 @@ mod tests {
     #[test]
     fn probability_pct_is_capped_at_100() {
         let plan =
-            FaultPlan::seeded(9).rule(c(0), FaultKind::RefuseDoc, FaultMode::Probability(255));
+            FaultPlan::seeded(9).rule(c(0), FaultKind::ResetDoc, FaultMode::Probability(255));
         let state = plan.compile(c(0)).unwrap();
         for _ in 0..16 {
-            assert_eq!(state.doc_fault(), DocFault::Refuse);
+            assert_eq!(state.doc_fault(), DocFault::Reset);
         }
     }
 }

@@ -27,7 +27,7 @@
 //! from the round in arrival order (with bounded retries), to the
 //! origin, and repeatedly failing peers are quarantined
 //! with exponential backoff. A seeded [`FaultPlan`] injects dropped ICP
-//! traffic, refused/reset connections and truncated bodies
+//! traffic, reset connections and truncated bodies
 //! deterministically for chaos testing (see `ClusterConfig::faults`).
 //!
 //! ```no_run

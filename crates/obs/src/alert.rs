@@ -71,24 +71,15 @@ impl AlertMetric {
         .into_iter()
         .find(|m| m.name() == name)
     }
-}
 
-/// Which side of the threshold violates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlertOp {
-    /// Violation when the value drops below the threshold (floors).
-    Below,
-    /// Violation when the value rises above the threshold (ceilings).
-    Above,
-}
-
-impl AlertOp {
-    /// Stable lowercase name used in the JSON encoding.
+    /// The side of the threshold that violates, as the JSON `op` word:
+    /// the hit rate is a floor (`"below"`), the other three metrics are
+    /// ceilings (`"above"`).
     #[must_use]
-    pub const fn name(self) -> &'static str {
+    pub const fn side(self) -> &'static str {
         match self {
-            Self::Below => "below",
-            Self::Above => "above",
+            Self::HitRate => "below",
+            Self::P99Latency | Self::Quarantined | Self::ShedRate => "above",
         }
     }
 }
@@ -116,10 +107,9 @@ impl AlertState {
 /// One declarative SLO rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlertRule {
-    /// The watched metric.
+    /// The watched metric, which fixes the side of the threshold that
+    /// violates ([`AlertMetric::side`]).
     pub metric: AlertMetric,
-    /// Which side of the threshold violates.
-    pub op: AlertOp,
     /// Threshold in the metric's unit (permille, µs, or count).
     pub threshold: u64,
     /// Consecutive violating windows required before firing (burn
@@ -133,7 +123,6 @@ impl AlertRule {
     pub const fn hit_rate_floor(permille: u64, for_windows: u32) -> Self {
         Self {
             metric: AlertMetric::HitRate,
-            op: AlertOp::Below,
             threshold: permille,
             for_windows,
         }
@@ -144,7 +133,6 @@ impl AlertRule {
     pub const fn p99_ceiling(us: u64, for_windows: u32) -> Self {
         Self {
             metric: AlertMetric::P99Latency,
-            op: AlertOp::Above,
             threshold: us,
             for_windows,
         }
@@ -155,7 +143,6 @@ impl AlertRule {
     pub const fn quarantine_ceiling(count: u64, for_windows: u32) -> Self {
         Self {
             metric: AlertMetric::Quarantined,
-            op: AlertOp::Above,
             threshold: count,
             for_windows,
         }
@@ -167,16 +154,15 @@ impl AlertRule {
     pub const fn shed_rate_ceiling(permille: u64, for_windows: u32) -> Self {
         Self {
             metric: AlertMetric::ShedRate,
-            op: AlertOp::Above,
             threshold: permille,
             for_windows,
         }
     }
 
-    const fn violates(&self, value: u64) -> bool {
-        match self.op {
-            AlertOp::Below => value < self.threshold,
-            AlertOp::Above => value > self.threshold,
+    fn violates(&self, value: u64) -> bool {
+        match self.metric.side() {
+            "below" => value < self.threshold,
+            _ => value > self.threshold,
         }
     }
 }
@@ -268,7 +254,6 @@ impl AlertEngine {
                 out.push(Event::Alert {
                     cache: self.cache,
                     metric: rule.metric,
-                    op: rule.op,
                     threshold: rule.threshold,
                     value,
                     windows,
@@ -430,6 +415,23 @@ mod tests {
     }
 
     #[test]
+    fn alert_side_follows_the_metric() {
+        // Of a value below, at and above the threshold, a floor is
+        // violated only below it and a ceiling only above it.
+        for (rule, floor) in [
+            (AlertRule::hit_rate_floor(500, 1), true),
+            (AlertRule::p99_ceiling(500, 1), false),
+            (AlertRule::quarantine_ceiling(500, 1), false),
+            (AlertRule::shed_rate_ceiling(500, 1), false),
+        ] {
+            let side = if floor { "below" } else { "above" };
+            assert_eq!(rule.metric.side(), side, "{:?}", rule.metric);
+            let violates = [499, 500, 501].map(|value| rule.violates(value));
+            assert_eq!(violates, [floor, false, !floor], "{:?}", rule.metric);
+        }
+    }
+
+    #[test]
     fn name_vocabularies_roundtrip() {
         for metric in [
             AlertMetric::HitRate,
@@ -440,7 +442,6 @@ mod tests {
             assert_eq!(AlertMetric::from_name(metric.name()), Some(metric));
         }
         assert_eq!(AlertMetric::from_name("cpu"), None);
-        assert_eq!(AlertOp::Below.name(), "below");
         assert_eq!(AlertState::Resolved.name(), "resolved");
     }
 }

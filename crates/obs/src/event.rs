@@ -7,7 +7,7 @@
 //! plain value — no timestamps of its own beyond what the caller supplies
 //! — which keeps replays of the same trace byte-identical.
 
-use crate::alert::{AlertMetric, AlertOp, AlertState};
+use crate::alert::{AlertMetric, AlertState};
 use crate::json::{decimal, escape_into, is_plain};
 use crate::span::Span;
 use coopcache_types::{CacheId, DocId, ExpirationAge};
@@ -193,10 +193,10 @@ pub enum Event {
         /// The other party's piggybacked expiration age.
         peer_age: ExpirationAge,
         /// The decision: store/promote (`true`) or decline (`false`).
+        /// Its JSON line adds `"tie"`, whether both ages were exactly
+        /// equal — the case where §3.4's strict `>` and §3.5's `≥`
+        /// diverge.
         stored: bool,
-        /// Both ages were exactly equal — the case where §3.4's strict
-        /// `>` and §3.5's `≥` diverge (see `TieBreak`).
-        tie: bool,
     },
     /// A document was evicted; its document expiration age (paper eq. 1)
     /// is what feeds the cache expiration age (eq. 5).
@@ -313,10 +313,9 @@ pub enum Event {
     Alert {
         /// The node the rule evaluated on.
         cache: CacheId,
-        /// The watched metric.
+        /// The watched metric, which also fixes the side of the
+        /// threshold that violates (its JSON `"op"`).
         metric: AlertMetric,
-        /// Which side of the threshold violates.
-        op: AlertOp,
         /// The rule's threshold (permille, µs, or count).
         threshold: u64,
         /// The metric value at the transition.
@@ -560,7 +559,6 @@ impl Event {
                 self_age,
                 peer_age,
                 stored,
-                tie,
             } => {
                 num(out, r#"{"ev":"placement","cache":"#, cache_u64(*cache));
                 num(out, r#","doc":"#, doc.as_u64());
@@ -568,7 +566,7 @@ impl Event {
                 opt(out, r#","self_age_ms":"#, age_to_ms(*self_age));
                 opt(out, r#","peer_age_ms":"#, age_to_ms(*peer_age));
                 flag(out, r#","stored":"#, *stored);
-                flag(out, r#","tie":"#, *tie);
+                flag(out, r#","tie":"#, self_age == peer_age);
             }
             Self::Eviction {
                 cache,
@@ -665,7 +663,6 @@ impl Event {
             Self::Alert {
                 cache,
                 metric,
-                op,
                 threshold,
                 value,
                 windows,
@@ -673,7 +670,7 @@ impl Event {
             } => {
                 num(out, r#"{"ev":"alert","cache":"#, cache_u64(*cache));
                 name(out, r#","metric":"#, metric.name());
-                name(out, r#","op":"#, op.name());
+                name(out, r#","op":"#, metric.side());
                 num(out, r#","threshold":"#, *threshold);
                 num(out, r#","value":"#, *value);
                 num(out, r#","windows":"#, *windows);
@@ -748,7 +745,7 @@ mod tests {
     /// and each line must parse back with the `"ev"` tag its kind names.
     #[test]
     fn every_variant_json_shape() {
-        use crate::alert::{AlertMetric, AlertOp, AlertState};
+        use crate::alert::{AlertMetric, AlertState};
         use crate::json::{parse_json, JsonValue};
         use crate::span::{Span, SpanKind};
         let big = CacheId::new(u16::MAX);
@@ -801,7 +798,6 @@ mod tests {
                     self_age: ExpirationAge::Infinite,
                     peer_age: ExpirationAge::finite(DurationMs::from_millis(250)),
                     stored: true,
-                    tie: false,
                 },
                 r#"{"ev":"placement","cache":0,"doc":7,"role":"requester-store","self_age_ms":null,"peer_age_ms":250,"stored":true,"tie":false}"#,
             ),
@@ -810,12 +806,11 @@ mod tests {
                     cache: big,
                     doc: DocId::new(u64::MAX),
                     role: PlacementRole::ParentStore,
-                    self_age: ExpirationAge::finite(DurationMs::from_millis(9)),
+                    self_age: ExpirationAge::Infinite,
                     peer_age: ExpirationAge::Infinite,
                     stored: false,
-                    tie: true,
                 },
-                r#"{"ev":"placement","cache":65535,"doc":18446744073709551615,"role":"parent-store","self_age_ms":9,"peer_age_ms":null,"stored":false,"tie":true}"#,
+                r#"{"ev":"placement","cache":65535,"doc":18446744073709551615,"role":"parent-store","self_age_ms":null,"peer_age_ms":null,"stored":false,"tie":true}"#,
             ),
             (
                 Event::Eviction {
@@ -966,7 +961,6 @@ mod tests {
                 Event::Alert {
                     cache: CacheId::new(2),
                     metric: AlertMetric::HitRate,
-                    op: AlertOp::Below,
                     threshold: 500,
                     value: 321,
                     windows: 3,
@@ -978,7 +972,6 @@ mod tests {
                 Event::Alert {
                     cache: CacheId::new(2),
                     metric: AlertMetric::P99Latency,
-                    op: AlertOp::Above,
                     threshold: 1_000_000,
                     value: 750_000,
                     windows: 1,

@@ -9,9 +9,8 @@
 //! * [`Event`] — the protocol-level taxonomy (request outcomes, ICP
 //!   traffic, EA placement decisions with both expiration ages, evictions
 //!   with document expiration ages, reporting-window rollovers);
-//! * [`EventSink`] — the consumer trait, with [`NullSink`] (discard,
-//!   the default — an absent sink costs one `Option` branch per event),
-//!   [`RingBufferSink`] (last-n for tests), [`JsonlSink`] (deterministic
+//! * [`EventSink`] — the consumer trait (an absent sink costs one
+//!   `Option` branch per event), with [`RingBufferSink`] (last-n for tests), [`JsonlSink`] (deterministic
 //!   JSON lines; same trace → byte-identical file) and [`Tally`]
 //!   (per-kind counts plus log-bucketed latency/age histograms — the one
 //!   fold of the stream, which the series and rollups below reuse);
@@ -31,7 +30,7 @@
 //!   [`Event::Span`] stream back into per-request trace trees;
 //! * [`StatsRegistry`] — relaxed atomic counters per [`EventKind`],
 //!   always on in the daemons, behind the `OP_STATS` live snapshot;
-//! * [`Sampler`] — deterministic per-trace head sampling: the sampled
+//! * [`SamplerConfig`] — deterministic per-trace head sampling: the sampled
 //!   stream is a reproducible, byte-identical subsequence of the full
 //!   stream, cheap enough to leave on at daemon throughput;
 //! * [`Rollup`] — cardinality-bounded online aggregation (per-node
@@ -77,7 +76,7 @@ mod span;
 mod stats;
 mod tally;
 
-pub use alert::{AlertEngine, AlertMetric, AlertOp, AlertRule, AlertState};
+pub use alert::{AlertEngine, AlertMetric, AlertRule, AlertState};
 pub use assemble::{SpanRecord, TraceAssembler};
 pub use event::{
     age_to_ms, Event, EventKind, EvictionCause, FaultOp, PlacementRole, RequestClass, ServerLoop,
@@ -86,13 +85,13 @@ pub use event::{
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{escape_into, parse_json, JsonParseError, JsonValue, JsonWriter};
 pub use rollup::{Rollup, RollupConfig, WindowSummary};
-pub use sample::{splitmix64, Sampler, SamplerConfig};
+pub use sample::{splitmix64, SamplerConfig};
 pub use series::{
     aggregate_points, event_cache, render_top, SeriesGauges, SeriesPoint, SeriesRecorder,
     SeriesReplayer, SeriesRing, DEFAULT_SERIES_CAPACITY,
 };
 pub use sink::{
-    mute_request_scoped, request_scoped_muted, EventSink, JsonlSink, NullSink, RequestMuteGuard,
+    mute_request_scoped, request_scoped_muted, EventSink, JsonlSink, RequestMuteGuard,
     RingBufferSink, SinkHandle, SinkOffload,
 };
 pub use span::{scoped_cache, scoped_id, scoped_seq, Span, SpanKind, TraceCtx};

@@ -3,10 +3,9 @@
 //! At daemon throughput (~1M req/s, coopbench `live-pipelined`) a full
 //! per-event JSONL stream is unaffordable, but switching tracing off
 //! entirely blinds the cluster exactly when it is under the most load.
-//! A [`Sampler`] is the
-//! middle ground: a seeded, per-trace *head* decision — made once from
-//! the trace id, before any span of the trace is emitted — that keeps a
-//! fixed fraction of traces and drops the rest.
+//! A [`SamplerConfig`] is the middle ground: a seeded, per-trace *head*
+//! decision — made once from the trace id, before any span of the trace
+//! is emitted — that keeps a fixed fraction of traces and drops the rest.
 //!
 //! # Determinism contract
 //!
@@ -45,6 +44,10 @@ pub use coopcache_types::splitmix64;
 
 /// Head-sampling policy: which fraction of traces to keep, under which
 /// seed.
+///
+/// Stateless and `Copy`: the decision for a trace never changes, so the
+/// policy can sit in front of the sink lock and drop spans without
+/// contending (the whole point of sampling at emission).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Seed mixed into every per-trace decision. Different seeds select
@@ -61,30 +64,6 @@ impl SamplerConfig {
     pub const fn new(seed: u64, rate: u32) -> Self {
         Self { seed, rate }
     }
-}
-
-/// The per-event filter compiled from a [`SamplerConfig`].
-///
-/// Stateless and `Copy`: the decision for a trace never changes, so the
-/// sampler can sit in front of the sink lock and drop spans without
-/// contending (the whole point of sampling at emission).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sampler {
-    config: SamplerConfig,
-}
-
-impl Sampler {
-    /// Compiles a config into a filter.
-    #[must_use]
-    pub const fn new(config: SamplerConfig) -> Self {
-        Self { config }
-    }
-
-    /// The config this sampler was built from.
-    #[must_use]
-    pub const fn config(&self) -> SamplerConfig {
-        self.config
-    }
 
     /// The head decision for one trace: `true` keeps every span of the
     /// trace, `false` drops them all. Pure in `(seed, rate, trace_id)`.
@@ -92,7 +71,7 @@ impl Sampler {
     pub const fn keeps_trace(&self, trace_id: u64) -> bool {
         // A rate of 1000 must keep even traces whose hash lands on 999,
         // and 0 must drop everything — both fall out of the comparison.
-        splitmix64(self.config.seed ^ trace_id) % 1_000 < self.config.rate as u64
+        splitmix64(self.seed ^ trace_id) % 1_000 < self.rate as u64
     }
 
     /// The per-event decision: spans follow their trace's head decision,
@@ -129,20 +108,20 @@ mod tests {
 
     #[test]
     fn extreme_rates_keep_all_or_none() {
-        let all = Sampler::new(SamplerConfig::new(0, 1_000));
-        let none = Sampler::new(SamplerConfig::new(7, 0));
+        let all = SamplerConfig::new(0, 1_000);
+        let none = SamplerConfig::new(7, 0);
         for trace in 0..1_000u64 {
             assert!(all.keeps_trace(trace));
             assert!(!none.keeps_trace(trace));
         }
         // Rates above 1000 clamp to keep-all behaviour.
-        let over = Sampler::new(SamplerConfig::new(7, 5_000));
+        let over = SamplerConfig::new(7, 5_000);
         assert!((0..1_000u64).all(|t| over.keeps_trace(t)));
     }
 
     #[test]
     fn keep_fraction_tracks_the_rate() {
-        let sampler = Sampler::new(SamplerConfig::new(0xDEAD_BEEF, 100));
+        let sampler = SamplerConfig::new(0xDEAD_BEEF, 100);
         let kept = (0..100_000u64).filter(|t| sampler.keeps_trace(*t)).count();
         // 10% ± 1pp over 100k traces.
         assert!((9_000..=11_000).contains(&kept), "kept {kept}");
@@ -150,9 +129,10 @@ mod tests {
 
     #[test]
     fn decisions_are_stable_and_seed_dependent() {
-        let a = Sampler::new(SamplerConfig::new(1, 500));
-        let b = Sampler::new(SamplerConfig::new(2, 500));
-        let decisions = |s: &Sampler| (0..256u64).map(|t| s.keeps_trace(t)).collect::<Vec<_>>();
+        let a = SamplerConfig::new(1, 500);
+        let b = SamplerConfig::new(2, 500);
+        let decisions =
+            |s: &SamplerConfig| (0..256u64).map(|t| s.keeps_trace(t)).collect::<Vec<_>>();
         assert_eq!(decisions(&a), decisions(&a), "same seed, same subset");
         assert_ne!(decisions(&a), decisions(&b), "seeds select subsets");
     }
@@ -160,7 +140,7 @@ mod tests {
     #[test]
     fn only_spans_are_sampled() {
         // A rate-0 sampler still keeps every non-span event.
-        let sampler = Sampler::new(SamplerConfig::new(3, 0));
+        let sampler = SamplerConfig::new(3, 0);
         let request = Event::Request {
             seq: 0,
             cache: CacheId::new(0),
@@ -176,7 +156,7 @@ mod tests {
 
     #[test]
     fn span_decision_follows_trace_head() {
-        let sampler = Sampler::new(SamplerConfig::new(9, 500));
+        let sampler = SamplerConfig::new(9, 500);
         for trace in 0..64u64 {
             assert_eq!(sampler.keep(&span_event(trace)), sampler.keeps_trace(trace));
         }

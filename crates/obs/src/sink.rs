@@ -1,10 +1,9 @@
 //! Event sinks: where emitted [`Event`]s go.
 //!
 //! The placement code never knows which sink it is talking to — drivers
-//! hand it a [`SinkHandle`] (or none at all). The provided sinks cover the
-//! common use cases:
+//! hand it a [`SinkHandle`] (or none at all: an absent sink costs one
+//! branch per event). The provided sinks cover the common use cases:
 //!
-//! * [`NullSink`] — discard everything (the default; one branch per event);
 //! * [`RingBufferSink`] — keep the last `n` events for tests and
 //!   post-mortems;
 //! * [`JsonlSink`] — stream each event as one compact JSON line;
@@ -21,7 +20,7 @@
 //! under one lock of the shared sink.
 
 use crate::event::Event;
-use crate::sample::{Sampler, SamplerConfig};
+use crate::sample::SamplerConfig;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -37,15 +36,6 @@ use std::thread::Scope;
 pub trait EventSink {
     /// Consumes one event.
     fn emit(&mut self, event: &Event);
-}
-
-/// Discards every event. This is the behaviour of an absent sink; it
-/// exists so generic code can always have *some* sink to talk to.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&mut self, _event: &Event) {}
 }
 
 /// Keeps the most recent `capacity` events in memory.
@@ -194,7 +184,7 @@ pub struct SinkHandle {
     /// Head-sampling filter applied *before* the lock: a dropped span
     /// never contends on the shared sink, which is what keeps the
     /// always-on sampled mode within its overhead budget.
-    sampler: Option<Sampler>,
+    sampler: Option<SamplerConfig>,
 }
 
 impl std::fmt::Debug for SinkHandle {
@@ -217,14 +207,8 @@ impl SinkHandle {
     /// filter, so one subsystem can sample while another stays exact.
     #[must_use]
     pub fn sampled(mut self, config: Option<SamplerConfig>) -> Self {
-        self.sampler = config.map(Sampler::new);
+        self.sampler = config;
         self
-    }
-
-    /// The sampling policy this handle applies, if any.
-    #[must_use]
-    pub fn sampler(&self) -> Option<SamplerConfig> {
-        self.sampler.map(|s| s.config())
     }
 
     /// The head decision this handle's sampler makes for `trace_id`
@@ -273,7 +257,7 @@ impl SinkHandle {
 /// A handle's filter: `false` for a span its sampler drops and for a
 /// request-scoped event emitted inside a [`mute_request_scoped`] scope
 /// on the current thread.
-fn admits(sampler: Option<&Sampler>, event: &Event) -> bool {
+fn admits(sampler: Option<&SamplerConfig>, event: &Event) -> bool {
     sampler.is_none_or(|s| s.keep(event))
         && !(event.kind().is_request_scoped() && MUTE_REQUEST_SCOPED.with(Cell::get))
 }
@@ -313,7 +297,7 @@ const OFFLOAD_DEPTH: usize = 1;
 /// joins.
 #[derive(Debug)]
 pub struct SinkOffload {
-    sampler: Option<Sampler>,
+    sampler: Option<SamplerConfig>,
     batch: Vec<Event>,
     full: SyncSender<Vec<Event>>,
     spare: Receiver<Vec<Event>>,
@@ -459,12 +443,6 @@ mod tests {
             stored: true,
             latency_us,
         }
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink;
-        sink.emit(&sample_request(0, RequestClass::Miss, None));
     }
 
     #[test]

@@ -48,7 +48,12 @@ impl Tally {
             Event::Request {
                 class, latency_us, ..
             } => self.request(Some(class), latency_us),
-            Event::Placement { stored, tie, .. } => self.placement(stored, tie),
+            Event::Placement {
+                stored,
+                self_age,
+                peer_age,
+                ..
+            } => self.placement(stored, self_age == peer_age),
             Event::Eviction { age_ms, .. } => self.eviction_age_ms.record(age_ms),
             _ => {}
         }
@@ -214,7 +219,6 @@ mod tests {
                 self_age: ExpirationAge::Infinite,
                 peer_age: ExpirationAge::Infinite,
                 stored: false,
-                tie: true,
             },
             Event::Eviction {
                 cache: CacheId::new(0),

@@ -140,14 +140,6 @@ impl DistributedGroup {
         self.sink = Some(sink);
     }
 
-    /// Replaces the discovery mechanism (builder-style, for use after
-    /// `new`).
-    #[must_use]
-    pub fn with_discovery(mut self, discovery: Discovery) -> Self {
-        self.discovery = discovery;
-        self
-    }
-
     /// Inter-proxy message counters accumulated so far.
     #[must_use]
     pub fn protocol_stats(&self) -> &ProtocolStats {
@@ -653,10 +645,20 @@ mod tests {
         assert_eq!(g.protocol_stats().messages(), 9);
     }
 
+    /// An ad-hoc LRU group of `n` caches sharing 30 KB, under `discovery`.
+    fn ad_hoc_group(n: usize, discovery: Discovery) -> DistributedGroup {
+        DistributedGroup::with_capacities(
+            &vec![kb(30).split_evenly(n as u64); n],
+            PolicyKind::Lru,
+            PlacementScheme::AdHoc,
+            ExpirationWindow::default(),
+            discovery,
+        )
+    }
+
     #[test]
     fn isolated_discovery_never_cooperates() {
-        let mut g = DistributedGroup::new(3, kb(30), PolicyKind::Lru, PlacementScheme::AdHoc)
-            .with_discovery(Discovery::Isolated);
+        let mut g = ad_hoc_group(3, Discovery::Isolated);
         g.handle_request(c(0), d(1), kb(2), t(0));
         // Peer holds it, but isolated caches never ask around.
         let out = g.handle_request(c(1), d(1), kb(2), t(1));
@@ -667,11 +669,13 @@ mod tests {
     #[test]
     fn digest_discovery_finds_fresh_content() {
         use coopcache_types::DurationMs;
-        let mut g = DistributedGroup::new(3, kb(30), PolicyKind::Lru, PlacementScheme::AdHoc)
-            .with_discovery(Discovery::Digest {
+        let mut g = ad_hoc_group(
+            3,
+            Discovery::Digest {
                 refresh_every: DurationMs::from_millis(10),
                 fp_rate: 0.001,
-            });
+            },
+        );
         g.handle_request(c(0), d(1), kb(2), t(0));
         // At t=20 the digests rebuild (period 10) and include doc 1.
         let out = g.handle_request(c(1), d(1), kb(2), t(20));
@@ -684,11 +688,13 @@ mod tests {
     #[test]
     fn stale_digest_misses_new_content() {
         use coopcache_types::DurationMs;
-        let mut g = DistributedGroup::new(2, kb(30), PolicyKind::Lru, PlacementScheme::AdHoc)
-            .with_discovery(Discovery::Digest {
+        let mut g = ad_hoc_group(
+            2,
+            Discovery::Digest {
                 refresh_every: DurationMs::from_days(1),
                 fp_rate: 0.001,
-            });
+            },
+        );
         // Digest snapshots are taken at the first request (both empty).
         g.handle_request(c(0), d(1), kb(2), t(0));
         // Within the refresh period the other cache still sees the stale

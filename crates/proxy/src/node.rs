@@ -167,7 +167,6 @@ impl<S: Store, T: Telemetry> ProxyNode<S, T> {
             self_age,
             peer_age,
             stored,
-            tie: self_age == peer_age,
         });
     }
 

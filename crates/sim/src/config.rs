@@ -9,9 +9,9 @@ use std::fmt;
 /// Configuration of one trace-driven simulation run.
 ///
 /// Defaults mirror the paper's headline setup: a distributed group of
-/// 4 caches sharing the aggregate capacity evenly, LRU replacement, the
-/// and the client-to-proxy pinning partitioner. The eq. 6 estimate always
-/// uses the paper's measured latency constants.
+/// 4 caches sharing the aggregate capacity evenly, LRU replacement, ICP
+/// discovery and the client-to-proxy pinning partitioner. The eq. 6
+/// estimate always uses the paper's measured latency constants.
 ///
 /// # Example
 ///

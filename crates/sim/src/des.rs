@@ -1339,14 +1339,14 @@ mod tests {
 
     #[test]
     fn sink_does_not_change_des_report() {
-        use coopcache_obs::{NullSink, SinkHandle};
+        use coopcache_obs::{SinkHandle, Tally};
         let t = trace();
         let plain = run_des(&cfg(500), &NetworkModel::default(), &t);
         let observed = run_des_with_sink(
             &cfg(500),
             &NetworkModel::default(),
             &t,
-            Some(SinkHandle::new(NullSink)),
+            Some(SinkHandle::new(Tally::new())),
         );
         assert_eq!(plain, observed);
     }

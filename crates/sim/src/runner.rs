@@ -517,13 +517,13 @@ mod tests {
 
     #[test]
     fn sink_does_not_change_the_report() {
-        use coopcache_obs::{NullSink, SinkHandle};
+        use coopcache_obs::{SinkHandle, Tally};
         let trace = small_trace();
         let plain = run(&cfg(500).with_scheme(PlacementScheme::Ea), &trace);
         let observed = run_with_sink(
             &cfg(500).with_scheme(PlacementScheme::Ea),
             &trace,
-            Some(SinkHandle::new(NullSink)),
+            Some(SinkHandle::new(Tally::new())),
         );
         assert_eq!(plain, observed);
     }

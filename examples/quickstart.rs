@@ -63,4 +63,9 @@ fn main() {
         "\nEA skipped {} replica stores and {} stale promotions.",
         ea.metrics.stores_skipped, ea.metrics.promotions_skipped
     );
+    // The paper's headline: EA never does worse than ad-hoc here.
+    assert!(
+        ea.metrics.hit_rate() >= adhoc.metrics.hit_rate(),
+        "EA hit rate fell below ad-hoc's"
+    );
 }

@@ -85,6 +85,14 @@ for workload in sim-sync des-health store-churn store-read live-coop live-pipeli
     run --workload "$workload" --seconds 1
 done
 
+# The examples run end to end; any non-zero exit fails the gate
+# (quickstart also asserts EA's hit rate is at least ad-hoc's).
+echo "== examples (each must exit 0)"
+for example in quickstart campus_group hierarchy live_sockets trace_studio; do
+  echo "   $example"
+  cargo run --release --offline --quiet --example "$example" >/dev/null
+done
+
 echo "== results/ (full-scale regeneration must match the committed tables)"
 scripts/regen_results.sh
 git diff --exit-code results/

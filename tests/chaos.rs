@@ -1,7 +1,7 @@
 //! Chaos suite: the live cluster under injected peer failures.
 //!
 //! The contract under test is the daemon's fault-tolerance guarantee:
-//! under every fault class — refused/reset connections, truncated
+//! under every fault class — reset connections, truncated
 //! bodies, dropped ICP traffic, a daemon killed mid-run — every client
 //! `request()` still returns `Ok`, with failover visible in the event
 //! stream and repeat offenders quarantined. Fault schedules are seeded,
@@ -67,7 +67,7 @@ fn kind_count(ring: &Mutex<RingBufferSink>, kind: EventKind) -> usize {
 }
 
 /// One pooled and one unpooled `#[test]` per scenario, each named in
-/// the table, so the twenty tests still run in parallel.
+/// the table, so the eighteen tests still run in parallel.
 macro_rules! scenarios {
     ($($scenario:ident: $pooled:ident, $unpooled:ident;)*) => {$(
         #[test]
@@ -83,9 +83,9 @@ macro_rules! scenarios {
 }
 
 scenarios! {
-    refused_doc_scenario:
-        refused_doc_connection_falls_back_to_origin,
-        refused_doc_connection_falls_back_to_origin_without_pooling;
+    reset_doc_scenario:
+        reset_doc_connection_falls_back_to_origin,
+        reset_doc_connection_falls_back_to_origin_without_pooling;
     second_replier_scenario:
         second_positive_replier_serves_after_first_fails,
         second_positive_replier_serves_after_first_fails_without_pooling;
@@ -98,9 +98,6 @@ scenarios! {
     truncated_body_scenario:
         truncated_body_is_absorbed_by_origin_fallback,
         truncated_body_is_absorbed_by_origin_fallback_without_pooling;
-    reset_connection_scenario:
-        reset_connection_is_absorbed_by_origin_fallback,
-        reset_connection_is_absorbed_by_origin_fallback_without_pooling;
     deterministic_seed_scenario:
         chaos_run_is_deterministic_for_a_fixed_seed,
         chaos_run_is_deterministic_for_a_fixed_seed_without_pooling;
@@ -115,10 +112,10 @@ scenarios! {
         late_icp_reply_never_reaches_a_later_round_without_pooling;
 }
 
-fn refused_doc_scenario(pool_max_idle: usize) {
-    // Cache 1 answers ICP but its doc listener drops every connection —
+fn reset_doc_scenario(pool_max_idle: usize) {
+    // Cache 1 answers ICP but drops every document request unanswered —
     // a peer that died between the ICP reply and the fetch.
-    let plan = FaultPlan::seeded(1).rule(c(1), FaultKind::RefuseDoc, FaultMode::Always);
+    let plan = FaultPlan::seeded(1).rule(c(1), FaultKind::ResetDoc, FaultMode::Always);
     let (cluster, ring) = chaos_cluster(2, PlacementScheme::Ea, plan, pool_max_idle);
     cluster.request(1, d(5), kb(4)).unwrap(); // warm the doc at cache 1
 
@@ -140,23 +137,23 @@ fn refused_doc_scenario(pool_max_idle: usize) {
         .collect();
     assert_eq!(failovers, vec![(c(1), None)], "one failover, to the origin");
 
-    // Observability survives chaos: the refuse-rigged daemon drops every
+    // Observability survives chaos: the reset-rigged daemon drops every
     // document fetch, but an OP_STATS probe on the same port is answered.
     let addr = cluster.doc_addrs()[1];
     let body = coopcache::net::scrape_stats(addr, Duration::from_secs(2)).unwrap();
     assert!(
         body.starts_with("{\"cache\":1,"),
-        "stats scrape must succeed on a refusing daemon: {body}"
+        "stats scrape must succeed on a resetting daemon: {body}"
     );
     cluster.shutdown();
 }
 
 fn second_replier_scenario(pool_max_idle: usize) {
     // Ad-hoc replication puts the doc at caches 1 and 2. Cache 1 replies
-    // to ICP first (cache 2's reply is delayed) but refuses the fetch,
-    // so the request must fail over to cache 2 and still be a RemoteHit.
+    // to ICP first (cache 2's reply is delayed) but drops the fetch, so
+    // the request must fail over to cache 2 and still be a RemoteHit.
     let plan = FaultPlan::seeded(2)
-        .rule(c(1), FaultKind::RefuseDoc, FaultMode::Always)
+        .rule(c(1), FaultKind::ResetDoc, FaultMode::Always)
         .rule(
             c(2),
             FaultKind::DelayIcpReply(Duration::from_millis(15)),
@@ -245,21 +242,6 @@ fn truncated_body_scenario(pool_max_idle: usize) {
     cluster.shutdown();
 }
 
-fn reset_connection_scenario(pool_max_idle: usize) {
-    let plan = FaultPlan::seeded(5).rule(c(1), FaultKind::ResetDoc, FaultMode::Always);
-    let (cluster, _ring) = chaos_cluster(2, PlacementScheme::Ea, plan, pool_max_idle);
-    cluster.request(1, d(13), kb(4)).unwrap();
-
-    let out = cluster.request(0, d(13), kb(4)).unwrap();
-    assert!(matches!(out, RequestOutcome::Miss { .. }), "{out:?}");
-    assert_eq!(
-        cluster.origin_fetches(),
-        2,
-        "the fallback reached the origin"
-    );
-    cluster.shutdown();
-}
-
 fn deterministic_seed_scenario(pool_max_idle: usize) {
     // Two identical runs under probabilistic document faults must serve
     // the same outcome classes and absorb the same number of faults.
@@ -268,7 +250,7 @@ fn deterministic_seed_scenario(pool_max_idle: usize) {
     // disabled (its backoff expiry reads the wall clock).
     let run = |seed: u64| -> (Vec<&'static str>, usize, usize) {
         let plan = FaultPlan::seeded(seed)
-            .rule(c(1), FaultKind::RefuseDoc, FaultMode::Probability(40))
+            .rule(c(1), FaultKind::ResetDoc, FaultMode::Probability(40))
             .rule(c(1), FaultKind::ResetDoc, FaultMode::Probability(30));
         let config = ClusterConfig::new(2, kb(64), PlacementScheme::Ea)
             .icp_timeout(Duration::from_millis(80))
@@ -333,10 +315,10 @@ fn garbage_connection_scenario(pool_max_idle: usize) {
 }
 
 fn quarantine_recovery_scenario(pool_max_idle: usize) {
-    // Cache 1 refuses its first four connections (two requests' worth,
-    // with one retry each), gets quarantined, and after the backoff
-    // expires serves normally again.
-    let plan = FaultPlan::seeded(6).rule(c(1), FaultKind::RefuseDoc, FaultMode::FirstN(4));
+    // Cache 1 drops its first four document requests (two requests'
+    // worth, with one retry each), gets quarantined, and after the
+    // backoff expires serves normally again.
+    let plan = FaultPlan::seeded(6).rule(c(1), FaultKind::ResetDoc, FaultMode::FirstN(4));
     let config = ClusterConfig::new(2, kb(64), PlacementScheme::Ea)
         .icp_timeout(Duration::from_millis(80))
         .quarantine_after(2)
@@ -430,12 +412,13 @@ fn late_icp_reply_scenario(pool_max_idle: usize) {
 /// A fault on a *reused* pooled connection must be absorbed exactly like
 /// one on a fresh connection: transparent stale-retry first, then
 /// failover to the origin — never a client-visible error.
-fn reused_connection_fault_scenario(kind: FaultKind) {
+#[test]
+fn reset_on_reused_connection_fails_over_not_client_error() {
     // The first frame at cache 1's listener (the fetch of d(1)) is
     // served cleanly, so the requester parks the connection; every later
     // frame on it faults — including the transparent fresh-retry frame,
     // so the failure genuinely surfaces as a peer fault and fails over.
-    let plan = FaultPlan::seeded(8).rule(c(1), kind, FaultMode::AfterFirstN(1));
+    let plan = FaultPlan::seeded(8).rule(c(1), FaultKind::ResetDoc, FaultMode::AfterFirstN(1));
     let config = ClusterConfig::new(2, kb(64), PlacementScheme::Ea)
         .icp_timeout(Duration::from_millis(80))
         .io_timeout(Duration::from_secs(2))
@@ -468,16 +451,6 @@ fn reused_connection_fault_scenario(kind: FaultKind) {
     );
     assert!(kind_count(&ring, EventKind::Failover) >= 1);
     cluster.shutdown();
-}
-
-#[test]
-fn reset_on_reused_connection_fails_over_not_client_error() {
-    reused_connection_fault_scenario(FaultKind::ResetDoc);
-}
-
-#[test]
-fn refuse_on_reused_connection_fails_over_not_client_error() {
-    reused_connection_fault_scenario(FaultKind::RefuseDoc);
 }
 
 #[test]
