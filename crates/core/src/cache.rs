@@ -659,12 +659,15 @@ impl Cache {
         }
         let mut evictions = Evictions::default();
         while self.used + size > self.capacity {
+            #[expect(
+                clippy::expect_used,
+                reason = "used > 0 here, and every insert keeps the policy and entry arena in \
+                          lockstep (paranoid-audited), so a missing victim is unrecoverable \
+                          bookkeeping corruption"
+            )]
             let victim = self
                 .policy
                 .victim(&self.nodes)
-                // lint:allow(panic) -- used > 0 here, and every insert keeps
-                // the policy and entry arena in lockstep (paranoid-audited),
-                // so a missing victim is unrecoverable bookkeeping corruption.
                 .expect("used > 0 implies the policy orders a victim");
             evictions.push(self.evict(victim, now, EvictionReason::CapacityPressure));
         }
@@ -716,10 +719,13 @@ impl Cache {
     #[inline]
     fn audit(&self) {
         #[cfg(feature = "paranoid")]
+        #[expect(
+            clippy::panic,
+            reason = "paranoid mode exists to crash loudly on corruption; release builds \
+                      compile this block out"
+        )]
         {
             if let Err(violation) = self.check_invariants() {
-                // lint:allow(panic) -- paranoid mode exists to crash loudly
-                // on corruption; release builds compile this block out.
                 panic!(
                     "cache {} shard {} invariant violated: {violation}",
                     self.id, self.shard_index

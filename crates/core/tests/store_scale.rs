@@ -55,6 +55,10 @@ fn config(resident: u64) -> CacheConfig {
 fn mixed_pass(cache: &mut Cache, ops: u64, seed: u64, next_fresh: &mut u64) -> f64 {
     let resident = cache.len() as u64;
     let mut rng = Rng(seed);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a timing test: it measures wall time and feeds no output"
+    )]
     let start = Instant::now();
     for i in 0..ops {
         let now = Timestamp::from_millis(i);

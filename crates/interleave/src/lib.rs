@@ -1,4 +1,6 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 //! Bounded model checking for the workspace's concurrency planes.
 //!
 //! This crate is a zero-dependency, in-tree cousin of CMC/loom-style

@@ -1,4 +1,4 @@
-//! Concurrency soundness rules (R7–R11).
+//! Concurrency soundness rules (R7–R10).
 //!
 //! These rules reason about *guard liveness*: where a `MutexGuard`
 //! obtained through this workspace's locking idioms (`lock(&mutex)` /
@@ -27,8 +27,10 @@
 //! | `lock-blocking` | a blocking call (`join`, socket/file I/O, `sleep`, channel `send`/`recv`, wire-frame I/O) inside a live guard span — the join-under-lock deadlock class |
 //! | `lock-order`    | inconsistent acquisition order between two locks (a cycle in the workspace-wide acquisition graph), or re-acquiring a lock under its own guard |
 //! | `atomic-order`  | any `Ordering` stronger than `Relaxed` without a justified `atomic-order` allow, and `Relaxed` used on an `AtomicBool` cross-thread flag |
-//! | `guard-await`   | `.await` (or a `move` closure capturing the guard) inside a live guard span — future-proofing the async rewrite |
-//! | `unsafe`        | any `unsafe` without a justified `unsafe` allow, and crate roots missing `#![forbid(unsafe_code)]` |
+//! | `guard-escape`  | a `move` closure capturing a let-bound guard inside its live span |
+//!
+//! A guard held across `.await` is clippy's `await_holding_lock`, which is
+//! on by default; `unsafe` is `forbid(unsafe_code)` (DESIGN.md §8).
 
 use crate::mask::{find_word, mask, Masked};
 use crate::rules::{Finding, Rule};
@@ -123,13 +125,12 @@ struct GuardSpan {
 }
 
 /// Runs the per-file concurrency rules (R7 lock-blocking, R9
-/// atomic-order, R10 guard-await, R11 unsafe) on one masked source.
+/// atomic-order, R10 guard-escape) on one masked source.
 pub fn check_concurrency(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
     let guards = guard_spans(&masked.app_code);
     check_blocking(rel, masked, &guards, findings);
     check_guard_escape(rel, masked, &guards, findings);
     check_atomic_order(rel, masked, findings);
-    check_unsafe(rel, masked, findings);
 }
 
 /// R8: the workspace-wide lock-acquisition graph. Every acquisition
@@ -422,7 +423,9 @@ fn check_blocking(rel: &Path, masked: &Masked, guards: &[GuardSpan], findings: &
     }
 }
 
-/// R10: a guard held across `.await`, or captured by a `move` closure.
+/// R10: a let-bound guard named inside a `move` closure within its span
+/// escapes into a callback that may outlive (or re-enter) the critical
+/// section.
 fn check_guard_escape(
     rel: &Path,
     masked: &Masked,
@@ -432,34 +435,6 @@ fn check_guard_escape(
     let code = &masked.app_code;
     let bytes = code.as_bytes();
     for g in guards {
-        let mut from = g.pos;
-        while let Some(pos) = find_word(code, "await", from) {
-            if pos >= g.end {
-                break;
-            }
-            from = pos + 5;
-            if pos == 0 || bytes[pos - 1] != b'.' {
-                continue;
-            }
-            let line = line_of(code, pos);
-            if masked.allowed(Rule::GuardAwait.name(), line) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line,
-                rule: Rule::GuardAwait,
-                message: format!(
-                    "`.await` while the `{}` guard (line {}) is live: the guard is held \
-                     across the suspension point and blocks every other task — scope it \
-                     to end before awaiting",
-                    g.lock, g.line
-                ),
-            });
-        }
-        // A let-bound guard named inside a `move` closure within its span
-        // escapes into a callback that may outlive (or re-enter) the
-        // critical section.
         let Some(name) = &g.bound else { continue };
         let mut from = g.pos;
         while let Some(mv) = find_word(code, "move", from) {
@@ -478,13 +453,13 @@ fn check_guard_escape(
                 continue;
             }
             let line = line_of(code, mv);
-            if masked.allowed(Rule::GuardAwait.name(), line) {
+            if masked.allowed(Rule::GuardEscape.name(), line) {
                 continue;
             }
             findings.push(Finding {
                 file: rel.to_path_buf(),
                 line,
-                rule: Rule::GuardAwait,
+                rule: Rule::GuardEscape,
                 message: format!(
                     "guard `{name}` (lock `{}`, line {}) is captured by a `move` closure: \
                      the guard escapes its critical section",
@@ -551,44 +526,6 @@ fn check_atomic_order(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) 
                  orders nothing under Relaxed — use a Release store / Acquire load pair \
                  (and justify it with lint:allow(atomic-order))"
             ),
-        });
-    }
-}
-
-/// R11: `unsafe` requires a justification, and crate roots must carry
-/// `#![forbid(unsafe_code)]` (waived only by a justified `unsafe` allow
-/// covering line 1).
-fn check_unsafe(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    let code = &masked.app_code;
-    let mut from = 0;
-    while let Some(pos) = find_word(code, "unsafe", from) {
-        from = pos + "unsafe".len();
-        let line = line_of(code, pos);
-        if masked.allowed(Rule::UnsafeCode.name(), line) {
-            continue;
-        }
-        findings.push(Finding {
-            file: rel.to_path_buf(),
-            line,
-            rule: Rule::UnsafeCode,
-            message: "`unsafe` in a forbid-by-default workspace: justify with \
-                      `lint:allow(unsafe) -- <why the invariant holds>`"
-                .to_string(),
-        });
-    }
-    let path = rel.to_string_lossy().replace('\\', "/");
-    let is_crate_root = path.ends_with("src/lib.rs") || path.ends_with("src/main.rs");
-    if is_crate_root
-        && !masked.code.contains("#![forbid(unsafe_code)]")
-        && !masked.allowed(Rule::UnsafeCode.name(), 1)
-    {
-        findings.push(Finding {
-            file: rel.to_path_buf(),
-            line: 1,
-            rule: Rule::UnsafeCode,
-            message: "crate root is missing `#![forbid(unsafe_code)]`: every crate \
-                      without unsafe forbids it at the root"
-                .to_string(),
         });
     }
 }

@@ -4,23 +4,28 @@
 //!
 //! The paper's EA-vs-ad-hoc comparison (Figs. 1–3, Table 1) is only
 //! meaningful if the simulators are bit-deterministic and the library
-//! crates cannot panic under load. Clippy cannot enforce either property
-//! *for this project's definitions* — "no wall-clock reads outside the
-//! clock abstraction", "no hash-order iteration where order reaches an
-//! event stream" — so this crate hand-rolls a masking lexer
-//! ([`mask`](mod@mask)) and a small set of textual rules ([`rules`]) over it. No
-//! `syn`, no `regex`: the crate registry is unreachable in this
-//! environment, and the rules are simple enough that masked substring
+//! crates cannot panic under load. Where rustc or clippy can state a rule
+//! exactly, they do: wall-clock reads are clippy's `disallowed_methods`
+//! (`clippy.toml`), panics are `clippy::{unwrap_used, expect_used, panic,
+//! unreachable}` in the panic-free crates' roots, `unsafe` is
+//! `forbid(unsafe_code)`, and a guard held across `.await` is clippy's
+//! `await_holding_lock`. This crate keeps the rules whose compiler
+//! equivalent is narrower or missing — hash-order and arena-order
+//! iteration, float equality against any literal, dead events, paranoid
+//! wiring, and the guard-liveness rules — as a masking lexer
+//! ([`mask`](mod@mask)) and textual rules ([`rules`],
+//! [`concurrency`](mod@concurrency)) over it. No `syn`, no `regex`: the
+//! workspace takes no third-party dependencies, and masked substring
 //! scanning is both sufficient and auditable.
 //!
-//! Run it with `cargo run -p coopcache-lint` (or `scripts/check.sh lint`).
-//! Findings print as `file:line: [rule] message` and the process exits
-//! nonzero, so the pre-PR gate fails on regressions. Suppress a finding
-//! with a justified escape hatch trailing the offending line or in a
-//! comment (which may wrap) directly above it:
+//! The one entry point is the test `the_real_workspace_is_clean`
+//! (`cargo test -p coopcache-lint`), which prints each finding as
+//! `file:line: [rule] message`. Suppress a finding with a justified
+//! escape hatch trailing the offending line or in a comment (which may
+//! wrap) directly above it:
 //!
 //! ```text
-//! // lint:allow(panic) -- documented caller contract: doc must be tracked
+//! // lint:allow(atomic-order) -- Release: pairs with the Acquire load in `now`
 //! ```
 
 pub mod concurrency;
@@ -81,8 +86,8 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints the whole workspace rooted at `root`: per-file rules (R1–R4,
-/// R7, R9–R11) on every production source, then the cross-file checks —
+/// Lints the whole workspace rooted at `root`: per-file rules (R3, R4,
+/// R7, R9, R10) on every production source, then the cross-file checks —
 /// R5 (dead event taxonomy) against `crates/obs/src/event.rs`, R6
 /// (paranoid audit wiring) against `crates/core/src/cache.rs`, and R8
 /// (lock-order cycles) over the workspace-wide acquisition graph.
@@ -122,15 +127,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     findings.extend(check_lock_order(&sources));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
-}
-
-/// Number of files [`lint_workspace`] would scan (for the summary line).
-///
-/// # Errors
-///
-/// Propagates directory-read failures.
-pub fn count_files(root: &Path) -> io::Result<usize> {
-    Ok(collect_files(root)?.len())
 }
 
 #[cfg(test)]

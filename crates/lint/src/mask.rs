@@ -13,7 +13,7 @@
 //! exactly.
 
 /// An allow directive found in a comment: a rule name plus a `--`
-/// justification, e.g. `// lint:allow(panic) -- contract violation`.
+/// justification, e.g. `// lint:allow(float-eq) -- exact sentinel compare`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowDirective {
     /// 1-based line the directive's comment starts on.
@@ -204,7 +204,9 @@ fn skip_string(bytes: &[u8], mut i: usize, out: &mut Vec<u8>) -> usize {
     while i < bytes.len() {
         match bytes[i] {
             b'\\' => {
-                blank(out, 2.min(bytes.len() - i));
+                // An escaped newline continues the string; keep it so line
+                // numbers after the literal stay right.
+                blank_keep_newlines(out, &bytes[i..bytes.len().min(i + 2)]);
                 i += 2;
             }
             b'"' => {
@@ -509,30 +511,40 @@ mod tests {
 
     #[test]
     fn allow_directive_parsing() {
-        let src = "// lint:allow(panic) -- contract\nx();\n// lint:allow(panic)\ny();\n";
+        let src = "// lint:allow(float-eq) -- contract\nx();\n// lint:allow(float-eq)\ny();\n";
         let m = mask(src);
         assert_eq!(m.allows.len(), 2);
         assert!(m.allows[0].justified);
         assert!(!m.allows[1].justified);
-        assert!(m.allowed("panic", 1));
-        assert!(m.allowed("panic", 2));
-        assert!(!m.allowed("panic", 4), "unjustified allow never suppresses");
+        assert!(m.allowed("float-eq", 1));
+        assert!(m.allowed("float-eq", 2));
+        assert!(
+            !m.allowed("float-eq", 4),
+            "unjustified allow never suppresses"
+        );
     }
 
     #[test]
     fn allow_comment_may_span_lines() {
-        let src = "// lint:allow(panic) -- a justification that\n// wraps onto a second line\nx();\ny();\n";
+        let src = "// lint:allow(float-eq) -- a justification that\n// wraps onto a second line\nx();\ny();\n";
         let m = mask(src);
-        assert!(m.allowed("panic", 3), "skips comment continuation lines");
-        assert!(!m.allowed("panic", 4), "covers only the next code line");
+        assert!(m.allowed("float-eq", 3), "skips comment continuation lines");
+        assert!(!m.allowed("float-eq", 4), "covers only the next code line");
     }
 
     #[test]
     fn trailing_allow_covers_its_own_line() {
-        let src = "x(); // lint:allow(panic) -- contract\ny();\n";
+        let src = "x(); // lint:allow(float-eq) -- contract\ny();\n";
         let m = mask(src);
-        assert!(m.allowed("panic", 1));
-        assert!(!m.allowed("panic", 2));
+        assert!(m.allowed("float-eq", 1));
+        assert!(!m.allowed("float-eq", 2));
+    }
+
+    #[test]
+    fn string_continuation_keeps_its_newline() {
+        let m = mask("let s = \"a \\\n   b\";\nx();\n");
+        assert_eq!(m.code.lines().count(), 3);
+        assert!(m.code.lines().nth(2).is_some_and(|l| l.contains("x()")));
     }
 
     #[test]

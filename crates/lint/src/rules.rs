@@ -5,14 +5,12 @@
 //! blanked, and — for all rules — `#[cfg(test)]` / `#[test]` items are
 //! excluded via the `app_code` view. Findings can be suppressed with a
 //! justified allow comment — a rule name and a reason, as in
-//! `// lint:allow(panic) -- reached only on bookkeeping corruption` —
+//! `// lint:allow(map-iter) -- summed, so the visit order cannot leak` —
 //! trailing the offending line or in the comment directly above it
 //! (the comment may wrap across lines).
 //!
 //! | rule              | scope                         | what it catches |
 //! |-------------------|-------------------------------|-----------------|
-//! | `wall-clock`      | everywhere but `net/src/clock.rs` | `Instant::now` / `SystemTime::now` leaking into logic |
-//! | `panic`           | the eight library crates      | `.unwrap()`, `.expect(`, `panic!(`, `unreachable!(` |
 //! | `map-iter`        | `core`, `sim`, `proxy`        | iterating a `HashMap`/`HashSet` (nondeterministic order), or an arena `iter_unordered()` walk that escapes unsorted |
 //! | `float-eq`        | everywhere                    | `==` / `!=` against a float literal |
 //! | `dead-event`      | workspace-wide                | `Event` variants never constructed outside `obs` |
@@ -20,42 +18,23 @@
 //! | `lock-blocking`   | everywhere                    | blocking calls (join, I/O, sleep, channel recv) under a live `MutexGuard` |
 //! | `lock-order`      | workspace-wide                | cycles in the lock-acquisition graph, or re-acquiring a held lock |
 //! | `atomic-order`    | everywhere                    | unjustified non-`Relaxed` orderings; `Relaxed` on cross-thread `AtomicBool` flags |
-//! | `guard-await`     | everywhere                    | a guard live across `.await` or captured by a `move` closure |
-//! | `unsafe`          | everywhere                    | unjustified `unsafe`; crate roots missing `#![forbid(unsafe_code)]` |
+//! | `guard-escape`    | everywhere                    | a guard captured by a `move` closure |
 //!
-//! The concurrency rules (R7–R11) live in [`crate::concurrency`].
+//! The concurrency rules (R7–R10) live in [`crate::concurrency`]. R1
+//! (wall clock), R2 (panics), R11 (`unsafe`) and R10's `.await` clause
+//! are rustc and clippy lints (DESIGN.md §8).
 
 use crate::mask::{find_word, mask, Masked};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates whose non-test code must be panic-free (rule `panic`).
-pub const PANIC_FREE_CRATES: [&str; 9] = [
-    "core",
-    "sim",
-    "proxy",
-    "types",
-    "trace",
-    "metrics",
-    "obs",
-    "net",
-    "interleave",
-];
-
 /// Crates where hash-order iteration can reach outputs, events, or
 /// eviction decisions (rule `map-iter`).
 pub const MAP_ITER_CRATES: [&str; 3] = ["core", "sim", "proxy"];
 
-/// The one file allowed to read the wall clock.
-pub const CLOCK_FILE: &str = "crates/net/src/clock.rs";
-
 /// A conformance rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R1: wall-clock reads outside the clock abstraction.
-    WallClock,
-    /// R2: panicking constructs in library crates.
-    Panic,
     /// R3: hash-order iteration in determinism-critical crates.
     MapIter,
     /// R4: float equality comparison.
@@ -70,10 +49,8 @@ pub enum Rule {
     LockOrder,
     /// R9: an unjustified atomic ordering (or a too-weak one on a flag).
     AtomicOrder,
-    /// R10: a guard live across `.await` or escaping into a closure.
-    GuardAwait,
-    /// R11: unjustified `unsafe`, or a crate root not forbidding it.
-    UnsafeCode,
+    /// R10: a guard escaping into a `move` closure.
+    GuardEscape,
     /// A malformed `lint:allow` directive.
     BadAllow,
 }
@@ -83,8 +60,6 @@ impl Rule {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            Self::WallClock => "wall-clock",
-            Self::Panic => "panic",
             Self::MapIter => "map-iter",
             Self::FloatEq => "float-eq",
             Self::DeadEvent => "dead-event",
@@ -92,16 +67,13 @@ impl Rule {
             Self::LockBlocking => "lock-blocking",
             Self::LockOrder => "lock-order",
             Self::AtomicOrder => "atomic-order",
-            Self::GuardAwait => "guard-await",
-            Self::UnsafeCode => "unsafe",
+            Self::GuardEscape => "guard-escape",
             Self::BadAllow => "bad-allow",
         }
     }
 
     /// All rule names accepted by `lint:allow`.
-    pub const ALLOWABLE: [Rule; 11] = [
-        Self::WallClock,
-        Self::Panic,
+    pub const ALLOWABLE: [Rule; 8] = [
         Self::MapIter,
         Self::FloatEq,
         Self::DeadEvent,
@@ -109,25 +81,8 @@ impl Rule {
         Self::LockBlocking,
         Self::LockOrder,
         Self::AtomicOrder,
-        Self::GuardAwait,
-        Self::UnsafeCode,
+        Self::GuardEscape,
     ];
-
-    /// The concurrency-soundness subset (R7–R11), selected by the CLI's
-    /// `--concurrency` flag.
-    pub const CONCURRENCY: [Rule; 5] = [
-        Self::LockBlocking,
-        Self::LockOrder,
-        Self::AtomicOrder,
-        Self::GuardAwait,
-        Self::UnsafeCode,
-    ];
-
-    /// True for rules in the [`Rule::CONCURRENCY`] subset.
-    #[must_use]
-    pub fn is_concurrency(self) -> bool {
-        Self::CONCURRENCY.contains(&self)
-    }
 }
 
 impl fmt::Display for Rule {
@@ -174,26 +129,15 @@ pub fn crate_of(rel: &Path) -> Option<&str> {
     }
 }
 
-fn unslash(rel: &Path) -> String {
-    rel.to_string_lossy().replace('\\', "/")
-}
-
-/// Runs every per-file rule (R1–R4, R7, R9–R11, plus allow validation)
-/// on one source.
+/// Runs every per-file rule (R3, R4, R7, R9, R10, plus allow
+/// validation) on one source.
 #[must_use]
 pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
     let masked = mask(src);
     let mut findings = Vec::new();
-    let path = unslash(rel);
     let krate = crate_of(rel);
 
     check_allows(rel, &masked, &mut findings);
-    if !path.ends_with(CLOCK_FILE) && !path.contains("/benches/") {
-        check_wall_clock(rel, &masked, &mut findings);
-    }
-    if krate.is_some_and(|c| PANIC_FREE_CRATES.contains(&c)) {
-        check_panics(rel, &masked, &mut findings);
-    }
     if krate.is_some_and(|c| MAP_ITER_CRATES.contains(&c)) {
         check_map_iter(rel, &masked, &mut findings);
     }
@@ -226,62 +170,6 @@ fn check_allows(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
                 message: format!(
                     "lint:allow({}) needs a justification: `lint:allow({}) -- <why>`",
                     allow.rule, allow.rule
-                ),
-            });
-        }
-    }
-}
-
-/// R1: `Instant::now` / `SystemTime::now` outside the clock abstraction.
-fn check_wall_clock(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    for pat in ["Instant::now", "SystemTime::now"] {
-        let mut from = 0;
-        while let Some(pos) = find_word(&masked.app_code, pat, from) {
-            from = pos + pat.len();
-            let line = masked.line_of(pos);
-            if masked.allowed(Rule::WallClock.name(), line) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line,
-                rule: Rule::WallClock,
-                message: format!(
-                    "`{pat}` outside {CLOCK_FILE}: route through the SharedClock abstraction \
-                     so simulated paths stay deterministic"
-                ),
-            });
-        }
-    }
-}
-
-/// R2: panicking constructs in non-test library-crate code.
-fn check_panics(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    for pat in [".unwrap()", ".expect(", "panic!(", "unreachable!("] {
-        let mut from = 0;
-        while let Some(rel_pos) = masked.app_code.get(from..).and_then(|s| s.find(pat)) {
-            let pos = from + rel_pos;
-            from = pos + pat.len();
-            // Word-bound the leading identifier of macro patterns so e.g.
-            // a hypothetical `no_panic!(` is not flagged.
-            if !pat.starts_with('.') {
-                let bytes = masked.app_code.as_bytes();
-                if pos > 0 && (bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_') {
-                    continue;
-                }
-            }
-            let line = masked.line_of(pos);
-            if masked.allowed(Rule::Panic.name(), line) {
-                continue;
-            }
-            let shown = pat.trim_end_matches('(');
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line,
-                rule: Rule::Panic,
-                message: format!(
-                    "`{shown}` in non-test library code: return a typed error, restructure, \
-                     or justify with `lint:allow(panic) -- <why>`"
                 ),
             });
         }
@@ -665,12 +553,8 @@ pub fn check_event_taxonomy(
         let constructed = other_masked.iter().any(|code| {
             let mut from = 0;
             while let Some(pos) = find_word(code, &pat, from) {
-                // A construction or a match arm both prove wiring; only
-                // construction sites matter, so skip `Event::X { .. } =>`
-                // match arms by requiring no `=>` on the same expression?
-                // Keeping it simple: any appearance outside `obs` counts —
-                // a variant that is only ever matched, never built, still
-                // fails because builders live outside `obs` too.
+                // Any `Event::X {` or `Event::X(` outside `obs` counts, a
+                // match arm included: the rule catches variants named nowhere.
                 let after = pos + pat.len();
                 let tail = code[after..].trim_start();
                 if tail.starts_with('{') || tail.starts_with('(') {
@@ -819,30 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_clock_file() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(
-            rules(&lint("crates/net/src/daemon.rs", src)),
-            vec![Rule::WallClock]
-        );
-        assert!(lint("crates/net/src/clock.rs", src).is_empty());
-    }
-
-    #[test]
-    fn panic_rule_scopes_to_library_crates() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert_eq!(rules(&lint("crates/core/src/x.rs", src)), vec![Rule::Panic]);
-        assert_eq!(rules(&lint("crates/net/src/x.rs", src)), vec![Rule::Panic]);
-        assert!(lint("crates/cli/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or_else(|| 0) }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn map_iter_detects_field_iteration() {
         let src = "struct C { entries: HashMap<u64, u64> }\n\
                    impl C { fn f(&self) { for v in self.entries.values() { let _ = v; } } }\n";
@@ -952,15 +812,16 @@ mod tests {
 
     #[test]
     fn allow_with_justification_suppresses() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic) -- contract\n    x.unwrap()\n}\n";
+        let src =
+            "fn f(x: f64) -> bool {\n    // lint:allow(float-eq) -- sentinel\n    x == 1.0\n}\n";
         assert!(lint("crates/core/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn allow_without_justification_is_its_own_finding() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    // lint:allow(panic)\n    x.unwrap()\n}\n";
+        let src = "fn f(x: f64) -> bool {\n    // lint:allow(float-eq)\n    x == 1.0\n}\n";
         let f = lint("crates/core/src/x.rs", src);
-        assert_eq!(rules(&f), vec![Rule::BadAllow, Rule::Panic]);
+        assert_eq!(rules(&f), vec![Rule::BadAllow, Rule::FloatEq]);
     }
 
     #[test]
@@ -984,15 +845,12 @@ mod tests {
     }
 
     #[test]
-    fn match_arm_does_not_count_as_construction() {
+    fn match_arm_counts_as_wiring() {
         let event_src = "pub enum Event {\n    OnlyMatched { a: u64 },\n}\n";
         let user = (
             PathBuf::from("crates/sim/src/runner.rs"),
             "fn f(e: &Event) { match e { Event::OnlyMatched { .. } => {} } }\n".to_string(),
         );
-        // `Event::OnlyMatched { .. }` in a match arm still starts with `{`,
-        // so pattern-position appearances do count as wiring here; the
-        // distinction we enforce is *absence anywhere*.
         let f = check_event_taxonomy(Path::new("crates/obs/src/event.rs"), event_src, &[user]);
         assert!(f.is_empty());
     }

@@ -33,56 +33,6 @@ fn lines_contain(findings: &[Finding], src: &str, rule: Rule, token: &str) {
 }
 
 #[test]
-fn wall_clock_fixture_flags_both_reads() {
-    let src = include_str!("fixtures/wall_clock_bad.rs");
-    let findings = lint("crates/net/src/fixture.rs", src);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    assert_eq!(count(&findings, Rule::WallClock), 2);
-    lines_contain(&findings, src, Rule::WallClock, "::now()");
-}
-
-#[test]
-fn wall_clock_fixture_is_exempt_in_clock_file_and_benches() {
-    let src = include_str!("fixtures/wall_clock_bad.rs");
-    assert!(lint("crates/net/src/clock.rs", src).is_empty());
-    assert!(lint("crates/net/benches/latency.rs", src).is_empty());
-}
-
-#[test]
-fn wall_clock_clean_fixture_produces_nothing() {
-    let src = include_str!("fixtures/wall_clock_good.rs");
-    let findings = lint("crates/net/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn panic_fixture_flags_all_constructs_and_bad_allows() {
-    let src = include_str!("fixtures/panic_bad.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    // unwrap/expect/panic!/unreachable! + the two unsuppressed unwraps
-    // under malformed allows.
-    assert_eq!(count(&findings, Rule::Panic), 6, "{findings:?}");
-    // One unjustified allow, one naming an unknown rule.
-    assert_eq!(count(&findings, Rule::BadAllow), 2, "{findings:?}");
-}
-
-#[test]
-fn panic_rule_only_applies_to_library_crates() {
-    let src = include_str!("fixtures/panic_bad.rs");
-    let findings = lint("crates/cli/src/fixture.rs", src);
-    // Allow validation is global; the panic rule is not.
-    assert_eq!(count(&findings, Rule::Panic), 0, "{findings:?}");
-    assert_eq!(count(&findings, Rule::BadAllow), 2);
-}
-
-#[test]
-fn panic_clean_fixture_produces_nothing() {
-    let src = include_str!("fixtures/panic_good.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn map_iter_fixture_flags_values_for_loop_and_drain() {
     let src = include_str!("fixtures/map_iter_bad.rs");
     let findings = lint("crates/sim/src/fixture.rs", src);
@@ -348,48 +298,85 @@ fn atomic_order_clean_fixture_produces_nothing() {
 }
 
 #[test]
-fn guard_await_fixture_flags_await_and_move_escape() {
+fn guard_escape_fixture_flags_the_move_capture() {
+    // The fixture's guard held across `.await` is clippy's
+    // `await_holding_lock`; only the `move` capture is this rule's.
     let src = include_str!("fixtures/guard_await_bad.rs");
     let findings = lint("crates/net/src/fixture.rs", src);
-    assert_eq!(count(&findings, Rule::GuardAwait), 2, "{findings:?}");
-    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(count(&findings, Rule::GuardEscape), 1, "{findings:?}");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    lines_contain(&findings, src, Rule::GuardEscape, "move ||");
 }
 
 #[test]
-fn guard_await_clean_fixture_produces_nothing() {
+fn guard_escape_clean_fixture_produces_nothing() {
     let src = include_str!("fixtures/guard_await_good.rs");
     let findings = lint("crates/net/src/fixture.rs", src);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-#[test]
-fn unsafe_fixture_requires_justification_and_forbid() {
-    let src = include_str!("fixtures/unsafe_bad.rs");
-    // As a non-root file: only the bare unsafe block is flagged; the
-    // justified one passes.
-    let findings = lint("crates/net/src/fixture.rs", src);
-    assert_eq!(count(&findings, Rule::UnsafeCode), 1, "{findings:?}");
-    // As a crate root: the missing forbid attribute is a second finding.
-    let as_root = lint("crates/net/src/lib.rs", src);
-    assert_eq!(count(&as_root, Rule::UnsafeCode), 2, "{as_root:?}");
-}
-
-#[test]
-fn unsafe_clean_fixture_produces_nothing() {
-    let src = include_str!("fixtures/unsafe_good.rs");
-    let findings = lint("crates/net/src/lib.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
+/// The workspace root: `CARGO_MANIFEST_DIR` is crates/lint, two levels
+/// down.
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root exists")
 }
 
 #[test]
 fn the_real_workspace_is_clean() {
     // The acceptance bar for this tooling: zero findings on the tree it
-    // ships in. CARGO_MANIFEST_DIR is crates/lint, two levels down.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .to_path_buf();
-    let findings = coopcache_lint::lint_workspace(&root).expect("scan succeeds");
-    assert!(findings.is_empty(), "workspace regressions: {findings:#?}");
+    // ships in.
+    let findings = coopcache_lint::lint_workspace(workspace_root()).expect("scan succeeds");
+    let report: String = findings.iter().map(|f| format!("\n{f}")).collect();
+    assert!(findings.is_empty(), "workspace regressions:{report}");
+}
+
+/// Crates whose non-test code must be panic-free.
+const PANIC_FREE_CRATES: [&str; 9] = [
+    "core",
+    "sim",
+    "proxy",
+    "types",
+    "trace",
+    "metrics",
+    "obs",
+    "net",
+    "interleave",
+];
+
+#[test]
+fn compiler_lint_configuration_is_in_place() {
+    // Panics, wall-clock reads and `unsafe` are rustc and clippy lints;
+    // deleting their configuration must fail here as deleting a rule would.
+    let read = |rel: &str| {
+        std::fs::read_to_string(workspace_root().join(rel)).expect("configuration file reads")
+    };
+    for krate in PANIC_FREE_CRATES {
+        let root = read(&format!("crates/{krate}/src/lib.rs"));
+        for attr in [
+            "#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]",
+            "#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]",
+        ] {
+            assert!(
+                root.lines().any(|l| l.trim() == attr),
+                "crates/{krate}/src/lib.rs lacks `{attr}`"
+            );
+        }
+    }
+    let clippy = read("clippy.toml");
+    for method in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(
+            clippy.contains(&format!("{{ path = \"{method}\"")),
+            "clippy.toml does not disallow `{method}`"
+        );
+    }
+    let check = read("scripts/check.sh");
+    assert!(
+        check
+            .lines()
+            .any(|l| l.starts_with("cargo clippy --workspace") && l.contains("-F unsafe_code")),
+        "scripts/check.sh's clippy step does not forbid `unsafe_code`"
+    );
 }

@@ -1,4 +1,6 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 #![warn(missing_docs)]
 //! Evaluation metrics for cooperative caching experiments.
 //!

@@ -33,6 +33,10 @@ pub(crate) struct SharedClock {
 impl SharedClock {
     /// Starts a new clock at "now".
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned wall-clock read: every other read goes through this epoch"
+    )]
     pub(crate) fn start() -> Self {
         Self {
             epoch: Arc::new(Instant::now()),
@@ -61,9 +65,13 @@ impl SharedClock {
     /// Panics if the clock has no manual source (it was not built with
     /// [`start_with_manual_time`](Self::start_with_manual_time)).
     pub(crate) fn set_cache_time(&self, t: Timestamp) {
-        let Some(manual_ms) = &self.manual_ms else {
-            // lint:allow(panic) -- documented contract: setting the time of
-            // a wall-clock-only clock would be silently ignored otherwise.
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: setting the time of a wall-clock-only clock would be \
+                      silently ignored otherwise"
+        )]
+        let Some(manual_ms) = &self.manual_ms
+        else {
             panic!("set_cache_time on a clock without a manual source");
         };
         // lint:allow(atomic-order) -- Release: pairs with the Acquire load
@@ -97,8 +105,9 @@ impl SharedClock {
 
     /// Microseconds since the epoch — the daemon's latency and deadline
     /// unit. All wall-clock reads in the workspace funnel through this
-    /// type (enforced by `coopcache-lint`'s `wall-clock` rule), so the
-    /// simulators can never accidentally observe real time.
+    /// type (enforced by clippy's `disallowed_methods`, configured in
+    /// `clippy.toml`), so the simulators can never accidentally observe
+    /// real time.
     #[must_use]
     pub(crate) fn now_micros(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)

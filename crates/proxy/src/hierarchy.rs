@@ -156,6 +156,11 @@ impl HierarchicalGroup {
     ///
     /// Panics if `leaves` is zero.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the star topology built here is acyclic by construction; a failure is a bug \
+                  in this constructor"
+    )]
     pub fn two_level(
         leaves: u16,
         leaf_capacity: ByteSize,
@@ -175,8 +180,6 @@ impl HierarchicalGroup {
             scheme,
             ExpirationWindow::default(),
         )
-        // lint:allow(panic) -- the star topology built above is acyclic by
-        // construction; a failure here is a bug in this constructor.
         .expect("two-level topology is always valid")
     }
 

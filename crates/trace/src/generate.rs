@@ -275,13 +275,18 @@ pub fn generate(profile: &TraceProfile) -> Result<Trace, InvalidParamError> {
 
 /// Draws a stable size for every document in the universe.
 fn document_sizes(profile: &TraceProfile, rng: &mut Rng) -> Vec<ByteSize> {
+    #[expect(
+        clippy::expect_used,
+        reason = "generate() validates the profile first, which rejects non-finite mu/sigma, \
+                  so construction cannot fail"
+    )]
     let body = LogNormal::new(profile.size_mu, profile.size_sigma)
-        // lint:allow(panic) -- generate() validates the profile first, which
-        // rejects non-finite mu/sigma, so construction cannot fail.
         .expect("profile validated lognormal params");
+    #[expect(
+        clippy::expect_used,
+        reason = "both arguments are clamped strictly positive, which is all Pareto::new requires"
+    )]
     let tail = Pareto::new(profile.tail_x_min.max(1.0), profile.tail_alpha.max(0.01))
-        // lint:allow(panic) -- both arguments are clamped strictly positive
-        // on the line above, which is all Pareto::new requires.
         .expect("profile validated pareto params");
     let (lo, hi) = profile.size_clamp;
     (0..profile.unique_docs)

@@ -1,44 +1,25 @@
 #!/usr/bin/env bash
-# Pre-PR gate: formatting, lints, rustdoc, the workspace conformance linter, and
-# the full test suite (including the paranoid invariant audits).
-# Usage: scripts/check.sh              run the whole gate
-#        scripts/check.sh lint         run only the conformance linter
-#        scripts/check.sh concurrency  run only the concurrency rules
+# Pre-PR gate: formatting, lints, rustdoc, and the full test suite (including
+# the workspace conformance linter and the paranoid invariant audits).
+# Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-run_lint() {
-  echo "== coopcache-lint (workspace conformance)"
-  cargo run -q -p coopcache-lint
-}
-
-run_concurrency_lint() {
-  echo "== coopcache-lint --concurrency (lock/atomic soundness)"
-  cargo run -q -p coopcache-lint -- --concurrency
-}
-
-if [[ "${1:-}" == "lint" ]]; then
-  run_lint
-  exit 0
-fi
-
-if [[ "${1:-}" == "concurrency" ]]; then
-  run_concurrency_lint
-  exit 0
-fi
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+# Warnings are errors, so the panic lints the panic-free crates warn on
+# and clippy.toml's disallowed wall-clock reads fail the gate; `unsafe` is
+# forbidden even in a crate root that lacks `#![forbid(unsafe_code)]`.
+echo "== cargo clippy (warnings are errors, unsafe forbidden)"
+cargo clippy --workspace --all-targets -- -D warnings -F unsafe_code
+
+# The paranoid audit's `panic!` exists only under this feature.
+echo "== cargo clippy (paranoid feature)"
+cargo clippy -p coopcache-core --features paranoid --all-targets -- -D warnings
 
 echo "== cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-run_lint
-
-run_concurrency_lint
 
 echo "== cargo test (interleave: bounded model checking)"
 cargo test -q -p coopcache-interleave
@@ -46,7 +27,8 @@ cargo test -q -p coopcache-interleave
 # The root package is a workspace member, so this also runs tests/chaos.rs
 # (live cluster under injected faults), tests/determinism.rs (byte-identical
 # DES streams, trees, series, alerts, rollups and the pinned hashes) and
-# tests/proptests.rs — each exactly once.
+# tests/proptests.rs — each exactly once — and crates/lint's
+# the_real_workspace_is_clean, the conformance linter over the tree.
 echo "== cargo test"
 cargo test -q --workspace
 
