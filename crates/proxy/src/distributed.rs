@@ -61,6 +61,8 @@ pub struct DistributedGroup {
 struct DigestState {
     filter: BloomFilter,
     built_at: Option<Timestamp>,
+    /// The cache's content-change count when `filter` was built.
+    stamp: u64,
 }
 
 impl DistributedGroup {
@@ -118,6 +120,7 @@ impl DistributedGroup {
             .map(|_| DigestState {
                 filter: BloomFilter::with_rate(1, 0.01),
                 built_at: None,
+                stamp: 0,
             })
             .collect();
         Self {
@@ -351,9 +354,11 @@ impl DistributedGroup {
         self.candidates.reverse();
     }
 
-    /// Rebuilds and "broadcasts" any digest older than the refresh period
+    /// "Broadcasts" every digest older than the refresh period
     /// (Summary-Cache behaviour; the broadcast cost is accounted per
-    /// receiving peer).
+    /// receiving peer). A digest is rebuilt only when its cache's contents
+    /// changed since the last build: the same contents at the same sizing
+    /// give the same filter, so an unchanged cache re-sends the one kept.
     fn refresh_digests(
         &mut self,
         now: Timestamp,
@@ -361,25 +366,32 @@ impl DistributedGroup {
         fp_rate: f64,
     ) {
         let n = self.nodes.len();
-        for i in 0..n {
-            let due = match self.digests[i].built_at {
+        let receivers = (n as u64).saturating_sub(1);
+        for (node, digest) in self.nodes.iter().zip(&mut self.digests) {
+            let due = match digest.built_at {
                 None => true,
                 Some(at) => now.saturating_since(at) >= refresh_every,
             };
             if !due {
                 continue;
             }
-            let cache = self.nodes[i].cache();
-            let mut filter = BloomFilter::with_rate(cache.len().max(16), fp_rate);
-            for entry in cache.iter() {
-                filter.insert(entry.doc);
+            let cache = node.cache();
+            // Every content change bumps at least one of these counters,
+            // and none is ever reset, so an equal sum means equal contents.
+            let stats = cache.stats();
+            let stamp =
+                stats.insertions + stats.evictions + stats.explicit_removals + stats.expirations;
+            if digest.built_at.is_none() || stamp != digest.stamp {
+                let mut filter = BloomFilter::with_rate(cache.len().max(16), fp_rate);
+                for entry in cache.iter() {
+                    filter.insert(entry.doc);
+                }
+                digest.filter = filter;
+                digest.stamp = stamp;
             }
-            self.protocol.digest_refreshes += (n as u64).saturating_sub(1);
-            self.protocol.digest_bytes += filter.wire_bytes() * (n as u64).saturating_sub(1);
-            self.digests[i] = DigestState {
-                filter,
-                built_at: Some(now),
-            };
+            digest.built_at = Some(now);
+            self.protocol.digest_refreshes += receivers;
+            self.protocol.digest_bytes += digest.filter.wire_bytes() * receivers;
         }
     }
 
@@ -701,6 +713,48 @@ mod tests {
         // (empty) digest, so this is a miss even though cache 0 has it.
         let out = g.handle_request(c(1), d(1), kb(2), t(5));
         assert!(!out.is_hit(), "{out:?}");
+    }
+
+    #[test]
+    fn a_due_refresh_of_an_unchanged_cache_rebroadcasts_its_digest() {
+        use coopcache_types::DurationMs;
+        let fp_rate = 0.001;
+        let mut g = ad_hoc_group(
+            3,
+            Discovery::Digest {
+                refresh_every: DurationMs::from_millis(10),
+                fp_rate,
+            },
+        );
+        let remote = |out: RequestOutcome| match out {
+            RequestOutcome::RemoteHit { responder, .. } => Some(responder),
+            _ => None,
+        };
+        g.handle_request(c(0), d(1), kb(2), t(0));
+        // Cache 0 changed, so its digest is rebuilt and now holds doc 1;
+        // caches 1 and 2 are unchanged and re-send what they had.
+        assert_eq!(
+            remote(g.handle_request(c(1), d(1), kb(2), t(20))),
+            Some(c(0))
+        );
+        // Cache 0 has not changed since: its kept digest still answers.
+        assert_eq!(
+            remote(g.handle_request(c(2), d(1), kb(2), t(40))),
+            Some(c(0))
+        );
+        // Cache 1's new document shows once the period has passed.
+        g.handle_request(c(1), d(2), kb(2), t(45));
+        assert_eq!(
+            remote(g.handle_request(c(0), d(2), kb(2), t(60))),
+            Some(c(1))
+        );
+        // Every digest was broadcast to both peers in each of the four
+        // rounds (t = 0, 20, 40 and 60; none is due at 45), rebuilt or
+        // not, and each broadcast booked the bytes of the filter it sent.
+        let stats = g.protocol_stats();
+        assert_eq!(stats.digest_refreshes, 4 * 3 * 2);
+        let wire = BloomFilter::with_rate(16, fp_rate).wire_bytes();
+        assert_eq!(stats.digest_bytes, stats.digest_refreshes * wire);
     }
 
     #[test]

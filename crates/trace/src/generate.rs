@@ -27,13 +27,24 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Wraps an already time-ordered list of requests.
+    /// Wraps a list of requests, putting it in chronological order.
     ///
-    /// Out-of-order inputs are sorted (stably) by timestamp so that every
-    /// `Trace` upholds the chronological invariant.
+    /// The order is stable by timestamp: requests with equal times keep
+    /// their input order, so every `Trace` upholds the chronological
+    /// invariant and one input always yields one trace. Input that is
+    /// already sorted passes through untouched after one linear check.
+    /// Otherwise the sort needs one `usize` per request of extra memory (a
+    /// stable merge sort of the records would need half the records).
     #[must_use]
     pub fn from_requests(mut requests: Vec<Request>) -> Self {
-        requests.sort_by_key(|r| r.time);
+        if !requests.is_sorted_by_key(|r| r.time) {
+            // Sort positions, not records: the position breaks time ties,
+            // which makes the unstable sort produce exactly the stable
+            // order.
+            let mut order: Vec<usize> = (0..requests.len()).collect();
+            order.sort_unstable_by_key(|&i| (requests[i].time, i));
+            permute_in_place(&mut requests, &mut order);
+        }
         Self { requests }
     }
 
@@ -64,6 +75,29 @@ impl Trace {
     #[must_use]
     pub fn stats(&self) -> TraceStats {
         TraceStats::from_requests(&self.requests)
+    }
+}
+
+/// Rearranges `requests` so that position `k` holds what was at
+/// `order[k]`, following each cycle of the permutation once; `order` is
+/// consumed as the visited marks (a finished position points at itself).
+fn permute_in_place(requests: &mut [Request], order: &mut [usize]) {
+    for start in 0..requests.len() {
+        if order[start] == start {
+            continue;
+        }
+        let first = requests[start];
+        let mut at = start;
+        loop {
+            let from = order[at];
+            order[at] = at;
+            if from == start {
+                requests[at] = first;
+                break;
+            }
+            requests[at] = requests[from];
+            at = from;
+        }
     }
 }
 
@@ -173,6 +207,14 @@ impl TraceStats {
 /// ```
 pub fn generate(profile: &TraceProfile) -> Result<Trace, InvalidParamError> {
     profile.validate()?;
+    // The draw's tables (sizes, popularity, histories) are freed before
+    // the sort, so the two never hold memory at once.
+    Ok(Trace::from_requests(draw_requests(profile)?))
+}
+
+/// Draws a validated profile's requests, session by session (so not yet
+/// in time order).
+fn draw_requests(profile: &TraceProfile) -> Result<Vec<Request>, InvalidParamError> {
     let mut root = Rng::seed_from(profile.seed);
     let mut rng_size = root.split();
     let mut rng_session = root.split();
@@ -269,8 +311,7 @@ pub fn generate(profile: &TraceProfile) -> Result<Trace, InvalidParamError> {
             t += DurationMs::from_millis(think.sample(&mut rng_local).max(1.0) as u64);
         }
     }
-
-    Ok(Trace::from_requests(requests))
+    Ok(requests)
 }
 
 /// Draws a stable size for every document in the universe.
@@ -428,6 +469,40 @@ mod tests {
         let t = Trace::from_requests(vec![mk(5), mk(1), mk(3)]);
         let times: Vec<u64> = t.iter().map(|r| r.time.as_millis()).collect();
         assert_eq!(times, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn from_requests_is_the_stable_time_sort() {
+        // Short vectors over at most 8 distinct times, so nearly all hold
+        // ties; each record's client is its input position, so a tie
+        // resolved out of input order shows as a mismatch.
+        let mut rng = Rng::seed_from(0x5EED_50E7);
+        for _ in 0..5_000 {
+            let len = rng.next_below(65) as u32;
+            let times = 1 + rng.next_below(8);
+            let requests: Vec<Request> = (0..len)
+                .map(|k| {
+                    Request::new(
+                        Timestamp::from_millis(rng.next_below(times)),
+                        ClientId::new(k),
+                        DocId::new(1),
+                        ByteSize::from_bytes(1),
+                    )
+                })
+                .collect();
+            let mut want = requests.clone();
+            want.sort_by_key(|r| r.time);
+            assert_eq!(Trace::from_requests(requests).requests(), want);
+        }
+        // Already-sorted input (with ties) passes through as it is.
+        let input = generate(&TraceProfile::small())
+            .unwrap()
+            .requests()
+            .to_vec();
+        assert_eq!(Trace::from_requests(input.clone()).requests(), input);
+        for short in [&input[..0], &input[..1]] {
+            assert_eq!(Trace::from_requests(short.to_vec()).requests(), short);
+        }
     }
 
     #[test]

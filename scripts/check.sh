@@ -42,6 +42,10 @@ cargo test -q --release -p coopcache-net -- --ignored
 echo "== cargo test (deep reference-store run)"
 cargo test -q --release --test reference_store -- --ignored
 
+# The full-scale trace's pinned records (tie order included), in release.
+echo "== cargo test (deep trace pin)"
+cargo test -q --release --test determinism -- --ignored
+
 echo "== cargo test (paranoid invariant audits)"
 cargo test -q -p coopcache-core --features paranoid
 
@@ -75,8 +79,13 @@ for example in quickstart campus_group hierarchy live_sockets trace_studio; do
   cargo run --release --offline --quiet --example "$example" >/dev/null
 done
 
+# The sweep's wall time (the experiments binary built first, so the build
+# is not in it) is printed for the record; it gates nothing.
 echo "== results/ (full-scale regeneration must match the committed tables)"
+cargo build --release -q -p coopcache-bench
+SECONDS=0
 scripts/regen_results.sh
+echo "   regen_results.sh took ${SECONDS} s"
 git diff --exit-code results/
 
 echo "All checks passed."

@@ -11,6 +11,48 @@ fn trace_generation_is_reproducible_across_runs() {
     assert_eq!(a, b);
 }
 
+/// FNV-1a over a generated trace's records (time, client, doc, size as
+/// little-endian integers), and its count of adjacent equal-time pairs.
+///
+/// The pins were computed at commit `5d23e08`, while `Trace::from_requests`
+/// still ran a stable merge sort. Sessions interleave in time, so the
+/// generator sorts what it draws, and time ties are where another sort
+/// would show: `small()` has 1 such pair and `bu94()` has 15, so both pins
+/// cover tie order.
+fn trace_pin(profile: &TraceProfile) -> (String, usize) {
+    let trace = generate(profile).unwrap();
+    let mut bytes = Vec::with_capacity(trace.len() * 28);
+    for r in &trace {
+        bytes.extend_from_slice(&r.time.as_millis().to_le_bytes());
+        bytes.extend_from_slice(&r.client.as_u32().to_le_bytes());
+        bytes.extend_from_slice(&r.doc.as_u64().to_le_bytes());
+        bytes.extend_from_slice(&r.size.as_bytes().to_le_bytes());
+    }
+    let ties = trace
+        .requests()
+        .windows(2)
+        .filter(|w| w[0].time == w[1].time)
+        .count();
+    (format!("{:#018x}", fnv1a(&bytes)), ties)
+}
+
+#[test]
+fn the_small_trace_matches_its_pinned_records() {
+    assert_eq!(
+        trace_pin(&TraceProfile::small()),
+        ("0x9fdad0935b3c9f38".to_owned(), 1)
+    );
+}
+
+#[test]
+#[ignore = "deep run, the full-scale trace; about 2 s in debug, so run in release"]
+fn the_bu94_trace_matches_its_pinned_records() {
+    assert_eq!(
+        trace_pin(&TraceProfile::bu94()),
+        ("0x4587bf397b12b970".to_owned(), 15)
+    );
+}
+
 #[test]
 fn seed_isolation_across_profile_knobs() {
     // Changing only the request count must not reshuffle document sizes:
