@@ -361,10 +361,18 @@ mod tests {
             .build_concurrent()
     }
 
-    /// Each shard's documents in the order its `Cache::iter` walks them.
+    /// Each shard's documents, in `DocId` order.
     fn docs_by_shard(c: &ConcurrentCache) -> Vec<Vec<u64>> {
         c.each_shard()
-            .map(|shard| shard.cache.iter().map(|e| e.doc.as_u64()).collect())
+            .map(|shard| {
+                let mut docs: Vec<u64> = shard
+                    .cache
+                    .iter_unordered()
+                    .map(|e| e.doc.as_u64())
+                    .collect();
+                docs.sort_unstable();
+                docs
+            })
             .collect()
     }
 
@@ -401,8 +409,9 @@ mod tests {
         assert_eq!(concurrent.used(), serial.used());
         assert_eq!(concurrent.stats(), serial.stats());
         assert_eq!(concurrent.expiration_age(), serial.expiration_age());
-        let serial_iter: Vec<u64> = serial.iter().map(|e| e.doc.as_u64()).collect();
-        assert_eq!(docs_by_shard(&concurrent), vec![serial_iter]);
+        let mut serial_docs: Vec<u64> = serial.iter_unordered().map(|e| e.doc.as_u64()).collect();
+        serial_docs.sort_unstable();
+        assert_eq!(docs_by_shard(&concurrent), vec![serial_docs]);
     }
 
     #[test]
@@ -426,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn each_shard_holds_its_own_documents_in_doc_order() {
+    fn each_shard_holds_its_own_documents() {
         let c = concurrent(64, 4);
         for i in 0..48u64 {
             c.insert(d(i), kb(1), t(i));
@@ -436,7 +445,7 @@ mod tests {
         for i in 0..48u64 {
             expected[c.shard_of(d(i))].push(i);
         }
-        assert_eq!(docs_by_shard(&c), expected, "shard-by-shard DocId order");
+        assert_eq!(docs_by_shard(&c), expected, "shard-by-shard documents");
     }
 
     #[test]

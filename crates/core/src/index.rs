@@ -277,8 +277,8 @@ impl<T: Vacancy> Slab<T> {
     /// Iterates `(index, value)` over live slots in ascending index order.
     ///
     /// Index order is an artifact of allocation history, not a semantic
-    /// order; callers that expose iteration externally must sort (see the
-    /// `map-iter` lint's open-addressing clause).
+    /// order: every call site in core, sim and proxy carries a justified
+    /// `map-iter` allow naming the order-free fold it feeds.
     pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots
             .iter()

@@ -32,7 +32,10 @@
 //! A guard held across `.await` is clippy's `await_holding_lock`, which is
 //! on by default; `unsafe` is `forbid(unsafe_code)` (DESIGN.md §8).
 
-use crate::mask::{find_word, mask, Masked};
+use crate::mask::{
+    collect_decl_names, contains_word, find_word, ident_back, ident_before, mask, match_close,
+    Masked,
+};
 use crate::rules::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -127,7 +130,7 @@ struct GuardSpan {
 /// Runs the per-file concurrency rules (R7 lock-blocking, R9
 /// atomic-order, R10 guard-escape) on one masked source.
 pub fn check_concurrency(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    let guards = guard_spans(&masked.app_code);
+    let guards = guard_spans(masked);
     check_blocking(rel, masked, &guards, findings);
     check_guard_escape(rel, masked, &guards, findings);
     check_atomic_order(rel, masked, findings);
@@ -155,7 +158,7 @@ pub fn check_lock_order(sources: &[(PathBuf, String)]) -> Vec<Finding> {
     // re-acquisition/cycle from a naming collision between distinct locks.
     let mut decl_sites: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
     for (rel, m) in &masked {
-        for name in collect_decl_names(&m.app_code, "Mutex", false) {
+        for name in collect_decl_names(&m.app_code, &["Mutex"], false) {
             decl_sites.entry(name).or_default().push((*rel).clone());
         }
     }
@@ -163,7 +166,7 @@ pub fn check_lock_order(sources: &[(PathBuf, String)]) -> Vec<Finding> {
     // first acquisition site per ordered pair, for reporting
     let mut edges: BTreeMap<(String, String), (PathBuf, usize)> = BTreeMap::new();
     for (rel, m) in &masked {
-        let guards = guard_spans(&m.app_code);
+        let guards = guard_spans(m);
         for outer in &guards {
             for inner in &guards {
                 if inner.pos <= outer.pos || inner.pos >= outer.end {
@@ -309,7 +312,8 @@ fn dfs_cycles<'a>(
 }
 
 /// Every lock acquisition in the non-test code, with its guard span.
-fn guard_spans(code: &str) -> Vec<GuardSpan> {
+fn guard_spans(masked: &Masked) -> Vec<GuardSpan> {
+    let code = &masked.app_code;
     let bytes = code.as_bytes();
     let mut spans = Vec::new();
     for helper in LOCK_HELPERS {
@@ -320,11 +324,11 @@ fn guard_spans(code: &str) -> Vec<GuardSpan> {
             if bytes.get(after) != Some(&b'(') {
                 continue; // `fn lock<T>` declaration, not a call
             }
-            if ident_opt(bytes, pos).as_deref() == Some("fn") {
+            if ident_before(bytes, pos).as_deref() == Some("fn") {
                 continue; // `fn lock_tap(..)` declaration
             }
             let open = after;
-            let Some(close) = match_parens(bytes, open) else {
+            let Some(close) = match_close(bytes, open) else {
                 continue;
             };
             let method = pos > 0 && bytes[pos - 1] == b'.';
@@ -332,7 +336,7 @@ fn guard_spans(code: &str) -> Vec<GuardSpan> {
                 SHARD_LOCK.to_string()
             } else if method {
                 // The receiver may sit on the previous line of a chain.
-                let Some(recv) = ident_opt(bytes, pos - 1) else {
+                let Some(recv) = ident_before(bytes, pos - 1) else {
                     continue;
                 };
                 if IO_LOCK_RECEIVERS.contains(&recv.as_str()) {
@@ -358,7 +362,7 @@ fn guard_spans(code: &str) -> Vec<GuardSpan> {
             spans.push(GuardSpan {
                 lock,
                 pos,
-                line: line_of(code, pos),
+                line: masked.line_of(pos),
                 end,
                 bound,
             });
@@ -404,7 +408,7 @@ fn check_blocking(rel: &Path, masked: &Masked, guards: &[GuardSpan], findings: &
         }
         sites.sort();
         for (pos, what) in sites {
-            let line = line_of(code, pos);
+            let line = masked.line_of(pos);
             if masked.allowed(Rule::LockBlocking.name(), line) {
                 continue;
             }
@@ -452,7 +456,7 @@ fn check_guard_escape(
             if used >= g.end {
                 continue;
             }
-            let line = line_of(code, mv);
+            let line = masked.line_of(mv);
             if masked.allowed(Rule::GuardEscape.name(), line) {
                 continue;
             }
@@ -489,7 +493,7 @@ fn check_atomic_order(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) 
         let mut from = 0;
         while let Some(pos) = find_word(code, &pat, from) {
             from = pos + pat.len();
-            let line = line_of(code, pos);
+            let line = masked.line_of(pos);
             if masked.allowed(Rule::AtomicOrder.name(), line) {
                 continue;
             }
@@ -513,7 +517,7 @@ fn check_atomic_order(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) 
         if !flags.contains(&recv) || !matches!(op.as_str(), "load" | "store" | "swap") {
             continue;
         }
-        let line = line_of(code, pos);
+        let line = masked.line_of(pos);
         if masked.allowed(Rule::AtomicOrder.name(), line) {
             continue;
         }
@@ -546,7 +550,7 @@ fn classify_statement(code: &str, acq_pos: usize, call_close: usize) -> (StmtKin
     if prefix.starts_with("let ") {
         let name = let_binding_name(prefix);
         // A recovery `match x.lock() { .. }` still binds the guard.
-        if contains_kw(prefix, "match") {
+        if contains_word(prefix, "match") {
             return (StmtKind::Bound, name);
         }
         let after = after_adapters(bytes, call_close + 1);
@@ -582,11 +586,6 @@ fn let_binding_name(prefix: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-/// True when `kw` appears word-bounded in `text`.
-fn contains_kw(text: &str, kw: &str) -> bool {
-    find_word(text, kw, 0).is_some()
-}
-
 /// Consumes guard-preserving adapter calls (`.unwrap_or_else(..)` …)
 /// starting at `i` (just past the lock call's close paren); returns the
 /// index after the last adapter.
@@ -609,7 +608,7 @@ fn after_adapters(bytes: &[u8], mut i: usize) -> usize {
         if bytes.get(open) != Some(&b'(') {
             return i;
         }
-        match match_parens(bytes, open) {
+        match match_close(bytes, open) {
             Some(close) => i = close + 1,
             None => return i,
         }
@@ -675,7 +674,7 @@ fn body_open(bytes: &[u8], mut i: usize) -> usize {
 /// `else` continuation is not tracked — a conservative under-approx).
 fn construct_end(bytes: &[u8], i: usize) -> usize {
     let open = body_open(bytes, i);
-    match_braces(bytes, open).unwrap_or(bytes.len())
+    match_close(bytes, open).unwrap_or(bytes.len())
 }
 
 /// The byte offset of an explicit `drop(name)` inside `[from, to)`.
@@ -691,45 +690,9 @@ fn drop_site(code: &str, name: &str, from: usize, to: usize) -> Option<usize> {
         if bytes.get(open) != Some(&b'(') {
             continue;
         }
-        let close = match_parens(bytes, open)?;
+        let close = match_close(bytes, open)?;
         if code[open + 1..close].trim() == name {
             return Some(pos);
-        }
-    }
-    None
-}
-
-/// Matching `)` for the `(` at `open`.
-fn match_parens(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Matching `}` for the `{` at `open`.
-fn match_braces(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
         }
     }
     None
@@ -740,15 +703,6 @@ fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// The identifier ending just before byte `end`.
-fn ident_back(bytes: &[u8], end: usize) -> String {
-    let mut start = end;
-    while start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
-        start -= 1;
-    }
-    String::from_utf8_lossy(&bytes[start..end]).into_owned()
 }
 
 /// Normalizes a lock-helper argument to a lock name: strips borrows and
@@ -769,84 +723,11 @@ fn normalize_lock_expr(arg: &str) -> String {
     }
 }
 
-/// 1-based line containing byte `offset`.
-fn line_of(code: &str, offset: usize) -> usize {
-    code.as_bytes()[..offset]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
-}
-
 /// Identifiers declared (or initialized) as `AtomicBool` in this file —
 /// through an `Arc<..>` wrapper or an `Arc::new(AtomicBool::new(..))`
 /// initializer chain.
 fn collect_atomic_bool_names(code: &str) -> Vec<String> {
-    collect_decl_names(code, "AtomicBool", true)
-}
-
-/// Identifiers declared (or initialized) as type `ty` — through an
-/// `Arc<..>` wrapper or an `Arc::new(ty::new(..))` initializer chain.
-/// With `dedup` false every declaration site is kept, so callers can
-/// count how many distinct declarations share one name.
-fn collect_decl_names(code: &str, ty: &str, dedup: bool) -> Vec<String> {
-    let bytes = code.as_bytes();
-    let mut names = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_word(code, ty, from) {
-        from = pos + ty.len();
-        let mut q = pos;
-        let name = loop {
-            while q > 0 && bytes[q - 1].is_ascii_whitespace() {
-                q -= 1;
-            }
-            if q == 0 {
-                break None;
-            }
-            match bytes[q - 1] {
-                // Unwrap `Arc<AtomicBool>` / `Arc::new(AtomicBool..` layers.
-                b'<' | b'(' => {
-                    q -= 1;
-                    while q > 0
-                        && (bytes[q - 1].is_ascii_alphanumeric()
-                            || bytes[q - 1] == b'_'
-                            || bytes[q - 1] == b':')
-                    {
-                        q -= 1;
-                    }
-                }
-                // `name: AtomicBool` ascription (not a `::` path).
-                b':' if q < 2 || bytes[q - 2] != b':' => {
-                    break ident_opt(bytes, q - 1);
-                }
-                // `name = AtomicBool::new(..)` initializer.
-                b'=' if q >= 2 && bytes[q - 2] != b'=' && bytes[q - 2] != b'!' => {
-                    break ident_opt(bytes, q - 1);
-                }
-                _ => break None,
-            }
-        };
-        if let Some(name) = name {
-            if !dedup || !names.contains(&name) {
-                names.push(name);
-            }
-        }
-    }
-    names
-}
-
-/// Like [`ident_back`] but skips trailing whitespace first and rejects
-/// empty/numeric results.
-fn ident_opt(bytes: &[u8], mut end: usize) -> Option<String> {
-    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
-        end -= 1;
-    }
-    let name = ident_back(bytes, end);
-    if name.is_empty() || name.as_bytes()[0].is_ascii_digit() {
-        None
-    } else {
-        Some(name)
-    }
+    collect_decl_names(code, &["AtomicBool"], true)
 }
 
 /// For an `Ordering::..` argument, the `(receiver, method)` of the
@@ -893,7 +774,7 @@ mod tests {
     use super::*;
 
     fn spans(src: &str) -> Vec<GuardSpan> {
-        guard_spans(&mask(src).app_code)
+        guard_spans(&mask(src))
     }
 
     #[test]

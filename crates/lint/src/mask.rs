@@ -47,10 +47,7 @@ impl Masked {
     /// 1-based line number containing byte `offset`.
     #[must_use]
     pub fn line_of(&self, offset: usize) -> usize {
-        match self.line_starts.binary_search(&offset) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
+        line_at(&self.line_starts, offset)
     }
 
     /// True when an allow directive for `rule` covers `line` — the
@@ -63,6 +60,14 @@ impl Masked {
         self.allows
             .iter()
             .any(|a| a.justified && a.rule == rule && (a.line == line || a.applies_to == line))
+    }
+}
+
+/// The 1-based line holding byte `offset`, given each line's start offset.
+fn line_at(line_starts: &[usize], offset: usize) -> usize {
+    match line_starts.binary_search(&offset) {
+        Ok(i) => i + 1,
+        Err(i) => i,
     }
 }
 
@@ -79,12 +84,7 @@ pub fn mask(src: &str) -> Masked {
             line_starts.push(i + 1);
         }
     }
-    let line_of = |offset: usize| -> usize {
-        match line_starts.binary_search(&offset) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
-    };
+    let line_of = |offset: usize| line_at(&line_starts, offset);
 
     let mut i = 0;
     while i < bytes.len() {
@@ -340,21 +340,7 @@ fn find_item_end(bytes: &[u8], mut i: usize) -> usize {
                 j += 1;
             }
             if bytes.get(j) == Some(&b'[') {
-                let mut depth = 0usize;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'[' => depth += 1,
-                        b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
+                i = match_close(bytes, j).map_or(bytes.len(), |close| close + 1);
                 continue;
             }
         }
@@ -445,6 +431,106 @@ pub fn find_word(hay: &str, needle: &str, from: usize) -> Option<usize> {
         start = pos + 1;
     }
     None
+}
+
+/// The identifier ending exactly at byte `end` (empty when none does).
+pub(crate) fn ident_back(bytes: &[u8], end: usize) -> String {
+    let mut start = end;
+    while start > 0 && is_ident_byte(bytes[start - 1]) {
+        start -= 1;
+    }
+    String::from_utf8_lossy(&bytes[start..end]).into_owned()
+}
+
+/// The identifier ending just before byte `end`, skipping whitespace
+/// first; `None` when there is none or it starts with a digit.
+pub(crate) fn ident_before(bytes: &[u8], mut end: usize) -> Option<String> {
+    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
+        end -= 1;
+    }
+    let name = ident_back(bytes, end);
+    if name.is_empty() || name.as_bytes()[0].is_ascii_digit() {
+        None
+    } else {
+        Some(name)
+    }
+}
+
+/// The index of the bracket closing the `(`, `[` or `{` at `open`.
+pub(crate) fn match_close(bytes: &[u8], open: usize) -> Option<usize> {
+    let (opener, closer) = match bytes.get(open)? {
+        b'(' => (b'(', b')'),
+        b'[' => (b'[', b']'),
+        b'{' => (b'{', b'}'),
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (k, &b) in bytes.iter().enumerate().skip(open) {
+        if b == opener {
+            depth += 1;
+        } else if b == closer {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
+/// Identifiers declared (or initialized) as one of `types`: a
+/// `name: Ty` ascription or a `name = Ty::new(..)` initializer, through
+/// a leading path (`std::collections::HashSet`) and wrapper layers
+/// (`Arc<Ty>`, `Arc::new(Ty::new(..))`). With `dedup` false every
+/// declaration site is kept, so callers can count how many distinct
+/// declarations share one name.
+pub(crate) fn collect_decl_names(code: &str, types: &[&str], dedup: bool) -> Vec<String> {
+    let bytes = code.as_bytes();
+    let mut names = Vec::new();
+    for ty in types {
+        let mut from = 0;
+        while let Some(pos) = find_word(code, ty, from) {
+            from = pos + ty.len();
+            let mut q = pos;
+            let name = loop {
+                while q > 0 && bytes[q - 1].is_ascii_whitespace() {
+                    q -= 1;
+                }
+                if q == 0 {
+                    break None;
+                }
+                match bytes[q - 1] {
+                    // A leading `path::` segment.
+                    b':' if q >= 2 && bytes[q - 2] == b':' => {
+                        q -= 2;
+                        while q > 0 && is_ident_byte(bytes[q - 1]) {
+                            q -= 1;
+                        }
+                    }
+                    // A wrapper layer: `Arc<Ty>` / `Arc::new(Ty..`.
+                    b'<' | b'(' => {
+                        q -= 1;
+                        while q > 0 && (is_ident_byte(bytes[q - 1]) || bytes[q - 1] == b':') {
+                            q -= 1;
+                        }
+                    }
+                    // `name: Ty` ascription.
+                    b':' => break ident_before(bytes, q - 1),
+                    // `name = Ty::new(..)` initializer.
+                    b'=' if q >= 2 && bytes[q - 2] != b'=' && bytes[q - 2] != b'!' => {
+                        break ident_before(bytes, q - 1);
+                    }
+                    _ => break None,
+                }
+            };
+            if let Some(name) = name {
+                if !dedup || !names.contains(&name) {
+                    names.push(name);
+                }
+            }
+        }
+    }
+    names
 }
 
 #[cfg(test)]
@@ -553,6 +639,17 @@ mod tests {
         assert_eq!(m.line_of(0), 1);
         assert_eq!(m.line_of(2), 2);
         assert_eq!(m.line_of(4), 3);
+    }
+
+    #[test]
+    fn decl_names_skip_a_leading_path() {
+        let code = "let a = std::collections::HashSet::new();\n\
+                    let b: std::collections::HashSet<u64> = x;\n\
+                    struct S { c: Arc<std::sync::Mutex<u64>>, d: std::sync::atomic::AtomicBool }\n\
+                    use std::collections::HashSet;\n";
+        assert_eq!(collect_decl_names(code, &["HashSet"], true), ["a", "b"]);
+        assert_eq!(collect_decl_names(code, &["Mutex"], true), ["c"]);
+        assert_eq!(collect_decl_names(code, &["AtomicBool"], true), ["d"]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! | rule              | scope                         | what it catches |
 //! |-------------------|-------------------------------|-----------------|
-//! | `map-iter`        | `core`, `sim`, `proxy`        | iterating a `HashMap`/`HashSet` (nondeterministic order), or an arena `iter_unordered()` walk that escapes unsorted |
+//! | `map-iter`        | `core`, `sim`, `proxy`        | iterating a `HashMap`/`HashSet` (nondeterministic order), or an unjustified arena `iter_unordered()` walk |
 //! | `float-eq`        | everywhere                    | `==` / `!=` against a float literal |
 //! | `dead-event`      | workspace-wide                | `Event` variants never constructed outside `obs` |
 //! | `paranoid-wiring` | `core/src/cache.rs`           | mutating cache methods missing the invariant audit |
@@ -24,7 +24,7 @@
 //! (wall clock), R2 (panics), R11 (`unsafe`) and R10's `.await` clause
 //! are rustc and clippy lints (DESIGN.md §8).
 
-use crate::mask::{find_word, mask, Masked};
+use crate::mask::{collect_decl_names, find_word, mask, match_close, Masked};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -193,7 +193,7 @@ const ITER_METHODS: [&str; 9] = [
 fn check_map_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
     check_unordered_iter(rel, masked, findings);
     let code = &masked.app_code;
-    let names = collect_hash_names(code);
+    let names = collect_decl_names(code, &["HashMap", "HashSet"], true);
     for name in &names {
         let mut from = 0;
         while let Some(pos) = find_word(code, name, from) {
@@ -220,21 +220,11 @@ fn check_map_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
     }
 }
 
-/// R3, open-addressing clause: `iter_unordered()` — the arena/table
-/// iterator the sharded store exposes — visits slots in allocation
-/// order, which is operation history, not a semantic order. The blessed
-/// shard-walk pattern collects into a local and sorts it before the
-/// result escapes:
-///
-/// ```text
-/// let mut out: Vec<_> = self.entries.iter_unordered().map(..).collect();
-/// out.sort_unstable_by_key(|e| e.doc);
-/// ```
-///
-/// That pattern is recognised statically; any other use of
-/// `iter_unordered` in a determinism-critical crate is flagged, so shard
-/// walks cannot silently leak allocation order the way a blanket
-/// `lint:allow` would let them.
+/// R3, arena clause: `iter_unordered()` — the arena walk the store
+/// exposes — visits slots in allocation order, which is operation
+/// history, not a semantic order. Every call in a determinism-critical
+/// crate needs a justified `map-iter` allow naming the order-free fold it
+/// feeds (a sum, a count, a Bloom filter).
 fn check_unordered_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
     let code = &masked.app_code;
     let mut from = 0;
@@ -249,118 +239,16 @@ fn check_unordered_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>
         if masked.allowed(Rule::MapIter.name(), line) {
             continue;
         }
-        if collected_then_sorted(code, pos) {
-            continue;
-        }
         findings.push(Finding {
             file: rel.to_path_buf(),
             line,
             rule: Rule::MapIter,
-            message: "`iter_unordered()` walks the arena in allocation order: \
-                      collect into a local and sort it before the walk escapes \
-                      (the ordered shard loop), or justify with \
+            message: "`iter_unordered()` walks the arena in allocation order: fold it \
+                      into an order-free value and justify with \
                       `lint:allow(map-iter) -- <why>`"
                 .to_owned(),
         });
     }
-}
-
-/// True when the `iter_unordered` call at `pos` is the ordered shard
-/// loop: its statement binds `let [mut] <name> = …` and `<name>.sort*` is
-/// called later in the same item (searched up to the next `fn`).
-fn collected_then_sorted(code: &str, pos: usize) -> bool {
-    let bytes = code.as_bytes();
-    // Statement start: just past the previous statement/block boundary.
-    let stmt_start = code[..pos].rfind([';', '{', '}']).map_or(0, |p| p + 1);
-    let Some(let_at) = code[stmt_start..pos].rfind("let ") else {
-        return false;
-    };
-    let mut name_at = stmt_start + let_at + 4;
-    while code[name_at..].starts_with(char::is_whitespace) {
-        name_at += 1;
-    }
-    if code[name_at..].starts_with("mut ") {
-        name_at += 4;
-        while code[name_at..].starts_with(char::is_whitespace) {
-            name_at += 1;
-        }
-    }
-    let mut name_end = name_at;
-    while name_end < bytes.len()
-        && (bytes[name_end].is_ascii_alphanumeric() || bytes[name_end] == b'_')
-    {
-        name_end += 1;
-    }
-    let name = &code[name_at..name_end];
-    if name.is_empty() {
-        return false;
-    }
-    // Scan from the end of the binding statement to the next `fn` item
-    // for a sort call on the binding.
-    let tail_start = code[pos..].find(';').map_or(code.len(), |p| pos + p + 1);
-    let tail_end = find_word(code, "fn", tail_start).unwrap_or(code.len());
-    let tail = &code[tail_start..tail_end];
-    let mut f = 0;
-    while let Some(np) = find_word(tail, name, f) {
-        f = np + name.len();
-        if tail[f..].starts_with(".sort") {
-            return true;
-        }
-    }
-    false
-}
-
-/// Identifiers declared as `HashMap`/`HashSet` in this file, via either a
-/// type ascription (`name: HashMap<...>`) or an initializer
-/// (`name = HashMap::new()` / `with_capacity`).
-fn collect_hash_names(code: &str) -> Vec<String> {
-    let bytes = code.as_bytes();
-    let mut names: Vec<String> = Vec::new();
-    for ty in ["HashMap", "HashSet"] {
-        let mut from = 0;
-        while let Some(pos) = find_word(code, ty, from) {
-            from = pos + ty.len();
-            let mut q = pos;
-            while q > 0 && bytes[q - 1].is_ascii_whitespace() {
-                q -= 1;
-            }
-            if q == 0 {
-                continue;
-            }
-            let name = match bytes[q - 1] {
-                // `name: HashMap<...>` — but not the `::` of a path.
-                b':' if q < 2 || bytes[q - 2] != b':' => ident_before(bytes, q - 1),
-                // `name = HashMap::new()` / `name = HashMap::with_capacity(..)`.
-                b'=' if q >= 2 && bytes[q - 2] != b'=' && bytes[q - 2] != b'!' => {
-                    ident_before(bytes, q - 1)
-                }
-                _ => None,
-            };
-            if let Some(name) = name {
-                if !names.contains(&name) {
-                    names.push(name);
-                }
-            }
-        }
-    }
-    names
-}
-
-/// The identifier ending just before byte `end` (skipping whitespace).
-fn ident_before(bytes: &[u8], mut end: usize) -> Option<String> {
-    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
-        end -= 1;
-    }
-    let mut start = end;
-    while start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
-        start -= 1;
-    }
-    if start == end || bytes[start].is_ascii_digit() {
-        return None;
-    }
-    std::str::from_utf8(&bytes[start..end])
-        .ok()
-        .map(str::to_owned)
 }
 
 /// True when the text after a collection name calls an order-leaking
@@ -672,22 +560,9 @@ fn fn_body<'a>(masked: &'a Masked, name: &str) -> Option<(usize, &'a str)> {
     // `fn lookup_inner`.
     let pat = format!("fn {name}");
     let pos = find_word(&masked.app_code, &pat, 0)?;
-    let bytes = masked.app_code.as_bytes();
     let open = masked.app_code[pos..].find('{')? + pos;
-    let mut depth = 0usize;
-    for (k, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((masked.line_of(pos), &masked.app_code[open..=k]));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    let close = match_close(masked.app_code.as_bytes(), open)?;
+    Some((masked.line_of(pos), &masked.app_code[open..=close]))
 }
 
 #[cfg(test)]
@@ -724,12 +599,15 @@ mod tests {
     }
 
     #[test]
-    fn unordered_iter_sorted_shard_loop_is_clean() {
+    fn unordered_iter_sorted_shard_loop_is_flagged() {
         let src = "impl Shard { fn all(&self) -> Vec<u64> {\n\
                    let mut out: Vec<u64> = self.entries.iter_unordered().collect();\n\
                    out.sort_unstable();\n\
                    out } }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
+        assert_eq!(
+            rules(&lint("crates/core/src/x.rs", src)),
+            vec![Rule::MapIter]
+        );
     }
 
     #[test]
@@ -737,19 +615,6 @@ mod tests {
         let src = "impl Slab { fn iter_unordered(&self) -> std::slice::Iter<'_, u64> {\n\
                    self.slots.iter() } }\n";
         assert!(lint("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unordered_iter_sort_on_other_binding_still_flagged() {
-        let src = "impl Shard { fn all(&self) -> Vec<u64> {\n\
-                   let out: Vec<u64> = self.entries.iter_unordered().collect();\n\
-                   let mut other: Vec<u64> = Vec::new();\n\
-                   other.sort_unstable();\n\
-                   out } }\n";
-        assert_eq!(
-            rules(&lint("crates/core/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
     }
 
     #[test]

@@ -13,6 +13,18 @@ pub fn looped() {
     }
 }
 
+pub fn path_initialized() {
+    let mut fresh = std::collections::HashSet::new();
+    fresh.insert(1u64);
+    for d in fresh {
+        let _ = d;
+    }
+}
+
+pub fn path_ascribed(typed: std::collections::HashSet<u64>) -> Vec<u64> {
+    typed.into_iter().collect()
+}
+
 pub struct State {
     pending: HashMap<u64, u64>,
 }
@@ -34,6 +46,13 @@ impl Arena {
 
     pub fn escapes_allocation_order(&self) -> Vec<u64> {
         self.iter_unordered().copied().collect()
+    }
+
+    /// Sorting afterwards does not justify the walk: only an allow does.
+    pub fn sorted_entries(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self.iter_unordered().copied().collect();
+        out.sort_unstable();
+        out
     }
 
     pub fn walks_allocation_order(&self) {

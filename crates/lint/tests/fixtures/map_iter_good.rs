@@ -36,13 +36,6 @@ impl Shard {
         self.slots.iter()
     }
 
-    /// The ordered shard loop: collect, then sort before escaping.
-    pub fn sorted_entries(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.iter_unordered().copied().collect();
-        out.sort_unstable();
-        out
-    }
-
     pub fn checksum(&self) -> u64 {
         // lint:allow(map-iter) -- order folds through a commutative sum
         self.iter_unordered().sum()

@@ -221,14 +221,20 @@ impl DistributedGroup {
     }
 
     /// Number of *unique* documents cached somewhere in the group — the
-    /// paper's measure of aggregate disk-space efficiency.
+    /// paper's measure of aggregate disk-space efficiency. Each document
+    /// counts at the lowest-id cache holding it, so no set is built.
     #[must_use]
     pub fn unique_cached_docs(&self) -> usize {
-        let mut docs = std::collections::HashSet::new();
-        for n in &self.nodes {
-            docs.extend(n.cache().iter().map(|e| e.doc));
+        let mut unique = 0;
+        for (i, node) in self.nodes.iter().enumerate() {
+            let earlier = &self.nodes[..i];
+            // lint:allow(map-iter) -- counted, and a count does not depend on the visit order
+            let walk = node.cache().iter_unordered();
+            unique += walk
+                .filter(|e| !earlier.iter().any(|m| m.cache().contains(e.doc)))
+                .count();
         }
-        docs.len()
+        unique
     }
 
     /// Handles one client request arriving at `requester`, running the
@@ -383,7 +389,8 @@ impl DistributedGroup {
                 stats.insertions + stats.evictions + stats.explicit_removals + stats.expirations;
             if digest.built_at.is_none() || stamp != digest.stamp {
                 let mut filter = BloomFilter::with_rate(cache.len().max(16), fp_rate);
-                for entry in cache.iter() {
+                // lint:allow(map-iter) -- a Bloom filter's bits do not depend on insertion order
+                for entry in cache.iter_unordered() {
                     filter.insert(entry.doc);
                 }
                 digest.filter = filter;
@@ -755,6 +762,38 @@ mod tests {
         assert_eq!(stats.digest_refreshes, 4 * 3 * 2);
         let wire = BloomFilter::with_rate(16, fp_rate).wire_bytes();
         assert_eq!(stats.digest_bytes, stats.digest_refreshes * wire);
+    }
+
+    #[test]
+    fn digests_and_unique_docs_ignore_insertion_order() {
+        use coopcache_types::DurationMs;
+        let digest = Discovery::Digest {
+            refresh_every: DurationMs::from_millis(10),
+            fp_rate: 0.001,
+        };
+        let mut forward = ad_hoc_group(2, digest);
+        let mut backward = ad_hoc_group(2, digest);
+        for i in 0..5u64 {
+            forward.handle_request(c(0), d(1 + i), kb(1), t(i));
+            backward.handle_request(c(0), d(5 - i), kb(1), t(i));
+        }
+        let walk = |g: &DistributedGroup| -> Vec<DocId> {
+            g.node(c(0))
+                .cache()
+                .iter_unordered()
+                .map(|e| e.doc)
+                .collect()
+        };
+        assert_ne!(walk(&forward), walk(&backward), "the arenas differ");
+        // Past the period, the next request rebuilds both caches' digests.
+        forward.handle_request(c(1), d(9), kb(1), t(20));
+        backward.handle_request(c(1), d(9), kb(1), t(20));
+        assert!(forward.digests[0].filter.contains(d(3)));
+        for (a, b) in forward.digests.iter().zip(&backward.digests) {
+            assert_eq!(a.filter, b.filter);
+        }
+        assert_eq!(forward.unique_cached_docs(), 6);
+        assert_eq!(backward.unique_cached_docs(), 6);
     }
 
     #[test]

@@ -284,7 +284,7 @@ mod tests {
         use std::collections::HashMap;
         let mut copies: HashMap<DocId, usize> = HashMap::new();
         for idx in 0..4u16 {
-            for e in g.node(CacheId::new(idx)).cache().iter() {
+            for e in g.node(CacheId::new(idx)).cache().iter_unordered() {
                 *copies.entry(e.doc).or_default() += 1;
             }
         }
@@ -300,7 +300,7 @@ mod tests {
         }
         for idx in 0..3u16 {
             let id = CacheId::new(idx);
-            for e in g.node(id).cache().iter() {
+            for e in g.node(id).cache().iter_unordered() {
                 assert_eq!(g.ring().home(e.doc), id, "doc {} strayed", e.doc);
             }
         }

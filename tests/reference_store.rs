@@ -500,7 +500,8 @@ fn replay(kind: PolicyKind, seed: u64, cases: u64) -> u64 {
                 "lifetime mean at {}",
                 at()
             );
-            let resident: Vec<CacheEntry> = cache.iter().copied().collect();
+            let mut resident: Vec<CacheEntry> = cache.iter_unordered().copied().collect();
+            resident.sort_unstable_by_key(|e| e.doc);
             assert_eq!(resident, model.entries(), "residents at {}", at());
             assert!(cache.check_invariants().is_ok(), "invariants at {}", at());
             let line = format!(
