@@ -9,9 +9,9 @@
 //! aggregates in **bounded memory**, whatever the run length:
 //!
 //! * a per-node table of [`Tally`]s capped at [`RollupConfig::max_nodes`]
-//!   entries (counters, hit split, log-bucketed latency digest); events for
-//!   nodes beyond the cap are tallied in one overflow counter instead of
-//!   growing the table;
+//!   entries (counters, hit split, log-bucketed latency digest), admitted
+//!   first-seen through a dense slot index; events for nodes beyond the
+//!   cap are tallied in one overflow counter instead of growing the table;
 //! * a ring of the last [`RollupConfig::max_windows`] non-empty window
 //!   summaries (requests, hits, stores, distinct-document estimate and
 //!   the derived duplication ratio); older summaries are dropped and
@@ -23,6 +23,13 @@
 //! Everything is integer or fixed-bucket state driven only by the
 //! observed events and the advancing clock, so same-seed runs produce
 //! byte-identical [`Rollup::to_json`] documents.
+//!
+//! The node table is a rollup's own fold ([`Rollup::observe`]) unless a
+//! caller already folds each node's events into a
+//! [`SeriesRecorder`](crate::SeriesRecorder): then the rollup does only
+//! its group-level work per event ([`Rollup::observe_group`]) and adopts
+//! the recorders' tallies when the run ends ([`Rollup::adopt_tally`]), so
+//! each event is folded once per node. The DES health tap works this way.
 
 use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
 use crate::json::JsonWriter;
@@ -30,10 +37,13 @@ use crate::sample::splitmix64;
 use crate::sink::EventSink;
 use crate::tally::Tally;
 use coopcache_types::CacheId;
-use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Bits in the per-window distinct-document sketch.
 const SKETCH_BITS: u64 = 1_024;
+
+/// A node id the table has not admitted. Node ids are `u16`, so every
+/// slot index stays below it.
+const UNSEEN: u32 = u32::MAX;
 
 /// Bounds and cadence of a [`Rollup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +160,11 @@ impl OpenWindow {
 #[derive(Debug, Clone)]
 pub struct Rollup {
     config: RollupConfig,
-    nodes: BTreeMap<u16, Tally>,
+    /// Each node id's index into `nodes`, [`UNSEEN`] until admitted; only
+    /// as long as the largest admitted id.
+    slots: Vec<u32>,
+    /// Per-node tallies in admission (first-seen) order.
+    nodes: Vec<Tally>,
     /// Events billed to nodes beyond the `max_nodes` cap.
     overflow_events: u64,
     current: OpenWindow,
@@ -173,7 +187,8 @@ impl Rollup {
         };
         Self {
             config,
-            nodes: BTreeMap::new(),
+            slots: Vec::new(),
+            nodes: Vec::new(),
             overflow_events: 0,
             current: OpenWindow::new(0),
             windows: Vec::new(),
@@ -217,7 +232,8 @@ impl Rollup {
     /// all zero for untracked nodes.
     #[must_use]
     pub fn node_split(&self, cache: CacheId) -> (u64, u64, u64) {
-        self.nodes.get(&cache.as_u16()).map_or((0, 0, 0), |node| {
+        self.slot(cache).map_or((0, 0, 0), |slot| {
+            let node = &self.nodes[slot];
             let (local, remote, _) = node.request_split();
             (node.count(EventKind::Request), local, remote)
         })
@@ -260,22 +276,76 @@ impl Rollup {
     }
 
     /// Folds one event in (at the current window clock): bills it to its
-    /// node (one table probe) and, for a completed request, to the open
+    /// node (one slot lookup) and, for a completed request, to the open
     /// window.
     pub fn observe(&mut self, event: &Event) {
-        let Some(cache) = crate::series::event_cache(event) else {
-            return; // group-wide events carry no node to bill
-        };
-        let tracked = self.nodes.len();
-        match self.nodes.entry(cache.as_u16()) {
-            Entry::Occupied(slot) => slot.into_mut().observe(event),
-            Entry::Vacant(slot) if tracked < self.config.max_nodes => {
-                slot.insert(Tally::new()).observe(event);
-            }
-            Entry::Vacant(_) => self.overflow_events += 1,
+        if let Some(slot) = self.admit(event) {
+            self.nodes[slot].observe(event);
         }
-        // Window accounting is group-level and unaffected by the node
-        // cap — a capped table must not bias the duplication estimate.
+        self.observe_window(event);
+    }
+
+    /// The group-level half of [`Self::observe`]: node admission, the
+    /// overflow count and the window, but no per-node fold. For a caller
+    /// that folds each node's events elsewhere and hands the tallies over
+    /// with [`Self::adopt_tally`]; until then admitted nodes read zero.
+    /// Inlined: the DES tap, in another crate, calls it once per event.
+    #[inline]
+    pub fn observe_group(&mut self, event: &Event) {
+        let _ = self.admit(event);
+        self.observe_window(event);
+    }
+
+    /// Makes `tally` the node's entry in the table, when the node was
+    /// admitted; the cap's overflow nodes are left out. `tally` must have
+    /// folded exactly the events billed to `cache`, as the
+    /// [`SeriesRecorder`](crate::SeriesRecorder) beside an
+    /// [`Self::observe_group`] fold has.
+    pub fn adopt_tally(&mut self, cache: CacheId, tally: &Tally) {
+        if let Some(slot) = self.slot(cache) {
+            self.nodes[slot].clone_from(tally);
+        }
+    }
+
+    /// The table slot of an admitted node.
+    #[inline]
+    fn slot(&self, cache: CacheId) -> Option<usize> {
+        match self.slots.get(cache.index()) {
+            Some(&slot) if slot != UNSEEN => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    /// The table slot of the node `event` is billed to, admitting the
+    /// node on first sight while the table has room. `None` for
+    /// group-wide events and for nodes beyond the cap, whose events
+    /// count into `overflow_events` instead.
+    #[inline]
+    fn admit(&mut self, event: &Event) -> Option<usize> {
+        // Group-wide events carry no node to bill.
+        let cache = crate::series::event_cache(event)?;
+        if let Some(slot) = self.slot(cache) {
+            return Some(slot);
+        }
+        if self.nodes.len() >= self.config.max_nodes {
+            self.overflow_events += 1;
+            return None;
+        }
+        let id = cache.index();
+        if id >= self.slots.len() {
+            self.slots.resize(id + 1, UNSEEN);
+        }
+        let slot = self.nodes.len();
+        self.slots[id] = slot as u32;
+        self.nodes.push(Tally::new());
+        Some(slot)
+    }
+
+    /// Bills a completed request to the open window and the totals.
+    /// Window accounting is group-level and unaffected by the node cap —
+    /// a capped table must not bias the duplication estimate.
+    #[inline]
+    fn observe_window(&mut self, event: &Event) {
         if let Event::Request {
             doc, class, stored, ..
         } = event
@@ -310,10 +380,15 @@ impl Rollup {
         w.u64(snapshot.config.max_windows as u64);
         w.key("nodes");
         w.begin_array();
-        for (cache, node) in &snapshot.nodes {
+        // Ascending cache order: the slot index is keyed by node id.
+        for (cache, &slot) in snapshot.slots.iter().enumerate() {
+            if slot == UNSEEN {
+                continue;
+            }
+            let node = &snapshot.nodes[slot as usize];
             w.begin_object();
             w.key("cache");
-            w.u64(u64::from(*cache));
+            w.u64(cache as u64);
             w.key("counters");
             w.begin_object();
             for kind in EVENT_KINDS {
@@ -408,6 +483,36 @@ mod tests {
         assert_eq!(rollup.overflow_events(), 6);
         // Overflowed nodes still count into the group window.
         assert_eq!(rollup.totals().0, 10);
+    }
+
+    /// The shared fold: group-level work here, node tallies kept apart
+    /// and adopted at the end, gives the same document as the full fold,
+    /// first-seen admission and overflow included.
+    #[test]
+    fn adopted_tallies_equal_the_full_fold() {
+        let config = RollupConfig {
+            window_ms: 100,
+            max_nodes: 2,
+            max_windows: 8,
+        };
+        let mut full = Rollup::new(config);
+        let mut group = Rollup::new(config);
+        let mut tallies = vec![Tally::new(); 8];
+        for (i, cache) in [5u16, 2, 5, 7, 0, 2, 7, 5].into_iter().enumerate() {
+            let class = [RequestClass::Miss, RequestClass::LocalHit][i % 2];
+            let event = request(cache, i as u64 % 3, class, i % 3 == 0);
+            full.observe(&event);
+            group.observe_group(&event);
+            tallies[usize::from(cache)].observe(&event);
+            full.advance(i as u64 * 60);
+            group.advance(i as u64 * 60);
+        }
+        for (cache, tally) in tallies.iter().enumerate() {
+            group.adopt_tally(CacheId::new(cache as u16), tally);
+        }
+        assert_eq!((group.node_count(), group.overflow_events()), (2, 3));
+        assert_eq!(group.node_split(CacheId::new(7)), (0, 0, 0));
+        assert_eq!(group.to_json(), full.to_json());
     }
 
     #[test]

@@ -314,7 +314,9 @@ impl SeriesRecorder {
         self.ring.cache()
     }
 
-    /// Folds one event into the tally the next sample reads.
+    /// Folds one event into the tally the next sample reads. Inlined:
+    /// the DES tap, in another crate, calls it once per event.
+    #[inline]
     pub fn observe(&mut self, event: &Event) {
         self.tally.observe(event);
     }
@@ -365,6 +367,12 @@ impl SeriesRecorder {
         self.next_t_ms
     }
 
+    /// The tally the samples read: every event folded in so far.
+    #[must_use]
+    pub const fn tally(&self) -> &Tally {
+        &self.tally
+    }
+
     /// The ring recorded so far.
     #[must_use]
     pub fn ring(&self) -> &SeriesRing {
@@ -382,6 +390,7 @@ impl SeriesRecorder {
 /// cache for most kinds, the querier for ICP traffic, `None` for the
 /// synchronous runner's group-wide window rollovers.
 #[must_use]
+#[inline]
 pub fn event_cache(event: &Event) -> Option<CacheId> {
     match event {
         Event::Request { cache, .. }

@@ -6,7 +6,9 @@
 //! eviction-age histograms. Every aggregate in this crate is built from
 //! it: a `Tally` is itself the in-process run summary (it is an
 //! [`EventSink`]), each [`SeriesRecorder`](crate::SeriesRecorder)
-//! samples one, and a [`Rollup`](crate::Rollup) keeps one per node.
+//! samples one, and a [`Rollup`](crate::Rollup) keeps one per node. In a
+//! DES health run the rollup's are the recorders' own, adopted when the
+//! run ends, so each event is folded once per node.
 
 use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
 use crate::histogram::{Histogram, HistogramSnapshot};

@@ -313,7 +313,9 @@ impl<'t> EventQueue<'t> {
 ///
 /// The recorders, alert engines and rollup fold every event inline; the
 /// caller's sink is fed through a [`SinkOffload`], which filters on this
-/// thread and delivers on a worker.
+/// thread and delivers on a worker. Each event is folded once per node:
+/// beside recorders the rollup does only its group-level work and adopts
+/// the recorders' tallies when the run ends ([`Self::finish`]).
 struct SeriesTap {
     inner: Option<SinkOffload>,
     recorders: Vec<SeriesRecorder>,
@@ -329,15 +331,17 @@ struct SeriesTap {
 
 impl EventSink for SeriesTap {
     fn emit(&mut self, event: &Event) {
-        if !self.recorders.is_empty() {
-            if let Some(cache) = event_cache(event) {
-                if let Some(rec) = self.recorders.get_mut(cache.index()) {
-                    rec.observe(event);
-                }
+        // One fold per node: the recorder's where there is one, else the
+        // rollup's own.
+        let recorder = event_cache(event).and_then(|cache| self.recorders.get_mut(cache.index()));
+        match (recorder, &mut self.rollup) {
+            (Some(rec), Some(rollup)) => {
+                rec.observe(event);
+                rollup.observe_group(event);
             }
-        }
-        if let Some(rollup) = &mut self.rollup {
-            rollup.observe(event);
+            (Some(rec), None) => rec.observe(event),
+            (None, Some(rollup)) => rollup.observe(event),
+            (None, None) => {}
         }
         if let Some(inner) = &mut self.inner {
             inner.emit(event);
@@ -407,6 +411,28 @@ impl SeriesTap {
         }
         self.next_due_ms()
     }
+
+    /// Flushes the sample boundaries up to `end` and hands the health
+    /// plane's output back, the rollup's node table adopted from the
+    /// recorders that folded it.
+    fn finish(&mut self, group: &DistributedGroup, end: Timestamp) -> HealthReport {
+        self.advance(group, end);
+        let mut rollup = self.rollup.take();
+        if let Some(rollup) = &mut rollup {
+            for rec in &self.recorders {
+                rollup.adopt_tally(rec.cache(), rec.tally());
+            }
+        }
+        HealthReport {
+            rings: self
+                .recorders
+                .drain(..)
+                .map(SeriesRecorder::into_ring)
+                .collect(),
+            alerts: std::mem::take(&mut self.alerts),
+            rollup,
+        }
+    }
 }
 
 /// Runs the discrete-event simulation of a distributed group.
@@ -455,7 +481,9 @@ pub struct HealthConfig {
     /// Each state transition becomes an [`Event::Alert`].
     pub rules: Vec<AlertRule>,
     /// When set, an online [`Rollup`] aggregates the full event stream
-    /// in bounded memory alongside the rings.
+    /// in bounded memory alongside the rings. It keeps no per-node tally
+    /// of its own: it adopts each node's series recorder tally when the
+    /// run ends, so an event is folded once per node.
     pub rollup: Option<RollupConfig>,
 }
 
@@ -862,17 +890,7 @@ fn simulate(
     let (health, sink) = tap.map_or_else(Default::default, |tap| {
         let mut guard = lock_tap(&tap);
         let tap = &mut *guard;
-        tap.advance(&group, end_time);
-        let health = HealthReport {
-            rings: tap
-                .recorders
-                .drain(..)
-                .map(SeriesRecorder::into_ring)
-                .collect(),
-            alerts: std::mem::take(&mut tap.alerts),
-            rollup: tap.rollup.take(),
-        };
-        (health, tap.inner.take())
+        (tap.finish(&group, end_time), tap.inner.take())
     });
     // Ships the last batch and closes the worker's channel, outside the
     // tap guard: shipping blocks while the worker's queue is full.
@@ -1090,6 +1108,52 @@ mod tests {
             RollupConfig::default(),
         );
         assert_eq!(rollup.to_json(), again.to_json());
+    }
+
+    /// The health run's rollup adopts its node table from the recorders;
+    /// a standalone rollup fed the same unsampled stream as the caller's
+    /// sink folds its own. Both must agree on every node-level figure,
+    /// under the cap and over it. (Windows may differ: the standalone
+    /// rollup self-clocks from span ends.)
+    #[test]
+    fn des_health_rollup_equals_a_standalone_rollup() {
+        let t = generate(&TraceProfile::small().with_requests(2_000)).unwrap();
+        let group = cfg(500).with_group_size(6);
+        let n = group.group_size;
+        for max_nodes in [256, 4] {
+            let config = RollupConfig {
+                window_ms: 60_000,
+                max_nodes,
+                max_windows: 8,
+            };
+            let standalone = Arc::new(Mutex::new(Rollup::new(config)));
+            let health = HealthConfig {
+                interval_ms: 60_000,
+                capacity: 8,
+                rules: vec![AlertRule::hit_rate_floor(1_001, 2)],
+                rollup: Some(config),
+            };
+            let sink = SinkHandle::from_arc(Arc::clone(&standalone));
+            let (report, health) =
+                run_des_with_health(&group, &NetworkModel::default(), &t, Some(sink), health);
+            let tapped = health.rollup.unwrap();
+            let standalone = standalone.lock().unwrap();
+            assert!(!health.alerts.is_empty(), "alerts are billed to nodes too");
+            assert_eq!(tapped.node_count(), standalone.node_count());
+            assert_eq!(tapped.overflow_events(), standalone.overflow_events());
+            assert_eq!(tapped.totals(), standalone.totals());
+            for c in 0..n {
+                let cache = CacheId::new(c);
+                assert_eq!(tapped.node_split(cache), standalone.node_split(cache));
+            }
+            if max_nodes < usize::from(n) {
+                assert_eq!(tapped.node_count(), max_nodes);
+                assert!(tapped.overflow_events() > 0);
+            } else {
+                let requests: u64 = (0..n).map(|c| tapped.node_split(CacheId::new(c)).0).sum();
+                assert_eq!(requests, report.metrics.requests);
+            }
+        }
     }
 
     #[test]

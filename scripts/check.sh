@@ -64,6 +64,12 @@ fi
 # block, store invariants and used <= capacity; live-coop / live-pipelined
 # check origin fetches = origin outcomes, per-daemon store invariants and
 # that no request failed (live-pipelined also requires connection reuse).
+# Building coopbench rewrites benchmark/Cargo.lock (it drops a stale
+# dependency line); the committed file is put back on exit, failure
+# included, so the gate leaves the tree as it found it.
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 echo "== coopbench (all six workloads, 1 s each; their checks gate)"
 for workload in sim-sync des-health store-churn store-read live-coop live-pipelined; do
   echo "   $workload"

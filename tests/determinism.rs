@@ -618,6 +618,54 @@ fn des_output_bytes_match_the_pinned_streams() {
     );
 }
 
+/// A health run over more nodes than the rollup's cap: twelve nodes, a
+/// four-node table. The first four nodes to emit are admitted and every
+/// other node's events bill to `overflow_events`, beside the rings, an
+/// alert rule and a sampled sink. Pinned at commit `62cd21c`, when the
+/// rollup still folded its own per-node tallies beside the recorders'.
+#[test]
+fn des_capped_health_rollup_matches_the_pins() {
+    use coopcache::obs::{AlertRule, RollupConfig, SamplerConfig, SeriesRing};
+    use coopcache::sim::{run_des_with_health, HealthConfig};
+    let trace = generate(&TraceProfile::small().with_requests(2_000)).unwrap();
+    let net = NetworkModel::paper_calibrated();
+    let cfg = SimConfig::new(ByteSize::from_kb(100)).with_group_size(12);
+    let health = HealthConfig {
+        interval_ms: 60_000,
+        capacity: 64,
+        rules: vec![AlertRule::hit_rate_floor(1_001, 2)],
+        rollup: Some(RollupConfig {
+            window_ms: 60_000,
+            max_nodes: 4,
+            max_windows: 8,
+        }),
+    };
+    let sampler = SamplerConfig::new(0xC0FFEE, 100);
+    let sink = SinkHandle::new(JsonlSink::new(std::io::sink())).sampled(Some(sampler));
+    let (report, health) = run_des_with_health(&cfg, &net, &trace, Some(sink), health);
+    let rollup = health.rollup.as_ref().expect("a rollup was configured");
+    assert_eq!(health.rings.len(), 12);
+    assert_eq!(rollup.node_count(), 4);
+    assert!(rollup.overflow_events() > 0, "eight nodes bill to overflow");
+    assert_eq!(rollup.totals().0, report.metrics.requests);
+    assert!(
+        !health.alerts.is_empty(),
+        "the unsatisfiable floor must fire"
+    );
+    let join = |lines: Vec<String>| fnv1a(lines.join("\n").as_bytes());
+    let rings = join(health.rings.iter().map(SeriesRing::to_json).collect());
+    let alerts = join(health.alerts.iter().map(Event::to_json).collect());
+    assert_eq!(
+        [rings, alerts, fnv1a(rollup.to_json().as_bytes())].map(|h| format!("{h:#018x}")),
+        [
+            "0x57891c0070b68b98",
+            "0xa873b997d7534a01",
+            "0x4f52fc3eb47058fa"
+        ],
+        "series rings, alert lines, rollup JSON"
+    );
+}
+
 /// The event summary `simulate --event-summary` prints, fed one DES run
 /// and pinned at commit `14b1977` (when this fold had its own sink type).
 #[test]
