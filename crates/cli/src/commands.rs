@@ -809,6 +809,49 @@ mod tests {
         std::fs::remove_file(&path2).unwrap();
     }
 
+    /// A replay samples on span end times, so a stream that never reaches
+    /// the first boundary is a named error, not a dashboard of idle
+    /// nodes: a `simulate --events` stream (no spans at all) and one whose
+    /// spans end short of `--interval-ms`.
+    #[test]
+    fn status_replay_names_a_stream_without_samples() {
+        use coopcache_obs::{Span, SpanKind};
+        let dir = std::env::temp_dir().join("coopcache_cli_replay_spanless");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("simulate.jsonl");
+        let path_s = path.to_str().unwrap();
+        run_cmd(&["simulate", "--profile", "small", "--events", path_s]).unwrap();
+        let err = run_cmd(&["status", "--replay", path_s]).unwrap_err().0;
+        assert!(err.contains("carries no span times"), "{err}");
+        assert!(err.contains("simulate --events"), "{err}");
+
+        let short = dir.join("short.jsonl");
+        let span = Event::Span(Span {
+            trace_id: 1,
+            span_id: 1,
+            parent: None,
+            cache: CacheId::new(0),
+            kind: SpanKind::Request,
+            doc: None,
+            peer: None,
+            start_us: 0,
+            end_us: 5_000,
+            status: "miss",
+        });
+        std::fs::write(&short, span.to_json() + "\n").unwrap();
+        let short_s = short.to_str().unwrap();
+        let err = run_cmd(&["status", "--replay", short_s, "--interval-ms", "1000"])
+            .unwrap_err()
+            .0;
+        assert!(err.contains("last span ends at 5 ms"), "{err}");
+        assert!(err.contains("(1000 ms)"), "{err}");
+        // Past the first boundary the same stream replays.
+        let text = run_cmd(&["status", "--replay", short_s, "--interval-ms", "5"]).unwrap();
+        assert!(text.contains("over 1/1 node(s)"), "{text}");
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&short).unwrap();
+    }
+
     #[test]
     fn sweep_outputs_five_rows() {
         let text = run_cmd(&["sweep", "--profile", "small"]).unwrap();

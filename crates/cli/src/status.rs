@@ -269,9 +269,25 @@ impl Source {
                 replayer
                     .observe_jsonl(&text)
                     .map_err(|e| ArgError(format!("{path}: {e}")))?;
+                let clock_ms = replayer.clock_ms();
                 let rings = replayer.finish();
                 if rings.is_empty() {
                     return Err(ArgError(format!("no node events in {path}")));
+                }
+                // The replay samples on span end times: a stream that
+                // never reaches the first boundary has nothing to show.
+                if rings.iter().all(SeriesRing::is_empty) {
+                    return Err(ArgError(if clock_ms == 0 {
+                        format!(
+                            "{path} carries no span times: the replay samples on span end times \
+                             (`simulate --events` stamps none; `serve --events` does)"
+                        )
+                    } else {
+                        format!(
+                            "{path}: the last span ends at {clock_ms} ms, before the first \
+                             --interval-ms boundary ({interval_ms} ms): no sample to show"
+                        )
+                    }));
                 }
                 Ok(rings
                     .into_iter()

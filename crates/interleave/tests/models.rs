@@ -901,8 +901,8 @@ fn ship(thread: MockThread<OffloadModel>, id: u64) -> MockThread<OffloadModel> {
 }
 
 /// The simulation thread: each full batch is shipped from inside the
-/// tap guard, as `SeriesTap::emit` does once it has folded the event
-/// into its node's one tally (the recorder's, else the rollup's).
+/// tap guard, as `SeriesTap::emit` does once its `HealthFold` has folded
+/// the event into its node's one tally (the node's, else the rollup's).
 fn offload_producer() -> MockThread<OffloadModel> {
     let mut producer = MockThread::new("producer");
     for id in 0..FULL_BATCHES {

@@ -40,7 +40,10 @@
 //!   JSONL for large sweeps;
 //! * [`AlertEngine`] — declarative SLO rules ([`AlertRule`]) evaluated
 //!   over series points, firing [`Event::Alert`] on threshold/burn-rate
-//!   transitions under wall *or* virtual clocks.
+//!   transitions under wall *or* virtual clocks;
+//! * [`HealthFold`] — the per-node health fold (series rings, SLO
+//!   engines, an optional rollup, one fold per node) behind both the DES
+//!   health tap and the offline [`SeriesReplayer`].
 //!
 //! [`DistributedGroup`]: https://docs.rs/coopcache-proxy
 //!
@@ -68,6 +71,7 @@
 mod alert;
 mod assemble;
 mod event;
+mod health;
 mod histogram;
 mod json;
 mod rollup;
@@ -84,13 +88,14 @@ pub use event::{
     age_to_ms, Event, EventKind, EvictionCause, FaultOp, PlacementRole, RequestClass, ServerLoop,
     EVENT_KINDS,
 };
+pub use health::{HealthConfig, HealthFold, HealthReport};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{escape_into, parse_json, JsonParseError, JsonValue, JsonWriter};
 pub use rollup::{Rollup, RollupConfig, WindowSummary};
 pub use sample::{splitmix64, SamplerConfig};
 pub use series::{
-    aggregate_points, event_cache, render_top, SeriesGauges, SeriesPoint, SeriesRecorder,
-    SeriesReplayer, SeriesRing, DEFAULT_SERIES_CAPACITY,
+    aggregate_points, render_top, SeriesGauges, SeriesPoint, SeriesReplayer, SeriesRing,
+    DEFAULT_SERIES_CAPACITY,
 };
 pub use sink::{
     mute_request_scoped, request_scoped_muted, EventSink, JsonlSink, RequestMuteGuard,

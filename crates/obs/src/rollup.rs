@@ -9,8 +9,8 @@
 //! aggregates in **bounded memory**, whatever the run length:
 //!
 //! * a per-node table of [`Tally`]s capped at [`RollupConfig::max_nodes`]
-//!   entries (counters, hit split, log-bucketed latency digest), admitted
-//!   first-seen through a dense slot index; events for nodes beyond the
+//!   entries (counters, hit split, log-bucketed latency digest), indexed
+//!   by node id and admitted first-seen; events for nodes beyond the
 //!   cap are tallied in one overflow counter instead of growing the table;
 //! * a ring of the last [`RollupConfig::max_windows`] non-empty window
 //!   summaries (requests, hits, stores, distinct-document estimate and
@@ -24,12 +24,11 @@
 //! observed events and the advancing clock, so same-seed runs produce
 //! byte-identical [`Rollup::to_json`] documents.
 //!
-//! The node table is a rollup's own fold ([`Rollup::observe`]) unless a
-//! caller already folds each node's events into a
-//! [`SeriesRecorder`](crate::SeriesRecorder): then the rollup does only
-//! its group-level work per event ([`Rollup::observe_group`]) and adopts
-//! the recorders' tallies when the run ends ([`Rollup::adopt_tally`]), so
-//! each event is folded once per node. The DES health tap works this way.
+//! The node table is a rollup's own fold ([`Rollup::observe`]) unless it
+//! rides in a [`HealthFold`](crate::HealthFold) beside the fold's own
+//! per-node tallies: then it does only its group-level work per event
+//! and adopts those tallies when the fold finishes, so each event is
+//! folded once per node.
 
 use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
 use crate::json::JsonWriter;
@@ -40,10 +39,6 @@ use coopcache_types::CacheId;
 
 /// Bits in the per-window distinct-document sketch.
 const SKETCH_BITS: u64 = 1_024;
-
-/// A node id the table has not admitted. Node ids are `u16`, so every
-/// slot index stays below it.
-const UNSEEN: u32 = u32::MAX;
 
 /// Bounds and cadence of a [`Rollup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +155,11 @@ impl OpenWindow {
 #[derive(Debug, Clone)]
 pub struct Rollup {
     config: RollupConfig,
-    /// Each node id's index into `nodes`, [`UNSEEN`] until admitted; only
+    /// Per-node tallies indexed by node id, `None` until admitted; only
     /// as long as the largest admitted id.
-    slots: Vec<u32>,
-    /// Per-node tallies in admission (first-seen) order.
-    nodes: Vec<Tally>,
+    nodes: Vec<Option<Box<Tally>>>,
+    /// Nodes admitted so far (≤ `max_nodes`).
+    admitted: usize,
     /// Events billed to nodes beyond the `max_nodes` cap.
     overflow_events: u64,
     current: OpenWindow,
@@ -173,7 +168,6 @@ pub struct Rollup {
     /// Cumulative `(requests, hits, stores)` — kept apart from the
     /// window ring so summaries it drops do not take their counts along.
     totals: (u64, u64, u64),
-    now_ms: u64,
 }
 
 impl Rollup {
@@ -187,14 +181,13 @@ impl Rollup {
         };
         Self {
             config,
-            slots: Vec::new(),
             nodes: Vec::new(),
+            admitted: 0,
             overflow_events: 0,
             current: OpenWindow::new(0),
             windows: Vec::new(),
             windows_dropped: 0,
             totals: (0, 0, 0),
-            now_ms: 0,
         }
     }
 
@@ -206,8 +199,8 @@ impl Rollup {
 
     /// Nodes currently tracked (≤ `max_nodes`).
     #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    pub const fn node_count(&self) -> usize {
+        self.admitted
     }
 
     /// Events billed to nodes beyond the cardinality cap.
@@ -232,8 +225,8 @@ impl Rollup {
     /// all zero for untracked nodes.
     #[must_use]
     pub fn node_split(&self, cache: CacheId) -> (u64, u64, u64) {
-        self.slot(cache).map_or((0, 0, 0), |slot| {
-            let node = &self.nodes[slot];
+        let node = self.nodes.get(cache.index()).and_then(Option::as_deref);
+        node.map_or((0, 0, 0), |node| {
             let (local, remote, _) = node.request_split();
             (node.count(EventKind::Request), local, remote)
         })
@@ -248,12 +241,9 @@ impl Rollup {
 
     /// Advances the window clock to `now_ms`, closing the open window
     /// when a boundary was crossed. Non-empty windows are summarised
-    /// into the bounded ring; runs of empty windows are skipped in O(1).
+    /// into the bounded ring; runs of empty windows are skipped in O(1),
+    /// and a clock that steps back crosses nothing.
     pub fn advance(&mut self, now_ms: u64) {
-        if now_ms <= self.now_ms {
-            return;
-        }
-        self.now_ms = now_ms;
         let target = now_ms / self.config.window_ms;
         if target > self.current.index {
             if !self.current.is_empty() {
@@ -276,11 +266,11 @@ impl Rollup {
     }
 
     /// Folds one event in (at the current window clock): bills it to its
-    /// node (one slot lookup) and, for a completed request, to the open
-    /// window.
+    /// node (one indexed lookup) and, for a completed request, to the
+    /// open window.
     pub fn observe(&mut self, event: &Event) {
-        if let Some(slot) = self.admit(event) {
-            self.nodes[slot].observe(event);
+        if let Some(node) = self.admit(event) {
+            node.observe(event);
         }
         self.observe_window(event);
     }
@@ -289,56 +279,42 @@ impl Rollup {
     /// overflow count and the window, but no per-node fold. For a caller
     /// that folds each node's events elsewhere and hands the tallies over
     /// with [`Self::adopt_tally`]; until then admitted nodes read zero.
-    /// Inlined: the DES tap, in another crate, calls it once per event.
     #[inline]
-    pub fn observe_group(&mut self, event: &Event) {
+    pub(crate) fn observe_group(&mut self, event: &Event) {
         let _ = self.admit(event);
         self.observe_window(event);
     }
 
     /// Makes `tally` the node's entry in the table, when the node was
     /// admitted; the cap's overflow nodes are left out. `tally` must have
-    /// folded exactly the events billed to `cache`, as the
-    /// [`SeriesRecorder`](crate::SeriesRecorder) beside an
-    /// [`Self::observe_group`] fold has.
-    pub fn adopt_tally(&mut self, cache: CacheId, tally: &Tally) {
-        if let Some(slot) = self.slot(cache) {
-            self.nodes[slot].clone_from(tally);
+    /// folded exactly the events billed to `cache`, as a health fold's
+    /// node beside an [`Self::observe_group`] fold has.
+    pub(crate) fn adopt_tally(&mut self, cache: CacheId, tally: &Tally) {
+        if let Some(Some(node)) = self.nodes.get_mut(cache.index()) {
+            (**node).clone_from(tally);
         }
     }
 
-    /// The table slot of an admitted node.
+    /// The tally of the node `event` is billed to, admitting the node on
+    /// first sight while the table has room. `None` for group-wide
+    /// events and for nodes beyond the cap, whose events count into
+    /// `overflow_events` instead.
     #[inline]
-    fn slot(&self, cache: CacheId) -> Option<usize> {
-        match self.slots.get(cache.index()) {
-            Some(&slot) if slot != UNSEEN => Some(slot as usize),
-            _ => None,
-        }
-    }
-
-    /// The table slot of the node `event` is billed to, admitting the
-    /// node on first sight while the table has room. `None` for
-    /// group-wide events and for nodes beyond the cap, whose events
-    /// count into `overflow_events` instead.
-    #[inline]
-    fn admit(&mut self, event: &Event) -> Option<usize> {
+    fn admit(&mut self, event: &Event) -> Option<&mut Tally> {
         // Group-wide events carry no node to bill.
-        let cache = crate::series::event_cache(event)?;
-        if let Some(slot) = self.slot(cache) {
-            return Some(slot);
+        let id = crate::health::event_cache(event)?.index();
+        if self.nodes.get(id).is_none_or(Option::is_none) {
+            if self.admitted >= self.config.max_nodes {
+                self.overflow_events += 1;
+                return None;
+            }
+            if id >= self.nodes.len() {
+                self.nodes.resize_with(id + 1, || None);
+            }
+            self.nodes[id] = Some(Box::default());
+            self.admitted += 1;
         }
-        if self.nodes.len() >= self.config.max_nodes {
-            self.overflow_events += 1;
-            return None;
-        }
-        let id = cache.index();
-        if id >= self.slots.len() {
-            self.slots.resize(id + 1, UNSEEN);
-        }
-        let slot = self.nodes.len();
-        self.slots[id] = slot as u32;
-        self.nodes.push(Tally::new());
-        Some(slot)
+        self.nodes[id].as_deref_mut()
     }
 
     /// Bills a completed request to the open window and the totals.
@@ -380,12 +356,9 @@ impl Rollup {
         w.u64(snapshot.config.max_windows as u64);
         w.key("nodes");
         w.begin_array();
-        // Ascending cache order: the slot index is keyed by node id.
-        for (cache, &slot) in snapshot.slots.iter().enumerate() {
-            if slot == UNSEEN {
-                continue;
-            }
-            let node = &snapshot.nodes[slot as usize];
+        // Ascending cache order: the table is indexed by node id.
+        for (cache, node) in snapshot.nodes.iter().enumerate() {
+            let Some(node) = node else { continue };
             w.begin_object();
             w.key("cache");
             w.u64(cache as u64);

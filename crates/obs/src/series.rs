@@ -1,25 +1,27 @@
 //! Fixed-capacity time series over the live stats plane.
 //!
 //! The [`StatsRegistry`](crate::StatsRegistry) answers "what are the
-//! counters *now*"; this module records how they *evolve*. A
-//! [`SeriesRecorder`] folds events into a [`Tally`], and emits one
-//! [`SeriesPoint`] per elapsed sampling interval into a [`SeriesRing`] — a bounded ring buffer whose JSON
-//! form is the `OP_SERIES` wire body. Points carry cumulative counters
-//! (rates are derived from deltas at render time), the cumulative
+//! counters *now*"; this module records how they *evolve*: a
+//! [`SeriesPoint`] per elapsed sampling interval, held in a
+//! [`SeriesRing`] — a bounded ring buffer whose JSON form is the
+//! `OP_SERIES` wire body. Points carry cumulative counters (rates are
+//! derived from deltas at render time), the hit split, the cumulative
 //! latency snapshot, cache occupancy, the live expiration age (paper
 //! eq. 5) and the quarantine count.
 //!
-//! Determinism contract: a recorder is a pure function of the
-//! `(time, event)` stream it observes. The DES drives it with simulated
-//! time and the [`SeriesReplayer`] with span timestamps read back from
-//! a JSONL file, so both produce byte-identical series for the same
-//! seed; only the live daemons' wall-clock sampler threads are
-//! nondeterministic, and they use the same point format.
+//! The rings are filled by a [`HealthFold`](crate::HealthFold), which
+//! samples each node's [`Tally`](crate::Tally) at interval boundaries.
+//! The DES drives it with simulated time and the [`SeriesReplayer`] —
+//! this module's JSONL front end over the fold — with span timestamps
+//! read back from a file: the fold is a pure function of the
+//! `(time, event)` stream it observes, so both give byte-identical
+//! series for the same seed. A live daemon lands one point per
+//! `OP_SERIES` probe at wall-clock time, in the same point format.
 
-use crate::event::{Event, EventKind, EVENT_KINDS};
+use crate::event::{EventKind, EVENT_KINDS};
+use crate::health::{HealthConfig, HealthFold};
 use crate::histogram::HistogramSnapshot;
 use crate::json::{parse_json, JsonParseError, JsonValue, JsonWriter};
-use crate::tally::Tally;
 use coopcache_types::CacheId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -287,141 +289,19 @@ impl SeriesRing {
     }
 }
 
-/// Folds events into a [`Tally`] and emits interval-boundary samples
-/// into a ring.
-#[derive(Debug, Clone)]
-pub struct SeriesRecorder {
-    tally: Tally,
-    next_t_ms: u64,
-    ring: SeriesRing,
-}
-
-impl SeriesRecorder {
-    /// Creates a recorder whose first sample lands at `interval_ms`.
-    #[must_use]
-    pub fn new(cache: CacheId, interval_ms: u64, capacity: usize) -> Self {
-        let ring = SeriesRing::new(cache, interval_ms, capacity);
-        Self {
-            tally: Tally::new(),
-            next_t_ms: ring.interval_ms(),
-            ring,
-        }
-    }
-
-    /// The node this recorder samples.
-    #[must_use]
-    pub const fn cache(&self) -> CacheId {
-        self.ring.cache()
-    }
-
-    /// Folds one event into the tally the next sample reads. Inlined:
-    /// the DES tap, in another crate, calls it once per event.
-    #[inline]
-    pub fn observe(&mut self, event: &Event) {
-        self.tally.observe(event);
-    }
-
-    /// Advances the sampling clock to `now_ms`, emitting one point per
-    /// crossed interval boundary with the supplied gauge values. Pure in
-    /// its inputs: same event stream + same advance calls → the same
-    /// ring, byte for byte.
-    pub fn advance(&mut self, now_ms: u64, gauges: SeriesGauges) {
-        self.advance_with(now_ms, gauges, |_| {});
-    }
-
-    /// Like [`Self::advance`], invoking `visit` on each boundary point
-    /// before it lands in the ring — how drivers feed the same points
-    /// into an [`AlertEngine`](crate::AlertEngine) without re-reading
-    /// (and possibly missing, after eviction) ring contents.
-    pub fn advance_with(
-        &mut self,
-        now_ms: u64,
-        gauges: SeriesGauges,
-        mut visit: impl FnMut(&SeriesPoint),
-    ) {
-        while self.next_t_ms <= now_ms {
-            let (local_hits, remote_hits, _) = self.tally.request_split();
-            let point = SeriesPoint {
-                t_ms: self.next_t_ms,
-                counters: *self.tally.counts(),
-                local_hits,
-                remote_hits,
-                latency: self.tally.latency_snapshot(),
-                docs: gauges.docs,
-                used_bytes: gauges.used_bytes,
-                capacity_bytes: gauges.capacity_bytes,
-                expiration_age_ms: gauges.expiration_age_ms,
-                quarantined: gauges.quarantined,
-            };
-            visit(&point);
-            self.ring.push(point);
-            self.next_t_ms = self.next_t_ms.saturating_add(self.ring.interval_ms());
-        }
-    }
-
-    /// The time of the next sample boundary, in milliseconds. Callers
-    /// that must fetch gauge values before [`Self::advance`] can skip
-    /// the fetch while `now_ms` is still short of this.
-    #[must_use]
-    pub const fn next_sample_ms(&self) -> u64 {
-        self.next_t_ms
-    }
-
-    /// The tally the samples read: every event folded in so far.
-    #[must_use]
-    pub const fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// The ring recorded so far.
-    #[must_use]
-    pub fn ring(&self) -> &SeriesRing {
-        &self.ring
-    }
-
-    /// Consumes the recorder, returning its ring.
-    #[must_use]
-    pub fn into_ring(self) -> SeriesRing {
-        self.ring
-    }
-}
-
-/// The node an event is attributed to for series accounting: the acting
-/// cache for most kinds, the querier for ICP traffic, `None` for the
-/// synchronous runner's group-wide window rollovers.
-#[must_use]
-#[inline]
-pub fn event_cache(event: &Event) -> Option<CacheId> {
-    match event {
-        Event::Request { cache, .. }
-        | Event::Placement { cache, .. }
-        | Event::Eviction { cache, .. }
-        | Event::PeerFault { cache, .. }
-        | Event::Failover { cache, .. }
-        | Event::PeerQuarantined { cache, .. }
-        | Event::ServerLoopError { cache, .. }
-        | Event::ConnReused { cache, .. }
-        | Event::AdmissionShed { cache, .. }
-        | Event::Alert { cache, .. } => Some(*cache),
-        Event::IcpQuery { from, .. } | Event::IcpReply { from, .. } => Some(*from),
-        Event::Span(span) => Some(span.cache),
-        Event::WindowRollover { .. } => None,
-    }
-}
-
-/// Rebuilds per-node series offline from a JSONL event stream.
+/// Rebuilds per-node series offline from a JSONL event stream: a JSONL
+/// front end over a [`HealthFold`](crate::HealthFold).
 ///
 /// The replay clock is driven by span timestamps (`end_us`), the only
-/// absolute times an event stream carries; every recorder advances in
-/// lockstep whenever the clock moves, so rings from one file always
-/// align on `t_ms`. Gauges are not reconstructable from events and stay
-/// zero. Replaying the same bytes always yields the same rings.
+/// absolute times an event stream carries; a stream without spans never
+/// crosses a boundary. Every node advances in lockstep whenever the
+/// clock moves and a node first seen late is backfilled, so rings from
+/// one file always align on `t_ms`. Gauges are not reconstructable from
+/// events and stay zero. Replaying the same bytes always yields the same
+/// rings.
 #[derive(Debug)]
 pub struct SeriesReplayer {
-    interval_ms: u64,
-    capacity: usize,
-    now_ms: u64,
-    recorders: BTreeMap<u16, SeriesRecorder>,
+    fold: HealthFold,
 }
 
 impl SeriesReplayer {
@@ -429,11 +309,20 @@ impl SeriesReplayer {
     #[must_use]
     pub fn new(interval_ms: u64, capacity: usize) -> Self {
         Self {
-            interval_ms: interval_ms.max(1),
-            capacity,
-            now_ms: 0,
-            recorders: BTreeMap::new(),
+            fold: HealthFold::new(HealthConfig {
+                interval_ms,
+                capacity,
+                rules: Vec::new(),
+                rollup: None,
+            }),
         }
+    }
+
+    /// The replay clock: the latest span end seen, in milliseconds (0
+    /// before any span).
+    #[must_use]
+    pub const fn clock_ms(&self) -> u64 {
+        self.fold.now_ms()
     }
 
     /// Folds one JSONL event line in.
@@ -452,31 +341,20 @@ impl SeriesReplayer {
                 offset: 0,
                 what: "not a coopcache event line",
             })?;
-        if kind == EventKind::Span {
-            if let Some(end_us) = value.get("end_us").and_then(JsonValue::as_u64) {
-                let t = end_us / 1_000;
-                if t > self.now_ms {
-                    self.now_ms = t;
-                    for recorder in self.recorders.values_mut() {
-                        recorder.advance(t, SeriesGauges::default());
-                    }
-                }
-            }
+        let end_us = value.get("end_us").and_then(JsonValue::as_u64);
+        if let (EventKind::Span, Some(end_us)) = (kind, end_us) {
+            let _ = self
+                .fold
+                .advance(end_us / 1_000, |_| SeriesGauges::default());
         }
         let cache = ["cache", "from"]
             .iter()
             .find_map(|k| value.get(k).and_then(JsonValue::as_u64))
             .and_then(|c| u16::try_from(c).ok());
-        let Some(cache) = cache else {
-            return Ok(()); // group-wide events carry no node to bill
-        };
-        let (interval_ms, capacity, now_ms) = (self.interval_ms, self.capacity, self.now_ms);
-        let recorder = self.recorders.entry(cache).or_insert_with(|| {
-            let mut r = SeriesRecorder::new(CacheId::new(cache), interval_ms, capacity);
-            r.advance(now_ms, SeriesGauges::default()); // backfill for alignment
-            r
-        });
-        recorder.tally.observe_line(kind, &value);
+        // Group-wide events carry no node to bill.
+        if let Some(cache) = cache {
+            self.fold.observe_line(kind, CacheId::new(cache), &value);
+        }
         Ok(())
     }
 
@@ -495,18 +373,11 @@ impl SeriesReplayer {
         Ok(())
     }
 
-    /// Finishes the replay: emits the final boundary samples and
-    /// returns one ring per node, ascending by cache id.
+    /// Finishes the replay, returning one ring per node, ascending by
+    /// cache id.
     #[must_use]
-    pub fn finish(mut self) -> Vec<SeriesRing> {
-        let now = self.now_ms;
-        for recorder in self.recorders.values_mut() {
-            recorder.advance(now, SeriesGauges::default());
-        }
-        self.recorders
-            .into_values()
-            .map(SeriesRecorder::into_ring)
-            .collect()
+    pub fn finish(self) -> Vec<SeriesRing> {
+        self.fold.finish().rings
     }
 }
 
@@ -669,7 +540,7 @@ pub fn render_top(rings: &[SeriesRing], with_gauges: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RequestClass;
+    use crate::event::{Event, RequestClass};
     use coopcache_types::DocId;
 
     fn request_event(cache: u16, latency_us: Option<u64>) -> Event {
@@ -695,27 +566,36 @@ mod tests {
         assert_eq!(times, vec![300, 400, 500]);
     }
 
+    /// A fold over the one node `cache`, sampled every `interval_ms`.
+    fn one_node(cache: u16, interval_ms: u64, capacity: usize) -> HealthFold {
+        let mut fold = HealthFold::new(HealthConfig {
+            interval_ms,
+            capacity,
+            rules: vec![],
+            rollup: None,
+        });
+        fold.add_node(CacheId::new(cache));
+        fold
+    }
+
     #[test]
     fn ring_json_roundtrip_is_byte_stable() {
-        let mut recorder = SeriesRecorder::new(CacheId::new(2), 250, 8);
-        recorder.observe(&request_event(2, Some(1_500)));
-        recorder.observe(&Event::Eviction {
+        let mut fold = one_node(2, 250, 8);
+        fold.observe(&request_event(2, Some(1_500)));
+        fold.observe(&Event::Eviction {
             cache: CacheId::new(2),
             doc: DocId::new(1),
             age_ms: 40,
             cause: crate::event::EvictionCause::Capacity,
         });
-        recorder.advance(
-            500,
-            SeriesGauges {
-                docs: 3,
-                used_bytes: 9_216,
-                capacity_bytes: 131_072,
-                expiration_age_ms: Some(42),
-                quarantined: 1,
-            },
-        );
-        let ring = recorder.into_ring();
+        let _ = fold.advance(500, |_| SeriesGauges {
+            docs: 3,
+            used_bytes: 9_216,
+            capacity_bytes: 131_072,
+            expiration_age_ms: Some(42),
+            quarantined: 1,
+        });
+        let ring = fold.finish().rings.remove(0);
         assert_eq!(ring.len(), 2);
         let json = ring.to_json();
         assert!(json.starts_with(r#"{"cache":2,"interval_ms":250,"capacity":8,"points":["#));
@@ -736,19 +616,19 @@ mod tests {
 
     #[test]
     fn recorder_emits_one_point_per_boundary() {
-        let mut recorder = SeriesRecorder::new(CacheId::new(0), 100, 16);
-        recorder.observe(&request_event(0, None));
-        recorder.advance(350, SeriesGauges::default());
-        let points = recorder.ring().points();
-        let times: Vec<u64> = points.iter().map(|p| p.t_ms).collect();
+        let mut fold = one_node(0, 100, 16);
+        fold.observe(&request_event(0, None));
+        assert_eq!(fold.advance(350, |_| SeriesGauges::default()), []);
+        // No boundary crossed → no new point.
+        let _ = fold.advance(399, |_| SeriesGauges::default());
+        let ring = fold.finish().rings.remove(0);
+        let times: Vec<u64> = ring.points().iter().map(|p| p.t_ms).collect();
         assert_eq!(times, vec![100, 200, 300]);
         // Counters are cumulative: every emitted point sees the count.
-        assert!(points
+        assert!(ring
+            .points()
             .iter()
             .all(|p| p.counters[EventKind::Request.index()] == 1));
-        // No boundary crossed → no new point.
-        recorder.advance(399, SeriesGauges::default());
-        assert_eq!(recorder.ring().len(), 3);
     }
 
     #[test]
@@ -872,10 +752,10 @@ mod tests {
 
     #[test]
     fn render_top_is_deterministic_and_labels_rows() {
-        let mut recorder = SeriesRecorder::new(CacheId::new(0), 100, 8);
-        recorder.observe(&request_event(0, Some(3_000)));
-        recorder.advance(200, SeriesGauges::default());
-        let rings = vec![recorder.into_ring()];
+        let mut fold = one_node(0, 100, 8);
+        fold.observe(&request_event(0, Some(3_000)));
+        let _ = fold.advance(200, |_| SeriesGauges::default());
+        let rings = fold.finish().rings;
         let a = render_top(&rings, true);
         let b = render_top(&rings, true);
         assert_eq!(a, b);

@@ -5,10 +5,13 @@
 //! decisions (stored, declined, ties) and the request-latency and
 //! eviction-age histograms. Every aggregate in this crate is built from
 //! it: a `Tally` is itself the in-process run summary (it is an
-//! [`EventSink`]), each [`SeriesRecorder`](crate::SeriesRecorder)
-//! samples one, and a [`Rollup`](crate::Rollup) keeps one per node. In a
-//! DES health run the rollup's are the recorders' own, adopted when the
-//! run ends, so each event is folded once per node.
+//! [`EventSink`]), each node of a [`HealthFold`](crate::HealthFold)
+//! samples one into its series ring, and a [`Rollup`](crate::Rollup)
+//! keeps one per node. Beside a fold's nodes the rollup's are the
+//! nodes' own, adopted when the fold finishes, so each event is folded
+//! once per node. A decoded JSONL line folds like its event
+//! ([`Tally::observe_line`]), which is how a replay rebuilds the same
+//! series.
 
 use crate::event::{Event, EventKind, RequestClass, EVENT_KINDS};
 use crate::histogram::{Histogram, HistogramSnapshot};

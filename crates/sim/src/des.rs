@@ -28,12 +28,20 @@
 //! than the heap's earliest entry, and pops the heap otherwise. So at
 //! equal times an arrival goes before any queued phase, arrivals keep
 //! trace order, and queued phases keep the order they were queued in.
+//!
+//! # The health tap
+//!
+//! Whenever anything observes a run, one sink fronts the group: the tap,
+//! an [`obs::HealthFold`](HealthFold) plus the forward to the caller's
+//! sink. The fold is the one the offline replay uses; the DES only feeds
+//! it events in process, advances it in virtual time at its next due
+//! time and supplies each node's occupancy and expiration age as gauges.
 
 use crate::config::SimConfig;
 use coopcache_metrics::GroupMetrics;
 use coopcache_obs::{
-    age_to_ms, event_cache, AlertEngine, AlertRule, Event, EventSink, Rollup, RollupConfig,
-    SeriesGauges, SeriesRecorder, SeriesRing, SinkHandle, SinkOffload, Span, SpanKind,
+    age_to_ms, Event, EventSink, HealthConfig, HealthFold, HealthReport, Rollup, RollupConfig,
+    SeriesGauges, SinkHandle, SinkOffload, Span, SpanKind,
 };
 use coopcache_proxy::{
     DistributedGroup, HttpRequest, IcpQuery, Requester, RequesterAction, RequesterInput,
@@ -305,44 +313,21 @@ impl<'t> EventQueue<'t> {
     }
 }
 
-/// Counts events per cache into series recorders while forwarding them
-/// to the caller's sink, if any. Installed as the run's sink whenever a
-/// sink *or* a series is requested, so placement and eviction events
-/// from inside the group are counted exactly once. The events the DES
-/// builds itself reach it under one guard per step (see [`lock_tap`]).
-///
-/// The recorders, alert engines and rollup fold every event inline; the
-/// caller's sink is fed through a [`SinkOffload`], which filters on this
-/// thread and delivers on a worker. Each event is folded once per node:
-/// beside recorders the rollup does only its group-level work and adopts
-/// the recorders' tallies when the run ends ([`Self::finish`]).
+/// The run's sink whenever anything observes it: folds every event into
+/// the health plane, a [`HealthFold`], and forwards it to the caller's
+/// sink, if any, through a [`SinkOffload`], which filters on this thread
+/// and delivers on a worker. Placement and eviction events from inside
+/// the group reach it through the group's handle, so each is counted
+/// exactly once; the events the DES builds itself reach it under one
+/// guard per step (see [`lock_tap`]).
 struct SeriesTap {
+    fold: HealthFold,
     inner: Option<SinkOffload>,
-    recorders: Vec<SeriesRecorder>,
-    /// One SLO engine per recorder (empty when no rules are installed);
-    /// fed each boundary point as the recorders cross it.
-    engines: Vec<AlertEngine>,
-    /// Alert state transitions in virtual-time order — pure function of
-    /// the trace, so same-seed runs produce identical streams.
-    alerts: Vec<Event>,
-    /// Online aggregate replacing raw JSONL for large sweeps.
-    rollup: Option<Rollup>,
 }
 
 impl EventSink for SeriesTap {
     fn emit(&mut self, event: &Event) {
-        // One fold per node: the recorder's where there is one, else the
-        // rollup's own.
-        let recorder = event_cache(event).and_then(|cache| self.recorders.get_mut(cache.index()));
-        match (recorder, &mut self.rollup) {
-            (Some(rec), Some(rollup)) => {
-                rec.observe(event);
-                rollup.observe_group(event);
-            }
-            (Some(rec), None) => rec.observe(event),
-            (None, Some(rollup)) => rollup.observe(event),
-            (None, None) => {}
-        }
+        self.fold.observe(event);
         if let Some(inner) = &mut self.inner {
             inner.emit(event);
         }
@@ -360,33 +345,15 @@ fn lock_tap(tap: &Mutex<SeriesTap>) -> MutexGuard<'_, SeriesTap> {
 }
 
 impl SeriesTap {
-    /// The first virtual time at which [`Self::advance`] has a boundary
-    /// to cross; the DES loop skips the tap entirely until then.
-    fn next_due_ms(&self) -> u64 {
-        self.recorders
-            .iter()
-            .map(SeriesRecorder::next_sample_ms)
-            .chain(self.rollup.as_ref().map(Rollup::next_window_ms))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Moves the rollup's window clock and every recorder to virtual
-    /// time `now`, reading occupancy gauges from the group for the sample
-    /// boundaries crossed. Returns [`Self::next_due_ms`].
+    /// Moves the fold to virtual time `now`, reading occupancy gauges
+    /// from the group for the nodes that cross a sample boundary, and
+    /// forwards the alerts that fired to the caller's sink. Returns the
+    /// next time anything is due; the DES loop skips the tap until then.
     fn advance(&mut self, group: &DistributedGroup, now: Timestamp) -> u64 {
-        let now_ms = now.as_millis();
-        if let Some(rollup) = &mut self.rollup {
-            rollup.advance(now_ms);
-        }
-        let mut fired: Vec<Event> = Vec::new();
-        for (i, rec) in self.recorders.iter_mut().enumerate() {
-            if now_ms < rec.next_sample_ms() {
-                continue;
-            }
-            let node = group.node(rec.cache());
+        let fired = self.fold.advance(now.as_millis(), |cache| {
+            let node = group.node(cache);
             let cache = node.cache();
-            let gauges = SeriesGauges {
+            SeriesGauges {
                 docs: u64::try_from(cache.len()).unwrap_or(u64::MAX),
                 used_bytes: cache.used().as_bytes(),
                 capacity_bytes: cache.capacity().as_bytes(),
@@ -394,44 +361,14 @@ impl SeriesTap {
                 // The DES has no peer-health plane; quarantine is a live-
                 // daemon concept.
                 quarantined: 0,
-            };
-            match self.engines.get_mut(i) {
-                Some(engine) => {
-                    rec.advance_with(now_ms, gauges, |point| fired.extend(engine.observe(point)));
-                }
-                None => rec.advance(now_ms, gauges),
+            }
+        });
+        if let Some(inner) = &mut self.inner {
+            for event in fired {
+                inner.emit(event);
             }
         }
-        // Alert events flow like any other event — counted into the firing
-        // node's own series, folded into the rollup, forwarded to the
-        // caller's sink — and are additionally collected for the report.
-        for event in fired {
-            self.emit(&event);
-            self.alerts.push(event);
-        }
-        self.next_due_ms()
-    }
-
-    /// Flushes the sample boundaries up to `end` and hands the health
-    /// plane's output back, the rollup's node table adopted from the
-    /// recorders that folded it.
-    fn finish(&mut self, group: &DistributedGroup, end: Timestamp) -> HealthReport {
-        self.advance(group, end);
-        let mut rollup = self.rollup.take();
-        if let Some(rollup) = &mut rollup {
-            for rec in &self.recorders {
-                rollup.adopt_tally(rec.cache(), rec.tally());
-            }
-        }
-        HealthReport {
-            rings: self
-                .recorders
-                .drain(..)
-                .map(SeriesRecorder::into_ring)
-                .collect(),
-            alerts: std::mem::take(&mut self.alerts),
-            rollup,
-        }
+        self.fold.next_due_ms()
     }
 }
 
@@ -469,36 +406,6 @@ pub fn run_des(config: &SimConfig, network: &NetworkModel, trace: &Trace) -> Des
     run_des_inner(config, network, trace, None, None).0
 }
 
-/// Health-plane configuration for a DES run: series cadence, SLO rules
-/// and the optional online rollup.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Virtual-time sampling interval for the per-node series rings.
-    pub interval_ms: u64,
-    /// Points retained per node ring.
-    pub capacity: usize,
-    /// SLO rules evaluated on every node at each sample boundary.
-    /// Each state transition becomes an [`Event::Alert`].
-    pub rules: Vec<AlertRule>,
-    /// When set, an online [`Rollup`] aggregates the full event stream
-    /// in bounded memory alongside the rings. It keeps no per-node tally
-    /// of its own: it adopts each node's series recorder tally when the
-    /// run ends, so an event is folded once per node.
-    pub rollup: Option<RollupConfig>,
-}
-
-/// Everything the health plane produced during a DES run.
-#[derive(Debug, Clone, Default)]
-pub struct HealthReport {
-    /// Per-node series rings, ascending by cache id.
-    pub rings: Vec<SeriesRing>,
-    /// Alert state transitions ([`Event::Alert`]) in virtual-time order.
-    /// A pure function of the trace: same seed → identical stream.
-    pub alerts: Vec<Event>,
-    /// The rollup aggregate, when one was configured.
-    pub rollup: Option<Rollup>,
-}
-
 /// Like [`run_des`], but streams events into `sink` when one is supplied.
 /// Request events carry the *measured* completion latency (in µs), and
 /// ICP query/reply events reflect the peers actually probed — including
@@ -530,9 +437,8 @@ pub fn run_des_with_sink(
 /// and no rollup it records the rings alone.
 ///
 /// Fully deterministic: the same trace and config produce byte-identical
-/// rings ([`SeriesRing::to_json`]), alerts and rollups on every run —
-/// the pinned fixture behind `coopcache status --replay` and the
-/// determinism suite.
+/// rings ([`SeriesRing::to_json`](coopcache_obs::SeriesRing::to_json)),
+/// alerts and rollups on every run — the determinism suite pins them.
 #[must_use]
 pub fn run_des_with_health(
     config: &SimConfig,
@@ -541,12 +447,11 @@ pub fn run_des_with_health(
     sink: Option<SinkHandle>,
     health: HealthConfig,
 ) -> (DesReport, HealthReport) {
-    let spec = TapSpec {
-        series: Some((health.interval_ms, health.capacity)),
-        rules: health.rules,
-        rollup: health.rollup,
-    };
-    run_des_inner(config, network, trace, sink, Some(spec))
+    let mut fold = HealthFold::new(health);
+    for cache in 0..config.cache_capacities().len() {
+        fold.add_node(CacheId::new(cache as u16));
+    }
+    run_des_inner(config, network, trace, sink, Some(fold))
 }
 
 /// Runs the DES with *only* an online rollup observing the event
@@ -560,25 +465,19 @@ pub fn run_des_with_rollups(
     trace: &Trace,
     rollup: RollupConfig,
 ) -> (DesReport, Rollup) {
-    let spec = TapSpec {
-        series: None,
+    // A fold with no node records no ring, and its rollup folds every
+    // event itself; the series fields are never read.
+    let health = HealthConfig {
+        interval_ms: 0,
+        capacity: 0,
         rules: Vec::new(),
         rollup: Some(rollup),
     };
-    let (report, health) = run_des_inner(config, network, trace, None, Some(spec));
-    // The tap was configured with a rollup, so one always comes back;
+    let (report, health) =
+        run_des_inner(config, network, trace, None, Some(HealthFold::new(health)));
+    // The fold was configured with a rollup, so one always comes back;
     // the fallback only keeps this path panic-free.
-    let rollup = health.rollup.unwrap_or_else(|| Rollup::new(rollup));
-    (report, rollup)
-}
-
-/// What a run's tap should record beyond forwarding to the caller's
-/// sink (internal shape behind the public entry points).
-#[derive(Default)]
-struct TapSpec {
-    series: Option<(u64, usize)>,
-    rules: Vec<AlertRule>,
-    rollup: Option<RollupConfig>,
+    (report, health.rollup.unwrap_or_else(|| Rollup::new(rollup)))
 }
 
 /// Runs the DES, delivering the caller's sink, if any, from a worker
@@ -591,11 +490,11 @@ fn run_des_inner(
     network: &NetworkModel,
     trace: &Trace,
     sink: Option<SinkHandle>,
-    spec: Option<TapSpec>,
+    fold: Option<HealthFold>,
 ) -> (DesReport, HealthReport) {
     thread::scope(|scope| {
         let sink = sink.map(|handle| SinkOffload::spawn(scope, handle));
-        simulate(config, network, trace, sink, spec)
+        simulate(config, network, trace, sink, fold)
     })
 }
 
@@ -606,46 +505,27 @@ fn simulate(
     network: &NetworkModel,
     trace: &Trace,
     sink: Option<SinkOffload>,
-    spec: Option<TapSpec>,
+    fold: Option<HealthFold>,
 ) -> (DesReport, HealthReport) {
     let mut group = config.build_group();
     let n = group.len();
     // The tap fronts the caller's sink whenever anything observes the
-    // run; with neither a sink nor a series requested there is no tap
-    // and the run pays nothing.
-    let tap = (sink.is_some() || spec.is_some()).then(|| {
-        let spec = spec.unwrap_or_default();
-        let recorders: Vec<SeriesRecorder> =
-            spec.series
-                .map_or_else(Vec::new, |(interval_ms, capacity)| {
-                    (0..n)
-                        .map(|i| SeriesRecorder::new(CacheId::new(i as u16), interval_ms, capacity))
-                        .collect()
-                });
-        let engines = if spec.rules.is_empty() {
-            Vec::new()
-        } else {
-            recorders
-                .iter()
-                .map(|r| AlertEngine::new(r.cache(), spec.rules.clone()))
-                .collect()
-        };
+    // run; with neither a sink nor a health fold there is no tap and the
+    // run pays nothing.
+    let tap = (sink.is_some() || fold.is_some()).then(|| {
         Arc::new(Mutex::new(SeriesTap {
+            fold: fold.unwrap_or_default(),
             inner: sink,
-            recorders,
-            engines,
-            alerts: Vec::new(),
-            rollup: spec.rollup.map(Rollup::new),
         }))
     });
     if let Some(tap) = &tap {
         group.set_sink(SinkHandle::from_arc(Arc::clone(tap)));
     }
     // Nothing periodic is due before this virtual time, so a queue pop
-    // short of it touches neither the tap's lock nor its recorders.
+    // short of it touches neither the tap's lock nor its fold.
     let mut next_due_ms = tap
         .as_deref()
-        .map_or(u64::MAX, |tap| lock_tap(tap).next_due_ms());
+        .map_or(u64::MAX, |tap| lock_tap(tap).fold.next_due_ms());
 
     let mut events = EventQueue::new(trace, config.partitioner, n);
     let mut metrics = GroupMetrics::default();
@@ -890,7 +770,8 @@ fn simulate(
     let (health, sink) = tap.map_or_else(Default::default, |tap| {
         let mut guard = lock_tap(&tap);
         let tap = &mut *guard;
-        (tap.finish(&group, end_time), tap.inner.take())
+        tap.advance(&group, end_time);
+        (std::mem::take(&mut tap.fold).finish(), tap.inner.take())
     });
     // Ships the last batch and closes the worker's channel, outside the
     // tap guard: shipping blocks while the worker's queue is full.
@@ -934,6 +815,7 @@ mod tests {
     use super::*;
     use crate::run;
     use coopcache_core::PlacementScheme;
+    use coopcache_obs::{AlertRule, SeriesRing};
     use coopcache_trace::{generate, TraceProfile};
 
     fn trace() -> Trace {
@@ -1110,7 +992,7 @@ mod tests {
         assert_eq!(rollup.to_json(), again.to_json());
     }
 
-    /// The health run's rollup adopts its node table from the recorders;
+    /// The health run's rollup adopts its node table from the fold's nodes;
     /// a standalone rollup fed the same unsampled stream as the caller's
     /// sink folds its own. Both must agree on every node-level figure,
     /// under the cap and over it. (Windows may differ: the standalone
@@ -1154,6 +1036,66 @@ mod tests {
                 assert_eq!(requests, report.metrics.requests);
             }
         }
+    }
+
+    /// The fold's two inputs agree over a whole DES stream: its events,
+    /// folded in process on the span clock with zero gauges, give the
+    /// rings `SeriesReplayer` rebuilds from the same run's JSONL — so a
+    /// decoded line tallies like its event and the JSON keys route a line
+    /// to the node its event bills. The interval is sized for the ring to
+    /// keep every point of the run.
+    #[test]
+    fn jsonl_replay_rings_equal_the_fold_over_the_events() {
+        use coopcache_obs::{HealthFold, JsonlSink, SeriesReplayer};
+        struct Tee(Vec<Event>, JsonlSink<Vec<u8>>);
+        impl EventSink for Tee {
+            fn emit(&mut self, event: &Event) {
+                self.0.push(*event);
+                self.1.emit(event);
+            }
+        }
+        let t = generate(&TraceProfile::small().with_requests(2_000)).unwrap();
+        let group = cfg(300).with_scheme(PlacementScheme::Ea);
+        let tee = Arc::new(Mutex::new(Tee(Vec::new(), JsonlSink::new(Vec::new()))));
+        let sink = SinkHandle::from_arc(Arc::clone(&tee));
+        let _ = run_des_with_sink(&group, &NetworkModel::default(), &t, Some(sink));
+        let Tee(events, jsonl) = Arc::try_unwrap(tee).ok().unwrap().into_inner().unwrap();
+        let end_ms = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span(span) => Some(span.end_us / 1_000),
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        let (interval_ms, capacity) = (end_ms / 4_000 + 1, 4_096);
+
+        let mut fold = HealthFold::new(HealthConfig {
+            interval_ms,
+            capacity,
+            rules: vec![],
+            rollup: None,
+        });
+        for cache in 0..group.group_size {
+            fold.add_node(CacheId::new(cache));
+        }
+        for event in &events {
+            if let Event::Span(span) = event {
+                let _ = fold.advance(span.end_us / 1_000, |_| SeriesGauges::default());
+            }
+            fold.observe(event);
+        }
+        let mut replayer = SeriesReplayer::new(interval_ms, capacity);
+        let text = String::from_utf8(jsonl.into_inner()).unwrap();
+        replayer.observe_jsonl(&text).unwrap();
+
+        let json = |rings: Vec<SeriesRing>| -> Vec<String> {
+            rings.iter().map(SeriesRing::to_json).collect()
+        };
+        let folded = json(fold.finish().rings);
+        assert_eq!(folded.len(), usize::from(group.group_size));
+        assert!(folded.iter().all(|r| r.matches("\"t_ms\"").count() > 3_000));
+        assert_eq!(folded, json(replayer.finish()));
     }
 
     #[test]

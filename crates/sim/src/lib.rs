@@ -45,9 +45,9 @@ mod experiment;
 mod runner;
 
 pub use config::SimConfig;
+pub use coopcache_obs::{HealthConfig, HealthReport};
 pub use des::{
-    run_des, run_des_with_health, run_des_with_rollups, run_des_with_sink, DesReport, HealthConfig,
-    HealthReport, NetworkModel,
+    run_des, run_des_with_health, run_des_with_rollups, run_des_with_sink, DesReport, NetworkModel,
 };
 pub use experiment::{capacity_sweep, SweepPoint, PAPER_CACHE_SIZES, PAPER_GROUP_SIZES};
 pub use runner::{run, run_with_observer, run_with_sink, SimReport, WindowStat};

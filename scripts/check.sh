@@ -94,4 +94,9 @@ scripts/regen_results.sh
 echo "   regen_results.sh took ${SECONDS} s"
 git diff --exit-code results/
 
+# Code lines per crate (comments, blank lines and test items excluded) are
+# printed for the record, like the sweep's wall time; they gate nothing.
+echo "== production lines per crate"
+cargo run -q --offline -p coopcache-lint --example loc
+
 echo "All checks passed."
