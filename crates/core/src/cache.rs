@@ -29,7 +29,10 @@ use std::fmt;
 /// holding its 40-byte [`CacheEntry`], with the slot's 8-byte policy word
 /// in a second dense array beside it, found through the cache's one
 /// open-addressing `DocTable`, whose 8-byte buckets hold a hash
-/// fragment and the slot but not the key. The replacement policy orders
+/// fragment and the slot but not the key. The table grows at ¼ load
+/// while it is at most 2^15 buckets (256 KB) and at ½ beyond, so the
+/// ICP probes that find nothing, the protocol's commonest store call,
+/// usually stop at their first bucket. The replacement policy orders
 /// those same slots — list links or a heap position in the policy word —
 /// so a hit is one table probe, one entry write and a relink that stays
 /// in the word array, and an evicting insert drops its victim by slot.
@@ -385,6 +388,7 @@ impl Cache {
     }
 
     /// Read-only ICP probe: is the document cached here?
+    #[inline]
     #[must_use]
     pub fn contains(&self, doc: DocId) -> bool {
         self.table.get(doc, &self.nodes).is_some()
@@ -442,6 +446,7 @@ impl Cache {
     /// Serves a local client request. On a hit the entry is refreshed
     /// (last-hit time, hit counter, policy promotion) and its size is
     /// returned; on a miss, `None`.
+    #[inline]
     pub fn lookup(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
         let served = self.lookup_raw(doc, now);
         self.audit();
@@ -458,6 +463,7 @@ impl Cache {
     ///
     /// Returns the document size, or `None` if the document is not here
     /// (e.g. it was evicted between the ICP reply and the HTTP request).
+    #[inline]
     pub fn serve_remote(&mut self, doc: DocId, now: Timestamp, promote: bool) -> Option<ByteSize> {
         let served = self.serve_remote_raw(doc, now, promote);
         self.audit();
@@ -613,6 +619,7 @@ impl Cache {
         // capacity contention (paper eq. 5 measures disk pressure).
     }
 
+    #[inline]
     fn lookup_raw(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
         // One probe serves both the staleness check and the hit: the
         // stale branch is the rare one, so the hot path is a single

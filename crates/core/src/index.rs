@@ -20,7 +20,7 @@
 //! assert that growth stopped.
 
 use crate::entry::CacheEntry;
-use coopcache_types::{mix64, DocId};
+use coopcache_types::DocId;
 
 /// Slot indices take the low 30 bits of a link.
 const INDEX: u32 = (1 << 30) - 1;
@@ -355,10 +355,10 @@ impl<T: Keyed> Slab<T> {
     }
 }
 
-/// One bucket of a [`DocTable`]: the low 32 bits of the document's seeded
-/// hash and its arena slot — 8 bytes, eight buckets to a cache line. The
-/// key itself lives only in the slot's value. Empty iff `slot == NIL`
-/// (`frag` is then meaningless).
+/// One bucket of a [`DocTable`]: the document's hash fragment
+/// ([`DocTable::fragment`]) and its arena slot — 8 bytes, eight buckets
+/// to a cache line. The key itself lives only in the slot's value. Empty
+/// iff `slot == NIL` (`frag` is then meaningless).
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     frag: u32,
@@ -369,34 +369,62 @@ impl Bucket {
     const EMPTY: Self = Self { frag: 0, slot: NIL };
 }
 
+/// Bucket arrays up to this many buckets (256 KB) grow at ¼ load, larger
+/// ones at ½.
+const SMALL_TABLE: usize = 1 << 15;
+
+/// Whether `len` entries overload a table of `buckets` buckets, so that
+/// it must double first. A small array sits in L2, where spare buckets
+/// cost no misses and every one shortens the miss-heavy ICP probes, so
+/// it grows at ¼ load. Beyond that the array's bytes are cache misses
+/// of their own, so it grows at ½, and a 1M-entry table (the store
+/// workloads') takes 2^21 buckets, 16 MB.
+const fn overloaded(len: usize, buckets: usize) -> bool {
+    if buckets <= SMALL_TABLE {
+        len * 4 > buckets
+    } else {
+        len * 2 > buckets
+    }
+}
+
 /// Open-addressing hash table mapping [`DocId`] to a slot of a [`Slab`]
 /// of [`Keyed`] values, which hold the keys.
 ///
 /// Power-of-two capacity, linear probing, backward-shift deletion (no
-/// tombstones, so probe chains never rot). A probe compares hash
-/// fragments and confirms a matching one against the key in the caller's
-/// arena, so only a true hit (or a 2^-32 fragment collision) reads a
-/// value. The home bucket is the fragment's low bits, so rebuilds and
-/// backward shifts never read a value; but `get` and `remove` do, so every
-/// `remove` must run while its slot is still live. The seed decorrelates
-/// bucket order between shards without affecting any externally visible
-/// order — every external iteration path sorts by `DocId` first.
+/// tombstones, so probe chains never rot), kept at low load by
+/// [`overloaded`]: most probes in the cooperative protocol are ICP
+/// queries for documents the sibling does not hold, and an unsuccessful
+/// linear probe reads about ½(1 + 1/(1 − α)²) buckets at load α — 32 at
+/// 7/8, 2.5 at ½, 1.4 at ¼. A probe compares hash fragments and confirms
+/// a matching one against the key in the caller's arena, so only a true
+/// hit (or a 2^-32 fragment collision) reads a value. The home bucket is
+/// the fragment's top bits, so rebuilds and backward shifts never read a
+/// value; but `get` and `remove` do, so every `remove` must run while its
+/// slot is still live. The seed decorrelates bucket order between shards
+/// without affecting any externally visible order — every external
+/// iteration path sorts by `DocId` first.
 #[derive(Debug, Clone)]
 pub(crate) struct DocTable {
     buckets: Vec<Bucket>,
     len: usize,
     seed: u64,
+    /// `32 - log2(buckets.len())`: a fragment's top bits are its home.
+    shift: u32,
     growths: u64,
 }
 
 impl DocTable {
     const MIN_CAP: usize = 8;
 
+    /// 2^64 / φ, rounded to odd.
+    const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
     pub(crate) fn new(seed: u64) -> Self {
         Self {
             buckets: Vec::new(),
             len: 0,
             seed,
+            shift: 32,
             growths: 0,
         }
     }
@@ -413,22 +441,29 @@ impl DocTable {
         self.buckets.len() - 1
     }
 
-    /// The low 32 bits of `doc`'s seeded hash. Slots take 30 bits, so at
-    /// 7/8 load the table never has more buckets than a fragment can
-    /// address.
+    /// The high 32 bits of `doc`'s seeded Fibonacci hash: one multiply
+    /// by 2^64/φ, whose high bits depend on every bit of the key. A probe
+    /// computes it before its first load, and every local miss probes
+    /// every sibling, so it is kept to one multiply rather than a full
+    /// mixer; consecutive ids, the trace's popularity ranks, land almost
+    /// evenly spaced. Slots take 30 bits, so at ½ load (the larger
+    /// tables' limit) the table never has more than 2^31 buckets, fewer
+    /// than a fragment can address.
     #[inline]
     fn fragment(&self, doc: DocId) -> u32 {
-        mix64(doc.as_u64() ^ self.seed) as u32
+        ((doc.as_u64() ^ self.seed).wrapping_mul(Self::FIBONACCI) >> 32) as u32
     }
 
+    /// The fragment's top `log2(buckets)` bits.
     #[inline]
     fn home(&self, frag: u32) -> usize {
-        frag as usize & self.mask()
+        (frag >> self.shift) as usize
     }
 
     fn rebuild(&mut self, new_cap: usize) {
         debug_assert!(new_cap.is_power_of_two());
         let old = std::mem::replace(&mut self.buckets, vec![Bucket::EMPTY; new_cap]);
+        self.shift = 32 - new_cap.trailing_zeros();
         self.growths += 1;
         let mask = self.mask();
         for bucket in old.into_iter().filter(|b| b.slot != NIL) {
@@ -440,7 +475,8 @@ impl DocTable {
         }
     }
 
-    /// Maps `doc` to `slot`. Grows (and rehashes) past 7/8 load.
+    /// Maps `doc` to `slot`. Doubles (and rehashes) when the new entry
+    /// would overload the table (see [`overloaded`]).
     ///
     /// # Panics
     ///
@@ -448,7 +484,7 @@ impl DocTable {
     pub(crate) fn insert<T: Keyed>(&mut self, doc: DocId, slot: u32, arena: &Slab<T>) {
         if self.buckets.is_empty() {
             self.rebuild(Self::MIN_CAP);
-        } else if (self.len + 1) * 8 > self.buckets.len() * 7 {
+        } else if overloaded(self.len + 1, self.buckets.len()) {
             self.rebuild(self.buckets.len() * 2);
         }
         let mask = self.mask();
@@ -826,6 +862,7 @@ impl KeyedMinHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coopcache_types::mix64;
 
     #[derive(Debug, Clone, Copy)]
     struct TestNode {
@@ -894,12 +931,14 @@ mod tests {
         }
     }
 
-    /// The first two docs, in a deterministic search upward from 0, whose
-    /// hashes under `seed` share their low 32 bits.
+    /// The first two docs of the SplitMix64 stream whose fragments under
+    /// `seed` are equal. (Consecutive ids never collide early: their
+    /// multiplicative hashes are spread almost evenly.)
     fn fragment_collision(seed: u64) -> (u64, u64) {
         let table = DocTable::new(seed);
         let mut seen = std::collections::HashMap::new();
-        (0u64..)
+        let mut docs = coopcache_types::SplitMix64::new(seed);
+        std::iter::repeat_with(|| docs.next_u64())
             .find_map(|doc| {
                 seen.insert(table.fragment(DocId::new(doc)), doc)
                     .map(|earlier| (earlier, doc))
@@ -1113,6 +1152,133 @@ mod tests {
         }
     }
 
+    /// The bucket count the growth rule gives a table that `len` inserts
+    /// filled, doubling as [`DocTable::insert`] does.
+    fn buckets_after(len: usize) -> usize {
+        let mut buckets = DocTable::MIN_CAP;
+        for n in 2..=len {
+            if overloaded(n, buckets) {
+                buckets *= 2;
+            }
+            assert!(!overloaded(n, buckets), "one doubling must make room");
+        }
+        buckets
+    }
+
+    #[test]
+    fn growth_rule_switches_regime_and_keeps_a_million_entries_in_2_pow_21_buckets() {
+        assert_eq!(buckets_after(SMALL_TABLE / 4), SMALL_TABLE);
+        assert_eq!(buckets_after(SMALL_TABLE / 4 + 1), 2 * SMALL_TABLE);
+        assert_eq!(buckets_after(SMALL_TABLE), 2 * SMALL_TABLE);
+        assert_eq!(buckets_after(SMALL_TABLE + 1), 4 * SMALL_TABLE);
+        // The store workloads' 1M-entry cache: 16 MB of buckets.
+        assert_eq!(buckets_after(1_000_000), 1 << 21);
+    }
+
+    /// Mean buckets read by a successful probe (over the entries) and by
+    /// an unsuccessful one (over every home bucket, counting the empty
+    /// bucket that ends it), counted from the table's layout.
+    fn mean_probe_lengths(table: &DocTable) -> (f64, f64) {
+        let mask = table.mask();
+        let hits: usize = (0..table.buckets.len())
+            .filter(|&i| table.buckets[i].slot != NIL)
+            .map(|i| (i.wrapping_sub(table.home(table.buckets[i].frag)) & mask) + 1)
+            .sum();
+        let misses: usize = (0..table.buckets.len())
+            .map(|home| {
+                let mut read = 1;
+                while table.buckets[(home + read - 1) & mask].slot != NIL {
+                    read += 1;
+                }
+                read
+            })
+            .sum();
+        (
+            hits as f64 / table.len() as f64,
+            misses as f64 / table.buckets.len() as f64,
+        )
+    }
+
+    /// A table filled to the last entry before each regime's growth point
+    /// keeps its probes short: at ¼ load a linear probe reads ~1.17
+    /// buckets on a hit and ~1.39 on a miss, at ½ load ~1.5 and ~2.5.
+    #[test]
+    fn probe_lengths_stay_short_up_to_each_growth_point() {
+        for (buckets, len, max_hit, max_miss) in [
+            (SMALL_TABLE, SMALL_TABLE / 4, 1.25, 1.5),
+            (2 * SMALL_TABLE, SMALL_TABLE, 1.6, 2.8),
+        ] {
+            // Random ids: consecutive ones spread almost evenly, which
+            // would hide the load factor.
+            let mut m = Mapped::new(0x9e37);
+            let mut docs = coopcache_types::SplitMix64::new(len as u64);
+            for _ in 0..len {
+                m.insert(docs.next_u64());
+            }
+            assert_eq!(m.table.buckets.len(), buckets, "{len} entries");
+            assert!(
+                overloaded(len + 1, buckets),
+                "{len} is the last entry before growth"
+            );
+            let (hit, miss) = mean_probe_lengths(&m.table);
+            assert!(
+                hit <= max_hit,
+                "{len} entries: a hit reads {hit:.3} buckets"
+            );
+            assert!(
+                miss <= max_miss,
+                "{len} entries: a miss reads {miss:.3} buckets"
+            );
+        }
+    }
+
+    /// Seeded random gets, inserts and removes against a `BTreeMap` model,
+    /// from empty past the regime switch to 2^17 buckets, with the
+    /// fragment-colliding pair among the keys; every rebuild is audited.
+    #[test]
+    fn table_matches_a_btreemap_model_through_growth() {
+        const SEED: u64 = 0x5eed;
+        const UNIVERSE: u64 = 60_000;
+        let (a, b) = fragment_collision(SEED);
+        let mut m = Mapped::new(SEED);
+        let mut model = std::collections::BTreeMap::new();
+        let mut rng = coopcache_types::SplitMix64::new(7);
+        let mut growths = m.table.growth_events();
+        let mut peak_buckets = 0;
+        for step in 0..240_000 {
+            let r = rng.next_u64();
+            let doc = match r % 100 {
+                0 => a,
+                1 => b,
+                _ => (r >> 8) % UNIVERSE,
+            };
+            // Grow for the first half, shrink for the second.
+            let (insert_below, remove_below) = if step < 120_000 { (6, 8) } else { (2, 7) };
+            match (r >> 40) % 10 {
+                op if op < insert_below => {
+                    if let Some(&slot) = model.get(&doc) {
+                        assert_eq!(m.get(doc), Some(slot));
+                    } else {
+                        model.insert(doc, m.insert(doc));
+                    }
+                }
+                op if op < remove_below => assert_eq!(m.remove(doc), model.remove(&doc)),
+                _ => assert_eq!(m.get(doc), model.get(&doc).copied()),
+            }
+            assert_eq!(m.table.len(), model.len());
+            if m.table.growth_events() != growths {
+                growths = m.table.growth_events();
+                m.audit();
+            }
+            peak_buckets = peak_buckets.max(m.table.buckets.len());
+        }
+        assert_eq!(peak_buckets, 1 << 17);
+        m.audit();
+        for doc in (0..UNIVERSE).chain([a, b]) {
+            assert_eq!(m.get(doc), model.get(&doc).copied(), "doc {doc}");
+        }
+    }
+
     #[test]
     fn table_audit_names_a_bad_bucket() {
         let mut m = Mapped::new(11);
@@ -1200,6 +1366,25 @@ mod tests {
         heap.rekey(&mut slab, idx[1], 7);
         heap.audit(&slab);
         assert_eq!(heap.peek(), Some(idx[2]));
+    }
+
+    #[test]
+    fn sequential_keys_spread_over_the_home_buckets() {
+        let mut m = Mapped::new(0x5eed);
+        for doc in 0..1024u64 {
+            m.insert(doc);
+        }
+        let mut homes = vec![0u32; m.table.buckets.len()];
+        for b in m.table.buckets.iter().filter(|b| b.slot != NIL) {
+            homes[m.table.home(b.frag)] += 1;
+        }
+        assert!(
+            homes.iter().all(|&n| n <= 2),
+            "a home holds {:?}",
+            homes.iter().max()
+        );
+        let (hit, miss) = mean_probe_lengths(&m.table);
+        assert!(hit < 1.1 && miss < 1.5, "hit {hit:.3}, miss {miss:.3}");
     }
 
     #[test]

@@ -236,33 +236,76 @@ impl AlertEngine {
     /// [`Event::Alert`]s, in rule order. The first point's deltas are its
     /// absolute counters, which is the right reading for a fresh series.
     pub fn observe(&mut self, point: &SeriesPoint) -> Vec<Event> {
+        self.step(self.prev, point, 1)
+    }
+
+    /// Feeds `repeats` more copies of `point`, the point just fed to
+    /// [`Self::observe`], differing from it only in `t_ms`, in O(rules)
+    /// rather than O(repeats): what a span of idle sample boundaries
+    /// looks like. Their windows hold no new requests, so a rate rule
+    /// holds its streak, and a gauge rule re-reads one value at every
+    /// repeat.
+    pub(crate) fn observe_repeats(&mut self, point: &SeriesPoint, repeats: u64) -> Vec<Event> {
+        if repeats == 0 {
+            return Vec::new(); // else a healthy firing rule would resolve
+        }
+        self.step(Some(PrevCounters::of(point)), point, repeats)
+    }
+
+    /// Steps every rule over `repeats` windows that each read `point`
+    /// against `prev`. While a rule violates, the windows add to its
+    /// streak and it fires at most once, with the `windows` one-by-one
+    /// stepping would report; once healthy, the streak resets and a
+    /// firing rule resolves at the first window. Transitions come in
+    /// (window, rule) order, as stepping emits them.
+    fn step(
+        &mut self,
+        prev: Option<PrevCounters>,
+        point: &SeriesPoint,
+        repeats: u64,
+    ) -> Vec<Event> {
         let mut out = Vec::new();
         for (rule, state) in self.rules.iter().zip(self.states.iter_mut()) {
-            let Some(value) = Self::metric_value(self.prev, rule, point) else {
+            let Some(value) = Self::metric_value(prev, rule, point) else {
                 continue; // window not evaluable: hold the streak
             };
-            let (windows, transition) = if rule.violates(value) {
-                state.streak = state.streak.saturating_add(1);
-                let fires = !state.firing && state.streak >= rule.for_windows.max(1);
-                (u64::from(state.streak), fires.then_some(AlertState::Firing))
+            let (at, windows, transition) = if rule.violates(value) {
+                // A rule that is not firing has a streak below its burn
+                // count, so the window that reaches the count fires, and
+                // the count is the streak it reports.
+                let burn = rule.for_windows.max(1);
+                let at = u64::from(burn.saturating_sub(state.streak));
+                let fires = !state.firing && at <= repeats;
+                let streak = u64::from(state.streak).saturating_add(repeats);
+                state.streak = u32::try_from(streak).unwrap_or(u32::MAX);
+                if !fires {
+                    continue;
+                }
+                (at, u64::from(burn), AlertState::Firing)
             } else {
                 state.streak = 0;
-                (1, state.firing.then_some(AlertState::Resolved))
+                if !state.firing {
+                    continue;
+                }
+                (1, 1, AlertState::Resolved)
             };
-            if let Some(transition) = transition {
-                state.firing = transition == AlertState::Firing;
-                out.push(Event::Alert {
+            state.firing = transition == AlertState::Firing;
+            out.push((
+                at,
+                Event::Alert {
                     cache: self.cache,
                     metric: rule.metric,
                     threshold: rule.threshold,
                     value,
                     windows,
                     state: transition,
-                });
-            }
+                },
+            ));
         }
+        // Stable: rules firing in one window stay in rule order.
+        out.sort_by_key(|&(at, _)| at);
         self.prev = Some(PrevCounters::of(point));
-        out
+        out.into_iter().map(|(_, event)| event).collect()
     }
 
     /// The metric value a rule sees at `point`, or `None` when the

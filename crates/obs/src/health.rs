@@ -3,7 +3,7 @@
 //!
 //! A [`HealthFold`] keeps, per node, a [`Tally`] sampled into a
 //! [`SeriesRing`] at interval boundaries, with an optional
-//! [`AlertEngine`] fed each point, and beside the nodes an optional group
+//! [`AlertEngine`] judging each point, and beside the nodes an optional group
 //! [`Rollup`]. It owns the routing (an event bills to
 //! [`event_cache`]'s node), the boundary clock ([`HealthFold::advance`],
 //! with gauges the caller supplies) and the one-fold-per-node rule: each
@@ -57,7 +57,7 @@ pub struct HealthReport {
 }
 
 /// One node of the table: its tally, sampled into its ring at each
-/// boundary, and with rules its SLO engine, fed every point.
+/// boundary, and with rules its SLO engine, which judges every point.
 #[derive(Debug)]
 struct Node {
     tally: Tally,
@@ -71,36 +71,45 @@ impl Node {
     /// Emits one point per boundary crossed up to `now_ms`, with the
     /// supplied gauges, feeding each to the engine and collecting its
     /// transitions in `alerts`. The points one call crosses differ only
-    /// in `t_ms` and the ring keeps the last `capacity` of them, so with
-    /// no engine to see every point only those are built: a call across
-    /// a long idle span costs O(capacity), not O(span / interval).
+    /// in `t_ms`: the engine steps over all but the first in closed form
+    /// ([`AlertEngine::observe_repeats`]) and only the last `capacity`,
+    /// the ones the ring keeps, are built, so a call across a long idle
+    /// span costs O(capacity + rules), not O(span / interval).
     fn sample(&mut self, now_ms: u64, gauges: SeriesGauges, alerts: &mut Vec<Event>) {
+        let Some(gap) = now_ms.checked_sub(self.next_t_ms) else {
+            return;
+        };
         let interval = self.ring.interval_ms();
-        if let (None, Some(gap)) = (&self.engine, now_ms.checked_sub(self.next_t_ms)) {
-            let skipped = (gap / interval + 1).saturating_sub(self.ring.capacity() as u64);
-            self.next_t_ms = self
-                .next_t_ms
-                .saturating_add(skipped.saturating_mul(interval));
+        let crossed = gap / interval + 1;
+        let mut point = self.point(gauges);
+        if let Some(engine) = &mut self.engine {
+            alerts.extend(engine.observe(&point));
+            alerts.extend(engine.observe_repeats(&point, crossed - 1));
         }
-        while self.next_t_ms <= now_ms {
-            let (local_hits, remote_hits, _) = self.tally.request_split();
-            let point = SeriesPoint {
-                t_ms: self.next_t_ms,
-                counters: *self.tally.counts(),
-                local_hits,
-                remote_hits,
-                latency: self.tally.latency_snapshot(),
-                docs: gauges.docs,
-                used_bytes: gauges.used_bytes,
-                capacity_bytes: gauges.capacity_bytes,
-                expiration_age_ms: gauges.expiration_age_ms,
-                quarantined: gauges.quarantined,
-            };
-            if let Some(engine) = &mut self.engine {
-                alerts.extend(engine.observe(&point));
-            }
+        let kept = crossed.min(self.ring.capacity() as u64);
+        for i in crossed - kept..crossed {
+            point.t_ms = self.next_t_ms.saturating_add(i.saturating_mul(interval));
             self.ring.push(point);
-            self.next_t_ms = self.next_t_ms.saturating_add(interval);
+        }
+        self.next_t_ms = self
+            .next_t_ms
+            .saturating_add(crossed.saturating_mul(interval));
+    }
+
+    /// The point of the next boundary: the tally so far and `gauges`.
+    fn point(&self, gauges: SeriesGauges) -> SeriesPoint {
+        let (local_hits, remote_hits, _) = self.tally.request_split();
+        SeriesPoint {
+            t_ms: self.next_t_ms,
+            counters: *self.tally.counts(),
+            local_hits,
+            remote_hits,
+            latency: self.tally.latency_snapshot(),
+            docs: gauges.docs,
+            used_bytes: gauges.used_bytes,
+            capacity_bytes: gauges.capacity_bytes,
+            expiration_age_ms: gauges.expiration_age_ms,
+            quarantined: gauges.quarantined,
         }
     }
 }
@@ -282,6 +291,7 @@ pub(crate) fn event_cache(event: &Event) -> Option<CacheId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alert::AlertState;
     use crate::event::RequestClass;
     use coopcache_types::DocId;
 
@@ -361,6 +371,171 @@ mod tests {
         assert_eq!(jump[0].points().len(), 8);
         assert_eq!(jump[0].points()[0].t_ms, 999_930);
         assert_eq!(jump, steps);
+    }
+
+    /// What the fold did before the closed form: build every crossed
+    /// point and feed each to the node's engine, then fold the alerts
+    /// back as [`HealthFold::advance`] does.
+    fn advance_point_by_point(fold: &mut HealthFold, now_ms: u64, gauges: SeriesGauges) {
+        fold.now_ms = fold.now_ms.max(now_ms);
+        let fired_from = fold.alerts.len();
+        for node in fold.nodes.iter_mut().flatten() {
+            while node.next_t_ms <= now_ms {
+                let point = node.point(gauges);
+                if let Some(engine) = &mut node.engine {
+                    fold.alerts.extend(engine.observe(&point));
+                }
+                node.ring.push(point);
+                node.next_t_ms += node.ring.interval_ms();
+            }
+        }
+        for i in fired_from..fold.alerts.len() {
+            let event = fold.alerts[i];
+            fold.observe(&event);
+        }
+    }
+
+    fn event(cache: u16, class: RequestClass, latency_us: u64) -> Event {
+        Event::Request {
+            seq: 0,
+            cache: CacheId::new(cache),
+            doc: DocId::new(1),
+            class,
+            responder: None,
+            stored: true,
+            latency_us: Some(latency_us),
+        }
+    }
+
+    /// One phase of a script: events to fold in, then an advance to
+    /// `until_ms` with `quarantined` peers on every node.
+    struct Phase {
+        events: Vec<Event>,
+        until_ms: u64,
+        quarantined: u64,
+    }
+
+    /// For each metric, and for all four rules on one engine, the closed
+    /// form over long idle spans gives the rings and alerts of stepping
+    /// the engine point by point, and the alerts of advancing one
+    /// boundary per call (whose rings differ only in when fired alerts
+    /// are counted). Each script fires and resolves its rules.
+    #[test]
+    fn one_long_advance_with_rules_equals_stepping_every_point() {
+        const INTERVAL: u64 = 10;
+        let miss = |n| vec![event(0, RequestClass::Miss, 2_000); n];
+        let mut hits = vec![event(0, RequestClass::LocalHit, 1); 1_000];
+        hits.push(Event::AdmissionShed {
+            cache: CacheId::new(0),
+            doc: DocId::new(2),
+        });
+        let shed = vec![
+            event(0, RequestClass::Miss, 2_000),
+            Event::AdmissionShed {
+                cache: CacheId::new(0),
+                doc: DocId::new(3),
+            },
+        ];
+        let phase = |events, until_ms, quarantined| Phase {
+            events,
+            until_ms,
+            quarantined,
+        };
+        // Three violating calls (a rate rule sees one evaluable window
+        // per call, a gauge rule one per point), a healthy span that
+        // resolves every rule, and a violating one again.
+        let script = |violate: Vec<Event>, heal: Vec<Event>, q: u64| {
+            vec![
+                phase(violate.clone(), 2_005, q),
+                phase(violate.clone(), 2_500, q),
+                phase(violate.clone(), 5_005, q),
+                phase(heal, 9_000, 0),
+                phase(violate, 19_995, q),
+                phase(vec![], 20_000, 0),
+            ]
+        };
+        let cases = [
+            (
+                vec![AlertRule::hit_rate_floor(500, 3)],
+                script(miss(4), hits.clone(), 0),
+            ),
+            (
+                vec![AlertRule::shed_rate_ceiling(100, 2)],
+                script(shed.clone(), hits.clone(), 0),
+            ),
+            (
+                vec![AlertRule::p99_ceiling(1_000, 7)],
+                script(miss(1), hits.clone(), 0),
+            ),
+            (
+                vec![AlertRule::quarantine_ceiling(1, 4)],
+                script(vec![], vec![], 2),
+            ),
+            // The first advance crosses 200 boundaries: this burn count
+            // is reached at its last point.
+            (
+                vec![AlertRule::quarantine_ceiling(1, 200)],
+                script(vec![], vec![], 2),
+            ),
+            (
+                vec![
+                    AlertRule::p99_ceiling(1_000, 9),
+                    AlertRule::quarantine_ceiling(1, 2),
+                    AlertRule::hit_rate_floor(500, 1),
+                    AlertRule::shed_rate_ceiling(100, 1),
+                ],
+                script([miss(2), shed].concat(), hits, 3),
+            ),
+        ];
+        for (rules, script) in cases {
+            let fold = || {
+                let mut fold = HealthFold::new(HealthConfig {
+                    interval_ms: INTERVAL,
+                    capacity: 8,
+                    rules: rules.clone(),
+                    rollup: Some(RollupConfig::default()),
+                });
+                fold.add_node(CacheId::new(0));
+                fold
+            };
+            let (mut jump, mut every, mut steps) = (fold(), fold(), fold());
+            for p in &script {
+                let gauges = SeriesGauges {
+                    quarantined: p.quarantined,
+                    ..SeriesGauges::default()
+                };
+                for e in &p.events {
+                    jump.observe(e);
+                    every.observe(e);
+                    steps.observe(e);
+                }
+                let _ = jump.advance(p.until_ms, |_| gauges);
+                advance_point_by_point(&mut every, p.until_ms, gauges);
+                let first = steps.next_due_ms();
+                for t in (first..=p.until_ms).step_by(INTERVAL as usize) {
+                    let _ = steps.advance(t, |_| gauges);
+                }
+            }
+            let (jump, every, steps) = (jump.finish(), every.finish(), steps.finish());
+            let states = |alerts: &[Event]| {
+                alerts
+                    .iter()
+                    .map(|e| match e {
+                        Event::Alert { state, .. } => *state,
+                        _ => unreachable!("only alerts"),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let fired = states(&jump.alerts);
+            assert!(fired.contains(&AlertState::Firing), "{rules:?}: {fired:?}");
+            assert!(
+                fired.contains(&AlertState::Resolved),
+                "{rules:?}: {fired:?}"
+            );
+            assert_eq!(jump.alerts, every.alerts, "{rules:?}");
+            assert_eq!(jump.rings, every.rings, "{rules:?}");
+            assert_eq!(jump.alerts, steps.alerts, "{rules:?}");
+        }
     }
 
     /// Fired alerts count into the firing node's series and come back

@@ -229,11 +229,13 @@ impl<S: Store, T: Telemetry> ProxyNode<S, T> {
     }
 
     /// Serves a local client request; `Some(size)` on a local hit.
+    #[inline]
     pub fn handle_client_lookup(&mut self, doc: DocId, now: Timestamp) -> Option<ByteSize> {
         self.cache.lookup(doc, now)
     }
 
     /// Answers an ICP query (read-only).
+    #[inline]
     #[must_use]
     pub fn handle_icp_query(&self, query: IcpQuery) -> IcpReply {
         IcpReply {

@@ -1,12 +1,13 @@
 //! SplitMix64 (Steele, Lea & Flood; Vigna's constants): the workspace's one
 //! 64-bit mixer and seed stream.
 //!
-//! Table buckets, shard assignment, hash-ring positions, the first Bloom
-//! probe, ICP loss, head sampling, fault schedules and the trace generator's
-//! seeding all go through these functions, so changing a constant here moves
-//! every pinned output at once. Two mixers stay apart: the Bloom filter's
-//! second hash (murmur3's `fmix64` constants) and the interleaving checker,
-//! which has no dependencies by design.
+//! Shard assignment, hash-ring positions, the first Bloom probe, ICP loss,
+//! head sampling, fault schedules and the trace generator's seeding all go
+//! through these functions, so changing a constant here moves every pinned
+//! output at once. Three hashes stay apart: the store's doc table (one
+//! multiply on its probe path; its layout reaches no output), the Bloom
+//! filter's second hash (murmur3's `fmix64` constants) and the
+//! interleaving checker, which has no dependencies by design.
 
 /// The golden-ratio increment between SplitMix64 states.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
