@@ -55,7 +55,7 @@ COMMANDS:
                 --discovery icp|isolated|digest:SECONDS (default icp)
                 --ttl SECONDS                 (default none)
                 --warmup FRACTION             (default 0)
-                --events PATH                 (stream events as JSONL)
+                --events PATH                 (stream events, spans included, as JSONL)
                 --event-summary true          (print event histograms)
     sweep     compare ad-hoc and EA across the paper's five sizes
                 --trace PATH | --profile NAME (default small)
@@ -809,21 +809,39 @@ mod tests {
         std::fs::remove_file(&path2).unwrap();
     }
 
-    /// A replay samples on span end times, so a stream that never reaches
-    /// the first boundary is a named error, not a dashboard of idle
-    /// nodes: a `simulate --events` stream (no spans at all) and one whose
-    /// spans end short of `--interval-ms`.
+    /// A replay samples on span end times: a `simulate --events` stream
+    /// stamps its spans at trace time and replays as one ring per cache,
+    /// while a stream that never reaches the first boundary is a named
+    /// error, not a dashboard of idle nodes: one with no span at all and
+    /// one whose spans end short of `--interval-ms`.
     #[test]
     fn status_replay_names_a_stream_without_samples() {
-        use coopcache_obs::{Span, SpanKind};
+        use coopcache_obs::{RequestClass, Span, SpanKind};
         let dir = std::env::temp_dir().join("coopcache_cli_replay_spanless");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("simulate.jsonl");
         let path_s = path.to_str().unwrap();
         run_cmd(&["simulate", "--profile", "small", "--events", path_s]).unwrap();
-        let err = run_cmd(&["status", "--replay", path_s]).unwrap_err().0;
+        let text = run_cmd(&["status", "--replay", path_s]).unwrap();
+        assert!(text.contains("series: 4 node(s)"), "{text}");
+        for cache in 0..4 {
+            assert!(text.contains(&format!("\n{cache}  ")), "{text}");
+        }
+
+        let spanless = dir.join("spanless.jsonl");
+        let request = Event::Request {
+            seq: 0,
+            cache: CacheId::new(0),
+            doc: DocId::new(1),
+            class: RequestClass::Miss,
+            responder: None,
+            stored: true,
+            latency_us: None,
+        };
+        std::fs::write(&spanless, request.to_json() + "\n").unwrap();
+        let spanless_s = spanless.to_str().unwrap();
+        let err = run_cmd(&["status", "--replay", spanless_s]).unwrap_err().0;
         assert!(err.contains("carries no span times"), "{err}");
-        assert!(err.contains("simulate --events"), "{err}");
 
         let short = dir.join("short.jsonl");
         let span = Event::Span(Span {
@@ -849,6 +867,7 @@ mod tests {
         let text = run_cmd(&["status", "--replay", short_s, "--interval-ms", "5"]).unwrap();
         assert!(text.contains("over 1/1 node(s)"), "{text}");
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&spanless).unwrap();
         std::fs::remove_file(&short).unwrap();
     }
 
@@ -969,6 +988,30 @@ mod tests {
             "{json}"
         );
         assert_eq!(json, status("true"), "same file, same JSON frame");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A `simulate --events` stream carries the synchronous group's span
+    /// trees, so `trace` renders one per request.
+    #[test]
+    fn trace_renders_a_simulate_stream() {
+        let dir = std::env::temp_dir().join("coopcache_cli_trace_simulate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("simulate.jsonl");
+        let path_s = path.to_str().unwrap();
+        run_cmd(&["simulate", "--profile", "small", "--events", path_s]).unwrap();
+        let text = run_cmd(&["trace", "--events", path_s, "--seq", "0"]).unwrap();
+        let mut lines = text.lines();
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("trace 0 ")),
+            "{text}"
+        );
+        assert!(
+            lines
+                .next()
+                .is_some_and(|l| l.starts_with("`- request cache=")),
+            "{text}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -279,8 +279,7 @@ impl Source {
                 if rings.iter().all(SeriesRing::is_empty) {
                     return Err(ArgError(if clock_ms == 0 {
                         format!(
-                            "{path} carries no span times: the replay samples on span end times \
-                             (`simulate --events` stamps none; `serve --events` does)"
+                            "{path} carries no span times: the replay samples on span end times"
                         )
                     } else {
                         format!(

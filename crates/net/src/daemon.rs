@@ -67,10 +67,11 @@ use crate::wire::{decode_frame, read_frame, write_frame, Frame, WireMessage, MAX
 use coopcache_core::{CacheConfig, PolicyKind};
 use coopcache_obs::{
     age_to_ms, scoped_id, Event, FaultOp, Histogram, HistogramSnapshot, JsonWriter, SeriesPoint,
-    SeriesRing, ServerLoop, SinkHandle, Span, SpanKind, TraceCtx, DEFAULT_SERIES_CAPACITY,
+    SeriesRing, ServerLoop, SinkHandle, TraceCtx, DEFAULT_SERIES_CAPACITY,
 };
 use coopcache_proxy::{
     ConcurrentNode, IcpQuery, RequestOutcome, Requester, RequesterAction, RequesterInput,
+    SpanRecorder, Stamp,
 };
 use coopcache_types::{ByteSize, CacheId, DocId, Timestamp};
 use std::collections::BTreeMap;
@@ -236,10 +237,10 @@ struct IcpRound {
     /// The peers the query reached, each with whether it has answered.
     queried: Vec<(PeerAddr, bool)>,
     deadline_us: u64,
-    /// The round's span until the round is decided: at its first
-    /// positive reply, or once it turns out a group miss (the status it
-    /// carries until then).
-    span: Option<Span>,
+    /// The round's span id and start until the round is decided: at its
+    /// first positive reply, or once no reply is left. A round whose read
+    /// fails first records no span, as its request records no root.
+    span: Option<(u64, u64)>,
 }
 
 impl IcpRound {
@@ -512,10 +513,15 @@ impl CacheDaemon {
         self.ctx.node.set_sink(sink);
     }
 
-    /// Stamps `span` closed at the current clock and emits it.
-    fn close_span(&self, mut span: Span) {
-        span.end_us = self.ctx.clock.now_micros();
-        self.ctx.emit(&Event::Span(span));
+    /// Opens a span: its id, and its start at the current clock.
+    fn open_span(&self) -> (u64, u64) {
+        (self.ctx.next_span(), self.ctx.clock.now_micros())
+    }
+
+    /// Emits the span `close` builds for `opened`, ending now.
+    fn close_span(&self, (id, start_us): (u64, u64), close: impl FnOnce(Stamp) -> Event) {
+        self.ctx
+            .emit(&close((id, start_us, self.ctx.clock.now_micros())));
     }
 
     /// Deterministic JSON snapshot of this daemon's live state: event
@@ -606,63 +612,42 @@ impl CacheDaemon {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let trace = scoped_id(self.ctx.id, seq);
         let _mute = mute_if_unsampled(self.ctx.node.sink(), trace);
-        let root = self.ctx.next_span();
+        let spans = SpanRecorder::new(trace, self.ctx.next_span(), self.ctx.id, doc);
         let started_us = self.ctx.clock.now_micros();
         let mut round = IcpRound::idle(doc);
-        let served = self.serve(doc, size, trace, root, &mut round);
+        let served = self.serve(doc, size, &spans, &mut round);
         // The replies the fetch did not wait for: by now they are
         // normally queued already.
         self.finish_icp_round(round);
         let outcome = served?;
         let ended_us = self.ctx.clock.now_micros();
         let latency_us = ended_us.saturating_sub(started_us);
-        let (class, responder, stored) = outcome.event_parts();
-        let source = match responder {
-            Some(peer) => ServeSource::Peer(peer),
-            None if outcome.is_local_hit() => ServeSource::Local,
-            None => ServeSource::Origin,
+        let source = match outcome {
+            RequestOutcome::LocalHit => ServeSource::Local,
+            RequestOutcome::RemoteHit { responder, .. } => ServeSource::Peer(responder),
+            RequestOutcome::Miss { .. } => ServeSource::Origin,
         };
         lock(&self.ctx.latency)
             .entry(source)
             .or_default()
             .record(latency_us);
-        self.ctx.emit(&Event::Span(Span {
-            trace_id: trace,
-            span_id: root,
-            parent: None,
-            cache: self.ctx.id,
-            kind: SpanKind::Request,
-            doc: Some(doc),
-            peer: None,
-            start_us: started_us,
-            end_us: ended_us,
-            status: class.name(),
-        }));
-        self.ctx.emit(&Event::Request {
-            seq,
-            cache: self.ctx.id,
-            doc,
-            class,
-            responder,
-            stored,
-            latency_us: Some(latency_us),
-        });
+        for event in spans.done(seq, &outcome, Some(latency_us), (started_us, ended_us)) {
+            self.ctx.emit(&event);
+        }
         Ok(outcome)
     }
 
     /// The protocol flow behind [`CacheDaemon::request`]: this daemon's
-    /// driver of the [`Requester`] machine. `trace` is the request's
-    /// trace id, `root` its root span: every protocol step opens a child
-    /// span under `root`, and remote steps carry the context on the wire
-    /// so peers attach their server-side spans to the same tree. A local
-    /// miss starts `round`; its replies answer `NextReply` in arrival
-    /// order.
+    /// driver of the [`Requester`] machine. `spans` records the request's
+    /// trace: every protocol step is a span under its root, and remote
+    /// steps carry the context on the wire so peers attach their
+    /// server-side spans to the same tree. A local miss starts `round`;
+    /// its replies answer `NextReply` in arrival order.
     fn serve(
         &self,
         doc: DocId,
         size: ByteSize,
-        trace: u64,
-        root: u64,
+        spans: &SpanRecorder,
         round: &mut IcpRound,
     ) -> io::Result<RequestOutcome> {
         let mut machine = Requester::new();
@@ -684,29 +669,28 @@ impl CacheDaemon {
                         .handle_client_lookup(doc, self.ctx.clock.now())
                         .is_some();
                     if !local_hit {
-                        *round = self.start_icp_round(doc, trace, root)?;
+                        *round = self.start_icp_round(doc, spans)?;
                     }
                     RequesterInput::Start { local_hit }
                 }
                 RequesterAction::NextReply => {
-                    let reply = self.next_reply(round)?;
+                    let input = self
+                        .next_reply(round)?
+                        .map_or(RequesterInput::RoundOver, |(peer, hit)| {
+                            RequesterInput::IcpReply { peer: peer.id, hit }
+                        });
                     // The round is decided at its first positive reply, or
                     // once no reply is left; its span closes then.
-                    if reply.is_none_or(|(_, hit)| hit) {
-                        if let Some(mut span) = round.span.take() {
-                            if reply.is_some() {
-                                span.status = "hit";
-                            }
-                            self.close_span(span);
+                    if !matches!(input, RequesterInput::IcpReply { hit: false, .. }) {
+                        if let Some(opened) = round.span.take() {
+                            self.close_span(opened, |at| spans.icp_round(input, at));
                         }
                     }
-                    reply.map_or(RequesterInput::RoundOver, |(peer, hit)| {
-                        RequesterInput::IcpReply { peer: peer.id, hit }
-                    })
+                    input
                 }
                 RequesterAction::Fetch { peer, .. } => {
                     match self.peers.iter().find(|p| p.id == peer) {
-                        Some(&peer) => self.fetch_candidate(peer, doc, trace, root),
+                        Some(&peer) => self.fetch_candidate(peer, doc, spans),
                         None => RequesterInput::FetchFailed,
                     }
                 }
@@ -714,8 +698,7 @@ impl CacheDaemon {
                 // §4.1) unless the admission gate sheds the store under
                 // memory pressure; the client gets its bytes either way.
                 RequesterAction::FetchOrigin { .. } => {
-                    let span_id = self.ctx.next_span();
-                    let start_us = self.ctx.clock.now_micros();
+                    let opened = self.open_span();
                     self.on_pooled_conn(
                         self.origin,
                         None,
@@ -734,24 +717,10 @@ impl CacheDaemon {
                             .ctx
                             .node
                             .complete_origin_fetch(doc, size, self.ctx.clock.now());
-                    let status = match (admitted, stored) {
-                        (false, _) => "shed",
-                        (true, true) => "stored",
-                        (true, false) => "declined",
-                    };
-                    self.close_span(Span {
-                        trace_id: trace,
-                        span_id,
-                        parent: Some(root),
-                        cache: self.ctx.id,
-                        kind: SpanKind::OriginFetch,
-                        doc: Some(doc),
-                        peer: None,
-                        start_us,
-                        end_us: 0,
-                        status,
-                    });
-                    RequesterInput::OriginServed { stored }
+                    let input = RequesterInput::OriginServed { stored };
+                    let closed = if admitted { Ok(input) } else { Err("shed") };
+                    self.close_span(opened, |at| spans.fetch(None, closed, at));
+                    input
                 }
                 RequesterAction::Done(outcome) => return Ok(outcome),
             };
@@ -763,13 +732,9 @@ impl CacheDaemon {
     /// and the configured retries, and books the peer's health. A peer
     /// that lost the document is healthy and answers `NotFound`; a fault
     /// is absorbed as `FetchFailed`.
-    fn fetch_candidate(&self, peer: PeerAddr, doc: DocId, trace: u64, root: u64) -> RequesterInput {
-        let span_id = self.ctx.next_span();
-        let start_us = self.ctx.clock.now_micros();
-        let ctx = TraceCtx {
-            trace_id: trace,
-            parent_span: span_id,
-        };
+    fn fetch_candidate(&self, peer: PeerAddr, doc: DocId, spans: &SpanRecorder) -> RequesterInput {
+        let opened = self.open_span();
+        let ctx = spans.ctx(opened.0);
         let fetch = || {
             self.on_pooled_conn(
                 peer.doc,
@@ -785,24 +750,11 @@ impl CacheDaemon {
             }
             fetched = fetch();
         }
-        let status = match &fetched {
-            Ok(RequesterInput::Fetched { stored: true, .. }) => "stored",
-            Ok(RequesterInput::Fetched { .. }) => "declined",
-            Ok(_) => "not-found",
-            Err(PeerFetchError(_, e)) => error_label(e),
-        };
-        self.close_span(Span {
-            trace_id: trace,
-            span_id,
-            parent: Some(root),
-            cache: self.ctx.id,
-            kind: SpanKind::PeerFetch,
-            doc: Some(doc),
-            peer: Some(peer.id),
-            start_us,
-            end_us: 0,
-            status,
-        });
+        let closed = fetched
+            .as_ref()
+            .copied()
+            .map_err(|PeerFetchError(_, e)| error_label(e));
+        self.close_span(opened, |at| spans.fetch(Some(peer.id), closed, at));
         match fetched {
             Ok(input) => {
                 self.note_peer_ok(peer.id);
@@ -875,25 +827,13 @@ impl CacheDaemon {
     ///
     /// Per-peer send failures are health signals, not request errors;
     /// only local socket failures propagate.
-    fn start_icp_round(&self, doc: DocId, trace: u64, root: u64) -> io::Result<IcpRound> {
+    fn start_icp_round(&self, doc: DocId, spans: &SpanRecorder) -> io::Result<IcpRound> {
         let mut round = IcpRound::idle(doc);
         if self.peers.is_empty() {
             return Ok(round);
         }
-        let span_id = self.ctx.next_span();
-        let now_us = self.ctx.clock.now_micros();
-        round.span = Some(Span {
-            trace_id: trace,
-            span_id,
-            parent: Some(root),
-            cache: self.ctx.id,
-            kind: SpanKind::IcpRound,
-            doc: Some(doc),
-            peer: None,
-            start_us: now_us,
-            end_us: 0,
-            status: "miss",
-        });
+        let opened = self.open_span();
+        round.span = Some(opened);
         let benched = self.ctx.quarantined();
         let targets: Vec<PeerAddr> = self
             .peers
@@ -914,10 +854,7 @@ impl CacheDaemon {
                 from: self.ctx.id,
                 doc,
             },
-            ctx: Some(TraceCtx {
-                trace_id: trace,
-                parent_span: span_id,
-            }),
+            ctx: Some(spans.ctx(opened.0)),
         });
         for peer in targets {
             match socket.send_to(query.header(), peer.icp) {
@@ -1018,9 +955,6 @@ impl CacheDaemon {
     /// can never be read as a later round's answer.
     fn finish_icp_round(&self, mut round: IcpRound) {
         while let Ok(Some(_)) = self.next_reply(&mut round) {}
-        if let Some(span) = round.span.take() {
-            self.close_span(span);
-        }
         for (peer, answered) in &round.queried {
             if !answered {
                 self.ctx.emit(&Event::PeerFault {
@@ -1234,18 +1168,9 @@ fn icp_loop(socket: &UdpSocket, ctx: &LoopCtx) {
                         }
                     }
                     if let (Some(t), Some(span_id)) = (trace, span_id) {
-                        ctx.emit(&Event::Span(Span {
-                            trace_id: t.trace_id,
-                            span_id,
-                            parent: Some(t.parent_span),
-                            cache: ctx.id,
-                            kind: SpanKind::IcpHandle,
-                            doc: Some(query.doc),
-                            peer: Some(query.from),
-                            start_us,
-                            end_us: ctx.clock.now_micros(),
-                            status: if reply.hit { "hit" } else { "miss" },
-                        }));
+                        let spans = SpanRecorder::new(t.trace_id, t.parent_span, ctx.id, query.doc);
+                        let handle = (span_id, start_us, ctx.clock.now_micros());
+                        ctx.emit(&spans.icp_handle(query.from, reply.hit, handle));
                     }
                 }
             }
@@ -1534,25 +1459,9 @@ fn answer_frame<W: Write>(
         write_body(writer, len)?;
     }
     if let (Some(t), Some(span_id), Some(start_us)) = (trace, span_id, start_us) {
-        let status = if !found {
-            "not-found"
-        } else if promoted {
-            "promoted"
-        } else {
-            "kept"
-        };
-        ctx.emit(&Event::Span(Span {
-            trace_id: t.trace_id,
-            span_id,
-            parent: Some(t.parent_span),
-            cache: ctx.id,
-            kind: SpanKind::DocServe,
-            doc: Some(request.doc),
-            peer: Some(request.from),
-            start_us,
-            end_us: ctx.clock.now_micros(),
-            status,
-        }));
+        let spans = SpanRecorder::new(t.trace_id, t.parent_span, ctx.id, request.doc);
+        let serve = (span_id, start_us, ctx.clock.now_micros());
+        ctx.emit(&spans.doc_serve(request.from, found.then_some(promoted), serve));
     }
     Ok(if truncated {
         FrameDisposition::Close
@@ -1670,7 +1579,7 @@ mod tests {
     use crate::fault::{FaultKind, FaultMode, FaultPlan};
     use crate::wire::{CountingWriter, MAX_FRAME_LEN};
     use coopcache_core::PlacementScheme;
-    use coopcache_obs::{parse_json, EventKind, JsonValue, RingBufferSink};
+    use coopcache_obs::{parse_json, EventKind, JsonValue, RingBufferSink, SpanKind};
     use coopcache_proxy::HttpRequest;
     use coopcache_types::{DurationMs, ExpirationAge};
     use std::collections::VecDeque;
@@ -2160,10 +2069,11 @@ mod tests {
         cluster.set_sink(SinkHandle::from_arc(Arc::clone(&ring)));
         let daemon = cluster.daemon(0);
         let holders = [CacheId::new(1), CacheId::new(2)];
+        let spans = SpanRecorder::new(0, 0, CacheId::new(0), doc);
 
         // A slow fetch from the first candidate: the other reply is read
         // when the round is finished.
-        let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
+        let mut round = daemon.start_icp_round(doc, &spans).unwrap();
         std::thread::sleep(icp_timeout * 4);
         let first = daemon.next_reply(&mut round).unwrap();
         assert!(
@@ -2175,7 +2085,7 @@ mod tests {
 
         // A slow failing fetch from the first candidate: the second is
         // still pulled.
-        let mut round = daemon.start_icp_round(doc, 0, 0).unwrap();
+        let mut round = daemon.start_icp_round(doc, &spans).unwrap();
         std::thread::sleep(icp_timeout * 4);
         let mut pulled = Vec::new();
         while let Some((peer, hit)) = daemon.next_reply(&mut round).unwrap() {

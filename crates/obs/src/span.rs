@@ -11,8 +11,10 @@
 //! Span and trace ids are plain `u64`s. The socket daemons partition the
 //! id space by cache (high 16 bits) so concurrently-allocated ids never
 //! collide and a structural sort groups each daemon's spans together;
-//! the DES derives ids from the request index, which makes seeded runs
-//! byte-identical.
+//! the synchronous group and the DES derive ids from the request index
+//! (high bits), which makes seeded runs byte-identical. Every driver
+//! builds its spans with `coopcache_proxy::SpanRecorder`, the one place
+//! that decides the tree's shape.
 
 use coopcache_types::{CacheId, DocId};
 

@@ -7,7 +7,10 @@
 //!
 //! [`DistributedGroup::handle_request`] is the synchronous driver of the
 //! [`Requester`] machine: it carries out each action at once, answering
-//! `NextReply` from an eager discovery round.
+//! `NextReply` from an eager discovery round. With a sink attached it
+//! records each request's span tree at trace time, every span
+//! zero-length, and its `Request` event (no latency: the group has no
+//! clock).
 
 use crate::bloom::BloomFilter;
 use crate::discovery::{Discovery, ProtocolStats};
@@ -15,6 +18,7 @@ use crate::message::IcpQuery;
 use crate::node::ProxyNode;
 use crate::outcome::RequestOutcome;
 use crate::requester::{Requester, RequesterAction, RequesterInput};
+use crate::spans::SeqSpanIds;
 use coopcache_core::{CacheConfig, ExpirationWindow, PlacementScheme, PolicyKind};
 use coopcache_obs::{Event, SinkHandle};
 use coopcache_types::{ByteSize, CacheId, DocId, ExpirationAge, Timestamp};
@@ -51,9 +55,13 @@ pub struct DistributedGroup {
     /// The current request's untried fetch candidates, the next one last;
     /// kept between requests so a round allocates nothing.
     candidates: Vec<CacheId>,
-    /// Optional event sink for ICP traffic; node-level events (placement,
-    /// eviction) are emitted by the nodes themselves.
+    /// Optional event sink for ICP traffic and spans; node-level events
+    /// (placement, eviction) are emitted by the nodes themselves.
     sink: Option<SinkHandle>,
+    /// Requests handled so far: the next request's trace id.
+    requests: u64,
+    /// The span ids of the request in hand.
+    ids: SeqSpanIds,
 }
 
 /// A peer's last-broadcast content digest, as held by the other caches.
@@ -130,12 +138,15 @@ impl DistributedGroup {
             protocol: ProtocolStats::default(),
             candidates: Vec::new(),
             sink: None,
+            requests: 0,
+            ids: SeqSpanIds::new(0),
         }
     }
 
     /// Attaches an event sink to the group and every node in it: ICP
-    /// query/reply events come from the group, placement and eviction
-    /// events from the nodes.
+    /// query/reply events, spans and `Request` events come from the
+    /// group, placement and eviction events from the nodes. Request `n`
+    /// (counting from 0) is trace `n`, numbered by [`SeqSpanIds`].
     pub fn set_sink(&mut self, sink: SinkHandle) {
         for node in &mut self.nodes {
             node.set_sink(sink.clone());
@@ -260,6 +271,8 @@ impl DistributedGroup {
             requester.index() < self.nodes.len(),
             "unknown requester {requester}"
         );
+        self.ids = SeqSpanIds::new(self.requests);
+        self.requests += 1;
         let mut machine = Requester::new();
         let mut action = machine.pending();
         loop {
@@ -307,14 +320,59 @@ impl DistributedGroup {
                 },
                 RequesterAction::Done(outcome) => return outcome,
             };
-            action = machine.step(input);
+            let next = machine.step(input);
+            if self.sink.is_some() {
+                self.trace(requester, doc, now, action, input, next);
+            }
+            action = next;
+        }
+    }
+
+    /// Records what the step from `pending` on `input` to `next` closed,
+    /// at trace time (zero-length spans): a fetch with its responder's
+    /// serve, the origin fetch, and once `next` is done the request's root
+    /// and its `Request` event. Cold: without a sink, the request loop
+    /// pays one test per step.
+    #[cold]
+    fn trace(
+        &mut self,
+        requester: CacheId,
+        doc: DocId,
+        now: Timestamp,
+        pending: RequesterAction,
+        input: RequesterInput,
+        next: RequesterAction,
+    ) {
+        let Some(sink) = &self.sink else { return };
+        let (spans, at) = (self.ids.recorder(requester, doc), now.as_micros());
+        match pending {
+            RequesterAction::Fetch { peer, .. } => {
+                let fetch = self.ids.next_id();
+                sink.emit(&spans.fetch(Some(peer), Ok(input), (fetch, at, at)));
+                let promoted = match input {
+                    RequesterInput::Fetched { promoted, .. } => Some(promoted),
+                    _ => None,
+                };
+                let serve = spans.under(fetch, peer);
+                sink.emit(&serve.doc_serve(requester, promoted, (self.ids.next_id(), at, at)));
+            }
+            RequesterAction::FetchOrigin { .. } => {
+                sink.emit(&spans.fetch(None, Ok(input), (self.ids.next_id(), at, at)));
+            }
+            _ => {}
+        }
+        if let RequesterAction::Done(outcome) = next {
+            for event in spans.done(self.requests - 1, &outcome, None, (at, at)) {
+                sink.emit(&event);
+            }
         }
     }
 
     /// Collects into `candidates` the peers that `requester`'s discovery
     /// mechanism says hold `doc`, the first in probe order last. An ICP
-    /// round queries every peer and is emitted whole before the first
-    /// fetch.
+    /// round queries every peer and is emitted whole, spans included,
+    /// before the first fetch; digest discovery exchanges no ICP, so it
+    /// records no round.
     fn discover(&mut self, requester: CacheId, doc: DocId, now: Timestamp) {
         let n = self.nodes.len();
         let rotation = (1..n).map(|off| CacheId::new(((requester.index() + off) % n) as u16));
@@ -327,9 +385,11 @@ impl DistributedGroup {
                 };
                 self.protocol.icp_queries += (n - 1) as u64;
                 self.protocol.icp_replies += (n - 1) as u64;
+                let (spans, at) = (self.ids.recorder(requester, doc), now.as_micros());
+                let round = self.sink.as_ref().map(|_| self.ids.next_id());
                 for peer in rotation {
-                    let reply = self.nodes[peer.index()].handle_icp_query(query);
-                    if let Some(sink) = &self.sink {
+                    let hit = self.nodes[peer.index()].handle_icp_query(query).hit;
+                    if let (Some(sink), Some(round)) = (&self.sink, round) {
                         sink.emit(&Event::IcpQuery {
                             from: requester,
                             to: peer,
@@ -338,12 +398,21 @@ impl DistributedGroup {
                         sink.emit(&Event::IcpReply {
                             from: peer,
                             doc,
-                            hit: reply.hit,
+                            hit,
                         });
+                        let handle = (self.ids.next_id(), at, at);
+                        sink.emit(&spans.under(round, peer).icp_handle(requester, hit, handle));
                     }
-                    if reply.hit {
+                    if hit {
                         self.candidates.push(peer);
                     }
+                }
+                if let (Some(sink), Some(round)) = (&self.sink, round) {
+                    let closed = match self.candidates.first() {
+                        Some(&peer) => RequesterInput::IcpReply { peer, hit: true },
+                        None => RequesterInput::RoundOver,
+                    };
+                    sink.emit(&spans.icp_round(closed, (round, at, at)));
                 }
             }
             Discovery::Digest {

@@ -16,11 +16,13 @@
 //!   upward and each parent applies the EA parent rule on the way down.
 //!
 //! Everything here is I/O-free: [`ProxyNode`] exposes pure protocol
-//! handlers, and [`Requester`] is the request lifecycle around them
-//! (lookup, ICP round, fetch, failover, origin). The synchronous driver,
-//! the discrete-event simulator (`coopcache-sim`) and the real-socket
-//! runtime (`coopcache-net`) all share both, so every execution mode runs
-//! identical placement logic and the same protocol sequence.
+//! handlers, [`Requester`] is the request lifecycle around them (lookup,
+//! ICP round, fetch, failover, origin), and [`SpanRecorder`] builds that
+//! lifecycle's span tree. The synchronous driver, the discrete-event
+//! simulator (`coopcache-sim`) and the real-socket runtime
+//! (`coopcache-net`) all share the three, so every execution mode runs
+//! identical placement logic and the same protocol sequence, and traces
+//! it in one shape.
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@ mod message;
 mod node;
 mod outcome;
 mod requester;
+mod spans;
 mod store;
 
 pub use bloom::BloomFilter;
@@ -63,3 +66,4 @@ pub use message::{HttpRequest, HttpResponse, IcpQuery, IcpReply};
 pub use node::ProxyNode;
 pub use outcome::RequestOutcome;
 pub use requester::{Requester, RequesterAction, RequesterInput};
+pub use spans::{FetchResult, SeqSpanIds, SpanRecorder, Stamp};

@@ -52,23 +52,6 @@ impl RequestOutcome {
     pub fn is_remote_hit(&self) -> bool {
         matches!(self, Self::RemoteHit { .. })
     }
-
-    /// The observability view of this outcome: its event class, the
-    /// supplying peer (remote hits only) and whether the requester kept a
-    /// local copy. Drivers use this to build `Event::Request`s.
-    #[must_use]
-    pub fn event_parts(&self) -> (coopcache_obs::RequestClass, Option<CacheId>, bool) {
-        use coopcache_obs::RequestClass;
-        match self {
-            Self::LocalHit => (RequestClass::LocalHit, None, false),
-            Self::RemoteHit {
-                responder,
-                stored_locally,
-                ..
-            } => (RequestClass::RemoteHit, Some(*responder), *stored_locally),
-            Self::Miss { stored_locally, .. } => (RequestClass::Miss, None, *stored_locally),
-        }
-    }
 }
 
 impl fmt::Display for RequestOutcome {

@@ -41,10 +41,11 @@ use crate::config::SimConfig;
 use coopcache_metrics::GroupMetrics;
 use coopcache_obs::{
     age_to_ms, Event, EventSink, HealthConfig, HealthFold, HealthReport, Rollup, RollupConfig,
-    SeriesGauges, SinkHandle, SinkOffload, Span, SpanKind,
+    SeriesGauges, SinkHandle, SinkOffload,
 };
 use coopcache_proxy::{
     DistributedGroup, HttpRequest, IcpQuery, Requester, RequesterAction, RequesterInput,
+    SeqSpanIds, SpanRecorder,
 };
 use coopcache_trace::{Partitioner, Trace};
 use coopcache_types::{
@@ -54,11 +55,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
-
-/// Simulated-time µs for a span timestamp.
-fn sim_us(t: Timestamp) -> u64 {
-    t.as_millis().saturating_mul(1_000)
-}
 
 /// One-way delays and transfer rates of the simulated network.
 ///
@@ -192,8 +188,8 @@ struct InFlight {
     /// The HTTP request of a pending peer fetch, with the requester's
     /// age when the fetch was issued.
     sent: HttpRequest,
-    /// Next span-id suffix; the root span is always `k = 1`.
-    span_next: u64,
+    /// The ids of the request's trace.
+    ids: SeqSpanIds,
 }
 
 impl InFlight {
@@ -214,22 +210,13 @@ impl InFlight {
                 doc: request.doc,
                 requester_age: ExpirationAge::Infinite,
             },
-            span_next: 2,
+            ids: SeqSpanIds::new(idx as u64),
         }
     }
 
-    /// The root span (always the first id of the request's trace).
-    fn root_span(&self) -> u64 {
-        ((self.idx as u64) << 16) | 1
-    }
-
-    /// Allocates the next span id of the request's trace: ids are
-    /// `(idx << 16) | k` with `k` sequential, so two same-seed runs
-    /// assemble byte-identical trace trees.
-    fn next_span(&mut self) -> u64 {
-        let k = self.span_next;
-        self.span_next += 1;
-        ((self.idx as u64) << 16) | k
+    /// The recorder of the request's trace.
+    fn spans(&self) -> SpanRecorder {
+        self.ids.recorder(self.requester, self.doc)
     }
 }
 
@@ -559,8 +546,9 @@ fn simulate(
                     doc: r.doc,
                 };
                 let mut out = tap.as_deref().map(lock_tap);
-                let round = out.is_some().then(|| r.next_span());
-                let mut action = RequesterAction::NextReply;
+                let round = out.is_some().then(|| r.ids.next_id());
+                let at = now.as_micros();
+                let mut closed = RequesterInput::RoundOver;
                 for off in 1..n {
                     let peer = CacheId::new(((r.requester.index() + off) % n) as u16);
                     if let Some(out) = &mut out {
@@ -576,102 +564,55 @@ fn simulate(
                         // no icp-handle span — the peer never saw it).
                         continue;
                     }
-                    let hit = group.node(peer).handle_icp_query(query).hit;
+                    let reply = group.node(peer).handle_icp_query(query);
                     if let (Some(out), Some(round)) = (&mut out, round) {
                         out.emit(&Event::IcpReply {
                             from: peer,
                             doc: r.doc,
-                            hit,
+                            hit: reply.hit,
                         });
-                        out.emit(&Event::Span(Span {
-                            trace_id: r.idx as u64,
-                            span_id: r.next_span(),
-                            parent: Some(round),
-                            cache: peer,
-                            kind: SpanKind::IcpHandle,
-                            doc: Some(r.doc),
-                            peer: Some(r.requester),
-                            start_us: sim_us(now),
-                            end_us: sim_us(now),
-                            status: if hit { "hit" } else { "miss" },
-                        }));
+                        let handle = (r.ids.next_id(), at, at);
+                        let spans = r.spans().under(round, peer);
+                        out.emit(&spans.icp_handle(r.requester, reply.hit, handle));
                     }
-                    action = r.machine.step(RequesterInput::IcpReply { peer, hit });
-                    if action != RequesterAction::NextReply {
+                    if reply.hit {
+                        closed = RequesterInput::IcpReply { peer, hit: true };
                         break;
                     }
                 }
-                if action == RequesterAction::NextReply {
-                    action = r.machine.step(RequesterInput::RoundOver);
-                }
                 if let (Some(out), Some(round)) = (&mut out, round) {
-                    let hit = matches!(action, RequesterAction::Fetch { .. });
-                    out.emit(&Event::Span(Span {
-                        trace_id: r.idx as u64,
-                        span_id: round,
-                        parent: Some(r.root_span()),
-                        cache: r.requester,
-                        kind: SpanKind::IcpRound,
-                        doc: Some(r.doc),
-                        peer: None,
-                        start_us: sim_us(r.arrival),
-                        end_us: sim_us(now),
-                        status: if hit { "hit" } else { "miss" },
-                    }));
+                    let round = (round, r.arrival.as_micros(), at);
+                    out.emit(&r.spans().icp_round(closed, round));
                 }
-                (action, out)
+                (r.machine.step(closed), out)
             }
             RequesterAction::Fetch {
                 peer: responder, ..
             } => {
-                let (input, fetch_status, serve_status) =
-                    match group.node_mut(responder).handle_http_request(r.sent, now) {
-                        Some((response, promoted)) => {
-                            let stored = group
-                                .node_mut(r.requester)
-                                .complete_remote_fetch(r.sent, response, now);
-                            (
-                                RequesterInput::Fetched { stored, promoted },
-                                if stored { "stored" } else { "declined" },
-                                if promoted { "promoted" } else { "kept" },
-                            )
-                        }
-                        // The document vanished between ICP and HTTP.
-                        None => {
-                            icp_fallbacks += 1;
-                            (RequesterInput::NotFound, "not-found", "not-found")
-                        }
-                    };
+                let served = group.node_mut(responder).handle_http_request(r.sent, now);
+                let input = match served {
+                    Some((response, promoted)) => RequesterInput::Fetched {
+                        stored: group
+                            .node_mut(r.requester)
+                            .complete_remote_fetch(r.sent, response, now),
+                        promoted,
+                    },
+                    // The document vanished between ICP and HTTP.
+                    None => {
+                        icp_fallbacks += 1;
+                        RequesterInput::NotFound
+                    }
+                };
                 let mut out = tap.as_deref().map(lock_tap);
-                // Mirrors the live daemon: the requester's peer-fetch
-                // span covers the TCP leg, the responder's doc-serve
-                // span hangs under it.
+                // The requester's peer-fetch span covers the transfer; the
+                // responder's doc-serve span hangs under it, at its end.
                 if let Some(out) = &mut out {
-                    let fetch = r.next_span();
-                    out.emit(&Event::Span(Span {
-                        trace_id: r.idx as u64,
-                        span_id: fetch,
-                        parent: Some(r.root_span()),
-                        cache: r.requester,
-                        kind: SpanKind::PeerFetch,
-                        doc: Some(r.doc),
-                        peer: Some(responder),
-                        start_us: sim_us(r.since),
-                        end_us: sim_us(now),
-                        status: fetch_status,
-                    }));
-                    out.emit(&Event::Span(Span {
-                        trace_id: r.idx as u64,
-                        span_id: r.next_span(),
-                        parent: Some(fetch),
-                        cache: responder,
-                        kind: SpanKind::DocServe,
-                        doc: Some(r.doc),
-                        peer: Some(r.requester),
-                        start_us: sim_us(now),
-                        end_us: sim_us(now),
-                        status: serve_status,
-                    }));
+                    let end = now.as_micros();
+                    let fetch = (r.ids.next_id(), r.since.as_micros(), end);
+                    out.emit(&r.spans().fetch(Some(responder), Ok(input), fetch));
+                    let promoted = served.map(|(_, promoted)| promoted);
+                    let spans = r.spans().under(fetch.0, responder);
+                    out.emit(&spans.doc_serve(r.requester, promoted, (r.ids.next_id(), end, end)));
                 }
                 let mut action = r.machine.step(input);
                 if action == RequesterAction::NextReply {
@@ -685,22 +626,13 @@ fn simulate(
                 let stored = group
                     .node_mut(r.requester)
                     .complete_origin_fetch(r.doc, r.size, now);
+                let input = RequesterInput::OriginServed { stored };
                 let mut out = tap.as_deref().map(lock_tap);
                 if let Some(out) = &mut out {
-                    out.emit(&Event::Span(Span {
-                        trace_id: r.idx as u64,
-                        span_id: r.next_span(),
-                        parent: Some(r.root_span()),
-                        cache: r.requester,
-                        kind: SpanKind::OriginFetch,
-                        doc: Some(r.doc),
-                        peer: None,
-                        start_us: sim_us(r.since),
-                        end_us: sim_us(now),
-                        status: if stored { "stored" } else { "declined" },
-                    }));
+                    let origin = (r.ids.next_id(), r.since.as_micros(), now.as_micros());
+                    out.emit(&r.spans().fetch(None, Ok(input), origin));
                 }
-                (r.machine.step(RequesterInput::OriginServed { stored }), out)
+                (r.machine.step(input), out)
             }
             // A served request leaves the queue for good.
             RequesterAction::Done(_) => continue,
@@ -728,32 +660,15 @@ fn simulate(
                     out = tap.as_deref().map(lock_tap);
                 }
                 if let Some(out) = out.as_deref_mut() {
-                    let (class, responder, stored) = outcome.event_parts();
                     // The root span closes when the request completes; its
                     // id is fixed (`k = 1`), so it sorts first in the
                     // assembled tree even though the child spans were
                     // emitted earlier.
-                    out.emit(&Event::Span(Span {
-                        trace_id: r.idx as u64,
-                        span_id: r.root_span(),
-                        parent: None,
-                        cache: r.requester,
-                        kind: SpanKind::Request,
-                        doc: Some(r.doc),
-                        peer: None,
-                        start_us: sim_us(r.arrival),
-                        end_us: sim_us(done),
-                        status: class.name(),
-                    }));
-                    out.emit(&Event::Request {
-                        seq: r.idx as u64,
-                        cache: r.requester,
-                        doc: r.doc,
-                        class,
-                        responder,
-                        stored,
-                        latency_us: Some(latency_ms * 1_000),
-                    });
+                    let at = (r.arrival.as_micros(), done.as_micros());
+                    let latency_us = Some(latency_ms * 1_000);
+                    for event in r.spans().done(r.idx as u64, &outcome, latency_us, at) {
+                        out.emit(&event);
+                    }
                 }
                 continue;
             }

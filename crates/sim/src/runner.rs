@@ -109,8 +109,10 @@ pub fn run(config: &SimConfig, trace: &Trace) -> SimReport {
 }
 
 /// Like [`run`], but streams every event (requests, placements,
-/// evictions, ICP traffic, window rollovers) into `sink` when one is
-/// supplied — the synchronous driver's entry point for `--events`.
+/// evictions, ICP traffic, spans, window rollovers) into `sink` when one
+/// is supplied — the synchronous driver's entry point for `--events`.
+/// The group emits each request's span tree, stamped with trace time,
+/// and its `Request` event.
 #[must_use]
 pub fn run_with_sink(config: &SimConfig, trace: &Trace, sink: Option<SinkHandle>) -> SimReport {
     run_inner(config, trace, sink, |_, _, _| {})
@@ -155,18 +157,6 @@ where
         let outcome = group.handle_request(requester, request.doc, request.size, request.time);
         if seq >= warmup_until {
             metrics.record(outcome, request.size);
-        }
-        if let Some(sink) = &sink {
-            let (class, responder, stored) = outcome.event_parts();
-            sink.emit(&Event::Request {
-                seq: seq as u64,
-                cache: requester,
-                doc: request.doc,
-                class,
-                responder,
-                stored,
-                latency_us: None,
-            });
         }
         win.0 += 1;
         if outcome.is_local_hit() {

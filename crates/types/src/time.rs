@@ -157,6 +157,13 @@ impl Timestamp {
         self.0
     }
 
+    /// Returns microseconds since the trace epoch (saturating): the span
+    /// clock of the simulators.
+    #[must_use]
+    pub const fn as_micros(self) -> u64 {
+        self.0.saturating_mul(1_000)
+    }
+
     /// Duration elapsed since an earlier timestamp, clamped at zero.
     ///
     /// Out-of-order trace records can make `earlier` exceed `self`; clamping

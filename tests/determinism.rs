@@ -3,6 +3,8 @@
 use coopcache::prelude::*;
 use coopcache::trace::{read_trace, write_trace};
 
+mod common;
+
 #[test]
 fn trace_generation_is_reproducible_across_runs() {
     let p = TraceProfile::small().with_seed(0xC0FFEE);
@@ -123,10 +125,13 @@ fn event_streams_are_byte_identical_across_runs() {
 }
 
 /// The sync runner's JSONL stream on `small()`, pinned for ad-hoc, EA
-/// and digest discovery (computed at commit `6c944c7`, before the doc
-/// table stopped storing keys and the ICP round stopped collecting its
-/// replies): the order of ICP replies, fetches, placements and
-/// evictions is checked against that commit, not a second run.
+/// and digest discovery. The whole streams, spans included, are pinned
+/// as of the span recorder. With their span lines removed they still
+/// hash to the values computed at commit `6c944c7`, before the doc table
+/// stopped storing keys and the ICP round stopped collecting its
+/// replies: the order of ICP replies, fetches, placements and evictions
+/// is checked against that commit, not a second run, and the spans were
+/// only added around it.
 #[test]
 fn sync_event_streams_match_the_pinned_streams() {
     use coopcache::proxy::Discovery;
@@ -141,16 +146,55 @@ fn sync_event_streams_match_the_pinned_streams() {
         cfg.clone().with_scheme(PlacementScheme::Ea),
         cfg.with_scheme(PlacementScheme::Ea).with_discovery(digest),
     ]
-    .map(|cfg| format!("{:#018x}", fnv1a(&event_stream(&cfg, &trace))));
+    .map(|cfg| event_stream(&cfg, &trace));
+    let hash = |bytes: &[u8]| format!("{:#018x}", fnv1a(bytes));
     assert_eq!(
-        streams,
+        streams.each_ref().map(|s| hash(s)),
+        [
+            "0xc72c27bf15ae73f6",
+            "0xc7a5a7fe9c234e7d",
+            "0x4b8423c918fc4810",
+        ],
+        "sync JSONL streams: ad-hoc ICP, EA ICP, EA digest"
+    );
+    let without_spans = streams.each_ref().map(|s| {
+        let text = std::str::from_utf8(s).unwrap();
+        let kept: String = text
+            .split_inclusive('\n')
+            .filter(|l| !l.starts_with(r#"{"ev":"span""#))
+            .collect();
+        hash(kept.as_bytes())
+    });
+    assert_eq!(
+        without_spans,
         [
             "0xadd5b20e153406b6",
             "0xb9c728432fa33f34",
             "0xd7ae9e190a0b51a5",
         ],
-        "sync JSONL streams: ad-hoc ICP, EA ICP, EA digest"
+        "the same streams without their span lines"
     );
+}
+
+/// The synchronous group's and the DES's span trees on `small()` have
+/// the one shape the span recorder gives every driver (the live
+/// daemons' are checked in `live_cluster.rs`).
+#[test]
+fn sync_and_des_span_trees_have_the_recorders_shape() {
+    use common::{check_span_trees, Collected};
+    use std::sync::{Arc, Mutex};
+    let trace = generate(&TraceProfile::small()).unwrap();
+    let cfg = SimConfig::new(ByteSize::from_kb(500)).with_scheme(PlacementScheme::Ea);
+    let collect = |run: &dyn Fn(SinkHandle)| {
+        let sink = Arc::new(Mutex::new(Collected::default()));
+        run(SinkHandle::from_arc(Arc::clone(&sink)));
+        let events = std::mem::take(&mut sink.lock().unwrap().0);
+        check_span_trees(&events)
+    };
+    let sync = collect(&|sink| drop(run_with_sink(&cfg, &trace, Some(sink))));
+    let net = NetworkModel::paper_calibrated();
+    let des = collect(&|sink| drop(run_des_with_sink(&cfg, &net, &trace, Some(sink))));
+    assert_eq!((sync, des), (trace.len(), trace.len()));
 }
 
 #[test]

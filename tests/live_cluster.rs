@@ -7,6 +7,9 @@ use coopcache::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+mod common;
+use common::{check_span_trees, Collected};
+
 fn kb(n: u64) -> ByteSize {
     ByteSize::from_kb(n)
 }
@@ -110,19 +113,11 @@ fn cluster_agrees_with_synchronous_group_on_the_whole_small_profile() {
     cluster_agrees_with_synchronous_group(TraceProfile::small().requests);
 }
 
-/// Events per kind name, one count per line a JSONL sink would write.
-#[derive(Debug, Default)]
-struct KindCounts(BTreeMap<&'static str, u64>);
-
-impl EventSink for KindCounts {
-    fn emit(&mut self, event: &Event) {
-        *self.0.entry(event.kind().name()).or_default() += 1;
-    }
-}
-
 /// What one sampled replay of a trace left behind.
 struct SampledRun {
-    /// Lines per kind in the (possibly sampled) event stream.
+    /// The (possibly sampled) event stream.
+    events: Vec<Event>,
+    /// Lines per kind in that stream.
     stream: BTreeMap<&'static str, u64>,
     /// Each daemon's `OP_STATS` counters, in cache-id order.
     counters: Vec<BTreeMap<String, u64>>,
@@ -136,7 +131,7 @@ struct SampledRun {
 fn sampled_run(rate: Option<u32>) -> SampledRun {
     let trace = generate(&TraceProfile::small().with_requests(300)).unwrap();
     let mut cluster = LoopbackCluster::start(2, kb(32), PlacementScheme::Ea).unwrap();
-    let stream = Arc::new(Mutex::new(KindCounts::default()));
+    let stream = Arc::new(Mutex::new(Collected::default()));
     cluster.set_sink(
         SinkHandle::from_arc(Arc::clone(&stream))
             .sampled(rate.map(|rate| SamplerConfig::new(0xC0FFEE, rate))),
@@ -168,8 +163,13 @@ fn sampled_run(rate: Option<u32>) -> SampledRun {
         })
         .collect();
     cluster.shutdown();
-    let stream = std::mem::take(&mut stream.lock().unwrap().0);
+    let events = std::mem::take(&mut stream.lock().unwrap().0);
+    let mut stream = BTreeMap::new();
+    for event in &events {
+        *stream.entry(event.kind().name()).or_default() += 1;
+    }
     SampledRun {
+        events,
         stream,
         counters,
         remote_hits,
@@ -219,6 +219,14 @@ fn sampling_sheds_request_scoped_lines_and_keeps_counters_exact() {
     );
     assert!(full.stream[reused] > 0);
     assert_eq!(all.stream, full.stream, "1000 permille keeps every line");
+}
+
+/// The daemons' span trees have the one shape the span recorder gives
+/// every driver (the simulators' are checked in `determinism.rs`).
+#[test]
+fn live_span_trees_have_the_recorders_shape() {
+    let run = sampled_run(None);
+    assert_eq!(check_span_trees(&run.events), 300);
 }
 
 #[test]
