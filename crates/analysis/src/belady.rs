@@ -8,7 +8,7 @@
 //! report how much of the ad-hoc→MIN gap the EA scheme closes.
 
 use coopcache_types::{ByteSize, DocId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Result of an offline MIN pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,7 +67,13 @@ impl BeladyReport {
 /// assert_eq!(report.hits, 3); // everything fits: 3 compulsory misses only
 /// ```
 #[must_use]
+#[expect(
+    clippy::disallowed_types,
+    reason = "both maps are only probed, never iterated, and BTreeMaps made this pass \
+              more than twice as slow on the full-scale trace"
+)]
 pub fn belady_min(stream: &[(DocId, ByteSize)], capacity: ByteSize) -> BeladyReport {
+    use std::collections::HashMap;
     let n = stream.len();
     // next_use[i] = position of the next reference to stream[i].0, or n.
     let mut next_use = vec![n; n];

@@ -1,7 +1,7 @@
 //! Popularity analysis: rank/frequency statistics and Zipf fitting.
 
 use coopcache_types::DocId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Rank/frequency statistics of a document-reference stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -16,7 +16,7 @@ impl PopularityProfile {
     /// Computes the profile of a reference stream.
     #[must_use]
     pub fn compute(stream: impl IntoIterator<Item = DocId>) -> Self {
-        let mut freq: HashMap<DocId, u64> = HashMap::new();
+        let mut freq: BTreeMap<DocId, u64> = BTreeMap::new();
         let mut total = 0u64;
         for doc in stream {
             *freq.entry(doc).or_default() += 1;

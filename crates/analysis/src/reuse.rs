@@ -10,7 +10,7 @@
 //! reference positions — Olken's classic algorithm.
 
 use coopcache_types::DocId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A Fenwick tree over reference positions: marks live positions and
 /// counts how many fall in a suffix.
@@ -64,7 +64,7 @@ impl ReuseProfile {
         let refs: Vec<DocId> = stream.into_iter().collect();
         let n = refs.len();
         let mut fenwick = Fenwick::new(n);
-        let mut last_pos: HashMap<DocId, usize> = HashMap::new();
+        let mut last_pos: BTreeMap<DocId, usize> = BTreeMap::new();
         let mut histogram: Vec<u64> = Vec::new();
         let mut cold = 0u64;
         for (pos, &doc) in refs.iter().enumerate() {

@@ -7,7 +7,7 @@
 //! (only a shared or cooperative cache can catch it).
 
 use coopcache_types::{ClientId, DocId, Request};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How a request stream decomposes by who touched each document before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,7 +25,7 @@ impl SharingProfile {
     /// Computes the decomposition of a request stream.
     #[must_use]
     pub fn compute<'a>(stream: impl IntoIterator<Item = &'a Request>) -> Self {
-        let mut seen_by: HashMap<DocId, Vec<ClientId>> = HashMap::new();
+        let mut seen_by: BTreeMap<DocId, Vec<ClientId>> = BTreeMap::new();
         let mut profile = Self::default();
         for r in stream {
             let clients = seen_by.entry(r.doc).or_default();

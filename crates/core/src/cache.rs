@@ -497,16 +497,19 @@ impl Cache {
         rec
     }
 
-    /// Iterates over the cached documents in arena slot order.
+    /// Calls `f` on every cached document, in arena slot order.
     ///
     /// Slot order is a pure function of the operation sequence (so a walk
     /// is reproducible) but not a semantic order: it follows which slots
-    /// were freed and reused. Fold the walk into an order-free value (a
-    /// sum, a count, a Bloom filter) or sort what escapes; the `map-iter`
-    /// lint makes every caller in core, sim and proxy say which.
-    pub fn iter_unordered(&self) -> impl Iterator<Item = &CacheEntry> {
-        // lint:allow(map-iter) -- re-exported; each caller justifies its fold
-        self.nodes.iter_unordered().map(|(_, e)| e)
+    /// were freed and reused. The walk is a closure, not an `Iterator`, so
+    /// it cannot be collected, zipped or sorted into something whose order
+    /// escapes; fold it into an order-free value (a sum, a count, a Bloom
+    /// filter). A closure that pushes into a `Vec` still compiles, so such
+    /// a caller must sort what it collected.
+    pub fn for_each_resident(&self, mut f: impl FnMut(&CacheEntry)) {
+        for (_, entry) in self.nodes.iter_unordered() {
+            f(entry);
+        }
     }
 
     /// Verifies the cache's internal bookkeeping relations:
@@ -532,8 +535,7 @@ impl Cache {
     /// immediately instead of silently skewing the EA-vs-ad-hoc
     /// comparison; that audit additionally walks the arena's freelist).
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        // lint:allow(map-iter) -- a byte sum does not depend on the visit order
-        let actual: ByteSize = self.iter_unordered().map(|e| e.size).sum();
+        let actual: ByteSize = self.nodes.iter_unordered().map(|(_, e)| e.size).sum();
         if actual != self.used {
             return Err(InvariantViolation::ByteAccounting {
                 used: self.used,
@@ -980,7 +982,8 @@ mod tests {
         for i in 0..1000u64 {
             c.insert(d(i), kb(1 + i % 7), t(i));
         }
-        let manual: ByteSize = c.iter_unordered().map(|e| e.size).sum();
+        let mut manual = ByteSize::ZERO;
+        c.for_each_resident(|e| manual += e.size);
         assert_eq!(c.used(), manual);
         assert!(c.used() <= c.capacity());
     }
@@ -990,7 +993,8 @@ mod tests {
         let mut c = cache(10);
         c.insert(d(1), kb(2), t(0));
         c.insert(d(2), kb(2), t(1));
-        let mut ids: Vec<u64> = c.iter_unordered().map(|e| e.doc.as_u64()).collect();
+        let mut ids: Vec<u64> = Vec::new();
+        c.for_each_resident(|e| ids.push(e.doc.as_u64()));
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2]);
     }
@@ -998,7 +1002,8 @@ mod tests {
     #[test]
     fn iter_unordered_yields_each_resident_once_after_slot_reuse() {
         // Evictions and removals free arena slots that later inserts
-        // reuse; the last removals leave some of them vacant.
+        // reuse; the last removals leave some of them vacant. The arena's
+        // `iter_unordered` is walked through `for_each_resident`.
         let mut c = cache(20);
         for i in 0..500u64 {
             c.insert(d(i % 97), kb(1 + i % 5), t(i));
@@ -1011,15 +1016,47 @@ mod tests {
                 c.remove(d(i), t(500));
             }
         }
-        let walked: Vec<DocId> = c.iter_unordered().map(|e| e.doc).collect();
+        let mut walked: Vec<DocId> = Vec::new();
+        let mut bytes = ByteSize::ZERO;
+        c.for_each_resident(|e| {
+            walked.push(e.doc);
+            bytes += e.size;
+        });
         let set: std::collections::BTreeSet<DocId> = walked.iter().copied().collect();
         let residents: std::collections::BTreeSet<DocId> =
             (0..97u64).map(d).filter(|&doc| c.contains(doc)).collect();
         assert_eq!(walked.len(), set.len(), "a slot walked twice");
         assert_eq!(set, residents);
         assert_eq!(walked.len(), c.len());
-        let bytes: ByteSize = c.iter_unordered().map(|e| e.size).sum();
         assert_eq!(bytes, c.used());
+    }
+
+    /// Every mutator runs the invariant audit under `paranoid`: with the
+    /// byte count corrupted, each one panics instead of carrying on.
+    #[cfg(feature = "paranoid")]
+    #[test]
+    fn every_mutator_runs_the_paranoid_audit() {
+        fn assert_audited(name: &str, mutate: fn(&mut Cache)) {
+            let mut c = cache(8);
+            c.insert(d(1), kb(2), t(0));
+            c.used += kb(1);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mutate(&mut c)))
+                .expect_err(&format!("`{name}` skipped the audit"));
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("invariant violated"), "{name}: {message}");
+        }
+        assert_audited("lookup", |c| {
+            let _ = c.lookup(d(1), t(1));
+        });
+        assert_audited("serve_remote", |c| {
+            let _ = c.serve_remote(d(1), t(1), true);
+        });
+        assert_audited("insert", |c| {
+            let _ = c.insert(d(2), kb(1), t(1));
+        });
+        assert_audited("remove", |c| {
+            let _ = c.remove(d(1), t(1));
+        });
     }
 
     #[test]

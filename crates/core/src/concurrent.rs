@@ -365,11 +365,8 @@ mod tests {
     fn docs_by_shard(c: &ConcurrentCache) -> Vec<Vec<u64>> {
         c.each_shard()
             .map(|shard| {
-                let mut docs: Vec<u64> = shard
-                    .cache
-                    .iter_unordered()
-                    .map(|e| e.doc.as_u64())
-                    .collect();
+                let mut docs: Vec<u64> = Vec::new();
+                shard.cache.for_each_resident(|e| docs.push(e.doc.as_u64()));
                 docs.sort_unstable();
                 docs
             })
@@ -409,7 +406,8 @@ mod tests {
         assert_eq!(concurrent.used(), serial.used());
         assert_eq!(concurrent.stats(), serial.stats());
         assert_eq!(concurrent.expiration_age(), serial.expiration_age());
-        let mut serial_docs: Vec<u64> = serial.iter_unordered().map(|e| e.doc.as_u64()).collect();
+        let mut serial_docs: Vec<u64> = Vec::new();
+        serial.for_each_resident(|e| serial_docs.push(e.doc.as_u64()));
         serial_docs.sort_unstable();
         assert_eq!(docs_by_shard(&concurrent), vec![serial_docs]);
     }

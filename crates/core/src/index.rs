@@ -277,8 +277,9 @@ impl<T: Vacancy> Slab<T> {
     /// Iterates `(index, value)` over live slots in ascending index order.
     ///
     /// Index order is an artifact of allocation history, not a semantic
-    /// order: every call site in core, sim and proxy carries a justified
-    /// `map-iter` allow naming the order-free fold it feeds.
+    /// order. It stays crate-private: `Cache::check_invariants` sums it,
+    /// and `Cache::for_each_resident` hands it out only through a closure,
+    /// so no caller outside core can collect or sort it.
     pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (u32, &T)> {
         self.slots
             .iter()
@@ -936,7 +937,7 @@ mod tests {
     /// multiplicative hashes are spread almost evenly.)
     fn fragment_collision(seed: u64) -> (u64, u64) {
         let table = DocTable::new(seed);
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         let mut docs = coopcache_types::SplitMix64::new(seed);
         std::iter::repeat_with(|| docs.next_u64())
             .find_map(|doc| {

@@ -6,14 +6,16 @@
 //! meaningful if the simulators are bit-deterministic and the library
 //! crates cannot panic under load. Where rustc or clippy can state a rule
 //! exactly, they do: wall-clock reads are clippy's `disallowed_methods`
-//! (`clippy.toml`), panics are `clippy::{unwrap_used, expect_used, panic,
-//! unreachable}` in the panic-free crates' roots, `unsafe` is
-//! `forbid(unsafe_code)`, and a guard held across `.await` is clippy's
-//! `await_holding_lock`. This crate keeps the rules whose compiler
-//! equivalent is narrower or missing — hash-order and arena-order
-//! iteration, float equality against any literal, dead events, paranoid
-//! wiring, and the guard-liveness rules — as a masking lexer
-//! ([`mask`](mod@mask)) and textual rules ([`rules`],
+//! (`clippy.toml`), hash types are its `disallowed_types` there too, panics
+//! are `clippy::{unwrap_used, expect_used, panic, unreachable}` in the
+//! panic-free crates' roots, `unsafe` is `forbid(unsafe_code)`, and a
+//! guard held across `.await` is clippy's `await_holding_lock`. The
+//! store's arena walk takes a closure, so its order cannot be collected,
+//! and a `paranoid` test in `crates/core/src/cache.rs` shows that every
+//! store mutator runs the invariant audit. This crate keeps the rules
+//! whose compiler equivalent is narrower or missing — float equality
+//! against any literal, dead events, and the guard-liveness rules — as a
+//! masking lexer ([`mask`](mod@mask)) and textual rules ([`rules`],
 //! [`concurrency`](mod@concurrency)) over it. No `syn`, no `regex`: the
 //! workspace takes no third-party dependencies, and masked substring
 //! scanning is both sufficient and auditable.
@@ -34,9 +36,7 @@ pub mod rules;
 
 pub use concurrency::check_lock_order;
 pub use mask::{mask, AllowDirective, Masked};
-pub use rules::{
-    check_event_taxonomy, check_paranoid_wiring, crate_of, lint_source, Finding, Rule,
-};
+pub use rules::{check_event_taxonomy, crate_of, lint_source, Finding, Rule};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,10 +86,9 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints the whole workspace rooted at `root`: per-file rules (R3, R4,
-/// R7, R9, R10) on every production source, then the cross-file checks —
-/// R5 (dead event taxonomy) against `crates/obs/src/event.rs`, R6
-/// (paranoid audit wiring) against `crates/core/src/cache.rs`, and R8
+/// Lints the whole workspace rooted at `root`: per-file rules (R4, R7,
+/// R9, R10) on every production source, then the cross-file checks — R5
+/// (dead event taxonomy) against `crates/obs/src/event.rs` and R8
 /// (lock-order cycles) over the workspace-wide acquisition graph.
 ///
 /// # Errors
@@ -106,10 +105,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     for (rel, src) in &sources {
         findings.extend(lint_source(rel, src));
     }
-    let ends_with = |rel: &Path, suffix: &str| rel.to_string_lossy().replace('\\', "/") == suffix;
     if let Some((rel, src)) = sources
         .iter()
-        .find(|(rel, _)| ends_with(rel, "crates/obs/src/event.rs"))
+        .find(|(rel, _)| rel.to_string_lossy().replace('\\', "/") == "crates/obs/src/event.rs")
     {
         let others: Vec<(PathBuf, String)> = sources
             .iter()
@@ -117,12 +115,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             .cloned()
             .collect();
         findings.extend(check_event_taxonomy(rel, src, &others));
-    }
-    if let Some((rel, src)) = sources
-        .iter()
-        .find(|(rel, _)| ends_with(rel, "crates/core/src/cache.rs"))
-    {
-        findings.extend(check_paranoid_wiring(rel, src));
     }
     findings.extend(check_lock_order(&sources));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

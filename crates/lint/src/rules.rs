@@ -5,44 +5,36 @@
 //! blanked, and — for all rules — `#[cfg(test)]` / `#[test]` items are
 //! excluded via the `app_code` view. Findings can be suppressed with a
 //! justified allow comment — a rule name and a reason, as in
-//! `// lint:allow(map-iter) -- summed, so the visit order cannot leak` —
+//! `// lint:allow(float-eq) -- exact sentinel compare` —
 //! trailing the offending line or in the comment directly above it
 //! (the comment may wrap across lines).
 //!
 //! | rule              | scope                         | what it catches |
 //! |-------------------|-------------------------------|-----------------|
-//! | `map-iter`        | `core`, `sim`, `proxy`        | iterating a `HashMap`/`HashSet` (nondeterministic order), or an unjustified arena `iter_unordered()` walk |
 //! | `float-eq`        | everywhere                    | `==` / `!=` against a float literal |
 //! | `dead-event`      | workspace-wide                | `Event` variants never constructed outside `obs` |
-//! | `paranoid-wiring` | `core/src/cache.rs`           | mutating cache methods missing the invariant audit |
 //! | `lock-blocking`   | everywhere                    | blocking calls (join, I/O, sleep, channel recv) under a live `MutexGuard` |
 //! | `lock-order`      | workspace-wide                | cycles in the lock-acquisition graph, or re-acquiring a held lock |
 //! | `atomic-order`    | everywhere                    | unjustified non-`Relaxed` orderings; `Relaxed` on cross-thread `AtomicBool` flags |
 //! | `guard-escape`    | everywhere                    | a guard captured by a `move` closure |
 //!
 //! The concurrency rules (R7–R10) live in [`crate::concurrency`]. R1
-//! (wall clock), R2 (panics), R11 (`unsafe`) and R10's `.await` clause
-//! are rustc and clippy lints (DESIGN.md §8).
+//! (wall clock), R2 (panics), R3 (hash types), R11 (`unsafe`) and R10's
+//! `.await` clause are rustc and clippy lints; R3's arena half is the
+//! store's closure-only walk, and R6 (audit wiring) is a `paranoid` test
+//! in `crates/core/src/cache.rs` (DESIGN.md §8).
 
-use crate::mask::{collect_decl_names, find_word, mask, match_close, Masked};
+use crate::mask::{find_word, mask, Masked};
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Crates where hash-order iteration can reach outputs, events, or
-/// eviction decisions (rule `map-iter`).
-pub const MAP_ITER_CRATES: [&str; 3] = ["core", "sim", "proxy"];
 
 /// A conformance rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// R3: hash-order iteration in determinism-critical crates.
-    MapIter,
     /// R4: float equality comparison.
     FloatEq,
     /// R5: `Event` variant never constructed outside `obs`.
     DeadEvent,
-    /// R6: cache mutation path missing its invariant audit call.
-    ParanoidWiring,
     /// R7: a blocking call while a `MutexGuard` is live.
     LockBlocking,
     /// R8: a cycle in the workspace lock-acquisition graph.
@@ -60,10 +52,8 @@ impl Rule {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            Self::MapIter => "map-iter",
             Self::FloatEq => "float-eq",
             Self::DeadEvent => "dead-event",
-            Self::ParanoidWiring => "paranoid-wiring",
             Self::LockBlocking => "lock-blocking",
             Self::LockOrder => "lock-order",
             Self::AtomicOrder => "atomic-order",
@@ -73,11 +63,9 @@ impl Rule {
     }
 
     /// All rule names accepted by `lint:allow`.
-    pub const ALLOWABLE: [Rule; 8] = [
-        Self::MapIter,
+    pub const ALLOWABLE: [Rule; 6] = [
         Self::FloatEq,
         Self::DeadEvent,
-        Self::ParanoidWiring,
         Self::LockBlocking,
         Self::LockOrder,
         Self::AtomicOrder,
@@ -129,18 +117,13 @@ pub fn crate_of(rel: &Path) -> Option<&str> {
     }
 }
 
-/// Runs every per-file rule (R3, R4, R7, R9, R10, plus allow
-/// validation) on one source.
+/// Runs every per-file rule (R4, R7, R9, R10, plus allow validation) on
+/// one source.
 #[must_use]
 pub fn lint_source(rel: &Path, src: &str) -> Vec<Finding> {
     let masked = mask(src);
     let mut findings = Vec::new();
-    let krate = crate_of(rel);
-
     check_allows(rel, &masked, &mut findings);
-    if krate.is_some_and(|c| MAP_ITER_CRATES.contains(&c)) {
-        check_map_iter(rel, &masked, &mut findings);
-    }
     check_float_eq(rel, &masked, &mut findings);
     crate::concurrency::check_concurrency(rel, &masked, &mut findings);
     findings
@@ -174,124 +157,6 @@ fn check_allows(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-/// Iteration methods whose visit order is the hasher's, not the data's.
-const ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
-/// R3: iterating a `HashMap`/`HashSet` where order can leak out.
-fn check_map_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    check_unordered_iter(rel, masked, findings);
-    let code = &masked.app_code;
-    let names = collect_decl_names(code, &["HashMap", "HashSet"], true);
-    for name in &names {
-        let mut from = 0;
-        while let Some(pos) = find_word(code, name, from) {
-            let end = pos + name.len();
-            from = end;
-            let flagged = iterates_right(code, end) || iterated_by_for(code, pos);
-            if !flagged {
-                continue;
-            }
-            let line = masked.line_of(pos);
-            if masked.allowed(Rule::MapIter.name(), line) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line,
-                rule: Rule::MapIter,
-                message: format!(
-                    "iteration over hash collection `{name}`: order is nondeterministic — \
-                     use a BTreeMap/BTreeSet or sort before emitting"
-                ),
-            });
-        }
-    }
-}
-
-/// R3, arena clause: `iter_unordered()` — the arena walk the store
-/// exposes — visits slots in allocation order, which is operation
-/// history, not a semantic order. Every call in a determinism-critical
-/// crate needs a justified `map-iter` allow naming the order-free fold it
-/// feeds (a sum, a count, a Bloom filter).
-fn check_unordered_iter(rel: &Path, masked: &Masked, findings: &mut Vec<Finding>) {
-    let code = &masked.app_code;
-    let mut from = 0;
-    while let Some(pos) = find_word(code, "iter_unordered", from) {
-        from = pos + "iter_unordered".len();
-        // The declaration site (`fn iter_unordered`) defines the
-        // iterator; only call sites can leak its order.
-        if code[..pos].trim_end().ends_with("fn") {
-            continue;
-        }
-        let line = masked.line_of(pos);
-        if masked.allowed(Rule::MapIter.name(), line) {
-            continue;
-        }
-        findings.push(Finding {
-            file: rel.to_path_buf(),
-            line,
-            rule: Rule::MapIter,
-            message: "`iter_unordered()` walks the arena in allocation order: fold it \
-                      into an order-free value and justify with \
-                      `lint:allow(map-iter) -- <why>`"
-                .to_owned(),
-        });
-    }
-}
-
-/// True when the text after a collection name calls an order-leaking
-/// iteration method: `.iter()`, `.values()`, …
-fn iterates_right(code: &str, end: usize) -> bool {
-    let bytes = code.as_bytes();
-    if bytes.get(end) != Some(&b'.') {
-        return false;
-    }
-    let mut m = end + 1;
-    let start = m;
-    while m < bytes.len() && (bytes[m].is_ascii_alphanumeric() || bytes[m] == b'_') {
-        m += 1;
-    }
-    let method = &code[start..m];
-    bytes.get(m) == Some(&b'(') && ITER_METHODS.contains(&method)
-}
-
-/// True when the collection name at `pos` is the subject of a
-/// `for x in [&[mut]] [self.]name` loop.
-fn iterated_by_for(code: &str, pos: usize) -> bool {
-    let bytes = code.as_bytes();
-    let mut q = pos;
-    // Skip a `self.` qualifier.
-    if code[..q].ends_with("self.") {
-        q -= 5;
-    }
-    while q > 0 && bytes[q - 1].is_ascii_whitespace() {
-        q -= 1;
-    }
-    if code[..q].ends_with("mut") {
-        q -= 3;
-        while q > 0 && bytes[q - 1].is_ascii_whitespace() {
-            q -= 1;
-        }
-    }
-    if q > 0 && bytes[q - 1] == b'&' {
-        q -= 1;
-        while q > 0 && bytes[q - 1].is_ascii_whitespace() {
-            q -= 1;
-        }
-    }
-    code[..q].ends_with(" in") || code[..q].ends_with("\nin")
 }
 
 /// R4: `==` / `!=` where either operand is a float literal.
@@ -508,63 +373,6 @@ fn enum_variants(masked: &Masked, name: &str) -> Option<Vec<(usize, String)>> {
     Some(variants)
 }
 
-/// R6: the cache's mutating methods must call the paranoid audit hook,
-/// and `check_invariants` must exist — the static half of the dynamic
-/// invariant layer.
-#[must_use]
-pub fn check_paranoid_wiring(rel: &Path, cache_src: &str) -> Vec<Finding> {
-    let masked = mask(cache_src);
-    let mut findings = Vec::new();
-    if find_word(&masked.code, "fn check_invariants", 0).is_none() {
-        findings.push(Finding {
-            file: rel.to_path_buf(),
-            line: 1,
-            rule: Rule::ParanoidWiring,
-            message: "Cache::check_invariants is not defined: the paranoid runtime \
-                      audit layer is missing"
-                .to_string(),
-        });
-        return findings;
-    }
-    for method in ["lookup", "serve_remote", "insert", "remove"] {
-        let Some((line, body)) = fn_body(&masked, method) else {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: 1,
-                rule: Rule::ParanoidWiring,
-                message: format!("expected mutating method `fn {method}` not found"),
-            });
-            continue;
-        };
-        if !(body.contains("audit(") || body.contains("check_invariants(")) {
-            if masked.allowed(Rule::ParanoidWiring.name(), line) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line,
-                rule: Rule::ParanoidWiring,
-                message: format!(
-                    "mutating method `{method}` does not call the invariant audit \
-                     (`self.audit()`): paranoid builds would not check this path"
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// The body text of `fn <name>` in non-test code, with its starting line.
-fn fn_body<'a>(masked: &'a Masked, name: &str) -> Option<(usize, &'a str)> {
-    // find_word word-bounds the name, so `fn lookup` never matches
-    // `fn lookup_inner`.
-    let pat = format!("fn {name}");
-    let pos = find_word(&masked.app_code, &pat, 0)?;
-    let open = masked.app_code[pos..].find('{')? + pos;
-    let close = match_close(masked.app_code.as_bytes(), open)?;
-    Some((masked.line_of(pos), &masked.app_code[open..=close]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,78 +383,6 @@ mod tests {
 
     fn rules(findings: &[Finding]) -> Vec<Rule> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn map_iter_detects_field_iteration() {
-        let src = "struct C { entries: HashMap<u64, u64> }\n\
-                   impl C { fn f(&self) { for v in self.entries.values() { let _ = v; } } }\n";
-        assert_eq!(
-            rules(&lint("crates/core/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
-    }
-
-    #[test]
-    fn unordered_iter_escaping_unsorted_is_flagged() {
-        let src = "impl Shard { fn all(&self) -> Vec<u64> {\n\
-                   let out: Vec<u64> = self.entries.iter_unordered().collect();\n\
-                   out } }\n";
-        assert_eq!(
-            rules(&lint("crates/core/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
-    }
-
-    #[test]
-    fn unordered_iter_sorted_shard_loop_is_flagged() {
-        let src = "impl Shard { fn all(&self) -> Vec<u64> {\n\
-                   let mut out: Vec<u64> = self.entries.iter_unordered().collect();\n\
-                   out.sort_unstable();\n\
-                   out } }\n";
-        assert_eq!(
-            rules(&lint("crates/core/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
-    }
-
-    #[test]
-    fn unordered_iter_definition_site_is_not_flagged() {
-        let src = "impl Slab { fn iter_unordered(&self) -> std::slice::Iter<'_, u64> {\n\
-                   self.slots.iter() } }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unordered_iter_only_in_deterministic_crates() {
-        let src = "fn f(s: &Slab) -> Vec<u64> { s.iter_unordered().collect() }\n";
-        assert_eq!(
-            rules(&lint("crates/core/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
-        assert!(lint("crates/metrics/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn map_iter_allows_btreemap() {
-        let src = "struct C { entries: BTreeMap<u64, u64> }\n\
-                   impl C { fn f(&self) { for v in self.entries.values() { let _ = v; } } }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn map_get_is_fine() {
-        let src = "fn f(m: HashMap<u64, u64>) -> Option<u64> { m.get(&1).copied() }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn for_loop_over_map_is_flagged() {
-        let src = "fn f(m: HashMap<u64, u64>) { for (k, v) in &m { let _ = (k, v); } }\n";
-        assert_eq!(
-            rules(&lint("crates/sim/src/x.rs", src)),
-            vec![Rule::MapIter]
-        );
     }
 
     #[test]
@@ -691,9 +427,13 @@ mod tests {
 
     #[test]
     fn allow_unknown_rule_is_flagged() {
-        let src = "// lint:allow(no-such-rule) -- whatever\nfn f() {}\n";
-        let f = lint("crates/core/src/x.rs", src);
-        assert_eq!(rules(&f), vec![Rule::BadAllow]);
+        // Names of rules the compiler and a paranoid test now enforce are
+        // unknown too, so a stale allow for them is a finding.
+        for rule in ["no-such-rule", "map-iter", "paranoid-wiring"] {
+            let src = format!("// lint:allow({rule}) -- whatever\nfn f() {{}}\n");
+            let f = lint("crates/core/src/x.rs", &src);
+            assert_eq!(rules(&f), vec![Rule::BadAllow], "{rule}");
+        }
     }
 
     #[test]
@@ -718,26 +458,6 @@ mod tests {
         );
         let f = check_event_taxonomy(Path::new("crates/obs/src/event.rs"), event_src, &[user]);
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn paranoid_wiring_requires_audit_calls() {
-        let good = "impl Cache {\n\
-            fn check_invariants(&self) {}\n\
-            fn audit(&self) {}\n\
-            pub fn lookup(&mut self) { self.audit(); }\n\
-            pub fn serve_remote(&mut self) { self.audit(); }\n\
-            pub fn insert(&mut self) { self.audit(); }\n\
-            pub fn remove(&mut self) { self.audit(); }\n\
-        }\n";
-        assert!(check_paranoid_wiring(Path::new("crates/core/src/cache.rs"), good).is_empty());
-        let bad = good.replace(
-            "pub fn insert(&mut self) { self.audit(); }",
-            "pub fn insert(&mut self) {}",
-        );
-        let f = check_paranoid_wiring(Path::new("crates/core/src/cache.rs"), &bad);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("insert"));
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! exactly as they would in the real tree. The fixtures directory itself
 //! is in the linter's skip list, so the workspace scan never sees them.
 
-use coopcache_lint::{
-    check_event_taxonomy, check_lock_order, check_paranoid_wiring, lint_source, Finding, Rule,
-};
+use coopcache_lint::{check_event_taxonomy, check_lock_order, lint_source, Finding, Rule};
 use std::path::{Path, PathBuf};
 
 fn lint(pseudo_path: &str, src: &str) -> Vec<Finding> {
@@ -30,30 +28,6 @@ fn lines_contain(findings: &[Finding], src: &str, rule: Rule, token: &str) {
             f.line
         );
     }
-}
-
-#[test]
-fn map_iter_fixture_flags_values_for_loop_and_drain() {
-    let src = include_str!("fixtures/map_iter_bad.rs");
-    let findings = lint("crates/sim/src/fixture.rs", src);
-    // Five hash-order leaks (two through a path-qualified type) plus
-    // three unjustified `iter_unordered` walks, one of them sorted after.
-    assert_eq!(count(&findings, Rule::MapIter), 8, "{findings:?}");
-    lines_contain(&findings, src, Rule::MapIter, "");
-}
-
-#[test]
-fn map_iter_rule_only_applies_to_deterministic_crates() {
-    let src = include_str!("fixtures/map_iter_bad.rs");
-    let findings = lint("crates/trace/src/fixture.rs", src);
-    assert_eq!(count(&findings, Rule::MapIter), 0, "{findings:?}");
-}
-
-#[test]
-fn map_iter_clean_fixture_produces_nothing() {
-    let src = include_str!("fixtures/map_iter_good.rs");
-    let findings = lint("crates/proxy/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
@@ -100,24 +74,6 @@ fn dead_event_passes_when_every_variant_is_built() {
     let others = vec![(PathBuf::from("crates/sim/src/x.rs"), full.to_string())];
     let findings = check_event_taxonomy(Path::new("crates/obs/src/event.rs"), taxonomy, &others);
     assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn paranoid_wiring_flags_unaudited_mutators() {
-    let src = include_str!("fixtures/paranoid_unwired.rs");
-    let findings = check_paranoid_wiring(Path::new("crates/core/src/cache.rs"), src);
-    assert_eq!(findings.len(), 2, "{findings:?}");
-    let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains("`insert`")), "{msgs:?}");
-    assert!(msgs.iter().any(|m| m.contains("`remove`")), "{msgs:?}");
-}
-
-#[test]
-fn paranoid_wiring_flags_a_missing_invariant_layer() {
-    let src = include_str!("fixtures/paranoid_missing.rs");
-    let findings = check_paranoid_wiring(Path::new("crates/core/src/cache.rs"), src);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("check_invariants"));
 }
 
 #[test]
@@ -349,7 +305,8 @@ const PANIC_FREE_CRATES: [&str; 9] = [
 
 #[test]
 fn compiler_lint_configuration_is_in_place() {
-    // Panics, wall-clock reads and `unsafe` are rustc and clippy lints;
+    // Panics, wall-clock reads, hash types and `unsafe` are rustc and
+    // clippy lints, and the audit wiring is a paranoid-feature test;
     // deleting their configuration must fail here as deleting a rule would.
     let read = |rel: &str| {
         std::fs::read_to_string(workspace_root().join(rel)).expect("configuration file reads")
@@ -373,11 +330,23 @@ fn compiler_lint_configuration_is_in_place() {
             "clippy.toml does not disallow `{method}`"
         );
     }
+    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            clippy.contains(&format!("{{ path = \"{ty}\"")),
+            "clippy.toml does not disallow `{ty}`"
+        );
+    }
     let check = read("scripts/check.sh");
     assert!(
         check
             .lines()
             .any(|l| l.starts_with("cargo clippy --workspace") && l.contains("-F unsafe_code")),
         "scripts/check.sh's clippy step does not forbid `unsafe_code`"
+    );
+    assert!(
+        check
+            .lines()
+            .any(|l| l == "cargo test -q -p coopcache-core --features paranoid"),
+        "scripts/check.sh does not run the paranoid tests that check the audit wiring"
     );
 }

@@ -239,11 +239,11 @@ impl DistributedGroup {
         let mut unique = 0;
         for (i, node) in self.nodes.iter().enumerate() {
             let earlier = &self.nodes[..i];
-            // lint:allow(map-iter) -- counted, and a count does not depend on the visit order
-            let walk = node.cache().iter_unordered();
-            unique += walk
-                .filter(|e| !earlier.iter().any(|m| m.cache().contains(e.doc)))
-                .count();
+            node.cache().for_each_resident(|e| {
+                if !earlier.iter().any(|m| m.cache().contains(e.doc)) {
+                    unique += 1;
+                }
+            });
         }
         unique
     }
@@ -458,10 +458,7 @@ impl DistributedGroup {
                 stats.insertions + stats.evictions + stats.explicit_removals + stats.expirations;
             if digest.built_at.is_none() || stamp != digest.stamp {
                 let mut filter = BloomFilter::with_rate(cache.len().max(16), fp_rate);
-                // lint:allow(map-iter) -- a Bloom filter's bits do not depend on insertion order
-                for entry in cache.iter_unordered() {
-                    filter.insert(entry.doc);
-                }
+                cache.for_each_resident(|entry| filter.insert(entry.doc));
                 digest.filter = filter;
                 digest.stamp = stamp;
             }
@@ -847,11 +844,9 @@ mod tests {
             backward.handle_request(c(0), d(5 - i), kb(1), t(i));
         }
         let walk = |g: &DistributedGroup| -> Vec<DocId> {
-            g.node(c(0))
-                .cache()
-                .iter_unordered()
-                .map(|e| e.doc)
-                .collect()
+            let mut docs = Vec::new();
+            g.node(c(0)).cache().for_each_resident(|e| docs.push(e.doc));
+            docs
         };
         assert_ne!(walk(&forward), walk(&backward), "the arenas differ");
         // Past the period, the next request rebuilds both caches' digests.

@@ -281,12 +281,11 @@ mod tests {
         for i in 0..200u64 {
             g.handle_request(CacheId::new((i % 4) as u16), d(i % 50), kb(2), t(i));
         }
-        use std::collections::HashMap;
-        let mut copies: HashMap<DocId, usize> = HashMap::new();
+        let mut copies: std::collections::BTreeMap<DocId, usize> = Default::default();
         for idx in 0..4u16 {
-            for e in g.node(CacheId::new(idx)).cache().iter_unordered() {
-                *copies.entry(e.doc).or_default() += 1;
-            }
+            g.node(CacheId::new(idx))
+                .cache()
+                .for_each_resident(|e| *copies.entry(e.doc).or_default() += 1);
         }
         assert!(copies.values().all(|&c| c == 1), "found a replica");
         assert!(!copies.is_empty());
@@ -300,9 +299,9 @@ mod tests {
         }
         for idx in 0..3u16 {
             let id = CacheId::new(idx);
-            for e in g.node(id).cache().iter_unordered() {
+            g.node(id).cache().for_each_resident(|e| {
                 assert_eq!(g.ring().home(e.doc), id, "doc {} strayed", e.doc);
-            }
+            });
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::generate::Trace;
 use coopcache_types::{ByteSize, ClientId, DocId, Request, Timestamp};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead};
 
@@ -74,7 +74,7 @@ impl From<io::Error> for ParseLogError {
 
 #[derive(Debug, Default)]
 struct Interner {
-    ids: HashMap<String, u64>,
+    ids: BTreeMap<String, u64>,
     names: Vec<String>,
 }
 

@@ -148,9 +148,9 @@ impl TraceStats {
     /// Computes statistics from a record slice.
     #[must_use]
     pub fn from_requests(requests: &[Request]) -> Self {
-        use std::collections::{HashMap, HashSet};
-        let mut docs: HashMap<DocId, ByteSize> = HashMap::new();
-        let mut clients: HashSet<ClientId> = HashSet::new();
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut docs: BTreeMap<DocId, ByteSize> = BTreeMap::new();
+        let mut clients: BTreeSet<ClientId> = BTreeSet::new();
         let mut total = ByteSize::ZERO;
         let mut start = Timestamp::from_millis(u64::MAX);
         let mut end = Timestamp::ZERO;
@@ -412,8 +412,8 @@ mod tests {
     #[test]
     fn doc_sizes_are_stable_per_doc() {
         let t = generate(&TraceProfile::small()).unwrap();
-        use std::collections::HashMap;
-        let mut seen: HashMap<DocId, ByteSize> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut seen: BTreeMap<DocId, ByteSize> = BTreeMap::new();
         for r in &t {
             let prev = seen.insert(r.doc, r.size);
             if let Some(prev) = prev {
@@ -434,8 +434,8 @@ mod tests {
     #[test]
     fn popularity_is_skewed() {
         let t = generate(&TraceProfile::small()).unwrap();
-        use std::collections::HashMap;
-        let mut freq: HashMap<DocId, usize> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut freq: BTreeMap<DocId, usize> = BTreeMap::new();
         for r in &t {
             *freq.entry(r.doc).or_default() += 1;
         }

@@ -137,7 +137,7 @@ impl From<u32> for ClientId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn doc_id_roundtrip_and_display() {
@@ -165,7 +165,9 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_and_ordered() {
-        let mut set = HashSet::new();
+        fn hashable<T: std::hash::Hash>() {}
+        hashable::<(DocId, CacheId, ClientId)>();
+        let mut set = BTreeSet::new();
         set.insert(DocId::new(1));
         set.insert(DocId::new(1));
         set.insert(DocId::new(2));

@@ -9,8 +9,9 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 # Warnings are errors, so the panic lints the panic-free crates warn on
-# and clippy.toml's disallowed wall-clock reads fail the gate; `unsafe` is
-# forbidden even in a crate root that lacks `#![forbid(unsafe_code)]`.
+# and clippy.toml's disallowed wall-clock reads and hash types (whose
+# iteration order is the hasher's) fail the gate; `unsafe` is forbidden
+# even in a crate root that lacks `#![forbid(unsafe_code)]`.
 echo "== cargo clippy (warnings are errors, unsafe forbidden)"
 cargo clippy --workspace --all-targets -- -D warnings -F unsafe_code
 
@@ -46,6 +47,8 @@ cargo test -q --release --test reference_store -- --ignored
 echo "== cargo test (deep trace pin)"
 cargo test -q --release --test determinism -- --ignored
 
+# Every store mutation re-runs the invariant audit here, and
+# `every_mutator_runs_the_paranoid_audit` fails if a mutator skips it.
 echo "== cargo test (paranoid invariant audits)"
 cargo test -q -p coopcache-core --features paranoid
 

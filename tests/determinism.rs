@@ -61,9 +61,9 @@ fn seed_isolation_across_profile_knobs() {
     // the first documents keep their identity and size.
     let short = generate(&TraceProfile::small().with_requests(1_000)).unwrap();
     let long = generate(&TraceProfile::small().with_requests(5_000)).unwrap();
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     let sizes_of =
-        |t: &Trace| -> HashMap<DocId, ByteSize> { t.iter().map(|r| (r.doc, r.size)).collect() };
+        |t: &Trace| -> BTreeMap<DocId, ByteSize> { t.iter().map(|r| (r.doc, r.size)).collect() };
     let short_sizes = sizes_of(&short);
     let long_sizes = sizes_of(&long);
     let mut shared = 0;
@@ -787,7 +787,7 @@ fn des_pins(
 fn des_tie_order_matches_the_pinned_streams() {
     let trace = icp_floored_trace();
     let round = NetworkModel::paper_calibrated().icp_round.as_millis();
-    let times: std::collections::HashSet<u64> = trace.iter().map(|r| r.time.as_millis()).collect();
+    let times: std::collections::BTreeSet<u64> = trace.iter().map(|r| r.time.as_millis()).collect();
     assert!(times.len() < trace.len(), "arrivals must share timestamps");
     assert!(
         trace

@@ -500,7 +500,8 @@ fn replay(kind: PolicyKind, seed: u64, cases: u64) -> u64 {
                 "lifetime mean at {}",
                 at()
             );
-            let mut resident: Vec<CacheEntry> = cache.iter_unordered().copied().collect();
+            let mut resident: Vec<CacheEntry> = Vec::new();
+            cache.for_each_resident(|e| resident.push(*e));
             resident.sort_unstable_by_key(|e| e.doc);
             assert_eq!(resident, model.entries(), "residents at {}", at());
             assert!(cache.check_invariants().is_ok(), "invariants at {}", at());
